@@ -11,6 +11,8 @@ an actor with a vector clock, every regular-file data access is recorded
 in a bounded per-inode shadow history, and two conflicting accesses with
 no happens-before edge between them are a race.
 
+The detector is a subscriber on the trace-point bus
+(:mod:`repro.perf.tracepoints`) and holds all of its state itself.
 Happens-before edges come only from the substrate's real synchronization
 points, mirroring §3.4/§5.2 semantics:
 
@@ -61,22 +63,24 @@ from __future__ import annotations
 import linecache
 import os
 import sys
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
 from repro.analysis.core import comment_suppresses, register_suppression_tool
 from repro.analysis.hb import Actor, VectorClock
 from repro.analysis.sanitizer import _FLOW_SPEC_NAMES
+from repro.perf import tracepoints
 from repro.vfs.errors import FsError
 from repro.vfs.inode import FileInode
-from repro.vfs.syscalls import O_RDONLY, O_TRUNC, Syscalls
+from repro.vfs.syscalls import O_TRUNC, Syscalls
 from repro.yancfs.schema import CountersDir, FlowNode
 
 register_suppression_tool("yancrace")
 
 #: Frames whose filename matches one of these are substrate plumbing; the
 #: reported syscall site is the first frame outside them (app/test code).
-_INFRA_MARKERS = ("/repro/vfs/", "/repro/analysis/", "/repro/yancfs/", "/repro/libyanc/")
+_INFRA_MARKERS = ("/repro/vfs/", "/repro/analysis/", "/repro/yancfs/", "/repro/libyanc/", "/repro/perf/")
 
 #: Bounded per-inode access history (like TSan's shadow cells): old
 #: accesses age out, trading missed ancient races for bounded memory.
@@ -85,6 +89,19 @@ DEFAULT_HISTORY = 16
 #: Actor key shared by every context not owned by a process (id() of a
 #: real object is never 0, so this cannot collide).
 _HARNESS_AID = 0
+
+#: Syscalls that move file data or synchronize: the detector looks at
+#: their outcome.
+_DATA_OPS = frozenset(
+    "open close read write pread pwrite ftruncate truncate rename inotify_read epoll_wait".split()
+)
+#: Every syscall that opens an actor scope: the data ops, plus the
+#: namespace mutators — those need no shadow record (directory ops are
+#: atomic in the kernel, like a concurrent map) but must make their
+#: caller the current actor so the notify events they emit carry its clock.
+_SCOPED_OPS = _DATA_OPS | frozenset(
+    "mkdir rmdir unlink symlink link chmod chown set_acl setxattr removexattr".split()
+)
 
 
 @dataclass(frozen=True)
@@ -136,15 +153,24 @@ class _PendingSpec:
     version: int
 
 
+#: Source file name -> is it substrate plumbing (memo: the frame walk
+#: below runs per recorded access and meets the same few files every time).
+_INFRA_FILES: dict[str, bool] = {}
+
+
 def _call_site() -> str:
     """``file:line`` of the nearest non-substrate frame (the app's site)."""
     frame = sys._getframe(1)
     for _ in range(40):
         if frame is None:
             break
-        filename = frame.f_code.co_filename.replace("\\", "/")
-        if not any(marker in filename for marker in _INFRA_MARKERS):
-            return f"{frame.f_code.co_filename}:{frame.f_lineno}"
+        filename = frame.f_code.co_filename
+        infra = _INFRA_FILES.get(filename)
+        if infra is None:
+            normalized = filename.replace("\\", "/")
+            infra = _INFRA_FILES[filename] = any(marker in normalized for marker in _INFRA_MARKERS)
+        if not infra:
+            return f"{filename}:{frame.f_lineno}"
         frame = frame.f_back
     return "<unknown>"
 
@@ -199,20 +225,44 @@ class RaceDetector:
         self._seen: set[tuple] = set()
         self._barrier = VectorClock()
         self._barrier_epoch = 0
+        # Syscalls -> {fd: (inode, path)}: which file each descriptor
+        # names.  Weak on the context the bus hands over, so a collected
+        # one cannot bequeath its fds to a successor reusing its id().
+        self._fd_files: weakref.WeakKeyDictionary[Syscalls, dict[int, tuple[FileInode, str]]] = weakref.WeakKeyDictionary()
+        # Guarded task closure -> scheduling-edge origin (clock snapshot
+        # at creation, actors that already acquired it).
+        self._origins: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # -- execution context (who is running right now) --
+        #: The context inside a scoped syscall, or the process scope a
+        #: dispatch/task run established; emissions attribute here.
+        self._current: Syscalls | None = None
+        #: The ``_current`` each open scope will restore (innermost last).
+        self._scopes: list[Syscalls | None] = []
+        #: Origins of the task runs in progress / in-flight RPC calls as
+        #: (sender, snapshot, responders, merged).
+        self._origin_stack: list[tuple | None] = []
+        self._rpc_stack: list[tuple] = []
+        #: Simulator.run nesting depth: 0 means the harness itself is executing.
+        self._run_depth = 0
 
     # -- lifecycle -----------------------------------------------------------------
 
     def install(self) -> "RaceDetector":
         """Start observing; idempotent per detector."""
-        _patch_once()
-        if self not in _DETECTORS:
-            _DETECTORS.append(self)
+        tracepoints.subscribe(self)
         return self
 
     def uninstall(self) -> None:
-        """Stop observing (the monkeypatches stay, but become no-ops)."""
-        if self in _DETECTORS:
-            _DETECTORS.remove(self)
+        """Stop observing; findings stay until :meth:`reset`."""
+        tracepoints.unsubscribe(self)
+        # No exit event will arrive for scopes still open: forget them.
+        self._fd_files.clear()
+        self._origins.clear()
+        self._current = None
+        self._scopes.clear()
+        self._origin_stack.clear()
+        self._rpc_stack.clear()
+        self._run_depth = 0
 
     def reset(self) -> None:
         """Drop all recorded state, e.g. between tests."""
@@ -226,9 +276,7 @@ class RaceDetector:
         self._seen.clear()
         self._barrier = VectorClock()
         self._barrier_epoch = 0
-        # The fd map is execution-context shared by all detectors; between
-        # runs every tracked fd table is dead anyway.
-        _FD_FILES.clear()
+        self._fd_files.clear()
 
     def check(self) -> list[RaceFinding]:
         """All findings, including teardown-only ones (torn commits)."""
@@ -309,7 +357,7 @@ class RaceDetector:
         """
         if previous is not None:
             return self._actor_for(previous)
-        if _RUN_DEPTH == 0:
+        if self._run_depth == 0:
             return self._harness_actor()
         return None
 
@@ -323,22 +371,18 @@ class RaceDetector:
         caller = self._caller_actor(previous)
         if caller is not None and caller is not actor:
             actor.clock.merge(caller.clock)
-        if _ORIGIN_STACK:
-            origin = _ORIGIN_STACK[-1].get(id(self))
-            if origin is not None:
-                clock, merged = origin
-                if actor.aid not in merged:
-                    actor.clock.merge(clock)
-                    merged.add(actor.aid)
-        if _RPC_STACK:
-            state = _RPC_STACK[-1].get(id(self))
-            if state is not None:
-                sender, snap, responders, merged = state
-                if actor is not sender and actor.aid not in merged:
-                    if snap is not None:
-                        actor.clock.merge(snap)
-                    merged.add(actor.aid)
-                    responders.append(actor)
+        if self._origin_stack and self._origin_stack[-1] is not None:
+            clock, merged = self._origin_stack[-1]
+            if actor.aid not in merged:
+                actor.clock.merge(clock)
+                merged.add(actor.aid)
+        if self._rpc_stack:
+            sender, snap, responders, merged = self._rpc_stack[-1]
+            if actor is not sender and actor.aid not in merged:
+                if snap is not None:
+                    actor.clock.merge(snap)
+                merged.add(actor.aid)
+                responders.append(actor)
         return actor
 
     def _on_syscall_leave(self, sc: Syscalls, previous: "Syscalls | None") -> None:
@@ -351,14 +395,14 @@ class RaceDetector:
 
     def _snapshot_scope(self):
         """Clock captured at task-creation time (the scheduling edge)."""
-        if _CURRENT_SC is None:
+        if self._current is None:
             return None
-        return (self._actor_for(_CURRENT_SC).clock.snapshot(), set())
+        return (self._actor_for(self._current).clock.snapshot(), set())
 
     def _rpc_send_state(self):
-        if _CURRENT_SC is None:
+        if self._current is None:
             return (None, None, [], set())
-        sender = self._actor_for(_CURRENT_SC)
+        sender = self._actor_for(self._current)
         return (sender, sender.clock.snapshot(), [], set())
 
     def _rpc_recv_state(self, state) -> None:
@@ -383,15 +427,15 @@ class RaceDetector:
             self._published[id(node)] = entry
         entry[1].merge(self._actor_for(sc).clock)
 
-    def _on_spawn(self, parent_sc: Syscalls, child_sc: Syscalls) -> None:
+    def on_spawn(self, parent_sc: Syscalls, child_sc: Syscalls) -> None:
         """fork(2) edge: the child starts with the parent's clock."""
         self._actor_for(child_sc).clock.merge(self._actor_for(parent_sc).clock)
 
-    def _note_delivery(self, instance: object) -> None:
+    def on_deliver(self, instance: object, _event: object) -> None:
         """An event was delivered (or coalesced) into an inotify queue."""
-        if _CURRENT_SC is None:
+        if self._current is None:
             return
-        actor = self._actor_for(_CURRENT_SC)
+        actor = self._actor_for(self._current)
         entry = self._inbox.get(id(instance))
         if entry is None:
             entry = (instance, VectorClock())
@@ -413,6 +457,105 @@ class RaceDetector:
             entry = self._inbox.get(id(pollable))
             if entry is not None:
                 actor.clock.merge(entry[1])
+
+    # -- trace-point handlers ----------------------------------------------------------
+
+    def _push_scope(self, sc: "Syscalls | None") -> "Syscalls | None":
+        """Open a scope with ``sc`` current (None keeps whoever is); returns the previous."""
+        previous = self._current
+        self._scopes.append(previous)
+        if sc is not None:
+            self._current = sc
+        return previous
+
+    def _pop_scope(self) -> "Syscalls | None":
+        # An exit whose enter predates install() finds nothing to restore.
+        self._current = self._scopes.pop() if self._scopes else None
+        return self._current
+
+    def on_syscall_enter(self, sc: Syscalls, op: str, paths: tuple, args: tuple) -> None:
+        if op in _SCOPED_OPS:
+            self._on_syscall_enter(sc, self._push_scope(sc))
+
+    def on_syscall_exit(self, sc: Syscalls, op: str, paths: tuple, args: tuple, result: object, exc: BaseException | None) -> None:
+        if op not in _SCOPED_OPS:
+            return
+        if op in _DATA_OPS:
+            self._observe(sc, op, paths, args, result, exc)
+        self._on_syscall_leave(sc, self._pop_scope())
+
+    def _observe(self, sc: Syscalls, op: str, paths: tuple, args: tuple, result: object, exc: BaseException | None) -> None:
+        """What a finished data syscall did, while its caller is still current."""
+        fds = self._fd_files.get(sc)
+        if op == "close":
+            entry = fds.pop(args[0], None) if fds else None
+            # close-time validation rejected the write and rolled the file
+            # back: the spec change never became durable, so it cannot owe
+            # a version increment.
+            if entry is not None and isinstance(exc, FsError):
+                self._cancel_pending(sc, entry[0])
+        elif exc is not None:
+            return
+        elif op == "open":
+            handle = sc._fds.get(result)
+            if handle is not None and isinstance(handle.inode, FileInode):
+                self._fd_files.setdefault(sc, {})[result] = (handle.inode, paths[0])
+                if args[1] & O_TRUNC and handle.writable:
+                    self._record_access(sc, handle.inode, paths[0], write=True)
+        elif op == "truncate":
+            inode = sc.vfs.resolve(sc.ns, sc.cred, paths[0])
+            if isinstance(inode, FileInode):
+                self._record_access(sc, inode, paths[0], write=True)
+        elif op == "rename":
+            # rename is the atomic-publish operation (maildir): record the
+            # publisher's clock on the target so later accesses through
+            # the new name acquire everything done before publication.
+            try:
+                self._note_publish(sc, sc.vfs.resolve(sc.ns, sc.cred, paths[1]))
+            except FsError:
+                pass
+        elif op == "inotify_read":
+            self._acquire_instance(sc, args[0])
+        elif op == "epoll_wait":
+            self._acquire_ready(sc, args[0])
+        elif fds and args[0] in fds:  # read/pread/write/pwrite/ftruncate on a tracked fd
+            inode, path = fds[args[0]]
+            self._record_access(sc, inode, path, write=op not in ("read", "pread"))
+
+    def on_task_created(self, run: object, _process: object) -> None:
+        # The scheduling edge: capture the creating scope's clock now so
+        # the eventual run (cron job, periodic task, one-shot) acquires it.
+        self._origins[run] = self._snapshot_scope()
+
+    def on_task_enter(self, run: object, process) -> None:
+        self._push_scope(process.sc)
+        self._origin_stack.append(self._origins.get(run))
+
+    def on_task_exit(self, run: object, process, result: object, exc: BaseException | None) -> None:
+        if self._origin_stack:
+            self._origin_stack.pop()
+        self._pop_scope()
+
+    def on_dispatch_enter(self, process) -> None:
+        self._push_scope(process.sc)
+
+    def on_dispatch_exit(self, process, result: object, exc: BaseException | None) -> None:
+        self._pop_scope()
+
+    def on_sim_run_enter(self, sim: object) -> None:
+        self.publish_barrier()
+        self._run_depth += 1
+
+    def on_sim_run_exit(self, sim: object, result: object, exc: BaseException | None) -> None:
+        self._run_depth = max(0, self._run_depth - 1)
+        self.publish_barrier()
+
+    def on_rpc_send(self, channel: object) -> None:
+        self._rpc_stack.append(self._rpc_send_state())
+
+    def on_rpc_recv(self, channel: object) -> None:
+        if self._rpc_stack:
+            self._rpc_recv_state(self._rpc_stack.pop())
 
     # -- the shadow-state core -------------------------------------------------------
 
@@ -553,360 +696,6 @@ class RaceDetector:
             )
 
 
-# -- module-level execution context and patching ----------------------------------
-
-#: Active detectors; the patched choke points fan out to each of these.
-_DETECTORS: list[RaceDetector] = []
-#: The Syscalls instance currently inside a patched call (or the process
-#: scope established by a dispatch/guarded run); emissions attribute here.
-_CURRENT_SC: Syscalls | None = None
-#: (id(sc), fd) -> (inode, path): which file each tracked descriptor names.
-_FD_FILES: dict[tuple[int, int], tuple[FileInode, str]] = {}
-#: Scheduling-edge scopes: per-detector creation-time clock snapshots,
-#: pushed for the duration of a guarded Process task run.
-_ORIGIN_STACK: list[dict] = []
-#: In-flight RPC calls: per-detector (sender, snapshot, responders, merged).
-_RPC_STACK: list[dict] = []
-#: Simulator.run nesting depth: 0 means the harness itself is executing.
-_RUN_DEPTH = 0
-_patched = False
-
-
-def _enter(sc: Syscalls) -> "Syscalls | None":
-    global _CURRENT_SC
-    previous = _CURRENT_SC
-    _CURRENT_SC = sc
-    for det in _DETECTORS:
-        det._on_syscall_enter(sc, previous)
-    return previous
-
-
-def _leave(sc: Syscalls, previous: "Syscalls | None") -> None:
-    global _CURRENT_SC
-    _CURRENT_SC = previous
-    for det in _DETECTORS:
-        det._on_syscall_leave(sc, previous)
-
-
-def _patch_once() -> None:
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    from repro.distfs import rpc as rpc_mod
-    from repro.proc.process import Process
-    from repro.sim.clock import Simulator
-    from repro.vfs import notify as notify_mod
-
-    orig_open = Syscalls.open
-    orig_close = Syscalls.close
-    orig_read = Syscalls.read
-    orig_write = Syscalls.write
-    orig_pread = Syscalls.pread
-    orig_pwrite = Syscalls.pwrite
-    orig_ftruncate = Syscalls.ftruncate
-    orig_truncate = Syscalls.truncate
-    orig_inotify_read = Syscalls.inotify_read
-    orig_epoll_wait = Syscalls.epoll_wait
-    orig_spawn = Syscalls.spawn
-    orig_guarded = Process._guarded
-    orig_dispatch = Process._dispatch
-    orig_run = Simulator.run
-    orig_run_until = Simulator.run_until
-
-    def patched_open(self: Syscalls, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
-        if not _DETECTORS:
-            return orig_open(self, path, flags, mode)
-        previous = _enter(self)
-        try:
-            fd = orig_open(self, path, flags, mode)
-            handle = self._fds.get(fd)
-            if handle is not None and isinstance(handle.inode, FileInode):
-                abspath = self._abspath(path)
-                _FD_FILES[(id(self), fd)] = (handle.inode, abspath)
-                if flags & O_TRUNC and handle.writable:
-                    for det in _DETECTORS:
-                        det._record_access(self, handle.inode, abspath, write=True)
-            return fd
-        finally:
-            _leave(self, previous)
-
-    def patched_close(self: Syscalls, fd: int) -> None:
-        if not _DETECTORS:
-            return orig_close(self, fd)
-        previous = _enter(self)
-        entry = _FD_FILES.get((id(self), fd))
-        try:
-            return orig_close(self, fd)
-        except FsError:
-            # close-time validation rejected the write and rolled the file
-            # back: the spec change never became durable, so it cannot owe
-            # a version increment.
-            if entry is not None:
-                for det in _DETECTORS:
-                    det._cancel_pending(self, entry[0])
-            raise
-        finally:
-            _FD_FILES.pop((id(self), fd), None)
-            _leave(self, previous)
-
-    def _fd_access(sc: Syscalls, fd: int, *, write: bool) -> None:
-        entry = _FD_FILES.get((id(sc), fd))
-        if entry is not None:
-            for det in _DETECTORS:
-                det._record_access(sc, entry[0], entry[1], write=write)
-
-    def patched_read(self: Syscalls, fd: int, size: int = -1) -> bytes:
-        if not _DETECTORS:
-            return orig_read(self, fd, size)
-        previous = _enter(self)
-        try:
-            data = orig_read(self, fd, size)
-            _fd_access(self, fd, write=False)
-            return data
-        finally:
-            _leave(self, previous)
-
-    def patched_write(self: Syscalls, fd: int, data: bytes) -> int:
-        if not _DETECTORS:
-            return orig_write(self, fd, data)
-        previous = _enter(self)
-        try:
-            result = orig_write(self, fd, data)
-            _fd_access(self, fd, write=True)
-            return result
-        finally:
-            _leave(self, previous)
-
-    def patched_pread(self: Syscalls, fd: int, size: int, offset: int) -> bytes:
-        if not _DETECTORS:
-            return orig_pread(self, fd, size, offset)
-        previous = _enter(self)
-        try:
-            data = orig_pread(self, fd, size, offset)
-            _fd_access(self, fd, write=False)
-            return data
-        finally:
-            _leave(self, previous)
-
-    def patched_pwrite(self: Syscalls, fd: int, data: bytes, offset: int) -> int:
-        if not _DETECTORS:
-            return orig_pwrite(self, fd, data, offset)
-        previous = _enter(self)
-        try:
-            result = orig_pwrite(self, fd, data, offset)
-            _fd_access(self, fd, write=True)
-            return result
-        finally:
-            _leave(self, previous)
-
-    def patched_ftruncate(self: Syscalls, fd: int, size: int) -> None:
-        if not _DETECTORS:
-            return orig_ftruncate(self, fd, size)
-        previous = _enter(self)
-        try:
-            orig_ftruncate(self, fd, size)
-            _fd_access(self, fd, write=True)
-        finally:
-            _leave(self, previous)
-
-    def patched_truncate(self: Syscalls, path: str, size: int) -> None:
-        if not _DETECTORS:
-            return orig_truncate(self, path, size)
-        previous = _enter(self)
-        try:
-            orig_truncate(self, path, size)
-            abspath = self._abspath(path)
-            inode = self.vfs.resolve(self.ns, self.cred, abspath)
-            if isinstance(inode, FileInode):
-                for det in _DETECTORS:
-                    det._record_access(self, inode, abspath, write=True)
-        finally:
-            _leave(self, previous)
-
-    def patched_inotify_read(self: Syscalls, instance):
-        if not _DETECTORS:
-            return orig_inotify_read(self, instance)
-        previous = _enter(self)
-        try:
-            events = orig_inotify_read(self, instance)
-            for det in _DETECTORS:
-                det._acquire_instance(self, instance)
-            return events
-        finally:
-            _leave(self, previous)
-
-    def patched_epoll_wait(self: Syscalls, ep):
-        if not _DETECTORS:
-            return orig_epoll_wait(self, ep)
-        previous = _enter(self)
-        try:
-            ready = orig_epoll_wait(self, ep)
-            for det in _DETECTORS:
-                det._acquire_ready(self, ep)
-            return ready
-        finally:
-            _leave(self, previous)
-
-    orig_rename = Syscalls.rename
-
-    def patched_rename(self: Syscalls, old: str, new: str):
-        if not _DETECTORS:
-            return orig_rename(self, old, new)
-        previous = _enter(self)
-        try:
-            result = orig_rename(self, old, new)
-            # rename is the atomic-publish operation (maildir): record the
-            # publisher's clock on the target so later accesses through
-            # the new name acquire everything done before publication.
-            try:
-                node = self.vfs.resolve(self.ns, self.cred, self._abspath(new))
-            except FsError:
-                node = None
-            if node is not None:
-                for det in _DETECTORS:
-                    det._note_publish(self, node)
-            return result
-        finally:
-            _leave(self, previous)
-
-    def patched_spawn(self: Syscalls, **kwargs):
-        child = orig_spawn(self, **kwargs)
-        for det in _DETECTORS:
-            det._on_spawn(self, child)
-        return child
-
-    def patched_guarded(self: Process, fn):
-        run = orig_guarded(self, fn)
-        # The scheduling edge: capture the creating scope's clock now so
-        # the eventual run (cron job, periodic task, one-shot) acquires it.
-        origins = {id(det): det._snapshot_scope() for det in _DETECTORS}
-
-        def guarded_run() -> None:
-            if not _DETECTORS:
-                return run()
-            global _CURRENT_SC
-            previous = _CURRENT_SC
-            if self.sc is not None:
-                _CURRENT_SC = self.sc
-            _ORIGIN_STACK.append(origins)
-            try:
-                return run()
-            finally:
-                _ORIGIN_STACK.pop()
-                _CURRENT_SC = previous
-
-        return guarded_run
-
-    def patched_dispatch(self: Process) -> None:
-        if not _DETECTORS:
-            return orig_dispatch(self)
-        global _CURRENT_SC
-        previous = _CURRENT_SC
-        if self.sc is not None:
-            _CURRENT_SC = self.sc
-        try:
-            return orig_dispatch(self)
-        finally:
-            _CURRENT_SC = previous
-
-    def patched_run(self: Simulator, max_events: int = 1_000_000) -> int:
-        if not _DETECTORS:
-            return orig_run(self, max_events)
-        global _RUN_DEPTH
-        for det in _DETECTORS:
-            det.publish_barrier()
-        _RUN_DEPTH += 1
-        try:
-            return orig_run(self, max_events)
-        finally:
-            _RUN_DEPTH -= 1
-            for det in _DETECTORS:
-                det.publish_barrier()
-
-    def patched_run_until(self: Simulator, deadline: float, max_events: int = 1_000_000) -> int:
-        if not _DETECTORS:
-            return orig_run_until(self, deadline, max_events)
-        global _RUN_DEPTH
-        for det in _DETECTORS:
-            det.publish_barrier()
-        _RUN_DEPTH += 1
-        try:
-            return orig_run_until(self, deadline, max_events)
-        finally:
-            _RUN_DEPTH -= 1
-            for det in _DETECTORS:
-                det.publish_barrier()
-
-    def notify_tap(instance, _event) -> None:
-        if not _DETECTORS or _CURRENT_SC is None:
-            return
-        for det in _DETECTORS:
-            det._note_delivery(instance)
-
-    def rpc_tap(phase: str, _channel) -> None:
-        if phase == "send":
-            _RPC_STACK.append({id(det): det._rpc_send_state() for det in _DETECTORS})
-        elif _RPC_STACK:
-            frame = _RPC_STACK.pop()
-            for det in _DETECTORS:
-                state = frame.get(id(det))
-                if state is not None:
-                    det._rpc_recv_state(state)
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.close = patched_close  # type: ignore[method-assign]
-    Syscalls.read = patched_read  # type: ignore[method-assign]
-    Syscalls.write = patched_write  # type: ignore[method-assign]
-    Syscalls.pread = patched_pread  # type: ignore[method-assign]
-    Syscalls.pwrite = patched_pwrite  # type: ignore[method-assign]
-    Syscalls.ftruncate = patched_ftruncate  # type: ignore[method-assign]
-    Syscalls.truncate = patched_truncate  # type: ignore[method-assign]
-    Syscalls.rename = patched_rename  # type: ignore[method-assign]
-    Syscalls.inotify_read = patched_inotify_read  # type: ignore[method-assign]
-    Syscalls.epoll_wait = patched_epoll_wait  # type: ignore[method-assign]
-    Syscalls.spawn = patched_spawn  # type: ignore[method-assign]
-    Process._guarded = patched_guarded  # type: ignore[method-assign]
-    Process._dispatch = patched_dispatch  # type: ignore[method-assign]
-    Simulator.run = patched_run  # type: ignore[method-assign]
-    Simulator.run_until = patched_run_until  # type: ignore[method-assign]
-
-    # Namespace mutators need no shadow record (directory ops are atomic
-    # in the kernel, like a concurrent map), but must set the current
-    # actor so the notify events they emit carry the mutator's clock.
-    for method_name in (
-        "mkdir",
-        "rmdir",
-        "unlink",
-        "symlink",
-        "link",
-        "chmod",
-        "chown",
-        "set_acl",
-        "setxattr",
-        "removexattr",
-    ):
-        orig_method = getattr(Syscalls, method_name)
-
-        def _make_scoped(orig):
-            def patched(self: Syscalls, *args, **kwargs):
-                if not _DETECTORS:
-                    return orig(self, *args, **kwargs)
-                previous = _enter(self)
-                try:
-                    return orig(self, *args, **kwargs)
-                finally:
-                    _leave(self, previous)
-
-            return patched
-
-        setattr(Syscalls, method_name, _make_scoped(orig_method))
-
-    notify_mod.add_delivery_tap(notify_tap)
-    rpc_mod.add_call_tap(rpc_tap)
-
-
 # -- environment opt-in ---------------------------------------------------------
 
 _env_detector: RaceDetector | None = None
@@ -934,5 +723,5 @@ def active() -> RaceDetector | None:
 
 def reset_all() -> None:
     """Reset every active detector (test-isolation helper)."""
-    for det in _DETECTORS:
+    for det in tracepoints.subscribed(RaceDetector):
         det.reset()

@@ -2,8 +2,9 @@
 
 Where yanclint checks source, yancsan checks *executions*.  When enabled
 (``YANCSAN=1`` in the environment, or an explicit :func:`install`), it
-wraps the small number of choke points everything flows through —
-``Syscalls.open``/``close``, ``FileInode.set_content``,
+subscribes to the trace-point bus (:mod:`repro.perf.tracepoints`) for
+the small number of choke points everything flows through — the
+``open``/``close`` syscalls, ``FileInode.set_content``, writable
 ``FileHandle.close``, ``NotifyHub.emit_dirent`` — and records invariant
 violations instead of raising, so a whole test runs to completion and
 reports every finding at teardown:
@@ -43,9 +44,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.perf import tracepoints
 from repro.vfs.errors import InvalidArgument
 from repro.vfs.inode import DirInode, FileInode
-from repro.vfs.notify import EventMask, NotifyHub
+from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import FileHandle
 from repro.yancfs.schema import AttributeFile, FlowNode
@@ -77,7 +79,7 @@ class Sanitizer:
 
     def __init__(self) -> None:
         self.findings: list[SanFinding] = []
-        # (id(syscalls), fd) -> (path, handle); populated by the open hook.
+        # (id(syscalls), fd) -> (path, handle); populated at open's exit.
         self._open_fds: dict[tuple[int, int], tuple[str, FileHandle]] = {}
         # id(flow node) -> last committed version value seen.
         self._versions: dict[int, int] = {}
@@ -90,15 +92,12 @@ class Sanitizer:
 
     def install(self) -> "Sanitizer":
         """Start observing; idempotent per sanitizer."""
-        _patch_once()
-        if self not in _SANITIZERS:
-            _SANITIZERS.append(self)
+        tracepoints.subscribe(self)
         return self
 
     def uninstall(self) -> None:
-        """Stop observing (the monkeypatches stay, but become no-ops)."""
-        if self in _SANITIZERS:
-            _SANITIZERS.remove(self)
+        """Stop observing; what was recorded stays until :meth:`reset`."""
+        tracepoints.unsubscribe(self)
 
     def reset(self) -> None:
         """Drop all recorded state, e.g. between tests."""
@@ -135,17 +134,19 @@ class Sanitizer:
             findings.append(SanFinding("flow-commit", pending.detail))
         return findings
 
-    # -- hook callbacks ------------------------------------------------------------
+    # -- trace-point handlers ------------------------------------------------------
 
-    def _on_open(self, sc: Syscalls, fd: int, path: str) -> None:
-        handle = sc._fds.get(fd)
-        if handle is not None:
-            self._open_fds[(id(sc), fd)] = (path, handle)
+    def on_syscall_exit(self, sc: Syscalls, op: str, paths: tuple, args: tuple, result: object, exc: BaseException | None) -> None:
+        if op == "open" and exc is None:
+            handle = sc._fds.get(result)
+            if handle is not None:
+                self._open_fds[(id(sc), result)] = (args[0], handle)
+        elif op == "close":
+            # Syscalls.close drops the fd before handle.close(), so the
+            # descriptor is gone even when close-time validation raises.
+            self._open_fds.pop((id(sc), args[0]), None)
 
-    def _on_close_fd(self, sc: Syscalls, fd: int) -> None:
-        self._open_fds.pop((id(sc), fd), None)
-
-    def _on_set_content(self, inode: FileInode, data: bytes) -> None:
+    def on_set_content(self, inode: FileInode, data: bytes) -> None:
         if not isinstance(inode, AttributeFile) or inode.validator is None:
             return
         if bytes(data) == inode._last_valid:
@@ -164,7 +165,7 @@ class Sanitizer:
             return
         self._note_attribute_write(inode, text)
 
-    def _on_close_write(self, handle: FileHandle) -> None:
+    def on_handle_close(self, handle: FileHandle) -> None:
         inode = handle.inode
         if isinstance(inode, AttributeFile):
             self._note_attribute_write(inode, inode.read_all().decode(errors="replace"))
@@ -206,7 +207,7 @@ class Sanitizer:
                         "but 'version' was never incremented; the switch will not see it (§3.4)",
                     )
 
-    def _on_emit_dirent(self, parent: object, child: object, mask: int, name: str, cookie: int) -> None:
+    def on_emit_dirent(self, parent: object, child: object, mask: int, name: str, cookie: int) -> None:
         event = EventMask(mask)
         if isinstance(parent, DirInode):
             # Inspect the raw child map: has_child()/lookup() run policy
@@ -252,64 +253,6 @@ class Sanitizer:
             return 0
 
 
-# -- module-level patching ------------------------------------------------------
-
-#: Active sanitizers; the patched choke points fan out to each of these.
-_SANITIZERS: list[Sanitizer] = []
-_patched = False
-
-
-def _patch_once() -> None:
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    orig_open = Syscalls.open
-    orig_close = Syscalls.close
-    orig_set_content = FileInode.set_content
-    orig_handle_close = FileHandle.close
-    orig_emit_dirent = NotifyHub.emit_dirent
-
-    def patched_open(self: Syscalls, path: str, *args: object, **kwargs: object) -> int:
-        fd = orig_open(self, path, *args, **kwargs)
-        for san in _SANITIZERS:
-            san._on_open(self, fd, path)
-        return fd
-
-    def patched_close(self: Syscalls, fd: int) -> None:
-        try:
-            orig_close(self, fd)
-        finally:
-            # Syscalls.close drops the fd before handle.close(), so the
-            # descriptor is gone even when close-time validation raises.
-            for san in _SANITIZERS:
-                san._on_close_fd(self, fd)
-
-    def patched_set_content(self: FileInode, data: bytes) -> None:
-        for san in _SANITIZERS:
-            san._on_set_content(self, data)
-        orig_set_content(self, data)
-
-    def patched_handle_close(self: FileHandle) -> None:
-        was_open_writable = not self.closed and self.writable
-        orig_handle_close(self)
-        if was_open_writable:
-            for san in _SANITIZERS:
-                san._on_close_write(self)
-
-    def patched_emit_dirent(self: NotifyHub, parent: object, child: object, mask: int, name: str, cookie: int = 0) -> None:
-        for san in _SANITIZERS:
-            san._on_emit_dirent(parent, child, mask, name, cookie)
-        orig_emit_dirent(self, parent, child, mask, name, cookie=cookie)
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.close = patched_close  # type: ignore[method-assign]
-    FileInode.set_content = patched_set_content  # type: ignore[method-assign]
-    FileHandle.close = patched_handle_close  # type: ignore[method-assign]
-    NotifyHub.emit_dirent = patched_emit_dirent  # type: ignore[method-assign]
-
-
 # -- environment opt-in ---------------------------------------------------------
 
 _env_sanitizer: Sanitizer | None = None
@@ -337,5 +280,5 @@ def active() -> Sanitizer | None:
 
 def reset_all() -> None:
     """Reset every active sanitizer (test-isolation helper)."""
-    for san in _SANITIZERS:
+    for san in tracepoints.subscribed(Sanitizer):
         san.reset()

@@ -1,19 +1,21 @@
-"""The durable-op recorder: yanccrash's dynamic choke-point instrumentation.
+"""The durable-op recorder: yanccrash's dynamic instrumentation.
 
-Sits at the same class-level monkeypatch seam as yancrace, but records the
-opposite projection of a workload: not *orderings* between accesses but
-the *durable-effect trace* — every operation that changes what a crash
-would leave on disk, in program order, through the ``Syscalls`` choke
-points.  ``write_text``/``makedirs`` decompose into their primitive calls
-inside ``Syscalls`` (``open → write → close``, ``exists + mkdir`` per
+Subscribes to the same trace-point bus as yancrace
+(:mod:`repro.perf.tracepoints`), but records the opposite projection of
+a workload: not *orderings* between accesses but the *durable-effect
+trace* — every operation that changes what a crash would leave on disk,
+in program order, as the ``syscall`` trace point reports it.
+``write_text``/``makedirs`` decompose into their primitive calls inside
+``Syscalls`` (``open → write → close``, ``exists + mkdir`` per
 component), so the trace naturally carries every point a crash could
 split a composite operation.  ``IoUring.submit`` dispatches each batched
 entry through the same ``Syscalls`` methods, so batched ops land in the
-trace too; the recorder tags them with a submit-batch id so the explorer
-can label mid-chain sever prefixes.  Direct-store ``libyanc`` mutations
-never cross ``Syscalls`` — those are captured at the ``LibYanc`` method
-layer as synthetic ``fastpath-*`` ops, and ``flush()`` opens a *reorder
-window* around the per-flow commits it performs (the write-behind
+trace too; the ``uring_submit`` trace point tags them with a
+submit-batch id so the explorer can label mid-chain sever prefixes.
+Direct-store ``libyanc`` mutations never cross ``Syscalls`` — those
+arrive on the ``libyanc`` trace point and are recorded as synthetic
+``fastpath-*`` ops, and the ``libyanc_flush`` pair opens a *reorder
+window* around the per-flow commits a flush performs (the write-behind
 contract orders commits per flow, not across flows, so the explorer may
 legally replay any subset of a window as having reached the store before
 the crash).
@@ -27,16 +29,26 @@ intermediate state it needs from the trace alone.
 
 from __future__ import annotations
 
-import sys
+import weakref
 from dataclasses import dataclass
 
-from repro.vfs.syscalls import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
-from repro.vfs.uring import IoUring
-
-#: Reported sites skip substrate frames, same as yancrace.
-_INFRA_MARKERS = ("/repro/vfs/", "/repro/analysis/", "/repro/yancfs/", "/repro/libyanc/")
+from repro.analysis.race import _call_site  # reported sites skip substrate frames, same as yancrace
+from repro.perf import tracepoints
+from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
+from repro.yancfs.schema import YancFs
 
 _WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
+
+#: Syscalls recorded as (op, absolute paths) when any path is in scope.
+_PATH_OPS = frozenset({"mkdir", "rmdir", "unlink", "rename", "link"})
+
+#: ``libyanc`` trace-point op -> the synthetic durable op it records as.
+_FASTPATH_OPS = {
+    "create_flow": "fastpath-create",
+    "commit_flow": "fastpath-commit",
+    "write_flow_files": "fastpath-write",
+    "delete_flow": "fastpath-delete",
+}
 
 
 @dataclass(frozen=True)
@@ -51,38 +63,37 @@ class DurableOp:
     site: str = "<unknown>"
 
 
-def _call_site() -> str:
-    frame = sys._getframe(1)
-    for _ in range(40):
-        if frame is None:
-            break
-        filename = frame.f_code.co_filename.replace("\\", "/")
-        if not any(marker in filename for marker in _INFRA_MARKERS):
-            return f"{frame.f_code.co_filename}:{frame.f_lineno}"
-        frame = frame.f_back
-    return "<unknown>"
-
-
 class CrashRecorder:
     """Collects the durable-op trace between :meth:`install` and :meth:`uninstall`."""
 
     def __init__(self, roots: tuple[str, ...] = ("/net", "/var")) -> None:
         self.roots = tuple(roots)
         self.ops: list[DurableOp] = []
+        # Keyed weakly by the object the bus hands over, so a collected
+        # context or store cannot bequeath its entries to a successor
+        # that happens to reuse its id().
+        #: Syscalls -> {fd: absolute path} for write-capable opens under a root.
+        self._tracked_fds: weakref.WeakKeyDictionary[Syscalls, dict[int, str]] = weakref.WeakKeyDictionary()
+        #: YancFs -> mount path, so fastpath ops can be replayed by path.
+        self._fs_mounts: weakref.WeakKeyDictionary[YancFs, str] = weakref.WeakKeyDictionary()
+        #: Enclosing uring submit batches / write-behind flush windows
+        #: (innermost last; empty outside any) and the ids handed out so far.
+        self._batches: list[int] = []
+        self._windows: list[int] = []
+        self._batch_seq = 0
+        self._window_seq = 0
 
     def in_scope(self, path: str) -> bool:
         return any(path == root or path.startswith(root + "/") for root in self.roots)
 
-    def record(
-        self, op: str, args: tuple, vfs_id: int, *, batch: int | None = None
-    ) -> None:
+    def record(self, op: str, args: tuple, vfs_id: int) -> None:
         self.ops.append(
             DurableOp(
                 op=op,
                 args=args,
                 vfs=vfs_id,
-                batch=batch if batch is not None else _BATCH_ACTIVE,
-                window=_WINDOW_ACTIVE,
+                batch=self._batches[-1] if self._batches else None,
+                window=self._windows[-1] if self._windows else None,
                 site=_call_site(),
             )
         )
@@ -90,270 +101,81 @@ class CrashRecorder:
     # -- lifecycle -----------------------------------------------------------------
 
     def install(self) -> "CrashRecorder":
-        _patch_once()
-        if self not in _RECORDERS:
-            _RECORDERS.append(self)
+        tracepoints.subscribe(self)
         return self
 
     def uninstall(self) -> None:
-        if self in _RECORDERS:
-            _RECORDERS.remove(self)
+        """Stop recording; the trace stays until :meth:`reset`."""
+        tracepoints.unsubscribe(self)
+        self._forget_context()
 
     def reset(self) -> None:
         self.ops.clear()
-        _TRACKED_FDS.clear()
+        self._forget_context()
 
+    def _forget_context(self) -> None:
+        self._tracked_fds.clear()
+        self._fs_mounts.clear()
+        self._batches.clear()
+        self._windows.clear()
+        self._batch_seq = self._window_seq = 0
 
-#: Active recorders; patched methods are no-ops when empty.
-_RECORDERS: list[CrashRecorder] = []
-#: (id(sc), fd) -> absolute path, for write-capable opens under a root.
-_TRACKED_FDS: dict[tuple[int, int], str] = {}
-#: id(YancFs) -> mount path, so fastpath ops can be replayed by path.
-_FS_MOUNTS: dict[int, str] = {}
-#: Current uring submit batch (None outside IoUring.submit).
-_BATCH_ACTIVE: int | None = None
-_BATCH_SEQ = 0
-#: Current write-behind flush window (None outside LibYanc.flush).
-_WINDOW_ACTIVE: int | None = None
-_WINDOW_SEQ = 0
+    # -- trace-point handlers --------------------------------------------------------
 
-_patched = False
-
-
-def _record(op: str, args: tuple, vfs_id: int) -> None:
-    for recorder in _RECORDERS:
-        recorder.record(op, args, vfs_id)
-
-
-def _record_path(self: Syscalls, op: str, *paths: str, extra: tuple = ()) -> None:
-    abspaths = tuple(self._abspath(p) for p in paths)
-    for recorder in _RECORDERS:
-        if any(recorder.in_scope(p) for p in abspaths):
-            recorder.record(op, abspaths + extra, id(self.vfs))
-
-
-def _patch_once() -> None:
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    from repro.libyanc.fastpath import LibYanc
-    from repro.yancfs.schema import YancFs
-
-    orig_open = Syscalls.open
-    orig_write = Syscalls.write
-    orig_pwrite = Syscalls.pwrite
-    orig_close = Syscalls.close
-    orig_ftruncate = Syscalls.ftruncate
-    orig_truncate = Syscalls.truncate
-    orig_mkdir = Syscalls.mkdir
-    orig_rmdir = Syscalls.rmdir
-    orig_unlink = Syscalls.unlink
-    orig_rename = Syscalls.rename
-    orig_symlink = Syscalls.symlink
-    orig_link = Syscalls.link
-    orig_mount = Syscalls.mount
-    orig_submit = IoUring.submit
-    orig_ly_create = LibYanc.create_flow
-    orig_ly_commit = LibYanc.commit_flow
-    orig_ly_write = LibYanc.write_flow_files
-    orig_ly_delete = LibYanc.delete_flow
-    orig_ly_flush = LibYanc.flush
-
-    def patched_open(self: Syscalls, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
-        if not _RECORDERS:
-            return orig_open(self, path, flags, mode)
-        fd = orig_open(self, path, flags, mode)
-        if flags & _WRITE_FLAGS:
-            abspath = self._abspath(path)
-            if any(r.in_scope(abspath) for r in _RECORDERS):
-                _TRACKED_FDS[(id(self), fd)] = abspath
-                _record("open", (abspath, flags, fd), id(self.vfs))
-        return fd
-
-    def patched_write(self: Syscalls, fd: int, data: bytes) -> int:
-        if not _RECORDERS:
-            return orig_write(self, fd, data)
-        result = orig_write(self, fd, data)
-        if (id(self), fd) in _TRACKED_FDS:
-            _record("write", (fd, bytes(data)), id(self.vfs))
-        return result
-
-    def patched_pwrite(self: Syscalls, fd: int, data: bytes, offset: int) -> int:
-        if not _RECORDERS:
-            return orig_pwrite(self, fd, data, offset)
-        result = orig_pwrite(self, fd, data, offset)
-        if (id(self), fd) in _TRACKED_FDS:
-            _record("pwrite", (fd, bytes(data), offset), id(self.vfs))
-        return result
-
-    def patched_close(self: Syscalls, fd: int) -> None:
-        if not _RECORDERS:
-            return orig_close(self, fd)
-        tracked = (id(self), fd) in _TRACKED_FDS
-        try:
-            return orig_close(self, fd)
-        finally:
+    def on_syscall_exit(self, sc: Syscalls, op: str, paths: tuple, args: tuple, result: object, exc: BaseException | None) -> None:
+        if op == "close":
             # Recorded even when close-time validation raises: the replay
             # tree runs the same validator and rolls back the same way.
-            if tracked:
-                _TRACKED_FDS.pop((id(self), fd), None)
-                _record("close", (fd,), id(self.vfs))
+            if self._tracked_fds.get(sc, {}).pop(args[0], None) is not None:
+                self.record("close", (args[0],), id(sc.vfs))
+            return
+        if exc is not None:
+            return
+        if op == "open":
+            if args[1] & _WRITE_FLAGS and self.in_scope(paths[0]):
+                self._tracked_fds.setdefault(sc, {})[result] = paths[0]
+                self.record("open", (paths[0], args[1], result), id(sc.vfs))
+        elif op in ("write", "pwrite", "ftruncate"):
+            if args[0] in self._tracked_fds.get(sc, ()):
+                if op != "ftruncate":  # (fd, data[, offset]): pin the payload
+                    args = (args[0], bytes(args[1])) + args[2:]
+                self.record(op, args, id(sc.vfs))
+        elif op in _PATH_OPS or op == "truncate":
+            if any(self.in_scope(path) for path in paths):
+                size = (args[1],) if op == "truncate" else ()
+                self.record(op, paths + size, id(sc.vfs))
+        elif op == "symlink":
+            if self.in_scope(paths[0]):
+                self.record("symlink", (args[0], paths[0]), id(sc.vfs))
+        elif op == "mount":
+            kind = "yanc" if isinstance(args[1], YancFs) else type(args[1]).__name__
+            if kind == "yanc":
+                self._fs_mounts[args[1]] = paths[0]
+            if self.in_scope(paths[0]):
+                self.record("mount", (paths[0], kind), id(sc.vfs))
 
-    def patched_ftruncate(self: Syscalls, fd: int, size: int) -> None:
-        if not _RECORDERS:
-            return orig_ftruncate(self, fd, size)
-        orig_ftruncate(self, fd, size)
-        if (id(self), fd) in _TRACKED_FDS:
-            _record("ftruncate", (fd, size), id(self.vfs))
+    def on_uring_submit_enter(self, ring: object) -> None:
+        self._batch_seq += 1
+        self._batches.append(self._batch_seq)
 
-    def patched_truncate(self: Syscalls, path: str, size: int) -> None:
-        if not _RECORDERS:
-            return orig_truncate(self, path, size)
-        orig_truncate(self, path, size)
-        _record_path(self, "truncate", path, extra=(size,))
+    def on_uring_submit_exit(self, ring: object, result: object, exc: BaseException | None) -> None:
+        if self._batches:
+            self._batches.pop()
 
-    def patched_mkdir(self: Syscalls, path: str, mode: int = 0o755) -> None:
-        if not _RECORDERS:
-            return orig_mkdir(self, path, mode)
-        orig_mkdir(self, path, mode)
-        _record_path(self, "mkdir", path)
+    def on_libyanc_flush_enter(self, ly: object) -> None:
+        self._window_seq += 1
+        self._windows.append(self._window_seq)
 
-    def patched_rmdir(self: Syscalls, path: str) -> None:
-        if not _RECORDERS:
-            return orig_rmdir(self, path)
-        orig_rmdir(self, path)
-        _record_path(self, "rmdir", path)
+    def on_libyanc_flush_exit(self, ly: object, result: object, exc: BaseException | None) -> None:
+        if self._windows:
+            self._windows.pop()
 
-    def patched_unlink(self: Syscalls, path: str) -> None:
-        if not _RECORDERS:
-            return orig_unlink(self, path)
-        orig_unlink(self, path)
-        _record_path(self, "unlink", path)
-
-    def patched_rename(self: Syscalls, oldpath: str, newpath: str) -> None:
-        if not _RECORDERS:
-            return orig_rename(self, oldpath, newpath)
-        orig_rename(self, oldpath, newpath)
-        _record_path(self, "rename", oldpath, newpath)
-
-    def patched_symlink(self: Syscalls, target: str, linkpath: str) -> None:
-        if not _RECORDERS:
-            return orig_symlink(self, target, linkpath)
-        orig_symlink(self, target, linkpath)
-        abspath = self._abspath(linkpath)
-        for recorder in _RECORDERS:
-            if recorder.in_scope(abspath):
-                recorder.record("symlink", (target, abspath), id(self.vfs))
-
-    def patched_link(self: Syscalls, oldpath: str, newpath: str) -> None:
-        if not _RECORDERS:
-            return orig_link(self, oldpath, newpath)
-        orig_link(self, oldpath, newpath)
-        _record_path(self, "link", oldpath, newpath)
-
-    def patched_mount(self: Syscalls, path: str, fs, *, source: str = "") -> None:
-        if not _RECORDERS:
-            return orig_mount(self, path, fs, source=source)
-        orig_mount(self, path, fs, source=source)
-        abspath = self._abspath(path)
-        kind = "yanc" if isinstance(fs, YancFs) else type(fs).__name__
-        if kind == "yanc":
-            _FS_MOUNTS[id(fs)] = abspath
-        for recorder in _RECORDERS:
-            if recorder.in_scope(abspath):
-                recorder.record("mount", (abspath, kind), id(self.vfs))
-
-    def patched_submit(self: IoUring) -> int:
-        if not _RECORDERS:
-            return orig_submit(self)
-        global _BATCH_ACTIVE, _BATCH_SEQ
-        _BATCH_SEQ += 1
-        previous, _BATCH_ACTIVE = _BATCH_ACTIVE, _BATCH_SEQ
-        try:
-            return orig_submit(self)
-        finally:
-            _BATCH_ACTIVE = previous
-
-    def _fastpath(op: str, ly: LibYanc, args: tuple) -> None:
-        mount = _FS_MOUNTS.get(id(ly.fs))
-        if mount is None:
+    def on_libyanc(self, ly, op: str, switch: str, name: str, files: dict | None = None) -> None:
+        mount = self._fs_mounts.get(ly.fs)
+        if mount is None or not self.in_scope(mount):
             return  # store not reachable through any recorded tree
-        for recorder in _RECORDERS:
-            if recorder.in_scope(mount):
-                recorder.record(op, (mount,) + args, id(ly.fs))
-
-    def patched_ly_create(self: LibYanc, switch, name, match, actions, **kwargs):
-        if not _RECORDERS:
-            return orig_ly_create(self, switch, name, match, actions, **kwargs)
-        # Reconstruct the spec-file dict exactly as create_flow does; the
-        # nested commit (commit=True) records separately via commit_flow.
-        result = orig_ly_create(self, switch, name, match, actions, **kwargs)
-        files = dict(match.to_files())
-        for index, action in enumerate(actions):
-            filename, content = action.to_file()
-            if index:
-                filename = f"{filename}.{index}"
-            files[filename] = content
-        for key, attr in (("priority", "priority"), ("idle_timeout", "timeout"), ("hard_timeout", "hard_timeout")):
-            value = kwargs.get(key)
-            if value is not None:
-                files[attr] = str(value)
-        _fastpath("fastpath-create", self, (switch, name, files))
-        return result
-
-    def patched_ly_commit(self: LibYanc, switch, name):
-        if not _RECORDERS:
-            return orig_ly_commit(self, switch, name)
-        result = orig_ly_commit(self, switch, name)
-        _fastpath("fastpath-commit", self, (switch, name))
-        return result
-
-    def patched_ly_write(self: LibYanc, switch, name, files, *, commit: bool = False):
-        if not _RECORDERS:
-            return orig_ly_write(self, switch, name, files, commit=commit)
-        result = orig_ly_write(self, switch, name, files, commit=commit)
-        _fastpath("fastpath-write", self, (switch, name, dict(files)))
-        return result
-
-    def patched_ly_delete(self: LibYanc, switch, name):
-        if not _RECORDERS:
-            return orig_ly_delete(self, switch, name)
-        result = orig_ly_delete(self, switch, name)
-        _fastpath("fastpath-delete", self, (switch, name))
-        return result
-
-    def patched_ly_flush(self: LibYanc):
-        if not _RECORDERS:
-            return orig_ly_flush(self)
-        global _WINDOW_ACTIVE, _WINDOW_SEQ
-        _WINDOW_SEQ += 1
-        previous, _WINDOW_ACTIVE = _WINDOW_ACTIVE, _WINDOW_SEQ
-        try:
-            return orig_ly_flush(self)
-        finally:
-            _WINDOW_ACTIVE = previous
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.write = patched_write  # type: ignore[method-assign]
-    Syscalls.pwrite = patched_pwrite  # type: ignore[method-assign]
-    Syscalls.close = patched_close  # type: ignore[method-assign]
-    Syscalls.ftruncate = patched_ftruncate  # type: ignore[method-assign]
-    Syscalls.truncate = patched_truncate  # type: ignore[method-assign]
-    Syscalls.mkdir = patched_mkdir  # type: ignore[method-assign]
-    Syscalls.rmdir = patched_rmdir  # type: ignore[method-assign]
-    Syscalls.unlink = patched_unlink  # type: ignore[method-assign]
-    Syscalls.rename = patched_rename  # type: ignore[method-assign]
-    Syscalls.symlink = patched_symlink  # type: ignore[method-assign]
-    Syscalls.link = patched_link  # type: ignore[method-assign]
-    Syscalls.mount = patched_mount  # type: ignore[method-assign]
-    IoUring.submit = patched_submit  # type: ignore[method-assign]
-    LibYanc.create_flow = patched_ly_create  # type: ignore[method-assign]
-    LibYanc.commit_flow = patched_ly_commit  # type: ignore[method-assign]
-    LibYanc.write_flow_files = patched_ly_write  # type: ignore[method-assign]
-    LibYanc.delete_flow = patched_ly_delete  # type: ignore[method-assign]
-    LibYanc.flush = patched_ly_flush  # type: ignore[method-assign]
+        extra = () if files is None else (dict(files),)
+        self.record(_FASTPATH_OPS[op], (mount, switch, name) + extra, id(ly.fs))
 
 
 __all__ = ["CrashRecorder", "DurableOp"]

@@ -1,9 +1,12 @@
-"""yancsec runtime pass: a reference monitor on the ``Syscalls`` choke points.
+"""yancsec runtime pass: a reference monitor on the ``Syscalls`` boundary.
 
-Every VFS operation in this repo funnels through a handful of ``Syscalls``
-methods — the same property the paper leans on for §5 isolation ("each
-process only needs file I/O").  With ``YANCSEC=1`` those choke points are
-tapped and three invariants are enforced while a workload runs:
+Every VFS operation in this repo funnels through ``Syscalls`` — the same
+property the paper leans on for §5 isolation ("each process only needs
+file I/O").  With ``YANCSEC=1`` the monitor subscribes to the ``syscall``
+trace point (:mod:`repro.perf.tracepoints`) and judges *every*
+successful path-taking call — mediation is complete by construction,
+not a hand-picked list of methods — enforcing three invariants while a
+workload runs:
 
 ``root-app``
     A process spawned in the *app* role must never execute a syscall with
@@ -25,10 +28,10 @@ path-prefix)`` tuple — the dynamic ground truth the static pass
 (:mod:`repro.analysis.yancsec.checker`) is calibrated against, exactly as
 yancrace pairs its lockset pass with the runtime detector.
 
-Batched I/O caveat: ring operations bypass the per-path ``Syscalls``
-methods, so the monitor taps ``io_uring_setup`` instead — an app-role
-context running as uid 0 is caught at ring creation, before any batched
-submission executes.
+Ring-submitted operations dispatch through the same ``Syscalls`` methods
+and are judged like direct calls; ``io_uring_setup`` is judged too, so an
+app-role context running as uid 0 is caught at ring creation, before any
+batched submission executes.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from repro.perf import tracepoints
 from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
 
 __all__ = [
@@ -52,6 +56,15 @@ __all__ = [
 
 #: Spool prefixes every host ships writable (see ``ControllerHost``).
 _SHARED_PREFIXES = ("/var", "/tmp", "/proc", "/dev")
+
+_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
+
+#: Path-taking operations judged as writes (``open`` goes by its flags);
+#: every other path-taking operation is a read.
+_WRITE_OPS = frozenset(
+    "mkdir rmdir unlink rename symlink link truncate chmod chown set_acl "
+    "setxattr removexattr mount bind_mount umount".split()
+)
 
 
 @dataclass(frozen=True)
@@ -83,21 +96,18 @@ class SecurityMonitor:
         #: Controller mount points (``ControllerHost`` registers its own).
         self._roots: list[str] = []
         self._allowed: list[str] = list(_SHARED_PREFIXES)
-        #: ``/net/apps/<name>`` -> owner uid, learned from tapped chowns.
+        #: ``/net/apps/<name>`` -> owner uid, learned from observed chowns.
         self._home_uids: dict[str, int] = {}
 
     # -- lifecycle -----------------------------------------------------
 
     def install(self) -> None:
-        """Patch the ``Syscalls`` choke points and start monitoring."""
-        _patch_once()
-        if self not in _MONITORS:
-            _MONITORS.append(self)
+        """Subscribe to the trace-point bus and start monitoring."""
+        tracepoints.subscribe(self)
 
     def uninstall(self) -> None:
-        """Stop receiving events (patches stay; they become no-ops)."""
-        if self in _MONITORS:
-            _MONITORS.remove(self)
+        """Stop receiving events; findings stay until :meth:`reset`."""
+        tracepoints.unsubscribe(self)
 
     def reset(self) -> None:
         """Forget findings and accesses.
@@ -128,7 +138,19 @@ class SecurityMonitor:
         if prefix not in self._allowed:
             self._allowed.append(prefix)
 
-    # -- event sinks (called from the patched methods) ------------------
+    # -- trace-point handler and its sinks -------------------------------
+
+    def on_syscall_exit(self, sc: Syscalls, op: str, paths: tuple, args: tuple, result: object, exc: BaseException | None) -> None:
+        """Judge one successful syscall (failed ones touched nothing)."""
+        if exc is not None:
+            return
+        if op == "io_uring_setup":
+            self._on_uring(sc)
+        elif op == "chown":
+            self._on_chown(sc, paths[0], args[1])
+        write = op in _WRITE_OPS or (op == "open" and bool(args[1] & _WRITE_FLAGS))
+        for path in paths:
+            self._on_path(sc, op, path, write)
 
     def _emit(self, kind: str, detail: str, key: tuple[object, ...]) -> None:
         if key in self._seen:
@@ -195,113 +217,6 @@ class SecurityMonitor:
             )
 
 
-_MONITORS: list[SecurityMonitor] = []
-_patched = False
-
-#: (method name, is-write).  ``open`` / ``rename`` / ``symlink`` / ``chown``
-#: / ``walk`` / ``io_uring_setup`` need bespoke wrappers; ``read_text`` and
-#: friends route through ``open`` and ``makedirs`` through ``mkdir``, so
-#: tapping the primitives covers the conveniences.
-_SIMPLE_TAPS = (
-    ("listdir", False),
-    ("scandir", False),
-    ("readlink", False),
-    ("mkdir", True),
-    ("rmdir", True),
-    ("unlink", True),
-    ("truncate", True),
-    ("chmod", True),
-    ("set_acl", True),
-    ("link", True),
-)
-
-_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
-
-
-def _patch_once() -> None:
-    """Wrap the ``Syscalls`` choke points (idempotent)."""
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    def _tap(name: str, write: bool):
-        orig = getattr(Syscalls, name)
-
-        def patched(self: Syscalls, path: str, *args, **kwargs):
-            out = orig(self, path, *args, **kwargs)
-            if _MONITORS:
-                ap = self._abspath(path)
-                for mon in _MONITORS:
-                    mon._on_path(self, name, ap, write)
-            return out
-
-        patched.__name__ = name
-        patched.__doc__ = orig.__doc__
-        return patched
-
-    for name, write in _SIMPLE_TAPS:
-        setattr(Syscalls, name, _tap(name, write))
-
-    orig_open = Syscalls.open
-    orig_rename = Syscalls.rename
-    orig_symlink = Syscalls.symlink
-    orig_chown = Syscalls.chown
-    orig_walk = Syscalls.walk
-    orig_uring = Syscalls.io_uring_setup
-
-    def patched_open(self: Syscalls, path: str, flags: int = 0, mode: int = 0o644) -> int:
-        fd = orig_open(self, path, flags, mode)
-        if _MONITORS:
-            ap = self._abspath(path)
-            write = bool(flags & _WRITE_FLAGS)
-            for mon in _MONITORS:
-                mon._on_path(self, "open", ap, write)
-        return fd
-
-    def patched_rename(self: Syscalls, oldpath: str, newpath: str) -> None:
-        orig_rename(self, oldpath, newpath)
-        if _MONITORS:
-            for ap in (self._abspath(oldpath), self._abspath(newpath)):
-                for mon in _MONITORS:
-                    mon._on_path(self, "rename", ap, True)
-
-    def patched_symlink(self: Syscalls, target: str, linkpath: str) -> None:
-        orig_symlink(self, target, linkpath)
-        if _MONITORS:
-            ap = self._abspath(linkpath)
-            for mon in _MONITORS:
-                mon._on_path(self, "symlink", ap, True)
-
-    def patched_chown(self: Syscalls, path: str, uid: int, gid: int) -> None:
-        orig_chown(self, path, uid, gid)
-        if _MONITORS:
-            ap = self._abspath(path)
-            for mon in _MONITORS:
-                mon._on_chown(self, ap, uid)
-                mon._on_path(self, "chown", ap, True)
-
-    def patched_walk(self: Syscalls, path: str):
-        if _MONITORS:
-            ap = self._abspath(path)
-            for mon in _MONITORS:
-                mon._on_path(self, "walk", ap, False)
-        return orig_walk(self, path)
-
-    def patched_uring(self: Syscalls, entries: int = 256):
-        ring = orig_uring(self, entries)
-        for mon in _MONITORS:
-            mon._on_uring(self)
-        return ring
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.rename = patched_rename  # type: ignore[method-assign]
-    Syscalls.symlink = patched_symlink  # type: ignore[method-assign]
-    Syscalls.chown = patched_chown  # type: ignore[method-assign]
-    Syscalls.walk = patched_walk  # type: ignore[method-assign]
-    Syscalls.io_uring_setup = patched_uring  # type: ignore[method-assign]
-
-
 _env_monitor: SecurityMonitor | None = None
 
 
@@ -349,11 +264,11 @@ def register_root(mount_point: str) -> None:
     any explicitly installed one (e.g. the CLI's ``--monitor`` pass) —
     agree on where homes live and where app writes are legitimate.
     """
-    for mon in _MONITORS:
+    for mon in tracepoints.subscribed(SecurityMonitor):
         mon.register_root(mount_point)
 
 
 def reset_all() -> None:
     """Clear state on every installed monitor (test isolation)."""
-    for mon in _MONITORS:
+    for mon in tracepoints.subscribed(SecurityMonitor):
         mon.reset()

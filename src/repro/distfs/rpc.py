@@ -7,6 +7,11 @@ messages, so benchmarks can report the throughput a real deployment with
 that latency would see.  This keeps client code synchronous — exactly how
 an NFS client appears to its applications — while the cost model stays
 explicit.
+
+Every call is an ``rpc`` trace point (:mod:`repro.perf.tracepoints`):
+``on_rpc_send(channel)`` before the handler runs and
+``on_rpc_recv(channel)`` after it returns or raises — the
+message-passing edges of a call.
 """
 
 from __future__ import annotations
@@ -14,25 +19,10 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.perf.counters import PerfCounters
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import NotPermitted, PermissionDenied, TimedOut
-
-#: Observers called as ``tap("send", channel)`` before the handler runs
-#: and ``tap("recv", channel)`` after it returns (or raises).  Used by
-#: yancrace to model the message-passing happens-before edges of a call.
-_call_taps: list[Callable[[str, "RpcChannel"], None]] = []
-
-
-def add_call_tap(tap: Callable[[str, "RpcChannel"], None]) -> None:
-    """Register an RPC observer (idempotent)."""
-    if tap not in _call_taps:
-        _call_taps.append(tap)
-
-
-def remove_call_tap(tap: Callable[[str, "RpcChannel"], None]) -> None:
-    """Unregister an RPC observer previously added."""
-    if tap in _call_taps:
-        _call_taps.remove(tap)
 
 
 class RpcChannel:
@@ -71,14 +61,12 @@ class RpcChannel:
             raise TimedOut(detail=f"rpc channel {self.name} is down")
         payload = sum(len(a) for a in args if isinstance(a, (bytes, str)))
         try:
-            if _call_taps:
-                for tap in _call_taps:
-                    tap("send", self)
+            if _tracing:
+                _publish("rpc_send", self)
                 try:
                     result = self.handler(op, args, self.cred)
                 finally:
-                    for tap in _call_taps:
-                        tap("recv", self)
+                    _publish("rpc_recv", self)
             else:
                 result = self.handler(op, args, self.cred)
         except (PermissionDenied, NotPermitted):

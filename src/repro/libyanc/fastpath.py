@@ -19,6 +19,14 @@ the library now speaks in *batches*:
   :meth:`LibYanc.push_packet_in` fans a single buffer *reference* out to
   every subscribed ring.  Rings are pollable, so consumers park their
   epoll loop on them like any descriptor.
+
+Direct-store mutations never cross ``Syscalls``, so the four primitive
+mutators are trace points of their own (:mod:`repro.perf.tracepoints`):
+``on_libyanc(ly, op, switch, name, *extra)`` once the mutation landed —
+``create_flow`` and ``write_flow_files`` carry the ``{filename:
+content}`` dict they wrote — and :meth:`LibYanc.flush` is bracketed by
+``on_libyanc_flush_enter(ly)`` / ``on_libyanc_flush_exit(ly, result,
+exc)``.
 """
 
 from __future__ import annotations
@@ -27,9 +35,14 @@ from repro.dataplane.actions import Action
 from repro.dataplane.match import Match
 from repro.libyanc.shmring import ShmRing
 from repro.perf.counters import PerfCounters
+from repro.perf.tracepoints import around as _around
+from repro.perf.tracepoints import entering as _entering
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import FileExists, FileNotFound, NotADirectory
 from repro.vfs.inode import DirInode
 from repro.yancfs import validate
+from repro.yancfs.client import flow_spec_files
 from repro.yancfs.schema import AttributeFile, FlowNode, FlowsDir, SwitchNode, YancFs
 
 #: Default capacity of a packet ring created on first use.
@@ -113,18 +126,7 @@ class LibYanc:
         if flows.has_child(name):
             raise FileExists(name)
         node = FlowNode(self.fs, mode=0o755, uid=0, gid=0)
-        files = dict(match.to_files())
-        for index, action in enumerate(actions):
-            filename, content = action.to_file()
-            if index:
-                filename = f"{filename}.{index}"
-            files[filename] = content
-        if priority is not None:
-            files["priority"] = str(priority)
-        if idle_timeout is not None:
-            files["timeout"] = str(idle_timeout)
-        if hard_timeout is not None:
-            files["hard_timeout"] = str(hard_timeout)
+        files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
         flows.attach(name, node)  # populates counters/ + version
         for filename, content in files.items():
             attr = AttributeFile(
@@ -132,6 +134,8 @@ class LibYanc:
             )
             attr.set_validated_content(content)  # same validation as close-time checks
             node.attach(filename, attr)
+        if _tracing:
+            _publish("libyanc", self, "create_flow", switch, name, files)
         if commit:
             self.commit_flow(switch, name)
 
@@ -143,6 +147,8 @@ class LibYanc:
         new_version = int(version_node.read_all().decode().strip() or "0") + 1
         version_node.set_content(str(new_version).encode())
         self._dirty.pop((switch, name), None)
+        if _tracing:
+            _publish("libyanc", self, "commit_flow", switch, name)
         return new_version
 
     def delete_flow(self, switch: str, name: str) -> None:
@@ -161,6 +167,8 @@ class LibYanc:
             self._remove_subtree(node)
         flows.detach(name)
         self._dirty.pop((switch, name), None)
+        if _tracing:
+            _publish("libyanc", self, "delete_flow", switch, name)
 
     def _remove_subtree(self, node: DirInode) -> None:
         # Mirrors VirtualFileSystem._remove_subtree so the fastpath and the
@@ -285,6 +293,8 @@ class LibYanc:
             attr.set_validated_content(content)
             if is_new:
                 node.attach(filename, attr)
+        if _tracing:
+            _publish("libyanc", self, "write_flow_files", switch, name, files)
         if commit:
             self.commit_flow(switch, name)
         else:
@@ -334,6 +344,8 @@ class LibYanc:
         since staging are skipped silently — there is nothing left to make
         visible.
         """
+        if _tracing and _entering(self):
+            return _around("libyanc_flush", (self,), self.flush)
         self._op("flush")
         out: list[tuple[str, str, int]] = []
         pending, self._dirty = self._dirty, {}

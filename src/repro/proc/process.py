@@ -27,6 +27,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
+from repro.perf.tracepoints import around as _around
+from repro.perf.tracepoints import entering as _entering
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.proc.cgroups import CgroupManager, ResourceLimitExceeded
 from repro.vfs.cred import ROOT, Credentials
 from repro.vfs.errors import FsError
@@ -216,7 +220,16 @@ class Process:
         return self.sim.schedule(delay, self._guarded(fn))
 
     def _guarded(self, fn: Callable[[], None]) -> Callable[[], None]:
+        """``fn`` as a crash-contained, CPU-charged task of this process.
+
+        Trace points: ``on_task_created(run, process)`` here, in the
+        scheduling scope, and ``on_task_enter(run, process)`` /
+        ``on_task_exit(run, process, result, exc)`` around every run.
+        """
+
         def run() -> None:
+            if _tracing and _entering(run):
+                return _around("task", (run, self), run)
             if not self.running:
                 return
             before = self._syscalls()
@@ -227,6 +240,8 @@ class Process:
             finally:
                 self._charge(before)
 
+        if _tracing:
+            _publish("task_created", run, self)
         return run
 
     # -- watches ---------------------------------------------------------------
@@ -265,6 +280,9 @@ class Process:
         self.sim.schedule(WAKEUP_LATENCY, self._dispatch)
 
     def _dispatch(self) -> None:
+        """One wakeup: ``on_dispatch_enter(process)`` / ``on_dispatch_exit(process, result, exc)``."""
+        if _tracing and _entering(self):
+            return _around("dispatch", (self,), self._dispatch)
         self._wake_pending = False
         if not self.running or self._ep is None:
             return

@@ -6,6 +6,10 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.perf.tracepoints import around as _around
+from repro.perf.tracepoints import entering as _entering
+from repro.perf.tracepoints import subscribers as _tracing
+
 
 @dataclass(order=True)
 class Event:
@@ -103,7 +107,12 @@ class Simulator:
         Raises RuntimeError if more than ``max_events`` fire, which almost
         always indicates a self-rescheduling loop that never terminates
         (e.g. a periodic daemon that was never stopped).
+
+        Trace point (shared with :meth:`run_until`): ``on_sim_run_enter(sim)``
+        / ``on_sim_run_exit(sim, result, exc)`` bracket the run window.
         """
+        if _tracing and _entering(self):
+            return _around("sim_run", (self,), self.run, max_events)
         fired = 0
         while self.step():
             fired += 1
@@ -117,6 +126,8 @@ class Simulator:
         Periodic tasks that re-schedule themselves keep a deadline-bounded
         run finite, unlike :meth:`run`.
         """
+        if _tracing and _entering(self):
+            return _around("sim_run", (self,), self.run_until, deadline, max_events)
         fired = 0
         while self._queue:
             head = self._queue[0]

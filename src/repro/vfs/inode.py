@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.acl import Acl
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import (
@@ -396,6 +398,8 @@ class FileInode(Inode):
 
     def set_content(self, data: bytes) -> None:
         """Replace the whole content (used by semantic attribute files)."""
+        if _tracing:
+            _publish("set_content", self, data)  # before the store: the old content is still readable
         self._data = bytearray(data)
         self.touch_mtime()
         self.fs.emit(self, EventMask.IN_MODIFY)

@@ -11,6 +11,13 @@ exists anywhere.
 API shape follows inotify: an application creates an :class:`Inotify`
 instance, adds watches with an event mask, and reads batched
 :class:`NotifyEvent` records.
+
+Two trace points (:mod:`repro.perf.tracepoints`) sit here:
+``on_emit_dirent(parent, child, mask, name, cookie)`` before a
+directory-entry event fans out, and ``on_deliver(instance, event)`` for
+every event handed to an :class:`Inotify` instance *before*
+coalescing/overflow handling — so a subscriber sees the delivery even
+when the queue merges or drops it.
 """
 
 from __future__ import annotations
@@ -20,28 +27,12 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import InvalidArgument
 
 if TYPE_CHECKING:
     from repro.vfs.inode import Inode
-
-#: Observers called as ``tap(instance, event)`` for every event delivered
-#: to an :class:`Inotify` instance, *before* coalescing/overflow handling —
-#: so an observer sees the delivery even when the queue merges or drops it.
-#: Used by yancrace to propagate the emitter's clock to watchers.
-_delivery_taps: list[Callable[["Inotify", "NotifyEvent"], None]] = []
-
-
-def add_delivery_tap(tap: Callable[["Inotify", "NotifyEvent"], None]) -> None:
-    """Register a delivery observer (idempotent)."""
-    if tap not in _delivery_taps:
-        _delivery_taps.append(tap)
-
-
-def remove_delivery_tap(tap: Callable[["Inotify", "NotifyEvent"], None]) -> None:
-    """Unregister a delivery observer previously added."""
-    if tap in _delivery_taps:
-        _delivery_taps.remove(tap)
 
 
 class EventMask(enum.IntFlag):
@@ -208,9 +199,8 @@ class Inotify:
         self._watches[watch.wd] = watch
 
     def _deliver(self, event: NotifyEvent) -> None:
-        if _delivery_taps:
-            for tap in _delivery_taps:
-                tap(self, event)
+        if _tracing:
+            _publish("deliver", self, event)
         queue = self._queue
         if queue:
             last = queue[-1]
@@ -296,6 +286,8 @@ class NotifyHub:
         cookie: int = 0,
     ) -> None:
         """Deliver a directory-entry event (create/delete/move) by name."""
+        if _tracing:
+            _publish("emit_dirent", parent, child, mask, name, cookie)
         event_mask = EventMask(mask)
         if child.is_dir:
             event_mask |= EventMask.IN_ISDIR

@@ -6,6 +6,14 @@ namespace, working directory, and file-descriptor table, and meters every
 call through a :class:`~repro.perf.meter.SyscallMeter`.  This boundary is
 what makes section 8.1's syscall/context-switch accounting exact: one
 ``Syscalls`` method call == one system call.
+
+The same boundary is where observation happens: every metered method is
+a ``syscall`` trace point on the bus in :mod:`repro.perf.tracepoints`,
+publishing ``on_syscall_enter(sc, op, paths, args)`` and
+``on_syscall_exit(sc, op, paths, args, result, exc)`` — ``op`` is the
+method name, ``paths`` its path arguments made absolute and canonical,
+``args`` the positional arguments as passed.  Operations a ring submits
+dispatch through these methods, so they fire the same events.
 """
 
 from __future__ import annotations
@@ -13,9 +21,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.perf.meter import SyscallMeter
+from repro.perf.tracepoints import around as _around
+from repro.perf.tracepoints import entering as _entering
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.acl import Acl
 from repro.vfs.cred import ROOT, Credentials
-from repro.vfs.errors import BadFileDescriptor, InvalidArgument
+from repro.vfs.errors import BadFileDescriptor, FsError, InvalidArgument
 from repro.vfs.inode import Filesystem
 from repro.vfs.mount import MountNamespace
 from repro.vfs.notify import EventMask, Inotify, NotifyEvent
@@ -91,13 +103,16 @@ class Syscalls:
         The child gets its own fd table and (by default) its own meter;
         credentials, namespace, and cwd are inherited unless overridden.
         """
-        return Syscalls(
+        child = Syscalls(
             self.vfs,
             cred=cred or self.cred,
             ns=ns or self.ns,
             meter=meter or SyscallMeter(model=self.meter.model),
             cwd=cwd or self._cwd,
         )
+        if _tracing:
+            _publish("spawn", self, child)
+        return child
 
     # -- path handling ------------------------------------------------------------
 
@@ -129,6 +144,8 @@ class Syscalls:
 
     def chdir(self, path: str) -> None:
         """Change working directory (must resolve to a directory)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "chdir", (self._abspath(path),), (path,)), self.chdir, path)
         self.meter.enter("chdir")
         path = self._abspath(path)
         from repro.vfs.inode import require_dir
@@ -146,6 +163,8 @@ class Syscalls:
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
         """open(2); returns a file descriptor."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "open", (self._abspath(path),), (path, flags, mode)), self.open, path, flags, mode)
         self.meter.enter("open")
         handle = self.vfs.open(self.ns, self.cred, self._abspath(path), flags, mode)
         fd = self._next_fd
@@ -155,6 +174,8 @@ class Syscalls:
 
     def close(self, fd: int) -> None:
         """close(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "close", (), (fd,)), self.close, fd)
         self.meter.enter("close")
         handle = self._fds.pop(fd, None)
         if handle is None:
@@ -163,6 +184,8 @@ class Syscalls:
 
     def read(self, fd: int, size: int = -1) -> bytes:
         """read(2) from the descriptor's offset."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "read", (), (fd, size)), self.read, fd, size)
         handle = self._handle(fd)
         data = handle.read(size)
         self.meter.enter("read", nbytes=len(data))
@@ -170,32 +193,44 @@ class Syscalls:
 
     def write(self, fd: int, data: bytes) -> int:
         """write(2) at the descriptor's offset."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "write", (), (fd, data)), self.write, fd, data)
         self.meter.enter("write", nbytes=len(data))
         return self._handle(fd).write(data)
 
     def pread(self, fd: int, size: int, offset: int) -> bytes:
         """pread(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "pread", (), (fd, size, offset)), self.pread, fd, size, offset)
         data = self._handle(fd).pread(size, offset)
         self.meter.enter("pread", nbytes=len(data))
         return data
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         """pwrite(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "pwrite", (), (fd, data, offset)), self.pwrite, fd, data, offset)
         self.meter.enter("pwrite", nbytes=len(data))
         return self._handle(fd).pwrite(data, offset)
 
     def lseek(self, fd: int, offset: int) -> int:
         """lseek(2) (absolute only)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "lseek", (), (fd, offset)), self.lseek, fd, offset)
         self.meter.enter("lseek")
         return self._handle(fd).seek(offset)
 
     def ftruncate(self, fd: int, size: int) -> None:
         """ftruncate(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "ftruncate", (), (fd, size)), self.ftruncate, fd, size)
         self.meter.enter("ftruncate")
         self._handle(fd).truncate(size)
 
     def fstat(self, fd: int) -> Stat:
         """fstat(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "fstat", (), (fd,)), self.fstat, fd)
         self.meter.enter("fstat")
         return self._handle(fd).inode.stat()
 
@@ -239,6 +274,8 @@ class Syscalls:
 
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         """mkdir(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "mkdir", (self._abspath(path),), (path, mode)), self.mkdir, path, mode)
         self.meter.enter("mkdir")
         self.vfs.mkdir(self.ns, self.cred, self._abspath(path), mode)
 
@@ -253,51 +290,71 @@ class Syscalls:
 
     def rmdir(self, path: str) -> None:
         """rmdir(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "rmdir", (self._abspath(path),), (path,)), self.rmdir, path)
         self.meter.enter("rmdir")
         self.vfs.rmdir(self.ns, self.cred, self._abspath(path))
 
     def unlink(self, path: str) -> None:
         """unlink(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "unlink", (self._abspath(path),), (path,)), self.unlink, path)
         self.meter.enter("unlink")
         self.vfs.unlink(self.ns, self.cred, self._abspath(path))
 
     def rename(self, oldpath: str, newpath: str) -> None:
         """rename(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "rename", (self._abspath(oldpath), self._abspath(newpath)), (oldpath, newpath)), self.rename, oldpath, newpath)
         self.meter.enter("rename")
         self.vfs.rename(self.ns, self.cred, self._abspath(oldpath), self._abspath(newpath))
 
     def symlink(self, target: str, linkpath: str) -> None:
         """symlink(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "symlink", (self._abspath(linkpath),), (target, linkpath)), self.symlink, target, linkpath)
         self.meter.enter("symlink")
         self.vfs.symlink(self.ns, self.cred, target, self._abspath(linkpath))
 
     def readlink(self, path: str) -> str:
         """readlink(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "readlink", (self._abspath(path),), (path,)), self.readlink, path)
         self.meter.enter("readlink")
         return self.vfs.readlink(self.ns, self.cred, self._abspath(path))
 
     def link(self, oldpath: str, newpath: str) -> None:
         """link(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "link", (self._abspath(oldpath), self._abspath(newpath)), (oldpath, newpath)), self.link, oldpath, newpath)
         self.meter.enter("link")
         self.vfs.link(self.ns, self.cred, self._abspath(oldpath), self._abspath(newpath))
 
     def stat(self, path: str) -> Stat:
         """stat(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "stat", (self._abspath(path),), (path,)), self.stat, path)
         self.meter.enter("stat")
         return self.vfs.stat(self.ns, self.cred, self._abspath(path))
 
     def lstat(self, path: str) -> Stat:
         """lstat(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "lstat", (self._abspath(path),), (path,)), self.lstat, path)
         self.meter.enter("lstat")
         return self.vfs.lstat(self.ns, self.cred, self._abspath(path))
 
     def exists(self, path: str) -> bool:
         """access(2)-style existence probe."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "exists", (self._abspath(path),), (path,)), self.exists, path)
         self.meter.enter("access")
         return self.vfs.exists(self.ns, self.cred, self._abspath(path))
 
     def listdir(self, path: str) -> list[str]:
         """getdents(2): directory entry names."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "listdir", (self._abspath(path),), (path,)), self.listdir, path)
         self.meter.enter("getdents")
         return self.vfs.readdir(self.ns, self.cred, self._abspath(path))
 
@@ -307,61 +364,85 @@ class Syscalls:
         The §8.1 batching remedy for readdir-then-stat storms: one metered
         call replaces ``listdir`` plus an ``lstat`` per entry.
         """
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "scandir", (self._abspath(path),), (path,)), self.scandir, path)
         self.meter.enter("scandir")
         return self.vfs.scandir(self.ns, self.cred, self._abspath(path))
 
     def truncate(self, path: str, size: int) -> None:
         """truncate(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "truncate", (self._abspath(path),), (path, size)), self.truncate, path, size)
         self.meter.enter("truncate")
         self.vfs.truncate(self.ns, self.cred, self._abspath(path), size)
 
     def chmod(self, path: str, mode: int) -> None:
         """chmod(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "chmod", (self._abspath(path),), (path, mode)), self.chmod, path, mode)
         self.meter.enter("chmod")
         self.vfs.chmod(self.ns, self.cred, self._abspath(path), mode)
 
     def chown(self, path: str, uid: int, gid: int) -> None:
         """chown(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "chown", (self._abspath(path),), (path, uid, gid)), self.chown, path, uid, gid)
         self.meter.enter("chown")
         self.vfs.chown(self.ns, self.cred, self._abspath(path), uid, gid)
 
     def set_acl(self, path: str, acl: Acl) -> None:
         """setfacl equivalent."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "set_acl", (self._abspath(path),), (path, acl)), self.set_acl, path, acl)
         self.meter.enter("setxattr")  # ACLs ride the xattr syscall on Linux
         self.vfs.set_acl(self.ns, self.cred, self._abspath(path), acl)
 
     def setxattr(self, path: str, name: str, value: bytes) -> None:
         """setxattr(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "setxattr", (self._abspath(path),), (path, name, value)), self.setxattr, path, name, value)
         self.meter.enter("setxattr")
         self.vfs.setxattr(self.ns, self.cred, self._abspath(path), name, value)
 
     def getxattr(self, path: str, name: str) -> bytes:
         """getxattr(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "getxattr", (self._abspath(path),), (path, name)), self.getxattr, path, name)
         self.meter.enter("getxattr")
         return self.vfs.getxattr(self.ns, self.cred, self._abspath(path), name)
 
     def listxattr(self, path: str) -> list[str]:
         """listxattr(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "listxattr", (self._abspath(path),), (path,)), self.listxattr, path)
         self.meter.enter("listxattr")
         return self.vfs.listxattr(self.ns, self.cred, self._abspath(path))
 
     def removexattr(self, path: str, name: str) -> None:
         """removexattr(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "removexattr", (self._abspath(path),), (path, name)), self.removexattr, path, name)
         self.meter.enter("removexattr")
         self.vfs.removexattr(self.ns, self.cred, self._abspath(path), name)
 
     def mount(self, path: str, fs: Filesystem, *, source: str = "") -> None:
         """mount(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "mount", (self._abspath(path),), (path, fs)), self.mount, path, fs, source=source)
         self.meter.enter("mount")
         self.vfs.mount(self.ns, self.cred, self._abspath(path), fs, source=source)
 
     def bind_mount(self, source_path: str, target_path: str) -> None:
         """mount(2) with MS_BIND."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "bind_mount", (self._abspath(source_path), self._abspath(target_path)), (source_path, target_path)), self.bind_mount, source_path, target_path)
         self.meter.enter("mount")
         self.vfs.bind_mount(self.ns, self.cred, self._abspath(source_path), self._abspath(target_path))
 
     def umount(self, path: str) -> None:
         """umount(2)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "umount", (self._abspath(path),), (path,)), self.umount, path)
         self.meter.enter("umount")
         self.vfs.umount(self.ns, self.cred, self._abspath(path))
 
@@ -375,6 +456,8 @@ class Syscalls:
         each :meth:`~repro.vfs.uring.IoUring.submit` costs exactly one
         metered ``io_uring_enter`` however many entries it carries.
         """
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "io_uring_setup", (), (entries,)), self.io_uring_setup, entries)
         self.meter.enter("io_uring_setup")
         from repro.vfs.uring import IoUring
 
@@ -384,27 +467,37 @@ class Syscalls:
 
     def inotify_init(self, *, max_queued_events: int | None = None) -> Inotify:
         """inotify_init(2); the queue bound mirrors fs.inotify.max_queued_events."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "inotify_init", (), ()), self.inotify_init, max_queued_events=max_queued_events)
         self.meter.enter("inotify_init")
         return self.vfs.inotify(max_queued_events=max_queued_events)
 
     def inotify_add_watch(self, instance: Inotify, path: str, mask: EventMask) -> int:
         """inotify_add_watch(2): watch a path."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "inotify_add_watch", (self._abspath(path),), (instance, path, mask)), self.inotify_add_watch, instance, path, mask)
         self.meter.enter("inotify_add_watch")
         inode = self.vfs.resolve(self.ns, self.cred, self._abspath(path))
         return instance.add_watch(inode, mask)
 
     def inotify_read(self, instance: Inotify) -> list[NotifyEvent]:
         """read(2) on the inotify descriptor: drain queued events."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "inotify_read", (), (instance,)), self.inotify_read, instance)
         self.meter.enter("read")
         return instance.read()
 
     def epoll_create(self) -> Epoll:
         """epoll_create(2): a readiness set over notification descriptors."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "epoll_create", (), ()), self.epoll_create)
         self.meter.enter("epoll_create")
         return Epoll()
 
     def epoll_ctl(self, ep: Epoll, op: int, pollable: object, data: object | None = None) -> None:
         """epoll_ctl(2): add/remove a pollable; ``data`` rides the event."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "epoll_ctl", (), (ep, op, pollable, data)), self.epoll_ctl, ep, op, pollable, data)
         self.meter.enter("epoll_ctl")
         if op == EPOLL_CTL_ADD:
             ep.add(pollable, data)
@@ -415,13 +508,31 @@ class Syscalls:
 
     def epoll_wait(self, ep: Epoll) -> list[object]:
         """epoll_wait(2): the ``data`` of every ready pollable (no blocking)."""
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "epoll_wait", (), (ep,)), self.epoll_wait, ep)
         self.meter.enter("epoll_wait")
         return ep.wait()
 
     # -- traversal ---------------------------------------------------------------------
 
     def walk(self, path: str) -> Iterator[tuple[str, list[str], list[str]]]:
-        """os.walk equivalent (each directory visit is one getdents)."""
-        for dirpath, dirnames, filenames in self.vfs.walk(self.ns, self.cred, self._abspath(path)):
-            self.meter.enter("getdents")
-            yield dirpath, dirnames, filenames
+        """os.walk equivalent (each directory visit is one getdents).
+
+        A generator, so its trace events bracket the whole traversal —
+        the caller's own syscalls between visits fall inside the pair.
+        """
+        abspath = self._abspath(path)
+        info = (self, "walk", (abspath,), (path,))
+        if _tracing:
+            _publish("syscall_enter", *info)
+        failure = None
+        try:
+            for dirpath, dirnames, filenames in self.vfs.walk(self.ns, self.cred, abspath):
+                self.meter.enter("getdents")
+                yield dirpath, dirnames, filenames
+        except FsError as exc:
+            failure = exc
+            raise
+        finally:
+            if _tracing:
+                _publish("syscall_exit", *info, None, failure)

@@ -29,10 +29,13 @@ what makes ``open → write → close`` expressible before the fd exists.  If
 a chain is severed while its descriptor is still open, the ring closes it
 (billed as ``uring.chain_autoclose``) so a failed batch cannot leak fds.
 
-**Observability.**  Entries execute through the real bound ``Syscalls``
-methods — the same choke points yancrace and yancsan patch at class
-level — with the meter paused so the facade's per-call billing does not
-double-count; each executed entry is instead billed via
+**Observability.**  Entries execute through the real ``Syscalls``
+methods, so each fires that method's ``syscall`` trace point exactly as
+a direct call would, and :meth:`IoUring.submit` is itself a trace point
+(``on_uring_submit_enter(ring)`` / ``on_uring_submit_exit(ring, result,
+exc)``) so a subscriber can tell which ops one crossing carried.  The
+meter is paused around each entry so the facade's per-call billing does
+not double-count; each executed entry is instead billed via
 :meth:`~repro.perf.meter.SyscallMeter.batch_op` (``uring.sqe`` /
 ``uring.<op>`` / payload bytes).  Batching changes the *cost*, never the
 event stream or the analysis coverage.
@@ -43,6 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.perf.tracepoints import around as _around
+from repro.perf.tracepoints import entering as _entering
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import FsError, InvalidArgument
 from repro.vfs.vfs import O_CREAT, O_TRUNC, O_WRONLY
 
@@ -189,6 +195,8 @@ class IoUring:
         them) with the meter paused; each executed entry is billed as a
         batch op instead.  Returns the number of entries consumed.
         """
+        if _tracing and _entering(self):
+            return _around("uring_submit", (self,), self.submit)
         if not self._sq:
             return 0
         meter = self.sc.meter
@@ -236,8 +244,6 @@ class IoUring:
                 meter.batch_op(sqe.op)
                 return Cqe(index=index, op=sqe.op, error=err, user_data=sqe.user_data)
             args = tuple(chain_fd if isinstance(a, _LinkFd) else a for a in args)
-        # Bound method lookup happens here, per entry, so class-level
-        # patches (yancrace's choke points) wrap batched ops too.
         fn = getattr(self.sc, sqe.op)
         try:
             with meter.pause():

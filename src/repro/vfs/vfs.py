@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.perf.counters import PerfCounters
+from repro.perf.tracepoints import publish as _publish
+from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import (
     BadFileDescriptor,
@@ -153,6 +155,8 @@ class FileHandle:
         if self.writable:
             self.inode.on_close_write(self.cred)
             self.inode.fs.emit(self.inode, EventMask.IN_CLOSE_WRITE)
+            if _tracing:
+                _publish("handle_close", self)  # a writable handle closed and its content was accepted
         else:
             self.inode.fs.emit(self.inode, EventMask.IN_CLOSE_NOWRITE)
 

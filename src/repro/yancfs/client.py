@@ -56,6 +56,37 @@ class FlowSpec:
     version: int = 0
 
 
+def flow_spec_files(
+    match: Match,
+    actions: list[Action],
+    *,
+    priority: int | None = None,
+    idle_timeout: float | None = None,
+    hard_timeout: float | None = None,
+) -> dict[str, str]:
+    """A flow spec as the ``{filename: content}`` its directory holds (§3.2).
+
+    The one serializer every writer shares — the file path, the ring and
+    the libyanc fastpath — in the order the files are written: match
+    fields, actions (``action.<kind>``, then ``.<n>`` from the second
+    on), then the optional attributes.  ``version`` is not a spec file;
+    writing it is the commit (§3.4).
+    """
+    files = dict(match.to_files())
+    for index, action in enumerate(actions):
+        filename, content = action.to_file()
+        if index:
+            filename = f"{filename}.{index}"
+        files[filename] = content
+    if priority is not None:
+        files["priority"] = str(priority)
+    if idle_timeout is not None:
+        files["timeout"] = str(idle_timeout)
+    if hard_timeout is not None:
+        files["hard_timeout"] = str(hard_timeout)
+    return files
+
+
 @dataclass(frozen=True)
 class PacketInEvent:
     """One packet-in message read from an event buffer (§3.5)."""
@@ -163,19 +194,9 @@ class YancClient:
         """
         path = self.flow_path(switch, name)
         self.sc.mkdir(path)
-        for filename, content in match.to_files().items():
+        files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
+        for filename, content in files.items():
             self.sc.write_text(f"{path}/{filename}", content)
-        for index, action in enumerate(actions):
-            filename, content = action.to_file()
-            if index:
-                filename = f"{filename}.{index}"
-            self.sc.write_text(f"{path}/{filename}", content)
-        if priority is not None:
-            self.sc.write_text(f"{path}/priority", str(priority))
-        if idle_timeout is not None:
-            self.sc.write_text(f"{path}/timeout", str(idle_timeout))
-        if hard_timeout is not None:
-            self.sc.write_text(f"{path}/hard_timeout", str(hard_timeout))
         if commit:
             self.commit_flow(switch, name)
         return path
@@ -205,18 +226,7 @@ class YancClient:
         created = 0
         for name, match, actions in entries:
             path = self.flow_path(switch, name)
-            files = dict(match.to_files())
-            for index, action in enumerate(actions):
-                filename, content = action.to_file()
-                if index:
-                    filename = f"{filename}.{index}"
-                files[filename] = content
-            if priority is not None:
-                files["priority"] = str(priority)
-            if idle_timeout is not None:
-                files["timeout"] = str(idle_timeout)
-            if hard_timeout is not None:
-                files["hard_timeout"] = str(hard_timeout)
+            files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
             self._make_room(ring, 4 + 3 * len(files))
             ring.prep("mkdir", path, link=True)
             for filename, content in files.items():

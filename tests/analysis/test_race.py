@@ -47,6 +47,26 @@ def _make_flow(sc, name="f"):
     return base
 
 
+def test_fd_state_does_not_outlive_its_context(vfs, det):
+    """Regression: the fd -> file map was module-global and keyed by
+    ``id(sc)``, so a context allocated where a collected one had lived
+    inherited the descriptors (and inodes) the dead one never closed."""
+    root = Syscalls(vfs)
+    root.write_text("/shared", "x")
+    for _ in range(3):  # create, use, drop — under one detector
+        sc = Syscalls(vfs)
+        sc.open("/shared")  # never closed
+        assert len(det._fd_files) == 2  # root's entry (now empty) and this context's
+        del sc
+        assert len(det._fd_files) == 1
+    root.open("/shared")
+    det.reset()
+    assert len(det._fd_files) == 0
+    root.open("/shared")
+    det.uninstall()
+    assert len(det._fd_files) == 0
+
+
 # -- the happens-before core ----------------------------------------------------
 
 

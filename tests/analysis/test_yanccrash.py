@@ -161,6 +161,40 @@ def test_recorder_tags_uring_batches():
     assert len({op.batch for op in batched}) == 1
 
 
+def test_recorder_state_does_not_outlive_its_context():
+    """Regression: tracked fds and yanc mounts were module-global and keyed
+    by ``id()`` of objects the recorder did not keep alive, so a context or
+    store allocated where a collected one had lived inherited its entries."""
+    import gc
+
+    recorder = CrashRecorder().install()
+    try:
+        for _ in range(3):  # create, use, drop — under one recorder
+            sc = Syscalls(VirtualFileSystem())
+            fs = mount_yancfs(sc, "/net")
+            sc.makedirs("/var/spool")
+            sc.open("/var/spool/a", 0o101)  # O_WRONLY|O_CREAT: tracked, never closed
+            assert len(recorder._tracked_fds) == 1 and len(recorder._fs_mounts) == 1
+            del sc, fs
+            sanitizer.reset_all()  # under YANCSAN=1 the leak report pins the handle, and so the store
+            gc.collect()  # the tree is cyclic (inode <-> filesystem)
+            assert len(recorder._tracked_fds) == 0 and len(recorder._fs_mounts) == 0
+        sc = Syscalls(VirtualFileSystem())
+        fs = mount_yancfs(sc, "/net")
+        sc.makedirs("/var/spool")
+        fd = sc.open("/var/spool/a", 0o101)
+        recorder.uninstall()  # the trace survives, the context map does not
+        assert recorder.ops and not recorder._tracked_fds and not recorder._fs_mounts
+        recorder.install()
+        before = len(recorder.ops)
+        sc.write(fd, b"opened before this recording began")
+        sc.close(fd)
+        assert recorder.ops[before:] == []
+    finally:
+        recorder.uninstall()
+        sanitizer.reset_all()
+
+
 # -- the crash-point explorer ---------------------------------------------------------
 
 

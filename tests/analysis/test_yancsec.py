@@ -16,6 +16,7 @@ from repro.analysis.yancsec import monitor as secmon
 from repro.analysis.yancsec.checker import KINDS, analyze_sources, analyze_yancsec
 from repro.analysis.yancsec.monitor import SecurityMonitor
 from repro.vfs.cred import app_credentials
+from repro.vfs.errors import FsError
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
 
@@ -201,6 +202,49 @@ def test_monitor_flags_cross_tenant_read(mon):
     bob.role = "app"
     assert bob.read_text("/net/apps/alice/secret") == "s3cret"
     assert any(f.kind == "cross-tenant-read" for f in mon.check())
+
+
+@pytest.mark.parametrize("probe", ["stat", "lstat", "exists", "listxattr", "chdir"])
+def test_monitor_mediates_metadata_probes(mon, probe):
+    """Regression: only a hand-picked set of methods was tapped, so a
+    cross-tenant ``stat`` (or any other probe) went unjudged."""
+    vfs, root = _host_tree()
+    root.chmod("/net/apps/alice", 0o755)
+    root.mkdir("/net/apps/alice/inbox", 0o755)
+    bob = Syscalls(vfs, cred=app_credentials("bob"))
+    bob.role = "app"
+    getattr(bob, probe)("/net/apps/alice/inbox")
+    assert [f.kind for f in mon.check()] == ["cross-tenant-read"]
+    assert f"{probe}(/net/apps/alice/inbox)" in mon.check()[0].detail
+
+
+def test_monitor_mediates_xattr_and_mount_mutations(mon):
+    """Regression: ``setxattr`` & co. bypassed the monitor, so an app-role
+    process holding ambient root could label the tree unnoticed."""
+    vfs, root = _host_tree()
+    root.makedirs("/net/hosts")
+    rogue = Syscalls(vfs)  # uid 0
+    rogue.role = "app"
+    rogue.setxattr("/net/hosts", "user.owner", b"rogue")
+    assert [f.kind for f in mon.check()] == ["root-app"]
+    assert "setxattr(/net/hosts)" in mon.check()[0].detail
+    mon.reset()
+    # The same family judged as writes for an ordinary tenant.
+    root.chmod("/net/apps/alice", 0o777)
+    root.chmod("/net/apps/alice/secret", 0o666)
+    bob = Syscalls(vfs, cred=app_credentials("bob"))
+    bob.role = "app"
+    bob.setxattr("/net/apps/alice/secret", "user.tag", b"bob")
+    assert [f.kind for f in mon.check()] == ["ambient-write"]
+
+
+def test_monitor_ignores_failed_calls(mon):
+    vfs, _ = _host_tree()
+    bob = Syscalls(vfs, cred=app_credentials("bob"))
+    bob.role = "app"
+    with pytest.raises(FsError):
+        bob.stat("/net/apps/alice/no-such-file")  # touched nothing: not an access
+    assert mon.check() == [] and not any(uid == bob.cred.uid for uid, _ns, _prefix in mon.accesses)
 
 
 def test_monitor_flags_write_into_foreign_home(mon):
