@@ -1,11 +1,12 @@
-"""Baseline bookkeeping shared by the yancrace/yancpath/yancperf CLIs.
+"""Baseline bookkeeping behind every subcommand's ``--baseline``/``--out``.
 
 A baseline is a JSON list of finding records checked into the repo; a
-sweep only *fails* on findings whose key is not in it.  The three CLIs
-key their records differently (race findings have no stable line; path
-findings do), so the key function travels with the caller — this module
-owns just the load/compare/write mechanics so the semantics cannot
-drift between tools.
+sweep only *fails* on findings whose key is not in it.  Records are keyed
+differently per kind of tool (static findings by ``(rule, path, line)``,
+race findings by their sites since they have no stable line, ...), so the
+key function travels with the one caller, ``cli.report_findings`` — this
+module owns just the load/compare/write mechanics so the semantics
+cannot drift between tools.
 """
 
 from __future__ import annotations

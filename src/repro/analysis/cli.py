@@ -1,37 +1,32 @@
-"""The analysis command line: ``python -m repro.analysis [race|yancpath|yancperf|yanccrash|yancsec] [...]``.
+"""The analysis command line: ``python -m repro.analysis [SUBCOMMAND] [...]``.
 
-Six subcommands share one entry point:
+Seven subcommands share one entry point, one parser builder and one
+table (:data:`COMMANDS`; each row's ``description`` is its ``--help``):
 
 * ``python -m repro.analysis [paths...]`` — **yanclint**, the static
   checker (the historical default, no subcommand word needed);
 * ``python -m repro.analysis race workload.py [args...]`` — **yancrace**,
-  which runs any Python workload (an example script, a reproducer) under
-  the happens-before race detector and reports ordering findings;
+  a workload under the happens-before race detector;
 * ``python -m repro.analysis yancpath [paths...]`` — **yancpath**, the
-  whole-program path & typestate analyzer (schema-derived namespace
-  grammar, §3.4 commit protocol, fd lifecycle);
+  whole-program path & typestate analyzer;
 * ``python -m repro.analysis yancperf [paths...]`` — **yancperf**, the
-  interprocedural syscall-cost analyzer (amplification findings, the
-  ``--report`` cost ranking, and ``--calibrate`` against live meters);
+  syscall-cost analyzer, its ``--report`` ranking and ``--calibrate``;
 * ``python -m repro.analysis yanccrash [paths...]`` — **yanccrash**, the
-  crash-consistency analyzer: statically, durable-effect ordering over
-  the commit/publication surfaces; with ``--explore workload.py``, the
-  crash-point model checker that replays every crash prefix of the
-  workload's durable-op trace and asserts the recovery invariants;
+  crash-consistency analyzer; ``--explore workload.py`` model-checks
+  every crash prefix of the workload's durable-op trace instead;
 * ``python -m repro.analysis yancsec [paths...]`` — **yancsec**, the
-  capability & tenant-isolation analyzer: a taint-to-path lattice plus
-  per-function credential summaries judge every syscall site
-  (tainted-path, root-ambient, missing-acl, slice-escape,
-  unauthenticated-rpc); with ``--monitor workload.py``, the runtime
-  reference monitor runs the workload instead and reports isolation
-  violations plus the (uid, namespace, prefix) access tuples.
+  capability & tenant-isolation analyzer; ``--monitor workload.py`` runs
+  the workload under the runtime reference monitor instead;
+* ``python -m repro.analysis all [paths...]`` — yanclint's rules and all
+  four judges over **one** :class:`~repro.analysis.sweep.Sweep`: one
+  load, one interpretation, one ``(rule, path, line)`` baseline;
+  ``--json`` prints one record list per tool.
 
-Exit-code discipline (:class:`ExitCode`, shared by every subcommand):
+The four interpreter-based tools share :func:`run_tool`; ``race``,
+``--explore`` and ``--monitor`` share :func:`run_workload`, where the
+positionals after the workload are the workload's own ``sys.argv[1:]``.
 
-* ``0`` — clean;
-* ``1`` — findings (races / diagnostics at warning or above);
-* ``2`` — usage error (unknown rule, bad arguments);
-* ``3`` — internal error (the analyzer itself, or the workload, crashed).
+Every subcommand follows the 0/1/2/3 exit-code discipline of :class:`ExitCode`.
 """
 
 from __future__ import annotations
@@ -39,22 +34,28 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import os
 import runpy
 import sys
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis import baselines
-from repro.analysis.core import all_rules
-from repro.analysis.runner import analyze_paths, exit_code, format_findings
+from repro.analysis import baselines, yancperf
+from repro.analysis.core import Finding
+from repro.analysis.race import RaceDetector
+from repro.analysis.runner import analyze_sweep, lint_flags, run_lint
+from repro.analysis.sweep import JUDGES, Sweep
+from repro.analysis.yanccrash.recorder import CrashRecorder
+from repro.analysis.yancsec.monitor import SecurityMonitor
 
 
 class ExitCode(enum.IntEnum):
     """The 0/1/2/3 discipline every analysis subcommand follows."""
 
     CLEAN = 0
-    FINDINGS = 1
-    USAGE = 2
-    INTERNAL = 3
+    FINDINGS = 1  # races / diagnostics at warning or above, not covered by a baseline
+    USAGE = 2  # unknown rule, bad arguments
+    INTERNAL = 3  # the analyzer itself, or the workload, crashed
 
 
 def usage_error(tool: str, *lines: str) -> int:
@@ -64,30 +65,47 @@ def usage_error(tool: str, *lines: str) -> int:
     return ExitCode.USAGE
 
 
+def finding_records(findings: list[Finding]) -> list[dict]:
+    """The JSON-ready form of static findings (what ``--json`` prints)."""
+    return [f.__dict__ | {"severity": f.severity.label} for f in findings]
+
+
+def _static_key(record: dict) -> tuple:
+    """Rule ids are unique across tools, so one identity serves them all."""
+    return (record.get("rule", ""), record.get("path", ""), record.get("line", 0))
+
+
+def _static_render(rec: dict, marker: str) -> str:
+    return (
+        f"{rec['path']}:{rec['line']}:{rec['col']}: "
+        f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
+    )
+
+
 def report_findings(
     tool: str,
     records: list[dict],
+    args: argparse.Namespace,
     *,
-    as_json: bool,
-    baseline: str | None,
-    out: str | None,
-    key: Callable[[dict], tuple],
-    render: Callable[[dict, str], str],
+    key: Callable[[dict], tuple] = _static_key,
+    render: Callable[[dict, str], str] = _static_render,
+    payload: object = None,
 ) -> int:
-    """Shared emission + verdict: baseline filtering, ``--out``, JSON/text.
+    """Shared emission + verdict: ``--baseline`` filtering, ``--out``, JSON/text.
 
     ``records`` are JSON-ready finding dicts; ``key`` makes them
     comparable against a baseline file; ``render`` formats one record for
     the text output (second argument is the ``" (baseline)"`` marker or
-    ``""``).  Returns ``FINDINGS`` when any record survives the baseline,
-    else ``CLEAN`` — the usage/internal codes come from the caller and
-    :func:`main` respectively.
+    ``""``); ``payload`` is what ``--json`` prints when that is not the
+    record list itself.  Returns ``FINDINGS`` when any record survives the
+    baseline, else ``CLEAN`` — the usage/internal codes come from the
+    caller and :func:`main` respectively.
     """
-    baseline_keys = baselines.load_baseline(baseline, key)
+    baseline_keys = baselines.load_baseline(args.baseline, key)
     fresh = baselines.split_fresh(records, baseline_keys, key)
-    baselines.write_records(out, records)
-    if as_json:
-        print(json.dumps(records, indent=2))
+    baselines.write_records(args.out, records)
+    if args.json:
+        print(json.dumps(records if payload is None else payload, indent=2))
     else:
         for rec in records:
             marker = " (baseline)" if key(rec) in baseline_keys else ""
@@ -98,401 +116,189 @@ def report_findings(
     return ExitCode.FINDINGS if fresh else ExitCode.CLEAN
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yanclint",
-        description="Static invariant checker for the yanc reproduction (determinism, "
+def run_workload(cmd: "Command", args: argparse.Namespace) -> int:
+    """Run ``args.workload`` as ``__main__`` under the row's trace-point
+    subscriber and report what it saw; ``args.paths`` are the workload's
+    own ``sys.argv[1:]``.
+
+    A subscriber brings ``install``/``uninstall``/``reset``, ``report()``
+    (JSON-ready records plus epilogue lines, asked for once it is off the
+    bus), ``record_key``, ``render`` and optionally ``ENV``, a variable set
+    to ``1`` while the workload runs.  ``sys.argv``, the variable and the
+    bus are restored, and the subscriber reset, on every exit path; a
+    non-zero ``SystemExit`` from the workload is ``ExitCode.INTERNAL``
+    (any other exception reaches :func:`main`).
+    """
+    subscriber = cmd.subscriber()
+    env = getattr(subscriber, "ENV", None)
+    saved_argv, saved_env = sys.argv, os.environ.get(env) if env else None
+    status = None
+    subscriber.install()
+    try:
+        sys.argv = [args.workload, *args.paths]
+        if env:
+            os.environ[env] = "1"
+        try:
+            runpy.run_path(args.workload, run_name="__main__")
+        except SystemExit as exc:
+            status = exc.code
+        finally:
+            sys.argv = saved_argv
+            if saved_env is not None:
+                os.environ[env] = saved_env
+            elif env:
+                os.environ.pop(env, None)
+            subscriber.uninstall()
+        if status not in (None, 0):
+            print(f"{cmd.prog}: workload exited with {status}", file=sys.stderr)
+            return ExitCode.INTERNAL
+        records, epilogue = subscriber.report()
+    finally:
+        subscriber.reset()
+    code = report_findings(cmd.prog, records, args, key=subscriber.record_key, render=subscriber.render)
+    if not args.json:
+        for line in epilogue:
+            print(line)
+    return code
+
+
+def run_tool(cmd: "Command", args: argparse.Namespace) -> int:
+    """The row's judge over one sweep — or, when a workload is named, the
+    row's subscriber over one run of it."""
+    if getattr(args, "workload", None):
+        return run_workload(cmd, args)
+    findings = JUDGES[cmd.name].analyze(args.paths or cmd.paths)
+    return report_findings(cmd.prog, finding_records(findings), args)
+
+
+def _all(cmd: "Command", args: argparse.Namespace) -> int:
+    sweep = Sweep(args.paths or cmd.paths)
+    sections = {"yanclint": analyze_sweep(sweep)}
+    sections |= {name: sweep.report(judge) for name, judge in JUDGES.items()}
+    merged = sorted(set().union(*sections.values()), key=Finding.sort_key)
+    payload = {tool: finding_records(findings) for tool, findings in sections.items()}
+    return report_findings(cmd.prog, finding_records(merged), args, payload=payload)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the subcommand table."""
+
+    name: str  # the subcommand word ("" = the default, yanclint)
+    prog: str  # usage/summary label; its first word is the console script
+    description: str
+    paths: list[str] | None  # default source paths; None = the positional is a workload
+    run: Callable[["Command", argparse.Namespace], int] = run_tool
+    flags: Callable[[argparse.ArgumentParser], None] | None = None  # extra options
+    subscriber: type | None = None  # what a workload runs under (see run_workload)
+    workload_flag: str | None = None  # the option naming that workload, when not the positional
+
+
+_SRC = ["src", "examples"]
+
+COMMANDS = (
+    Command(
+        "",
+        "yanclint",
+        "Static invariant checker for the yanc reproduction (determinism, "
         "vfs-bypass, error-discipline, schema coverage, hygiene).",
-    )
-    parser.add_argument("paths", nargs="*", default=["src", "tests", "examples"], help="files or directories to analyze")
-    parser.add_argument("--select", help="comma-separated rule ids to run (default: all)")
-    parser.add_argument("--ignore", help="comma-separated rule ids to skip")
-    parser.add_argument("--list-rules", action="store_true", help="print the rule registry and exit")
-    parser.add_argument("--format", choices=("text", "json"), default="text", help="diagnostic output format")
-    parser.add_argument("--json", action="store_true", help="shorthand for --format json")
-    return parser
-
-
-def build_race_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancrace",
-        description="Run a Python workload under the happens-before race "
-        "detector and report unsynchronized accesses, torn commits, and "
-        "reads of uncommitted flow state.",
-    )
-    parser.add_argument("workload", help="Python script to execute (e.g. examples/quickstart.py)")
-    parser.add_argument("workload_args", nargs="*", help="arguments passed to the workload")
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    return parser
-
-
-def _finding_key(record: dict) -> tuple:
-    return (record.get("kind", ""), record.get("path", ""), tuple(record.get("sites", ())))
-
-
-def build_yancpath_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancpath",
-        description="Whole-program path & typestate analysis: every syscall "
-        "site's path is checked against a namespace grammar derived from "
-        "yancfs/schema.py, plus §3.4 commit-protocol and fd-lifecycle "
-        "typestate checks.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    return parser
-
-
-def race_main(argv: list[str]) -> int:
-    """yancrace subcommand; returns the process exit code."""
-    args = build_race_parser().parse_args(argv)
-    from repro.analysis.race import RaceDetector
-
-    detector = RaceDetector().install()
-    saved_argv = sys.argv
-    sys.argv = [args.workload, *args.workload_args]
-    try:
-        runpy.run_path(args.workload, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            print(f"yancrace: workload exited with {exc.code}", file=sys.stderr)
-            return ExitCode.INTERNAL
-    finally:
-        sys.argv = saved_argv
-        detector.uninstall()
-    findings = [f.to_json() for f in detector.check()]
-    detector.reset()
-    return report_findings(
+        ["src", "tests", "examples"],
+        run_lint,
+        lint_flags,
+    ),
+    Command(
+        "race",
         "yancrace",
-        findings,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_finding_key,
-        render=lambda rec, marker: f"yancrace [{rec['kind']}]{marker} {rec['detail']}",
-    )
-
-
-def _yancpath_key(record: dict) -> tuple:
-    return (record.get("rule", ""), record.get("path", ""), record.get("line", 0))
-
-
-def yancpath_main(argv: list[str]) -> int:
-    """yancpath subcommand; returns the process exit code."""
-    args = build_yancpath_parser().parse_args(argv)
-    from repro.analysis.yancpath.checker import analyze_yancpath
-
-    findings = analyze_yancpath(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
+        "Run a Python workload under the happens-before race detector and report "
+        "unsynchronized accesses, torn commits, and reads of uncommitted flow state.",
+        None,
+        subscriber=RaceDetector,
+    ),
+    Command(
         "yancpath",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def build_yancperf_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancperf",
-        description="Interprocedural syscall-cost analysis: per-function "
-        "cost polynomials (loop-depth multipliers, callee rollup) plus "
-        "syscall-amplification findings (syscall-in-loop, path-reresolve, "
-        "linear-table-scan, chatty-rpc, readdir-then-stat).",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    parser.add_argument(
-        "--report", action="store_true", help="rank functions by estimated syscalls per call"
-    )
-    parser.add_argument(
-        "--top", type=int, default=30, metavar="N", help="rows shown by --report (default 30)"
-    )
-    parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="boot the quickstart topology and check static bounds against live meter counts",
-    )
-    return parser
-
-
-def yancperf_main(argv: list[str]) -> int:
-    """yancperf subcommand; returns the process exit code."""
-    args = build_yancperf_parser().parse_args(argv)
-    if args.report and args.calibrate:
-        return usage_error("yancperf", "--report and --calibrate are mutually exclusive")
-    if args.report:
-        from repro.analysis.yancperf.report import cost_report, render_report
-
-        rows = cost_report(list(args.paths))
-        if args.json:
-            print(json.dumps([row.to_json() for row in rows[: args.top]], indent=2))
-        else:
-            print(render_report(rows, top=args.top))
-        return ExitCode.CLEAN
-    if args.calibrate:
-        from repro.analysis.yancperf.calibrate import render_calibration, run_calibration
-
-        rows = run_calibration(list(args.paths))
-        if args.json:
-            print(json.dumps([row.to_json() for row in rows], indent=2))
-        else:
-            print(render_calibration(rows))
-        return ExitCode.CLEAN if all(row.ok for row in rows) else ExitCode.FINDINGS
-    from repro.analysis.yancperf.checker import analyze_yancperf
-
-    findings = analyze_yancperf(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
+        "yancpath",
+        "Whole-program path & typestate analysis: every syscall site's path is checked "
+        "against a namespace grammar derived from yancfs/schema.py, plus §3.4 "
+        "commit-protocol and fd-lifecycle typestate checks.",
+        _SRC,
+    ),
+    Command(
         "yancperf",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,  # same (rule, path, line) identity as yancpath
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def build_yanccrash_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yanccrash",
-        description="Crash-consistency analysis for the commit/publication "
-        "surfaces: a static persistence-effect pass (publish-before-data, "
-        "non-atomic-publish, commit-outside-chain, unrecovered-staging) "
-        "plus, with --explore, a crash-point model checker that replays "
-        "every crash prefix of a workload's durable-op trace.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    parser.add_argument(
-        "--explore",
-        metavar="WORKLOAD",
-        help="run this Python workload under the durable-op recorder and "
-        "model-check every crash prefix instead of analyzing sources; "
-        "positional arguments are passed to the workload",
-    )
-    return parser
-
-
-def _yanccrash_explore(args: argparse.Namespace) -> int:
-    from repro.analysis.yanccrash.explorer import explore
-    from repro.analysis.yanccrash.recorder import CrashRecorder
-
-    recorder = CrashRecorder().install()
-    saved_argv = sys.argv
-    sys.argv = [args.explore, *args.paths] if args.paths != ["src", "examples"] else [args.explore]
-    try:
-        runpy.run_path(args.explore, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            print(f"yanccrash: workload exited with {exc.code}", file=sys.stderr)
-            return ExitCode.INTERNAL
-    finally:
-        sys.argv = saved_argv
-        recorder.uninstall()
-    result = explore(recorder.ops)
-    recorder.reset()
-    records = [v.to_json() for v in result.violations]
-    code = report_findings(
+        "yancperf",
+        "Interprocedural syscall-cost analysis: per-function cost polynomials "
+        "(loop-depth multipliers, callee rollup) plus syscall-amplification findings "
+        "(syscall-in-loop, path-reresolve, linear-table-scan, chatty-rpc, readdir-then-stat).",
+        _SRC,
+        yancperf.run_cli,
+        yancperf.cli_flags,
+    ),
+    Command(
         "yanccrash",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=lambda rec: (rec.get("kind", ""), rec.get("path", ""), rec.get("site", "")),
-        render=lambda rec, marker: (
-            f"yanccrash [{rec['kind']}]{marker} {rec['path']} "
-            f"@prefix={rec['prefix']}: {rec['detail']}"
-        ),
-    )
-    if not args.json:
-        print(f"yanccrash: {result.summary()}")
-    return code
-
-
-def yanccrash_main(argv: list[str]) -> int:
-    """yanccrash subcommand; returns the process exit code."""
-    args = build_yanccrash_parser().parse_args(argv)
-    if args.explore:
-        return _yanccrash_explore(args)
-    from repro.analysis.yanccrash.checker import analyze_yanccrash
-
-    findings = analyze_yanccrash(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
         "yanccrash",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,  # same (rule, path, line) identity as yancpath
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def build_yancsec_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancsec",
-        description="Capability & tenant-isolation analysis: a taint "
-        "lattice over tenant-reachable reads plus per-function credential "
-        "summaries judge every syscall site (tainted-path, root-ambient, "
-        "missing-acl, slice-escape, unauthenticated-rpc); with --monitor, "
-        "a runtime reference monitor on the Syscalls choke points runs a "
+        "Crash-consistency analysis for the commit/publication surfaces: a static "
+        "persistence-effect pass (publish-before-data, non-atomic-publish, "
+        "commit-outside-chain, unrecovered-staging) plus, with --explore, a crash-point "
+        "model checker that replays every crash prefix of a workload's durable-op trace.",
+        _SRC,
+        subscriber=CrashRecorder,
+        workload_flag="--explore",
+    ),
+    Command(
+        "yancsec",
+        "yancsec",
+        "Capability & tenant-isolation analysis: a taint lattice over tenant-reachable "
+        "reads plus per-function credential summaries judge every syscall site "
+        "(tainted-path, root-ambient, missing-acl, slice-escape, unauthenticated-rpc); "
+        "with --monitor, a runtime reference monitor on the Syscalls choke points runs a "
         "workload and reports isolation violations and access tuples.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    parser.add_argument(
-        "--monitor",
-        metavar="WORKLOAD",
-        help="run this Python workload under the reference monitor instead "
-        "of analyzing sources; positional arguments are passed to the "
-        "workload",
-    )
-    return parser
+        _SRC,
+        subscriber=SecurityMonitor,
+        workload_flag="--monitor",
+    ),
+    Command(
+        "all",
+        "yanclint all",
+        "yanclint's rules plus the yancpath, yancperf, yanccrash and yancsec judges "
+        "over one load and one interpretation of the sources.",
+        _SRC,
+        _all,
+    ),
+)
 
 
-def _yancsec_monitor(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.analysis.yancsec.monitor import SecurityMonitor
-
-    monitor = SecurityMonitor()
-    monitor.install()
-    saved_argv = sys.argv
-    saved_env = os.environ.get("YANCSEC")
-    os.environ["YANCSEC"] = "1"  # workload code may key optional taps off it
-    sys.argv = [args.monitor, *args.paths] if args.paths != ["src", "examples"] else [args.monitor]
-    try:
-        runpy.run_path(args.monitor, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            print(f"yancsec: workload exited with {exc.code}", file=sys.stderr)
-            return ExitCode.INTERNAL
-    finally:
-        sys.argv = saved_argv
-        if saved_env is None:
-            del os.environ["YANCSEC"]
-        else:
-            os.environ["YANCSEC"] = saved_env
-        monitor.uninstall()
-    records = [{"kind": f.kind, "detail": f.detail} for f in monitor.check()]
-    accesses = sorted(monitor.accesses)
-    monitor.reset()
-    code = report_findings(
-        "yancsec",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=lambda rec: (rec.get("kind", ""), rec.get("detail", "")),
-        render=lambda rec, marker: f"yancsec [{rec['kind']}]{marker} {rec['detail']}",
-    )
-    if not args.json:
-        uids = sorted({uid for uid, _, _ in accesses})
-        print(
-            f"yancsec: {len(accesses)} access tuple(s) across "
-            f"{len(uids)} uid(s) {uids}"
-        )
-        for uid, ns, prefix in accesses:
-            print(f"  uid={uid} ns={ns or '-'} {prefix}")
-    return code
-
-
-def yancsec_main(argv: list[str]) -> int:
-    """yancsec subcommand; returns the process exit code."""
-    args = build_yancsec_parser().parse_args(argv)
-    if args.monitor:
-        return _yancsec_monitor(args)
-    from repro.analysis.yancsec.checker import analyze_yancsec
-
-    findings = analyze_yancsec(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
-        "yancsec",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,  # same (rule, path, line) identity as yancpath
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def lint_main(argv: list[str] | None) -> int:
-    """yanclint subcommand; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.list_rules:
-        for rule_id, rule in sorted(all_rules().items()):
-            print(f"{rule_id:<18} {rule.severity.label:<8} {rule.description}")
-        return ExitCode.CLEAN
-    select = set(args.select.split(",")) if args.select else None
-    ignore = set(args.ignore.split(",")) if args.ignore else None
-    known = set(all_rules())
-    unknown = ((select or set()) | (ignore or set())) - known
-    if unknown:
-        return usage_error(
-            "yanclint",
-            f"unknown rule(s): {', '.join(sorted(unknown))}",
-            f"known rules: {', '.join(sorted(known))}",
-        )
-    findings = analyze_paths(list(args.paths), select=select, ignore=ignore)
-    if args.json or args.format == "json":
-        print(json.dumps([f.__dict__ | {"severity": f.severity.label} for f in findings], indent=2))
+def build_parser(cmd: Command) -> argparse.ArgumentParser:
+    """The one parser shape: positionals, the shared flags, the row's extras."""
+    parser = argparse.ArgumentParser(prog=cmd.prog, description=cmd.description)
+    if cmd.paths is None:
+        parser.add_argument("workload", help="Python script to execute (e.g. examples/quickstart.py)")
+        parser.add_argument("paths", nargs="*", metavar="args", help="arguments passed to the workload")
     else:
-        print(format_findings(findings))
-    return exit_code(findings)
+        parser.add_argument(
+            "paths", nargs="*", help=f"files or directories to analyze (default: {' '.join(cmd.paths)})"
+        )
+    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
+    if cmd.name:  # the default command, yanclint, has no baseline: the shipped tree is simply clean
+        parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
+        parser.add_argument("--out", help="write the findings JSON to this file as well")
+    if cmd.workload_flag:
+        parser.add_argument(
+            cmd.workload_flag,
+            dest="workload",
+            metavar="WORKLOAD",
+            help=f"run this Python workload under a {cmd.subscriber.__name__} instead of "
+            "analyzing sources; positional arguments are passed to the workload",
+        )
+    if cmd.flags is not None:
+        cmd.flags(parser)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    cmd = next((c for c in COMMANDS[1:] if argv[:1] == [c.name]), COMMANDS[0])
     try:
-        if argv and argv[0] == "race":
-            return race_main(argv[1:])
-        if argv and argv[0] == "yancpath":
-            return yancpath_main(argv[1:])
-        if argv and argv[0] == "yancperf":
-            return yancperf_main(argv[1:])
-        if argv and argv[0] == "yanccrash":
-            return yanccrash_main(argv[1:])
-        if argv and argv[0] == "yancsec":
-            return yancsec_main(argv[1:])
-        return lint_main(argv)
+        return cmd.run(cmd, build_parser(cmd).parse_args(argv[1:] if cmd.name else argv))
     except SystemExit:
         raise  # argparse usage errors keep their exit code (2)
     except Exception as exc:  # noqa: BLE001 — CLI boundary: crash means code 3, not a traceback-as-UX
@@ -500,29 +306,11 @@ def main(argv: list[str] | None = None) -> int:
         return ExitCode.INTERNAL
 
 
-def race_entry() -> int:
-    """Console-script entry: ``yancrace workload.py [...]``."""
-    return main(["race", *sys.argv[1:]])
-
-
-def yancpath_entry() -> int:
-    """Console-script entry: ``yancpath [paths...]``."""
-    return main(["yancpath", *sys.argv[1:]])
-
-
-def yancperf_entry() -> int:
-    """Console-script entry: ``yancperf [paths...]``."""
-    return main(["yancperf", *sys.argv[1:]])
-
-
-def yanccrash_entry() -> int:
-    """Console-script entry: ``yanccrash [paths...]``."""
-    return main(["yanccrash", *sys.argv[1:]])
-
-
-def yancsec_entry() -> int:
-    """Console-script entry: ``yancsec [paths...]``."""
-    return main(["yancsec", *sys.argv[1:]])
+def entry() -> int:
+    """The one console-script entry: ``yancpath [...]`` is ``yanclint yancpath [...]``."""
+    script = os.path.basename(sys.argv[0])
+    word = [c.name for c in COMMANDS[1:] if c.prog == script]
+    return main(word + sys.argv[1:])
 
 
 if __name__ == "__main__":

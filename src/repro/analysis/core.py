@@ -15,11 +15,15 @@ in-source comments:
   scope explicitly, overriding the path-derived default (used by test
   fixtures that live outside the real ``apps/``/``vfs/`` trees).
 
-Disable comments accept any registered tool prefix — rule ids are
-unique across the analysis tools, so every spelling addresses one shared
-suppression set and each tool only ever consults its own ids.  A new
-tool opts in with one :func:`register_suppression_tool` call instead of
-editing the regexes here.
+Disable comments accept any ``yanc<tool>`` prefix (``# yancperf:
+disable=...``, ``# yanccrash: disable=...``) — rule ids are unique across
+the analysis tools, so every spelling addresses one shared suppression
+set and each tool only ever consults its own ids.  Nothing has to be
+registered, so it cannot matter which tool modules were imported before
+a file was parsed.
+
+A :class:`Judge` is the interpreter-based tools' counterpart of a rule:
+what :class:`repro.analysis.sweep.Sweep` drives over the shared facts.
 """
 
 from __future__ import annotations
@@ -28,37 +32,10 @@ import ast
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-#: Tool prefixes whose ``# <tool>: disable=...`` comments are honoured.
-#: ``yanclint`` and ``yancperf`` ship registered (yancpath reuses the
-#: ``yanclint`` spelling); ``yancrace``/``yanccrash`` register themselves
-#: on import of their modules.
-_SUPPRESSION_TOOLS: set[str] = {"yanclint", "yancperf"}
-
-_DISABLE_RE: re.Pattern
-_DISABLE_FILE_RE: re.Pattern
-
-
-def _rebuild_suppression_patterns() -> None:
-    alternation = "|".join(sorted(_SUPPRESSION_TOOLS))
-    global _DISABLE_RE, _DISABLE_FILE_RE
-    _DISABLE_RE = re.compile(rf"#\s*(?:{alternation}):\s*disable=([\w,\-]+)")
-    _DISABLE_FILE_RE = re.compile(rf"#\s*(?:{alternation}):\s*disable-file=([\w,\-]+)")
-
-
-def register_suppression_tool(name: str) -> str:
-    """Honour ``# <name>: disable=...`` comments; idempotent.
-
-    Call this once at tool-module import time, before any
-    :class:`SourceFile` the tool will consult is parsed.
-    """
-    if not re.fullmatch(r"[\w\-]+", name):
-        raise ValueError(f"bad suppression tool name {name!r}")
-    if name not in _SUPPRESSION_TOOLS:
-        _SUPPRESSION_TOOLS.add(name)
-        _rebuild_suppression_patterns()
-    return name
+_DISABLE_RE = re.compile(r"#\s*yanc\w+:\s*disable=([\w,\-]+)")
+_DISABLE_FILE_RE = re.compile(r"#\s*yanc\w+:\s*disable-file=([\w,\-]+)")
 
 
 def comment_suppresses(line: str, kind: str) -> bool:
@@ -74,8 +51,6 @@ def comment_suppresses(line: str, kind: str) -> bool:
             return True
     return False
 
-
-_rebuild_suppression_patterns()
 
 _SCOPE_RE = re.compile(r"#\s*yanclint:\s*scope=([\w\-]+)")
 
@@ -266,9 +241,37 @@ class ProjectRule(Rule):
     def check(self, src: SourceFile) -> Iterator[Finding]:
         return iter(())
 
-    def check_project(self, files: Iterable[SourceFile]) -> Iterator[Finding]:
-        """Yield findings spanning modules."""
+    def check_project(self, sweep) -> Iterator[Finding]:
+        """Yield findings spanning modules of one :class:`~repro.analysis.sweep.Sweep`."""
         raise NotImplementedError
+
+
+@dataclass
+class Judge:
+    """One interpreter-based tool: a table of finding kinds plus the
+    callbacks :meth:`repro.analysis.sweep.Sweep.run` drives.
+
+    ``emit(kind, node, message)`` is the sweep's; ``state`` is whatever
+    ``prepare(sweep)`` returned (None without one).
+    """
+
+    name: str
+    severities: dict[str, Severity]  # finding kind -> severity; the keys are the tool's KINDS
+    judge_interp: Callable[[Any, Any, Callable, Any], None]  # (sweep, interp, emit, state)
+    prepare: Callable[[Any], Any] | None = None  # (sweep) -> state, once per run
+    judge_module: Callable[[Any, Any, Callable, Any], None] | None = None  # (sweep, module, emit, state)
+
+    def analyze(self, paths: list[str], *, model=None) -> list[Finding]:
+        """Sweep files/directories ``paths``: sorted findings, loader findings included."""
+        from repro.analysis.sweep import Sweep
+
+        return Sweep(paths, model=model).report(self)
+
+    def analyze_sources(self, sources: Iterable[SourceFile], *, model=None) -> list[Finding]:
+        """Judge already-parsed sources (the CLI adds loader findings)."""
+        from repro.analysis.sweep import Sweep
+
+        return Sweep(sources=sources, model=model).run(self)
 
 
 _REGISTRY: dict[str, Rule] = {}

@@ -9,7 +9,6 @@ the command line, which always wins over the skip list).
 from __future__ import annotations
 
 import os
-from typing import Iterator
 
 from repro.analysis.core import Finding, Severity, SourceFile
 
@@ -69,9 +68,3 @@ def load_files(paths: list[str]) -> tuple[list[SourceFile], list[Finding]]:
                 )
             )
     return sources, findings
-
-
-def iter_sources(paths: list[str]) -> Iterator[SourceFile]:
-    """Convenience wrapper discarding parse errors (used by tests)."""
-    sources, _ = load_files(paths)
-    return iter(sources)

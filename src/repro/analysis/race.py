@@ -65,9 +65,9 @@ import os
 import sys
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.analysis.core import comment_suppresses, register_suppression_tool
+from repro.analysis.core import comment_suppresses
 from repro.analysis.hb import Actor, VectorClock
 from repro.analysis.sanitizer import _FLOW_SPEC_NAMES
 from repro.perf import tracepoints
@@ -75,8 +75,6 @@ from repro.vfs.errors import FsError
 from repro.vfs.inode import FileInode
 from repro.vfs.syscalls import O_TRUNC, Syscalls
 from repro.yancfs.schema import CountersDir, FlowNode
-
-register_suppression_tool("yancrace")
 
 #: Frames whose filename matches one of these are substrate plumbing; the
 #: reported syscall site is the first frame outside them (app/test code).
@@ -116,16 +114,6 @@ class RaceFinding:
 
     def __str__(self) -> str:
         return f"yancrace [{self.kind}] {self.detail}"
-
-    def to_json(self) -> dict:
-        """A JSON-stable dict (what ``--json`` and baselines diff on)."""
-        return {
-            "kind": self.kind,
-            "path": self.path,
-            "detail": self.detail,
-            "actors": list(self.actors),
-            "sites": list(self.sites),
-        }
 
 
 class _Access:
@@ -277,6 +265,22 @@ class RaceDetector:
         self._barrier = VectorClock()
         self._barrier_epoch = 0
         self._fd_files.clear()
+
+    # -- the CLI workload protocol (repro.analysis.cli.run_workload) ---------------
+
+    def report(self) -> tuple[list[dict], list[str]]:
+        """JSON-ready findings (what ``--json`` and baselines diff on) plus
+        epilogue lines (none)."""
+        return [asdict(f) for f in self.check()], []
+
+    @staticmethod
+    def record_key(rec: dict) -> tuple:
+        """Baseline identity: race findings have no stable line or detail."""
+        return (rec.get("kind", ""), rec.get("path", ""), tuple(rec.get("sites", ())))
+
+    @staticmethod
+    def render(rec: dict, marker: str) -> str:
+        return f"yancrace [{rec['kind']}]{marker} {rec['detail']}"
 
     def check(self) -> list[RaceFinding]:
         """All findings, including teardown-only ones (torn commits)."""

@@ -2,7 +2,7 @@
 
 The yanc tree "never holds an unparseable configuration" (yancfs/validate)
 — but only for files that actually *carry* a validator.  This cross-module
-rule walks every :class:`AttributeFile` in the derived namespace model
+rule walks every :class:`AttributeFile` in the sweep's derived namespace model
 (:class:`repro.analysis.yancpath.grammar.NamespaceModel`, whose probe tree
 instantiates one object of every kind: switch, port, flow, event message,
 host, view, middlebox state entry) and demands each one either has a
@@ -16,9 +16,9 @@ Findings anchor to the declaration site in ``yancfs/schema.py``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.analysis.core import Finding, ProjectRule, Severity, SourceFile, register
+from repro.analysis.core import Finding, ProjectRule, Severity, register
 
 #: Flow attribute files the commit protocol depends on (§3.4, figure 3).
 _REQUIRED_FLOW_ATTRS = ("priority", "timeout", "idle_timeout", "hard_timeout", "cookie", "version")
@@ -32,18 +32,18 @@ class SchemaCoverageRule(ProjectRule):
         "yancfs/validate.py (or be registered in FREE_FORM_ATTRIBUTES)"
     )
 
-    def check_project(self, files: Iterable[SourceFile]) -> Iterator[Finding]:
+    def check_project(self, sweep) -> Iterator[Finding]:
         try:
-            from repro.analysis.yancpath.grammar import NamespaceModel
             from repro.yancfs import validate
             from repro.yancfs.schema import AttributeFile
+
+            model = sweep.model
         except ImportError as exc:
             yield Finding("repro/yancfs/schema.py", 1, 1, self.id, self.severity, f"cannot import yancfs to check coverage: {exc}")
             return
 
         free_form = getattr(validate, "FREE_FORM_ATTRIBUTES", frozenset())
         schema_path, schema_lines = _schema_source()
-        model = NamespaceModel.build()
 
         seen: set[str] = set()
         for name, node in model.iter_files():

@@ -32,10 +32,6 @@ disable=<kind>`` comments.
 
 from __future__ import annotations
 
-from repro.analysis.core import register_suppression_tool
-
-register_suppression_tool("yanccrash")
-
-from repro.analysis.yanccrash.checker import KINDS, analyze_yanccrash  # noqa: E402
+from repro.analysis.yanccrash.checker import KINDS, analyze_yanccrash
 
 __all__ = ["KINDS", "analyze_yanccrash"]

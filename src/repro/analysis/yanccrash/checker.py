@@ -1,6 +1,7 @@
 """yanccrash static pass: crash-consistency findings from persistence effects.
 
-The pass rides on the yancpath abstract interpreter: every function's
+A :class:`~repro.analysis.core.Judge` over the shared
+:class:`~repro.analysis.sweep.Sweep`: every function's
 recorded syscall sites (:class:`~repro.analysis.yancpath.interp.Site`)
 and ring staging calls (:class:`~repro.analysis.yancpath.interp.UringSite`)
 form a per-function *persistence-effect sequence* — data writes,
@@ -42,18 +43,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.core import Finding, Severity, SourceFile
+from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath import patterns as P
-from repro.analysis.yancpath.checker import make_judge
-from repro.analysis.yancpath.grammar import NamespaceModel
-from repro.analysis.yancpath.interp import FuncInterp, ProjectIndex, Site, UringSite
-
-KINDS = (
-    "publish-before-data",
-    "non-atomic-publish",
-    "commit-outside-chain",
-    "unrecovered-staging",
-)
+from repro.analysis.yancpath.interp import FuncInterp, Site, UringSite
 
 _SEVERITY = {
     "publish-before-data": Severity.ERROR,
@@ -61,6 +53,8 @@ _SEVERITY = {
     "commit-outside-chain": Severity.ERROR,
     "unrecovered-staging": Severity.WARNING,
 }
+
+KINDS = tuple(_SEVERITY)
 
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 _MKDIR_METHODS = frozenset({"mkdir", "makedirs"})
@@ -130,16 +124,13 @@ def _is_flow_dir(tokens: tuple) -> bool:
     return parent is not None and _basename_literal(parent) == "flows"
 
 
-def _covered(declared: list[tuple[str, ...]], parent_tokens: tuple) -> bool:
+def _covered(declared: list[tuple[str, ...]], pattern: P.PathPattern) -> bool:
     """Does a declared recovery prefix cover the staging directory?
 
     The declared prefix's segments are matched against the pattern's
     leading atoms; atoms the lattice cannot pin (holes, ``*``) match
     leniently — the pass errs toward silence.
     """
-    pattern = P.finalize(parent_tokens)
-    if pattern is None:
-        return True  # unfinalizable: cannot judge
     for prefix in declared:
         if len(pattern.atoms) < len(prefix):
             continue
@@ -177,9 +168,10 @@ def recovery_declarations(sources: Iterable[SourceFile]) -> list[tuple[str, ...]
 class _FuncJudge:
     """Run the four crash-consistency checks over one interpreted function."""
 
-    def __init__(self, interp: FuncInterp, judge, declared, emit) -> None:
+    def __init__(self, sweep, interp: FuncInterp, declared, emit) -> None:
+        self.sweep = sweep
         self.interp = interp
-        self.judge = judge
+        self.judge = sweep.role
         self.declared = declared
         self.emit = emit
 
@@ -349,10 +341,9 @@ class _FuncJudge:
             if parent in seen_parents:
                 continue
             seen_parents.add(parent)
-            pattern = P.finalize(parent) if parent else None
-            anchored = pattern is not None and pattern.anchored
-            if anchored:
-                flagged = not _covered(self.declared, parent)
+            pattern = self.sweep.pattern(parent) if parent else None
+            if pattern is not None and pattern.anchored:
+                flagged = not _covered(self.declared, pattern)
             else:
                 # Holes hide the staging root; only flag when the project
                 # declares no recovery path at all (erring toward silence).
@@ -368,61 +359,24 @@ class _FuncJudge:
                 )
 
 
-# -- orchestration ---------------------------------------------------------------------
+# -- the judge -------------------------------------------------------------------------
 
 
-def analyze_yanccrash(paths: list[str], *, model: NamespaceModel | None = None) -> list[Finding]:
-    """Run the crash-consistency static pass over files/directories."""
-    from repro.analysis.loader import load_files
-
-    sources, findings = load_files(paths)
-    findings.extend(analyze_sources(sources, model=model))
-    findings.sort(key=Finding.sort_key)
-    return findings
+def _judge_interp(sweep, interp: FuncInterp, emit, declared) -> None:
+    _FuncJudge(sweep, interp, declared, emit).run()
 
 
-def analyze_sources(
-    sources: Iterable[SourceFile], *, model: NamespaceModel | None = None
-) -> list[Finding]:
-    """Analyze already-parsed sources (the CLI adds loader findings)."""
-    sources = list(sources)
-    if model is None:
-        model = NamespaceModel.build()
-    judge = make_judge(model)
-    index = ProjectIndex(sources, judge)
-    declared = recovery_declarations(sources)
-    out: list[Finding] = []
-    for module in index.modules:
-        src: SourceFile = module.src
-        emitted: set[tuple[int, int, str]] = set()
-
-        def emit(kind: str, node, message: str) -> None:
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0) + 1
-            key = (line, col, kind)
-            if key in emitted or src.is_suppressed(kind, line):
-                return
-            emitted.add(key)
-            out.append(
-                Finding(
-                    path=src.path,
-                    line=line,
-                    col=col,
-                    rule=kind,
-                    severity=_SEVERITY[kind],
-                    message=message,
-                )
-            )
-
-        interps = [FuncInterp(index, None, module=module)]
-        interps += [FuncInterp(index, decl) for decl in module.functions]
-        for interp in interps:
-            interp.run()
-            _FuncJudge(interp, judge, declared, emit).run()
-    return out
-
+JUDGE = Judge(
+    "yanccrash",
+    _SEVERITY,
+    _judge_interp,
+    prepare=lambda sweep: recovery_declarations(sweep.sources),
+)
+analyze_yanccrash = JUDGE.analyze
+analyze_sources = JUDGE.analyze_sources
 
 __all__ = [
+    "JUDGE",
     "KINDS",
     "RECOVERS_NAME",
     "analyze_sources",

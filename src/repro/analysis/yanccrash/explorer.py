@@ -63,15 +63,6 @@ class CrashViolation:
     def __str__(self) -> str:
         return f"yanccrash [{self.kind}] {self.path} @prefix={self.prefix}: {self.detail}"
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "path": self.path,
-            "prefix": self.prefix,
-            "detail": self.detail,
-            "site": self.site,
-        }
-
 
 @dataclass
 class ExploreResult:

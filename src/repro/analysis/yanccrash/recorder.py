@@ -30,7 +30,7 @@ intermediate state it needs from the trace alone.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.race import _call_site  # reported sites skip substrate frames, same as yancrace
 from repro.perf import tracepoints
@@ -112,6 +112,24 @@ class CrashRecorder:
     def reset(self) -> None:
         self.ops.clear()
         self._forget_context()
+
+    # -- the CLI workload protocol (repro.analysis.cli.run_workload) -----------------
+
+    def report(self) -> tuple[list[dict], list[str]]:
+        """Model-check every crash prefix of the recorded trace: JSON-ready
+        violations plus the coverage summary as the epilogue."""
+        from repro.analysis.yanccrash.explorer import explore
+
+        result = explore(self.ops)
+        return [asdict(v) for v in result.violations], [f"yanccrash: {result.summary()}"]
+
+    @staticmethod
+    def record_key(rec: dict) -> tuple:
+        return (rec.get("kind", ""), rec.get("path", ""), rec.get("site", ""))
+
+    @staticmethod
+    def render(rec: dict, marker: str) -> str:
+        return f"yanccrash [{rec['kind']}]{marker} {rec['path']} @prefix={rec['prefix']}: {rec['detail']}"
 
     def _forget_context(self) -> None:
         self._tracked_fds.clear()

@@ -1,11 +1,12 @@
-"""yancpath orchestration: interpret every module, judge every site.
+"""The yancpath judge: every recorded syscall site against the grammar.
 
-The checker wires the three layers together: it derives a
+A :class:`~repro.analysis.core.Judge` over the shared
+:class:`~repro.analysis.sweep.Sweep`: the sweep derives the
 :class:`~repro.analysis.yancpath.grammar.NamespaceModel` from the live
-schema, runs the :class:`~repro.analysis.yancpath.interp.FuncInterp`
-abstract interpreter over every function and module body in the analyzed
-tree, and turns the recorded syscall sites and typestate results into
-ordinary :class:`repro.analysis.core.Finding` records:
+schema and runs the :class:`~repro.analysis.yancpath.interp.FuncInterp`
+abstract interpreter over every function and module body; this module
+turns the recorded syscall sites and typestate results into ordinary
+:class:`repro.analysis.core.Finding` records:
 
 * ``unknown-path`` (error) — the site's path pattern is *about* the yanc
   tree (anchored at the mount, or naming a structural directory) but no
@@ -25,20 +26,10 @@ Suppressions are the ordinary ``# yanclint: disable=<kind>`` comments.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.analysis.core import Finding, Severity, SourceFile
+from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath import patterns as P
 from repro.analysis.yancpath.grammar import NamespaceModel
-from repro.analysis.yancpath.interp import FuncInterp, ProjectIndex
-
-KINDS = (
-    "unknown-path",
-    "bad-write-format",
-    "event-buffer-misuse",
-    "flow-no-commit",
-    "fd-leak-on-exception",
-)
+from repro.analysis.yancpath.interp import FuncInterp
 
 _SEVERITY = {
     "unknown-path": Severity.ERROR,
@@ -47,6 +38,8 @@ _SEVERITY = {
     "flow-no-commit": Severity.WARNING,
     "fd-leak-on-exception": Severity.WARNING,
 }
+
+KINDS = tuple(_SEVERITY)
 
 _WRITEISH = frozenset({"write_text", "write_bytes", "mkdir", "makedirs"})
 _READISH = frozenset({"read_text", "read_bytes", "listdir", "open", "walk"})
@@ -89,81 +82,32 @@ def make_judge(model: NamespaceModel):
     return judge
 
 
-def analyze_yancpath(
-    paths: list[str], *, model: NamespaceModel | None = None
-) -> list[Finding]:
-    """Run the whole-program analysis over files/directories ``paths``."""
-    from repro.analysis.loader import load_files
-
-    sources, findings = load_files(paths)
-    findings.extend(analyze_sources(sources, model=model))
-    findings.sort(key=Finding.sort_key)
-    return findings
-
-
-def analyze_sources(
-    sources: Iterable[SourceFile], *, model: NamespaceModel | None = None
-) -> list[Finding]:
-    """Analyze already-parsed sources (the CLI adds loader findings)."""
-    sources = list(sources)
-    if model is None:
-        model = NamespaceModel.build()
-    index = ProjectIndex(sources, make_judge(model))
-    out: list[Finding] = []
-    for module in index.modules:
-        src: SourceFile = module.src
-        emitted: set[tuple[int, int, str]] = set()
-
-        def emit(kind: str, node, message: str) -> None:
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0) + 1
-            key = (line, col, kind)
-            if key in emitted or src.is_suppressed(kind, line):
-                return
-            emitted.add(key)
-            out.append(
-                Finding(
-                    path=src.path,
-                    line=line,
-                    col=col,
-                    rule=kind,
-                    severity=_SEVERITY[kind],
-                    message=message,
-                )
+def _judge_interp(sweep, interp: FuncInterp, emit, _state) -> None:
+    for kind, node in interp.local_findings:
+        if kind == "flow-no-commit":
+            emit(
+                kind,
+                node,
+                "flow spec write reaches a function exit with no "
+                "version increment on that path (§3.4 commit protocol)",
             )
-
-        interps = [FuncInterp(index, None, module=module)]
-        interps += [FuncInterp(index, decl) for decl in module.functions]
-        for interp in interps:
-            interp.run()
-            for kind, node in interp.local_findings:
-                if kind == "flow-no-commit":
-                    emit(
-                        kind,
-                        node,
-                        "flow spec write reaches a function exit with no "
-                        "version increment on that path (§3.4 commit protocol)",
-                    )
-                else:
-                    emit(
-                        kind,
-                        node,
-                        "fd from open() can leak on an exception path; "
-                        "close it in a finally block",
-                    )
-            for site in interp.sites:
-                _judge_site(site, src, model, emit)
-    return out
+        else:
+            emit(
+                kind,
+                node,
+                "fd from open() can leak on an exception path; "
+                "close it in a finally block",
+            )
+    for site in interp.sites:
+        _judge_site(site, interp.module.src, sweep, emit)
 
 
-def _judge_site(site, src: SourceFile, model: NamespaceModel, emit) -> None:
+def _judge_site(site, src: SourceFile, sweep, emit) -> None:
     for position, tokens in enumerate(site.paths):
-        pattern = P.finalize(tokens)
-        if pattern is None or not pattern.atoms:
+        result = sweep.match_tokens(tokens)
+        if result is None:
             continue
-        result = model.match(pattern)
-        if not result.applicable:
-            continue
+        pattern = sweep.pattern(tokens)
         if not result.matched:
             emit(
                 "unknown-path",
@@ -226,4 +170,8 @@ def _rejected_by_all(content: str, resolutions) -> str | None:
     return message
 
 
-__all__ = ["KINDS", "analyze_sources", "analyze_yancpath", "make_judge"]
+JUDGE = Judge("yancpath", _SEVERITY, _judge_interp)
+analyze_yancpath = JUDGE.analyze
+analyze_sources = JUDGE.analyze_sources
+
+__all__ = ["JUDGE", "KINDS", "analyze_sources", "analyze_yancpath", "make_judge"]

@@ -296,8 +296,15 @@ class ProjectIndex:
 
     def resolve_call(
         self, call: ast.Call, caller: FuncDecl | None, recv_type: str | None = None
-    ) -> FuncDecl | None:
-        """Best-effort callee resolution: receiver type, then unique name."""
+    ) -> tuple[FuncDecl | None, bool]:
+        """Best-effort callee resolution: receiver type, then unique name.
+
+        Returns ``(callee, usable)``.  ``usable`` is False only for an
+        ambiguous name whose definitions share a parameter list but not
+        their commit behaviour: the call is still recorded (so the cost
+        rollup does not depend on the §3.4 role oracle) but its summary
+        must not be applied.
+        """
         func = call.func
         if isinstance(func, ast.Name):
             name = func.id
@@ -306,7 +313,7 @@ class ProjectIndex:
             if recv_type is not None:
                 typed = self.method_on(recv_type, name)
                 if typed is not None:
-                    return typed
+                    return typed, True
             if (
                 isinstance(func.value, ast.Name)
                 and func.value.id == "self"
@@ -315,28 +322,29 @@ class ProjectIndex:
             ):
                 own = self.method_on(caller.class_name, name)
                 if own is not None and own.module is caller.module:
-                    return own
+                    return own, True
                 own = caller.module.by_class.get(caller.class_name, {}).get(name)
                 if own is not None:
-                    return own
+                    return own, True
         else:
-            return None
+            return None, False
         candidates = self.by_name.get(name)
         if not candidates:
-            return None
+            return None, False
         if len(candidates) == 1:
-            return candidates[0]
+            return candidates[0], True
         # Ambiguous names are only usable when every definition agrees on
         # the parameter list and commit behaviour; otherwise stay silent.
         first = self.summary(candidates[0])
         params = candidates[0].params
+        usable = True
         for other in candidates[1:]:
             if other.params != params:
-                return None
-            summ = self.summary(other)
-            if summ.effect != first.effect or summ.stages != first.stages:
-                return None
-        return candidates[0]
+                return None, False
+            if usable:
+                summ = self.summary(other)
+                usable = summ.effect == first.effect and summ.stages == first.stages
+        return candidates[0], usable
 
     # -- instance attribute environments ---------------------------------------------
 
@@ -1055,11 +1063,12 @@ class FuncInterp:
         recv_type = None
         if isinstance(func, ast.Attribute):
             recv_type = self._type_of(func.value, state)
-        callee = self.index.resolve_call(call, self.decl, recv_type)
+        callee, usable = self.index.resolve_call(call, self.decl, recv_type)
         if callee is not None:
             self.calls.append(
                 CallInfo(node=call, callee=callee, depth=len(self._loops), loop=self._innermost())
             )
+        if usable:
             summary = self.index.summary(callee)
             bindings = self._bind_args(callee, call, arg_tokens, kw_tokens)
             self._apply_effect(call, callee, summary, state)

@@ -46,14 +46,13 @@ class CalibrationRow:
 def run_calibration(paths: list[str]) -> list[CalibrationRow]:
     """Boot the quickstart topology and cross-check four hot functions."""
     from repro import FLOOD, Match, Output, YancController, build_linear
-    from repro.analysis.loader import load_files
+    from repro.analysis.sweep import Sweep
     from repro.analysis.yancperf.model import CostIndex
     from repro.perf.meter import SyscallMeter
     from repro.shell import Shell
     from repro.yancfs.client import YancClient, flow_spec_files
 
-    sources, _findings = load_files(paths)
-    index = CostIndex(sources)
+    index = CostIndex(Sweep(paths))
 
     net = build_linear(3, hosts_per_switch=1)
     ctl = YancController(net).start()

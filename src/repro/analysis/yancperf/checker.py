@@ -26,10 +26,7 @@ spelling works too — rule ids are unique across tools).
 from __future__ import annotations
 
 import re
-from typing import Iterable
-
-from repro.analysis.core import Finding, Severity, SourceFile
-from repro.analysis.yancpath import patterns as P
+from repro.analysis.core import Judge, Severity
 from repro.analysis.yancpath.interp import FuncDecl, FuncInterp, loop_variant
 from repro.analysis.yancperf.model import PATH_RESOLVING, CostIndex, WEIGHTS
 
@@ -54,26 +51,9 @@ _STAT_METHODS = frozenset({"stat", "lstat"})
 _SCAN_KINDS = frozenset({"entries", "listdir", "walk"})
 
 
-def analyze_yancperf(paths: list[str]) -> list[Finding]:
-    """Run the cost analysis over files/directories ``paths``."""
-    from repro.analysis.loader import load_files
-
-    sources, findings = load_files(paths)
-    findings.extend(analyze_sources(sources))
-    findings.sort(key=Finding.sort_key)
-    return findings
-
-
-def analyze_sources(sources: Iterable[SourceFile]) -> list[Finding]:
-    """Analyze already-parsed sources (the CLI adds loader findings)."""
-    cost_index = CostIndex(sources)
-    hot = _hot_decls(cost_index)
-    out: list[Finding] = []
-    for decl in cost_index.decls:
-        _judge_interp(cost_index, cost_index.interp_of(decl), decl, id(decl.node) in hot, out)
-    for interp in cost_index.module_interps:
-        _judge_interp(cost_index, interp, None, False, out)
-    return out
+def _prepare(sweep) -> tuple[CostIndex, set[int]]:
+    cost_index = CostIndex(sweep)
+    return cost_index, _hot_decls(cost_index)
 
 
 def _hot_decls(cost_index: CostIndex) -> set[int]:
@@ -92,34 +72,10 @@ def _hot_decls(cost_index: CostIndex) -> set[int]:
     return hot
 
 
-def _judge_interp(
-    cost_index: CostIndex,
-    interp: FuncInterp,
-    decl: FuncDecl | None,
-    is_hot: bool,
-    out: list[Finding],
-) -> None:
-    src: SourceFile = (decl.module if decl is not None else interp.module).src
-    emitted: set[tuple[int, int, str]] = set()
-
-    def emit(kind: str, node, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
-        key = (line, col, kind)
-        if key in emitted or src.is_suppressed(kind, line):
-            return
-        emitted.add(key)
-        out.append(
-            Finding(
-                path=src.path,
-                line=line,
-                col=col,
-                rule=kind,
-                severity=_SEVERITY[kind],
-                message=message,
-            )
-        )
-
+def _judge_interp(sweep, interp: FuncInterp, emit, state: tuple[CostIndex, set[int]]) -> None:
+    cost_index, hot = state
+    decl = interp.decl
+    is_hot = decl is not None and id(decl.node) in hot
     claimed_sites: set[int] = set()  # id(site.node) consumed by a specific kind
     claimed_loops: set[int] = set()  # id(loop.node) already reported
 
@@ -152,7 +108,7 @@ def _judge_interp(
             claimed_loops.add(id(rpc.loop.node))
 
     # 3. linear-table-scan: full-table iteration on a packet/flow hot path.
-    if is_hot and decl is not None:
+    if is_hot:
         for loop in interp.loops:
             if loop.bounded or id(loop.node) in claimed_loops:
                 continue
@@ -190,7 +146,7 @@ def _judge_interp(
         ordered = sorted(
             distinct.values(), key=lambda s: (s.node.lineno, s.node.col_offset)
         )
-        pattern = P.finalize(tokens)
+        pattern = sweep.pattern(tokens)
         rendered = pattern.render() if pattern is not None else "<path>"
         emit(
             "path-reresolve",
@@ -219,4 +175,8 @@ def _judge_interp(
             claimed_loops.add(id(loop.node))
 
 
-__all__ = ["KINDS", "STORM_THRESHOLD", "analyze_sources", "analyze_yancperf"]
+JUDGE = Judge("yancperf", _SEVERITY, _judge_interp, prepare=_prepare)
+analyze_yancperf = JUDGE.analyze
+analyze_sources = JUDGE.analyze_sources
+
+__all__ = ["JUDGE", "KINDS", "STORM_THRESHOLD", "analyze_sources", "analyze_yancperf"]

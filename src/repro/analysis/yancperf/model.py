@@ -2,7 +2,7 @@
 
 Every function's estimated cost is a small polynomial in ``n`` — the
 (unknown) trip count of its loops — built from three inputs the shared
-:class:`~repro.analysis.yancpath.interp.FuncInterp` pass records:
+:class:`~repro.analysis.sweep.Sweep`'s interpreters record:
 
 * **op sites** — every recognized metered ``Syscalls`` call, weighted by
   how many real syscalls the facade method issues (``read_text`` is
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.yancpath.interp import FuncDecl, FuncInterp, ProjectIndex
+from repro.analysis.yancpath.interp import FuncDecl, FuncInterp
 
 #: Real syscalls issued per facade method call (see vfs/syscalls.py).
 WEIGHTS: dict[str, int] = {
@@ -182,24 +182,13 @@ class CostExpr:
 
 
 class CostIndex:
-    """Interpret every function once; memoize interprocedural cost rollups."""
+    """Memoized interprocedural cost rollups over one sweep's interpreters."""
 
-    def __init__(self, sources):
-        # The cost model needs no §3.4 role oracle — a null judge keeps the
-        # shared interpreter from dragging the schema grammar in.
-        self.index = ProjectIndex(list(sources), lambda tokens: None)
-        self.decls: list[FuncDecl] = []
-        self.interps: dict[int, FuncInterp] = {}
-        self.module_interps: list[FuncInterp] = []
-        for module in self.index.modules:
-            top = FuncInterp(self.index, None, module=module)
-            top.run()
-            self.module_interps.append(top)
-            for decl in module.functions:
-                interp = FuncInterp(self.index, decl)
-                interp.run()
-                self.interps[id(decl.node)] = interp
-                self.decls.append(decl)
+    def __init__(self, sweep):
+        self.interps: dict[int, FuncInterp] = {
+            id(interp.decl.node): interp for _module, interps in sweep.modules for interp in interps[1:]
+        }
+        self.decls: list[FuncDecl] = [interp.decl for interp in self.interps.values()]
         self._costs: dict[int, CostExpr] = {}
         self._rolled: dict[int, int] = {}
         self._in_progress: set[int] = set()

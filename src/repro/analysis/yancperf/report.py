@@ -38,10 +38,9 @@ class CostRow:
 
 def cost_report(paths: list[str]) -> list[CostRow]:
     """Every function with a nonzero cost, most expensive first."""
-    from repro.analysis.loader import load_files
+    from repro.analysis.sweep import Sweep
 
-    sources, _findings = load_files(paths)
-    index = CostIndex(sources)
+    index = CostIndex(Sweep(paths))
     rows = []
     for decl in index.decls:
         cost = index.cost(decl)

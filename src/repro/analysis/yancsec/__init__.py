@@ -14,7 +14,6 @@ pairing:
   root-running apps, cross-tenant reads, and ambient writes.
 """
 
-from repro.analysis.core import register_suppression_tool
 from repro.analysis.yancsec.checker import KINDS, analyze_sources, analyze_yancsec
 from repro.analysis.yancsec.monitor import (
     SecFinding,
@@ -24,8 +23,6 @@ from repro.analysis.yancsec.monitor import (
     install_from_env,
     reset_all,
 )
-
-register_suppression_tool("yancsec")
 
 __all__ = [
     "KINDS",

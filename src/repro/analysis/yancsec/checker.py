@@ -1,7 +1,8 @@
 """yancsec static pass: capability & tenant-isolation findings.
 
-The pass rides on the yancpath abstract interpreter and extends it with
-two lattices:
+A :class:`~repro.analysis.core.Judge` over the shared
+:class:`~repro.analysis.sweep.Sweep`, extending the interpreter's facts
+with two lattices:
 
 * a **taint lattice** over local values: reads of tenant-reachable state
   (packet/event payloads, yanc attribute files — recognized by matching
@@ -33,7 +34,7 @@ Five finding kinds judge the syscall sites:
   differs from the scope that creates the node: without an ACL the write
   works only for the creating uid, so the collaboration relies on
   everything running as root.  ACLs are read off the live schema nodes
-  via :meth:`NamespaceModel.match_file_nodes`.
+  via :meth:`Sweep.file_nodes`.
 * ``slice-escape`` (error) — a path token-string in app scope contains a
   literal ``..`` segment while naming the yanc tree: inside a shared
   namespace the expression walks out of the slice root (the runtime
@@ -53,26 +54,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Iterable
+from typing import Callable
 
-from repro.analysis.core import Finding, Severity, SourceFile
-from repro.analysis.yancpath import patterns as P
-from repro.analysis.yancpath.grammar import MatchResult, NamespaceModel
-from repro.analysis.yancpath.interp import (
-    PATH_ARGS,
-    FuncDecl,
-    FuncInterp,
-    ModuleInfo,
-    ProjectIndex,
-)
-
-KINDS = (
-    "tainted-path",
-    "root-ambient",
-    "missing-acl",
-    "slice-escape",
-    "unauthenticated-rpc",
-)
+from repro.analysis.core import Judge, Severity, SourceFile
+from repro.analysis.yancpath.grammar import NamespaceModel
+from repro.analysis.yancpath.interp import PATH_ARGS, FuncDecl, FuncInterp, ModuleInfo
 
 _SEVERITY = {
     "tainted-path": Severity.ERROR,
@@ -81,6 +67,8 @@ _SEVERITY = {
     "slice-escape": Severity.ERROR,
     "unauthenticated-rpc": Severity.WARNING,
 }
+
+KINDS = tuple(_SEVERITY)
 
 #: Syscalls that change the tree (the root-ambient surface).
 _MUTATORS = frozenset(
@@ -126,40 +114,6 @@ _PROPAGATORS = frozenset(
 #: A call whose name says it judges its input counts as the validator
 #: between source and sink (flow_file_validator, sanitize_name, ...).
 _SANITIZER = re.compile(r"valid|sanitiz|check|clean|escape|quote|safe|basename", re.I)
-
-
-class _Matcher:
-    """Memoized grammar queries, keyed by raw path token-strings.
-
-    The same token string recurs across sites and functions, and every
-    :meth:`NamespaceModel.match` costs metered probe syscalls — caching
-    here keeps the sweep's probe traffic proportional to the number of
-    *distinct* path expressions, not syscall sites.
-    """
-
-    def __init__(self, model: NamespaceModel) -> None:
-        self.model = model
-        self._results: dict[tuple, MatchResult | None] = {}
-        self._files: dict[tuple, list[tuple[str, object]]] = {}
-
-    def result(self, tokens: tuple | None) -> MatchResult | None:
-        """Match one token string against the namespace; None = unjudgeable."""
-        if not tokens:
-            return None
-        if tokens not in self._results:
-            pattern = P.finalize(tokens)
-            result = None if pattern is None else self.model.match(pattern)
-            if result is not None and not result.applicable:
-                result = None
-            self._results[tokens] = result
-        return self._results[tokens]
-
-    def file_nodes(self, tokens: tuple) -> list[tuple[str, object]]:
-        """Schema-stamped files the token string can land on."""
-        if tokens not in self._files:
-            pattern = P.finalize(tokens)
-            self._files[tokens] = [] if pattern is None else self.model.match_file_nodes(pattern)
-        return self._files[tokens]
 
 
 # -- credential-effect summaries -------------------------------------------------------
@@ -260,14 +214,14 @@ def credential_summary(module: ModuleInfo, decl: FuncDecl | None) -> dict[str, s
 # -- the taint lattice -----------------------------------------------------------------
 
 
-def taint_sources(interp: FuncInterp, matcher: _Matcher) -> dict[int, str]:
+def taint_sources(interp: FuncInterp, sweep) -> dict[int, str]:
     """id(call node) -> origin label, for reads of tenant-reachable state."""
     out: dict[int, str] = {}
-    # Probe-tree matches are analysis-time traffic, memoized in _Matcher.
+    # Probe-tree matches are analysis-time traffic, memoized in the sweep.
     for site in interp.sites:  # yancperf: disable=syscall-in-loop
         if not site.paths:
             continue
-        result = matcher.result(site.paths[0])
+        result = sweep.match_tokens(site.paths[0])
         if result is None or not result.matched:
             continue
         spooled = any(r.in_event_buffer or r.in_packet_out for r in result.resolutions)
@@ -464,10 +418,10 @@ class _TaintPass:
 def _check_root_ambient(
     interp: FuncInterp,
     creds: dict[str, str],
-    matcher: _Matcher,
+    sweep,
     emit: Callable[[str, ast.AST, str], None],
 ) -> None:
-    # Probe-tree matches are analysis-time traffic, memoized in _Matcher.
+    # Probe-tree matches are analysis-time traffic, memoized in the sweep.
     for site in interp.sites:  # yancperf: disable=syscall-in-loop
         if site.method not in _MUTATORS or not site.paths:
             continue
@@ -477,7 +431,7 @@ def _check_root_ambient(
         key = _receiver_key(func.value)
         if key is None or creds.get(key) != "root":
             continue
-        result = matcher.result(site.paths[0])
+        result = sweep.match_tokens(site.paths[0])
         if result is None or not result.matched:
             continue
         emit(
@@ -513,16 +467,16 @@ def _creator_scope(path: str) -> str | None:
 
 def _check_missing_acl(
     interp: FuncInterp,
-    matcher: _Matcher,
+    sweep,
     scope_class: str,
     emit: Callable[[str, ast.AST, str], None],
 ) -> None:
-    # Probe-tree matches are analysis-time traffic, memoized in _Matcher.
+    # Probe-tree matches are analysis-time traffic, memoized in the sweep.
     for site in interp.sites:  # yancperf: disable=syscall-in-loop
         if site.method not in ("write_text", "write_bytes") or not site.paths:
             continue
         seen: set[str] = set()
-        for path, node in matcher.file_nodes(site.paths[0]):
+        for path, node in sweep.file_nodes(site.paths[0]):
             if path in seen:
                 continue
             seen.add(path)
@@ -572,8 +526,8 @@ def _check_slice_escape(
                 break
 
 
-def _check_unauthenticated_rpc(src: SourceFile, emit: Callable[[str, ast.AST, str], None]) -> None:
-    for node in ast.walk(src.tree):
+def _check_unauthenticated_rpc(_sweep, module: ModuleInfo, emit, _state) -> None:
+    for node in ast.walk(module.src.tree):
         if not isinstance(node, ast.Call) or _callee_name(node.func) != "RpcChannel":
             continue
         if any(kw.arg == "cred" for kw in node.keywords):
@@ -588,74 +542,31 @@ def _check_unauthenticated_rpc(src: SourceFile, emit: Callable[[str, ast.AST, st
         )
 
 
-# -- orchestration ---------------------------------------------------------------------
+# -- the judge -------------------------------------------------------------------------
 
 
-def analyze_yancsec(paths: list[str], *, model: NamespaceModel | None = None) -> list[Finding]:
-    """Run the capability/tenant-isolation static pass over files/dirs."""
-    from repro.analysis.loader import load_files
+def _judge_interp(sweep, interp: FuncInterp, emit, _state) -> None:
+    module = interp.module
+    src: SourceFile = module.src
+    tenant_scoped = "app" in src.scopes or "example" in src.scopes
+    if tenant_scoped:
+        _check_slice_escape(interp, sweep.model, emit)
+        creds = credential_summary(module, interp.decl)
+        _check_root_ambient(interp, creds, sweep, emit)
+        sites = {id(site.node): site for site in interp.sites}
+        body = interp.decl.node.body if interp.decl is not None else src.tree.body
+        _TaintPass(sites, taint_sources(interp, sweep), emit).run(body)
+    scope_class = "app" if tenant_scoped else ("driver" if "driver" in src.scopes else None)
+    if scope_class is not None:
+        _check_missing_acl(interp, sweep, scope_class, emit)
 
-    sources, findings = load_files(paths)
-    findings.extend(analyze_sources(sources, model=model))
-    findings.sort(key=Finding.sort_key)
-    return findings
 
-
-def analyze_sources(
-    sources: Iterable[SourceFile], *, model: NamespaceModel | None = None
-) -> list[Finding]:
-    """Analyze already-parsed sources (the CLI adds loader findings)."""
-    from repro.analysis.yancpath.checker import make_judge
-
-    sources = list(sources)
-    if model is None:
-        model = NamespaceModel.build()
-    matcher = _Matcher(model)
-    index = ProjectIndex(sources, make_judge(model))
-    out: list[Finding] = []
-    for module in index.modules:
-        src: SourceFile = module.src
-        emitted: set[tuple[int, int, str]] = set()
-
-        def emit(kind: str, node, message: str) -> None:
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0) + 1
-            key = (line, col, kind)
-            if key in emitted or src.is_suppressed(kind, line):
-                return
-            emitted.add(key)
-            out.append(
-                Finding(
-                    path=src.path,
-                    line=line,
-                    col=col,
-                    rule=kind,
-                    severity=_SEVERITY[kind],
-                    message=message,
-                )
-            )
-
-        tenant_scoped = "app" in src.scopes or "example" in src.scopes
-        scope_class = "app" if tenant_scoped else ("driver" if "driver" in src.scopes else None)
-        interps = [FuncInterp(index, None, module=module)]
-        interps += [FuncInterp(index, decl) for decl in module.functions]
-        # The per-interp judgments reach the probe tree via _Matcher's memo.
-        for interp in interps:  # yancperf: disable=syscall-in-loop
-            interp.run()
-            if tenant_scoped:
-                _check_slice_escape(interp, model, emit)
-                creds = credential_summary(module, interp.decl)
-                _check_root_ambient(interp, creds, matcher, emit)
-                sites = {id(site.node): site for site in interp.sites}
-                body = interp.decl.node.body if interp.decl is not None else module.src.tree.body
-                _TaintPass(sites, taint_sources(interp, matcher), emit).run(body)
-            if scope_class is not None:
-                _check_missing_acl(interp, matcher, scope_class, emit)
-        _check_unauthenticated_rpc(src, emit)
-    return out
-
+JUDGE = Judge("yancsec", _SEVERITY, _judge_interp, judge_module=_check_unauthenticated_rpc)
+analyze_yancsec = JUDGE.analyze
+analyze_sources = JUDGE.analyze_sources
 
 __all__ = [
+    "JUDGE",
     "KINDS",
     "analyze_sources",
     "analyze_yancsec",

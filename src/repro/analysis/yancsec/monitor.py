@@ -39,7 +39,7 @@ from __future__ import annotations
 import atexit
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.perf import tracepoints
 from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
@@ -123,6 +123,26 @@ class SecurityMonitor:
     def check(self) -> list[SecFinding]:
         """All violations recorded since the last :meth:`reset`."""
         return list(self.findings)
+
+    # -- the CLI workload protocol (repro.analysis.cli.run_workload) ---
+
+    ENV = "YANCSEC"  # set while the workload runs: its code may key optional taps off it
+
+    def report(self) -> tuple[list[dict], list[str]]:
+        """JSON-ready violations plus the access tuples as the epilogue."""
+        accesses = sorted(self.accesses)
+        uids = sorted({uid for uid, _, _ in accesses})
+        lines = [f"yancsec: {len(accesses)} access tuple(s) across {len(uids)} uid(s) {uids}"]
+        lines += [f"  uid={uid} ns={ns or '-'} {prefix}" for uid, ns, prefix in accesses]
+        return [asdict(f) for f in self.check()], lines
+
+    @staticmethod
+    def record_key(rec: dict) -> tuple:
+        return (rec.get("kind", ""), rec.get("detail", ""))
+
+    @staticmethod
+    def render(rec: dict, marker: str) -> str:
+        return f"yancsec [{rec['kind']}]{marker} {rec['detail']}"
 
     # -- per-host registration -----------------------------------------
 

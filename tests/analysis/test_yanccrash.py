@@ -13,6 +13,7 @@ from repro.analysis import race, sanitizer
 from repro.analysis import yanccrash as yc
 from repro.analysis.cli import ExitCode, main
 from repro.analysis.core import SourceFile
+from repro.analysis.sweep import JUDGES
 from repro.analysis.yanccrash.checker import KINDS, analyze_sources, analyze_yanccrash
 from repro.analysis.yanccrash.explorer import ReplayTree, explore
 from repro.analysis.yanccrash.recorder import CrashRecorder
@@ -393,10 +394,10 @@ def test_cli_baseline_filters_known_findings(tmp_path, capsys):
 
 
 def test_cli_internal_error_exit_three(monkeypatch, capsys):
-    def boom(paths):
+    def boom(*_args):
         raise RuntimeError("synthetic analyzer crash")
 
-    monkeypatch.setattr("repro.analysis.yanccrash.checker.analyze_yanccrash", boom)
+    monkeypatch.setattr(JUDGES["yanccrash"], "judge_interp", boom)
     rc = main(["yanccrash", str(OK)])
     assert rc == ExitCode.INTERNAL
     assert "internal error" in capsys.readouterr().err

@@ -13,6 +13,7 @@ import pytest
 from repro.analysis import yancpath as yp
 from repro.analysis.cli import ExitCode, main
 from repro.analysis.core import SourceFile
+from repro.analysis.sweep import JUDGES
 from repro.analysis.yancpath import NamespaceModel, analyze_yancpath
 from repro.analysis.yancpath import patterns as P
 from repro.analysis.yancpath.checker import KINDS, analyze_sources
@@ -144,10 +145,10 @@ def test_cli_syntax_error_elsewhere_does_not_stop_analysis(tmp_path, capsys):
 
 
 def test_cli_internal_error_exit_three(monkeypatch, capsys):
-    def boom(paths):
+    def boom(*_args):
         raise RuntimeError("synthetic analyzer crash")
 
-    monkeypatch.setattr("repro.analysis.yancpath.checker.analyze_yancpath", boom)
+    monkeypatch.setattr(JUDGES["yancpath"], "judge_interp", boom)
     rc = main(["yancpath", str(OK)])
     assert rc == ExitCode.INTERNAL
     assert "internal error" in capsys.readouterr().err

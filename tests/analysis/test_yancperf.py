@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import yancperf as ypf
 from repro.analysis.cli import ExitCode, main
 from repro.analysis.core import SourceFile
+from repro.analysis.sweep import JUDGES, Sweep
 from repro.analysis.loader import load_files
 from repro.analysis.yancperf import CostExpr, CostIndex, KINDS, analyze_yancperf
 from repro.analysis.yancperf.checker import analyze_sources
@@ -53,7 +54,7 @@ def test_every_kind_is_seeded_once(kind):
 
 
 def _index_of(text: str) -> CostIndex:
-    return CostIndex([SourceFile.parse("app.py", textwrap.dedent(text))])
+    return CostIndex(Sweep(sources=[SourceFile.parse("app.py", textwrap.dedent(text))]))
 
 
 def test_loop_depth_multiplies_cost():
@@ -183,10 +184,10 @@ def test_report_and_calibrate_are_mutually_exclusive(capsys):
 
 
 def test_cli_internal_error_exit_three(monkeypatch, capsys):
-    def boom(paths):
+    def boom(*_args):
         raise RuntimeError("synthetic analyzer crash")
 
-    monkeypatch.setattr("repro.analysis.yancperf.checker.analyze_yancperf", boom)
+    monkeypatch.setattr(JUDGES["yancperf"], "judge_interp", boom)
     rc = main(["yancperf", str(OK)])
     assert rc == ExitCode.INTERNAL
     assert "internal error" in capsys.readouterr().err

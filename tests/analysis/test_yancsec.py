@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import yancsec as ys
 from repro.analysis.cli import ExitCode, main
 from repro.analysis.core import SourceFile
+from repro.analysis.sweep import JUDGES
 from repro.analysis.yancsec import monitor as secmon
 from repro.analysis.yancsec.checker import KINDS, analyze_sources, analyze_yancsec
 from repro.analysis.yancsec.monitor import SecurityMonitor
@@ -343,10 +344,10 @@ def test_cli_baseline_filters_known_findings(tmp_path, capsys):
 
 
 def test_cli_internal_error_exit_three(monkeypatch, capsys):
-    def boom(paths):
+    def boom(*_args):
         raise RuntimeError("synthetic analyzer crash")
 
-    monkeypatch.setattr("repro.analysis.yancsec.checker.analyze_yancsec", boom)
+    monkeypatch.setattr(JUDGES["yancsec"], "judge_interp", boom)
     rc = main(["yancsec", str(OK)])
     assert rc == ExitCode.INTERNAL
     assert "internal error" in capsys.readouterr().err
