@@ -20,13 +20,14 @@ from repro.libyanc import LibYanc, ShmRing
 from repro.perf import FUSE_COST_MODEL, SHM_COST_MODEL, PerfCounters, SyscallMeter
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
+from repro.vfs.cred import ROOT
 
 N_FLOWS = 200
 
 
 def _host() -> ControllerHost:
     host = ControllerHost(Simulator())
-    host.client().create_switch("sw1")
+    host.client(cred=ROOT).create_switch("sw1")  # switches/ is driver-populated; the admin stands in
     return host
 
 

@@ -32,6 +32,7 @@ from repro.dataplane import Match, Output
 from repro.perf import SyscallMeter
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
+from repro.vfs.cred import ROOT
 
 QUICK = {"flows": 40, "apps": 8, "events": 3}
 FULL = {"flows": 200, "apps": 32, "events": 5}
@@ -39,7 +40,7 @@ FULL = {"flows": 200, "apps": 32, "events": 5}
 
 def _host() -> ControllerHost:
     host = ControllerHost(Simulator())
-    host.client().create_switch("sw1")
+    host.client(cred=ROOT).create_switch("sw1")  # switches/ is driver-populated; the admin stands in
     return host
 
 

@@ -3,12 +3,14 @@
 
 Builds a two-switch line, then drives the two batched APIs end to end:
 
-* ``create_flows_batched`` installs a 32-entry flow table as linked
-  mkdir → write → commit chains on a submission ring — one
-  ``io_uring_enter`` instead of hundreds of per-file syscalls;
+* ``create_flows_batched`` installs a 32-entry flow table: each flow is
+  one ``(path, files, "version")`` object, written by
+  ``write_objects_batched`` as a linked mkdir → write → commit chain —
+  one ``io_uring_enter`` instead of hundreds of per-file syscalls;
 * ``write_packet_in_batched`` fans one packet-in out to four subscribed
-  application buffers, each published by an atomic maildir rename, again
-  in a single kernel crossing.
+  application buffers through the same routine, each a ``"rename"``
+  object published by an atomic maildir rename, again in a single
+  kernel crossing.
 
 Prints the metered syscall/context-switch totals next to what the
 per-syscall file path would have paid.

@@ -60,7 +60,13 @@ def make_judge(model: NamespaceModel):
 
     def judge(tokens: tuple) -> str | None:
         pattern = P.finalize(tokens)
-        if pattern is None or len(pattern.atoms) < 3:
+        if pattern is None:
+            return None
+        if len(pattern.atoms) == 2 and pattern.atoms[0] is P.STAR and pattern.atoms[1] is not P.STAR:
+            # ``f"{flow_path}/version"`` (``commit_version``): the directory is
+            # one opaque hole, but only a flow holds a ``version`` — a commit.
+            return "commit" if pattern.atoms[1].literal == "version" else None
+        if len(pattern.atoms) < 3:
             return None
         flows = pattern.atoms[-3]
         if flows is P.STAR or flows.literal != "flows":

@@ -174,10 +174,8 @@ class OpenFlowDriver(Process):
         if binding is None:
             return
         binding.close()
-        for wd, ctx in list(self._watch_ctx.items()):
-            if len(ctx) > 1 and ctx[1] == dpid:
-                del self._watch_ctx[wd]
-                self.ino.rm_watch(wd)
+        for ctx in [ctx for ctx in self._ctx_wds if len(ctx) > 1 and ctx[1] == dpid]:
+            self.unwatch(ctx)
 
     def stop(self) -> None:
         """Detach every switch, stop periodic work, and exit."""
@@ -222,12 +220,9 @@ class OpenFlowDriver(Process):
         if binding is None or event.name is None:
             return
         if event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO):
-            path = self.yc.flow_path(binding.fs_name, event.name)
-            self.watch(path, _FLOW_WATCH_MASK, ("flow", dpid, event.name))
-            binding.flows.setdefault(event.name, _FlowState(name=event.name))
-            # A moved-in flow may already be committed.
-            self._sync_flow(binding, event.name)
+            self._track_flow(binding, event.name)
         elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM):
+            self.unwatch(("flow", dpid, event.name))  # else the watch pins the dead FlowNode
             if event.name in binding._suppressed:
                 binding._suppressed.discard(event.name)
                 binding.flows.pop(event.name, None)
@@ -238,6 +233,12 @@ class OpenFlowDriver(Process):
                     m.FlowMod(match=state.match, command=m.FlowModCommand.DELETE_STRICT, priority=state.priority)
                 )
                 self.flow_mods_sent += 1
+
+    def _track_flow(self, binding: SwitchBinding, flow_name: str) -> None:
+        """Watch a flow directory until its IN_DELETE/IN_MOVED_FROM drops the watch again."""
+        self.watch(self.yc.flow_path(binding.fs_name, flow_name), _FLOW_WATCH_MASK, ("flow", binding.dpid, flow_name))
+        binding.flows.setdefault(flow_name, _FlowState(name=flow_name))
+        self._sync_flow(binding, flow_name)  # a moved-in or adopted flow may already be committed
 
     def _on_flow_event(self, dpid: int, flow_name: str, event) -> None:
         # IN_CLOSE_WRITE covers the echo-style file path; IN_MODIFY also
@@ -414,13 +415,7 @@ class OpenFlowDriver(Process):
     def _adopt_existing_state(self, binding: SwitchBinding) -> None:
         """Live upgrade: re-assert committed flows, re-learn app buffers."""
         for flow_name in self.yc.flows(binding.fs_name):
-            self.watch(
-                self.yc.flow_path(binding.fs_name, flow_name),
-                _FLOW_WATCH_MASK,
-                ("flow", binding.dpid, flow_name),
-            )
-            binding.flows.setdefault(flow_name, _FlowState(name=flow_name))
-            self._sync_flow(binding, flow_name)
+            self._track_flow(binding, flow_name)
         try:
             apps = self.sc.listdir(f"{self.yc.switch_path(binding.fs_name)}/events")
         except FsError:

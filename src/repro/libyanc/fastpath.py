@@ -20,10 +20,14 @@ the library now speaks in *batches*:
   every subscribed ring.  Rings are pollable, so consumers park their
   epoll loop on them like any descriptor.
 
-Direct-store mutations never cross ``Syscalls``, so the four primitive
-mutators are trace points of their own (:mod:`repro.perf.tracepoints`):
-``on_libyanc(ly, op, switch, name, *extra)`` once the mutation landed —
-``create_flow`` and ``write_flow_files`` carry the ``{filename:
+This is the third transport of the write pipeline
+(:func:`repro.yancfs.client.write_object` documents the protocol): the
+same directory of files and the same ``version`` commit, with no
+crossing.  Direct-store mutations never cross ``Syscalls``, so the four
+primitive mutators are trace points of their own
+(:mod:`repro.perf.tracepoints`): ``on_libyanc(ly, op, switch, name,
+*extra)`` once the mutation landed — ``create_flow`` (published when a
+flow is staged) and ``write_flow_files`` carry the ``{filename:
 content}`` dict they wrote — and :meth:`LibYanc.flush` is bracketed by
 ``on_libyanc_flush_enter(ly)`` / ``on_libyanc_flush_exit(ly, result,
 exc)``.
@@ -39,9 +43,10 @@ from repro.perf.tracepoints import around as _around
 from repro.perf.tracepoints import entering as _entering
 from repro.perf.tracepoints import publish as _publish
 from repro.perf.tracepoints import subscribers as _tracing
+from repro.vfs.cred import ROOT
 from repro.vfs.errors import FileExists, FileNotFound, NotADirectory
 from repro.vfs.inode import DirInode
-from repro.yancfs import validate
+from repro.vfs.stat import FileType
 from repro.yancfs.client import flow_spec_files
 from repro.yancfs.schema import AttributeFile, FlowNode, FlowsDir, SwitchNode, YancFs
 
@@ -111,33 +116,40 @@ class LibYanc:
         priority: int | None = None,
         idle_timeout: float | None = None,
         hard_timeout: float | None = None,
-        commit: bool = True,
     ) -> None:
         """Create a whole flow entry atomically (paper: "a fastpath for
         e.g. creating flow entries atomically and without any context
         switchings").
 
-        The flow directory appears in the tree fully formed: watchers see
-        the same IN_CREATE / IN_MODIFY events the file path produces, but
-        the caller crossed into the kernel zero times.
+        :meth:`stage_flow` then :meth:`commit_flow`: watchers see the
+        same IN_CREATE / IN_MODIFY events the file path produces, but the
+        caller crossed into the kernel zero times.
         """
-        self._op("create_flow")
-        flows = self._flows(switch)
-        if flows.has_child(name):
-            raise FileExists(name)
-        node = FlowNode(self.fs, mode=0o755, uid=0, gid=0)
-        files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
-        flows.attach(name, node)  # populates counters/ + version
+        self.stage_flow(switch, name, match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
+        self.commit_flow(switch, name)
+
+    def _put_files(self, op: str, switch: str, name: str, node: FlowNode, files: dict[str, str]) -> None:
+        """Validate every value, then store them all: a vectored write is all-or-nothing.
+
+        New files are built by the flow directory's own ``child_factory``
+        (the node ``open(O_CREAT)`` would attach), each value passes the
+        validator the file path runs at close time, and the one
+        ``libyanc`` trace point carries the dict that landed.
+        """
+        attrs: dict[str, AttributeFile] = {}
         for filename, content in files.items():
-            attr = AttributeFile(
-                self.fs, mode=0o644, uid=0, gid=0, validator=validate.flow_file_validator(filename)
-            )
-            attr.set_validated_content(content)  # same validation as close-time checks
-            node.attach(filename, attr)
+            attr = node.lookup(filename) if node.has_child(filename) else node.child_factory(filename, FileType.REGULAR, ROOT)
+            if not isinstance(attr, AttributeFile):
+                raise FileNotFound(filename)
+            if attr.validator is not None:
+                attr.validator(content)
+            attrs[filename] = attr
+        for filename, attr in attrs.items():
+            attr.set_validated_content(files[filename])
+            if not node.has_child(filename):
+                node.attach(filename, attr)
         if _tracing:
-            _publish("libyanc", self, "create_flow", switch, name, files)
-        if commit:
-            self.commit_flow(switch, name)
+            _publish("libyanc", self, op, switch, name, files)
 
     def commit_flow(self, switch: str, name: str) -> int:
         """Bump the version file in place; returns the new version."""
@@ -163,20 +175,12 @@ class LibYanc:
         self._op("delete_flow")
         flows = self._flows(switch)
         node = flows.lookup(name)
-        if isinstance(node, DirInode) and not node.is_empty():
-            self._remove_subtree(node)
+        if isinstance(node, DirInode):
+            node.remove_subtree()
         flows.detach(name)
         self._dirty.pop((switch, name), None)
         if _tracing:
             _publish("libyanc", self, "delete_flow", switch, name)
-
-    def _remove_subtree(self, node: DirInode) -> None:
-        # Mirrors VirtualFileSystem._remove_subtree so the fastpath and the
-        # file path are indistinguishable to watchers.
-        for child_name, child in list(node.children()):
-            if isinstance(child, DirInode):
-                self._remove_subtree(child)
-            node.detach(child_name)
 
     def flow_counters(self, switch: str, name: str) -> dict[str, int]:
         """Read a flow's counters without a single stat()/read() call."""
@@ -188,43 +192,6 @@ class LibYanc:
             assert isinstance(child, AttributeFile)
             out[child_name] = int(child.read_all().decode().strip() or "0")
         return out
-
-    def bulk_create(
-        self,
-        switch: str,
-        entries: list[tuple[str, Match, list[Action]]],
-        *,
-        priority: int | None = None,
-        idle_timeout: float | None = None,
-        hard_timeout: float | None = None,
-        commit: bool = True,
-    ) -> int:
-        """Create many flows in one library call; returns how many.
-
-        Every entry's spec files land first, then (with ``commit=True``)
-        each flow's version bumps in one pass at the end of the batch —
-        the §3.4 visibility point fires once per flow per batch, never
-        interleaved with later entries' writes.  With ``commit=False``
-        the whole batch stays staged for a later :meth:`flush`.
-        """
-        self._op("bulk_create")
-        for name, match, actions in entries:
-            self.create_flow(
-                switch,
-                name,
-                match,
-                actions,
-                priority=priority,
-                idle_timeout=idle_timeout,
-                hard_timeout=hard_timeout,
-                commit=False,
-            )
-        for name, _match, _actions in entries:
-            if commit:
-                self.commit_flow(switch, name)
-            else:
-                self._dirty[(switch, name)] = None
-        return len(entries)
 
     def read_attribute(self, switch: str, flow: str, filename: str) -> str:
         """Read one attribute file's content directly."""
@@ -272,29 +239,9 @@ class LibYanc:
         marked dirty for the next :meth:`flush` (write-behind).
         """
         self._op("write_flow_files")
-        node = self._flow(switch, name)
-        staged: list[tuple[str, AttributeFile, str, bool]] = []
-        for filename, content in files.items():
-            if filename == "version":
-                raise FileExists(filename, "version is written by commit/flush, not directly")
-            is_new = not node.has_child(filename)
-            if is_new:
-                attr = AttributeFile(
-                    self.fs, mode=0o644, uid=0, gid=0, validator=validate.flow_file_validator(filename)
-                )
-            else:
-                attr = node.lookup(filename)
-                if not isinstance(attr, AttributeFile):
-                    raise FileNotFound(filename)
-            if attr.validator is not None:
-                attr.validator(content)  # all-or-nothing: reject before any write lands
-            staged.append((filename, attr, content, is_new))
-        for filename, attr, content, is_new in staged:
-            attr.set_validated_content(content)
-            if is_new:
-                node.attach(filename, attr)
-        if _tracing:
-            _publish("libyanc", self, "write_flow_files", switch, name, files)
+        if "version" in files:
+            raise FileExists("version", "version is written by commit/flush, not directly")
+        self._put_files("write_flow_files", switch, name, self._flow(switch, name), files)
         if commit:
             self.commit_flow(switch, name)
         else:
@@ -320,16 +267,13 @@ class LibYanc:
         later, once, by :meth:`flush`.
         """
         self._op("stage_flow")
-        self.create_flow(
-            switch,
-            name,
-            match,
-            actions,
-            priority=priority,
-            idle_timeout=idle_timeout,
-            hard_timeout=hard_timeout,
-            commit=False,
-        )
+        flows = self._flows(switch)
+        if flows.has_child(name):
+            raise FileExists(name)
+        node = flows.child_factory(name, FileType.DIRECTORY, ROOT)
+        files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
+        flows.attach(name, node)  # populates counters/ + version
+        self._put_files("create_flow", switch, name, node, files)
         self._dirty[(switch, name)] = None
 
     @property

@@ -27,6 +27,7 @@ from repro.sim import Simulator
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
+from repro.yancfs.client import write_object
 
 _STATE_MASK = (
     EventMask.IN_CREATE
@@ -74,14 +75,9 @@ class MiddleboxDriver(Process):
             self.sc.mkdir(base)
         path = f"{base}/{device.name}"
         if not self.sc.exists(path):
-            # Maildir publication, same as create_switch: assemble the
-            # device directory under a dot-temp and rename it into place,
-            # so no observer ever sees a middlebox with blank attributes.
-            tmp = f"{base}/.{device.name}"
-            self.sc.mkdir(tmp)
-            self.sc.write_text(f"{tmp}/type", "nat")
-            self.sc.write_text(f"{tmp}/public_ip", str(device.public_ip))
-            self.sc.rename(tmp, path)
+            # Maildir publication, same as create_switch: no observer ever
+            # sees a middlebox with blank attributes.
+            write_object(self.sc, path, {"type": "nat", "public_ip": str(device.public_ip)}, "rename")
         else:
             self.sc.write_text(f"{path}/type", "nat")
             self.sc.write_text(f"{path}/public_ip", str(device.public_ip))

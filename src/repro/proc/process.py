@@ -133,6 +133,7 @@ class Process:
         self._ino: Inotify | None = None
         self._ep: Epoll | None = None
         self._watch_ctx: dict[int, tuple] = {}
+        self._ctx_wds: dict[tuple, set[int]] = {}  # the reverse index unwatch() reads
         self._tasks: list = []
         self._wake_pending = False
         if donor is not None and self._table is not None:
@@ -197,6 +198,7 @@ class Process:
         self._tasks.clear()
         self._close_loop()
         self._watch_ctx.clear()
+        self._ctx_wds.clear()
         self._wake_pending = False
         self.state = ProcState.EXITED
         self.on_stop()
@@ -252,23 +254,24 @@ class Process:
             wd = self.sc.inotify_add_watch(self.ino, path, mask)
         except FsError:
             return False
+        owner = self._watch_ctx.get(wd)
+        if owner is not None:  # re-watching an inode reuses its wd; the newest ctx owns it
+            self._ctx_wds[owner].discard(wd)
         self._watch_ctx[wd] = ctx
+        self._ctx_wds.setdefault(ctx, set()).add(wd)
         return True
 
     def unwatch(self, ctx: tuple) -> bool:
         """Drop every watch registered under ``ctx``; True if any existed."""
-        removed = False
-        for wd, existing in list(self._watch_ctx.items()):
-            if existing != ctx:
-                continue
+        wds = self._ctx_wds.pop(ctx, ())
+        for wd in wds:
             del self._watch_ctx[wd]
             if self._ino is not None:
                 try:
                     self._ino.rm_watch(wd)
                 except FsError:
                     pass  # already torn down with the instance
-            removed = True
-        return removed
+        return bool(wds)
 
     # -- the run loop ----------------------------------------------------------
 
@@ -325,6 +328,7 @@ class Process:
         self._tasks.clear()
         self._close_loop()
         self._watch_ctx.clear()
+        self._ctx_wds.clear()
         self._wake_pending = False
         self.state = ProcState.CRASHED
         self._count("proc.crashes")

@@ -350,6 +350,14 @@ class DirInode(Inode):
         return node
 
 
+    def remove_subtree(self) -> None:
+        """Detach every descendant, depth first (the ``rm -r`` event stream)."""
+        for name, child in self.children():
+            if isinstance(child, DirInode):
+                child.remove_subtree()
+            self.detach(name)
+
+
 class FileInode(Inode):
     """A regular file holding bytes."""
 

@@ -162,12 +162,11 @@ class Inotify:
         """
         if not mask:
             raise InvalidArgument(detail="empty watch mask")
-        for watch in self._watches.values():
-            if watch.inode is inode:
+        for watch in self._hub._by_inode.get(id(inode), ()):  # the inode's bucket: a handful, not every watch we hold
+            if watch.owner is self:
                 watch.mask = mask
                 return watch.wd
-        wd = self._hub.register(self, inode, mask)
-        return wd
+        return self._hub.register(self, inode, mask)
 
     def rm_watch(self, wd: int) -> None:
         """Remove watch ``wd``; raises InvalidArgument if unknown."""

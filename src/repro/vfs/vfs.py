@@ -485,14 +485,8 @@ class VirtualFileSystem:
         if not target.is_empty():
             if not target.recursive_rmdir_ok():
                 raise DirectoryNotEmpty(path)
-            self._remove_subtree(target)
+            target.remove_subtree()
         parent.detach(name)
-
-    def _remove_subtree(self, node: DirInode) -> None:
-        for name, child in list(node.children()):
-            if isinstance(child, DirInode):
-                self._remove_subtree(child)
-            node.detach(name)
 
     def readdir(self, ns: MountNamespace, cred: Credentials, path: str) -> list[str]:
         """List directory entries (requires read permission)."""

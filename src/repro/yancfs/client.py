@@ -87,6 +87,93 @@ def flow_spec_files(
     return files
 
 
+def commit_version(sc: Syscalls, flow_path: str) -> int:
+    """Increment ``<flow_path>/version`` in place (the §3.4 commit); returns the new version."""
+    path = f"{flow_path}/version"
+    current = int(sc.read_text(path).strip() or "0")
+    # §3.4: versions only grow, so the decimal text never shrinks and
+    # a full-width pwrite at offset 0 replaces the value in a single
+    # durable op.  The obvious ``write_text`` would open with O_TRUNC,
+    # and a crash between the truncating open and the write would
+    # leave an empty version — read back as 0, so mount-time recovery
+    # would sweep a *committed* flow as torn.
+    fd = sc.open(path, O_WRONLY)
+    try:
+        sc.pwrite(fd, str(current + 1).encode(), 0)
+    finally:
+        sc.close(fd)
+    return current + 1
+
+
+# -- the write pipeline: one routine per syscall transport (the third, the direct store, is repro.libyanc) --
+
+
+def _assembly(path: str, files: dict, publish: str | None) -> tuple[str, list[tuple[str, bytes]]]:
+    """Where an object is assembled, and the ``(file path, bytes)`` writes that fill it."""
+    parent, _, name = path.rpartition("/")
+    staged = f"{parent}/.{name}" if publish == "rename" else path
+    return staged, [(f"{staged}/{filename}", content if isinstance(content, bytes) else content.encode()) for filename, content in files.items()]
+
+
+def write_object(sc: Syscalls, path: str, files: dict, publish: str | None) -> None:
+    """Write one object — a directory of small files, then one publish step — a system call per step.
+
+    The paper's one write protocol, and the baseline the other transports
+    are measured against.  ``publish`` names the step that makes the
+    object visible: ``"version"`` commits in place (§3.4; a flow is born
+    at version 0), ``"rename"`` assembles under the dot-temp sibling and
+    renames it in (§3.5 maildir: watchers see one IN_MOVED_TO, never a
+    half-written object), ``None`` leaves it staged.  The first failing
+    step raises; a failed maildir object leaves only its invisible
+    dot-temp, which the mount-time ``fsck`` sweeps.
+    """
+    staged, writes = _assembly(path, files, publish)
+    sc.mkdir(staged)
+    for file_path, data in writes:
+        sc.write_bytes(file_path, data)
+    if publish == "version":
+        commit_version(sc, path)
+    elif publish == "rename":
+        sc.rename(staged, path)
+
+
+def chain_len(files: dict, publish: str | None) -> int:
+    """Ring entries one object takes: mkdir, three per file (``version`` is one more file), the rename."""
+    return 1 + 3 * (len(files) + (publish == "version")) + (publish == "rename")
+
+
+def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | None]], ring: "IoUring | None" = None) -> int:
+    """Write ``(path, files, publish)`` objects through the ring (§8.1); returns how many completed.
+
+    Each object is one linked chain of :func:`chain_len` entries — the
+    same steps :func:`write_object` issues — that never straddles a
+    ``submit``: a failed step cancels the rest of *that object* and its
+    neighbours still publish.  Without a ``ring`` the batch gets one
+    sized for it, so it is one ``io_uring_enter``.  Drains the
+    completion queue.
+    """
+    ring = ring or sc.io_uring_setup(entries=max(256, sum(chain_len(files, publish) for _path, files, publish in objects)))
+    for index, (path, files, publish) in enumerate(objects):
+        if ring.sq_pending and ring.sq_pending + chain_len(files, publish) > ring.entries:
+            ring.submit()
+        staged, writes = _assembly(path, files, publish)
+        if publish == "version":
+            writes.append((f"{path}/version", b"1"))
+        # Every entry links to the next but the chain's last: the rename, or else the final write.
+        last = len(writes) - (publish != "rename")
+        tag = ("obj", index)
+        ring.prep("mkdir", staged, link=last >= 0, user_data=tag)
+        for position, (file_path, data) in enumerate(writes):
+            ring.prep_write_file(file_path, data, link=position < last, user_data=tag)
+        if publish == "rename":
+            ring.prep("rename", staged, path, user_data=tag)
+    ring.submit()
+    # A failure cancels the rest of its chain, so an object completed iff
+    # the last completion carrying its tag is ok.
+    last_ok = {cqe.user_data: cqe.ok for cqe in ring.completions() if cqe.user_data and cqe.user_data[0] == "obj"}
+    return sum(last_ok.values())
+
+
 @dataclass(frozen=True)
 class PacketInEvent:
     """One packet-in message read from an event buffer (§3.5)."""
@@ -153,11 +240,7 @@ class YancClient:
         driver or app never observes a half-created switch.
         """
         path = self.switch_path(name)
-        tmp = f"{self.root}/switches/.{name}"
-        self.sc.mkdir(tmp)
-        if dpid is not None:
-            self.sc.write_text(f"{tmp}/id", str(dpid))
-        self.sc.rename(tmp, path)
+        write_object(self.sc, path, {} if dpid is None else {"id": str(dpid)}, "rename")
         return path
 
     def switch_dpid(self, name: str) -> int:
@@ -193,12 +276,8 @@ class YancClient:
         that makes the whole thing visible to the driver atomically.
         """
         path = self.flow_path(switch, name)
-        self.sc.mkdir(path)
         files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
-        for filename, content in files.items():
-            self.sc.write_text(f"{path}/{filename}", content)
-        if commit:
-            self.commit_flow(switch, name)
+        write_object(self.sc, path, files, "version" if commit else None)
         return path
 
     def create_flows_batched(
@@ -209,63 +288,21 @@ class YancClient:
         priority: int | None = None,
         idle_timeout: float | None = None,
         hard_timeout: float | None = None,
-        uring: "IoUring | None" = None,
     ) -> int:
         """Install many flows through the ring: O(1) kernel crossings.
 
-        Each flow becomes one linked chain — mkdir, then ``open → write →
-        close`` per spec file, then the ``version`` write that is the §3.4
-        visibility point — so a failed step cancels the rest of *that
-        flow's* chain without touching its neighbours, and no flow becomes
-        visible before its files exist.  The whole batch submits in
-        ⌈entries/ring size⌉ crossings (one, for a dedicated ring).
-
-        Returns the number of flows whose chain fully completed.
+        Each flow is one ``"version"`` chain of :func:`write_objects_batched`
+        — no flow becomes visible before its files exist, and a failed
+        step cancels only *that flow*.  Returns the number of flows whose
+        chain fully completed.
         """
-        ring = uring or self.sc.io_uring_setup(entries=max(256, sum(4 + 3 * self._flow_file_count(m, a) for _n, m, a in entries)))
-        created = 0
-        for name, match, actions in entries:
-            path = self.flow_path(switch, name)
-            files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
-            self._make_room(ring, 4 + 3 * len(files))
-            ring.prep("mkdir", path, link=True)
-            for filename, content in files.items():
-                ring.prep_write_file(f"{path}/{filename}", content.encode(), link=True)
-            # Fresh flows are born at version 0; this write is the commit.
-            ring.prep_write_file(f"{path}/version", b"1", user_data=("flow", name))
-        ring.submit()
-        for cqe in ring.completions():
-            if cqe.ok and cqe.user_data and cqe.user_data[0] == "flow" and cqe.op == "close":
-                created += 1
-        return created
-
-    @staticmethod
-    def _flow_file_count(match: Match, actions: list[Action]) -> int:
-        return len(match.to_files()) + len(actions) + 4  # spec + version + attribute slack
-
-    @staticmethod
-    def _make_room(ring: "IoUring", need: int) -> None:
-        # Chains must not straddle a submit; flush before starting one that
-        # would not fit in the remaining submission-queue slots.
-        if ring.sq_pending and ring.sq_pending + need > ring.entries:
-            ring.submit()
+        spec = {"priority": priority, "idle_timeout": idle_timeout, "hard_timeout": hard_timeout}
+        objects = [(self.flow_path(switch, name), flow_spec_files(match, actions, **spec), "version") for name, match, actions in entries]
+        return write_objects_batched(self.sc, objects)
 
     def commit_flow(self, switch: str, name: str) -> int:
         """Increment the flow's ``version`` file; returns the new version."""
-        path = f"{self.flow_path(switch, name)}/version"
-        current = int(self.sc.read_text(path).strip() or "0")
-        # §3.4: versions only grow, so the decimal text never shrinks and
-        # a full-width pwrite at offset 0 replaces the value in a single
-        # durable op.  The obvious ``write_text`` would open with O_TRUNC,
-        # and a crash between the truncating open and the write would
-        # leave an empty version — read back as 0, so mount-time recovery
-        # would sweep a *committed* flow as torn.
-        fd = self.sc.open(path, O_WRONLY)
-        try:
-            self.sc.pwrite(fd, str(current + 1).encode(), 0)
-        finally:
-            self.sc.close(fd)
-        return current + 1
+        return commit_version(self.sc, self.flow_path(switch, name))
 
     def read_flow(self, switch: str, name: str) -> FlowSpec:
         """Parse a flow directory back into a :class:`FlowSpec`."""
@@ -375,16 +412,8 @@ class YancClient:
         wake watchers on IN_CREATE *before* the field files exist — a torn
         multi-file write racing every reader (yancrace flags it).
         """
-        base = self.events_path(switch, app)
-        tmp = f"{base}/.pi_{seq}"
-        path = f"{base}/pi_{seq}"
-        self.sc.mkdir(tmp)
-        self.sc.write_text(f"{tmp}/in_port", str(in_port))
-        self.sc.write_text(f"{tmp}/reason", reason)
-        self.sc.write_text(f"{tmp}/buffer_id", str(buffer_id))
-        self.sc.write_text(f"{tmp}/total_len", str(total_len))
-        self.sc.write_bytes(f"{tmp}/data", data)
-        self.sc.rename(tmp, path)
+        path = f"{self.events_path(switch, app)}/pi_{seq}"
+        write_object(self.sc, path, _packet_in_files(in_port, reason, buffer_id, total_len, data), "rename")
         return path
 
     def write_packet_in_batched(
@@ -402,36 +431,16 @@ class YancClient:
     ) -> int:
         """Fan one packet-in out to many app buffers through the ring.
 
-        The unbatched :meth:`write_packet_in` pays 17 syscalls *per app*;
-        here each app is one linked chain (mkdir temp → five file writes →
-        the maildir rename that publishes) and the whole fan-out submits
-        in one ``io_uring_enter``.  Watchers still see only the atomic
-        IN_MOVED_TO — a canceled chain leaves at most an invisible
-        dot-temp.  Drains the ring's completion queue; returns the number
-        of apps whose event published.
+        The unbatched :meth:`write_packet_in` pays a syscall per step *per
+        app*; here each app is one ``"rename"`` chain of
+        :func:`write_objects_batched` and the whole fan-out submits in one
+        ``io_uring_enter``.  Watchers still see only the atomic
+        IN_MOVED_TO.  Drains the ring's completion queue; returns the
+        number of apps whose event published.
         """
-        ring = uring or self.sc.io_uring_setup(entries=max(256, 17 * len(apps)))
-        fields = (
-            ("in_port", str(in_port).encode()),
-            ("reason", reason.encode()),
-            ("buffer_id", str(buffer_id).encode()),
-            ("total_len", str(total_len).encode()),
-            ("data", data),
-        )
-        for app in apps:
-            base = self.events_path(switch, app)
-            tmp = f"{base}/.pi_{seq}"
-            self._make_room(ring, 17)
-            ring.prep("mkdir", tmp, link=True)
-            for filename, content in fields:
-                ring.prep_write_file(f"{tmp}/{filename}", content, link=True)
-            ring.prep("rename", tmp, f"{base}/pi_{seq}", user_data=("pi", app))
-        ring.submit()
-        return sum(
-            1
-            for cqe in ring.completions()
-            if cqe.ok and cqe.op == "rename" and cqe.user_data and cqe.user_data[0] == "pi"
-        )
+        files = _packet_in_files(in_port, reason, buffer_id, total_len, data)
+        objects = [(f"{self.events_path(switch, app)}/pi_{seq}", files, "rename") for app in apps]
+        return write_objects_batched(self.sc, objects, uring)
 
     def read_events(self, switch: str, app: str, *, consume: bool = True) -> list[PacketInEvent]:
         """Drain (or peek) an event buffer, oldest first."""
@@ -499,15 +508,8 @@ class YancClient:
         never sees a host with its mac written but its ip still missing.
         """
         path = f"{self.root}/hosts/{name}"
-        tmp = f"{self.root}/hosts/.{name}"
-        self.sc.mkdir(tmp)
-        if mac:
-            self.sc.write_text(f"{tmp}/mac", mac)
-        if ip_addr:
-            self.sc.write_text(f"{tmp}/ip", ip_addr)
-        if attached_to:
-            self.sc.write_text(f"{tmp}/attached_to", attached_to)
-        self.sc.rename(tmp, path)
+        fields = {"mac": mac, "ip": ip_addr, "attached_to": attached_to}
+        write_object(self.sc, path, {filename: value for filename, value in fields.items() if value}, "rename")
         return path
 
     # -- views -------------------------------------------------------------------------
@@ -528,6 +530,11 @@ class YancClient:
         for entry in self.sc.listdir(path):
             out[entry] = int(self.sc.read_text(f"{path}/{entry}").strip() or "0")
         return out
+
+
+def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:
+    """One packet-in as the ``{filename: content}`` its event directory holds (§3.5)."""
+    return {"in_port": str(in_port), "reason": reason, "buffer_id": str(buffer_id), "total_len": str(total_len), "data": data}
 
 
 def _event_order(name: str) -> int:

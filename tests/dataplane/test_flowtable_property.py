@@ -2,46 +2,24 @@
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
-
+from flow_strategies import IPS, MACS, matches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataplane import FlowEntry, FlowTable, Match, Output
-from repro.netpkt import MacAddress
 from repro.netpkt.packet import FlowKey
-
-_MACS = [MacAddress(i) for i in range(1, 4)]
-_IPS = [IPv4Address(f"10.0.{i}.{j}") for i in range(2) for j in range(1, 3)]
-
-
-def _match_strategy() -> st.SearchStrategy[Match]:
-    maybe = lambda strat: st.one_of(st.none(), strat)  # noqa: E731
-    return st.builds(
-        Match,
-        in_port=maybe(st.integers(min_value=1, max_value=3)),
-        dl_src=maybe(st.sampled_from(_MACS)),
-        dl_dst=maybe(st.sampled_from(_MACS)),
-        dl_type=maybe(st.sampled_from([0x0800, 0x0806])),
-        dl_vlan=maybe(st.integers(min_value=0, max_value=5)),
-        nw_src=maybe(st.sampled_from([IPv4Network("10.0.0.0/16"), IPv4Network("10.0.0.0/24"), IPv4Network("10.0.0.1/32")])),
-        nw_dst=maybe(st.sampled_from([IPv4Network("10.0.0.0/16"), IPv4Network("10.0.1.0/24")])),
-        nw_proto=maybe(st.sampled_from([6, 17])),
-        tp_src=maybe(st.integers(min_value=1, max_value=4)),
-        tp_dst=maybe(st.sampled_from([22, 80])),
-    )
 
 
 def _key_strategy() -> st.SearchStrategy[FlowKey]:
     return st.builds(
         FlowKey,
-        dl_src=st.sampled_from(_MACS),
-        dl_dst=st.sampled_from(_MACS),
+        dl_src=st.sampled_from(MACS),
+        dl_dst=st.sampled_from(MACS),
         dl_type=st.sampled_from([0x0800, 0x0806]),
         dl_vlan=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
         dl_vlan_pcp=st.none(),
-        nw_src=st.one_of(st.none(), st.sampled_from(_IPS)),
-        nw_dst=st.one_of(st.none(), st.sampled_from(_IPS)),
+        nw_src=st.one_of(st.none(), st.sampled_from(IPS)),
+        nw_dst=st.one_of(st.none(), st.sampled_from(IPS)),
         nw_proto=st.one_of(st.none(), st.sampled_from([6, 17])),
         nw_tos=st.none(),
         tp_src=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
@@ -51,7 +29,7 @@ def _key_strategy() -> st.SearchStrategy[FlowKey]:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    specs=st.lists(st.tuples(_match_strategy(), st.integers(min_value=0, max_value=10)), max_size=12),
+    specs=st.lists(st.tuples(matches(), st.integers(min_value=0, max_value=10)), max_size=12),
     key=_key_strategy(),
     in_port=st.integers(min_value=1, max_value=3),
 )
@@ -72,8 +50,8 @@ def test_lookup_agrees_with_bruteforce(specs, key, in_port):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    specs=st.lists(_match_strategy(), min_size=1, max_size=10),
-    selector=_match_strategy(),
+    specs=st.lists(matches(), min_size=1, max_size=10),
+    selector=matches(),
 )
 def test_nonstrict_delete_agrees_with_subset(specs, selector):
     table = FlowTable()
@@ -85,7 +63,7 @@ def test_nonstrict_delete_agrees_with_subset(specs, selector):
 
 
 @settings(max_examples=150, deadline=None)
-@given(narrow=_match_strategy(), broad=_match_strategy(), key=_key_strategy(), in_port=st.integers(min_value=1, max_value=3))
+@given(narrow=matches(), broad=matches(), key=_key_strategy(), in_port=st.integers(min_value=1, max_value=3))
 def test_subset_relation_sound(narrow, broad, key, in_port):
     """If is_subset_of holds, matching narrow implies matching broad."""
     if narrow.is_subset_of(broad) and narrow.matches(key, in_port):

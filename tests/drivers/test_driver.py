@@ -212,3 +212,43 @@ def test_invalid_version_rejected():
     vfs = VirtualFileSystem()
     with pytest.raises(ValueError):
         OpenFlowDriver(Syscalls(vfs), Simulator(), version=0x02)
+
+
+@pytest.mark.parametrize("transport", ["file", "ring", "libyanc"])
+def test_retired_flows_drop_their_watch(transport):
+    """Regression: the driver watched every new flow directory and never
+    let go — each deleted flow pinned a dead FlowNode, a watch context and
+    an Inotify watch (five rounds of 20 left 0 flows and 100 watches)."""
+    from repro.libyanc import LibYanc
+
+    ctl = YancController(build_linear(1)).start()
+    driver, yc, sc = ctl.drivers[0], ctl.client(), ctl.host.root_sc
+    lib = LibYanc(ctl.host.fs)
+    entries = [(f"f{i}", Match(dl_vlan=i), [Output(1)]) for i in range(20)]
+
+    def footprint():
+        status = sc.read_text(f"/proc/{driver.pid}/status")
+        return len(driver._watch_ctx), len(driver.ino._watches), next(line for line in status.splitlines() if line.startswith("Watches:"))
+
+    idle = footprint()
+    for _round in range(5):
+        if transport == "file":
+            for name, match, actions in entries:
+                yc.create_flow("sw1", name, match, actions)
+        elif transport == "ring":
+            assert yc.create_flows_batched("sw1", entries) == 20
+        else:
+            for name, match, actions in entries:
+                lib.stage_flow("sw1", name, match, actions)
+            lib.flush()
+        ctl.run(0.2)
+        assert len(ctl.net.switches["sw1"].table) == 20
+        assert footprint()[0] == idle[0] + 20
+        for name, _match, _actions in entries:
+            lib.delete_flow("sw1", name) if transport == "libyanc" else yc.delete_flow("sw1", name)
+        ctl.run(0.2)
+        assert len(ctl.net.switches["sw1"].table) == 0
+        assert footprint() == idle
+    yc.create_flow("sw1", "f0", Match(dl_vlan=7), [Output(1)])  # the same name again still reaches hardware
+    ctl.run(0.2)
+    assert [entry.match for entry in ctl.net.switches["sw1"].table.entries()] == [Match(dl_vlan=7)]

@@ -81,7 +81,7 @@ def test_duplicate_flow_rejected(rig):
 
 def test_commit_increments_version(rig):
     ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], commit=False)
+    lib.stage_flow("sw1", "f", Match(), [Output(1)])
     assert lib.commit_flow("sw1", "f") == 1
     assert lib.commit_flow("sw1", "f") == 2
     assert ctl.client().read_flow("sw1", "f").version == 2
@@ -97,10 +97,17 @@ def test_delete_flow_removes_from_tree_and_hw(rig):
     assert len(ctl.net.switches["sw1"].table) == 0
 
 
+def _stage_all(lib, switch, entries, **spec):
+    """A bulk create, spelled the one way left: stage every entry, then one flush."""
+    for name, match, actions in entries:
+        lib.stage_flow(switch, name, match, actions, **spec)
+
+
 def test_bulk_create(rig):
     ctl, lib = rig
     entries = [(f"bulk{i}", Match(dl_vlan=i), [Output(1)]) for i in range(10)]
-    assert lib.bulk_create("sw1", entries, priority=3) == 10
+    _stage_all(lib, "sw1", entries, priority=3)
+    assert len(lib.flush()) == 10
     ctl.run(0.3)
     assert len(ctl.net.switches["sw1"].table) == 10
 
@@ -209,7 +216,8 @@ def test_bulk_create_plumbs_timeouts(rig):
     """Regression: bulk_create silently dropped idle/hard timeouts."""
     ctl, lib = rig
     entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(3)]
-    assert lib.bulk_create("sw1", entries, priority=4, idle_timeout=5, hard_timeout=9) == 3
+    _stage_all(lib, "sw1", entries, priority=4, idle_timeout=5, hard_timeout=9)
+    assert len(lib.flush()) == 3
     for i in range(3):
         spec = ctl.client().read_flow("sw1", f"b{i}")
         assert spec.priority == 4
@@ -223,7 +231,7 @@ def test_bulk_create_commits_after_all_specs_land(rig, monkeypatch):
     visibility points with later entries' spec writes."""
     _ctl, lib = rig
     order = []
-    orig_create, orig_commit = LibYanc.create_flow, LibYanc.commit_flow
+    orig_create, orig_commit = LibYanc.stage_flow, LibYanc.commit_flow
 
     def spy_create(self, switch, name, *args, **kwargs):
         order.append(("create", name))
@@ -233,10 +241,11 @@ def test_bulk_create_commits_after_all_specs_land(rig, monkeypatch):
         order.append(("commit", name))
         return orig_commit(self, switch, name)
 
-    monkeypatch.setattr(LibYanc, "create_flow", spy_create)
+    monkeypatch.setattr(LibYanc, "stage_flow", spy_create)
     monkeypatch.setattr(LibYanc, "commit_flow", spy_commit)
     entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(3)]
-    lib.bulk_create("sw1", entries)
+    _stage_all(lib, "sw1", entries)
+    lib.flush()
     creates = [i for i, (kind, _n) in enumerate(order) if kind == "create"]
     commits = [i for i, (kind, _n) in enumerate(order) if kind == "commit"]
     assert commits and max(creates) < min(commits)
@@ -246,7 +255,7 @@ def test_bulk_create_commits_after_all_specs_land(rig, monkeypatch):
 def test_bulk_create_uncommitted_stays_staged(rig):
     ctl, lib = rig
     entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(2)]
-    lib.bulk_create("sw1", entries, commit=False)
+    _stage_all(lib, "sw1", entries)
     assert lib.dirty_flows == [("sw1", "b0"), ("sw1", "b1")]
     assert ctl.client().read_flow("sw1", "b0").version == 0
     assert lib.flush() == [("sw1", "b0", 1), ("sw1", "b1", 1)]
