@@ -16,6 +16,7 @@ from repro.perf import SyscallMeter
 from repro.runtime import ControllerHost, YancController
 from repro.sim import Simulator
 from repro.vfs import EventMask
+from repro.vfs.cred import ROOT
 
 N_COMMITS = 20
 
@@ -26,7 +27,7 @@ def test_a1_notify_vs_polling(benchmark):
     # -- event-driven watcher
     host = ControllerHost(Simulator())
     client = host.client()
-    client.create_switch("sw1")
+    host.client(cred=ROOT).create_switch("sw1")  # switches/ is driver-populated; the admin stands in
     watcher_meter = SyscallMeter()
     watcher = host.root_sc.spawn(meter=watcher_meter)
     ino = watcher.inotify_init()
@@ -40,7 +41,7 @@ def test_a1_notify_vs_polling(benchmark):
     # -- polling scanner: 50 scan rounds to observe the same 20 commits
     host2 = ControllerHost(Simulator())
     client2 = host2.client()
-    client2.create_switch("sw1")
+    host2.client(cred=ROOT).create_switch("sw1")
     poller_meter = SyscallMeter()
     poller = host2.root_sc.spawn(meter=poller_meter)
     seen: set[str] = set()
@@ -77,7 +78,7 @@ def test_a2_commit_batching(benchmark):
     rows = []
     for batched in (True, False):
         ctl = YancController(build_linear(1)).start()
-        yc = ctl.client()
+        yc = ctl.client(cred=ROOT)  # the flow directory below is root's, so is its commit
         sent_before = ctl.drivers[0].flow_mods_sent
         path = yc.flow_path("sw1", "f")
         ctl.host.root_sc.mkdir(path)

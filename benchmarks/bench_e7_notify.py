@@ -14,6 +14,7 @@ from conftest import print_table
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
 from repro.vfs import EventMask
+from repro.vfs.cred import ROOT
 
 
 def test_delivery_throughput_single_watch(benchmark):
@@ -82,7 +83,7 @@ def test_driver_style_watchset_over_large_tree(benchmark):
     wd_to_switch = {}
     for index in range(100):
         name = f"sw{index + 1}"
-        client.create_switch(name)
+        host.client(cred=ROOT).create_switch(name)  # switches/ is driver-populated; the admin stands in
         wd = sc.inotify_add_watch(ino, f"/net/switches/{name}/flows", EventMask.IN_CREATE)
         wd_to_switch[wd] = name
     from repro.dataplane import Match, Output

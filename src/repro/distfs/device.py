@@ -32,9 +32,8 @@ from repro.vfs.cred import driver_credentials
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.vfs import VirtualFileSystem
-from repro.yancfs.client import YancClient
-
-MAX_PENDING_EVENTS = 256
+from repro.yancfs.client import FlowSpec, YancClient
+from repro.yancfs.translate import FlowFollower, fan_out_packet_in
 
 
 class DeviceRuntime(Process):
@@ -77,12 +76,13 @@ class DeviceRuntime(Process):
         self.sc.mount("/net", self.fs, source="master:/net")
         self.yc = YancClient(self.sc)
         self.fs_name = f"sw{switch.dpid}"
-        self._flow_versions: dict[str, int] = {}
+        self._follower = FlowFollower(self, self.yc, self.fs_name, self._apply_flow, self._retire_flow)
         self._installed: dict[str, FlowEntry] = {}
         self._event_seq = 0
         self._task = None
         self.flows_applied = 0
         self.events_published = 0
+        self.events_dropped = 0
         switch.controller = self
         master.procs.register(self)
 
@@ -113,39 +113,30 @@ class DeviceRuntime(Process):
     def poll(self) -> None:
         """One reconciliation round: flows, port config, counters."""
         try:
-            flow_names = set(self.yc.flows(self.fs_name))
+            self._follower.poll()
         except FsError:
             return
-        # removed flow directories -> remove hardware entries
-        for name in list(self._installed):
-            if name not in flow_names:
-                entry = self._installed.pop(name)
-                self.switch.table.remove_entry(entry)
-                self._flow_versions.pop(name, None)
-        # new/updated commits -> (re)install
-        for name in flow_names:
-            try:
-                spec = self.yc.read_flow(self.fs_name, name)
-            except FsError:
-                continue
-            if spec.version <= self._flow_versions.get(name, 0):
-                continue
-            previous = self._installed.get(name)
-            if previous is not None:
-                self.switch.table.remove_entry(previous)
-            entry = FlowEntry(
-                match=spec.match,
-                actions=list(spec.actions),
-                priority=spec.priority,
-                idle_timeout=spec.idle_timeout,
-                hard_timeout=spec.hard_timeout,
-            )
-            self.switch.install_flow(entry)
-            self._installed[name] = entry
-            self._flow_versions[name] = spec.version
-            self.flows_applied += 1
         self._apply_port_config()
         self._publish_counters()
+
+    def _apply_flow(self, name: str, spec: FlowSpec) -> None:
+        """A commit: (re)install the flow straight into the local table."""
+        self._retire_flow(name)
+        entry = FlowEntry(
+            match=spec.match,
+            actions=list(spec.actions),
+            priority=spec.priority,
+            idle_timeout=spec.idle_timeout,
+            hard_timeout=spec.hard_timeout,
+        )
+        self.switch.install_flow(entry)
+        self._installed[name] = entry
+        self.flows_applied += 1
+
+    def _retire_flow(self, name: str) -> None:
+        entry = self._installed.pop(name, None)
+        if entry is not None:
+            self.switch.table.remove_entry(entry)
 
     def _apply_port_config(self) -> None:
         for port_no, port in self.switch.ports.items():
@@ -177,37 +168,26 @@ class DeviceRuntime(Process):
         total_len: int,
     ) -> None:
         """Publish a punt into every subscribed app buffer, remotely."""
-        try:
-            apps = self.sc.listdir(f"{self.yc.switch_path(self.fs_name)}/events")
-        except FsError:
-            return
         self._event_seq += 1
-        wire_reason = "no_match" if reason is PacketInReason.NO_MATCH else "action"
-        for app in apps:
-            try:
-                buffer_path = self.yc.events_path(self.fs_name, app)
-                if len(self.sc.listdir(buffer_path)) >= MAX_PENDING_EVENTS:
-                    continue
-                self.yc.write_packet_in(
-                    self.fs_name,
-                    app,
-                    self._event_seq,
-                    in_port=in_port,
-                    reason=wire_reason,
-                    buffer_id=0xFFFFFFFF,  # device-local buffers don't cross the fs
-                    total_len=total_len,
-                    data=data,
-                )
-                self.events_published += 1
-            except FsError:
-                continue
+        published, dropped = fan_out_packet_in(
+            self,
+            self.yc,
+            self.fs_name,
+            self._event_seq,
+            in_port=in_port,
+            reason="no_match" if reason is PacketInReason.NO_MATCH else "action",
+            total_len=total_len,
+            data=data,  # buffer_id stays NO_BUFFER: device-local buffers don't cross the fs
+        )
+        self.events_published += published
+        self.events_dropped += dropped
 
     def flow_removed(self, switch: SwitchSim, entry: FlowEntry, reason: FlowRemovedReason) -> None:
         """A local timeout: retire the corresponding tree entry."""
         for name, installed in list(self._installed.items()):
             if installed is entry:
                 self._installed.pop(name)
-                self._flow_versions.pop(name, None)
+                self._follower.versions.pop(name, None)
                 try:
                     self.yc.delete_flow(self.fs_name, name)
                 except FsError:

@@ -23,8 +23,10 @@ newer protocols").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.controlchannel import ControlConnection, connect
+from repro.dataplane.actions import parse_action
 from repro.dataplane.match import Match
 from repro.dataplane.switch import SwitchSim
 from repro.openflow import messages as m
@@ -38,26 +40,8 @@ from repro.sim import Simulator
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
-from repro.yancfs.client import YancClient
-
-_FLOW_WATCH_MASK = EventMask.IN_MODIFY | EventMask.IN_CLOSE_WRITE
-_DIR_WATCH_MASK = (
-    EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
-)
-
-#: Maximum packet-in directories allowed to pile up in one app buffer
-#: before the driver starts dropping (the "private buffer" backpressure).
-MAX_PENDING_EVENTS = 256
-
-
-@dataclass
-class _FlowState:
-    """What the driver believes is installed for one flow directory."""
-
-    name: str
-    version: int = 0
-    match: Match | None = None
-    priority: int = 0x8000
+from repro.yancfs.client import FlowSpec, YancClient
+from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, fan_out_packet_in, take_packet_out
 
 
 @dataclass
@@ -72,7 +56,9 @@ class SwitchBinding:
     dpid: int = 0
     version: int | None = None
     ready: bool = False
-    flows: dict[str, _FlowState] = field(default_factory=dict)
+    #: flow directory -> the (match, priority) the driver believes is in hardware for it
+    flows: dict[str, tuple[Match, int]] = field(default_factory=dict)
+    follower: FlowFollower | None = None
     event_apps: list[str] = field(default_factory=list)
     _suppressed: set[str] = field(default_factory=set)
     _rx: bytes = b""
@@ -174,6 +160,8 @@ class OpenFlowDriver(Process):
         if binding is None:
             return
         binding.close()
+        if binding.follower is not None:
+            binding.follower.detach()
         for ctx in [ctx for ctx in self._ctx_wds if len(ctx) > 1 and ctx[1] == dpid]:
             self.unwatch(ctx)
 
@@ -189,12 +177,10 @@ class OpenFlowDriver(Process):
 
     def on_event(self, ctx: tuple, event) -> None:
         kind = ctx[0]
-        if kind == "switches_root":
+        if isinstance(kind, FlowFollower):
+            kind.on_event(ctx, event)
+        elif kind == "switches_root":
             self._on_root_event(event)
-        elif kind == "flows":
-            self._on_flows_dir_event(ctx[1], event)
-        elif kind == "flow":
-            self._on_flow_event(ctx[1], ctx[2], event)
         elif kind == "port":
             self._on_port_event(ctx[1], ctx[2], event)
         elif kind == "events":
@@ -211,58 +197,15 @@ class OpenFlowDriver(Process):
                 if binding.ready and not self.sc.exists(self.yc.switch_path(binding.fs_name)):
                     try:
                         if self.yc.switch_dpid(event.name) == binding.dpid:
-                            binding.fs_name = event.name
+                            binding.fs_name = binding.follower.switch = event.name
                     except FsError:
                         continue
 
-    def _on_flows_dir_event(self, dpid: int, event) -> None:
-        binding = self.bindings.get(dpid)
-        if binding is None or event.name is None:
-            return
-        if event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO):
-            self._track_flow(binding, event.name)
-        elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM):
-            self.unwatch(("flow", dpid, event.name))  # else the watch pins the dead FlowNode
-            if event.name in binding._suppressed:
-                binding._suppressed.discard(event.name)
-                binding.flows.pop(event.name, None)
-                return
-            state = binding.flows.pop(event.name, None)
-            if state is not None and state.match is not None:
-                binding.send(
-                    m.FlowMod(match=state.match, command=m.FlowModCommand.DELETE_STRICT, priority=state.priority)
-                )
-                self.flow_mods_sent += 1
-
-    def _track_flow(self, binding: SwitchBinding, flow_name: str) -> None:
-        """Watch a flow directory until its IN_DELETE/IN_MOVED_FROM drops the watch again."""
-        self.watch(self.yc.flow_path(binding.fs_name, flow_name), _FLOW_WATCH_MASK, ("flow", binding.dpid, flow_name))
-        binding.flows.setdefault(flow_name, _FlowState(name=flow_name))
-        self._sync_flow(binding, flow_name)  # a moved-in or adopted flow may already be committed
-
-    def _on_flow_event(self, dpid: int, flow_name: str, event) -> None:
-        # IN_CLOSE_WRITE covers the echo-style file path; IN_MODIFY also
-        # catches direct store writes (the libyanc fastpath), which never
-        # open file handles.
-        if event.name != "version":
-            return
-        binding = self.bindings.get(dpid)
-        if binding is not None:
-            self._sync_flow(binding, flow_name)
-
-    def _sync_flow(self, binding: SwitchBinding, flow_name: str) -> None:
-        try:
-            spec = self.yc.read_flow(binding.fs_name, flow_name)
-        except FsError:
-            return
-        state = binding.flows.setdefault(flow_name, _FlowState(name=flow_name))
-        if spec.version <= state.version:
-            return
-        if state.match is not None and (state.match != spec.match or state.priority != spec.priority):
-            binding.send(
-                m.FlowMod(match=state.match, command=m.FlowModCommand.DELETE_STRICT, priority=state.priority)
-            )
-            self.flow_mods_sent += 1
+    def _assert_flow(self, binding: SwitchBinding, flow_name: str, spec: FlowSpec) -> None:
+        """A commit: add the flow; a changed match or priority retires the old entry first."""
+        installed = binding.flows.get(flow_name)
+        if installed is not None and installed != (spec.match, spec.priority):
+            self._delete_strict(binding, *installed)
         binding.send(
             m.FlowMod(
                 match=spec.match,
@@ -276,9 +219,19 @@ class OpenFlowDriver(Process):
             )
         )
         self.flow_mods_sent += 1
-        state.version = spec.version
-        state.match = spec.match
-        state.priority = spec.priority
+        binding.flows[flow_name] = (spec.match, spec.priority)
+
+    def _retire_flow(self, binding: SwitchBinding, flow_name: str) -> None:
+        """The flow directory went: a strict delete, unless the switch retired it first."""
+        installed = binding.flows.pop(flow_name, None)
+        if flow_name in binding._suppressed:
+            binding._suppressed.discard(flow_name)
+        elif installed is not None:
+            self._delete_strict(binding, *installed)
+
+    def _delete_strict(self, binding: SwitchBinding, match: Match, priority: int) -> None:
+        binding.send(m.FlowMod(match=match, command=m.FlowModCommand.DELETE_STRICT, priority=priority))
+        self.flow_mods_sent += 1
 
     def _on_port_event(self, dpid: int, port_name: str, event) -> None:
         if event.name != "config.port_down" or not event.mask & EventMask.IN_CLOSE_WRITE:
@@ -305,49 +258,17 @@ class OpenFlowDriver(Process):
                 binding.event_apps.remove(event.name)
 
     def _on_packet_out_event(self, dpid: int, event) -> None:
-        """Consume one packet_out spool entry (see PacketOutDir docs).
-
-        The spool filename encodes where the frame goes: tokens separated
-        by dots — a port number / ``flood`` / ``all``, optionally ``inN``
-        (the logical in-port) and ``bN`` (release buffered packet N).
-        """
-        if event.name is None or not event.mask & EventMask.IN_CLOSE_WRITE:
-            return
+        """Transmit one ``packet_out`` spool entry (see PacketOutDir docs); one naming no port is discarded."""
         binding = self.bindings.get(dpid)
-        if binding is None:
+        out = take_packet_out(self.yc, binding.fs_name, event) if binding is not None else None
+        if out is None or not out.ports:
             return
-        from repro.dataplane.actions import ALL as PORT_ALL
-        from repro.dataplane.actions import FLOOD as PORT_FLOOD
-        from repro.dataplane.actions import Output
-
-        path = f"{self.yc.switch_path(binding.fs_name)}/packet_out/{event.name}"
-        try:
-            data = self.sc.read_bytes(path)
-            self.sc.unlink(path)
-        except FsError:
-            return
-        buffer_id = m.NO_BUFFER
-        in_port = 0
-        ports: list[int] = []
-        for token in event.name.split("."):
-            if token == "flood":
-                ports.append(PORT_FLOOD)
-            elif token == "all":
-                ports.append(PORT_ALL)
-            elif token.startswith("in") and token[2:].isdigit():
-                in_port = int(token[2:])
-            elif token.startswith("b") and token[1:].isdigit():
-                buffer_id = int(token[1:])
-            elif token.startswith("p") and token[1:].isdigit():
-                ports.append(int(token[1:]))
-        if not ports:
-            return  # unroutable spool entry: discarded
         binding.send(
             m.PacketOut(
-                buffer_id=buffer_id,
-                in_port=in_port,
-                actions=[Output(port) for port in ports],
-                data=data,
+                buffer_id=m.NO_BUFFER if out.buffer_id is None else out.buffer_id,
+                in_port=out.in_port or 0,
+                actions=[parse_action("action.out", str(port)) for port in out.ports],  # same port words as an action.out file
+                data=out.data,
             )
         )
 
@@ -386,11 +307,10 @@ class OpenFlowDriver(Process):
         self.sc.write_text(f"{path}/capabilities", f"{msg.capabilities:#x}")
         self.sc.write_text(f"{path}/actions", "output,set_dl,set_nw,set_tp,vlan")
         if not self._root_watch_added:
-            self.watch(f"{self.yc.root}/switches", _DIR_WATCH_MASK, ("switches_root",))
+            self.watch(f"{self.yc.root}/switches", DIR_MASK, ("switches_root",))
             self._root_watch_added = True
-        self.watch(f"{path}/flows", _DIR_WATCH_MASK, ("flows", msg.dpid))
-        self.watch(f"{path}/events", _DIR_WATCH_MASK, ("events", msg.dpid))
-        self.watch(f"{path}/packet_out", _DIR_WATCH_MASK | EventMask.IN_CLOSE_WRITE, ("pktout", msg.dpid))
+        self.watch(f"{path}/events", DIR_MASK, ("events", msg.dpid))
+        self.watch(f"{path}/packet_out", SPOOL_MASK, ("pktout", msg.dpid))
         for port in msg.ports:
             self._ensure_port(binding, port)
         if binding.version == OF13_VERSION:
@@ -398,6 +318,10 @@ class OpenFlowDriver(Process):
         binding.ready = True
         if adopted:
             self._adopt_existing_state(binding)
+        # Last, so re-asserted flows go out on a ready session: committed
+        # flows already in the tree are adopted (live upgrade, §4.1).
+        binding.follower = FlowFollower(self, self.yc, binding.fs_name, partial(self._assert_flow, binding), partial(self._retire_flow, binding))
+        binding.follower.attach()
 
     def _find_existing_switch(self, dpid: int) -> str | None:
         try:
@@ -413,9 +337,7 @@ class OpenFlowDriver(Process):
         return None
 
     def _adopt_existing_state(self, binding: SwitchBinding) -> None:
-        """Live upgrade: re-assert committed flows, re-learn app buffers."""
-        for flow_name in self.yc.flows(binding.fs_name):
-            self._track_flow(binding, flow_name)
+        """Live upgrade: re-learn app buffers and port watches."""
         try:
             apps = self.sc.listdir(f"{self.yc.switch_path(binding.fs_name)}/events")
         except FsError:
@@ -424,7 +346,7 @@ class OpenFlowDriver(Process):
         for port_name in self.yc.ports(binding.fs_name):
             self.watch(
                 self.yc.port_path(binding.fs_name, port_name),
-                _FLOW_WATCH_MASK,
+                FILE_MASK,
                 ("port", binding.dpid, port_name),
             )
 
@@ -433,7 +355,7 @@ class OpenFlowDriver(Process):
         path = self.yc.port_path(binding.fs_name, name)
         if not self.sc.exists(path):
             self.yc.create_port(binding.fs_name, port.port_no)
-            self.watch(path, _FLOW_WATCH_MASK, ("port", binding.dpid, name))
+            self.watch(path, FILE_MASK, ("port", binding.dpid, name))
         from repro.netpkt.addr import MacAddress
 
         self.sc.write_text(f"{path}/hw_addr", str(MacAddress(port.hw_addr)))
@@ -447,52 +369,31 @@ class OpenFlowDriver(Process):
         return self._uring
 
     def _on_packet_in(self, binding: SwitchBinding, msg: m.PacketIn) -> None:
-        """Concurrently feed the packet-in to every subscribed app (§3.5).
-
-        Two batched crossings regardless of fan-out: one ``io_uring_enter``
-        lists every app buffer (the backpressure probe that used to be a
-        listdir *per app*), one publishes to every buffer with room (the
-        maildir assemble-and-rename that used to be 17 syscalls per app).
-        """
+        """Concurrently feed the packet-in to every subscribed app (§3.5), in two ring crossings."""
         self.packet_ins_handled += 1
         binding._event_seq += 1
-        reason = "no_match" if msg.reason is m.PacketInReasonWire.NO_MATCH else "action"
-        apps = list(binding.event_apps)
-        if not apps:
+        if not binding.event_apps:
             return
-        ring = self._ring()
-        for app in apps:
-            if ring.sq_pending >= ring.entries:
-                ring.submit()
-            ring.prep("listdir", self.yc.events_path(binding.fs_name, app), user_data=app)
-        ring.submit()
-        targets = []
-        for cqe in ring.completions():
-            if not cqe.ok:
-                continue  # buffer vanished: the app unsubscribed mid-flight
-            if len(cqe.result) >= MAX_PENDING_EVENTS:
-                binding.dropped_events += 1
-                continue
-            targets.append(cqe.user_data)
-        if not targets:
-            return
-        self.yc.write_packet_in_batched(
+        _published, dropped = fan_out_packet_in(
+            self,
+            self.yc,
             binding.fs_name,
-            targets,
             binding._event_seq,
             in_port=msg.in_port,
-            reason=reason,
+            reason="no_match" if msg.reason is m.PacketInReasonWire.NO_MATCH else "action",
             buffer_id=msg.buffer_id,
             total_len=msg.total_len,
             data=msg.data,
-            uring=ring,
+            ring=self._ring(),
+            apps=binding.event_apps,
         )
+        binding.dropped_events += dropped
 
     def _on_flow_removed(self, binding: SwitchBinding, msg: m.FlowRemoved) -> None:
         if msg.reason is m.FlowRemovedReasonWire.DELETE:
             return  # we initiated it; the FS is already authoritative
-        for name, state in list(binding.flows.items()):
-            if state.match == msg.match and state.priority == msg.priority:
+        for name, installed in list(binding.flows.items()):
+            if installed == (msg.match, msg.priority):
                 binding._suppressed.add(name)
                 try:
                     self.yc.delete_flow(binding.fs_name, name)
@@ -534,7 +435,7 @@ class OpenFlowDriver(Process):
         self._batch_writes(writes)
 
     def _on_flow_stats(self, binding: SwitchBinding, msg: m.FlowStatsReply) -> None:
-        by_key = {(state.match, state.priority): name for name, state in binding.flows.items()}
+        by_key = {installed: name for name, installed in binding.flows.items()}
         writes = []
         for entry in msg.entries:
             name = by_key.get((entry.match, entry.priority))

@@ -344,9 +344,9 @@ class Process:
         if self._table is not None:
             self._table.charge_cpu(self, self._syscalls() - syscalls_before)
 
-    def _count(self, name: str) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
         if self._table is not None:
-            self._table.counters.add(name)
+            self._table.counters.add(name, amount)
 
 
 class Supervisor:

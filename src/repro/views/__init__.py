@@ -7,9 +7,10 @@
 * :func:`intersect` / :func:`admits` — the match algebra underneath.
 """
 
+from repro.views.base import MAX_TENANT_PRIORITY
 from repro.views.merge import admits, intersect
 from repro.views.namespace import grant_view, tenant_process, view_namespace
-from repro.views.slicer import MAX_TENANT_PRIORITY, Slicer
+from repro.views.slicer import Slicer
 from repro.views.virtualizer import BigSwitchVirtualizer
 
 __all__ = [

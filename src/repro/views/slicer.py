@@ -25,22 +25,18 @@ second slicer with ``root`` pointing inside the first view (§4.2:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.dataplane.match import Match
 from repro.netpkt.packet import parse_frame
-from repro.vfs.errors import FileExists, FsError
-from repro.vfs.notify import EventMask
-from repro.yancfs.client import YancClient
-from repro.apps.base import YancApp
+from repro.vfs.errors import FsError
+from repro.views.base import ViewApp
 from repro.views.merge import intersect
-
-_DIR_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
-_FLOW_MASK = EventMask.IN_MODIFY | EventMask.IN_CLOSE_WRITE
-
-#: Tenant flows are clamped below the system apps' priority band.
-MAX_TENANT_PRIORITY = 0x7FFF
+from repro.yancfs.client import FlowSpec, PacketInEvent
+from repro.yancfs.translate import PacketOut
 
 
-class Slicer(YancApp):
+class Slicer(ViewApp):
     """One view's translation process."""
 
     def __init__(
@@ -54,24 +50,18 @@ class Slicer(YancApp):
         root: str = "/net",
         counter_sync_interval: float = 1.0,
     ) -> None:
-        super().__init__(sc, sim, root=root, name=f"slicer_{view}")
-        self.view = view
+        super().__init__(sc, sim, view=view, root=root, name=f"slicer_{view}")
         self.sliced_switches = list(switches)
         self.headerspace = headerspace
         self.counter_sync_interval = counter_sync_interval
-        self.view_yc: YancClient = self.yc.in_view(view)
         #: (switch, tenant flow) -> master flow name
         self._installed: dict[tuple[str, str], str] = {}
-        self._flow_versions: dict[tuple[str, str], int] = {}
         self.flows_translated = 0
-        self.flows_rejected = 0
-        self.events_forwarded = 0
 
     # -- setup ---------------------------------------------------------------------
 
     def on_start(self) -> None:
-        if not self.sc.exists(self.view_yc.root):
-            self.yc.create_view(self.view)
+        super().on_start()
         for switch in self.sliced_switches:
             self._mirror_switch(switch)
         self._mirror_peer_links()
@@ -81,14 +71,12 @@ class Slicer(YancApp):
     def _mirror_switch(self, switch: str) -> None:
         if not self.sc.exists(self.yc.switch_path(switch)):
             return
-        view_path = self.view_yc.switch_path(switch)
-        if not self.sc.exists(view_path):
-            self.view_yc.create_switch(switch)
+        if not self.sc.exists(self.view_yc.switch_path(switch)):
             try:
                 dpid = self.yc.switch_dpid(switch)
-                self.sc.write_text(f"{view_path}/id", str(dpid))
             except (FsError, ValueError):
-                pass
+                dpid = None
+            self.view_yc.create_switch(switch, dpid=dpid)  # published with its id, never before it
         for port_name in self.yc.ports(switch):
             if not self.sc.exists(self.view_yc.port_path(switch, port_name)):
                 try:
@@ -96,14 +84,8 @@ class Slicer(YancApp):
                 except ValueError:
                     continue
                 self.view_yc.create_port(switch, port_no)
-        # master-side packet-in subscription for this sliced switch
-        self.yc.subscribe_events(switch, self.app_name)
-        self.watch(self.yc.events_path(switch, self.app_name), EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("master_buffer", switch))
-        # tenant-side watches
-        self.watch(f"{view_path}/flows", _DIR_MASK, ("view_flows", switch))
-        for flow in self.view_yc.flows(switch):
-            self.watch(self.view_yc.flow_path(switch, flow), _FLOW_MASK, ("view_flow", switch, flow))
-        self.watch(f"{view_path}/packet_out", _DIR_MASK | EventMask.IN_CLOSE_WRITE, ("view_pktout", switch))
+        self.tap_master(switch)
+        self.follow_tenant(switch, partial(self._translate_flow, switch), partial(self._retire_flow, switch))
 
     def _mirror_peer_links(self) -> None:
         for switch in self.sliced_switches:
@@ -123,109 +105,39 @@ class Slicer(YancApp):
                     except FsError:
                         continue
 
-    # -- events -----------------------------------------------------------------------
-
-    def on_event(self, ctx, event) -> None:
-        kind = ctx[0]
-        if kind == "view_flows":
-            self._on_view_flows_event(ctx[1], event)
-        elif kind == "view_flow":
-            if event.name == "version":
-                self._sync_tenant_flow(ctx[1], ctx[2])
-        elif kind == "master_buffer":
-            self._forward_packet_ins(ctx[1])
-        elif kind == "view_pktout":
-            self._forward_packet_out(ctx[1], event)
-
-    def _on_view_flows_event(self, switch: str, event) -> None:
-        if event.name is None:
-            return
-        if event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO):
-            self.watch(self.view_yc.flow_path(switch, event.name), _FLOW_MASK, ("view_flow", switch, event.name))
-            self._sync_tenant_flow(switch, event.name)
-        elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM):
-            master_name = self._installed.pop((switch, event.name), None)
-            self._flow_versions.pop((switch, event.name), None)
-            if master_name is not None:
-                try:
-                    self.yc.delete_flow(switch, master_name)
-                except FsError:
-                    pass
-
     # -- flow translation -----------------------------------------------------------------
 
-    def _sync_tenant_flow(self, switch: str, flow: str) -> None:
-        try:
-            spec = self.view_yc.read_flow(switch, flow)
-        except FsError:
-            return
-        key = (switch, flow)
-        if spec.version <= self._flow_versions.get(key, 0):
-            return
-        self._flow_versions[key] = spec.version
+    def _translate_flow(self, switch: str, flow: str, spec: FlowSpec) -> None:
+        """A tenant commit: install its intersection with the slice in the master tree."""
         merged = intersect(spec.match, self.headerspace)
         if merged is None:
             self.flows_rejected += 1
             self._set_status(switch, flow, "rejected: match outside slice headerspace")
             return
         master_name = f"v_{self.view}_{flow}"
-        priority = min(spec.priority, MAX_TENANT_PRIORITY)
-        old = self._installed.get(key)
         try:
-            if old is not None and self.sc.exists(self.yc.flow_path(switch, old)):
-                self.yc.delete_flow(switch, old)
-            self.yc.create_flow(
-                switch,
-                master_name,
-                merged,
-                list(spec.actions),
-                priority=priority,
-                idle_timeout=spec.idle_timeout or None,
-                hard_timeout=spec.hard_timeout or None,
-            )
-        except (FileExists, FsError) as exc:
+            self._write_down(switch, master_name, merged, list(spec.actions), spec)
+        except FsError as exc:
             self.flows_rejected += 1
             self._set_status(switch, flow, f"rejected: {exc}")
             return
-        self._installed[key] = master_name
+        self._installed[switch, flow] = master_name
         self.flows_translated += 1
         self._set_status(switch, flow, "installed")
 
-    def _set_status(self, switch: str, flow: str, status: str) -> None:
-        try:
-            self.sc.write_text(f"{self.view_yc.flow_path(switch, flow)}/state.status", status)
-        except FsError:
-            pass
+    def _retire_flow(self, switch: str, flow: str) -> None:
+        master_name = self._installed.pop((switch, flow), None)
+        if master_name is not None:
+            try:
+                self.yc.delete_flow(switch, master_name)
+            except FsError:
+                pass
 
     # -- packet-in / packet-out forwarding ---------------------------------------------------
 
-    def _forward_packet_ins(self, switch: str) -> None:
-        try:
-            events = self.yc.read_events(switch, self.app_name)
-        except FsError:
-            return
-        for pkt in events:
-            if not self._in_headerspace(pkt.data, pkt.in_port):
-                continue
-            try:
-                apps = self.sc.listdir(f"{self.view_yc.switch_path(switch)}/events")
-            except FsError:
-                continue
-            for app in apps:
-                try:
-                    self.view_yc.write_packet_in(
-                        switch,
-                        app,
-                        pkt.seq,
-                        in_port=pkt.in_port,
-                        reason=pkt.reason,
-                        buffer_id=0xFFFFFFFF,  # buffers do not cross views
-                        total_len=pkt.total_len,
-                        data=pkt.data,
-                    )
-                    self.events_forwarded += 1
-                except FsError:
-                    continue
+    def view_port_of(self, pkt: PacketInEvent) -> tuple[str, int] | None:
+        """Headerspace-matching packet-ins surface on the same switch and port."""
+        return (pkt.switch, pkt.in_port) if self._in_headerspace(pkt.data, pkt.in_port) else None
 
     def _in_headerspace(self, data: bytes, in_port: int) -> bool:
         try:
@@ -234,20 +146,12 @@ class Slicer(YancApp):
             return False
         return self.headerspace.matches(frame.key, in_port)
 
-    def _forward_packet_out(self, switch: str, event) -> None:
-        if event.name is None or not event.mask & EventMask.IN_CLOSE_WRITE:
-            return
-        spool = f"{self.view_yc.switch_path(switch)}/packet_out/{event.name}"
-        try:
-            data = self.sc.read_bytes(spool)
-            self.sc.unlink(spool)
-        except FsError:
-            return
-        # Only forward frames the tenant is allowed to source.
-        if data and not self._in_headerspace(data, 0):
+    def forward_packet_out(self, switch: str, out: PacketOut) -> None:
+        """Re-spool, under the same name, only frames the tenant is allowed to source."""
+        if out.data and not self._in_headerspace(out.data, 0):
             return
         try:
-            self.sc.write_bytes(f"{self.yc.switch_path(switch)}/packet_out/{event.name}", data)
+            self.sc.write_bytes(f"{self.yc.switch_path(switch)}/packet_out/{out.name}", out.data)
         except FsError:
             pass
 

@@ -13,21 +13,16 @@ port numbers.
 
 from __future__ import annotations
 
+from repro.apps.topology import read_topology
 from repro.dataplane.actions import Action, Output
 from repro.dataplane.match import Match
-from repro.vfs.errors import FileExists, FsError
-from repro.vfs.notify import EventMask
-from repro.yancfs.client import YancClient
-from repro.apps.base import YancApp
-from repro.apps.topology import read_topology
-
-_DIR_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
-_FLOW_MASK = EventMask.IN_MODIFY | EventMask.IN_CLOSE_WRITE
-
-MAX_TENANT_PRIORITY = 0x7FFF
+from repro.vfs.errors import FsError
+from repro.views.base import ViewApp
+from repro.yancfs.client import FlowSpec, PacketInEvent
+from repro.yancfs.translate import PacketOut
 
 
-class BigSwitchVirtualizer(YancApp):
+class BigSwitchVirtualizer(ViewApp):
     """Collapse the fabric into one virtual switch."""
 
     def __init__(
@@ -40,74 +35,40 @@ class BigSwitchVirtualizer(YancApp):
         root: str = "/net",
         big_switch_name: str = "big",
     ) -> None:
-        super().__init__(sc, sim, root=root, name=f"virt_{view}")
-        self.view = view
+        super().__init__(sc, sim, view=view, root=root, name=f"virt_{view}")
         self.port_map = dict(port_map)
         self.big_switch_name = big_switch_name
-        self.view_yc: YancClient = self.yc.in_view(view)
         self._reverse_map = {real: virtual for virtual, real in self.port_map.items()}
-        self._flow_versions: dict[str, int] = {}
         #: tenant flow -> [(master switch, master flow name)]
         self._segments: dict[str, list[tuple[str, str]]] = {}
         self.flows_compiled = 0
-        self.flows_rejected = 0
-        self.events_forwarded = 0
 
     # -- setup ------------------------------------------------------------------------
 
     def on_start(self) -> None:
-        if not self.sc.exists(self.view_yc.root):
-            self.yc.create_view(self.view)
-        big_path = self.view_yc.switch_path(self.big_switch_name)
-        if not self.sc.exists(big_path):
+        super().on_start()
+        if not self.sc.exists(self.view_yc.switch_path(self.big_switch_name)):
             self.view_yc.create_switch(self.big_switch_name)
             for virtual_port in sorted(self.port_map):
                 self.view_yc.create_port(self.big_switch_name, virtual_port)
-        self.watch(f"{big_path}/flows", _DIR_MASK, ("flows",))
-        for flow in self.view_yc.flows(self.big_switch_name):
-            self.watch(self.view_yc.flow_path(self.big_switch_name, flow), _FLOW_MASK, ("flow", flow))
-        self.watch(f"{big_path}/packet_out", _DIR_MASK | EventMask.IN_CLOSE_WRITE, ("pktout",))
+        self.follow_tenant(self.big_switch_name, self._compile_flow, self._tear_down)
         for switch in {switch for switch, _port in self.port_map.values()}:
-            self.yc.subscribe_events(switch, self.app_name)
-            self.watch(self.yc.events_path(switch, self.app_name), EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("master_buffer", switch))
-
-    # -- events ------------------------------------------------------------------------
-
-    def on_event(self, ctx, event) -> None:
-        kind = ctx[0]
-        if kind == "flows" and event.name is not None:
-            if event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO):
-                self.watch(self.view_yc.flow_path(self.big_switch_name, event.name), _FLOW_MASK, ("flow", event.name))
-                self._compile_flow(event.name)
-            elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM):
-                self._tear_down(event.name)
-        elif kind == "flow" and event.name == "version":
-            self._compile_flow(ctx[1])
-        elif kind == "master_buffer":
-            self._forward_packet_ins(ctx[1])
-        elif kind == "pktout":
-            self._forward_packet_out(event)
+            self.tap_master(switch)
 
     # -- compilation ---------------------------------------------------------------------
 
-    def _compile_flow(self, flow: str) -> None:
-        try:
-            spec = self.view_yc.read_flow(self.big_switch_name, flow)
-        except FsError:
-            return
-        if spec.version <= self._flow_versions.get(flow, 0):
-            return
-        self._flow_versions[flow] = spec.version
-        self._tear_down(flow, keep_version=True)
+    def _compile_flow(self, flow: str, spec: FlowSpec) -> None:
+        """A tenant commit: replace the flow's fabric segments with a fresh compilation."""
+        self._tear_down(flow)
         out_ports = [action.port for action in spec.actions if isinstance(action, Output)]
         rewrites: list[Action] = [action for action in spec.actions if not isinstance(action, Output)]
         if not out_ports or any(port not in self.port_map for port in out_ports):
             self.flows_rejected += 1
-            self._set_status(flow, "rejected: output must name virtual ports")
+            self._set_status(self.big_switch_name, flow, "rejected: output must name virtual ports")
             return
         if spec.match.in_port is not None and spec.match.in_port not in self.port_map:
             self.flows_rejected += 1
-            self._set_status(flow, "rejected: in_port is not a virtual port")
+            self._set_status(self.big_switch_name, flow, "rejected: in_port is not a virtual port")
             return
         ingress_ports = [spec.match.in_port] if spec.match.in_port is not None else sorted(self.port_map)
         topology = read_topology(self.yc)
@@ -126,15 +87,15 @@ class BigSwitchVirtualizer(YancApp):
         self._segments[flow] = segments
         if ok:
             self.flows_compiled += 1
-            self._set_status(flow, f"installed: {len(segments)} segments")
+            self._set_status(self.big_switch_name, flow, f"installed: {len(segments)} segments")
         else:
             self.flows_rejected += 1
-            self._set_status(flow, "rejected: no fabric path between mapped ports")
+            self._set_status(self.big_switch_name, flow, "rejected: no fabric path between mapped ports")
 
     def _compile_path(
         self,
         flow: str,
-        spec,
+        spec: FlowSpec,
         rewrites: list[Action],
         virtual_in: int,
         virtual_out: int,
@@ -148,7 +109,6 @@ class BigSwitchVirtualizer(YancApp):
         if path is None:
             return False
         in_port = src_port
-        priority = min(spec.priority, MAX_TENANT_PRIORITY)
         for index, switch in enumerate(path):
             if index + 1 < len(path):
                 out_port = graph[switch][path[index + 1]]
@@ -162,86 +122,37 @@ class BigSwitchVirtualizer(YancApp):
                 actions = list(rewrites) + [Output(out_port)]
             name = f"virt_{self.view}_{flow}_{virtual_in}_{virtual_out}_{index}"
             try:
-                self.yc.create_flow(
-                    switch,
-                    name,
-                    base,
-                    actions,
-                    priority=priority,
-                    idle_timeout=spec.idle_timeout or None,
-                    hard_timeout=spec.hard_timeout or None,
-                )
-                segments.append((switch, name))
-            except FileExists:
-                segments.append((switch, name))
+                self._write_down(switch, name, base, actions, spec)
             except FsError:
                 return False
+            segments.append((switch, name))
             if index + 1 < len(path):
                 in_port = topology.get((switch, out_port), (path[index + 1], 0))[1]
         return True
 
-    def _tear_down(self, flow: str, *, keep_version: bool = False) -> None:
+    def _tear_down(self, flow: str) -> None:
         for switch, name in self._segments.pop(flow, []):
             try:
                 self.yc.delete_flow(switch, name)
             except FsError:
                 continue
-        if not keep_version:
-            self._flow_versions.pop(flow, None)
-
-    def _set_status(self, flow: str, status: str) -> None:
-        try:
-            self.sc.write_text(f"{self.view_yc.flow_path(self.big_switch_name, flow)}/state.status", status)
-        except FsError:
-            pass
 
     # -- packet-in / packet-out ------------------------------------------------------------
 
-    def _forward_packet_ins(self, switch: str) -> None:
-        try:
-            events = self.yc.read_events(switch, self.app_name)
-        except FsError:
-            return
-        for pkt in events:
-            virtual_port = self._reverse_map.get((switch, pkt.in_port))
-            if virtual_port is None:
-                continue
-            try:
-                apps = self.sc.listdir(f"{self.view_yc.switch_path(self.big_switch_name)}/events")
-            except FsError:
-                continue
-            for app in apps:
-                try:
-                    self.view_yc.write_packet_in(
-                        self.big_switch_name,
-                        app,
-                        pkt.seq,
-                        in_port=virtual_port,
-                        reason=pkt.reason,
-                        buffer_id=0xFFFFFFFF,
-                        total_len=pkt.total_len,
-                        data=pkt.data,
-                    )
-                    self.events_forwarded += 1
-                except FsError:
-                    continue
+    def view_port_of(self, pkt: PacketInEvent) -> tuple[str, int] | None:
+        """Packet-ins on mapped ports surface on the big switch with virtual port numbers."""
+        virtual_port = self._reverse_map.get((pkt.switch, pkt.in_port))
+        return None if virtual_port is None else (self.big_switch_name, virtual_port)
 
-    def _forward_packet_out(self, event) -> None:
-        if event.name is None or not event.mask & EventMask.IN_CLOSE_WRITE:
-            return
-        spool = f"{self.view_yc.switch_path(self.big_switch_name)}/packet_out/{event.name}"
-        try:
-            data = self.sc.read_bytes(spool)
-            self.sc.unlink(spool)
-        except FsError:
-            return
-        for token in event.name.split("."):
-            if token.startswith("p") and token[1:].isdigit():
-                virtual_port = int(token[1:])
+    def forward_packet_out(self, view_switch: str, out: PacketOut) -> None:
+        """Spool the frame at each named virtual port's fabric port; ``flood``/``all`` is every mapped port but the in-port."""
+        for port in out.ports:
+            named = [port] if isinstance(port, int) else [virtual for virtual in sorted(self.port_map) if virtual != out.in_port]
+            for virtual_port in named:
                 mapped = self.port_map.get(virtual_port)
                 if mapped is not None:
                     try:
-                        self.yc.packet_out(mapped[0], [mapped[1]], data, tag=self.app_name)
+                        self.yc.packet_out(mapped[0], [mapped[1]], out.data, tag=self.app_name)
                     except FsError:
                         continue
 

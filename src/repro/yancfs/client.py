@@ -491,7 +491,7 @@ class YancClient:
             tokens.append(f"b{buffer_id}")
         tokens.append(tag)
         tokens.append(str(self._pktout_seq))
-        path = f"{self.switch_path(switch)}/packet_out/{'.'.join(tokens)}"
+        path = f"{self.switch_path(switch)}/packet_out/{'.'.join(tokens)}"  # read back by parse_packet_out_name
         self.sc.write_bytes(path, data)
         return path
 
@@ -535,6 +535,28 @@ class YancClient:
 def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:
     """One packet-in as the ``{filename: content}`` its event directory holds (§3.5)."""
     return {"in_port": str(in_port), "reason": reason, "buffer_id": str(buffer_id), "total_len": str(total_len), "data": data}
+
+
+def parse_packet_out_name(name: str) -> tuple[tuple[int | str, ...], int | None, int | None]:
+    """``(ports, in_port, buffer_id)`` back from the spool file name :meth:`YancClient.packet_out` formats.
+
+    Dot-separated tokens: ``p<N>`` / ``flood`` / ``all`` name output
+    ports, ``in<N>`` the logical in-port, ``b<N>`` a switch buffer to
+    release; anything else (the writer's tag, its sequence number) is
+    ignored.
+    """
+    ports: list[int | str] = []
+    in_port = buffer_id = None
+    for token in name.split("."):
+        if token in ("flood", "all"):
+            ports.append(token)
+        elif token.startswith("in") and token[2:].isdigit():
+            in_port = int(token[2:])
+        elif token.startswith("b") and token[1:].isdigit():
+            buffer_id = int(token[1:])
+        elif token.startswith("p") and token[1:].isdigit():
+            ports.append(int(token[1:]))
+    return tuple(ports), in_port, buffer_id
 
 
 def _event_order(name: str) -> int:

@@ -159,6 +159,62 @@ def test_event_buffer_backpressure(ctl):
     pending = len(ctl.host.root_sc.listdir("/net/switches/sw1/events/slow"))
     assert pending <= MAX_PENDING_EVENTS
     assert binding.dropped_events > 0
+    # "who is dropping events" is answerable from the shell
+    assert f"events.dropped.{ctl.drivers[0].proc_name} {binding.dropped_events}\n" in ctl.host.root_sc.read_text("/proc/counters")
+
+
+@pytest.mark.parametrize("feeder", ["slicer", "virtualizer", "device"])
+def test_event_buffer_backpressure_behind_every_translator(feeder):
+    """The one §3.5 bound, one level up and across the remote mount: a
+    tenant app that never drains keeps exactly MAX_PENDING_EVENTS events
+    (the slicer's tenant buffer used to grow without bound, the device
+    dropped without counting), a draining neighbour loses nothing, and the
+    loss is visible per process in /proc/counters."""
+    from repro.distfs import DeviceRuntime, FileServer
+    from repro.drivers import MAX_PENDING_EVENTS
+    from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Tcp
+    from repro.netpkt.packet import build_frame
+    from repro.runtime import ControllerHost
+    from repro.views import BigSwitchVirtualizer, Slicer
+
+    if feeder == "device":
+        net = build_linear(2)
+        host = ControllerHost(net.sim)
+        server = FileServer(host.root_sc.spawn(), "/net")
+        translator, _other = [DeviceRuntime(sw, host, server=server, poll_interval=0.1).start() for sw in net.switches.values()]
+        buffers, switch = host.client(), "sw1"
+    else:
+        ctl = YancController(build_linear(3)).start()
+        net, host = ctl.net, ctl.host
+        if feeder == "slicer":
+            ssh = Match(dl_type=0x800, nw_proto=6, tp_dst=22)
+            translator = Slicer(host.process(), ctl.sim, view="v", switches=["sw1"], headerspace=ssh).start()
+            switch = "sw1"
+        else:
+            translator = BigSwitchVirtualizer(host.process(), ctl.sim, view="v", port_map={1: ("sw1", 2), 2: ("sw3", 2)}).start()
+            switch = "big"
+        buffers = ctl.client().in_view("v")
+    net.run(0.3)
+    buffers.subscribe_events(switch, "slow")
+    buffers.subscribe_events(switch, "fast")
+    net.run(0.3)
+    h1, h2 = net.hosts["h1"], net.hosts["h2"]
+    total, drained = MAX_PENDING_EVENTS + 60, 0
+    for start in range(0, total, 50):
+        for index in range(start, min(start + 50, total)):
+            h1.send_raw(
+                build_frame(
+                    Ethernet(dst=h2.mac, src=h1.mac, eth_type=ETH_TYPE_IPV4),
+                    IPv4(src=h1.ip, dst=h2.ip, proto=6),
+                    Tcp(src_port=1000 + index, dst_port=22),
+                )
+            )
+        net.run(0.5)
+        drained += len(buffers.read_events(switch, "fast"))
+    assert drained == total
+    assert len(host.root_sc.listdir(buffers.events_path(switch, "slow"))) == MAX_PENDING_EVENTS
+    assert translator.events_dropped == 60
+    assert f"events.dropped.{translator.proc_name} 60\n" in host.root_sc.read_text("/proc/counters")
 
 
 def test_live_upgrade_of10_to_of13(ctl):

@@ -33,6 +33,33 @@ def test_view_mirrors_ports_and_dpid(sliced):
     assert tenant.switch_dpid("sw1") == 1
 
 
+def test_mirrored_switch_is_published_with_its_id():
+    """Regression: the slicer renamed the mirrored switch into place and
+    only then wrote its ``id`` — a tenant scanning ``switches/`` could see
+    a switch with no identity, which ``create_switch(dpid=)`` exists to prevent."""
+    from repro.perf import tracepoints
+
+    class Tape:
+        def __init__(self) -> None:
+            self.ops: list[tuple] = []
+
+        def on_syscall_enter(self, sc, op, paths, args) -> None:
+            self.ops.append((op, paths))
+
+    ctl = YancController(build_linear(2)).start()
+    tape = Tape()
+    tracepoints.subscribe(tape)
+    try:
+        Slicer(ctl.host.process(), ctl.sim, view="ssh", switches=["sw1"], headerspace=SSH).start()
+    finally:
+        tracepoints.unsubscribe(tape)
+    base = "/net/views/ssh/switches"
+    published = tape.ops.index(("rename", (f"{base}/.sw1", f"{base}/sw1")))
+    assert ("open", (f"{base}/.sw1/id",)) in tape.ops[:published]
+    assert ("open", (f"{base}/sw1/id",)) not in tape.ops[published:]
+    assert ctl.client().in_view("ssh").switch_dpid("sw1") == 1
+
+
 def test_view_mirrors_intra_slice_peer_links(sliced):
     _ctl, _slicer, tenant = sliced
     # sw1<->sw2 (port 1 on each) is inside the slice; sw2<->sw3 is not

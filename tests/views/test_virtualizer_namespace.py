@@ -103,6 +103,20 @@ def test_view_packet_out_mapped_to_fabric_port(big):
     assert any(len(f.raw) == len(raw) for f in h3.received)
 
 
+def test_view_flood_reaches_every_mapped_port_but_the_in_port(big):
+    """Regression: the virtualizer's own copy of the spool-name parser only
+    knew ``p<N>``, so a tenant's flood was consumed and silently discarded."""
+    ctl, _virt, view = big
+    from repro.netpkt import ETH_TYPE_IPV4, Ethernet
+    h1, h3 = ctl.net.hosts["h1"], ctl.net.hosts["h3"]
+    raw = Ethernet(dst=h3.mac, src=h1.mac, eth_type=ETH_TYPE_IPV4, payload=b"y" * 31).pack()
+    view.packet_out("big", ["flood"], raw, in_port=1, tag="tenant")
+    ctl.run(0.5)
+    assert [f.raw for f in h3.received if len(f.raw) == len(raw)] == [raw]  # virtual port 2
+    assert not any(len(f.raw) == len(raw) for f in h1.received)  # virtual port 1 is where it came in
+    assert view.sc.listdir(view.switch_path("big") + "/packet_out") == []
+
+
 # -- namespaces -----------------------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
 """YancClient path helpers and composite operations."""
 
+import string
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dataplane import Match, Output
 from repro.yancfs import YancClient
+from repro.yancfs.client import parse_packet_out_name
 
 
 def test_path_helpers(yc):
@@ -70,6 +75,33 @@ def test_packet_out_tokens(yc):
     name = path.rsplit("/", 1)[-1]
     assert name.startswith("p3.flood.in2.b9.me.")
     assert yc.sc.read_bytes(path) == b"frame"
+
+
+class _SpoolOnly:
+    """Just enough syscall context for ``packet_out``: it writes one file."""
+
+    def write_bytes(self, path: str, data: bytes) -> None:
+        self.written = (path, data)
+
+
+_PORTS = st.lists(st.integers(0, 0xFFFF) | st.sampled_from(["flood", "all"]), max_size=4)
+_OPTIONAL = st.none() | st.integers(0, 0xFFFFFFFF)
+# any tag an app may pick, as long as it does not itself spell a destination token
+_TAGS = st.text(string.ascii_lowercase + string.digits + "_-", min_size=1, max_size=8).filter(lambda tag: parse_packet_out_name(tag) == ((), None, None))
+
+
+@given(ports=_PORTS, in_port=_OPTIONAL, buffer_id=_OPTIONAL, tag=_TAGS)
+def test_spool_name_parses_back_to_what_packet_out_was_given(ports, in_port, buffer_id, tag):
+    """One formatter (``YancClient.packet_out``), one parser: every consumer reads the same destination."""
+    yc = YancClient(_SpoolOnly())
+    path = yc.packet_out("sw1", ports, b"frame", in_port=in_port, buffer_id=buffer_id, tag=tag)
+    assert parse_packet_out_name(path.rsplit("/", 1)[-1]) == (tuple(ports), in_port, buffer_id)
+    assert yc.sc.written == (path, b"frame")
+
+
+def test_spool_name_unknown_tokens_are_ignored():
+    assert parse_packet_out_name("nonsense.tag.1") == ((), None, None)
+    assert parse_packet_out_name("p2.px.inx.b.bogus.in3.all.7") == ((2, "all"), 3, None)
 
 
 def test_read_events_skips_nothing_on_empty(yc):
