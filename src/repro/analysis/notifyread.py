@@ -10,9 +10,9 @@ dynamic ``unsynchronized`` findings yancrace reports usually trace back
 to exactly this shape).
 
 A loop (``while``/``for``) is flagged when its body both reads state
-(``read_text`` / ``read_bytes`` / ``read_events``) and advances time
-(``run_for`` / ``run_until`` / ``step``, or ``.run(...)`` on a
-simulator-ish receiver), unless the enclosing function subscribes first
+(``read_text`` / ``read_bytes`` / ``readdirplus`` / ``read_events``) and
+advances time (``run_for`` / ``run_until`` / ``step``, or ``.run(...)`` on
+a simulator-ish receiver), unless the enclosing function subscribes first
 (a ``watch`` / ``inotify_add_watch`` call anywhere in the function).
 
 Scopes: ``app`` and ``example`` (drivers own device state and may poll
@@ -28,7 +28,7 @@ from typing import Iterator
 
 from repro.analysis.core import Finding, Rule, Severity, SourceFile, register
 
-_READ_ATTRS = {"read_text", "read_bytes", "read_events"}
+_READ_ATTRS = {"read_text", "read_bytes", "readdirplus", "read_events"}
 _ADVANCE_ATTRS = {"run_for", "run_until", "step"}
 _SUBSCRIBE_ATTRS = {"watch", "inotify_add_watch"}
 #: Receivers whose bare ``.run(...)`` means "advance the simulation".

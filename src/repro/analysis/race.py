@@ -91,7 +91,7 @@ _HARNESS_AID = 0
 #: Syscalls that move file data or synchronize: the detector looks at
 #: their outcome.
 _DATA_OPS = frozenset(
-    "open close read write pread pwrite ftruncate truncate rename inotify_read epoll_wait".split()
+    "open close read write pread pwrite ftruncate truncate rename readdirplus inotify_read epoll_wait".split()
 )
 #: Every syscall that opens an actor scope: the data ops, plus the
 #: namespace mutators — those need no shadow record (directory ops are
@@ -510,6 +510,14 @@ class RaceDetector:
             inode = sc.vfs.resolve(sc.ns, sc.cred, paths[0])
             if isinstance(inode, FileInode):
                 self._record_access(sc, inode, paths[0], write=True)
+        elif op == "readdirplus":
+            # One crossing read every file it returned, in directory order —
+            # so a flow's ``version`` is acquired before its spec files are
+            # checked, as when each was opened in turn.
+            children = sc.vfs.resolve(sc.ns, sc.cred, paths[0])._children  # as listed: no lookup (a remote one is an RPC each)
+            for name, data in result:
+                if data is not None:
+                    self._record_access(sc, children[name], f"{paths[0]}/{name}", write=False)
         elif op == "rename":
             # rename is the atomic-publish operation (maildir): record the
             # publisher's clock on the target so later accesses through

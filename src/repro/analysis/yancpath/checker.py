@@ -42,7 +42,7 @@ _SEVERITY = {
 KINDS = tuple(_SEVERITY)
 
 _WRITEISH = frozenset({"write_text", "write_bytes", "mkdir", "makedirs"})
-_READISH = frozenset({"read_text", "read_bytes", "listdir", "open", "walk"})
+_READISH = frozenset({"read_text", "read_bytes", "readdirplus", "listdir", "open", "walk"})
 
 
 def make_judge(model: NamespaceModel):

@@ -66,6 +66,7 @@ PATH_ARGS: dict[str, tuple[int, ...]] = {
     "chown": (0,),
     "walk": (0,),
     "scandir": (0,),
+    "readdirplus": (0,),
     "inotify_add_watch": (1,),
     "watch": (0,),
 }

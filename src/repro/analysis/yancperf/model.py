@@ -61,6 +61,7 @@ WEIGHTS: dict[str, int] = {
     "exists": 1,
     "listdir": 1,
     "scandir": 1,
+    "readdirplus": 1,
     "truncate": 1,
     "chmod": 1,
     "chown": 1,

@@ -225,7 +225,7 @@ def taint_sources(interp: FuncInterp, sweep) -> dict[int, str]:
         if result is None or not result.matched:
             continue
         spooled = any(r.in_event_buffer or r.in_packet_out for r in result.resolutions)
-        if site.method in ("read_text", "read_bytes"):
+        if site.method in ("read_text", "read_bytes", "readdirplus"):
             origin = "a packet/event payload" if spooled else "a yanc attribute file"
             out[id(site.node)] = f"{site.method}() of {origin}"
         elif site.method in ("listdir", "scandir") and spooled:

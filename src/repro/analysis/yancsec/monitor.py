@@ -171,6 +171,10 @@ class SecurityMonitor:
         write = op in _WRITE_OPS or (op == "open" and bool(args[1] & _WRITE_FLAGS))
         for path in paths:
             self._on_path(sc, op, path, write)
+        if op == "readdirplus":  # it also opened every file it returned
+            for name, data in result:
+                if data is not None:
+                    self._on_path(sc, op, f"{paths[0]}/{name}", False)
 
     def _emit(self, kind: str, detail: str, key: tuple[object, ...]) -> None:
         if key in self._seen:

@@ -17,7 +17,7 @@ from repro.netpkt.arp import ARP_REQUEST, Arp
 from repro.netpkt.ethernet import ETH_TYPE_ARP, Ethernet
 from repro.netpkt.packet import build_frame, parse_frame
 from repro.vfs.errors import FsError
-from repro.yancfs.client import PacketInEvent
+from repro.yancfs.client import PacketInEvent, read_object
 from repro.apps.base import PacketInApp
 
 
@@ -43,13 +43,12 @@ class ArpResponder(PacketInApp):
         except FsError:
             return
         for name in names:
-            base = f"{self.yc.root}/hosts/{name}"
             try:
-                mac = self.sc.read_text(f"{base}/mac").strip()
-                ip_text = self.sc.read_text(f"{base}/ip").strip()
+                fields = read_object(self.sc, f"{self.yc.root}/hosts/{name}")
+                mac, ip_text = fields["mac"].decode().strip(), fields["ip"].decode().strip()
                 if mac and ip_text:
                     self.bindings[IPv4Address(ip_text)] = MacAddress(mac)
-            except (FsError, ValueError):
+            except (FsError, KeyError, ValueError):
                 continue
 
     def handle_packet_in(self, event: PacketInEvent) -> None:

@@ -61,7 +61,9 @@ class PacketInApp(YancApp):
             return
         # IN_MOVED_TO is the publication edge: events are assembled under
         # a dot-temp name and renamed into place (maildir).  IN_CREATE is
-        # kept for directly-created events (tests, foreign drivers).
+        # kept for directly-created events (tests, foreign drivers); the
+        # dot-temp's own IN_CREATE is ignored in on_event, as read_events
+        # ignores the entry, or every packet-in would drain the buffer twice.
         self.watch(buffer_path, EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("buffer", switch))
         self.on_switch_added(switch)
 
@@ -76,6 +78,8 @@ class PacketInApp(YancApp):
                 self.unwatch(("buffer", event.name))
                 self.on_switch_removed(event.name)
         elif kind == "buffer":
+            if event.name and event.name.startswith("."):
+                return  # a maildir temp appeared: nothing is published yet
             switch = ctx[1]
             for pkt in self.yc.read_events(switch, self.app_name):
                 self.handle_packet_in(pkt)

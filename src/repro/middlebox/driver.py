@@ -27,7 +27,7 @@ from repro.sim import Simulator
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
-from repro.yancfs.client import write_object
+from repro.yancfs.client import read_object, write_object
 
 _STATE_MASK = (
     EventMask.IN_CREATE
@@ -161,25 +161,18 @@ class MiddleboxDriver(Process):
         device = self.devices.get(mb_name)
         if device is None:
             return
-        path = self._entry_path(mb_name, conn_id)
         try:
-            files = set(self.sc.listdir(path))
-        except FsError:
-            return
-        required = {"proto", "client_ip", "client_port", "public_port"}
-        if not required <= files:
-            return  # cp in progress: a later close event completes it
-        try:
-            proto_text = self.sc.read_text(f"{path}/proto").strip()
+            files = read_object(self.sc, self._entry_path(mb_name, conn_id))
+            proto_text = files["proto"].decode().strip()
             entry = NatEntry(
                 proto=_PROTO_BY_NAME.get(proto_text, int(proto_text) if proto_text.isdigit() else 0),
-                client_ip=IPv4Address(self.sc.read_text(f"{path}/client_ip").strip()),
-                client_port=int(self.sc.read_text(f"{path}/client_port").strip()),
-                public_port=int(self.sc.read_text(f"{path}/public_port").strip()),
+                client_ip=IPv4Address(files["client_ip"].decode().strip()),
+                client_port=int(files["client_port"]),
+                public_port=int(files["public_port"]),
                 last_active=self.sim.now,
             )
-        except (FsError, ValueError):
-            return
+        except (FsError, KeyError, ValueError):
+            return  # gone, malformed, or a cp still in progress: a later close event completes it
         existing = device.lookup_conn(conn_id)
         if existing is not None and existing.public_port == entry.public_port:
             return  # idempotent: the device already holds this binding

@@ -369,6 +369,25 @@ class Syscalls:
         self.meter.enter("scandir")
         return self.vfs.scandir(self.ns, self.cred, self._abspath(path))
 
+    def readdirplus(self, path: str) -> list[tuple[str, bytes | None]]:
+        """Batched getdents(2)+read (NFSv3 READDIRPLUS): entry names with file contents.
+
+        The §8.1 batching remedy for reading an object back one small
+        file at a time: one metered call replaces ``listdir`` plus an
+        open/read/close per entry, with every per-file permission check,
+        fanotify gate and notify event kept.  Regular files carry their
+        whole content; sub-directories and symlinks carry ``None``.
+        """
+        if _tracing and _entering(self):
+            return _around("syscall", (self, "readdirplus", (self._abspath(path),), (path,)), self.readdirplus, path)
+        copied = 0
+        try:
+            entries = self.vfs.readdirplus(self.ns, self.cred, self._abspath(path))
+            copied = sum(len(data) for _name, data in entries if data is not None)
+            return entries
+        finally:
+            self.meter.enter("readdirplus", nbytes=copied)  # a refused crossing is still a crossing
+
     def truncate(self, path: str, size: int) -> None:
         """truncate(2)."""
         if _tracing and _entering(self):

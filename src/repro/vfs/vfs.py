@@ -509,6 +509,32 @@ class VirtualFileSystem:
             out.append((name, target.stat()))
         return out
 
+    def readdirplus(self, ns: MountNamespace, cred: Credentials, path: str) -> list[tuple[str, bytes | None]]:
+        """readdir + every regular file's whole content, resolving the directory once.
+
+        What a ``listdir`` followed by open + read + close of each entry
+        performs, minus the per-entry path walk: the directory needs
+        ``MAY_READ`` (to list) and ``MAY_EXEC`` (to reach its children),
+        and every file passes ``MAY_READ``, the fanotify open and access
+        gates, and emits IN_OPEN, IN_ACCESS, IN_CLOSE_NOWRITE — in
+        directory order, raising at the first file the loop would have
+        raised at.  Sub-directories (so mountpoints, which only
+        directories can be) and symlinks report ``None``.
+        """
+        node = require_dir(self.resolve(ns, cred, path), path)
+        self.check_access(node, cred, MAY_READ | MAY_EXEC, path)
+        out: list[tuple[str, bytes | None]] = []
+        for name, child in node.children():
+            if not isinstance(child, FileInode):
+                out.append((name, None))
+                continue
+            self.check_access(child, cred, MAY_READ, f"{path}/{name}")
+            self.fanotify.check_open(child, cred, writable=False)
+            child.fs.emit(child, EventMask.IN_OPEN)
+            with FileHandle(self, child, O_RDONLY, cred) as handle:
+                out.append((name, handle.read()))
+        return out
+
     # -- file operations ---------------------------------------------------------
 
     def open(

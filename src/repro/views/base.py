@@ -57,7 +57,8 @@ class ViewApp(YancApp):
         if isinstance(kind, FlowFollower):
             kind.on_event(ctx, event)
         elif kind == "master_buffer":
-            self._forward_packet_ins(ctx[1])
+            if not (event.name and event.name.startswith(".")):  # a maildir temp's IN_CREATE publishes nothing
+                self._forward_packet_ins(ctx[1])
         elif kind == "view_pktout":
             out = take_packet_out(self.view_yc, ctx[1], event)
             if out is not None:

@@ -174,6 +174,24 @@ def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | Non
     return sum(last_ok.values())
 
 
+# -- the read pipeline: the mirror image, one crossing per object --
+
+
+def read_object(sc: Syscalls, path: str) -> dict[str, bytes]:
+    """Read one object back — every regular file directly in its directory — in one system call.
+
+    The one read protocol, as :func:`write_object` is the one write
+    protocol: a flow, a counters directory, a packet-in, a recorded host
+    and a middlebox state entry are all read through here, by a single
+    ``readdirplus`` that keeps each file's permission check, fanotify
+    gate and notify events.  Sub-directories (a flow's ``counters/``)
+    and symlinks (a port's ``peer``) are not part of the object's
+    content; a directory that is gone raises, so a caller sees the whole
+    object or an :class:`~repro.vfs.errors.FsError`, never part of one.
+    """
+    return {name: data for name, data in sc.readdirplus(path) if data is not None}
+
+
 @dataclass(frozen=True)
 class PacketInEvent:
     """One packet-in message read from an event buffer (§3.5)."""
@@ -306,20 +324,13 @@ class YancClient:
 
     def read_flow(self, switch: str, name: str) -> FlowSpec:
         """Parse a flow directory back into a :class:`FlowSpec`."""
-        path = self.flow_path(switch, name)
-        files: dict[str, str] = {}
-        action_files: list[tuple[str, str, str]] = []
-        for entry in self.sc.listdir(path):
-            if entry == "counters":
-                continue
-            content = self.sc.read_text(f"{path}/{entry}")
-            files[entry] = content
+        files = {entry: data.decode() for entry, data in read_object(self.sc, self.flow_path(switch, name)).items()}
+        action_files: list[tuple[int, str, str]] = []
+        for entry, content in files.items():
             if entry.startswith("action."):
-                base, _, suffix = entry.partition(".")
-                del base
-                kind, _, order = suffix.partition(".")
-                action_files.append((order or "0", f"action.{kind}", content))
-        actions = tuple(parse_action(fname, content) for _order, fname, content in sorted(action_files, key=lambda item: int(item[0])))
+                kind, _, order = entry[len("action.") :].partition(".")
+                action_files.append((int(order or "0"), f"action.{kind}", content))
+        actions = tuple(parse_action(fname, content) for _order, fname, content in sorted(action_files, key=lambda item: item[0]))
         return FlowSpec(
             match=Match.from_files(files),
             actions=actions,
@@ -443,24 +454,34 @@ class YancClient:
         return write_objects_batched(self.sc, objects, uring)
 
     def read_events(self, switch: str, app: str, *, consume: bool = True) -> list[PacketInEvent]:
-        """Drain (or peek) an event buffer, oldest first."""
+        """Drain (or peek) an event buffer, oldest first: one ``listdir``, then a read and an ``rmdir`` per event.
+
+        An entry without all five fields yet — a foreign writer that
+        published with a bare ``mkdir`` and is still filling it in — is
+        left in place for a later drain and does not hold up the events
+        behind it; an event is removed only once it is in the returned
+        list.
+        """
         base = self.events_path(switch, app)
         events = []
         for entry in sorted(self.sc.listdir(base), key=_event_order):
             if entry.startswith("."):
                 continue  # maildir temp: still being assembled
             path = f"{base}/{entry}"
-            events.append(
-                PacketInEvent(
+            fields = read_object(self.sc, path)
+            try:
+                event = PacketInEvent(
                     switch=switch,
                     seq=_event_order(entry),
-                    in_port=int(self.sc.read_text(f"{path}/in_port").strip()),
-                    reason=self.sc.read_text(f"{path}/reason").strip(),
-                    buffer_id=int(self.sc.read_text(f"{path}/buffer_id").strip()),
-                    total_len=int(self.sc.read_text(f"{path}/total_len").strip()),
-                    data=self.sc.read_bytes(f"{path}/data"),
+                    in_port=int(fields["in_port"]),
+                    reason=fields["reason"].decode().strip(),
+                    buffer_id=int(fields["buffer_id"]),
+                    total_len=int(fields["total_len"]),
+                    data=fields["data"],
                 )
-            )
+            except (KeyError, ValueError):
+                continue  # a field is missing, or created and not yet written
+            events.append(event)
             if consume:
                 self.sc.rmdir(path)
         return events
@@ -526,10 +547,7 @@ class YancClient:
     # -- internals ------------------------------------------------------------------------
 
     def _read_counters(self, path: str) -> dict[str, int]:
-        out = {}
-        for entry in self.sc.listdir(path):
-            out[entry] = int(self.sc.read_text(f"{path}/{entry}").strip() or "0")
-        return out
+        return {entry: int(data.strip() or b"0") for entry, data in read_object(self.sc, path).items()}
 
 
 def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:

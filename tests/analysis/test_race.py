@@ -14,6 +14,7 @@ from repro.proc import Process, ProcessTable
 from repro.sim import Simulator
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
+from repro.yancfs.client import YancClient
 
 
 @pytest.fixture
@@ -243,6 +244,42 @@ def test_version_read_acquires_commit(sim, yanc_sc, det):
 
     a.schedule(0.1, commit)
     b.schedule(0.2, follow)
+    sim.run()
+    assert det.check() == []
+
+
+def test_read_flow_is_observed_file_by_file(sim, yanc_sc, det):
+    """``read_flow`` is one ``readdirplus``: the detector must record a read
+    of every file it returned, or it goes blind to every driver read."""
+    base = _make_flow(yanc_sc)
+    yanc_sc.write_text(f"{base}/version", "1")
+    table = ProcessTable(yanc_sc, sim)
+    a = table.spawn(name="editor").start()
+    b = table.spawn(name="reader").start()
+    a.schedule(0.1, lambda: a.sc.write_text(f"{base}/priority", "9"))
+    b.schedule(0.2, lambda: YancClient(b.sc).read_flow("s1", "f"))
+    sim.run()
+    yanc_sc.write_text(f"{base}/version", "2")
+    findings = det.check()
+    assert sorted(set(kinds(findings))) == ["race", "uncommitted-read"]
+    assert {f.path for f in findings if f.kind == "race"} == {f"{base}/priority"}  # a file, not the directory the call named
+    assert all(any("reader" in actor for actor in f.actors) for f in findings)
+
+
+def test_read_flow_acquires_the_commit_before_the_spec(sim, yanc_sc, det):
+    """``version`` comes first in a flow directory, so the one call orders
+    the reader after the commit before its spec reads are checked."""
+    base = _make_flow(yanc_sc)
+    table = ProcessTable(yanc_sc, sim)
+    a = table.spawn(name="committer").start()
+    b = table.spawn(name="follower").start()
+
+    def commit():
+        a.sc.write_text(f"{base}/priority", "9")
+        a.sc.write_text(f"{base}/version", "1")
+
+    a.schedule(0.1, commit)
+    b.schedule(0.2, lambda: YancClient(b.sc).read_flow("s1", "f"))
     sim.run()
     assert det.check() == []
 

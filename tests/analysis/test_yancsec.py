@@ -16,10 +16,12 @@ from repro.analysis.sweep import JUDGES
 from repro.analysis.yancsec import monitor as secmon
 from repro.analysis.yancsec.checker import KINDS, analyze_sources, analyze_yancsec
 from repro.analysis.yancsec.monitor import SecurityMonitor
+from repro.dataplane import Match, Output
 from repro.vfs.cred import app_credentials
 from repro.vfs.errors import FsError
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
+from repro.yancfs.client import YancClient, mount_yancfs, read_object
 
 HERE = Path(__file__).parent
 BAD = HERE / "fixtures" / "bad" / "yancsec.py"
@@ -286,6 +288,49 @@ def test_monitor_records_access_tuples(mon):
     bob.read_text("/net/apps/alice/secret")
     uid = app_credentials("bob").uid
     assert any(t[0] == uid and t[2] == "/net/apps" for t in mon.accesses)
+
+
+def test_monitor_mediates_every_file_a_readdirplus_returned(mon):
+    """One crossing opens every file it returns: listing a home is not a
+    read of it, so a monitor that judged only the directory would let
+    ``read_object`` carry a tenant's files out unseen."""
+    vfs, root = _host_tree()
+    root.chmod("/net/apps/alice", 0o755)
+    root.mkdir("/net/apps/alice/inbox", 0o755)
+    bob = Syscalls(vfs, cred=app_credentials("bob"))
+    bob.role = "app"
+    bob.listdir("/net/apps/alice")
+    assert mon.check() == []
+    assert read_object(bob, "/net/apps/alice") == {"secret": b"s3cret"}
+    assert [f.kind for f in mon.check()] == ["cross-tenant-read"]
+    assert "readdirplus(/net/apps/alice/secret)" in mon.check()[0].detail  # the file; the inbox it did not open is not named
+
+
+def test_monitor_judges_the_files_a_read_flow_opened():
+    """The access tuples keep two path components, so what shows that a
+    flow's files were mediated is the paths the monitor was asked about."""
+    judged: list[tuple[str, str, bool]] = []
+
+    class Recording(SecurityMonitor):
+        def _on_path(self, sc, op, path, write):
+            judged.append((op, path, write))
+            super()._on_path(sc, op, path, write)
+
+    root = Syscalls(VirtualFileSystem())
+    mount_yancfs(root)
+    client = YancClient(root)
+    client.create_switch("s1")
+    path = client.create_flow("s1", "f", Match(in_port=1), [Output(2)], priority=7)
+    monitor = Recording()
+    monitor.install()
+    try:
+        client.read_flow("s1", "f")
+    finally:
+        monitor.uninstall()
+        secmon.reset_all()
+    files = ["version", "match.in_port", "action.out", "priority"]
+    assert judged == [("readdirplus", path, False)] + [("readdirplus", f"{path}/{name}", False) for name in files]
+    assert {prefix for _uid, _ns, prefix in monitor.accesses} == {"/net/switches"}
 
 
 def test_monitor_reset_keeps_registrations(mon):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.apps.base import PacketInApp, YancApp
-from repro.dataplane import build_linear
+from repro.dataplane import Match, build_linear
 from repro.runtime import YancController
 from repro.vfs.notify import EventMask
+from repro.views import Slicer
 from repro.yancfs.client import PacketInEvent
 
 
@@ -49,6 +50,35 @@ def test_receives_punts(rig):
     ctl.run(0.3)
     assert len(app.packets) == 1
     assert app.packets[0].switch == "sw1"
+
+
+def test_one_packet_in_wakes_each_subscribers_reader_once(rig):
+    """Regression: the maildir publish fires IN_CREATE(.pi_N) and then
+    IN_MOVED_TO(pi_N), and both made every subscriber drain its buffer."""
+    ctl, app = rig
+    view = Slicer(ctl.host.process(name="slicerd"), ctl.sim, view="v", switches=["sw1"], headerspace=Match(tp_dst=22)).start()
+    ctl.run(0.1)
+
+    def getdents() -> list[int]:
+        return [proc.sc.meter.counters.get("syscall.getdents") for proc in (app, view)]
+
+    before = getdents()
+    ctl.net.hosts["h1"].send_udp("10.0.0.99", 1, 2, b"miss")
+    ctl.run(0.3)
+    assert [after - count for after, count in zip(getdents(), before)] == [1, 1]
+    assert len(app.packets) == 1
+    assert ctl.host.root_sc.listdir(view.yc.events_path("sw1", view.app_name)) == []  # the view drained (and filtered) it too
+
+
+def test_a_directly_created_event_still_wakes_the_reader(rig):
+    """IN_CREATE stays in the buffer mask for writers that do not rename into place."""
+    ctl, app = rig
+    sc, path = ctl.host.root_sc, app.yc.events_path("sw1", app.app_name) + "/pi_900"
+    sc.mkdir(path)
+    for field, text in (("in_port", "1"), ("reason", "no_match"), ("buffer_id", "0"), ("total_len", "1"), ("data", "x")):
+        sc.write_text(f"{path}/{field}", text)
+    ctl.run(0.1)
+    assert [(pkt.seq, pkt.data) for pkt in app.packets] == [(900, b"x")]
 
 
 def test_subscribes_late_switches(rig):

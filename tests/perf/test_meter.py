@@ -9,9 +9,11 @@ regression back to the storm shape fails loudly.
 import pytest
 
 from repro import Simulator, YancController, build_linear
+from repro.dataplane import Match, Output
 from repro.perf import CostModel, PerfCounters, SyscallMeter
 from repro.proc import Process, ProcessTable
 from repro.shell import Shell
+from repro.vfs.errors import FileNotFound
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
@@ -109,6 +111,51 @@ def test_scandir_replaces_listdir_plus_lstat(sc: Syscalls):
     for name, st in stats.items():
         assert batched[name].ino == st.ino
         assert batched[name].ftype is st.ftype
+
+
+def test_readdirplus_replaces_listdir_plus_open_read_close(sc: Syscalls):
+    sc.mkdir("/d")
+    for name in "abcd":
+        sc.write_text(f"/d/{name}", name * 3)
+    sc.mkdir("/d/sub")
+
+    before = sc.meter.syscalls
+    contents = {name: sc.read_bytes(f"/d/{name}") for name in sc.listdir("/d") if name != "sub"}
+    storm = sc.meter.syscalls - before
+
+    before, copied = sc.meter.syscalls, sc.meter.counters.get("bytes.copied")
+    batched = sc.readdirplus("/d")
+    assert sc.meter.syscalls - before == 1
+    assert sc.meter.counters.get("syscall.readdirplus") == 1
+    assert sc.meter.counters.get("bytes.copied") - copied == 12  # the payload is billed, as read(2) bills it
+    assert storm == 1 + 3 * len(contents)
+    assert batched == [*contents.items(), ("sub", None)]
+
+    with pytest.raises(FileNotFound):
+        sc.readdirplus("/missing")
+    assert sc.meter.counters.get("syscall.readdirplus") == 2  # a refused crossing is still a crossing
+
+
+def test_object_readers_cost_one_crossing_per_object(yc: YancClient):
+    """The read pipeline's pins: a flow, a counters directory and a packet-in are one syscall each."""
+    meter = yc.sc.meter
+    yc.create_switch("s1")
+    yc.create_flow("s1", "f", Match(in_port=1, dl_type=0x800, tp_dst=80, nw_proto=6), [Output(2), Output(3)], priority=9, idle_timeout=5)
+    yc.subscribe_events("s1", "app")
+    events = 4
+    for seq in range(events):
+        yc.write_packet_in("s1", "app", seq, in_port=1, reason="no_match", buffer_id=0, total_len=1, data=b"x")
+
+    def cost(call, *args, **kwargs) -> int:
+        before = meter.syscalls
+        call(*args, **kwargs)
+        return meter.syscalls - before
+
+    assert cost(yc.read_flow, "s1", "f") == 1
+    assert cost(yc.flow_counters, "s1", "f") == 1
+    assert cost(yc.read_events, "s1", "app", consume=False) == 1 + events  # getdents, then a read per event
+    assert cost(yc.read_events, "s1", "app") == 1 + 2 * events  # ... and an rmdir per event
+    assert cost(yc.read_events, "s1", "app") == 1
 
 
 # -- dcache counters publish as deltas ---------------------------------------

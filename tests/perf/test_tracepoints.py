@@ -95,6 +95,19 @@ def test_walk_brackets_the_traversal(sc, tape):
     assert tape.events == [("enter", "walk", ("/a",)), ("exit", "walk", ("/a",), None)]
 
 
+def test_readdirplus_is_one_event_pair_named_after_the_directory(sc, tape):
+    sc.mkdir("/d")
+    sc.write_text("/d/a", "x")
+    sc.write_text("/d/b", "y")
+    tape.events.clear()
+    sc.chdir("/d")
+    assert sc.readdirplus(".") == [("a", b"x"), ("b", b"y")]
+    assert tape.events[2:] == [("enter", "readdirplus", ("/d",)), ("exit", "readdirplus", ("/d",), None)]  # no open/read/close inside
+    with pytest.raises(FileNotFound):
+        sc.readdirplus("/gone")
+    assert tape.events[-1] == ("exit", "readdirplus", ("/gone",), "FileNotFound")
+
+
 def test_ring_submitted_ops_fire_the_same_events_as_the_file_path(yanc_sc, tape):
     client = YancClient(yanc_sc)
     client.create_switch("s1")

@@ -116,3 +116,26 @@ def test_unsubscribe_discards_pending(two_switches, yc):
     yc.write_packet_in("sw1", "app", 1, in_port=1, reason="no_match", buffer_id=0, total_len=0, data=b"")
     yc.unsubscribe_events("sw1", "app")
     assert "app" not in two_switches.listdir("/net/switches/sw1/events")
+
+
+def test_an_incomplete_event_neither_loses_nor_blocks_its_neighbours(two_switches, yc):
+    """A foreign writer that mkdirs ``pi_2`` and is still filling it in (the IN_CREATE half of the buffer mask)."""
+    sc = two_switches
+    buffer = yc.subscribe_events("sw1", "app")
+    for seq in (1, 3):
+        yc.write_packet_in("sw1", "app", seq, in_port=seq, reason="no_match", buffer_id=0, total_len=0, data=b"x")
+    sc.mkdir(f"{buffer}/pi_2")
+    sc.write_text(f"{buffer}/pi_2/in_port", "2")
+    sc.mkdir(f"{buffer}/pi_4")  # every field created, one not yet written
+    for field in ("in_port", "reason", "buffer_id", "data"):
+        sc.write_text(f"{buffer}/pi_4/{field}", "4")
+    sc.write_text(f"{buffer}/pi_4/total_len", "")
+
+    assert [e.seq for e in yc.read_events("sw1", "app")] == [1, 3]
+    assert sorted(sc.listdir(buffer)) == ["pi_2", "pi_4"]  # left in place, not consumed
+
+    for field, text in (("reason", "no_match"), ("buffer_id", "0"), ("total_len", "0"), ("data", "y")):
+        sc.write_text(f"{buffer}/pi_2/{field}", text)
+    sc.write_text(f"{buffer}/pi_4/total_len", "4")
+    assert [(e.seq, e.in_port) for e in yc.read_events("sw1", "app")] == [(2, 2), (4, 4)]
+    assert sc.listdir(buffer) == []
