@@ -27,9 +27,9 @@ from repro.dataplane.actions import Output
 from repro.netpkt.addr import MacAddress
 from repro.netpkt.ethernet import ETH_TYPE_LLDP
 from repro.netpkt.packet import parse_frame
-from repro.vfs.errors import FileExists, FsError
+from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
-from repro.yancfs.client import PacketInEvent
+from repro.yancfs.client import PacketInEvent, flow_spec_files, write_objects_batched
 from repro.apps.base import PacketInApp
 from repro.apps.topology import DEFAULT_DELTAS_PATH, PortCache, parse_delta, read_topology
 
@@ -293,8 +293,10 @@ class RouterDaemon(PacketInApp):
         graph = self._graph()
         key = frame.key
         self._flow_seq += 1
+        flow_name = f"rt-{key.dl_src}-{key.dl_dst}-{self._flow_seq}"
         in_port = event.in_port
         first_out: int | None = None
+        hops = []
         for index, switch in enumerate(path):
             if index + 1 < len(path):
                 out_port = graph[switch][path[index + 1]]
@@ -302,22 +304,16 @@ class RouterDaemon(PacketInApp):
                 out_port = dst_port
             if first_out is None:
                 first_out = out_port
-            match = Match.exact(key, in_port=in_port)
-            flow_name = f"rt-{key.dl_src}-{key.dl_dst}-{self._flow_seq}"
-            try:
-                self.yc.create_flow(
-                    switch,
-                    flow_name,
-                    match,
-                    [Output(out_port)],
-                    idle_timeout=self.flow_idle_timeout,
-                )
-            except FileExists:
-                pass
+            files = flow_spec_files(Match.exact(key, in_port=in_port), [Output(out_port)], idle_timeout=self.flow_idle_timeout)
+            hops.append((self.yc.flow_path(switch, flow_name), files, "version"))
             if index + 1 < len(path):
                 next_switch = path[index + 1]
                 # The frame enters the next switch on the reverse port.
                 in_port = self._topology.get((switch, out_port), (next_switch, 0))[1]
+        # The whole path in one crossing, each hop its own chain: a hop
+        # that cannot be written (its directory is already there) is
+        # skipped and the others still commit.
+        write_objects_batched(self.sc, hops, self.ring)
         self.paths_installed += 1
         if event.buffer_id != NO_BUFFER:
             self.yc.packet_out(

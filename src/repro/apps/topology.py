@@ -29,7 +29,7 @@ from repro.netpkt.lldp import LLDP_MULTICAST_MAC, Lldp
 from repro.netpkt.packet import build_frame, parse_frame
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
-from repro.yancfs.client import PacketInEvent, YancClient
+from repro.yancfs.client import PacketInEvent, YancClient, packet_out_name
 from repro.yancfs.recovery import sweep_staging
 from repro.apps.base import PacketInApp
 
@@ -143,6 +143,7 @@ class TopologyDaemon(PacketInApp):
         self.deltas_published = 0
         self.port_cache = PortCache(self.yc)
         self._delta_seq = 0
+        self._beacon_seq = 0
         self._backlog: deque[str] = deque()
 
     def on_start(self) -> None:
@@ -207,15 +208,19 @@ class TopologyDaemon(PacketInApp):
     # -- beaconing ---------------------------------------------------------------------
 
     def send_beacons(self) -> None:
-        """One LLDP frame out of every known port of every switch."""
+        """One LLDP frame out of every known port of every switch: the round is one ring submission (one per full ring)."""
+        ring = self.ring
         for switch in self._safe_switches():
+            spool = f"{self.yc.switch_path(switch)}/packet_out"
             for port_no in self.port_cache.ports(switch):
-                frame = self._beacon(switch, port_no)
-                try:
-                    self.yc.packet_out(switch, [port_no], frame, tag=self.app_name)
-                    self.beacons_sent += 1
-                except FsError:
-                    continue
+                if ring.sq_pending + 3 > ring.entries:
+                    ring.submit()
+                self._beacon_seq += 1
+                ring.prep_write_file(f"{spool}/{packet_out_name([port_no], self.app_name, self._beacon_seq)}", self._beacon(switch, port_no))
+        ring.submit()
+        # A beacon is sent once its spool file is closed (the driver's
+        # cue); one whose switch vanished mid-round fails its own chain.
+        self.beacons_sent += sum(cqe.ok for cqe in ring.completions() if cqe.op == "close")
 
     @staticmethod
     def _beacon(switch: str, port_no: int) -> bytes:

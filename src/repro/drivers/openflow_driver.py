@@ -59,6 +59,9 @@ class SwitchBinding:
     #: flow directory -> the (match, priority) the driver believes is in hardware for it
     flows: dict[str, tuple[Match, int]] = field(default_factory=dict)
     follower: FlowFollower | None = None
+    #: ``("flows", name)`` / ``("ports", name)`` -> counter file -> the value whose write last completed ok;
+    #: it dies with the session, so a restarted or live-upgraded driver rewrites everything once
+    counters: dict[tuple[str, str], dict[str, int]] = field(default_factory=dict)
     event_apps: list[str] = field(default_factory=list)
     _suppressed: set[str] = field(default_factory=set)
     _rx: bytes = b""
@@ -126,7 +129,6 @@ class OpenFlowDriver(Process):
         self.channel_latency = channel_latency
         self.stats_interval = stats_interval
         self.bindings: dict[int, SwitchBinding] = {}
-        self._uring = None  # lazy: created on the first batched fan-out
         self._stats_task = None
         self._root_watch_added = False
         self.flow_mods_sent = 0
@@ -224,6 +226,7 @@ class OpenFlowDriver(Process):
     def _retire_flow(self, binding: SwitchBinding, flow_name: str) -> None:
         """The flow directory went: a strict delete, unless the switch retired it first."""
         installed = binding.flows.pop(flow_name, None)
+        binding.counters.pop(("flows", flow_name), None)
         if flow_name in binding._suppressed:
             binding._suppressed.discard(flow_name)
         elif installed is not None:
@@ -362,12 +365,6 @@ class OpenFlowDriver(Process):
         self.sc.write_text(f"{path}/name", port.name)
         self.sc.write_text(f"{path}/config.port_status", "down" if port.link_down else "up")
 
-    def _ring(self):
-        """The driver's submission ring (one per driver, like its epoll fd)."""
-        if self._uring is None:
-            self._uring = self.sc.io_uring_setup(entries=1024)
-        return self._uring
-
     def _on_packet_in(self, binding: SwitchBinding, msg: m.PacketIn) -> None:
         """Concurrently feed the packet-in to every subscribed app (§3.5), in two ring crossings."""
         self.packet_ins_handled += 1
@@ -384,7 +381,7 @@ class OpenFlowDriver(Process):
             buffer_id=msg.buffer_id,
             total_len=msg.total_len,
             data=msg.data,
-            ring=self._ring(),
+            ring=self.ring,
             apps=binding.event_apps,
         )
         binding.dropped_events += dropped
@@ -400,6 +397,7 @@ class OpenFlowDriver(Process):
                 except FsError:
                     binding._suppressed.discard(name)
                 binding.flows.pop(name, None)
+                binding.counters.pop(("flows", name), None)
                 return
 
     def _on_port_status(self, binding: SwitchBinding, msg: m.PortStatus) -> None:
@@ -408,6 +406,7 @@ class OpenFlowDriver(Process):
         name = f"port_{msg.port.port_no}"
         path = self.yc.port_path(binding.fs_name, name)
         if msg.reason is m.PortStatusReason.DELETE:
+            binding.counters.pop(("ports", name), None)
             if self.sc.exists(path):
                 self.sc.rmdir(path)
             return
@@ -422,40 +421,48 @@ class OpenFlowDriver(Process):
                 binding.send(m.FlowStatsRequest())
 
     def _on_port_stats(self, binding: SwitchBinding, msg: m.PortStatsReply) -> None:
-        writes = []
-        for entry in msg.entries:
-            base = f"{self.yc.port_path(binding.fs_name, entry.port_no)}/counters"
-            if not self.sc.exists(base):
-                continue
-            writes.append((f"{base}/rx_packets", str(entry.rx_packets)))
-            writes.append((f"{base}/tx_packets", str(entry.tx_packets)))
-            writes.append((f"{base}/rx_bytes", str(entry.rx_bytes)))
-            writes.append((f"{base}/tx_bytes", str(entry.tx_bytes)))
-            writes.append((f"{base}/tx_dropped", str(entry.tx_dropped)))
-        self._batch_writes(writes)
+        sweep = {
+            f"port_{entry.port_no}": {
+                "rx_packets": entry.rx_packets,
+                "tx_packets": entry.tx_packets,
+                "rx_bytes": entry.rx_bytes,
+                "tx_bytes": entry.tx_bytes,
+                "tx_dropped": entry.tx_dropped,
+            }
+            for entry in msg.entries
+        }
+        self._write_counters(binding, "ports", sweep)
 
     def _on_flow_stats(self, binding: SwitchBinding, msg: m.FlowStatsReply) -> None:
         by_key = {installed: name for name, installed in binding.flows.items()}
-        writes = []
+        sweep = {}
         for entry in msg.entries:
             name = by_key.get((entry.match, entry.priority))
-            if name is None:
-                continue
-            base = f"{self.yc.flow_path(binding.fs_name, name)}/counters"
-            if not self.sc.exists(base):
-                continue
-            writes.append((f"{base}/packet_count", str(entry.packet_count)))
-            writes.append((f"{base}/byte_count", str(entry.byte_count)))
-        self._batch_writes(writes)
+            if name is not None:
+                sweep[name] = {"packet_count": entry.packet_count, "byte_count": entry.byte_count}
+        self._write_counters(binding, "flows", sweep)
 
-    def _batch_writes(self, writes: list[tuple[str, str]]) -> None:
-        """Flush a periodic stats sweep in one crossing instead of N."""
-        if not writes:
-            return
-        ring = self._ring()
-        for path, text in writes:
-            if ring.sq_pending + 3 > ring.entries:
-                ring.submit()
-            ring.prep_write_file(path, text.encode())
+    def _write_counters(self, binding: SwitchBinding, kind: str, sweep: dict[str, dict[str, int]]) -> None:
+        """Flush a periodic stats sweep: one crossing for the counters that moved, none when none did.
+
+        No probe: a ``counters/`` that is gone fails its file's ``open``,
+        which cancels that file's chain and creates nothing.
+        """
+        ring = self.ring
+        root = f"{self.yc.switch_path(binding.fs_name)}/{kind}"
+        for name, values in sweep.items():
+            written = binding.counters.setdefault((kind, name), {})
+            for counter, value in values.items():
+                if written.get(counter) == value:
+                    continue
+                if ring.sq_pending + 3 > ring.entries:
+                    ring.submit()
+                ring.prep_write_file(f"{root}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
         ring.submit()
-        ring.completions()  # reap: stats writes are fire-and-forget
+        for cqe in ring.completions():
+            if cqe.op == "close":  # the last link of a file's chain: ok iff the whole write was
+                written, counter, value = cqe.user_data
+                if cqe.ok:
+                    written[counter] = value
+                else:
+                    written.pop(counter, None)  # retried by the next sweep

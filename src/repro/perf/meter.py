@@ -37,20 +37,23 @@ class SyscallMeter:
         if nbytes:
             self.counters.add("bytes.copied", nbytes)
 
-    def batch_op(self, name: str, nbytes: int = 0) -> None:
-        """Record one ring-submitted operation (see :mod:`repro.vfs.uring`).
+    def batch_ops(self, ops: dict[str, int], nbytes: int = 0) -> None:
+        """Record the operations one ring submit executed (see :mod:`repro.vfs.uring`).
 
-        A batched operation crosses no protection boundary of its own —
-        the batch's single ``io_uring_enter`` already paid the syscall and
-        context switches — so this bills only the per-op bookkeeping
-        (``uring.sqe``, ``uring.<name>``) and the payload bytes it moved.
+        ``ops`` maps an op kind to how many entries ran as it.  A batched
+        operation crosses no protection boundary of its own — the batch's
+        single ``io_uring_enter`` already paid the syscall and context
+        switches — so this bills only the per-op bookkeeping
+        (``uring.sqe``, ``uring.<kind>``) and the payload bytes moved.
         """
-        if self._paused:
+        if self._paused or not ops:
             return
-        self.counters.add("uring.sqe")
-        self.counters.add(f"uring.{name}")
+        add = self.counters.add
+        add("uring.sqe", sum(ops.values()))
+        for kind, count in ops.items():
+            add(f"uring.{kind}", count)
         if nbytes:
-            self.counters.add("bytes.copied", nbytes)
+            add("bytes.copied", nbytes)
 
     def pause(self) -> "_MeterPause":
         """Return a context manager that suspends metering while active."""

@@ -34,11 +34,14 @@ methods, so each fires that method's ``syscall`` trace point exactly as
 a direct call would, and :meth:`IoUring.submit` is itself a trace point
 (``on_uring_submit_enter(ring)`` / ``on_uring_submit_exit(ring, result,
 exc)``) so a subscriber can tell which ops one crossing carried.  The
-meter is paused around each entry so the facade's per-call billing does
-not double-count; each executed entry is instead billed via
-:meth:`~repro.perf.meter.SyscallMeter.batch_op` (``uring.sqe`` /
+meter is paused around the batch so the facade's per-call billing does
+not double-count; what executed is instead billed once per submit via
+:meth:`~repro.perf.meter.SyscallMeter.batch_ops` (``uring.sqe`` /
 ``uring.<op>`` / payload bytes).  Batching changes the *cost*, never the
-event stream or the analysis coverage.
+event stream or the analysis coverage — and an entry costs no more
+wall time than the direct call it stands for: the context's bound
+methods are looked up once per ring, :data:`LINK_FD` is substituted only
+where it appears.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ SUPPORTED_OPS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Sqe:
     """One submission-queue entry."""
 
@@ -107,7 +110,7 @@ class Sqe:
     user_data: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Cqe:
     """One completion-queue entry, in submission order.
 
@@ -145,6 +148,8 @@ class IoUring:
     _cq: list[Cqe] = field(default_factory=list)
     _pollers: list = field(default_factory=list)
     _seq: int = 0
+    #: op -> the context's bound method, looked up once per ring
+    _ops: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.entries < 1:
@@ -161,9 +166,8 @@ class IoUring:
         """
         if op not in SUPPORTED_OPS:
             raise InvalidArgument(detail=f"unsupported ring op {op!r}")
-        if len(self._sq) >= self.entries:
-            raise InvalidArgument(detail=f"submission queue full ({self.entries} entries)")
-        self._sq.append(Sqe(op=op, args=args, link=link, user_data=user_data))
+        self._room(1)
+        self._sq.append(Sqe(op, args, link, user_data))
         return len(self._sq) - 1
 
     def prep_write_file(self, path: str, data: bytes, *, link: bool = False, user_data: object = None) -> int:
@@ -173,12 +177,20 @@ class IoUring:
         value > file`` idiom).  ``link=True`` extends the chain into the
         *next* prepared entry, so whole multi-file sequences — assemble a
         maildir temp, then rename it into place — cancel together when any
-        step fails.  Returns the index of the ``open``.
+        step fails.  All three entries are queued or, when the queue has
+        no room for them, none is.  Returns the index of the ``open``.
         """
-        index = self.prep("open", path, O_WRONLY | O_CREAT | O_TRUNC, link=True, user_data=user_data)
-        self.prep("write", LINK_FD, data, link=True, user_data=user_data)
-        self.prep("close", LINK_FD, link=link, user_data=user_data)
-        return index
+        self._room(3)
+        self._sq += (
+            Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data),
+            Sqe("write", (LINK_FD, data), True, user_data),
+            Sqe("close", (LINK_FD,), link, user_data),
+        )
+        return len(self._sq) - 3
+
+    def _room(self, needed: int) -> None:
+        if len(self._sq) + needed > self.entries:
+            raise InvalidArgument(detail=f"submission queue full ({self.entries} entries)")
 
     @property
     def sq_pending(self) -> int:
@@ -192,89 +204,93 @@ class IoUring:
 
         Entries run in submission order through the real ``Syscalls``
         methods (so sanitizers, race detection, and notify events all see
-        them) with the meter paused; each executed entry is billed as a
-        batch op instead.  Returns the number of entries consumed.
+        them) with the meter paused for the whole batch; what ran is then
+        billed in one go, per op kind.  Returns the number of entries
+        consumed.
         """
         if _tracing and _entering(self):
             return _around("uring_submit", (self,), self.submit)
         if not self._sq:
             return 0
-        meter = self.sc.meter
+        sc = self.sc
+        meter = sc.meter
         meter.enter("io_uring_enter")
         batch, self._sq = self._sq, []
-        was_empty = not self._cq
+        cq = self._cq
+        was_empty = not cq
+        ops = self._ops
+        billed: dict[str, int] = {}  # op kind -> entries of this batch billed under it
+        nbytes = 0
+        index = self._seq
         chain_fd: int | None = None
         chain_broken = False
-        for sqe in batch:
-            index = self._seq
-            self._seq += 1
-            if chain_broken:
-                self._cq.append(Cqe(index=index, op=sqe.op, canceled=True, user_data=sqe.user_data))
-                meter.batch_op("canceled")
-            else:
-                cqe = self._execute(index, sqe, chain_fd)
-                self._cq.append(cqe)
-                if cqe.error is not None:
-                    # Cancels the rest of a linked chain; for a chain-final
-                    # entry the boundary reset below runs this same
-                    # iteration, so only the autoclose side effect remains.
-                    chain_broken = True
-                elif cqe.ok:
-                    if sqe.op == "open":
-                        chain_fd = cqe.result
-                    elif sqe.op == "close" and self._is_link_fd(sqe.args):
-                        chain_fd = None
-            if not sqe.link:  # chain boundary: reset link state
-                if chain_fd is not None and chain_broken:
-                    self._autoclose(chain_fd)
-                chain_fd = None
-                chain_broken = False
-        if chain_fd is not None and chain_broken:
-            self._autoclose(chain_fd)
-        if self._cq and was_empty:
-            self._notify_pollers()
-        return len(batch)
-
-    def _execute(self, index: int, sqe: Sqe, chain_fd: int | None) -> Cqe:
-        meter = self.sc.meter
-        args = sqe.args
-        if any(isinstance(a, _LinkFd) for a in args):
-            if chain_fd is None:
-                err = InvalidArgument(detail=f"{sqe.op}: LINK_FD with no open earlier in the chain")
-                meter.batch_op(sqe.op)
-                return Cqe(index=index, op=sqe.op, error=err, user_data=sqe.user_data)
-            args = tuple(chain_fd if isinstance(a, _LinkFd) else a for a in args)
-        fn = getattr(self.sc, sqe.op)
         try:
             with meter.pause():
-                result = fn(*args)
-        except FsError as exc:
-            meter.batch_op(sqe.op)
-            return Cqe(index=index, op=sqe.op, error=exc, user_data=sqe.user_data)
-        meter.batch_op(sqe.op, nbytes=self._payload_bytes(sqe.op, args, result))
-        return Cqe(index=index, op=sqe.op, result=result, user_data=sqe.user_data)
+                for sqe in batch:
+                    op = kind = sqe.op  # kind: what the entry is billed as
+                    result = error = None
+                    canceled = chain_broken
+                    if canceled:
+                        kind = "canceled"
+                    else:
+                        args = sqe.args
+                        if LINK_FD in args:
+                            if chain_fd is None:
+                                error = InvalidArgument(detail=f"{op}: LINK_FD with no open earlier in the chain")
+                            else:
+                                args = tuple([chain_fd if arg is LINK_FD else arg for arg in args])
+                        if error is None:
+                            fn = ops.get(op)
+                            if fn is None:
+                                fn = ops[op] = getattr(sc, op)
+                            try:
+                                result = fn(*args)
+                            except FsError as exc:
+                                error = exc
+                            else:
+                                if op == "open":
+                                    chain_fd = result
+                                elif op == "close":
+                                    if sqe.args[0] is LINK_FD:
+                                        chain_fd = None
+                                else:
+                                    nbytes += self._payload_bytes(op, args, result)
+                        # An error cancels the rest of a linked chain; for a
+                        # chain-final entry the boundary reset below runs this
+                        # same iteration, so only the autoclose side effect remains.
+                        chain_broken = error is not None
+                    cq.append(Cqe(index, op, result, error, canceled, sqe.user_data))
+                    billed[kind] = billed.get(kind, 0) + 1
+                    index += 1
+                    if not sqe.link:  # chain boundary: reset link state
+                        if chain_broken and chain_fd is not None:
+                            self._autoclose(chain_fd, billed)
+                        chain_fd = None
+                        chain_broken = False
+                if chain_broken and chain_fd is not None:
+                    self._autoclose(chain_fd, billed)
+        finally:
+            self._seq = index
+            meter.batch_ops(billed, nbytes)
+        if cq and was_empty:
+            self._notify_pollers()
+        return len(batch)
 
     @staticmethod
     def _payload_bytes(op: str, args: tuple, result: object) -> int:
         if op in ("read", "pread") and isinstance(result, bytes):
             return len(result)
-        if op in ("write", "pwrite") and len(args) >= 2 and isinstance(args[1], (bytes, bytearray, memoryview)):
+        if op in ("write", "pwrite") and isinstance(args[1], (bytes, bytearray, memoryview)):
             return len(args[1])
         return 0
 
-    @staticmethod
-    def _is_link_fd(args: tuple) -> bool:
-        return bool(args) and isinstance(args[0], _LinkFd)
-
-    def _autoclose(self, fd: int) -> None:
-        """Close the fd a severed chain left open (no descriptor leaks)."""
-        meter = self.sc.meter
+    def _autoclose(self, fd: int, billed: dict[str, int]) -> None:
+        """Close the fd a severed chain left open (no descriptor leaks); runs inside the submit's meter pause."""
         try:
-            with meter.pause():
-                self.sc.close(fd)
+            self.sc.close(fd)
         except FsError:
             return
-        meter.batch_op("chain_autoclose")
+        billed["chain_autoclose"] = billed.get("chain_autoclose", 0) + 1
 
     # -- completion reaping (shared memory: free) ----------------------------
 
@@ -294,6 +310,12 @@ class IoUring:
     def cq_pending(self) -> int:
         """Completions waiting to be reaped."""
         return len(self._cq)
+
+    def close(self) -> None:
+        """Drop queued entries, unreaped completions and pollers."""
+        self._sq.clear()
+        self._cq.clear()
+        self._pollers.clear()
 
     # -- the pollable protocol (see repro.vfs.poll) --------------------------
 

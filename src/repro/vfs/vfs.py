@@ -499,9 +499,11 @@ class VirtualFileSystem:
 
         Entries that are mountpoints report the mounted root's stat (as
         ``walk`` does); symlinks report their own stat (lstat semantics).
+        The directory needs ``MAY_READ`` (to list) and ``MAY_EXEC`` (the
+        per-entry ``lstat`` reaches through it).
         """
         node = require_dir(self.resolve(ns, cred, path), path)
-        self.check_access(node, cred, MAY_READ, path)
+        self.check_access(node, cred, MAY_READ | MAY_EXEC, path)
         out: list[tuple[str, Stat]] = []
         for name, child in node.children():
             mount = ns.mount_at(child)

@@ -503,16 +503,7 @@ class YancClient:
         addition to) raw ``data``.
         """
         self._pktout_seq = getattr(self, "_pktout_seq", 0) + 1
-        tokens = []
-        for port in ports:
-            tokens.append(port if isinstance(port, str) else f"p{port}")
-        if in_port is not None:
-            tokens.append(f"in{in_port}")
-        if buffer_id is not None:
-            tokens.append(f"b{buffer_id}")
-        tokens.append(tag)
-        tokens.append(str(self._pktout_seq))
-        path = f"{self.switch_path(switch)}/packet_out/{'.'.join(tokens)}"  # read back by parse_packet_out_name
+        path = f"{self.switch_path(switch)}/packet_out/{packet_out_name(ports, tag, self._pktout_seq, in_port=in_port, buffer_id=buffer_id)}"
         self.sc.write_bytes(path, data)
         return path
 
@@ -555,8 +546,23 @@ def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, 
     return {"in_port": str(in_port), "reason": reason, "buffer_id": str(buffer_id), "total_len": str(total_len), "data": data}
 
 
+def packet_out_name(ports: list[int | str], tag: str, seq: int, *, in_port: int | None = None, buffer_id: int | None = None) -> str:
+    """The spool file name of one outbound packet; :func:`parse_packet_out_name` reads it back.
+
+    The one formatter, for the writers that queue the spool write
+    themselves (a ring submission) as for :meth:`YancClient.packet_out`;
+    ``tag`` and ``seq`` only keep a writer's names apart.
+    """
+    tokens = [port if isinstance(port, str) else f"p{port}" for port in ports]
+    if in_port is not None:
+        tokens.append(f"in{in_port}")
+    if buffer_id is not None:
+        tokens.append(f"b{buffer_id}")
+    return ".".join([*tokens, tag, str(seq)])
+
+
 def parse_packet_out_name(name: str) -> tuple[tuple[int | str, ...], int | None, int | None]:
-    """``(ports, in_port, buffer_id)`` back from the spool file name :meth:`YancClient.packet_out` formats.
+    """``(ports, in_port, buffer_id)`` back from the spool file name :func:`packet_out_name` formats.
 
     Dot-separated tokens: ``p<N>`` / ``flood`` / ``all`` name output
     ports, ``in<N>`` the logical in-port, ``b<N>`` a switch buffer to

@@ -3,17 +3,26 @@
 from types import SimpleNamespace
 
 import pytest
+from flow_strategies import IPS, MACS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import RouterDaemon, TopologyDaemon, read_topology
+from repro.apps.router import NO_BUFFER
 from repro.apps.topology import (
     DEFAULT_DELTAS_PATH,
     TopologyDelta,
     format_delta,
     parse_delta,
 )
-from repro.dataplane import build_linear, build_ring, build_tree
+from repro.dataplane import Match, Output, build_linear, build_ring, build_tree
+from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Udp
+from repro.netpkt.packet import build_frame, parse_frame
 from repro.perf import SyscallMeter
 from repro.runtime import YancController
+from repro.vfs.errors import FileExists
+from repro.vfs.notify import IN_ALL_EVENTS
+from repro.yancfs.client import PacketInEvent, read_object
 
 
 def _stack(net, *, router=True):
@@ -249,3 +258,87 @@ def test_app_stop_ceases_processing():
     ctl.run(2.0)
     assert router.paths_installed + router.floods == before
     topod.stop()
+
+
+# -- the batched path install: the per-syscall spelling is the reference ------------------------
+
+
+class PerSyscallRouter(RouterDaemon):
+    """The path written as it was before the ring: one ``create_flow`` per hop, a system call per step."""
+
+    def _route(self, event, frame, location):
+        dst_switch, dst_port = location
+        path = self.shortest_path(event.switch, dst_switch)
+        graph = self._graph()
+        key = frame.key
+        self._flow_seq += 1
+        in_port = event.in_port
+        for index, switch in enumerate(path):
+            out_port = graph[switch][path[index + 1]] if index + 1 < len(path) else dst_port
+            try:
+                self.yc.create_flow(
+                    switch, f"rt-{key.dl_src}-{key.dl_dst}-{self._flow_seq}", Match.exact(key, in_port=in_port), [Output(out_port)], idle_timeout=self.flow_idle_timeout
+                )
+            except FileExists:
+                pass
+            if index + 1 < len(path):
+                in_port = self._topology[(switch, out_port)][1]
+        self.paths_installed += 1
+        self.yc.packet_out(event.switch, [graph[path[0]][path[1]] if len(path) > 1 else dst_port], event.data, in_port=event.in_port, tag=self.app_name)
+
+
+def _route_one(router_cls, hops: int, raw: bytes, existing: int | None):
+    """Route ``raw`` from sw1's first host to sw<hops>'s last on a fresh chain; what that left behind."""
+    net = build_linear(hops, hosts_per_switch=2)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(), ctl.sim).start()
+    router = router_cls(ctl.host.process(), ctl.sim).start()
+    ctl.run(1.0)
+    assert router.topology() == ctl.expected_topology()
+    topod.stop()
+    ctl.run(0.1)  # the last beacons drain: the only frame from here on is the released one
+    sc, yc, frame = ctl.host.root_sc, ctl.client(), parse_frame(raw)
+    src, dst = net.hosts["h1"], net.hosts[f"h{2 * hops}"]
+    router.host_locations[frame.eth.dst] = net.host_ports()[dst.name]
+    flow = f"rt-{frame.eth.src}-{frame.eth.dst}-1"
+    switches = [f"sw{n}" for n in range(1, hops + 1)]
+    if existing is not None:
+        sc.mkdir(yc.flow_path(switches[existing], flow))  # somebody else's, uncommitted
+    delivered = dst.rx_frames
+    ino = sc.inotify_init()
+    watched = {sc.inotify_add_watch(ino, f"{yc.switch_path(switch)}/flows", IN_ALL_EVENTS): switch for switch in switches}
+    router.handle_packet_in(
+        PacketInEvent(switch="sw1", seq=1, in_port=net.host_ports()[src.name][1], reason="no_match", buffer_id=NO_BUFFER, total_len=len(raw), data=raw)
+    )
+    events = [(watched[event.wd], int(event.mask), event.name) for event in sc.inotify_read(ino)]
+    directories = {switch: list(read_object(sc, yc.flow_path(switch, flow)).items()) for switch in switches}
+    ctl.run(0.3)
+    tables = {switch: [(entry.match, entry.priority, tuple(entry.actions), entry.idle_timeout) for entry in net.switches[switch].table.entries()] for switch in switches}
+    released = dst.rx_frames - delivered
+    return SimpleNamespace(left=(events, directories, tables, released, router.paths_installed), directories=directories, released=released)
+
+
+_FRAMES = st.builds(
+    lambda macs, ips, sport, dport, payload: build_frame(Ethernet(dst=macs[1], src=macs[0], eth_type=ETH_TYPE_IPV4), IPv4(ips[0], ips[1], 17), Udp(sport, dport, payload=payload)),
+    st.permutations(MACS),
+    st.permutations(IPS),
+    st.integers(min_value=1, max_value=65535),
+    st.integers(min_value=1, max_value=65535),
+    st.binary(max_size=32),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(hops=st.integers(min_value=1, max_value=3), raw=_FRAMES, existing=st.one_of(st.none(), st.integers(min_value=0, max_value=2)))
+def test_a_batched_path_leaves_what_create_flow_per_hop_left(hops, raw, existing):
+    existing = None if existing is None or existing >= hops else existing
+    batched = _route_one(RouterDaemon, hops, raw, existing)
+    # The same flows/ events per switch, the same files with the same bytes
+    # in the same order, the same hardware entries, the same released packet.
+    assert batched.left == _route_one(PerSyscallRouter, hops, raw, existing).left
+    for index, files in enumerate(batched.directories.values()):
+        if index == existing:
+            assert files == [("version", b"0")]  # skipped, as FileExists skipped it: the others still commit
+        else:
+            assert dict(files)["version"] == b"1" and len(files) > 10  # a hop is committed iff its spec files are there
+    assert batched.released == 1

@@ -5,6 +5,8 @@ import pytest
 from repro.dataplane import FLOOD, Match, Output, build_linear
 from repro.drivers import OF10_VERSION, OF13_VERSION
 from repro.runtime import YancController
+from repro.vfs import EventMask
+from repro.vfs.notify import IN_ALL_EVENTS
 
 
 @pytest.fixture
@@ -114,6 +116,94 @@ def test_counters_sync_into_fs(ctl):
     assert counters["packet_count"] > 0
     port_counters = yc.port_counters("sw1", 1)
     assert port_counters["tx_packets"] > 0
+
+
+# -- the stats sweep writes what moved, and probes nothing ---------------------------------
+
+
+def _ring_crossings(ctl) -> int:
+    return ctl.drivers[0].sc.meter.counters.get("syscall.io_uring_enter")
+
+
+def _watch(ctl, path: str):
+    """An inotify instance on ``path`` and a drain that returns ``(mask, name)`` pairs."""
+    sc = ctl.host.root_sc
+    ino = sc.inotify_init()
+    sc.inotify_add_watch(ino, path, IN_ALL_EVENTS)
+    return lambda: [(event.mask, event.name) for event in sc.inotify_read(ino)]
+
+
+@pytest.fixture
+def swept(ctl):
+    """Flood flows on both switches, one ping, and sweeps enough for every counter to be in the tree."""
+    yc = ctl.client()
+    for sw in yc.switches():
+        yc.create_flow(sw, "flood", Match(), [Output(FLOOD)], priority=1)
+    ctl.run(0.2)
+    ctl.net.hosts["h1"].ping(ctl.net.hosts["h2"].ip)
+    ctl.run(2.5)
+    assert yc.flow_counters("sw1", "flood")["packet_count"] > 0
+    return ctl
+
+
+def test_a_sweep_with_nothing_new_crosses_nothing_and_wakes_nobody(swept):
+    events = _watch(swept, "/net/switches/sw1/flows/flood/counters")
+    probes = swept.drivers[0].sc.meter.counters.get("syscall.access")
+    before = _ring_crossings(swept)
+    swept.run(3.0)  # three polls of two switches, no traffic
+    assert _ring_crossings(swept) == before
+    assert swept.drivers[0].sc.meter.counters.get("syscall.access") == probes  # the write chain's ENOENT is the probe
+    assert events() == []
+
+
+def test_a_counter_that_moved_is_written(swept):
+    yc = swept.client()
+    seen = yc.flow_counters("sw1", "flood")["packet_count"]
+    events = _watch(swept, "/net/switches/sw1/flows/flood/counters")
+    before = _ring_crossings(swept)
+    swept.net.hosts["h1"].ping(swept.net.hosts["h2"].ip)
+    swept.run(1.5)
+    entry = swept.net.switches["sw1"].table.entries()[0]
+    assert yc.flow_counters("sw1", "flood") == {"packet_count": entry.packet_count, "byte_count": entry.byte_count}
+    assert entry.packet_count > seen
+    assert {name for mask, name in events() if mask & EventMask.IN_MODIFY} == {"packet_count", "byte_count"}
+    assert _ring_crossings(swept) > before
+
+
+def test_a_flow_recreated_under_its_old_name_has_its_counters_written_again(swept):
+    yc = swept.client()
+    yc.create_flow("sw1", "idle", Match(dl_type=0x88B5), [Output(2)], priority=9)  # never hit: its counters stay 0
+    swept.run(1.5)
+    quiet = _ring_crossings(swept)
+    swept.run(1.0)
+    assert _ring_crossings(swept) == quiet
+    yc.delete_flow("sw1", "idle")
+    swept.run(0.1)
+    yc.create_flow("sw1", "idle", Match(dl_type=0x88B5), [Output(2)], priority=9)
+    swept.run(0.1)
+    events = _watch(swept, "/net/switches/sw1/flows/idle/counters")
+    swept.run(1.0)
+    # The same values as before the removal, and still written: what the
+    # driver remembered about the old directory went with it.
+    assert {name for mask, name in events() if mask & EventMask.IN_CLOSE_WRITE} == {"packet_count", "byte_count"}
+    assert _ring_crossings(swept) == quiet + 1
+
+
+def test_a_vanished_counters_directory_creates_nothing_and_poisons_no_neighbour(ctl):
+    yc, sc = ctl.client(), ctl.host.root_sc
+    yc.create_flow("sw1", "gone", Match(dl_type=0x800), [Output(2)], priority=5)
+    yc.create_flow("sw1", "kept", Match(dl_type=0x806), [Output(2)], priority=5)
+    ctl.run(0.2)
+    sc.rmdir("/net/switches/sw1/flows/gone/counters")
+    events = _watch(ctl, "/net/switches/sw1/flows/kept/counters")
+    ctl.run(1.0)  # the first sweep
+    assert "counters" not in sc.listdir("/net/switches/sw1/flows/gone")
+    assert {name for mask, name in events() if mask & EventMask.IN_CLOSE_WRITE} == {"packet_count", "byte_count"}
+    assert len(ctl.net.switches["sw1"].table) == 2 and ctl.drivers[0].crashes == 0
+    before = _ring_crossings(ctl)
+    ctl.run(1.0)  # only the failed writes are tried again
+    assert _ring_crossings(ctl) == before + 1
+    assert events() == [] and "counters" not in sc.listdir("/net/switches/sw1/flows/gone")
 
 
 def test_packet_out_spool_consumed(ctl):

@@ -9,7 +9,11 @@ regression back to the storm shape fails loudly.
 import pytest
 
 from repro import Simulator, YancController, build_linear
+from repro.apps import RouterDaemon, TopologyDaemon
+from repro.apps.router import NO_BUFFER
 from repro.dataplane import Match, Output
+from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Udp
+from repro.netpkt.packet import build_frame
 from repro.perf import CostModel, PerfCounters, SyscallMeter
 from repro.proc import Process, ProcessTable
 from repro.shell import Shell
@@ -17,7 +21,7 @@ from repro.vfs.errors import FileNotFound
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
-from repro.yancfs.client import YancClient
+from repro.yancfs.client import PacketInEvent, YancClient
 
 
 # -- SyscallMeter ------------------------------------------------------------
@@ -156,6 +160,43 @@ def test_object_readers_cost_one_crossing_per_object(yc: YancClient):
     assert cost(yc.read_events, "s1", "app", consume=False) == 1 + events  # getdents, then a read per event
     assert cost(yc.read_events, "s1", "app") == 1 + 2 * events  # ... and an rmdir per event
     assert cost(yc.read_events, "s1", "app") == 1
+
+
+def test_a_control_loop_step_is_one_ring_submission():
+    """The write pipeline's pins on the live loop: a routed path and a beacon round cross once, over a ring set up once per process."""
+    net = build_linear(3)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(meter=SyscallMeter()), ctl.sim).start()
+    router = RouterDaemon(ctl.host.process(meter=SyscallMeter()), ctl.sim, record_hosts=False).start()
+    ctl.run(1.0)
+    assert router.topology() == ctl.expected_topology()
+
+    def cost(process, step) -> dict[str, int]:
+        before = process.sc.meter.counters.snapshot()
+        step()
+        return {name[len("syscall.") :]: count for name, count in process.sc.meter.counters.snapshot().delta(before).items() if name.startswith("syscall.")}
+
+    def packet_in(src_port: int) -> PacketInEvent:
+        raw = build_frame(Ethernet(dst=h3.mac, src=h1.mac, eth_type=ETH_TYPE_IPV4), IPv4(h1.ip, h3.ip, 17), Udp(src_port, 9, payload=b"x"))
+        return PacketInEvent(switch="sw1", seq=src_port, in_port=net.host_ports()["h1"][1], reason="no_match", buffer_id=NO_BUFFER, total_len=len(raw), data=raw)
+
+    h1, h3 = net.hosts["h1"], net.hosts["h3"]
+    router.host_locations[h3.mac] = net.host_ports()["h3"]
+    packet_out = {"open": 1, "write": 1, "close": 1}
+    # Three hops, three flow directories of a dozen files each: one crossing, then the packet release.
+    assert cost(router, lambda: router.handle_packet_in(packet_in(1))) == {"io_uring_setup": 1, "io_uring_enter": 1, **packet_out, "total": 5}
+    assert cost(router, lambda: router.handle_packet_in(packet_in(2))) == {"io_uring_enter": 1, **packet_out, "total": 4}
+    assert router.paths_installed == 2 and all(len(ctl.client().flows(switch)) == 3 for switch in ("sw1", "sw2", "sw3"))  # 2 paths + lldp_punt
+
+    ports = sum(len(switch.ports) for switch in net.switches.values())
+    sent = topod.beacons_sent
+    # One getdents for the switch list (the ports are cached), one crossing for the round.
+    assert cost(topod, topod.send_beacons) == {"getdents": 1, "io_uring_enter": 1, "total": 2}
+    assert topod.beacons_sent - sent == ports == 7
+    assert topod.sc.meter.counters.get("syscall.io_uring_setup") == 1  # the rounds before this one used the same ring
+    topod._ring = topod.sc.io_uring_setup(entries=8)  # room for two beacons: a round is one crossing per full ring
+    assert cost(topod, topod.send_beacons)["io_uring_enter"] == -(-ports // (8 // 3)) == 4
+    assert topod.beacons_sent - sent == 2 * ports
 
 
 # -- dcache counters publish as deltas ---------------------------------------

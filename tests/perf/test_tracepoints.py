@@ -19,7 +19,8 @@ from repro.proc.process import Process, ProcessTable
 from repro.sim.clock import Simulator
 from repro.vfs.errors import FileNotFound
 from repro.vfs.notify import NotifyHub
-from repro.vfs.syscalls import Syscalls
+from repro.vfs.syscalls import O_RDONLY, Syscalls
+from repro.vfs.uring import LINK_FD
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import YancClient, flow_spec_files, mount_yancfs
 
@@ -132,6 +133,48 @@ def test_ring_submitted_ops_fire_the_same_events_as_the_file_path(yanc_sc, tape)
         return [(op, tuple(p.replace("ringed", "direct") for p in paths)) for op, paths in ops]
 
     assert direct and normalized(ringed) == direct
+
+
+class RingTape(Tape):
+    """A tape that also records the ``uring_submit`` bracket."""
+
+    def on_uring_submit_enter(self, ring):
+        self.events.append(("submit-enter",))
+
+    def on_uring_submit_exit(self, ring, result, exc):
+        self.events.append(("submit-exit", result))
+
+
+def test_every_entry_of_a_submit_fires_its_own_syscall_pair_inside_one_bracket(sc):
+    """What keeps yancrace, the yancsec monitor and the yanccrash recorder sighted on batched writers."""
+    tape = RingTape()
+    sc.write_bytes("/f", b"x")
+    ring = sc.io_uring_setup()
+    ring.prep("open", "/f", O_RDONLY, link=True)
+    ring.prep("listdir", "/missing", link=True)  # severs the chain with its fd open
+    ring.prep("close", LINK_FD)  # canceled: never runs, so fires nothing
+    ring.prep_write_file("/g", b"y")
+    tracepoints.subscribe(tape)
+    try:
+        ring.submit()
+    finally:
+        tracepoints.unsubscribe(tape)
+    assert tape.events == [
+        ("submit-enter",),
+        ("enter", "open", ("/f",)),
+        ("exit", "open", ("/f",), None),
+        ("enter", "listdir", ("/missing",)),
+        ("exit", "listdir", ("/missing",), "FileNotFound"),
+        ("enter", "close", ()),  # the autoclose of the severed chain's descriptor
+        ("exit", "close", (), None),
+        ("enter", "open", ("/g",)),
+        ("exit", "open", ("/g",), None),
+        ("enter", "write", ()),
+        ("exit", "write", (), None),
+        ("enter", "close", ()),
+        ("exit", "close", (), None),
+        ("submit-exit", 6),
+    ]
 
 
 def test_the_bus_issues_no_metered_call(yanc_sc):

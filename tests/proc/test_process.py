@@ -230,6 +230,25 @@ def test_no_fd_leaks_across_crash_and_restart(rt):
         san.uninstall()
 
 
+def test_the_ring_is_lazy_persistent_and_closed_with_the_loop(rt):
+    sim, sc, table = rt
+    proc = table.spawn(name="writer").start()
+    setups = lambda: proc.sc.meter.counters.get("syscall.io_uring_setup")  # noqa: E731
+    assert setups() == 0  # spawning and starting cost no ring
+    ring = proc.ring
+    assert proc.ring is ring and setups() == 1  # one per process, like its inotify and epoll descriptors
+    ring.prep("mkdir", "/spool/queued")
+    proc.stop()
+    assert ring.sq_pending == 0 and not sc.exists("/spool/queued")  # closed: what was queued is dropped, not run
+    fresh = proc.start().ring
+    assert fresh is not ring and setups() == 2
+    fresh.prep("mkdir", "/spool/made")
+    assert fresh.submit() == 1 and sc.exists("/spool/made")
+    proc.schedule(0.0, lambda: 1 / 0)
+    sim.run()
+    assert proc.state is ProcState.CRASHED and proc.ring is not fresh  # a crash closes it as a stop does
+
+
 # -- scheduling and accounting -----------------------------------------------
 
 

@@ -159,6 +159,91 @@ def test_batched_payload_bytes_still_billed(sc, ring):
     assert sc.meter.counters.get("bytes.copied") == 10
 
 
+# A submit bills its entries in one go, per op kind; the contract is the
+# totals and the completions the entry-at-a-time implementation produced
+# (the literals below were recorded from it, at the parent of the rewrite).
+
+
+def _ok(sc, ring):
+    sc.write_bytes("/seed", b"seeded")
+    ring.prep("mkdir", "/d", link=True, user_data="obj")
+    ring.prep_write_file("/d/f", b"hello", link=True, user_data="obj")
+    ring.prep("rename", "/d", "/e", user_data="obj")
+    ring.prep("open", "/seed", O_RDONLY, link=True)
+    ring.prep("pread", LINK_FD, 4, 1, link=True)
+    ring.prep("close", LINK_FD)
+    ring.prep("listdir", "/e")
+
+
+def _fails_mid_chain(sc, ring):
+    ring.prep("mkdir", "/d", link=True)
+    ring.prep_write_file("/missing/f", b"lost", link=True)
+    ring.prep("rename", "/d", "/e")
+    ring.prep("mkdir", "/independent")
+
+
+def _link_fd_without_an_open(sc, ring):
+    ring.prep("write", LINK_FD, b"nowhere", link=True)
+    ring.prep("close", LINK_FD)
+    ring.prep("mkdir", "/independent")
+
+
+def _severed_with_an_fd_open(sc, ring):
+    sc.write_bytes("/seed", b"seeded")
+    ring.prep("open", "/seed", O_RDONLY, link=True)
+    ring.prep("read", LINK_FD, 3, link=True)
+    ring.prep("listdir", "/missing", link=True)
+    ring.prep("close", LINK_FD)
+    ring.prep_write_file("/after", b"next chain")
+
+
+_ONE_CROSSING = {"ctxsw": 4, "syscall.io_uring_enter": 1, "syscall.total": 1}
+
+
+@pytest.mark.parametrize(
+    "batch, billed, completed",
+    [
+        (
+            _ok,
+            {"bytes.copied": 9, "uring.close": 2, "uring.listdir": 1, "uring.mkdir": 1, "uring.open": 2, "uring.pread": 1, "uring.rename": 1, "uring.sqe": 9, "uring.write": 1},
+            [("mkdir", None, "obj"), ("open", 4, "obj"), ("write", 5, "obj"), ("close", None, "obj"), ("rename", None, "obj"), ("open", 5, None), ("pread", b"eede", None), ("close", None, None), ("listdir", ["f"], None)],
+        ),
+        (
+            _fails_mid_chain,
+            {"uring.canceled": 3, "uring.mkdir": 2, "uring.open": 1, "uring.sqe": 6},
+            [("mkdir", None, None), ("open", "FileNotFound", None), ("write", "canceled", None), ("close", "canceled", None), ("rename", "canceled", None), ("mkdir", None, None)],
+        ),
+        (
+            _link_fd_without_an_open,
+            {"uring.canceled": 1, "uring.mkdir": 1, "uring.sqe": 3, "uring.write": 1},
+            [("write", "InvalidArgument", None), ("close", "canceled", None), ("mkdir", None, None)],
+        ),
+        (
+            _severed_with_an_fd_open,
+            {"bytes.copied": 13, "uring.canceled": 1, "uring.chain_autoclose": 1, "uring.close": 1, "uring.listdir": 1, "uring.open": 2, "uring.read": 1, "uring.sqe": 8, "uring.write": 1},
+            [("open", 4, None), ("read", b"see", None), ("listdir", "FileNotFound", None), ("close", "canceled", None), ("open", 5, None), ("write", 10, None), ("close", None, None)],
+        ),
+    ],
+)
+def test_a_submit_bills_and_completes_what_entry_at_a_time_did(sc, ring, batch, billed, completed):
+    batch(sc, ring)
+    sc.meter.reset()
+    ring.submit()
+    assert sc.meter.counters.snapshot().values == _ONE_CROSSING | billed
+    cqes = ring.completions()
+    assert [cqe.index for cqe in cqes] == list(range(len(completed)))
+    assert [(cqe.op, "canceled" if cqe.canceled else type(cqe.error).__name__ if cqe.error else cqe.result, cqe.user_data) for cqe in cqes] == completed
+    assert not sc._fds
+
+
+def test_a_paused_meter_bills_nothing_for_a_submit(sc, ring):
+    ring.prep_write_file("/f", b"12345")
+    sc.meter.reset()
+    with sc.meter.pause():
+        ring.submit()
+    assert sc.meter.counters.snapshot().values == {}
+
+
 # -- validation ------------------------------------------------------------------------
 
 
@@ -175,6 +260,27 @@ def test_queue_full_rejected(sc):
         ring.prep("mkdir", "/c")
     ring.submit()
     ring.prep("mkdir", "/c")  # room again after the flush
+
+
+def test_prep_write_file_queues_its_whole_chain_or_nothing(sc):
+    # Regression: with fewer than three free slots the linked open was
+    # queued before the queue-full error, leaving a dangling chain head
+    # that the next submit ran (an empty file appeared), linked into the
+    # next prepared entry, and whose descriptor leaked.
+    ring = sc.io_uring_setup(entries=4)
+    sc.mkdir("/a")
+    for name in ("/b", "/c", "/d"):
+        ring.prep("mkdir", name)
+    with pytest.raises(InvalidArgument):
+        ring.prep_write_file("/a/x", b"data")
+    assert ring.sq_pending == 3
+    ring.prep("mkdir", "/e")  # the slot the failed chain did not take
+    assert ring.submit() == 4
+    assert all(cqe.ok for cqe in ring.completions())
+    assert sc.listdir("/a") == [] and not sc._fds
+    ring.prep_write_file("/a/x", b"data")  # room again: the chain runs whole
+    ring.submit()
+    assert sc.read_bytes("/a/x") == b"data" and not sc._fds
 
 
 def test_bad_ring_size_rejected(sc):

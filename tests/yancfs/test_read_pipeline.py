@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.dataplane import Match, Output, build_linear
 from repro.dataplane.actions import parse_action
 from repro.runtime import YancController
-from repro.vfs import Acl, AclEntry, AclTag, Credentials, EventMask, FanMask, FileType, FsError, Syscalls
+from repro.vfs import Acl, AclEntry, AclTag, Credentials, EventMask, FanMask, FileType, FsError, PermissionDenied, Syscalls
 from repro.vfs.notify import IN_ALL_EVENTS
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import FlowSpec, PacketInEvent, YancClient, mount_yancfs, read_object
@@ -180,6 +180,26 @@ def test_read_object_raises_what_the_per_file_loop_raises(vfs, sc, arrange, refu
     assert got == reference
     assert isinstance(got, type) == refused
     assert outcome(read_object, sc, "/obj") == outcome(loop_read, sc, "/obj")  # root: only a missing directory refuses
+
+
+_LIST_ONLY_ALICE = Acl(entries=(AclEntry(AclTag.USER_OBJ, 7), AclEntry(AclTag.USER, 4, qualifier=ALICE.uid), AclEntry(AclTag.GROUP_OBJ, 5), AclEntry(AclTag.OTHER, 5)))
+
+
+def loop_scan(sc: Syscalls, path: str) -> list[tuple[str, object]]:
+    """What ``scandir`` batches: a ``listdir``, then an ``lstat`` of each entry."""
+    return [(name, sc.lstat(f"{path}/{name}")) for name in sc.listdir(path)]
+
+
+@pytest.mark.parametrize("arrange", [_unsearchable_directory, lambda root: root.set_acl("/obj", _LIST_ONLY_ALICE)], ids=["mode-r--", "acl-r--"])
+def test_scandir_refuses_what_its_per_entry_lstats_refuse(vfs, sc, arrange):
+    sc.mkdir("/obj")
+    sc.write_text("/obj/a", "a")
+    sc.mkdir("/obj/sub")
+    arrange(sc)
+    alice = Syscalls(vfs, cred=ALICE)
+    assert alice.listdir("/obj") == ["a", "sub"]  # r--: the names, and nothing behind them
+    assert outcome(Syscalls.scandir, alice, "/obj") == outcome(loop_scan, alice, "/obj") == PermissionDenied
+    assert outcome(Syscalls.scandir, sc, "/obj") == outcome(loop_scan, sc, "/obj")  # root is not refused
 
 
 # -- the same gates and the same events ----------------------------------------------------
