@@ -62,7 +62,7 @@ def test_context_switches_scale_with_fleet(benchmark):
         simulated = FUSE_COST_MODEL.syscall_time(meter.syscalls)
         ns = client.sc.ns
         ns.dcache.publish(host.vfs.counters)
-        dcache_hits = host.vfs.counters.get("dcache.hits") + host.vfs.counters.get("dcache.path_hits")
+        dcache_hits = host.vfs.counters.get("dcache.path_hits")
         rows.append((size, meter.syscalls, meter.context_switches, dcache_hits, f"{simulated * 1000:.2f} ms"))
     print_table(
         "E1: fleet-wide flow push, file path (per-switch flow entry)",

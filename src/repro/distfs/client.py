@@ -38,8 +38,8 @@ class RemoteFs(Filesystem):
     """A file system whose truth lives on a :class:`FileServer`."""
 
     fs_type = "remotefs"
-    # Directory contents are refreshed over RPC inside lookup() and mutated
-    # outside attach()/detach(); the VFS dentry cache must not memoize them.
+    # Directory contents are refreshed over RPC inside lookup(), which a
+    # served memo entry would skip: no resolution through here is memoized.
     cacheable = False
 
     def __init__(

@@ -44,9 +44,10 @@ class PerfCounters:
     * ``notify.coalesced`` / ``notify.dropped`` / ``notify.overflows`` —
       events merged into the queue tail, dropped at the queue bound, and
       IN_Q_OVERFLOW records queued (see :mod:`repro.vfs.notify`).
-    * ``dcache.hits`` / ``dcache.neg_hits`` / ``dcache.misses`` /
-      ``dcache.invalidations`` — dentry-cache activity, published per
-      namespace by :meth:`repro.vfs.dcache.DentryCache.publish`.
+    * ``dcache.path_hits`` / ``dcache.path_misses`` / ``dcache.invalidations``
+      / ``dcache.evictions`` / ``dcache.flushes`` — resolution-memo activity,
+      published per namespace by :meth:`repro.vfs.dcache.DentryCache.publish`
+      (the root namespace's on every read of ``/proc/counters``).
     * ``openflow.tx`` / ``openflow.rx`` — wire messages moved.
     """
 

@@ -481,13 +481,16 @@ class ProcessTable:
         self.procfs = ProcFs(clock=root_sc.vfs.clock)
         # Machine-wide perf counters as one flat root-level file, so any
         # process (or a human at the shell) can `cat /proc/counters` —
-        # ShmRing overflow drops, uring chain autocloses, dcache hits —
-        # without reaching into kernel objects.
+        # ShmRing overflow drops, uring chain autocloses, resolution-memo
+        # hits — without reaching into kernel objects.
         self.procfs.root.attach("counters", _ProcFile(self.procfs, self._render_counters))
         self._procs: dict[int, Process] = {}
         self._next_pid = 1
 
     def _render_counters(self) -> str:
+        # The memo counts in its own slots (no registry update per look-up);
+        # a read of the file is when the root namespace's deltas land here.
+        self.root_sc.vfs.root_ns.dcache.publish(self.counters)
         return "".join(f"{name} {self.counters.get(name)}\n" for name in self.counters.names())
 
     # -- lifecycle -------------------------------------------------------------

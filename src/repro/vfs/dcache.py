@@ -1,55 +1,43 @@
-"""The dentry cache: memoized path-component lookups, per mount namespace.
+"""The resolution memo: whole-path look-ups, per mount namespace.
 
-Every syscall re-walks its path component by component through
-``VirtualFileSystem._walk``, so on hot yanc paths (``/net/switches/<s>/
-flows/<f>/...``) the §8.1 syscall-cost story was dominated by redundant
-lookups rather than the kernel-crossing cost the paper measures.  This
-module adds the Linux-style fix: a per-:class:`~repro.vfs.mount.
-MountNamespace` cache mapping ``(parent inode id, component name)`` to the
-child inode the walk would have produced (after mount crossing), plus
-*negative* entries recording that a name was absent.
+The inode tree is its own dentry cache — ``DirInode._children[name]`` is
+one dict probe — so what is worth remembering is not a component but a
+whole resolution.  Every :class:`~repro.vfs.mount.MountNamespace` owns one
+:class:`DentryCache` mapping
 
-Correctness rests on two invalidation mechanisms:
+    ``(components, follow_last, credentials) -> (deps, result)``
 
-* **Directory generations** — every :class:`~repro.vfs.inode.DirInode`
-  carries a ``dgen`` counter bumped by ``attach``/``detach``, the two choke
-  points through which every create, unlink, rmdir, symlink, link, and
-  rename mutates a directory.  A cache entry records the parent's ``dgen``
-  at store time and is dead the moment the parent changes — in *every*
-  namespace sharing that inode tree, with no cross-namespace bookkeeping.
-* **Namespace flushes** — mount table changes (``mount``/``umount``/
-  ``bind``) flush the owning namespace's cache, because entries hold
-  post-mount-crossing children.  Namespace clones and pivots start with an
-  empty cache.
+where ``deps`` holds, for every component the walk consumed (the
+components of followed symlink targets included), the dentry it used and
+the permission inputs it checked: ``(dir, name, child, acl, uid, gid,
+mode)``.  There is **one validation rule**: an entry is served iff for
+every dep ``dir`` still maps ``name`` to that same inode and the
+directory's ``acl`` (by identity — :class:`~repro.vfs.acl.Acl` is frozen
+and only ever rebound), ``uid``, ``gid`` and ``mode`` are what the walk
+saw.  So create, unlink, rmdir, rename, symlink retargeting, ``chmod``,
+``chown`` and ``setfacl`` are caught by construction — nothing calls into
+the memo to invalidate it, a mutation of ``flows/f2`` does not touch the
+memo of ``flows/f1/version``, and no state is shared between namespaces or
+VFS instances.  The credentials are part of the key, so principals sharing
+a path each keep their own entry and none is ever served another's verdict;
+only successful resolutions are stored, so a refusal or an ENOENT is always
+re-derived by the walk.
 
-Entries hold a strong reference to the parent directory, which makes the
-``id(parent)`` key collision-free: a cached parent cannot be garbage
-collected (and its id reused) while its entry lives.  The cache is bounded
-(FIFO eviction) so detached subtrees are only pinned temporarily.
+A ``..`` component records a *permission-only* dep (no directory has a
+child called ``..``, so its dentry test holds vacuously): what ``..`` pops
+back to is fixed by the dentries recorded before it, and the directory it
+was applied in still has to grant ``MAY_EXEC``.
 
-Permission data is never cached by the component layer: the resolver
-re-checks MAY_EXEC on every traversed directory against the live inode, so
-``chmod``/``chown``/``setfacl`` need no invalidation hooks there.
+Two things the rule cannot see are handled bluntly.  ``child`` is the inode
+as looked up, *before* mount crossing, while ``result`` sits on the far
+side of it — so ``mount``/``umount``/``bind`` flush the owning namespace's
+memo, and clones and pivots start empty.  And a file system whose
+``lookup`` has side effects (the distributed-FS client refreshes directory
+contents over RPC inside it) sets ``Filesystem.cacheable = False``: a walk
+that traverses one of its directories is never stored.
 
-On top of the component entries sits a **whole-path memo** (``paths``):
-``(components tuple, follow_last) -> (epoch, deps, cred, result)``.  A
-memoized resolution is served in O(1) when the global tree epoch
-(:func:`~repro.vfs.inode.tree_epoch`, bumped by every attach/detach and
-every permission change anywhere) has not moved since the entry was
-validated — the seqlock trick Linux plays with ``rename_lock``.  When the
-epoch *has* moved, ``deps`` — one ``(dir, dgen, acl, uid, gid)`` record per
-directory the original walk traversed — is re-checked precisely: any
-directory whose generation, ACL object, or ownership changed kills the
-entry, otherwise the entry is re-stamped with the current epoch.  Because
-:class:`~repro.vfs.acl.Acl` is frozen and only ever *rebound* on an inode,
-identity comparison is an exact permission-change detector; entries are
-additionally keyed to the exact ``Credentials`` object they were resolved
-under, so a hit can never leak a resolution across principals.
-
-File systems with dynamic directory semantics (the distributed-FS client
-refreshes directory contents over RPC inside ``lookup``) opt out via
-``Filesystem.cacheable = False``; the walk never stores entries under
-their directories.
+Entries hold strong references to the inodes they name; the memo is
+bounded (FIFO eviction) so detached subtrees are only pinned temporarily.
 """
 
 from __future__ import annotations
@@ -58,132 +46,52 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.perf.counters import PerfCounters
-    from repro.vfs.inode import DirInode, Inode
 
 #: Default entry bound; mirrors the spirit of Linux's bounded dcache.
 DEFAULT_CAPACITY = 32768
 
 #: Counter names published into :class:`~repro.perf.counters.PerfCounters`.
-_COUNTER_FIELDS = (
-    "hits",
-    "neg_hits",
-    "misses",
-    "stores",
-    "invalidations",
-    "evictions",
-    "flushes",
-    "path_hits",
-    "path_misses",
-)
+_COUNTER_FIELDS = ("path_hits", "path_misses", "invalidations", "evictions", "flushes")
 
 
 class DentryCache:
-    """A bounded ``(parent id, name) -> child`` cache with negative entries.
+    """A bounded memo of whole resolutions (see the module docstring).
 
-    Entry values are ``(parent, parent_dgen, child)`` tuples; ``child`` is
-    ``None`` for a negative entry.  An entry is valid only while the stored
-    parent is the same object *and* its ``dgen`` is unchanged.
+    ``VirtualFileSystem._resolve_parts`` probes and validates ``paths``
+    in line; with ``enabled`` False it walks every time, which is the
+    parity reference the tests and ``bench_vfs_resolve.py`` compare against.
     """
 
-    __slots__ = (
-        "capacity",
-        "enabled",
-        "entries",
-        "paths",
-        "hits",
-        "neg_hits",
-        "misses",
-        "stores",
-        "invalidations",
-        "evictions",
-        "flushes",
-        "path_hits",
-        "path_misses",
-        "_published",
-    )
+    __slots__ = ("capacity", "enabled", "paths", "_published", *_COUNTER_FIELDS)
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
         self.enabled = True
-        self.entries: dict[tuple[int, str], tuple["DirInode", int, "Inode | None"]] = {}
-        #: Whole-path memo: (parts tuple, follow_last) -> (epoch, deps, cred,
-        #: result).  See the module docstring for the validation protocol.
         self.paths: dict = {}
-        self.hits = 0
-        self.neg_hits = 0
-        self.misses = 0
-        self.stores = 0
+        self.path_hits = 0
+        self.path_misses = 0
         self.invalidations = 0
         self.evictions = 0
         self.flushes = 0
-        self.path_hits = 0
-        self.path_misses = 0
         self._published: dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def store(self, parent: "DirInode", name: str, child: "Inode | None") -> None:
-        """Record that ``name`` under ``parent`` resolves to ``child``.
-
-        ``child`` is the post-mount-crossing inode the walk produced, or
-        ``None`` to record a confirmed absence (negative entry).
-        """
-        entries = self.entries
-        if len(entries) >= self.capacity:
-            entries.pop(next(iter(entries)))
-            self.evictions += 1
-        entries[(id(parent), name)] = (parent, parent.dgen, child)
-        self.stores += 1
-
-    def lookup(self, parent: "DirInode", name: str) -> tuple["DirInode", int, "Inode | None"] | None:
-        """Return the live entry for ``(parent, name)``, or None.
-
-        Stale entries (parent ``dgen`` moved on) are dropped and counted as
-        invalidations.  This is the out-of-line twin of the inlined fast
-        path in ``VirtualFileSystem._walk_cached``; tests use it to inspect
-        cache state without resolving.
-        """
-        key = (id(parent), name)
-        entry = self.entries.get(key)
-        if entry is None or entry[0] is not parent:
-            return None
-        if entry[1] != parent.dgen:
-            del self.entries[key]
-            self.invalidations += 1
-            return None
-        return entry
-
-    def store_path(self, key, epoch: int, deps, cred, result) -> None:
-        """Memoize a complete successful resolution.
-
-        ``deps`` is the ordered list of ``(dir, dgen, acl, uid, gid)``
-        records for every directory the walk traversed; the entry is valid
-        while the tree epoch stands still or every dep re-checks clean.
-        """
+    def store_path(self, key, deps, result) -> None:
+        """Memoize a complete successful resolution under ``key``."""
         paths = self.paths
         if len(paths) >= self.capacity:
             paths.pop(next(iter(paths)))
             self.evictions += 1
-        paths[key] = (epoch, deps, cred, result)
-
-    def invalidate(self, parent: "DirInode", name: str) -> None:
-        """Drop the entry for ``(parent, name)`` if present."""
-        if self.entries.pop((id(parent), name), None) is not None:
-            self.invalidations += 1
+        paths[key] = (deps, result)
 
     def flush(self) -> None:
         """Drop every entry (mount table changed under this namespace)."""
-        dropped = len(self.entries) + len(self.paths)
-        self.entries.clear()
+        self.invalidations += len(self.paths)
         self.paths.clear()
-        self.invalidations += dropped
         self.flushes += 1
 
     def stats(self) -> dict[str, int]:
         """Current counter values plus the live entry count."""
         out = {field: getattr(self, field) for field in _COUNTER_FIELDS}
-        out["entries"] = len(self.entries)
         out["path_entries"] = len(self.paths)
         return out
 
@@ -192,8 +100,7 @@ class DentryCache:
 
         Exposes hit/miss/invalidation counts through the same
         :class:`~repro.perf.counters.PerfCounters` registry the benchmarks
-        report, without paying a counter update per path component on the
-        hot path.
+        report, without paying a counter update per look-up on the hot path.
         """
         for field in _COUNTER_FIELDS:
             value = getattr(self, field)

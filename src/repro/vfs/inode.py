@@ -43,26 +43,6 @@ if TYPE_CHECKING:
 _NAME_MAX = 255
 _dev_counter = itertools.count(1)
 
-#: Tree-wide mutation epoch (the moral equivalent of Linux's ``rename_lock``
-#: sequence count).  Bumped by every attach/detach anywhere and by every
-#: permission change (chmod/chown/setfacl).  While it stands still, *no*
-#: resolution-relevant state has changed, so the dentry cache's whole-path
-#: memo can revalidate an entry with one integer compare instead of
-#: re-checking each traversed directory.
-_tree_epoch = 0
-
-
-def bump_tree_epoch() -> None:
-    """Advance the global resolution epoch (any namespace, any file system)."""
-    global _tree_epoch
-    _tree_epoch += 1
-
-
-def tree_epoch() -> int:
-    """Current resolution epoch; equality means nothing relevant changed."""
-    return _tree_epoch
-
-
 def validate_name(name: str) -> str:
     """Reject names no POSIX file system would accept."""
     if not name or name in (".", ".."):
@@ -84,11 +64,11 @@ class Filesystem:
 
     fs_type = "none"
 
-    #: Whether directory lookups on this file system may be memoized by the
-    #: per-namespace dentry cache.  File systems whose ``lookup`` has side
-    #: effects or whose directory contents change outside ``attach``/
-    #: ``detach`` (e.g. the distributed-FS client, which refreshes over RPC
-    #: inside ``lookup``) must set this False.
+    #: Whether a resolution that traverses this file system's directories
+    #: may be memoized (:mod:`repro.vfs.dcache`).  A served memo entry reads
+    #: the directory's children without calling ``lookup``, so a file system
+    #: whose ``lookup`` has side effects (e.g. the distributed-FS client,
+    #: which refreshes over RPC inside it) must set this False.
     cacheable = True
 
     def __init__(self, *, clock: Callable[[], float] | None = None, readonly: bool = False) -> None:
@@ -224,11 +204,6 @@ class DirInode(Inode):
         super().__init__(fs, mode=mode, uid=uid, gid=gid)
         self._children: dict[str, Inode] = {}
         self.nlink = 2  # "." and the parent's entry
-        #: Directory generation: bumped on every attach/detach.  Dentry-cache
-        #: entries record the generation they were stored under and die the
-        #: moment it moves — this is the precise invalidation point for
-        #: create, unlink, rmdir, symlink, link, and both halves of rename.
-        self.dgen = 0
 
     @property
     def size(self) -> int:
@@ -313,8 +288,6 @@ class DirInode(Inode):
             raise FileExists(name)
         if node.is_dir and node.dentries:
             raise InvalidArgument(name, "directories cannot be hard-linked")
-        self.dgen += 1
-        bump_tree_epoch()
         self._children[name] = node
         node.dentries.add((self, name))
         if node.is_dir:
@@ -332,8 +305,6 @@ class DirInode(Inode):
             node = self._children[name]
         except KeyError:
             raise FileNotFound(name) from None
-        self.dgen += 1
-        bump_tree_epoch()
         del self._children[name]
         node.dentries.discard((self, name))
         if node.is_dir:

@@ -41,9 +41,9 @@ class MountNamespace:
         self.name = name or f"ns{self.ns_id}"
         self.root_entry = MountEntry(fs=root_fs, root=root_node or root_fs.root, mountpoint=None, source=root_fs.fs_type)
         self._mounts: dict[int, MountEntry] = {}
-        #: Per-namespace dentry cache.  Entries hold post-mount-crossing
-        #: children, so every mount-table change below flushes it; clones
-        #: and pivots start empty (a fresh namespace gets a fresh cache).
+        #: Per-namespace resolution memo.  Results sit on the far side of
+        #: mount crossings, so every mount-table change below flushes it;
+        #: clones and pivots start empty (a fresh namespace, a fresh memo).
         self.dcache = DentryCache()
 
     def mounts(self) -> list[MountEntry]:

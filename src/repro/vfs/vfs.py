@@ -35,10 +35,8 @@ from repro.vfs.inode import (
     Filesystem,
     Inode,
     SymlinkInode,
-    bump_tree_epoch,
     require_dir,
     require_file,
-    tree_epoch,
     validate_name,
 )
 from repro.vfs.memfs import MemFs
@@ -186,7 +184,7 @@ class VirtualFileSystem:
         self.root_fs = root_fs or MemFs(clock=self.clock)
         self.root_fs.hub = self.hub
         self.root_ns = MountNamespace(self.root_fs, name="init")
-        # path string -> component tuple (see resolve()).
+        # path string -> component tuple (see _tokens()).
         self._parts_memo: dict[str, tuple[str, ...]] = {}
 
     # -- namespaces and mounts -------------------------------------------------
@@ -214,7 +212,7 @@ class VirtualFileSystem:
 
     def _mountpoint_node(self, ns: MountNamespace, cred: Credentials, path: str) -> Inode:
         """Resolve ``path`` without crossing a mount at the final node."""
-        parts = split_path(path)
+        parts = self._tokens(path)
         if not parts:
             return ns.root_entry.root
         parent = self._resolve_dir(ns, cred, parts[:-1], path)
@@ -240,6 +238,20 @@ class VirtualFileSystem:
 
     # -- path resolution ---------------------------------------------------------
 
+    def _tokens(self, path: str) -> tuple[str, ...]:
+        """``path`` as a component tuple.
+
+        Tokenizing is pure string work, so it is memoized; the tuple doubles
+        as the resolution memo's key without a copy.
+        """
+        parts = self._parts_memo.get(path)
+        if parts is None:
+            parts = tuple(split_path(path))
+            if len(self._parts_memo) >= 4096:
+                self._parts_memo.clear()
+            self._parts_memo[path] = parts
+        return parts
+
     def resolve(
         self,
         ns: MountNamespace,
@@ -249,181 +261,121 @@ class VirtualFileSystem:
         follow_last: bool = True,
     ) -> Inode:
         """Resolve ``path`` to an inode (symlinks followed; mounts crossed)."""
-        # Tokenizing is pure string work, so memoize it; the tuple doubles
-        # as the dentry cache's whole-path key without a copy.
-        parts = self._parts_memo.get(path)
-        if parts is None:
-            parts = tuple(split_path(path))
-            if len(self._parts_memo) >= 4096:
-                self._parts_memo.clear()
-            self._parts_memo[path] = parts
-        return self._resolve_parts(ns, cred, parts, follow_last, path)
+        return self._resolve_parts(ns, cred, self._tokens(path), follow_last, path)
 
     def resolve_parent(self, ns: MountNamespace, cred: Credentials, path: str) -> tuple[DirInode, str]:
         """Resolve the parent directory of ``path``; return (dir, last name)."""
-        parts = split_path(path)
+        parts = self._tokens(path)
         if not parts:
             raise InvalidArgument(path, "operation on / is not allowed")
         parent = self._resolve_dir(ns, cred, parts[:-1], path)
         return parent, validate_name(parts[-1])
 
-    def _resolve_dir(self, ns: MountNamespace, cred: Credentials, parts: list[str], path: str) -> DirInode:
+    def _resolve_dir(self, ns: MountNamespace, cred: Credentials, parts: tuple[str, ...], path: str) -> DirInode:
         return require_dir(self._resolve_parts(ns, cred, parts, True, path), path)
 
     def _resolve_parts(
         self,
         ns: MountNamespace,
         cred: Credentials,
-        parts: list[str],
+        parts: tuple[str, ...],
         follow_last: bool,
         full_path: str,
     ) -> Inode:
-        """Walk ``parts`` from the namespace root: path memo, dentry cache, slow path."""
+        """Resolve ``parts`` from the namespace root: the memo, else the walk.
+
+        A memoized resolution is served iff every dentry it walked still
+        stands and every permission input it checked is unchanged (the one
+        rule of :mod:`repro.vfs.dcache`); nothing else validates it and
+        nothing invalidates it from outside.
+        """
+        if not parts:
+            return ns.root_entry.root
         dcache = ns.dcache
         deps: list | None = None
-        key = None
-        if parts and dcache.enabled:
-            key = (tuple(parts), follow_last)
+        if dcache.enabled:
+            key = (parts, follow_last, cred)
             entry = dcache.paths.get(key)
-            if entry is not None and entry[2] is cred:
-                epoch = tree_epoch()
-                if entry[0] == epoch:
-                    dcache.path_hits += 1
-                    return entry[3]
-                for dep in entry[1]:
-                    node = dep[0]
-                    if node.dgen != dep[1] or node.acl is not dep[2] or node.uid != dep[3] or node.gid != dep[4]:
+            if entry is not None:
+                for cur_dir, name, child, acl, uid, gid, mode in entry[0]:
+                    if (
+                        cur_dir._children.get(name) is not child
+                        or cur_dir.acl is not acl
+                        or cur_dir.uid != uid
+                        or cur_dir.gid != gid
+                        or cur_dir.mode != mode
+                    ):
                         del dcache.paths[key]
                         dcache.invalidations += 1
                         break
                 else:
-                    # Nothing this resolution depends on moved: re-stamp the
-                    # entry with the current epoch and serve it.
-                    dcache.paths[key] = (epoch, entry[1], cred, entry[3])
                     dcache.path_hits += 1
-                    return entry[3]
+                    return entry[1]
             dcache.path_misses += 1
             deps = []
         stack: list[Inode] = [ns.root_entry.root]
-        consumed = 0
-        if parts and dcache.enabled:
-            consumed = self._walk_cached(ns, cred, stack, parts, full_path, deps)
-        if consumed < len(parts):
-            budget = [MAX_SYMLINK_DEPTH]
-            remaining = parts[consumed:] if consumed else parts
-            self._walk(ns, cred, stack, remaining, follow_last, budget, full_path, deps)
-        result = stack[-1]
-        # Memoize the whole resolution unless a non-cacheable file system
-        # poisoned the dependency list (None marker).
-        if deps and None not in deps:
-            dcache.store_path(key, tree_epoch(), deps, cred, result)
-        return result
-
-    def _walk_cached(
-        self,
-        ns: MountNamespace,
-        cred: Credentials,
-        stack: list[Inode],
-        parts: list[str],
-        full_path: str,
-        deps: list | None = None,
-    ) -> int:
-        """Consume a prefix of ``parts`` from the namespace's dentry cache.
-
-        Returns the number of components consumed (``stack`` is extended in
-        place); the slow walk picks up from there.  Cached entries are never
-        symlinks and already sit on the far side of any mount crossing, so a
-        hit replaces lookup + symlink test + mount-table probe with one dict
-        probe and a generation compare.  MAY_EXEC is still enforced on every
-        traversed directory against the live inode — only *lookups* are
-        memoized, never permissions.
-        """
-        dcache = ns.dcache
-        entries = dcache.entries
-        entries_get = entries.get
-        is_root = cred.is_root
-        check_access = self.check_access
-        hits = 0
-        index = 0
-        for index, part in enumerate(parts):
-            if part == "..":
-                break
-            current = stack[-1]
-            entry = entries_get((id(current), part))
-            if entry is None or entry[0] is not current:
-                break
-            if entry[1] != current.dgen:
-                del entries[(id(current), part)]
-                dcache.invalidations += 1
-                break
-            if current.acl is not None or not is_root:
-                check_access(current, cred, MAY_EXEC, full_path)
-            if deps is not None:
-                deps.append((current, entry[1], current.acl, current.uid, current.gid))
-            child = entry[2]
-            if child is None:
-                dcache.hits += hits
-                dcache.neg_hits += 1
-                raise FileNotFound(part)
-            hits += 1
-            stack.append(child)
-        else:
-            dcache.hits += hits
-            return len(parts)
-        dcache.hits += hits
-        dcache.misses += 1
-        return index
+        self._walk(ns, cred, stack, parts, follow_last, [MAX_SYMLINK_DEPTH], full_path, deps)
+        # A non-cacheable file system poisons the walk with a None dep.
+        if deps is not None and None not in deps:
+            dcache.store_path(key, deps, stack[-1])
+        return stack[-1]
 
     def _walk(
         self,
         ns: MountNamespace,
         cred: Credentials,
         stack: list[Inode],
-        parts: list[str],
+        parts: tuple[str, ...],
         follow_last: bool,
         budget: list[int],
         full_path: str,
-        deps: list | None = None,
+        deps: list | None,
     ) -> None:
-        dcache = ns.dcache
+        """The walk: extend ``stack`` by one inode per component of ``parts``.
+
+        Per component: the current node must be a directory granting
+        ``MAY_EXEC``, the child comes from its ``lookup`` (so a file system's
+        refreshing override runs), a symlink is followed by walking its
+        target on the same stack, and mounts are crossed to the topmost
+        root.  With ``deps`` it records what a memo entry must re-check.
+        """
+        unchecked = cred.is_root  # root passes mode bits; an ACL is still consulted
+        mount_at = ns.mount_at
+        last = len(parts) - 1
         for index, part in enumerate(parts):
-            is_last = index == len(parts) - 1
-            current = stack[-1]
-            cur_dir = require_dir(current, full_path)
-            self.check_access(cur_dir, cred, MAY_EXEC, full_path)
-            if deps is not None:
-                if cur_dir.fs.cacheable:
-                    deps.append((cur_dir, cur_dir.dgen, cur_dir.acl, cur_dir.uid, cur_dir.gid))
-                else:
-                    deps.append(None)  # poison: this resolution may not be memoized
+            cur_dir = stack[-1]
+            if not isinstance(cur_dir, DirInode):
+                raise NotADirectory(full_path)
+            if cur_dir.acl is not None or not unchecked:
+                self.check_access(cur_dir, cred, MAY_EXEC, full_path)
             if part == "..":
+                # Permission-only dep: no directory has a child called "..".
+                child = None
                 if len(stack) > 1:
                     stack.pop()
-                continue
-            try:
+            else:
                 child = cur_dir.lookup(part)
-            except FileNotFound:
-                if dcache.enabled and cur_dir.fs.cacheable:
-                    dcache.store(cur_dir, part, None)
-                raise
-            if isinstance(child, SymlinkInode) and (not is_last or follow_last):
+            if deps is not None:
+                if cur_dir.fs.cacheable:
+                    deps.append((cur_dir, part, child, cur_dir.acl, cur_dir.uid, cur_dir.gid, cur_dir.mode))
+                else:
+                    deps.append(None)
+            if child is None:
+                continue
+            if isinstance(child, SymlinkInode) and (follow_last or index != last):
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise TooManyLinks(full_path, "too many levels of symbolic links")
-                target_parts = [p for p in child.target.split("/") if p and p != "."]
                 if child.target.startswith("/"):
                     del stack[1:]
+                target_parts = tuple(p for p in child.target.split("/") if p and p != ".")
                 self._walk(ns, cred, stack, target_parts, True, budget, full_path, deps)
                 continue
-            mount = ns.mount_at(child)
+            mount = mount_at(child)
             while mount is not None:  # cross stacked mounts to the topmost root
                 child = mount.root
-                mount = ns.mount_at(child)
+                mount = mount_at(child)
             stack.append(child)
-            # Symlinks are never cached: whether they are followed depends
-            # on position and follow_last, which the key cannot express.
-            if dcache.enabled and cur_dir.fs.cacheable and not isinstance(child, SymlinkInode):
-                dcache.store(cur_dir, part, child)
 
     # -- permissions ---------------------------------------------------------------
 
@@ -735,7 +687,6 @@ class VirtualFileSystem:
             node.gid = gid
         else:
             raise NotPermitted(path, "chown requires root")
-        bump_tree_epoch()  # ownership feeds ACL checks; wake the path memo
         node.ctime = node.fs.now()
         node.fs.emit(node, EventMask.IN_ATTRIB)
 
@@ -745,7 +696,6 @@ class VirtualFileSystem:
         if not cred.is_root and cred.uid != node.uid:
             raise NotPermitted(path, "setfacl by non-owner")
         node.acl = acl
-        bump_tree_epoch()  # ACL rebound; path-memo entries must revalidate
         node.ctime = node.fs.now()
         node.fs.emit(node, EventMask.IN_ATTRIB)
 
@@ -780,12 +730,24 @@ class VirtualFileSystem:
     # -- traversal helpers -------------------------------------------------------------
 
     def walk(self, ns: MountNamespace, cred: Credentials, path: str) -> Iterator[tuple[str, list[str], list[str]]]:
-        """os.walk-style traversal yielding (dirpath, dirnames, filenames)."""
+        """os.walk-style traversal yielding (dirpath, dirnames, filenames).
+
+        Every directory visited needs ``MAY_READ | MAY_EXEC``, as ``scandir``
+        asks: the top directory raises, a refusing sub-directory stays named
+        in its parent's ``dirnames`` and is not entered (``os.walk`` with
+        ``onerror=None``).
+        """
         node = require_dir(self.resolve(ns, cred, path), path)
-        base = "/" + "/".join(split_path(path))
+        base = "/" + "/".join(self._tokens(path))
         stack: list[tuple[str, DirInode]] = [(base, node)]
         while stack:
             dirpath, dirnode = stack.pop(0)
+            try:
+                self.check_access(dirnode, cred, MAY_READ | MAY_EXEC, dirpath)
+            except PermissionDenied:
+                if dirnode is node:
+                    raise
+                continue
             dirnames, filenames = [], []
             for name, child in dirnode.children():
                 mount = ns.mount_at(child)

@@ -210,7 +210,7 @@ class YancClient:
 
     def __init__(self, sc: Syscalls, root: str = "/net") -> None:
         self.sc = sc
-        # One canonical spelling so derived paths hit one dentry-cache /
+        # One canonical spelling so derived paths hit one resolution-memo /
         # meter key instead of fanning out over //-and-dot variants.
         self.root = clean(root.rstrip("/") or "/net")
 

@@ -320,6 +320,22 @@ def test_proc_counters_shows_shmring_overflow_drops(rt):
     assert ring.dropped == 2
 
 
+def test_proc_counters_shows_resolution_memo_hits(rt):
+    sim, sc, table = rt
+    del sim, table
+
+    def path_hits() -> int:
+        lines = dict(line.rsplit(" ", 1) for line in Shell(sc).run("cat /proc/counters").splitlines())
+        return int(lines["dcache.path_hits"])
+
+    sc.stat("/spool")
+    sc.stat("/spool")  # served by the memo: there is a hit to report
+    first = path_hits()
+    assert first >= 1
+    # The second cat resolves the path the first one did: that hit is new.
+    assert path_hits() > first
+
+
 def test_proc_counters_reads_are_live(rt):
     sim, sc, table = rt
     del sim

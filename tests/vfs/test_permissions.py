@@ -126,3 +126,31 @@ def test_readdir_needs_read_bit(alice, bob):
     with pytest.raises(PermissionDenied):
         bob.listdir("/home/alice/d")
     assert bob.read_text("/home/alice/d/f") == "x"  # exec-only traversal works
+
+
+def test_walk_needs_read_and_exec_on_every_directory_it_lists(alice, bob, sc):
+    alice.mkdir("/home/alice/p")
+    alice.mkdir("/home/alice/p/open")
+    alice.mkdir("/home/alice/p/q")
+    alice.write_text("/home/alice/p/open/f", "x")
+    alice.write_text("/home/alice/p/q/secret-name", "x")
+    alice.chmod("/home/alice/p/q", 0o700)
+    everything = [
+        ("/home/alice/p", ["open", "q"], []),
+        ("/home/alice/p/open", [], ["f"]),
+        ("/home/alice/p/q", [], ["secret-name"]),
+    ]
+    assert list(alice.walk("/home/alice/p")) == everything
+    assert list(sc.walk("/home/alice/p")) == everything  # root
+    # A refusing sub-directory stays named by its parent and is neither
+    # entered nor billed (os.walk's onerror=None).
+    billed = bob.meter.counters.get("syscall.getdents")
+    assert list(bob.walk("/home/alice/p")) == everything[:2]
+    assert bob.meter.counters.get("syscall.getdents") == billed + 2
+    # The top directory raises: exec-only reaches through it, not into it.
+    alice.chmod("/home/alice/p", 0o711)
+    with pytest.raises(PermissionDenied):
+        list(bob.walk("/home/alice/p"))
+    with pytest.raises(PermissionDenied):
+        list(bob.walk("/home/alice/p/q"))
+    assert list(bob.walk("/home/alice/p/open")) == everything[1:2]
