@@ -10,8 +10,7 @@ For contrast, :meth:`ShmRing.put_copy` moves the same data the way the
 file path would — through a byte copy — and bills ``bytes.copied``; the E2
 benchmark shows the two curves diverge linearly in payload size.
 
-A ring is *pollable* (the ``readable()`` / ``poll_register`` /
-``poll_unregister`` protocol of :mod:`repro.vfs.poll`): a consumer
+A ring is a :class:`~repro.vfs.poll.Pollable`: a consumer
 process registers the ring in its :class:`~repro.vfs.poll.Epoll` set and
 is woken on the empty → non-empty edge, exactly as it would be for an
 inotify descriptor — so shared-memory delivery plugs into the ordinary
@@ -21,12 +20,14 @@ process run loop instead of requiring a second wait primitive.
 from __future__ import annotations
 
 from repro.perf.counters import PerfCounters
+from repro.vfs.poll import Pollable
 
 
-class ShmRing:
+class ShmRing(Pollable):
     """A bounded ring of buffer references in shared memory."""
 
     def __init__(self, capacity: int = 1024, *, counters: PerfCounters | None = None) -> None:
+        super().__init__()
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -36,27 +37,13 @@ class ShmRing:
         self._tail = 0  # next slot to write
         self._size = 0
         self.dropped = 0
-        #: Epoll instances watching this ring (see repro.vfs.poll).
-        self._pollers: list = []
 
     def __len__(self) -> int:
         return self._size
 
-    # -- readiness (the pollable protocol, see repro.vfs.poll) ---------------
-
     def readable(self) -> bool:
         """True when buffers are waiting (the pollable protocol)."""
         return self._size > 0
-
-    def poll_register(self, poller) -> None:
-        """An :class:`~repro.vfs.poll.Epoll` started watching this ring."""
-        if poller not in self._pollers:
-            self._pollers.append(poller)
-
-    def poll_unregister(self, poller) -> None:
-        """An :class:`~repro.vfs.poll.Epoll` stopped watching this ring."""
-        if poller in self._pollers:
-            self._pollers.remove(poller)
 
     @property
     def full(self) -> bool:
@@ -78,8 +65,7 @@ class ShmRing:
         self._tail = (self._tail + 1) % self.capacity
         self._size += 1
         if was_empty:
-            for poller in list(self._pollers):
-                poller.notify_readable(self)
+            self._notify_pollers()
         return True
 
     def put_copy(self, data: bytes) -> bool:

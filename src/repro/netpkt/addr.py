@@ -96,8 +96,8 @@ BROADCAST_MAC = MacAddress("ff:ff:ff:ff:ff:ff")
 
 
 def ip(value: str | int | ipaddress.IPv4Address) -> ipaddress.IPv4Address:
-    """Coerce ``value`` to an :class:`ipaddress.IPv4Address`."""
-    return ipaddress.IPv4Address(value)
+    """Coerce ``value`` to an :class:`ipaddress.IPv4Address` (one is returned as it is: they are immutable)."""
+    return value if isinstance(value, ipaddress.IPv4Address) else ipaddress.IPv4Address(value)
 
 
 def cidr(value: str | ipaddress.IPv4Network) -> ipaddress.IPv4Network:

@@ -10,12 +10,19 @@ POSIX.1e access-check algorithm (simplified: no default/inherited ACLs):
 3. a named ``user:<uid>`` entry applies to that uid (masked);
 4. the owning group / named groups apply if any grants the bits (masked);
 5. ``other::`` applies to everyone else.
+
+It is the VFS's one access rule: an inode without an ACL is judged by
+:meth:`Acl.from_mode` of its mode bits.  An :class:`Acl` is frozen and only
+ever rebound, so the scan of its entries happens once, at construction —
+``Acl._index`` holds the answer to each step (mask already applied) and
+:meth:`Acl.check` reads it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import InvalidArgument
@@ -55,10 +62,28 @@ class Acl:
     """An ordered set of ACL entries."""
 
     entries: tuple[AclEntry, ...]
+    #: What ``check`` reads, derived once in ``__post_init__`` and outside ``==`` / ``hash``:
+    #: (user:: perms, {uid: perms & mask}, ((gid, perms & mask), ...) with gid None for group::,
+    #: other:: perms).  The first entry of a kind wins; a missing one is None and refuses.
+    _index: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = next((entry.perms for entry in self.entries if entry.tag is AclTag.MASK), 7)
+        first: dict[AclTag, int] = {}
+        users: dict[int, int] = {}
+        groups: list[tuple[int | None, int]] = []
+        for entry in self.entries:
+            first.setdefault(entry.tag, entry.perms)
+            if entry.tag is AclTag.USER:
+                users.setdefault(entry.qualifier, entry.perms & mask)
+            elif entry.tag in (AclTag.GROUP_OBJ, AclTag.GROUP):
+                groups.append((entry.qualifier, entry.perms & mask))
+        object.__setattr__(self, "_index", (first.get(AclTag.USER_OBJ), users, tuple(groups), first.get(AclTag.OTHER)))
 
     @classmethod
+    @functools.lru_cache(maxsize=512)
     def from_mode(cls, mode: int) -> "Acl":
-        """The minimal ACL equivalent to plain mode bits."""
+        """The minimal ACL equivalent to plain mode bits (how an inode without an ACL is judged)."""
         return cls(
             entries=(
                 AclEntry(AclTag.USER_OBJ, mode >> 6 & 7),
@@ -67,45 +92,28 @@ class Acl:
             )
         )
 
-    def _mask(self) -> int:
-        for entry in self.entries:
-            if entry.tag is AclTag.MASK:
-                return entry.perms
-        return 7
-
     def check(self, cred: Credentials, owner_uid: int, owner_gid: int, want: int) -> bool:
         """POSIX.1e access check: does ``cred`` get all bits in ``want``?"""
         if cred.is_root:
             return True
-        mask = self._mask()
-        # 1. owning user.
-        if cred.uid == owner_uid:
-            for entry in self.entries:
-                if entry.tag is AclTag.USER_OBJ:
-                    return entry.perms & want == want
-            return False
-        # 2. named user (masked).
-        for entry in self.entries:
-            if entry.tag is AclTag.USER and entry.qualifier == cred.uid:
-                return entry.perms & mask & want == want
-        # 3. owning group + named groups: allowed if any matching entry grants.
-        group_matched = False
-        for entry in self.entries:
-            if entry.tag is AclTag.GROUP_OBJ and cred.in_group(owner_gid):
-                group_matched = True
-                if entry.perms & mask & want == want:
-                    return True
-            elif entry.tag is AclTag.GROUP and entry.qualifier is not None and cred.in_group(entry.qualifier):
-                group_matched = True
-                if entry.perms & mask & want == want:
-                    return True
-        if group_matched:
-            return False
-        # 4. other.
-        for entry in self.entries:
-            if entry.tag is AclTag.OTHER:
-                return entry.perms & want == want
-        return False
+        uid = cred.uid
+        owner, users, groups, other = self._index
+        if uid == owner_uid:
+            perms = owner
+        elif uid in users:
+            perms = users[uid]
+        else:
+            # Owning group + named groups: allowed if any matching entry grants, refused if one matched.
+            matched = False
+            for gid, group_perms in groups:
+                if cred.in_group(owner_gid if gid is None else gid):
+                    if group_perms & want == want:
+                        return True
+                    matched = True
+            if matched:
+                return False
+            perms = other
+        return perms is not None and perms & want == want
 
     def to_text(self) -> str:
         """Render in getfacl-like short text (``u::rwx,g:100:r-x,...``)."""

@@ -77,6 +77,15 @@ class MountNamespace:
         """The mount whose mountpoint is ``node``, if any."""
         return self._mounts.get(id(node))
 
+    def cross(self, node: Inode) -> Inode:
+        """``node`` as a path sees it: the root of the topmost mount stacked on it, else ``node`` itself."""
+        mounts = self._mounts
+        mount = mounts.get(id(node))
+        while mount is not None:
+            node = mount.root
+            mount = mounts.get(id(node))
+        return node
+
     def clone(self, *, name: str = "") -> "MountNamespace":
         """Copy this namespace (CLONE_NEWNS): same mounts, independent table."""
         ns = MountNamespace(self.root_entry.fs, self.root_entry.root, name=name)

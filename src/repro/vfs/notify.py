@@ -18,6 +18,12 @@ directory-entry event fans out, and ``on_deliver(instance, event)`` for
 every event handed to an :class:`Inotify` instance *before*
 coalescing/overflow handling — so a subscriber sees the delivery even
 when the queue merges or drops it.
+
+:class:`EventMask` is the API's type, not the hub's: ``add_watch`` takes
+one (or an ``int``) and ``NotifyEvent.mask`` is one, but a :class:`Watch`
+stores its mask as a plain ``int`` and an emitted mask stays an ``int``
+until an event is delivered — almost every emit meets no watch, and an
+``IntFlag`` pays an enum construction per ``&``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.perf.tracepoints import publish as _publish
 from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import InvalidArgument
+from repro.vfs.poll import Pollable
 
 if TYPE_CHECKING:
     from repro.vfs.inode import Inode
@@ -53,26 +60,9 @@ class EventMask(enum.IntFlag):
     IN_Q_OVERFLOW = 0x4000
     IN_ISDIR = 0x4000_0000
 
-    @classmethod
-    def all_events(cls) -> "EventMask":
-        """Every event bit (IN_ALL_EVENTS)."""
-        return (
-            cls.IN_ACCESS
-            | cls.IN_MODIFY
-            | cls.IN_ATTRIB
-            | cls.IN_CLOSE_WRITE
-            | cls.IN_CLOSE_NOWRITE
-            | cls.IN_OPEN
-            | cls.IN_MOVED_FROM
-            | cls.IN_MOVED_TO
-            | cls.IN_CREATE
-            | cls.IN_DELETE
-            | cls.IN_DELETE_SELF
-            | cls.IN_MOVE_SELF
-        )
 
-
-IN_ALL_EVENTS = EventMask.all_events()
+#: Every event bit (not IN_Q_OVERFLOW or IN_ISDIR, which only come back).
+IN_ALL_EVENTS = EventMask(0x0FFF)
 
 #: Linux default for /proc/sys/fs/inotify/max_queued_events.
 DEFAULT_MAX_QUEUED_EVENTS = 16384
@@ -99,9 +89,9 @@ class NotifyEvent:
 
 
 class Watch:
-    """One watch descriptor: an inode, a mask, and its owner instance."""
+    """One watch descriptor: an inode, a mask (a plain ``int``), and its owner instance."""
 
-    def __init__(self, wd: int, inode: "Inode", mask: EventMask, owner: "Inotify") -> None:
+    def __init__(self, wd: int, inode: "Inode", mask: int, owner: "Inotify") -> None:
         self.wd = wd
         self.inode = inode
         self.mask = mask
@@ -109,7 +99,7 @@ class Watch:
         self.removed = False
 
 
-class Inotify:
+class Inotify(Pollable):
     """An application's notification instance (one event queue).
 
     The queue is bounded (inotify's ``max_queued_events``) and coalesces an
@@ -121,6 +111,7 @@ class Inotify:
     """
 
     def __init__(self, hub: "NotifyHub", *, max_queued_events: int | None = None) -> None:
+        super().__init__()
         self._hub = hub
         self._queue: list[NotifyEvent] = []
         self._watches: dict[int, Watch] = {}
@@ -134,32 +125,18 @@ class Inotify:
         #: Called once whenever the queue goes empty -> non-empty; the
         #: simulation runtime uses it to schedule a daemon wakeup.
         self.wakeup: Callable[[], None] | None = None
-        #: Epoll instances watching this descriptor (see repro.vfs.poll);
-        #: they get the same empty -> non-empty edge as ``wakeup``.
-        self._pollers: list = []
-
-    # -- readiness (the pollable protocol, see repro.vfs.poll) ---------------
 
     def readable(self) -> bool:
-        """True when at least one event is queued."""
+        """True when at least one event is queued (the pollers get the same edge as ``wakeup``)."""
         return bool(self._queue)
 
-    def poll_register(self, poller) -> None:
-        """Attach an epoll instance to this descriptor's readiness edge."""
-        if poller not in self._pollers:
-            self._pollers.append(poller)
-
-    def poll_unregister(self, poller) -> None:
-        """Detach an epoll instance (no-op when not attached)."""
-        if poller in self._pollers:
-            self._pollers.remove(poller)
-
-    def add_watch(self, inode: "Inode", mask: EventMask) -> int:
+    def add_watch(self, inode: "Inode", mask: EventMask | int) -> int:
         """Watch ``inode`` for the events in ``mask``; returns the wd.
 
         Re-watching an inode replaces the mask (as inotify does) and
         returns the existing wd.
         """
+        mask = int(mask)
         if not mask:
             raise InvalidArgument(detail="empty watch mask")
         for watch in self._hub._by_inode.get(id(inode), ()):  # the inode's bucket: a handful, not every watch we hold
@@ -192,11 +169,6 @@ class Inotify:
         self._queue.clear()
         self._pollers.clear()
 
-    # -- hub side -------------------------------------------------------------
-
-    def _register(self, watch: Watch) -> None:
-        self._watches[watch.wd] = watch
-
     def _deliver(self, event: NotifyEvent) -> None:
         if _tracing:
             _publish("deliver", self, event)
@@ -221,22 +193,19 @@ class Inotify:
         queue.append(event)
         if self.wakeup is not None:
             self.wakeup()
-        for poller in list(self._pollers):
-            poller.notify_readable(self)
+        self._notify_pollers()
 
 
 class NotifyHub:
     """The per-VFS event fan-out: inode -> interested watches."""
+
+    _ISDIR = int(EventMask.IN_ISDIR)  # the hub's masks are plain ints (see the module docstring)
 
     def __init__(self, counters=None) -> None:
         self._wd_counter = itertools.count(1)
         self._cookie_counter = itertools.count(1)
         self._by_inode: dict[int, list[Watch]] = {}
         self._counters = counters
-
-    def instance(self, *, max_queued_events: int | None = None) -> Inotify:
-        """Create a new notification instance (``inotify_init``)."""
-        return Inotify(self, max_queued_events=max_queued_events)
 
     def count(self, name: str) -> None:
         """Increment a delivery counter (no-op without a counter registry)."""
@@ -247,12 +216,12 @@ class NotifyHub:
         """Allocate a cookie pairing the two halves of a rename."""
         return next(self._cookie_counter)
 
-    def register(self, owner: Inotify, inode: "Inode", mask: EventMask) -> int:
+    def register(self, owner: Inotify, inode: "Inode", mask: int) -> int:
         """Create a watch; returns the new watch descriptor."""
         wd = next(self._wd_counter)
         watch = Watch(wd, inode, mask, owner)
         self._by_inode.setdefault(id(inode), []).append(watch)
-        owner._register(watch)
+        owner._watches[wd] = watch
         return wd
 
     def unregister(self, watch: Watch) -> None:
@@ -271,10 +240,14 @@ class NotifyHub:
         watches on each directory holding a dentry for the node see it with
         the child name — mirroring how fsnotify propagates one level up.
         """
-        event_mask = EventMask(mask)
-        self._fanout(inode, event_mask, name, cookie)
-        for parent, child_name in list(inode.dentries):
-            self._fanout(parent, event_mask, child_name, cookie)
+        by_inode = self._by_inode
+        bucket = by_inode.get(id(inode))
+        if bucket:
+            self._fanout(bucket, int(mask), name, cookie)
+        for parent, child_name in tuple(inode.dentries):
+            bucket = by_inode.get(id(parent))
+            if bucket:
+                self._fanout(bucket, int(mask), child_name, cookie)
 
     def emit_dirent(
         self,
@@ -287,19 +260,17 @@ class NotifyHub:
         """Deliver a directory-entry event (create/delete/move) by name."""
         if _tracing:
             _publish("emit_dirent", parent, child, mask, name, cookie)
-        event_mask = EventMask(mask)
-        if child.is_dir:
-            event_mask |= EventMask.IN_ISDIR
-        self._fanout(parent, event_mask, name, cookie)
+        bucket = self._by_inode.get(id(parent))
+        if bucket:
+            self._fanout(bucket, (int(mask) | self._ISDIR) if child.is_dir else int(mask), name, cookie)
 
-    def _fanout(self, inode: "Inode", mask: EventMask, name: str | None, cookie: int) -> None:
-        for watch in list(self._by_inode.get(id(inode), [])):
-            if watch.removed:
+    def _fanout(self, bucket: list[Watch], mask: int, name: str | None, cookie: int) -> None:
+        isdir = mask & self._ISDIR  # carried to every watch that wants one of the event bits
+        events = mask ^ isdir
+        for watch in tuple(bucket):  # a wakeup may add or remove watches
+            wanted = events & watch.mask
+            if not wanted or watch.removed:
                 continue
-            wanted = mask & watch.mask
-            if not wanted & ~EventMask.IN_ISDIR:
-                continue
-            delivered = wanted | (mask & EventMask.IN_ISDIR)
-            watch.owner._deliver(NotifyEvent(wd=watch.wd, mask=delivered, name=name, cookie=cookie))
+            watch.owner._deliver(NotifyEvent(wd=watch.wd, mask=EventMask(wanted | isdir), name=name, cookie=cookie))
             if self._counters is not None:
                 self._counters.add("notify.events")

@@ -3,10 +3,9 @@
 The paper's applications are ordinary processes, and an ordinary process
 does not poll each notification descriptor separately — it parks in one
 ``epoll_wait`` covering everything it watches and is woken once, whatever
-fired.  :class:`Epoll` reproduces that: any object exposing the small
-*pollable* protocol (``readable()`` plus ``poll_register``/
-``poll_unregister``, implemented by :class:`~repro.vfs.notify.Inotify`)
-can be registered, and a single wakeup callback covers the whole set.
+fired.  :class:`Epoll` reproduces that: any :class:`Pollable` (an inotify
+instance, a ring's completion queue, a shared-memory ring) can be
+registered, and a single wakeup callback covers the whole set.
 
 Semantics follow Linux epoll where it matters here:
 
@@ -27,6 +26,32 @@ from repro.vfs.errors import InvalidArgument
 #: epoll_ctl(2) operations (same meaning as EPOLL_CTL_ADD / EPOLL_CTL_DEL).
 EPOLL_CTL_ADD = 1
 EPOLL_CTL_DEL = 2
+
+
+class Pollable:
+    """What an :class:`Epoll` can watch: ``readable()``, and who to tell on the empty -> non-empty edge."""
+
+    def __init__(self) -> None:
+        self._pollers: list[Epoll] = []  # the Epoll instances watching this descriptor
+
+    def readable(self) -> bool:
+        """True when there is something to read (each subclass says when)."""
+        raise NotImplementedError
+
+    def poll_register(self, poller: "Epoll") -> None:
+        """An :class:`Epoll` started watching this descriptor."""
+        if poller not in self._pollers:
+            self._pollers.append(poller)
+
+    def poll_unregister(self, poller: "Epoll") -> None:
+        """An :class:`Epoll` stopped watching this descriptor (no-op when it was not)."""
+        if poller in self._pollers:
+            self._pollers.remove(poller)
+
+    def _notify_pollers(self) -> None:
+        """Tell every watcher; a subclass calls this when it goes empty -> non-empty."""
+        for poller in list(self._pollers):
+            poller.notify_readable(self)
 
 
 class Epoll:

@@ -238,11 +238,7 @@ class Syscalls:
 
     def read_text(self, path: str) -> str:
         """open + read + close, decoded as UTF-8."""
-        fd = self.open(path, O_RDONLY)
-        try:
-            return self.read(fd).decode()
-        finally:
-            self.close(fd)
+        return self.read_bytes(path).decode()
 
     def read_bytes(self, path: str) -> bytes:
         """open + read + close."""
@@ -254,12 +250,7 @@ class Syscalls:
 
     def write_text(self, path: str, text: str, *, append: bool = False) -> int:
         """open + write + close (the ``echo value > file`` idiom)."""
-        flags = O_WRONLY | O_CREAT | (O_APPEND if append else O_TRUNC)
-        fd = self.open(path, flags)
-        try:
-            return self.write(fd, text.encode())
-        finally:
-            self.close(fd)
+        return self.write_bytes(path, text.encode(), append=append)
 
     def write_bytes(self, path: str, data: bytes, *, append: bool = False) -> int:
         """open + write + close with raw bytes."""

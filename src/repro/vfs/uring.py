@@ -13,12 +13,10 @@ that the way ``io_uring(7)`` does:
 * one :meth:`IoUring.submit` crosses into the kernel **once** (a single
   metered ``io_uring_enter``) and executes every queued entry;
 * results come back as :class:`Cqe` records on a completion queue that is
-  *pollable* — it implements the same ``readable()`` /
-  ``poll_register`` / ``poll_unregister`` protocol as
-  :class:`~repro.vfs.notify.Inotify`, so a process can park its
-  :class:`~repro.vfs.poll.Epoll` loop on ring completions exactly as it
-  does on inotify events.  Reaping completions touches only the shared
-  ring memory: no syscall.
+  a :class:`~repro.vfs.poll.Pollable`, as :class:`~repro.vfs.notify.Inotify`
+  is, so a process can park its :class:`~repro.vfs.poll.Epoll` loop on ring
+  completions exactly as it does on inotify events.  Reaping completions
+  touches only the shared ring memory: no syscall.
 
 **Linked chains.**  An entry prepared with ``link=True`` ties the *next*
 entry to its success: if it fails, every remaining entry of the chain
@@ -53,6 +51,7 @@ from repro.perf.tracepoints import around as _around
 from repro.perf.tracepoints import entering as _entering
 from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import FsError, InvalidArgument
+from repro.vfs.poll import Pollable
 from repro.vfs.vfs import O_CREAT, O_TRUNC, O_WRONLY
 
 if TYPE_CHECKING:
@@ -134,7 +133,7 @@ class Cqe:
 
 
 @dataclass
-class IoUring:
+class IoUring(Pollable):
     """A submission/completion ring bound to one syscall context.
 
     Created via :meth:`Syscalls.io_uring_setup`; the ring shares the
@@ -146,12 +145,12 @@ class IoUring:
     entries: int = 256
     _sq: list[Sqe] = field(default_factory=list)
     _cq: list[Cqe] = field(default_factory=list)
-    _pollers: list = field(default_factory=list)
     _seq: int = 0
     #: op -> the context's bound method, looked up once per ring
     _ops: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        super().__init__()
         if self.entries < 1:
             raise InvalidArgument(detail=f"ring size must be >= 1, got {self.entries}")
 
@@ -317,25 +316,9 @@ class IoUring:
         self._cq.clear()
         self._pollers.clear()
 
-    # -- the pollable protocol (see repro.vfs.poll) --------------------------
-
     def readable(self) -> bool:
         """True when completions are waiting (the pollable protocol)."""
         return bool(self._cq)
-
-    def poll_register(self, poller) -> None:
-        """An :class:`~repro.vfs.poll.Epoll` started watching this ring."""
-        if poller not in self._pollers:
-            self._pollers.append(poller)
-
-    def poll_unregister(self, poller) -> None:
-        """An :class:`~repro.vfs.poll.Epoll` stopped watching this ring."""
-        if poller in self._pollers:
-            self._pollers.remove(poller)
-
-    def _notify_pollers(self) -> None:
-        for poller in list(self._pollers):
-            poller.notify_readable(self)
 
 
 __all__ = ["Cqe", "IoUring", "LINK_FD", "SUPPORTED_OPS", "Sqe"]

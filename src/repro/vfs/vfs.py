@@ -13,6 +13,7 @@ from typing import Callable, Iterator
 from repro.perf.counters import PerfCounters
 from repro.perf.tracepoints import publish as _publish
 from repro.perf.tracepoints import subscribers as _tracing
+from repro.vfs.acl import Acl
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import (
     BadFileDescriptor,
@@ -191,7 +192,7 @@ class VirtualFileSystem:
 
     def inotify(self, *, max_queued_events: int | None = None) -> Inotify:
         """Create a notification instance for an application."""
-        return self.hub.instance(max_queued_events=max_queued_events)
+        return Inotify(self.hub, max_queued_events=max_queued_events)
 
     def mount(
         self,
@@ -339,14 +340,14 @@ class VirtualFileSystem:
         target on the same stack, and mounts are crossed to the topmost
         root.  With ``deps`` it records what a memo entry must re-check.
         """
-        unchecked = cred.is_root  # root passes mode bits; an ACL is still consulted
-        mount_at = ns.mount_at
+        unchecked = cred.is_root  # the access rule's first line: nothing refuses uid 0
+        cross = ns.cross
         last = len(parts) - 1
         for index, part in enumerate(parts):
             cur_dir = stack[-1]
             if not isinstance(cur_dir, DirInode):
                 raise NotADirectory(full_path)
-            if cur_dir.acl is not None or not unchecked:
+            if not unchecked:
                 self.check_access(cur_dir, cred, MAY_EXEC, full_path)
             if part == "..":
                 # Permission-only dep: no directory has a child called "..".
@@ -371,30 +372,15 @@ class VirtualFileSystem:
                 target_parts = tuple(p for p in child.target.split("/") if p and p != ".")
                 self._walk(ns, cred, stack, target_parts, True, budget, full_path, deps)
                 continue
-            mount = mount_at(child)
-            while mount is not None:  # cross stacked mounts to the topmost root
-                child = mount.root
-                mount = mount_at(child)
-            stack.append(child)
+            stack.append(cross(child))
 
     # -- permissions ---------------------------------------------------------------
 
     def check_access(self, inode: Inode, cred: Credentials, want: int, path: str = "") -> None:
-        """Raise PermissionDenied unless ``cred`` may access ``inode``."""
-        if inode.acl is not None:
-            if not inode.acl.check(cred, inode.uid, inode.gid, want):
-                raise PermissionDenied(path, "ACL forbids access")
-            return
-        if cred.is_root:
-            return
-        if cred.uid == inode.uid:
-            bits = inode.mode >> 6
-        elif cred.in_group(inode.gid):
-            bits = inode.mode >> 3
-        else:
-            bits = inode.mode
-        if bits & 7 & want != want:
-            raise PermissionDenied(path)
+        """Raise PermissionDenied unless ``cred`` may access ``inode`` (one without an ACL is judged by the one its mode spells)."""
+        acl = inode.acl or Acl.from_mode(inode.mode & 0o777)
+        if not acl.check(cred, inode.uid, inode.gid, want):
+            raise PermissionDenied(path, "ACL forbids access" if inode.acl else "")
 
     def _check_write_dir(self, parent: DirInode, cred: Credentials, path: str) -> None:
         if parent.fs.readonly:
@@ -405,20 +391,40 @@ class VirtualFileSystem:
         if parent.mode & S_ISVTX and not cred.is_root and cred.uid not in (node.uid, parent.uid):
             raise NotPermitted(path, "sticky directory")
 
+    def _create(
+        self,
+        parent: DirInode,
+        name: str,
+        ftype: FileType,
+        cred: Credentials,
+        path: str,
+        *,
+        mode: int = 0,
+        target: str = "",
+        node: Inode | None = None,
+    ) -> Inode:
+        """The create rule: EEXIST, write + search on the directory, its veto hook, then attach
+        ``node`` (a hard link), else a symlink to ``target``, else what the directory's factory builds, with ``mode``."""
+        if parent.has_child(name):
+            raise FileExists(path)
+        self._check_write_dir(parent, cred, path)
+        parent.may_create(name, ftype, cred)
+        if node is None:
+            if ftype is FileType.SYMLINK:
+                node = parent.fs.make_symlink(target, uid=cred.uid, gid=cred.gid)
+            else:
+                node = parent.child_factory(name, ftype, cred)
+                node.mode = mode & 0o7777
+                node.uid, node.gid = cred.uid, cred.gid
+        parent.attach(name, node)
+        return node
+
     # -- directory operations -----------------------------------------------------
 
     def mkdir(self, ns: MountNamespace, cred: Credentials, path: str, mode: int = 0o755) -> DirInode:
         """Create a directory (semantic file systems may auto-populate it)."""
         parent, name = self.resolve_parent(ns, cred, path)
-        if parent.has_child(name):
-            raise FileExists(path)
-        self._check_write_dir(parent, cred, path)
-        parent.may_create(name, FileType.DIRECTORY, cred)
-        node = parent.child_factory(name, FileType.DIRECTORY, cred)
-        node.mode = mode & 0o7777
-        node.uid, node.gid = cred.uid, cred.gid
-        parent.attach(name, node)
-        return require_dir(node, path)
+        return require_dir(self._create(parent, name, FileType.DIRECTORY, cred, path, mode=mode), path)
 
     def rmdir(self, ns: MountNamespace, cred: Credentials, path: str) -> None:
         """Remove a directory.
@@ -456,12 +462,7 @@ class VirtualFileSystem:
         """
         node = require_dir(self.resolve(ns, cred, path), path)
         self.check_access(node, cred, MAY_READ | MAY_EXEC, path)
-        out: list[tuple[str, Stat]] = []
-        for name, child in node.children():
-            mount = ns.mount_at(child)
-            target = mount.root if mount is not None else child
-            out.append((name, target.stat()))
-        return out
+        return [(name, ns.cross(child).stat()) for name, child in node.children()]
 
     def readdirplus(self, ns: MountNamespace, cred: Credentials, path: str) -> list[tuple[str, bytes | None]]:
         """readdir + every regular file's whole content, resolving the directory once.
@@ -482,7 +483,10 @@ class VirtualFileSystem:
             if not isinstance(child, FileInode):
                 out.append((name, None))
                 continue
-            self.check_access(child, cred, MAY_READ, f"{path}/{name}")
+            try:
+                self.check_access(child, cred, MAY_READ)
+            except PermissionDenied as exc:
+                raise PermissionDenied(f"{path}/{name}", exc.detail) from None
             self.fanotify.check_open(child, cred, writable=False)
             child.fs.emit(child, EventMask.IN_OPEN)
             with FileHandle(self, child, O_RDONLY, cred) as handle:
@@ -501,25 +505,27 @@ class VirtualFileSystem:
     ) -> FileHandle:
         """Open (optionally creating) a regular file."""
         created = False
-        try:
-            node = self.resolve(ns, cred, path)
-        except FileNotFound:
-            if not flags & O_CREAT:
-                raise
+        parts = self._tokens(path)
+        if flags & O_CREAT and parts and parts[-1] != "..":
+            # Ask the directory for the name (a search of it): a new file
+            # costs this one walk, and of the names that exist only a symlink
+            # is resolved further (a mountpoint is a directory on either side).
             parent, name = self.resolve_parent(ns, cred, path)
-            if parent.has_child(name):
-                # The final component resolved to a dangling symlink.
-                raise FileExists(path, "dangling symlink in the way")
-            self._check_write_dir(parent, cred, path)
-            parent.may_create(name, FileType.REGULAR, cred)
-            node = parent.child_factory(name, FileType.REGULAR, cred)
-            node.mode = mode & 0o7777
-            node.uid, node.gid = cred.uid, cred.gid
-            parent.attach(name, node)
-            created = True
+            self.check_access(parent, cred, MAY_EXEC, path)
+            if not parent.has_child(name):
+                node = self._create(parent, name, FileType.REGULAR, cred, path, mode=mode)
+                created = True
+            else:
+                node = parent._children[name]  # what has_child just answered from (and, on distfs, refreshed)
+                if isinstance(node, SymlinkInode):
+                    try:
+                        node = self.resolve(ns, cred, path)
+                    except FileNotFound:
+                        raise FileExists(path, "dangling symlink in the way") from None
         else:
-            if flags & O_CREAT and flags & O_EXCL:
-                raise FileExists(path)
+            node = self.resolve(ns, cred, path)
+        if flags & O_CREAT and flags & O_EXCL and not created:
+            raise FileExists(path)
         inode = require_file(node, path)
         accmode = flags & _ACCMODE
         if not created:
@@ -535,17 +541,6 @@ class VirtualFileSystem:
         if flags & O_TRUNC and accmode in (O_WRONLY, O_RDWR) and not created:
             inode.truncate(0)
         return FileHandle(self, inode, flags, cred)
-
-    def read_file(self, ns: MountNamespace, cred: Credentials, path: str) -> bytes:
-        """Convenience: open-read-close."""
-        with self.open(ns, cred, path, O_RDONLY) as handle:
-            return handle.read()
-
-    def write_file(self, ns: MountNamespace, cred: Credentials, path: str, data: bytes, *, append: bool = False) -> int:
-        """Convenience: open-write-close (creating or truncating)."""
-        flags = O_WRONLY | O_CREAT | (O_APPEND if append else O_TRUNC)
-        with self.open(ns, cred, path, flags) as handle:
-            return handle.write(data)
 
     def truncate(self, ns: MountNamespace, cred: Credentials, path: str, size: int) -> None:
         """Truncate by path."""
@@ -571,13 +566,7 @@ class VirtualFileSystem:
     def symlink(self, ns: MountNamespace, cred: Credentials, target: str, linkpath: str) -> SymlinkInode:
         """Create a symbolic link at ``linkpath`` pointing to ``target``."""
         parent, name = self.resolve_parent(ns, cred, linkpath)
-        if parent.has_child(name):
-            raise FileExists(linkpath)
-        self._check_write_dir(parent, cred, linkpath)
-        parent.may_create(name, FileType.SYMLINK, cred)
-        node = parent.fs.make_symlink(target, uid=cred.uid, gid=cred.gid)
-        parent.attach(name, node)
-        return node
+        return self._create(parent, name, FileType.SYMLINK, cred, linkpath, target=target)
 
     def readlink(self, ns: MountNamespace, cred: Credentials, path: str) -> str:
         """Read a symlink's target."""
@@ -594,11 +583,7 @@ class VirtualFileSystem:
         parent, name = self.resolve_parent(ns, cred, newpath)
         if node.fs is not parent.fs:
             raise CrossDevice(newpath)
-        if parent.has_child(name):
-            raise FileExists(newpath)
-        self._check_write_dir(parent, cred, newpath)
-        parent.may_create(name, node.ftype, cred)
-        parent.attach(name, node)
+        self._create(parent, name, node.ftype, cred, newpath, node=node)
 
     # -- rename --------------------------------------------------------------------
 
@@ -750,12 +735,10 @@ class VirtualFileSystem:
                 continue
             dirnames, filenames = [], []
             for name, child in dirnode.children():
-                mount = ns.mount_at(child)
-                target = mount.root if mount is not None else child
+                target = ns.cross(child)
                 if isinstance(target, DirInode):
                     dirnames.append(name)
-                    child_path = dirpath.rstrip("/") + "/" + name
-                    stack.append((child_path, target))
+                    stack.append((dirpath.rstrip("/") + "/" + name, target))
                 else:
                     filenames.append(name)
             yield dirpath, dirnames, filenames

@@ -70,3 +70,9 @@ def test_cidr_bare_address_is_host_route():
 def test_cidr_rejects_host_bits():
     with pytest.raises(ValueError):
         cidr("10.0.0.1/8")
+
+
+def test_ip_returns_an_address_as_it_is():
+    address = ip("10.1.2.3")
+    assert ip(address) is address
+    assert ip(int(address)) == address

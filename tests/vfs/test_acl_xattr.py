@@ -1,6 +1,8 @@
 """POSIX ACLs and extended attributes (paper section 5.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.vfs import (
     Acl,
@@ -11,6 +13,7 @@ from repro.vfs import (
     NoData,
     PermissionDenied,
     Syscalls,
+    VirtualFileSystem,
 )
 
 ALICE = Credentials(uid=1000, gid=1000)
@@ -132,6 +135,96 @@ def test_setfacl_requires_ownership(vfs, sc):
 
     with pytest.raises(NotPermitted):
         bob.set_acl("/f", Acl.from_mode(0o777))
+
+
+# -- the one access rule against the two it replaced ------------------------------------
+
+
+def _scan_check(entries, cred, owner_uid, owner_gid, want):
+    """The reference model: ``Acl.check`` as it stood before the index, a scan of the entry tuple per question."""
+    if cred.is_root:
+        return True
+    mask = 7
+    for entry in entries:
+        if entry.tag is AclTag.MASK:
+            mask = entry.perms
+            break
+    # 1. owning user.
+    if cred.uid == owner_uid:
+        for entry in entries:
+            if entry.tag is AclTag.USER_OBJ:
+                return entry.perms & want == want
+        return False
+    # 2. named user (masked).
+    for entry in entries:
+        if entry.tag is AclTag.USER and entry.qualifier == cred.uid:
+            return entry.perms & mask & want == want
+    # 3. owning group + named groups: allowed if any matching entry grants.
+    group_matched = False
+    for entry in entries:
+        if entry.tag is AclTag.GROUP_OBJ and cred.in_group(owner_gid):
+            group_matched = True
+            if entry.perms & mask & want == want:
+                return True
+        elif entry.tag is AclTag.GROUP and entry.qualifier is not None and cred.in_group(entry.qualifier):
+            group_matched = True
+            if entry.perms & mask & want == want:
+                return True
+    if group_matched:
+        return False
+    # 4. other.
+    for entry in entries:
+        if entry.tag is AclTag.OTHER:
+            return entry.perms & want == want
+    return False
+
+
+def _mode_check(mode, cred, owner_uid, owner_gid, want):
+    """The reference model: the inline mode-bit rule ``check_access`` used to hold."""
+    if cred.is_root:
+        return True
+    if cred.uid == owner_uid:
+        bits = mode >> 6
+    elif cred.in_group(owner_gid):
+        bits = mode >> 3
+    else:
+        bits = mode
+    return bits & 7 & want == want
+
+
+_ids = st.integers(min_value=0, max_value=4)  # few enough that owner, named entries and uid 0 collide
+_perms = st.integers(min_value=0, max_value=7)
+_entries = st.lists(
+    st.one_of(
+        st.builds(AclEntry, st.sampled_from([AclTag.USER_OBJ, AclTag.GROUP_OBJ, AclTag.MASK, AclTag.OTHER]), _perms),
+        st.builds(AclEntry, st.sampled_from([AclTag.USER, AclTag.GROUP]), _perms, _ids),
+    ),
+    max_size=8,
+).map(tuple)
+_creds = st.builds(Credentials, uid=_ids, gid=_ids, groups=st.frozensets(_ids, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entries, _creds, _ids, _ids, _perms)
+def test_indexed_check_equals_the_scan(entries, cred, owner_uid, owner_gid, want):
+    acl = Acl(entries=entries)
+    assert acl.check(cred, owner_uid, owner_gid, want) == _scan_check(entries, cred, owner_uid, owner_gid, want)
+    assert acl == Acl(entries=entries) and hash(acl) == hash(Acl(entries=entries))
+    assert Acl.from_text(acl.to_text()) == acl
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=0o7777), _creds, _ids, _ids, _perms)
+def test_an_inode_without_an_acl_is_judged_by_its_mode_bits(mode, cred, owner_uid, owner_gid, want):
+    vfs = VirtualFileSystem()
+    node = vfs.root_fs.make_file(mode=mode, uid=owner_uid, gid=owner_gid)
+    allowed = _mode_check(mode, cred, owner_uid, owner_gid, want)
+    if allowed:
+        vfs.check_access(node, cred, want, "/f")
+    else:
+        with pytest.raises(PermissionDenied):
+            vfs.check_access(node, cred, want, "/f")
+    assert Acl.from_mode(mode).check(cred, owner_uid, owner_gid, want) == allowed
 
 
 # -- xattrs ---------------------------------------------------------------------------

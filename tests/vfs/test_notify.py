@@ -1,8 +1,11 @@
 """inotify-style monitoring (paper section 5.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.vfs import IN_ALL_EVENTS, EventMask, InvalidArgument
+from repro.perf import tracepoints
+from repro.vfs import IN_ALL_EVENTS, EventMask, FsError, InvalidArgument, NotifyEvent, Syscalls, VirtualFileSystem
 
 
 def _events(sc, ino):
@@ -249,3 +252,84 @@ def test_coalescing_counts_published_to_perfcounters(vfs, sc):
     for _ in range(5):
         sc.write_text("/f", "same-shape-event")
     assert vfs.counters.get("notify.coalesced") >= 4
+
+
+# -- the hub's int masks against the API's enum ------------------------------------------
+
+
+class _Deliveries:
+    """Subscriber to the ``deliver`` trace point: every event handed to an instance, before coalescing."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_deliver(self, instance, event):
+        self.seen.append((instance, event))
+
+
+WATCHED = ("/d", "/d/f", "/d/sub", "/d/sub/g")
+_names = st.sampled_from(["/d/f", "/d/h", "/d/sub", "/d/sub/g", "/d/link"])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["write_text"]), _names, st.sampled_from(["a", "bb"])),
+        st.tuples(st.sampled_from(["read_text", "mkdir", "rmdir", "unlink", "listdir"]), _names),
+        st.tuples(st.sampled_from(["rename", "symlink", "link"]), _names, _names),
+        st.tuples(st.sampled_from(["chmod"]), _names, st.sampled_from([0o600, 0o755])),
+    ),
+    max_size=25,
+)
+_bits = st.integers(min_value=1, max_value=0x0FFF)
+_masks = st.one_of(_bits, _bits.map(EventMask), _bits.map(lambda bits: EventMask(bits) | EventMask.IN_ISDIR))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ops, _masks)
+def test_a_masked_watch_sees_the_full_stream_filtered(ops, mask):
+    sc = Syscalls(VirtualFileSystem())
+    sc.makedirs("/d/sub")
+    sc.write_text("/d/f", "x")
+    sc.write_text("/d/sub/g", "x")
+    full, masked = sc.inotify_init(), sc.inotify_init()
+    paths = {instance: {sc.inotify_add_watch(instance, path, m): path for path in WATCHED} for instance, m in ((full, IN_ALL_EVENTS), (masked, mask))}
+    recorder = _Deliveries()
+    tracepoints.subscribe(recorder)
+    try:
+        for op, *args in ops:
+            try:
+                getattr(sc, op)(*args)
+            except FsError:
+                pass
+    finally:
+        tracepoints.unsubscribe(recorder)
+    streams = {full: [], masked: []}
+    for instance, event in recorder.seen:
+        assert type(event) is NotifyEvent and type(event.mask) is EventMask
+        streams[instance].append((paths[instance][event.wd], event.mask, event.name, event.cookie))
+    isdir = int(EventMask.IN_ISDIR)
+    expected = [
+        (path, EventMask(int(seen) & int(mask) & ~isdir | int(seen) & isdir), name, cookie)
+        for path, seen, name, cookie in streams[full]
+        if int(seen) & int(mask) & ~isdir
+    ]
+    assert streams[masked] == expected
+    assert sc.vfs.counters.get("notify.events") == len(recorder.seen)
+
+
+def test_an_emit_nobody_watches_delivers_nothing(vfs, sc):
+    sc.mkdir("/elsewhere")
+    ino = sc.inotify_init()
+    sc.inotify_add_watch(ino, "/elsewhere", IN_ALL_EVENTS)
+    recorder = _Deliveries()
+    tracepoints.subscribe(recorder)
+    try:
+        sc.makedirs("/d/sub")
+        sc.write_text("/d/sub/f", "x")
+        sc.read_text("/d/sub/f")
+        sc.chmod("/d/sub/f", 0o600)
+        sc.rename("/d/sub/f", "/d/g")
+        sc.unlink("/d/g")
+        sc.rmdir("/d/sub")
+    finally:
+        tracepoints.unsubscribe(recorder)
+    assert recorder.seen == [] and sc.inotify_read(ino) == []
+    assert vfs.counters.get("notify.events") == 0

@@ -46,6 +46,31 @@ def test_stacked_mounts_cross_to_topmost(sc):
     assert sc.read_text("/m/lower-file") == "lower"
 
 
+@pytest.fixture
+def stacked(sc):
+    """``lower`` mounted on /m (holding a file), ``upper`` stacked on ``lower``'s root (holding a directory)."""
+    sc.mkdir("/m")
+    lower = MemFs()
+    sc.mount("/m", lower)
+    sc.write_text("/m/lower-file", "lower")
+    upper = MemFs()
+    sc.ns.mount(lower.root, upper, source="upper")
+    sc.mkdir("/m/upper-dir")
+    return lower, upper
+
+
+def test_scandir_reports_the_topmost_stacked_mount(sc, stacked):
+    _lower, upper = stacked
+    assert sc.stat("/m").dev == upper.dev
+    assert dict(sc.scandir("/"))["m"].dev == upper.dev
+    assert dict(sc.scandir("/"))["m"] == sc.stat("/m")
+
+
+def test_walk_does_not_list_what_a_stacked_mount_hides(sc, stacked):
+    assert sc.listdir("/m") == ["upper-dir"]
+    assert list(sc.walk("/")) == [("/", ["m"], []), ("/m", ["upper-dir"], []), ("/m/upper-dir", [], [])]
+
+
 def test_abspath_normalizes_both_branches(sc):
     assert sc._abspath("/net//switches/./s1") == "/net/switches/s1"
     sc.mkdir("/wd")
