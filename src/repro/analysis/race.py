@@ -61,7 +61,6 @@ Findings can be suppressed at either involved source line with
 from __future__ import annotations
 
 import linecache
-import os
 import sys
 import weakref
 from collections import deque
@@ -73,7 +72,7 @@ from repro.analysis.sanitizer import _FLOW_SPEC_NAMES
 from repro.perf import tracepoints
 from repro.vfs.errors import FsError
 from repro.vfs.inode import FileInode
-from repro.vfs.syscalls import O_TRUNC, Syscalls
+from repro.vfs.syscalls import O_TRUNC, SYSCALLS, Syscalls
 from repro.yancfs.schema import CountersDir, FlowNode
 
 #: Frames whose filename matches one of these are substrate plumbing; the
@@ -94,12 +93,10 @@ _DATA_OPS = frozenset(
     "open close read write pread pwrite ftruncate truncate rename readdirplus inotify_read epoll_wait".split()
 )
 #: Every syscall that opens an actor scope: the data ops, plus the
-#: namespace mutators — those need no shadow record (directory ops are
-#: atomic in the kernel, like a concurrent map) but must make their
+#: syscall table's mutators — those need no shadow record (directory ops
+#: are atomic in the kernel, like a concurrent map) but must make their
 #: caller the current actor so the notify events they emit carry its clock.
-_SCOPED_OPS = _DATA_OPS | frozenset(
-    "mkdir rmdir unlink symlink link chmod chown set_acl setxattr removexattr".split()
-)
+_SCOPED_OPS = _DATA_OPS | {op for op, row in SYSCALLS.items() if row.mutates}
 
 
 @dataclass(frozen=True)
@@ -710,30 +707,5 @@ class RaceDetector:
 
 # -- environment opt-in ---------------------------------------------------------
 
-_env_detector: RaceDetector | None = None
-
-
-def enabled() -> bool:
-    """True when the YANCRACE environment variable requests the detector."""
-    return os.environ.get("YANCRACE", "") not in ("", "0")
-
-
-def install_from_env() -> RaceDetector | None:
-    """Install the process-wide detector if YANCRACE is set; idempotent."""
-    global _env_detector
-    if not enabled():
-        return None
-    if _env_detector is None:
-        _env_detector = RaceDetector().install()
-    return _env_detector
-
-
-def active() -> RaceDetector | None:
-    """The environment-installed detector, if any."""
-    return _env_detector
-
-
-def reset_all() -> None:
-    """Reset every active detector (test-isolation helper)."""
-    for det in tracepoints.subscribed(RaceDetector):
-        det.reset()
+_ENV = tracepoints.EnvTool("YANCRACE", RaceDetector)
+enabled, install_from_env, active, reset_all = _ENV.enabled, _ENV.install_from_env, _ENV.active, _ENV.reset_all

@@ -41,7 +41,6 @@ or programmatically::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.perf import tracepoints
@@ -255,30 +254,5 @@ class Sanitizer:
 
 # -- environment opt-in ---------------------------------------------------------
 
-_env_sanitizer: Sanitizer | None = None
-
-
-def enabled() -> bool:
-    """True when the YANCSAN environment variable requests the sanitizer."""
-    return os.environ.get("YANCSAN", "") not in ("", "0")
-
-
-def install_from_env() -> Sanitizer | None:
-    """Install the process-wide sanitizer if YANCSAN is set; idempotent."""
-    global _env_sanitizer
-    if not enabled():
-        return None
-    if _env_sanitizer is None:
-        _env_sanitizer = Sanitizer().install()
-    return _env_sanitizer
-
-
-def active() -> Sanitizer | None:
-    """The environment-installed sanitizer, if any."""
-    return _env_sanitizer
-
-
-def reset_all() -> None:
-    """Reset every active sanitizer (test-isolation helper)."""
-    for san in tracepoints.subscribed(Sanitizer):
-        san.reset()
+_ENV = tracepoints.EnvTool("YANCSAN", Sanitizer)
+enabled, install_from_env, active, reset_all = _ENV.enabled, _ENV.install_from_env, _ENV.active, _ENV.reset_all

@@ -2,10 +2,9 @@
 
 A :class:`~repro.analysis.core.Judge` over the shared
 :class:`~repro.analysis.sweep.Sweep`: every function's
-recorded syscall sites (:class:`~repro.analysis.yancpath.interp.Site`)
-and ring staging calls (:class:`~repro.analysis.yancpath.interp.UringSite`)
-form a per-function *persistence-effect sequence* — data writes,
-rename-publications, version-file commits, staged dot-entries,
+recorded syscall sites (:class:`~repro.analysis.yancpath.interp.Site`,
+queued ring entries included) form a per-function *persistence-effect
+sequence* — data writes, rename-publications, version-file commits, staged dot-entries,
 chain-linked batch entries — in program order, with branch tags so
 sites in sibling ``if`` arms are never treated as ordered.  Four
 finding kinds judge that sequence:
@@ -45,7 +44,7 @@ from typing import Iterable
 
 from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath import patterns as P
-from repro.analysis.yancpath.interp import FuncInterp, Site, UringSite
+from repro.analysis.yancpath.interp import FuncInterp, Site
 
 _SEVERITY = {
     "publish-before-data": Severity.ERROR,
@@ -179,8 +178,8 @@ class _FuncJudge:
         sites = self.interp.sites
         self._publish_before_data(sites)
         self._non_atomic_publish(sites)
-        self._commit_outside_chain(self.interp.uring_sites)
-        self._unrecovered_staging(sites, self.interp.uring_sites)
+        self._commit_outside_chain([site for site in sites if site.queued])
+        self._unrecovered_staging(sites)
 
     # publish-before-data ---------------------------------------------------------
 
@@ -266,16 +265,16 @@ class _FuncJudge:
 
     # commit-outside-chain --------------------------------------------------------
 
-    def _commit_outside_chain(self, uring_sites: list[UringSite]) -> None:
-        if not uring_sites:
+    def _commit_outside_chain(self, queued: list[Site]) -> None:
+        if not queued:
             return
         # Chains break only AFTER a link=False entry — links carry across
         # loop iterations and out of branches at runtime, so loop/branch
         # boundaries must not sever a static chain (link=None, a
         # non-constant flag, leniently continues it).
-        chains: list[list[UringSite]] = []
-        current: list[UringSite] = []
-        for site in uring_sites:
+        chains: list[list[Site]] = []
+        current: list[Site] = []
+        for site in queued:
             current.append(site)
             if site.link is False:
                 chains.append(current)
@@ -288,16 +287,16 @@ class _FuncJudge:
             for site in chain:
                 if not site.paths:
                     continue
-                if site.op == "write_file" and self.judge(site.paths[0]) == "stage":
+                if site.method == "write_bytes" and self.judge(site.paths[0]) == "stage":
                     parent = _parent(site.paths[0])
                     if parent is not None:
                         parents.add(parent)
-                elif site.op == "mkdir":
+                elif site.method == "mkdir":
                     parents.add(site.paths[0])
             staged_parents_by_chain.append(parents)
         for index, chain in enumerate(chains):
             for site in chain:
-                if site.op != "write_file" or not site.paths:
+                if site.method != "write_bytes" or not site.paths:
                     continue
                 if self.judge(site.paths[0]) != "commit":
                     continue
@@ -325,7 +324,7 @@ class _FuncJudge:
 
     # unrecovered-staging ---------------------------------------------------------
 
-    def _unrecovered_staging(self, sites: list[Site], uring_sites: list[UringSite]) -> None:
+    def _unrecovered_staging(self, sites: list[Site]) -> None:
         seen_parents: set[tuple] = set()
         staging: list[tuple[tuple, ast.AST]] = []
         for site in sites:
@@ -333,9 +332,6 @@ class _FuncJudge:
                 continue
             if _is_dot(site.paths[0]):
                 staging.append((site.paths[0], site.node))
-        for usite in uring_sites:
-            if usite.op in ("write_file", "mkdir") and usite.paths and _is_dot(usite.paths[0]):
-                staging.append((usite.paths[0], usite.node))
         for path, node in staging:
             parent = _parent(path) or ()
             if parent in seen_parents:

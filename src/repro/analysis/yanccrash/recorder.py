@@ -34,13 +34,13 @@ from dataclasses import asdict, dataclass
 
 from repro.analysis.race import _call_site  # reported sites skip substrate frames, same as yancrace
 from repro.perf import tracepoints
-from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
+from repro.vfs.syscalls import SYSCALLS, Syscalls
 from repro.yancfs.schema import YancFs
 
-_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
-
-#: Syscalls recorded as (op, absolute paths) when any path is in scope.
-_PATH_OPS = frozenset({"mkdir", "rmdir", "unlink", "rename", "link"})
+#: The file and namespace calls that change the tree — the ones a ring
+#: carries; recorded by absolute path when any path is in scope (metadata
+#: and mount-table calls are outside the crash model).
+_PATH_OPS = frozenset(op for op, row in SYSCALLS.items() if row.ring and row.mutates and row.paths)
 
 #: ``libyanc`` trace-point op -> the synthetic durable op it records as.
 _FASTPATH_OPS = {
@@ -150,7 +150,7 @@ class CrashRecorder:
         if exc is not None:
             return
         if op == "open":
-            if args[1] & _WRITE_FLAGS and self.in_scope(paths[0]):
+            if SYSCALLS["open"].writes(args) and self.in_scope(paths[0]):
                 self._tracked_fds.setdefault(sc, {})[result] = paths[0]
                 self.record("open", (paths[0], args[1], result), id(sc.vfs))
         elif op in ("write", "pwrite", "ftruncate"):
@@ -158,13 +158,13 @@ class CrashRecorder:
                 if op != "ftruncate":  # (fd, data[, offset]): pin the payload
                     args = (args[0], bytes(args[1])) + args[2:]
                 self.record(op, args, id(sc.vfs))
-        elif op in _PATH_OPS or op == "truncate":
-            if any(self.in_scope(path) for path in paths):
-                size = (args[1],) if op == "truncate" else ()
-                self.record(op, paths + size, id(sc.vfs))
         elif op == "symlink":
             if self.in_scope(paths[0]):
                 self.record("symlink", (args[0], paths[0]), id(sc.vfs))
+        elif op in _PATH_OPS:
+            if any(self.in_scope(path) for path in paths):
+                size = (args[1],) if op == "truncate" else ()
+                self.record(op, paths + size, id(sc.vfs))
         elif op == "mount":
             kind = "yanc" if isinstance(args[1], YancFs) else type(args[1]).__name__
             if kind == "yanc":

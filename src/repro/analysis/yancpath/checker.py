@@ -30,6 +30,7 @@ from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath import patterns as P
 from repro.analysis.yancpath.grammar import NamespaceModel
 from repro.analysis.yancpath.interp import FuncInterp
+from repro.vfs.syscalls import SYSCALLS
 
 _SEVERITY = {
     "unknown-path": Severity.ERROR,
@@ -41,8 +42,11 @@ _SEVERITY = {
 
 KINDS = tuple(_SEVERITY)
 
-_WRITEISH = frozenset({"write_text", "write_bytes", "mkdir", "makedirs"})
-_READISH = frozenset({"read_text", "read_bytes", "readdirplus", "listdir", "open", "walk"})
+#: What an app may not do inside an event buffer (change it) or to the
+#: packet_out spool (read it back): the syscall table's mutators, and its
+#: other path-taking calls.
+_WRITEISH = frozenset(op for op, row in SYSCALLS.items() if row.mutates)
+_READISH = frozenset(op for op, row in SYSCALLS.items() if row.paths and not row.mutates)
 
 
 def make_judge(model: NamespaceModel):

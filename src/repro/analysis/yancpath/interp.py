@@ -39,73 +39,28 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.yancpath import patterns as P
+from repro.vfs.syscalls import SYSCALLS
 
 # -- the recognized syscall surface ----------------------------------------------------
 
-#: method name -> indices of positional args that are paths.
+#: method name -> positions of its path arguments: every syscall-table row's
+#: resolved and stored paths (a symlink's target is matched against the
+#: grammar too), plus the ``Process.watch`` run-loop helper.
 PATH_ARGS: dict[str, tuple[int, ...]] = {
-    "open": (0,),
-    "read_text": (0,),
-    "read_bytes": (0,),
-    "write_text": (0,),
-    "write_bytes": (0,),
-    "mkdir": (0,),
-    "makedirs": (0,),
-    "rmdir": (0,),
-    "unlink": (0,),
-    "rename": (0, 1),
-    "symlink": (0, 1),
-    "readlink": (0,),
-    "link": (0, 1),
-    "stat": (0,),
-    "lstat": (0,),
-    "exists": (0,),
-    "listdir": (0,),
-    "truncate": (0,),
-    "chmod": (0,),
-    "chown": (0,),
-    "walk": (0,),
-    "scandir": (0,),
-    "readdirplus": (0,),
-    "inotify_add_watch": (1,),
-    "watch": (0,),
-}
-
-#: fd-consuming syscalls that do NOT transfer ownership of a tracked fd.
-FD_SAFE_METHODS = frozenset(
-    {"close", "read", "write", "pread", "pwrite", "fstat", "lseek", "ftruncate", "fsync"}
-)
+    op: tuple(sorted(row.stores + row.paths)) for op, row in SYSCALLS.items() if row.paths
+} | {"watch": (0,)}
 
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
-
-#: The one :class:`~repro.vfs.uring.IoUring` method that is a kernel
-#: crossing.  ``prep``/``prep_write_file``/``completions`` touch only the
-#: shared-memory ring, so only ``submit`` registers as a syscall site —
-#: which is exactly what makes batched loops legible to yancperf: the
-#: storm collapses to one recognized op per flush.
-URING_METHODS = frozenset({"submit"})
 
 #: Receiver spellings treated as a ring handle (mirrors the ``sc`` /
 #: ``.sc`` convention for Syscalls receivers).
 _URING_RECEIVERS = ("ring", "uring", "_uring")
 
-#: Ring submission-queue staging calls.  They are *not* kernel crossings
-#: (only ``submit`` is), but yanccrash needs to see them: a linked chain
-#: is the batched §3.4 atomicity unit, so which preps share a chain
-#: decides whether a severed chain can expose a torn flow.
-URING_PREP_METHODS = frozenset({"prep", "prep_write_file"})
 
-#: ``prep(op, ...)`` op name -> positional indices (of the *prep* call)
-#: that carry paths.
-URING_PREP_PATH_ARGS: dict[str, tuple[int, ...]] = {
-    "open": (1,),
-    "mkdir": (1,),
-    "rmdir": (1,),
-    "unlink": (1,),
-    "rename": (1, 2),
-    "symlink": (1, 2),
-    "link": (1, 2),
-}
+def _is_ring(base: ast.expr) -> bool:
+    if isinstance(base, ast.Name):
+        return base.id in _URING_RECEIVERS
+    return isinstance(base, ast.Attribute) and base.attr in _URING_RECEIVERS
 
 
 def syscall_method(call: ast.Call) -> str | None:
@@ -113,9 +68,12 @@ def syscall_method(call: ast.Call) -> str | None:
 
     Recognized receivers: a bare ``sc``/``syscalls`` name, any attribute
     spelled ``.sc`` / ``.root_sc`` (``self.sc``, ``host.root_sc``), ``self``
-    itself for ``watch`` only (the Process run-loop helper), and — for the
-    :data:`URING_METHODS` crossing only — a ``ring``/``uring`` name or
-    ``.ring``/``.uring``/``._uring`` attribute (the §8.1 batch ring).
+    itself for ``watch`` only (the Process run-loop helper), and — for
+    ``submit``, the ring's one kernel crossing — a ``ring``/``uring``
+    name or ``.ring``/``.uring``/``._uring`` attribute (the §8.1 batch
+    ring).  Only ``submit`` registers as an op site, which is exactly what
+    makes batched loops legible to yancperf: the storm collapses to one
+    recognized op per flush.
     """
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -125,28 +83,32 @@ def syscall_method(call: ast.Call) -> str | None:
     if isinstance(base, ast.Name):
         if base.id in ("sc", "syscalls"):
             return method
-        if base.id in _URING_RECEIVERS and method in URING_METHODS:
-            return method
         if base.id == "self" and method == "watch":
             return method
-    elif isinstance(base, ast.Attribute):
-        if base.attr in ("sc", "root_sc"):
-            return method
-        if base.attr in _URING_RECEIVERS and method in URING_METHODS:
-            return method
+    elif isinstance(base, ast.Attribute) and base.attr in ("sc", "root_sc"):
+        return method
+    if method == "submit" and _is_ring(base):
+        return method
     return None
 
 
-def uring_prep_method(call: ast.Call) -> str | None:
-    """The prep-call name when ``call``'s receiver looks like a ring."""
+def queued_syscall(call: ast.Call) -> tuple[str, int] | None:
+    """``(method, shift)`` when ``call`` queues a ring entry.
+
+    ``ring.prep(op, *args)`` stands for ``sc.op(*args)`` (its arguments
+    sit one position later) and ``ring.prep_write_file(path, data)`` for
+    ``sc.write_bytes(path, data)``; an op that is not a ring row of the
+    syscall table is no entry at all.
+    """
     func = call.func
-    if not isinstance(func, ast.Attribute) or func.attr not in URING_PREP_METHODS:
+    if not isinstance(func, ast.Attribute) or not _is_ring(func.value):
         return None
-    base = func.value
-    if isinstance(base, ast.Name) and base.id in _URING_RECEIVERS:
-        return func.attr
-    if isinstance(base, ast.Attribute) and base.attr in _URING_RECEIVERS:
-        return func.attr
+    if func.attr == "prep_write_file":
+        return "write_bytes", 0
+    if func.attr == "prep" and call.args and isinstance(call.args[0], ast.Constant):
+        row = SYSCALLS.get(call.args[0].value)
+        if row is not None and row.ring:
+            return row.name, 1
     return None
 
 
@@ -503,7 +465,13 @@ class OpSite:
 
 @dataclass
 class Site:
-    """One recognized syscall call with its abstract path arguments."""
+    """One recognized syscall call with its abstract path arguments.
+
+    A queued ring entry is the site of the call it stands for
+    (``queued``), with its chain bit: ``link`` is ``True``/``False`` for a
+    compile-time constant and ``None`` when dynamic (treated as
+    chain-continuing, erring toward silence).
+    """
 
     node: ast.Call
     method: str
@@ -515,26 +483,9 @@ class Site:
     #: pairs.  Two sites are program-ordered by visit order only when one
     #: branch stack prefixes the other — sites in sibling arms are not.
     branch: tuple = ()
-
-
-@dataclass
-class UringSite:
-    """One ring submission-queue staging call (``prep``/``prep_write_file``).
-
-    ``link`` is the chain bit: ``True``/``False`` for a compile-time
-    constant, ``None`` when dynamic (treated as chain-continuing, erring
-    toward silence).  ``content`` is the constant payload of a
-    ``prep_write_file``, when there is one.
-    """
-
-    node: ast.Call
-    op: str  # "write_file" for prep_write_file, else the prep op name
-    paths: tuple[tuple, ...]
-    link: bool | None
-    content: object = None
-    depth: int = 0
-    loop: Optional[LoopInfo] = None
-    branch: tuple = ()
+    positions: tuple[int, ...] = ()  # the call-argument position of each path
+    queued: bool = False
+    link: bool | None = False
 
 
 #: Calls whose first argument unwraps to the underlying iterable.
@@ -564,8 +515,7 @@ class FuncInterp:
         self.decl = decl
         self.module = decl.module if decl is not None else module
         self.state = State()
-        self.sites: list[Site] = []
-        self.uring_sites: list[UringSite] = []  # ring prep/prep_write_file calls
+        self.sites: list[Site] = []  # queued ring entries included
         self.op_sites: list[OpSite] = []  # every metered op, incl. fd-based
         self.rpc_sites: list[OpSite] = []  # distfs channel.call round trips
         self.calls: list[CallInfo] = []  # resolved project-internal calls
@@ -1029,9 +979,9 @@ class FuncInterp:
             if kw.arg is None:
                 self.eval(kw.value, state)
 
-        prep = uring_prep_method(call)
-        if prep is not None:
-            self._record_uring(call, prep, arg_tokens)
+        queued = queued_syscall(call)
+        if queued is not None:
+            self._record_site(call, *queued, arg_tokens, state)
 
         method = syscall_method(call)
         if method is not None:
@@ -1039,7 +989,7 @@ class FuncInterp:
                 OpSite(node=call, method=method, depth=len(self._loops), loop=self._innermost())
             )
         if method is not None and method in PATH_ARGS:
-            self._record_site(call, method, arg_tokens, state)
+            self._record_site(call, method, None, arg_tokens, state)
             return P.UNKNOWN
         if method in ("write", "pwrite") and call.args and isinstance(call.args[0], ast.Name):
             # A write through an open fd stages or commits exactly as a
@@ -1093,13 +1043,22 @@ class FuncInterp:
             return base.id == "channel"
         return isinstance(base, ast.Attribute) and base.attr == "channel"
 
-    def _record_site(self, call: ast.Call, method: str, arg_tokens: list, state: State) -> None:
-        paths = tuple(arg_tokens[i] for i in PATH_ARGS[method] if i < len(arg_tokens))
-        if not paths:
+    def _record_site(self, call: ast.Call, method: str, shift: int | None, arg_tokens: list, state: State) -> None:
+        """Record a call of ``method`` — or, given the ``shift`` of its arguments, a ring entry queuing one."""
+        queued = shift is not None
+        shift = shift or 0
+        positions = tuple(i + shift for i in PATH_ARGS.get(method, ()) if i + shift < len(arg_tokens))
+        if not positions and not queued:
             return
+        paths = tuple(arg_tokens[i] for i in positions)
         content = None
-        if method in _WRITE_METHODS and len(call.args) >= 2 and isinstance(call.args[1], ast.Constant):
-            content = call.args[1].value
+        data = call.args[shift + 1] if len(call.args) > shift + 1 else None
+        if method in _WRITE_METHODS and isinstance(data, ast.Constant):
+            content = data.value
+        link: bool | None = False
+        for kw in call.keywords:
+            if queued and kw.arg == "link":
+                link = bool(kw.value.value) if isinstance(kw.value, ast.Constant) else None
         self.sites.append(
             Site(
                 node=call,
@@ -1109,9 +1068,12 @@ class FuncInterp:
                 depth=len(self._loops),
                 loop=self._innermost(),
                 branch=tuple(self._branches),
+                positions=positions,
+                queued=queued,
+                link=link,
             )
         )
-        if method in _WRITE_METHODS:
+        if method in _WRITE_METHODS and paths:
             role = self.index.judge(paths[0])
             if role == "stage":
                 state.staged[id(call)] = call
@@ -1119,38 +1081,6 @@ class FuncInterp:
             elif role == "commit":
                 state.staged.clear()
                 state.committed = True
-
-    def _record_uring(self, call: ast.Call, prep: str, arg_tokens: list) -> None:
-        """Record one ring staging call for the yanccrash chain checks."""
-        content = None
-        if prep == "prep_write_file":
-            op = "write_file"
-            paths = tuple(arg_tokens[:1])
-            if len(call.args) >= 2 and isinstance(call.args[1], ast.Constant):
-                content = call.args[1].value
-        else:
-            first = call.args[0] if call.args else None
-            if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-                return
-            op = first.value
-            indices = URING_PREP_PATH_ARGS.get(op, ())
-            paths = tuple(arg_tokens[i] for i in indices if i < len(arg_tokens))
-        link: bool | None = False
-        for kw in call.keywords:
-            if kw.arg == "link":
-                link = bool(kw.value.value) if isinstance(kw.value, ast.Constant) else None
-        self.uring_sites.append(
-            UringSite(
-                node=call,
-                op=op,
-                paths=paths,
-                link=link,
-                content=content,
-                depth=len(self._loops),
-                loop=self._innermost(),
-                branch=tuple(self._branches),
-            )
-        )
 
     def _bind_args(self, callee: FuncDecl, call: ast.Call, arg_tokens, kw_tokens) -> dict:
         bindings: dict[str, tuple] = {}
@@ -1197,9 +1127,9 @@ class FuncInterp:
         return callee.defaults.get(param)
 
     def _escape_fds(self, call: ast.Call, state: State) -> None:
-        """Passing a tracked fd to an unrecognized call transfers ownership."""
-        method = syscall_method(call)
-        if method in FD_SAFE_METHODS:
+        """Passing a tracked fd to a call that does not take a descriptor transfers ownership."""
+        row = SYSCALLS.get(syscall_method(call))
+        if row is not None and row.fd:
             return
         for arg in call.args:
             if isinstance(arg, ast.Name):
@@ -1233,7 +1163,6 @@ def _may_raise(stmt) -> bool:
 
 
 __all__ = [
-    "FD_SAFE_METHODS",
     "LOOP_HOLE",
     "CallInfo",
     "FuncDecl",
@@ -1245,11 +1174,7 @@ __all__ = [
     "ProjectIndex",
     "Site",
     "Summary",
-    "URING_METHODS",
-    "URING_PREP_METHODS",
-    "URING_PREP_PATH_ARGS",
-    "UringSite",
     "loop_variant",
     "syscall_method",
-    "uring_prep_method",
+    "queued_syscall",
 ]

@@ -44,7 +44,7 @@ class CalibrationRow:
 
 
 def run_calibration(paths: list[str]) -> list[CalibrationRow]:
-    """Boot the quickstart topology and cross-check four hot functions."""
+    """Boot the quickstart topology and cross-check five hot functions."""
     from repro import FLOOD, Match, Output, YancController, build_linear
     from repro.analysis.sweep import Sweep
     from repro.analysis.yancperf.model import CostIndex
@@ -87,6 +87,11 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
         YancClient(sc).create_flow("sw1", "cal_flow", match, actions, priority=7)
         return len(flow_spec_files(match, actions, priority=7))  # the one loop: a write per spec file
 
+    def create_flows_batched(sc) -> int:
+        entries = [(f"cal_batch{k}", Match(dl_type=0x0800, in_port=k + 1), [Output(FLOOD)]) for k in range(4)]
+        YancClient(sc).create_flows_batched("sw1", entries, priority=3)
+        return len(entries)  # the one loop: a chain per flow, live io_uring_setup + io_uring_enter
+
     def read_flow(sc) -> int:
         quiet.create_flow("sw2", "cal_rf", Match(dl_type=0x0800, nw_proto=6), [Output(FLOOD)], priority=5)
         YancClient(sc).read_flow("sw2", "cal_rf")
@@ -106,6 +111,7 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
         return len(quiet.sc.listdir("/net/switches"))
 
     measure("YancClient", "create_flow", create_flow)
+    measure("YancClient", "create_flows_batched", create_flows_batched)
     measure("YancClient", "read_flow", read_flow)
     measure("YancClient", "read_events", read_events)
     measure("Shell", "cmd_ls", cmd_ls)

@@ -83,6 +83,7 @@ def _judge_interp(sweep, interp: FuncInterp, emit, state: tuple[CostIndex, set[i
     for site in interp.sites:
         if (
             site.method in _STAT_METHODS
+            and site.paths
             and site.loop is not None
             and site.loop.kind == "listdir"
             and loop_variant(site.paths[0])

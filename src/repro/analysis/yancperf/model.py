@@ -28,95 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.yancpath.interp import FuncDecl, FuncInterp
+from repro.vfs.syscalls import SYSCALLS
 
-#: Real syscalls issued per facade method call (see vfs/syscalls.py).
-WEIGHTS: dict[str, int] = {
-    # fd-based
-    "open": 1,
-    "close": 1,
-    "read": 1,
-    "write": 1,
-    "pread": 1,
-    "pwrite": 1,
-    "lseek": 1,
-    "ftruncate": 1,
-    "fstat": 1,
-    # whole-file helpers decompose into open + read/write + close
-    "read_text": 3,
-    "read_bytes": 3,
-    "write_text": 3,
-    "write_bytes": 3,
-    # path-based
-    "chdir": 1,
-    "mkdir": 1,
-    "makedirs": 2,  # access + mkdir per missing component; ≥2 when it creates
-    "rmdir": 1,
-    "unlink": 1,
-    "rename": 1,
-    "symlink": 1,
-    "readlink": 1,
-    "link": 1,
-    "stat": 1,
-    "lstat": 1,
-    "exists": 1,
-    "listdir": 1,
-    "scandir": 1,
-    "readdirplus": 1,
-    "truncate": 1,
-    "chmod": 1,
-    "chown": 1,
-    "set_acl": 1,
-    "setxattr": 1,
-    "getxattr": 1,
-    "listxattr": 1,
-    "removexattr": 1,
-    "mount": 1,
-    "bind_mount": 1,
-    "umount": 1,
-    # notification / readiness
-    "inotify_init": 1,
-    "inotify_add_watch": 1,
-    "inotify_read": 1,
-    "epoll_create": 1,
-    "epoll_ctl": 1,
-    "epoll_wait": 1,
-    "watch": 1,
-    # one getdents per directory *visited* — billed per iteration (see below)
-    "walk": 1,
-    # batched submission (§8.1): setting up a ring and flushing it are one
-    # crossing each, no matter how many entries the flush drains
-    "io_uring_setup": 1,
-    "submit": 1,
-}
+#: Real syscalls issued per call: each syscall-table row's crossings, plus
+#: the ``Process.watch`` run-loop helper and the ring's one crossing,
+#: ``submit`` — a flush costs one however many entries it drains.
+WEIGHTS: dict[str, int] = {op: row.crossings for op, row in SYSCALLS.items()} | {"watch": 1, "submit": 1}
 
 #: Methods that resolve a path on every call (the dcache round trip a held
 #: fd would avoid).  Only these count toward the syscall-in-loop storm
 #: weight: a loop doing fd-based reads on an already-open descriptor is
-#: the remedy, not the disease.
-PATH_RESOLVING: frozenset = frozenset(
-    name
-    for name in WEIGHTS
-    if name
-    not in {
-        "close",
-        "read",
-        "write",
-        "pread",
-        "pwrite",
-        "lseek",
-        "ftruncate",
-        "fstat",
-        "inotify_init",
-        "inotify_read",
-        "epoll_create",
-        "epoll_ctl",
-        "epoll_wait",
-        # ring crossings amortize path resolution — batching is the remedy
-        # for a path storm, not an instance of one
-        "io_uring_setup",
-        "submit",
-    }
-)
+#: the remedy, not the disease — and so is a ring, which amortizes the
+#: resolution of a path storm rather than being an instance of one.
+PATH_RESOLVING: frozenset = frozenset(op for op, row in SYSCALLS.items() if row.paths) | {"watch"}
 
 #: Degrees above this collapse (n⁵ and n⁴ rank the same in practice).
 MAX_DEGREE = 4

@@ -58,7 +58,8 @@ from typing import Callable
 
 from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath.grammar import NamespaceModel
-from repro.analysis.yancpath.interp import PATH_ARGS, FuncDecl, FuncInterp, ModuleInfo
+from repro.analysis.yancpath.interp import FuncDecl, FuncInterp, ModuleInfo
+from repro.vfs.syscalls import SYSCALLS
 
 _SEVERITY = {
     "tainted-path": Severity.ERROR,
@@ -71,22 +72,7 @@ _SEVERITY = {
 KINDS = tuple(_SEVERITY)
 
 #: Syscalls that change the tree (the root-ambient surface).
-_MUTATORS = frozenset(
-    {
-        "write_text",
-        "write_bytes",
-        "mkdir",
-        "makedirs",
-        "rmdir",
-        "unlink",
-        "rename",
-        "symlink",
-        "link",
-        "truncate",
-        "chmod",
-        "chown",
-    }
-)
+_MUTATORS = frozenset(op for op, row in SYSCALLS.items() if row.mutates)
 
 #: String operations that carry taint from receiver/arguments to result.
 _PROPAGATORS = frozenset(
@@ -219,8 +205,8 @@ def taint_sources(interp: FuncInterp, sweep) -> dict[int, str]:
     out: dict[int, str] = {}
     # Probe-tree matches are analysis-time traffic, memoized in the sweep.
     for site in interp.sites:  # yancperf: disable=syscall-in-loop
-        if not site.paths:
-            continue
+        if not site.paths or site.queued:
+            continue  # a queued read's data arrives as a completion, not as the call's value
         result = sweep.match_tokens(site.paths[0])
         if result is None or not result.matched:
             continue
@@ -363,8 +349,8 @@ class _TaintPass:
         kw_taints = [self._expr(kw.value) for kw in call.keywords]
         site = self.sites.get(id(call))
         if site is not None:
-            for position in PATH_ARGS.get(site.method, ()):
-                if position < len(call.args) and arg_taints[position]:
+            for position in site.positions:
+                if arg_taints[position]:
                     self.emit(
                         "tainted-path",
                         call,

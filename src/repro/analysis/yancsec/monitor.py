@@ -37,12 +37,11 @@ batched submission executes.
 from __future__ import annotations
 
 import atexit
-import os
 import sys
 from dataclasses import asdict, dataclass
 
 from repro.perf import tracepoints
-from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
+from repro.vfs.syscalls import SYSCALLS, Syscalls
 
 __all__ = [
     "SecFinding",
@@ -56,15 +55,6 @@ __all__ = [
 
 #: Spool prefixes every host ships writable (see ``ControllerHost``).
 _SHARED_PREFIXES = ("/var", "/tmp", "/proc", "/dev")
-
-_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
-
-#: Path-taking operations judged as writes (``open`` goes by its flags);
-#: every other path-taking operation is a read.
-_WRITE_OPS = frozenset(
-    "mkdir rmdir unlink rename symlink link truncate chmod chown set_acl "
-    "setxattr removexattr mount bind_mount umount".split()
-)
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,7 @@ class SecurityMonitor:
             self._on_uring(sc)
         elif op == "chown":
             self._on_chown(sc, paths[0], args[1])
-        write = op in _WRITE_OPS or (op == "open" and bool(args[1] & _WRITE_FLAGS))
+        write = SYSCALLS[op].writes(args)  # a path-taking call that does not write reads
         for path in paths:
             self._on_path(sc, op, path, write)
         if op == "readdirplus":  # it also opened every file it returned
@@ -241,34 +231,9 @@ class SecurityMonitor:
             )
 
 
-_env_monitor: SecurityMonitor | None = None
-
-
-def enabled() -> bool:
-    """True when the ``YANCSEC`` environment variable asks for monitoring."""
-    return os.environ.get("YANCSEC", "") not in ("", "0")
-
-
-def install_from_env() -> SecurityMonitor | None:
-    """Install (once) the process-wide monitor when ``YANCSEC=1``.
-
-    Outside pytest (whose autouse fixture checks after every test), an
-    atexit hook reports any violations still recorded at teardown.
-    """
-    global _env_monitor
-    if not enabled():
-        return None
-    if _env_monitor is None:
-        _env_monitor = SecurityMonitor()
-        _env_monitor.install()
-        atexit.register(_report_at_exit)
-    return _env_monitor
-
-
-def _report_at_exit() -> None:
-    mon = _env_monitor
-    if mon is None:
-        return
+def _report_at_exit(mon: SecurityMonitor) -> None:
+    """Outside pytest (whose autouse fixture checks after every test),
+    report any violations still recorded at teardown."""
     findings = mon.check()
     if findings:
         print(f"yancsec: {len(findings)} violation(s) at teardown", file=sys.stderr)
@@ -276,9 +241,8 @@ def _report_at_exit() -> None:
             print(f"  {finding}", file=sys.stderr)
 
 
-def active() -> SecurityMonitor | None:
-    """The environment-driven monitor, if one is installed."""
-    return _env_monitor
+_ENV = tracepoints.EnvTool("YANCSEC", SecurityMonitor, on_install=lambda mon: atexit.register(_report_at_exit, mon))
+enabled, install_from_env, active, reset_all = _ENV.enabled, _ENV.install_from_env, _ENV.active, _ENV.reset_all
 
 
 def register_root(mount_point: str) -> None:
@@ -290,9 +254,3 @@ def register_root(mount_point: str) -> None:
     """
     for mon in tracepoints.subscribed(SecurityMonitor):
         mon.register_root(mount_point)
-
-
-def reset_all() -> None:
-    """Clear state on every installed monitor (test isolation)."""
-    for mon in tracepoints.subscribed(SecurityMonitor):
-        mon.reset()

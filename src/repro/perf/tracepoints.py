@@ -34,6 +34,7 @@ must tolerate that.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable
 
 #: The one registry.  Sites import this list itself (never a copy) and
@@ -79,6 +80,44 @@ def subscribed(kind: type) -> list:
     return [subscriber for subscriber in subscribers if isinstance(subscriber, kind)]
 
 
+class EnvTool:
+    """The lifecycle of a subscriber an environment variable switches on.
+
+    yancsan, yancrace and yancsec each bind one (``YANCSAN``, ``YANCRACE``,
+    ``YANCSEC``) and export its methods as their module functions.
+    """
+
+    def __init__(self, var: str, kind: type, on_install: Callable[[Any], Any] | None = None) -> None:
+        self.var = var
+        self.kind = kind
+        self.on_install = on_install
+        self.tool = None
+
+    def enabled(self) -> bool:
+        """True when the environment variable asks for the tool."""
+        return os.environ.get(self.var, "") not in ("", "0")
+
+    def install_from_env(self) -> Any:
+        """Install (once) the process-wide tool when enabled; None otherwise."""
+        if not self.enabled():
+            return None
+        if self.tool is None:
+            self.tool = self.kind()
+            self.tool.install()
+            if self.on_install is not None:
+                self.on_install(self.tool)
+        return self.tool
+
+    def active(self) -> Any:
+        """The environment-installed tool, if any."""
+        return self.tool
+
+    def reset_all(self) -> None:
+        """Reset every subscribed tool of this kind (test isolation)."""
+        for tool in subscribed(self.kind):
+            tool.reset()
+
+
 def publish(point: str, *args: Any) -> None:
     """Call ``on_<point>(*args)`` on every subscriber that defines it."""
     for handler in _handlers[point]:
@@ -122,4 +161,4 @@ def around(point: str, info: tuple, method: Callable[..., Any], *args: Any, **kw
     return result
 
 
-__all__ = ["around", "entering", "publish", "subscribe", "subscribed", "subscribers", "unsubscribe"]
+__all__ = ["EnvTool", "around", "entering", "publish", "subscribe", "subscribed", "subscribers", "unsubscribe"]

@@ -36,11 +36,10 @@ class ControllerHost:
     """
 
     def __init__(self, sim: Simulator | None = None, *, name: str = "ctl", mount_point: str = "/net") -> None:
-        sanitizer.install_from_env()  # no-op unless YANCSAN=1
-        race.install_from_env()  # no-op unless YANCRACE=1
         from repro.analysis.yancsec import monitor as secmon
 
-        secmon.install_from_env()  # no-op unless YANCSEC=1
+        for tool in (sanitizer, race, secmon):
+            tool.install_from_env()  # a no-op unless YANCSAN / YANCRACE / YANCSEC asks for it
         self.sim = sim or Simulator()
         self.name = name
         self.vfs = VirtualFileSystem(clock=lambda: self.sim.now)

@@ -14,10 +14,19 @@ publishing ``on_syscall_enter(sc, op, paths, args)`` and
 method name, ``paths`` its path arguments made absolute and canonical,
 ``args`` the positional arguments as passed.  Operations a ring submits
 dispatch through these methods, so they fire the same events.
+
+**The syscall table.**  :data:`SYSCALLS` states the surface once: one
+row per public metered method, saying which arguments are paths, whether
+the first is a descriptor, whether the call changes the tree, whether a
+ring accepts it and how many crossings it costs.  The trace point takes
+its ``paths`` from the row; the ring, the cost model and every runtime
+and static analysis tool read the same rows, so a new method is taught
+to all of them by adding its row.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.perf.meter import SyscallMeter
@@ -50,6 +59,8 @@ if TYPE_CHECKING:
     from repro.vfs.uring import IoUring
 
 __all__ = [
+    "SYSCALLS",
+    "Syscall",
     "Syscalls",
     "O_APPEND",
     "O_CREAT",
@@ -59,6 +70,80 @@ __all__ = [
     "O_TRUNC",
     "O_WRONLY",
 ]
+
+_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
+
+
+@dataclass(frozen=True, slots=True)
+class Syscall:
+    """One row of :data:`SYSCALLS`: what every observer needs to know about a method."""
+
+    name: str
+    paths: tuple[int, ...] = ()  # argument positions of the paths the call resolves
+    fd: bool = False  # the first argument is a descriptor
+    mutates: bool = False  # the call changes the tree (``open`` decides by its flags: :meth:`writes`)
+    ring: bool = False  # an ``IoUring`` accepts it
+    crossings: int = 1  # metered crossings per call (``walk``: per directory visited)
+    stores: tuple[int, ...] = ()  # argument positions of paths kept, not resolved (a symlink's target)
+
+    def writes(self, args: tuple) -> bool:
+        """Did a call with these arguments change the tree?"""
+        return self.mutates or (self.name == "open" and bool(args[1] & _WRITE_FLAGS))
+
+
+#: The syscall surface, one row per public metered ``Syscalls`` method.
+SYSCALLS: dict[str, Syscall] = {
+    row.name: row
+    for row in (
+        Syscall("chdir", (0,)),
+        Syscall("open", (0,), ring=True),
+        Syscall("close", fd=True, ring=True),
+        Syscall("read", fd=True, ring=True),
+        Syscall("write", fd=True, mutates=True, ring=True),
+        Syscall("pread", fd=True, ring=True),
+        Syscall("pwrite", fd=True, mutates=True, ring=True),
+        Syscall("lseek", fd=True, ring=True),
+        Syscall("ftruncate", fd=True, mutates=True, ring=True),
+        Syscall("fstat", fd=True, ring=True),
+        Syscall("read_text", (0,), crossings=3),
+        Syscall("read_bytes", (0,), crossings=3),
+        Syscall("write_text", (0,), mutates=True, crossings=3),
+        Syscall("write_bytes", (0,), mutates=True, crossings=3),
+        Syscall("mkdir", (0,), mutates=True, ring=True),
+        Syscall("makedirs", (0,), mutates=True, crossings=2),
+        Syscall("rmdir", (0,), mutates=True, ring=True),
+        Syscall("unlink", (0,), mutates=True, ring=True),
+        Syscall("rename", (0, 1), mutates=True, ring=True),
+        Syscall("symlink", (1,), mutates=True, ring=True, stores=(0,)),
+        Syscall("readlink", (0,)),
+        Syscall("link", (0, 1), mutates=True, ring=True),
+        Syscall("stat", (0,), ring=True),
+        Syscall("lstat", (0,), ring=True),
+        Syscall("exists", (0,), ring=True),
+        Syscall("listdir", (0,), ring=True),
+        Syscall("scandir", (0,), ring=True),
+        Syscall("readdirplus", (0,)),
+        Syscall("truncate", (0,), mutates=True, ring=True),
+        Syscall("chmod", (0,), mutates=True),
+        Syscall("chown", (0,), mutates=True),
+        Syscall("set_acl", (0,), mutates=True),
+        Syscall("setxattr", (0,), mutates=True),
+        Syscall("getxattr", (0,)),
+        Syscall("listxattr", (0,)),
+        Syscall("removexattr", (0,), mutates=True),
+        Syscall("mount", (0,), mutates=True),
+        Syscall("bind_mount", (0, 1), mutates=True),
+        Syscall("umount", (0,), mutates=True),
+        Syscall("io_uring_setup"),
+        Syscall("inotify_init"),
+        Syscall("inotify_add_watch", (1,)),
+        Syscall("inotify_read"),
+        Syscall("epoll_create"),
+        Syscall("epoll_ctl"),
+        Syscall("epoll_wait"),
+        Syscall("walk", (0,)),
+    )
+}
 
 
 class Syscalls:
@@ -138,6 +223,11 @@ class Syscalls:
         self._abs_memo[key] = out
         return out
 
+    def _traced(self, op: str, method, *args, **kwargs):
+        """Run ``method`` between the ``syscall`` trace point's events, ``paths`` read off ``op``'s row."""
+        paths = tuple([self._abspath(args[i]) for i in SYSCALLS[op].paths])
+        return _around("syscall", (self, op, paths, args), method, *args, **kwargs)
+
     def getcwd(self) -> str:
         """Current working directory."""
         return self._cwd
@@ -145,7 +235,7 @@ class Syscalls:
     def chdir(self, path: str) -> None:
         """Change working directory (must resolve to a directory)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "chdir", (self._abspath(path),), (path,)), self.chdir, path)
+            return self._traced("chdir", self.chdir, path)
         self.meter.enter("chdir")
         path = self._abspath(path)
         from repro.vfs.inode import require_dir
@@ -164,7 +254,7 @@ class Syscalls:
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
         """open(2); returns a file descriptor."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "open", (self._abspath(path),), (path, flags, mode)), self.open, path, flags, mode)
+            return self._traced("open", self.open, path, flags, mode)
         self.meter.enter("open")
         handle = self.vfs.open(self.ns, self.cred, self._abspath(path), flags, mode)
         fd = self._next_fd
@@ -175,7 +265,7 @@ class Syscalls:
     def close(self, fd: int) -> None:
         """close(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "close", (), (fd,)), self.close, fd)
+            return self._traced("close", self.close, fd)
         self.meter.enter("close")
         handle = self._fds.pop(fd, None)
         if handle is None:
@@ -185,7 +275,7 @@ class Syscalls:
     def read(self, fd: int, size: int = -1) -> bytes:
         """read(2) from the descriptor's offset."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "read", (), (fd, size)), self.read, fd, size)
+            return self._traced("read", self.read, fd, size)
         handle = self._handle(fd)
         data = handle.read(size)
         self.meter.enter("read", nbytes=len(data))
@@ -194,14 +284,14 @@ class Syscalls:
     def write(self, fd: int, data: bytes) -> int:
         """write(2) at the descriptor's offset."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "write", (), (fd, data)), self.write, fd, data)
+            return self._traced("write", self.write, fd, data)
         self.meter.enter("write", nbytes=len(data))
         return self._handle(fd).write(data)
 
     def pread(self, fd: int, size: int, offset: int) -> bytes:
         """pread(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "pread", (), (fd, size, offset)), self.pread, fd, size, offset)
+            return self._traced("pread", self.pread, fd, size, offset)
         data = self._handle(fd).pread(size, offset)
         self.meter.enter("pread", nbytes=len(data))
         return data
@@ -209,28 +299,28 @@ class Syscalls:
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         """pwrite(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "pwrite", (), (fd, data, offset)), self.pwrite, fd, data, offset)
+            return self._traced("pwrite", self.pwrite, fd, data, offset)
         self.meter.enter("pwrite", nbytes=len(data))
         return self._handle(fd).pwrite(data, offset)
 
     def lseek(self, fd: int, offset: int) -> int:
         """lseek(2) (absolute only)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "lseek", (), (fd, offset)), self.lseek, fd, offset)
+            return self._traced("lseek", self.lseek, fd, offset)
         self.meter.enter("lseek")
         return self._handle(fd).seek(offset)
 
     def ftruncate(self, fd: int, size: int) -> None:
         """ftruncate(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "ftruncate", (), (fd, size)), self.ftruncate, fd, size)
+            return self._traced("ftruncate", self.ftruncate, fd, size)
         self.meter.enter("ftruncate")
         self._handle(fd).truncate(size)
 
     def fstat(self, fd: int) -> Stat:
         """fstat(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "fstat", (), (fd,)), self.fstat, fd)
+            return self._traced("fstat", self.fstat, fd)
         self.meter.enter("fstat")
         return self._handle(fd).inode.stat()
 
@@ -266,7 +356,7 @@ class Syscalls:
     def mkdir(self, path: str, mode: int = 0o755) -> None:
         """mkdir(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "mkdir", (self._abspath(path),), (path, mode)), self.mkdir, path, mode)
+            return self._traced("mkdir", self.mkdir, path, mode)
         self.meter.enter("mkdir")
         self.vfs.mkdir(self.ns, self.cred, self._abspath(path), mode)
 
@@ -282,70 +372,70 @@ class Syscalls:
     def rmdir(self, path: str) -> None:
         """rmdir(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "rmdir", (self._abspath(path),), (path,)), self.rmdir, path)
+            return self._traced("rmdir", self.rmdir, path)
         self.meter.enter("rmdir")
         self.vfs.rmdir(self.ns, self.cred, self._abspath(path))
 
     def unlink(self, path: str) -> None:
         """unlink(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "unlink", (self._abspath(path),), (path,)), self.unlink, path)
+            return self._traced("unlink", self.unlink, path)
         self.meter.enter("unlink")
         self.vfs.unlink(self.ns, self.cred, self._abspath(path))
 
     def rename(self, oldpath: str, newpath: str) -> None:
         """rename(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "rename", (self._abspath(oldpath), self._abspath(newpath)), (oldpath, newpath)), self.rename, oldpath, newpath)
+            return self._traced("rename", self.rename, oldpath, newpath)
         self.meter.enter("rename")
         self.vfs.rename(self.ns, self.cred, self._abspath(oldpath), self._abspath(newpath))
 
     def symlink(self, target: str, linkpath: str) -> None:
         """symlink(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "symlink", (self._abspath(linkpath),), (target, linkpath)), self.symlink, target, linkpath)
+            return self._traced("symlink", self.symlink, target, linkpath)
         self.meter.enter("symlink")
         self.vfs.symlink(self.ns, self.cred, target, self._abspath(linkpath))
 
     def readlink(self, path: str) -> str:
         """readlink(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "readlink", (self._abspath(path),), (path,)), self.readlink, path)
+            return self._traced("readlink", self.readlink, path)
         self.meter.enter("readlink")
         return self.vfs.readlink(self.ns, self.cred, self._abspath(path))
 
     def link(self, oldpath: str, newpath: str) -> None:
         """link(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "link", (self._abspath(oldpath), self._abspath(newpath)), (oldpath, newpath)), self.link, oldpath, newpath)
+            return self._traced("link", self.link, oldpath, newpath)
         self.meter.enter("link")
         self.vfs.link(self.ns, self.cred, self._abspath(oldpath), self._abspath(newpath))
 
     def stat(self, path: str) -> Stat:
         """stat(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "stat", (self._abspath(path),), (path,)), self.stat, path)
+            return self._traced("stat", self.stat, path)
         self.meter.enter("stat")
         return self.vfs.stat(self.ns, self.cred, self._abspath(path))
 
     def lstat(self, path: str) -> Stat:
         """lstat(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "lstat", (self._abspath(path),), (path,)), self.lstat, path)
+            return self._traced("lstat", self.lstat, path)
         self.meter.enter("lstat")
         return self.vfs.lstat(self.ns, self.cred, self._abspath(path))
 
     def exists(self, path: str) -> bool:
         """access(2)-style existence probe."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "exists", (self._abspath(path),), (path,)), self.exists, path)
+            return self._traced("exists", self.exists, path)
         self.meter.enter("access")
         return self.vfs.exists(self.ns, self.cred, self._abspath(path))
 
     def listdir(self, path: str) -> list[str]:
         """getdents(2): directory entry names."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "listdir", (self._abspath(path),), (path,)), self.listdir, path)
+            return self._traced("listdir", self.listdir, path)
         self.meter.enter("getdents")
         return self.vfs.readdir(self.ns, self.cred, self._abspath(path))
 
@@ -356,7 +446,7 @@ class Syscalls:
         call replaces ``listdir`` plus an ``lstat`` per entry.
         """
         if _tracing and _entering(self):
-            return _around("syscall", (self, "scandir", (self._abspath(path),), (path,)), self.scandir, path)
+            return self._traced("scandir", self.scandir, path)
         self.meter.enter("scandir")
         return self.vfs.scandir(self.ns, self.cred, self._abspath(path))
 
@@ -370,7 +460,7 @@ class Syscalls:
         whole content; sub-directories and symlinks carry ``None``.
         """
         if _tracing and _entering(self):
-            return _around("syscall", (self, "readdirplus", (self._abspath(path),), (path,)), self.readdirplus, path)
+            return self._traced("readdirplus", self.readdirplus, path)
         copied = 0
         try:
             entries = self.vfs.readdirplus(self.ns, self.cred, self._abspath(path))
@@ -382,77 +472,77 @@ class Syscalls:
     def truncate(self, path: str, size: int) -> None:
         """truncate(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "truncate", (self._abspath(path),), (path, size)), self.truncate, path, size)
+            return self._traced("truncate", self.truncate, path, size)
         self.meter.enter("truncate")
         self.vfs.truncate(self.ns, self.cred, self._abspath(path), size)
 
     def chmod(self, path: str, mode: int) -> None:
         """chmod(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "chmod", (self._abspath(path),), (path, mode)), self.chmod, path, mode)
+            return self._traced("chmod", self.chmod, path, mode)
         self.meter.enter("chmod")
         self.vfs.chmod(self.ns, self.cred, self._abspath(path), mode)
 
     def chown(self, path: str, uid: int, gid: int) -> None:
         """chown(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "chown", (self._abspath(path),), (path, uid, gid)), self.chown, path, uid, gid)
+            return self._traced("chown", self.chown, path, uid, gid)
         self.meter.enter("chown")
         self.vfs.chown(self.ns, self.cred, self._abspath(path), uid, gid)
 
     def set_acl(self, path: str, acl: Acl) -> None:
         """setfacl equivalent."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "set_acl", (self._abspath(path),), (path, acl)), self.set_acl, path, acl)
+            return self._traced("set_acl", self.set_acl, path, acl)
         self.meter.enter("setxattr")  # ACLs ride the xattr syscall on Linux
         self.vfs.set_acl(self.ns, self.cred, self._abspath(path), acl)
 
     def setxattr(self, path: str, name: str, value: bytes) -> None:
         """setxattr(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "setxattr", (self._abspath(path),), (path, name, value)), self.setxattr, path, name, value)
+            return self._traced("setxattr", self.setxattr, path, name, value)
         self.meter.enter("setxattr")
         self.vfs.setxattr(self.ns, self.cred, self._abspath(path), name, value)
 
     def getxattr(self, path: str, name: str) -> bytes:
         """getxattr(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "getxattr", (self._abspath(path),), (path, name)), self.getxattr, path, name)
+            return self._traced("getxattr", self.getxattr, path, name)
         self.meter.enter("getxattr")
         return self.vfs.getxattr(self.ns, self.cred, self._abspath(path), name)
 
     def listxattr(self, path: str) -> list[str]:
         """listxattr(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "listxattr", (self._abspath(path),), (path,)), self.listxattr, path)
+            return self._traced("listxattr", self.listxattr, path)
         self.meter.enter("listxattr")
         return self.vfs.listxattr(self.ns, self.cred, self._abspath(path))
 
     def removexattr(self, path: str, name: str) -> None:
         """removexattr(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "removexattr", (self._abspath(path),), (path, name)), self.removexattr, path, name)
+            return self._traced("removexattr", self.removexattr, path, name)
         self.meter.enter("removexattr")
         self.vfs.removexattr(self.ns, self.cred, self._abspath(path), name)
 
     def mount(self, path: str, fs: Filesystem, *, source: str = "") -> None:
         """mount(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "mount", (self._abspath(path),), (path, fs)), self.mount, path, fs, source=source)
+            return self._traced("mount", self.mount, path, fs, source=source)
         self.meter.enter("mount")
         self.vfs.mount(self.ns, self.cred, self._abspath(path), fs, source=source)
 
     def bind_mount(self, source_path: str, target_path: str) -> None:
         """mount(2) with MS_BIND."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "bind_mount", (self._abspath(source_path), self._abspath(target_path)), (source_path, target_path)), self.bind_mount, source_path, target_path)
+            return self._traced("bind_mount", self.bind_mount, source_path, target_path)
         self.meter.enter("mount")
         self.vfs.bind_mount(self.ns, self.cred, self._abspath(source_path), self._abspath(target_path))
 
     def umount(self, path: str) -> None:
         """umount(2)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "umount", (self._abspath(path),), (path,)), self.umount, path)
+            return self._traced("umount", self.umount, path)
         self.meter.enter("umount")
         self.vfs.umount(self.ns, self.cred, self._abspath(path))
 
@@ -467,7 +557,7 @@ class Syscalls:
         metered ``io_uring_enter`` however many entries it carries.
         """
         if _tracing and _entering(self):
-            return _around("syscall", (self, "io_uring_setup", (), (entries,)), self.io_uring_setup, entries)
+            return self._traced("io_uring_setup", self.io_uring_setup, entries)
         self.meter.enter("io_uring_setup")
         from repro.vfs.uring import IoUring
 
@@ -478,14 +568,14 @@ class Syscalls:
     def inotify_init(self, *, max_queued_events: int | None = None) -> Inotify:
         """inotify_init(2); the queue bound mirrors fs.inotify.max_queued_events."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "inotify_init", (), ()), self.inotify_init, max_queued_events=max_queued_events)
+            return self._traced("inotify_init", self.inotify_init, max_queued_events=max_queued_events)
         self.meter.enter("inotify_init")
         return self.vfs.inotify(max_queued_events=max_queued_events)
 
     def inotify_add_watch(self, instance: Inotify, path: str, mask: EventMask) -> int:
         """inotify_add_watch(2): watch a path."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "inotify_add_watch", (self._abspath(path),), (instance, path, mask)), self.inotify_add_watch, instance, path, mask)
+            return self._traced("inotify_add_watch", self.inotify_add_watch, instance, path, mask)
         self.meter.enter("inotify_add_watch")
         inode = self.vfs.resolve(self.ns, self.cred, self._abspath(path))
         return instance.add_watch(inode, mask)
@@ -493,21 +583,21 @@ class Syscalls:
     def inotify_read(self, instance: Inotify) -> list[NotifyEvent]:
         """read(2) on the inotify descriptor: drain queued events."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "inotify_read", (), (instance,)), self.inotify_read, instance)
+            return self._traced("inotify_read", self.inotify_read, instance)
         self.meter.enter("read")
         return instance.read()
 
     def epoll_create(self) -> Epoll:
         """epoll_create(2): a readiness set over notification descriptors."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "epoll_create", (), ()), self.epoll_create)
+            return self._traced("epoll_create", self.epoll_create)
         self.meter.enter("epoll_create")
         return Epoll()
 
     def epoll_ctl(self, ep: Epoll, op: int, pollable: object, data: object | None = None) -> None:
         """epoll_ctl(2): add/remove a pollable; ``data`` rides the event."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "epoll_ctl", (), (ep, op, pollable, data)), self.epoll_ctl, ep, op, pollable, data)
+            return self._traced("epoll_ctl", self.epoll_ctl, ep, op, pollable, data)
         self.meter.enter("epoll_ctl")
         if op == EPOLL_CTL_ADD:
             ep.add(pollable, data)
@@ -519,7 +609,7 @@ class Syscalls:
     def epoll_wait(self, ep: Epoll) -> list[object]:
         """epoll_wait(2): the ``data`` of every ready pollable (no blocking)."""
         if _tracing and _entering(self):
-            return _around("syscall", (self, "epoll_wait", (), (ep,)), self.epoll_wait, ep)
+            return self._traced("epoll_wait", self.epoll_wait, ep)
         self.meter.enter("epoll_wait")
         return ep.wait()
 

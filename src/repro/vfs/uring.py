@@ -36,10 +36,14 @@ meter is paused around the batch so the facade's per-call billing does
 not double-count; what executed is instead billed once per submit via
 :meth:`~repro.perf.meter.SyscallMeter.batch_ops` (``uring.sqe`` /
 ``uring.<op>`` / payload bytes).  Batching changes the *cost*, never the
-event stream or the analysis coverage — and an entry costs no more
-wall time than the direct call it stands for: the context's bound
-methods are looked up once per ring, :data:`LINK_FD` is substituted only
-where it appears.
+event stream or the analysis coverage: at run time an entry *is* the
+direct call, so it publishes the same ``(op, paths, args)``; statically
+the interpreter records ``prep(op, ...)`` as a site of ``op`` (and
+``prep_write_file`` as one of ``write_bytes``) with its paths at the
+table row's positions, so every judge sees it as the call it stands
+for.  Only the crossing is different, and an entry costs no more wall
+time than the direct call: the context's bound methods are looked up
+once per ring, :data:`LINK_FD` is substituted only where it appears.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.perf.tracepoints import entering as _entering
 from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import FsError, InvalidArgument
 from repro.vfs.poll import Pollable
+from repro.vfs.syscalls import SYSCALLS
 from repro.vfs.vfs import O_CREAT, O_TRUNC, O_WRONLY
 
 if TYPE_CHECKING:
@@ -69,34 +74,11 @@ class _LinkFd:
 #: produced (usable anywhere an op takes an fd).
 LINK_FD = _LinkFd()
 
-#: Operations a ring accepts: every fd- or path-based Syscalls method a
-#: batch can meaningfully contain.  Readiness/notification descriptors
-#: (inotify, epoll) stay direct calls — they *are* the wait primitives.
-SUPPORTED_OPS = frozenset(
-    {
-        "open",
-        "close",
-        "read",
-        "write",
-        "pread",
-        "pwrite",
-        "lseek",
-        "ftruncate",
-        "fstat",
-        "mkdir",
-        "rmdir",
-        "unlink",
-        "rename",
-        "symlink",
-        "link",
-        "stat",
-        "lstat",
-        "exists",
-        "listdir",
-        "scandir",
-        "truncate",
-    }
-)
+#: Operations a ring accepts: the rows of the syscall table marked ``ring``
+#: (the fd- and path-based calls a batch can meaningfully contain).
+#: Readiness/notification descriptors (inotify, epoll) stay direct calls —
+#: they *are* the wait primitives.
+SUPPORTED_OPS = frozenset(op for op, row in SYSCALLS.items() if row.ring)
 
 
 @dataclass(slots=True)
@@ -161,7 +143,8 @@ class IoUring(Pollable):
 
         ``link=True`` makes the *next* prepared entry conditional on this
         one succeeding (chains compose by linking every entry but the
-        last).  Raises when the op is unknown or the queue is full.
+        last).  Raises when the op is not a ring row of the syscall
+        table or the queue is full.
         """
         if op not in SUPPORTED_OPS:
             raise InvalidArgument(detail=f"unsupported ring op {op!r}")

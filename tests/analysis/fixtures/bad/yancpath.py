@@ -30,3 +30,23 @@ class BrokenApp:
 
     def reads_packet_out_spool(self, sw):
         return self.sc.read_bytes(f"/net/switches/{sw}/packet_out/p1.app.1")  # bad: event-buffer-misuse
+
+    # A ring entry is judged as the call it queues.
+    def queues_typo_mkdir(self, sw):
+        self.ring.prep("mkdir", f"{self.root}/switches/{sw}/flws/f1")  # bad: unknown-path
+
+    def queues_typo_unlink(self, sw):
+        self.ring.prep("unlink", f"{self.root}/switchs/{sw}/id")  # bad: unknown-path
+
+    def queues_typo_listdir(self, sw):
+        self.ring.prep("listdir", f"{self.root}/switches/{sw}/evnets")  # bad: unknown-path
+
+    def queues_typo_write(self, sw):
+        self.ring.prep_write_file(f"{self.root}/switchs/{sw}/id", b"s1")  # bad: unknown-path
+
+    # The metadata calls resolve their path like any other.
+    def reads_typo_xattr(self, sw):
+        return self.sc.getxattr(f"{self.root}/switchs/{sw}/id", "user.owner")  # bad: unknown-path
+
+    def writes_typo_xattr(self, sw):
+        self.sc.setxattr(f"{self.root}/switches/{sw}/idd", "user.owner", b"me")  # bad: unknown-path

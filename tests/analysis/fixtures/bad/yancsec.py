@@ -24,16 +24,35 @@ class LeakyApp:
         # write it, so this app-side publish silently relies on root.
         self.sc.write_text(f"/net/middleboxes/{mb}/public_ip", ip)  # bad: missing-acl
 
+    # Metadata calls and queued ring entries are sinks like any path argument.
+    def tag_tenant_host(self, sw):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        self.sc.setxattr(f"/net/hosts/{owner}", "user.owner", b"claimed")  # bad: tainted-path
+
+    def share_tenant_host(self, sw, acl):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        self.sc.set_acl(f"/net/hosts/{owner}", acl)  # bad: tainted-path
+
+    def drop_tenant_host(self, sw):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        self.ring.prep("unlink", f"/net/hosts/{owner}/owner")  # bad: tainted-path
+
+    def clear_tenant_host(self, sw):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        self.ring.prep("truncate", f"/net/hosts/{owner}/owner", 0)  # bad: tainted-path
+
     def peek_master(self, root, sw):
         # Inside a shared namespace `..` climbs out of the slice root.
         return self.sc.read_text(f"{root}/../switches/{sw}/id")  # bad: slice-escape
 
 
-def rogue_setup(vfs):
+def rogue_setup(vfs, acl):
     # Ambient root: the receiver was built without credentials, so every
     # mutation below runs as uid 0 where ACLs would grant a per-app uid.
     sc = Syscalls(vfs)
     sc.write_text("/net/switches/s1/id", "spoofed")  # bad: root-ambient
+    sc.set_acl("/net/switches/s1/id", acl)  # bad: root-ambient
+    sc.setxattr("/net/switches/s1/id", "user.owner", b"me")  # bad: root-ambient
     return sc
 
 

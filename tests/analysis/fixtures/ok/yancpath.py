@@ -36,3 +36,21 @@ class CorrectApp:
 
     def writes_packet_out_spool(self, sw, payload):
         self.sc.write_text(f"/net/switches/{sw}/packet_out/p1.app.1", payload)
+
+    def queues_mkdir(self, sw):
+        self.ring.prep("mkdir", f"{self.root}/switches/{sw}/flows/f1")
+
+    def queues_unlink(self, sw):
+        self.ring.prep("unlink", f"{self.root}/switches/{sw}/id")
+
+    def queues_listdir(self, sw):
+        self.ring.prep("listdir", f"{self.root}/switches/{sw}/events")
+
+    def queues_write(self, sw):
+        self.ring.prep_write_file(f"{self.root}/switches/{sw}/id", b"s1")
+
+    def reads_xattr(self, sw):
+        return self.sc.getxattr(f"{self.root}/switches/{sw}/id", "user.owner")
+
+    def writes_xattr(self, sw):
+        self.sc.setxattr(f"{self.root}/switches/{sw}/id", "user.owner", b"me")

@@ -26,6 +26,26 @@ class PoliteApp:
         if validate_name(payload):
             self.sc.channel.call("write", payload, b"x")
 
+    def tag_tenant_host(self, sw, known_hosts):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if owner in known_hosts:
+            self.sc.setxattr(f"/net/hosts/{owner}", "user.owner", b"claimed")
+
+    def share_tenant_host(self, sw, acl, known_hosts):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if owner in known_hosts:
+            self.sc.set_acl(f"/net/hosts/{owner}", acl)
+
+    def drop_tenant_host(self, sw, known_hosts):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if owner in known_hosts:
+            self.ring.prep("unlink", f"/net/hosts/{owner}/owner")
+
+    def clear_tenant_host(self, sw, known_hosts):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if owner in known_hosts:
+            self.ring.prep("truncate", f"/net/hosts/{owner}/owner", 0)
+
     def publish_port_state(self, sw, port, down):
         # config.port_down carries a schema ACL — collaboration is policy.
         self.sc.write_text(f"/net/switches/{sw}/ports/{port}/config.port_down", down)
@@ -35,10 +55,12 @@ class PoliteApp:
         return self.sc.read_text(f"{root}/switches/{sw}/id")
 
 
-def proper_setup(vfs):
+def proper_setup(vfs, acl):
     # Per-app credentials from the start: least privilege by construction.
     sc = Syscalls(vfs, cred=app_credentials("polite"))
     sc.write_text("/net/switches/s1/id", "s1")
+    sc.set_acl("/net/switches/s1/id", acl)
+    sc.setxattr("/net/switches/s1/id", "user.owner", b"me")
     return sc
 
 

@@ -277,7 +277,9 @@ def test_calibration_static_bounds_hold_live():
     from repro.analysis.yancperf.calibrate import run_calibration
 
     rows = run_calibration([str(REPO / "src")])
-    assert len(rows) == 4
+    assert len(rows) == 5
+    batched = next(row for row in rows if row.function == "YancClient.create_flows_batched")
+    assert batched.live == 2  # io_uring_setup + one io_uring_enter, however many flows
     for row in rows:
         assert row.ok, f"{row.function}: live {row.live} > bound {row.bound}"
         assert row.bound > 0

@@ -13,52 +13,29 @@ from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import YancClient, mount_yancfs
 
 
-@pytest.fixture(autouse=True)
-def yancsan_check():
-    """With YANCSAN=1, run every test under the runtime sanitizer and fail
-    it if any invariant violation (fd leak, unvalidated write, notify
-    inconsistency, flow-commit break) is recorded."""
-    san = sanitizer.install_from_env()
-    if san is None:
-        yield
-        return
-    san.reset()
-    yield
-    findings = san.check()
-    san.reset()
-    assert not findings, "yancsan findings:\n" + "\n".join(str(f) for f in findings)
+#: The runtime tools the environment can switch on, by the name their findings carry.
+_ENV_TOOLS = (("yancsan", sanitizer), ("yancrace", race), ("yancsec", yancsec_monitor))
 
 
 @pytest.fixture(autouse=True)
-def yancrace_check():
-    """With YANCRACE=1, run every test under the happens-before race
-    detector and fail it on any unsynchronized access, torn commit, or
-    read of uncommitted flow state."""
-    det = race.install_from_env()
-    if det is None:
-        yield
-        return
-    det.reset()
+def env_tools_check():
+    """With YANCSAN=1 / YANCRACE=1 / YANCSEC=1, run every test under the
+    sanitizer (fd leak, unvalidated write, notify inconsistency,
+    flow-commit break), the happens-before race detector (unsynchronized
+    access, torn commit, read of uncommitted flow state) and the reference
+    monitor (app running as root, cross-tenant read, ambient write), and
+    fail it on any finding."""
+    tools = [(name, tool) for name, module in _ENV_TOOLS if (tool := module.install_from_env()) is not None]
+    for _name, tool in tools:
+        tool.reset()
     yield
-    findings = det.check()
-    det.reset()
-    assert not findings, "yancrace findings:\n" + "\n".join(str(f) for f in findings)
-
-
-@pytest.fixture(autouse=True)
-def yancsec_check():
-    """With YANCSEC=1, run every test under the reference monitor and fail
-    it on any isolation violation (app running as root, cross-tenant read,
-    ambient write outside the controller tree)."""
-    mon = yancsec_monitor.install_from_env()
-    if mon is None:
-        yield
-        return
-    mon.reset()
-    yield
-    findings = mon.check()
-    mon.reset()
-    assert not findings, "yancsec findings:\n" + "\n".join(str(f) for f in findings)
+    report = []
+    for name, tool in tools:
+        findings = tool.check()
+        tool.reset()
+        if findings:
+            report.append(f"{name} findings:\n" + "\n".join(str(f) for f in findings))
+    assert not report, "\n".join(report)
 
 
 @pytest.fixture

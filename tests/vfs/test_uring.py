@@ -1,10 +1,14 @@
 """IoUring: batched submission, linked chains, completion ordering, polling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.vfs import EPOLL_CTL_ADD, LINK_FD, InvalidArgument, O_RDONLY
+from repro.perf import tracepoints
+from repro.vfs import EPOLL_CTL_ADD, LINK_FD, FsError, InvalidArgument, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
+from tests.vfs.test_syscall_table import SyscallStream, tree_state
 
 
 @pytest.fixture
@@ -242,6 +246,87 @@ def test_a_paused_meter_bills_nothing_for_a_submit(sc, ring):
     with sc.meter.pause():
         ring.submit()
     assert sc.meter.counters.snapshot().values == {}
+
+
+# -- batching never changes coverage --------------------------------------------------
+#
+# An entry is the direct call it stands for: random sequences of linked
+# chains, dispatched through a ring and called one by one (a failed step
+# ending its chain and closing the chain's descriptor, as the ring does),
+# publish the same ``syscall`` stream and leave the same tree and errors.
+
+_PATH = st.sampled_from(["/a", "/a/b", "/b", "/a/f", "/f", "a//f", "/b/../a/f"])
+_SINGLE = st.one_of(
+    st.tuples(st.sampled_from(["mkdir", "rmdir", "unlink", "stat", "lstat", "exists", "listdir", "scandir"]), st.tuples(_PATH)),
+    st.tuples(st.sampled_from(["rename", "link", "symlink"]), st.tuples(_PATH, _PATH)),
+    st.tuples(st.just("truncate"), st.tuples(_PATH, st.integers(0, 3))),
+).map(lambda entry: [entry])
+
+
+def _write_file(path, data):
+    return [("open", (path, O_WRONLY | O_CREAT | O_TRUNC)), ("write", (LINK_FD, data)), ("close", (LINK_FD,))]
+
+
+_WRITE_CHAIN = st.tuples(_PATH, st.binary(max_size=6)).map(lambda pd: _write_file(*pd))
+_READ_CHAIN = _PATH.map(
+    lambda p: [("open", (p, O_RDONLY)), ("pread", (LINK_FD, 4, 1)), ("fstat", (LINK_FD,)), ("close", (LINK_FD,))]
+)
+_MAILDIR_CHAIN = st.tuples(_PATH, _PATH).map(
+    lambda pq: [("mkdir", (pq[0],)), *_write_file(pq[0] + "/x", b"m"), ("rename", (pq[0], pq[1]))]
+)
+_CHAINS = st.lists(st.one_of(_SINGLE, _WRITE_CHAIN, _READ_CHAIN, _MAILDIR_CHAIN), max_size=12)
+
+
+def _run_direct(sc, chains):
+    errors = []
+    for chain in chains:
+        fd = error = None
+        for op, args in chain:
+            try:
+                result = getattr(sc, op)(*[fd if arg is LINK_FD else arg for arg in args])
+            except FsError as exc:
+                error = type(exc).__name__
+                break
+            if op == "open":
+                fd = result
+            elif op == "close":
+                fd = None
+        if error is not None and fd is not None:
+            sc.close(fd)
+        errors.append(error)
+    return errors
+
+
+def _run_ring(sc, chains):
+    ring = sc.io_uring_setup(entries=5 * len(chains) + 1)
+    for index, chain in enumerate(chains):
+        for position, (op, args) in enumerate(chain):
+            ring.prep(op, *args, link=position < len(chain) - 1, user_data=index)
+    ring.submit()
+    errors = [None] * len(chains)
+    for cqe in ring.completions():
+        if cqe.error is not None and errors[cqe.user_data] is None:
+            errors[cqe.user_data] = type(cqe.error).__name__
+    return errors
+
+
+def _observe(run, chains):
+    sc = Syscalls(VirtualFileSystem())
+    sc.mkdir("/a")
+    stream = SyscallStream(sc)
+    tracepoints.subscribe(stream)
+    try:
+        errors = run(sc, chains)
+    finally:
+        tracepoints.unsubscribe(stream)
+    assert not sc._fds
+    return [event for event in stream.events if event[0] != "io_uring_setup"], tree_state(sc.vfs), errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CHAINS)
+def test_a_ring_publishes_and_does_what_the_direct_calls_do(chains):
+    assert _observe(_run_ring, chains) == _observe(_run_direct, chains)
 
 
 # -- validation ------------------------------------------------------------------------
