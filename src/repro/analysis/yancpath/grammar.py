@@ -154,24 +154,6 @@ class NamespaceModel:
                 else:
                     yield name, child
 
-    def iter_file_nodes(self) -> Iterator[tuple[str, object]]:
-        """Every probe-tree regular file as ``(absolute path, inode)``.
-
-        The live schema nodes carry their ACLs (``inode.acl``), modes and
-        uids, so this is how yancsec reads access control straight off the
-        schema.  Nested ``views`` subtrees mirror the master classes and
-        are skipped so each schema position appears once.
-        """
-        stack: list[tuple[str, object]] = [("/net", self.root)]
-        while stack:
-            path, node = stack.pop()
-            for name, child in node.children():
-                if isinstance(child, self._DirInode):
-                    if name != "views":
-                        stack.append((f"{path}/{name}", child))
-                else:
-                    yield f"{path}/{name}", child
-
     def match_file_nodes(self, pattern: PathPattern) -> list[tuple[str, object]]:
         """Probe-tree files a pattern can land on, as ``(path, inode)``.
 
@@ -180,21 +162,8 @@ class NamespaceModel:
         set of *schema-stamped* nodes (the ones whose ACLs are schema
         policy rather than per-creation accidents).
         """
-        atoms = pattern.atoms
-        if pattern.anchored:
-            if not atoms:
-                return []
-            head = atoms[0]
-            if head is not STAR and head.literal is not None:
-                if head.literal not in self.root_names:
-                    return []
-                return self._file_search(atoms[1:])
-            atoms = atoms if head is STAR else (STAR,) + atoms[1:]
-        if not any(lit in self.dir_vocab for lit in pattern.literal_segments):
-            return []
-        if atoms[:1] != (STAR,):
-            atoms = (STAR,) + atoms
-        return self._file_search(atoms)
+        atoms = self._anchor(pattern)
+        return [] if atoms is None else self._file_search(atoms)
 
     def _file_search(self, atoms: tuple) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = []
@@ -241,23 +210,24 @@ class NamespaceModel:
         pattern that names no structural directory of the tree (those
         are ordinary files, not yanc paths).
         """
+        atoms = self._anchor(pattern)
+        return MatchResult(applicable=False) if atoms is None else self._search(atoms)
+
+    def _anchor(self, pattern: PathPattern) -> tuple | None:
+        """The atoms to search from the mount root; None when the pattern is not a yanc path."""
         atoms = pattern.atoms
         if pattern.anchored:
             if not atoms:
-                return MatchResult(applicable=False)
+                return None
             head = atoms[0]
             if head is not STAR and head.literal is not None:
-                if head.literal not in self.root_names:
-                    return MatchResult(applicable=False)
-                return self._search(atoms[1:])
+                return atoms[1:] if head.literal in self.root_names else None
             # `/…{hole}…/switches` — unknown mount segment: fall through
             # to suffix matching below.
             atoms = atoms if head is STAR else (STAR,) + atoms[1:]
         if not any(lit in self.dir_vocab for lit in pattern.literal_segments):
-            return MatchResult(applicable=False)
-        if atoms[:1] != (STAR,):
-            atoms = (STAR,) + atoms
-        return self._search(atoms)
+            return None
+        return atoms if atoms[:1] == (STAR,) else (STAR,) + atoms
 
     def _search(self, atoms: tuple) -> MatchResult:
         out: list[Resolution] = []
@@ -405,9 +375,4 @@ class NamespaceModel:
         self._reps[cls] = fresh
         return fresh
 
-def segments_of(pattern: PathPattern) -> tuple:
-    """Convenience: the atoms tuple (used by tests)."""
-    return pattern.atoms
-
-
-__all__ = ["MatchResult", "NamespaceModel", "Resolution", "Seg", "segments_of"]
+__all__ = ["MatchResult", "NamespaceModel", "Resolution", "Seg"]

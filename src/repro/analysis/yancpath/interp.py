@@ -17,13 +17,21 @@ typestate machines on the way through:
   protocol violation, and the partially-staged flow is invisible to the
   driver until versioned anyway).
 
+The state also carries two facts the security judge reads: **taint** —
+per variable, the read sites its value derives from with no validator
+since, joined at every merge like the token strings — and each
+receiver's **credential class**, typed from its constructor as
+``types`` types it from its class.  Every site records both.
+
 Interprocedural reasoning is by summaries: each function's return value
 is summarized as a token string with *named* holes for its parameters
 (substituted at call sites, so ``yc.flow_path(sw, n)`` composes exactly),
 plus a commit effect — ``always`` (the function commits on every normal
-path), ``never``, or ``cond(<param>)`` for the ``if commit:`` idiom that
-``create_flow`` and the flow pusher use — and a ``stages`` bit saying
-whether it writes spec files at all.  Summaries are memoized and guarded
+path), ``never``, or ``cond(<param>, <value>)`` for a commit guarded by a
+parameter: the ``if commit:`` idiom the flow pusher uses, ``write_object``'s
+``if publish == "version":``, and a caller forwarding its own flag into
+one (``create_flow`` passes ``"version" if commit else None``) — and a
+``stages`` bit saying whether it writes spec files at all.  Summaries are memoized and guarded
 against recursion (an in-progress callee summarizes as unknown).
 
 Everything here errs toward silence: an expression the lattice cannot
@@ -35,6 +43,7 @@ refutes.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -112,6 +121,95 @@ def queued_syscall(call: ast.Call) -> tuple[str, int] | None:
     return None
 
 
+# -- taint and credential rules ----------------------------------------------------------
+
+#: Syscalls whose result is read data: each is a taint source candidate,
+#: and the judge decides whether what it reads is tenant-reachable.
+_READS = frozenset({"read_text", "read_bytes", "readdirplus", "listdir", "scandir"})
+
+#: String operations that carry taint from receiver/arguments to result.
+_PROPAGATORS = frozenset(
+    "strip lstrip rstrip lower upper title decode encode format removeprefix removesuffix"
+    " split rsplit partition rpartition join replace".split()
+)
+
+#: A call whose name says it judges its input counts as the validator
+#: between source and sink (flow_file_validator, sanitize_name, ...).
+_SANITIZER = re.compile(r"valid|sanitiz|check|clean|escape|quote|safe|basename", re.I)
+
+_CLEAN: frozenset = frozenset()
+
+
+def _callee_name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _key(expr: ast.expr) -> str | None:
+    """The state key of a local name (``x``) or an instance attribute (``self.x``)."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) and expr.value.id == "self":
+        return f"self.{expr.attr}"
+    return None
+
+
+def _classify_cred_expr(expr: ast.expr) -> str:
+    """What credential class an expression evaluates to."""
+    if isinstance(expr, ast.Name) and expr.id == "ROOT":
+        return "root"
+    if isinstance(expr, ast.Call):
+        name = _callee_name(expr.func)
+        if name == "app_credentials":
+            return "app"
+        if name == "driver_credentials":
+            return "driver"
+        if name == "Credentials":
+            for kw in expr.keywords:
+                if kw.arg == "uid" and isinstance(kw.value, ast.Constant):
+                    return "root" if kw.value.value == 0 else "user"
+    return "unknown"
+
+
+def classify_constructor(call: ast.Call) -> str | None:
+    """The credential class a Syscalls/Process-producing call yields.
+
+    ``Syscalls(vfs)`` is root; ``host.process(...)`` is a per-name app or
+    driver uid; ``spawn(cred=...)`` and explicit ``cred=`` keywords follow
+    the credential expression.  Returns None for calls that produce no
+    syscall context (the receiver stays untyped, erring toward silence).
+    """
+    name = _callee_name(call.func)
+    keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg}
+    if name == "Syscalls":
+        if "cred" not in keywords:
+            return "root"
+        return _classify_cred_expr(keywords["cred"])
+    if name == "process":
+        if "cred" in keywords:
+            return _classify_cred_expr(keywords["cred"])
+        role = keywords.get("role")
+        if isinstance(role, ast.Constant) and role.value == "driver":
+            return "driver"
+        return "app"
+    if name == "spawn":
+        if "cred" in keywords:
+            return _classify_cred_expr(keywords["cred"])
+        return None  # inherits the parent context's credentials
+    return None
+
+
+def _join_taint(a: dict, b: dict) -> dict:
+    """The may-taint join: a name is tainted by every read either side saw."""
+    out = dict(a)
+    for name, sources in b.items():
+        out[name] = out.get(name, _CLEAN) | sources
+    return out
+
+
 # -- project indexing ------------------------------------------------------------------
 
 
@@ -139,6 +237,7 @@ class ModuleInfo:
     by_class: dict[str, dict[str, FuncDecl]] = field(default_factory=dict)
     class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     global_env: dict[str, tuple] = field(default_factory=dict)
+    global_creds: dict[str, str] = field(default_factory=dict)  # name -> credential class
 
 
 @dataclass
@@ -146,7 +245,7 @@ class Summary:
     """What a call site needs to know about a callee."""
 
     ret: tuple  # token string, named holes = params
-    effect: tuple  # ("always",) | ("never",) | ("cond", param)
+    effect: tuple  # ("always",) | ("never",) | ("cond", param, committing value)
     stages: bool  # writes flow spec files (directly or transitively)
 
 
@@ -183,7 +282,7 @@ class ProjectIndex:
         self.classes: dict[str, ModuleInfo | None] = {}
         self._summaries: dict[int, Summary] = {}
         self._in_progress: set[int] = set()
-        self._attr_envs: dict[tuple[int, str], tuple[dict, dict]] = {}
+        self._attr_envs: dict[tuple[int, str], State] = {}
         for src in sources:
             module = ModuleInfo(src=src)
             for stmt in src.tree.body:
@@ -205,6 +304,10 @@ class ProjectIndex:
                     if isinstance(target, ast.Name) and isinstance(stmt.value, ast.Constant):
                         if isinstance(stmt.value.value, str):
                             module.global_env[target.id] = P.tokens_from_literal(stmt.value.value)
+                    elif isinstance(target, ast.Name) and isinstance(stmt.value, ast.Call):
+                        cred = classify_constructor(stmt.value)
+                        if cred is not None:
+                            module.global_creds[target.id] = cred
             self.modules.append(module)
 
     def method_on(self, class_name: str, method: str, _seen: frozenset = frozenset()) -> FuncDecl | None:
@@ -246,12 +349,14 @@ class ProjectIndex:
             if ret is None:
                 ret = P.UNKNOWN
             if interp.cond_commit is not None:
-                effect: tuple = ("cond", interp.cond_commit)
+                effect: tuple = ("cond", *interp.cond_commit)
             elif interp.exit_committed and all(interp.exit_committed):
                 effect = ("always",)
             else:
                 effect = ("never",)
-            summary = Summary(ret=ret, effect=effect, stages=interp.ever_staged)
+            # A parameter-guarded commit defers what the function staged, even
+            # when the staging writes went through a helper too opaque to judge.
+            summary = Summary(ret=ret, effect=effect, stages=interp.ever_staged or effect[0] == "cond")
         finally:
             self._in_progress.discard(key)
         self._summaries[key] = summary
@@ -311,45 +416,40 @@ class ProjectIndex:
 
     # -- instance attribute environments ---------------------------------------------
 
-    def attr_env(self, module: ModuleInfo, class_name: str) -> tuple[dict, dict]:
-        """``(values, types)`` for ``self.X``, gleaned from ``__init__``.
+    def attr_env(self, module: ModuleInfo, class_name: str) -> "State":
+        """The ``self.X`` facts ``__init__`` leaves behind: values, types, credentials.
 
         Named parameter holes are anonymized: outside the constructor the
         argument values are unknown, but the *shape* (``self.root`` is a
         single segment, ``self.log_path`` is ``/var/...``) survives — and
         ``self.yc = YancClient(...)`` types the attribute so method calls
-        through it resolve to the right class.  Declared base classes
+        through it resolve to the right class, as ``self.sc = Syscalls(vfs)``
+        gives its receiver a credential class.  Declared base classes
         contribute their own ``__init__`` attributes underneath.
         """
         key = (id(module.src), class_name)
         cached = self._attr_envs.get(key)
         if cached is not None:
             return cached
-        self._attr_envs[key] = ({}, {})  # recursion guard
-        env: dict[str, tuple] = {}
-        types: dict[str, str] = {}
+        self._attr_envs[key] = State()  # recursion guard
+        attrs = State()
         for base in module.class_bases.get(class_name, ()):
             base_module = self.classes.get(base)
             if base_module is not None:
-                base_env, base_types = self.attr_env(base_module, base)
-                env.update(base_env)
-                types.update(base_types)
+                inherited = self.attr_env(base_module, base)
+                attrs.env.update(inherited.env)
+                attrs.types.update(inherited.types)
+                attrs.creds.update(inherited.creds)
         init = module.by_class.get(class_name, {}).get("__init__")
         if init is not None:
             interp = FuncInterp(self, init)
             interp.run()
-            env.update(
-                {
-                    name: _anonymize(tokens)
-                    for name, tokens in interp.state.env.items()
-                    if name.startswith("self.")
-                }
-            )
-            types.update(
-                {name: t for name, t in interp.state.types.items() if name.startswith("self.")}
-            )
-        self._attr_envs[key] = (env, types)
-        return self._attr_envs[key]
+            final = interp.state
+            for facts, own in ((attrs.env, final.env), (attrs.types, final.types), (attrs.creds, final.creds)):
+                facts.update({name: fact for name, fact in own.items() if name.startswith("self.")})
+            attrs.env = {name: _anonymize(tokens) for name, tokens in attrs.env.items()}
+        self._attr_envs[key] = attrs
+        return attrs
 
 
 def _anonymize(tokens: tuple) -> tuple:
@@ -377,6 +477,9 @@ class State:
     staged: dict[int, ast.AST] = field(default_factory=dict)  # id(node) -> node
     listings: set[str] = field(default_factory=set)  # vars holding listdir() results
     tablerows: set[str] = field(default_factory=set)  # vars holding table.entries() results
+    #: var -> the read sites its value derives from, with no validator since.
+    taint: dict[str, frozenset] = field(default_factory=dict)
+    creds: dict[str, str] = field(default_factory=dict)  # receiver -> credential class
     committed: bool = False
     returned: bool = False
 
@@ -388,9 +491,36 @@ class State:
             staged=dict(self.staged),
             listings=set(self.listings),
             tablerows=set(self.tablerows),
+            taint=dict(self.taint),
+            creds=dict(self.creds),
             committed=self.committed,
             returned=self.returned,
         )
+
+
+_NO_ATTRS = State()  # what a function outside any class knows about ``self``
+
+
+def _commit_guard(test, params) -> tuple[str, object] | None:
+    """``(param, the value that commits)`` for a commit guard: ``if p:`` or ``if p == <constant>:``."""
+    if isinstance(test, ast.Name) and test.id in params:
+        return test.id, True
+    if (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and test.left.id in params
+        and isinstance(test.ops[0], ast.Eq)
+        and isinstance(test.comparators[0], ast.Constant)
+    ):
+        return test.left.id, test.comparators[0].value
+    return None
+
+
+def _commits(value, when) -> bool:
+    """Does an argument take a callee's guarded commit?  A dynamic one is assumed to."""
+    if not isinstance(value, ast.Constant):
+        return True
+    return value.value is not False if when is True else value.value == when
 
 
 def _merge_states(a: State, b: State) -> State:
@@ -417,6 +547,8 @@ def _merge_states(a: State, b: State) -> State:
         staged=staged,
         listings=a.listings | b.listings,
         tablerows=a.tablerows | b.tablerows,
+        taint=_join_taint(a.taint, b.taint),
+        creds={name: c for name, c in a.creds.items() if b.creds.get(name) == c},
         committed=a.committed and b.committed,
         returned=a.returned and b.returned,
     )
@@ -461,16 +593,20 @@ class OpSite:
     method: str
     depth: int
     loop: Optional[LoopInfo]
+    taint: frozenset = _CLEAN  # an RPC's: the read sites its arguments derive from
 
 
-@dataclass
+@dataclass(eq=False)
 class Site:
     """One recognized syscall call with its abstract path arguments.
 
     A queued ring entry is the site of the call it stands for
     (``queued``), with its chain bit: ``link`` is ``True``/``False`` for a
     compile-time constant and ``None`` when dynamic (treated as
-    chain-continuing, erring toward silence).
+    chain-continuing, erring toward silence).  ``taint`` holds, per path,
+    the read sites the path derives from (a read site is a taint source
+    when its judge says it reads tenant-reachable state); ``cred`` is the
+    receiver's credential class, None when untyped.
     """
 
     node: ast.Call
@@ -486,6 +622,8 @@ class Site:
     positions: tuple[int, ...] = ()  # the call-argument position of each path
     queued: bool = False
     link: bool | None = False
+    taint: tuple[frozenset, ...] = ()
+    cred: str | None = None
 
 
 #: Calls whose first argument unwraps to the underlying iterable.
@@ -523,7 +661,7 @@ class FuncInterp:
         self._loops: list[LoopInfo] = []
         self.returns: list[tuple] = []
         self.exit_committed: list[bool] = []
-        self.cond_commit: str | None = None
+        self.cond_commit: tuple[str, object] | None = None  # (param, the value that commits)
         self.ever_staged = False
         #: (kind, node) local typestate findings for the checker.
         self.local_findings: list[tuple[str, ast.AST]] = []
@@ -561,33 +699,37 @@ class FuncInterp:
 
     def visit_stmt(self, stmt, state: State) -> None:
         if isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value, state)
+            value, taint = self.eval(stmt.value, state)
             value_type = self._type_of(stmt.value, state)
+            cred = self._cred_of(stmt.value, state)
             listing = self._listing_origin(stmt.value, state)
             rows = self._entries_origin(stmt.value, state)
             for target in stmt.targets:
-                self._assign(target, value, state, value_type)
+                self._assign(target, value, state, value_type, cred)
+                self._bind_taint(target, taint, state)
                 if isinstance(target, ast.Name):
                     (state.listings.add if listing else state.listings.discard)(target.id)
                     (state.tablerows.add if rows else state.tablerows.discard)(target.id)
             self._track_open(stmt, state)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
-                value = self.eval(stmt.value, state)
+                value, taint = self.eval(stmt.value, state)
                 self._assign(stmt.target, value, state)
+                self._bind_taint(stmt.target, taint, state)
                 self._track_open(stmt, state)
         elif isinstance(stmt, ast.AugAssign):
-            value = self.eval(stmt.value, state)
+            value, taint = self.eval(stmt.value, state)
             if isinstance(stmt.op, ast.Add) and isinstance(stmt.target, ast.Name):
                 old = state.env.get(stmt.target.id, P.UNKNOWN)
                 state.env[stmt.target.id] = P.concat(old, value)
             elif isinstance(stmt.target, ast.Name):
                 state.env[stmt.target.id] = P.UNKNOWN
+            self._bind_taint(stmt.target, taint | state.taint.get(_key(stmt.target), _CLEAN), state)
         elif isinstance(stmt, ast.Expr):
             self.eval(stmt.value, state)
         elif isinstance(stmt, ast.Return):
             value_name = stmt.value.id if isinstance(stmt.value, ast.Name) else None
-            tokens = self.eval(stmt.value, state) if stmt.value is not None else None
+            tokens = self.eval(stmt.value, state)[0] if stmt.value is not None else None
             if tokens is not None:
                 self.returns.append(tokens)
             self._exit(state, node=stmt, value_name=value_name)
@@ -595,14 +737,11 @@ class FuncInterp:
         elif isinstance(stmt, ast.If):
             self._visit_if(stmt, state)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self.eval(stmt.iter, state)
+            _, taint = self.eval(stmt.iter, state)
             info = self._loop_info(stmt, state)
             body_state = state.clone()
             self._bind_holes(stmt.target, body_state, loop=True)
-            self.loops.append(info)
-            self._loops.append(info)
-            self.visit_block(stmt.body, body_state)
-            self._loops.pop()
+            self._visit_loop(stmt.body, body_state, info, lambda s: self._bind_taint(stmt.target, taint, s))
             merged = _merge_states(state, body_state)
             self._replace(state, merged)
             self.visit_block(stmt.orelse, state)
@@ -610,10 +749,7 @@ class FuncInterp:
             self.eval(stmt.test, state)
             body_state = state.clone()
             info = LoopInfo(node=stmt, depth=len(self._loops) + 1, bounded=False, kind="while")
-            self.loops.append(info)
-            self._loops.append(info)
-            self.visit_block(stmt.body, body_state)
-            self._loops.pop()
+            self._visit_loop(stmt.body, body_state, info, lambda s: None)
             merged = _merge_states(state, body_state)
             self._replace(state, merged)
             self.visit_block(stmt.orelse, state)
@@ -621,9 +757,10 @@ class FuncInterp:
             self._visit_try(stmt, state)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                self.eval(item.context_expr, state)
+                _, taint = self.eval(item.context_expr, state)
                 if item.optional_vars is not None:
                     self._bind_holes(item.optional_vars, state)
+                    self._bind_taint(item.optional_vars, taint, state)
             self.visit_block(stmt.body, state)
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
@@ -647,6 +784,9 @@ class FuncInterp:
 
     def _visit_if(self, stmt: ast.If, state: State) -> None:
         self.eval(stmt.test, state)
+        # An ``if`` that inspects a value is its validator: both arms see it clean.
+        for node in ast.walk(stmt.test):
+            state.taint.pop(_key(node), None)
         then_state = state.clone()
         self._branches.append((id(stmt), "then"))
         self.visit_block(stmt.body, then_state)
@@ -660,14 +800,9 @@ class FuncInterp:
         # commit.  The function's obligation becomes conditional — record
         # it for the summary and treat the local obligation as discharged
         # (callers passing commit=False inherit the staging).
-        if (
-            isinstance(stmt.test, ast.Name)
-            and stmt.test.id in self.params
-            and not stmt.orelse
-            and then_state.committed
-            and not state.committed
-        ):
-            self.cond_commit = stmt.test.id
+        guard = _commit_guard(stmt.test, self.params)
+        if guard is not None and then_state.committed and not else_state.committed and not state.committed:
+            self.cond_commit = guard
             merged.staged = dict(then_state.staged)
             merged.committed = state.committed
         self._replace(state, merged)
@@ -699,11 +834,31 @@ class FuncInterp:
         self.visit_block(stmt.finalbody, merged)
         self._replace(state, merged)
 
+    def _visit_loop(self, body, state: State, info: LoopInfo, bind: Callable[[State], None]) -> None:
+        """Visit a loop body once, entered with the taint an earlier iteration leaves.
+
+        ``bind`` (re)binds the loop target's taint.  A throwaway
+        interpreter runs that earlier iteration, so a sink at the top of
+        the body sees a name tainted at its bottom and no site, call or
+        finding is recorded twice.
+        """
+        bind(state)
+        first = state.clone()
+        FuncInterp(self.index, self.decl, self.module).visit_block(body, first)
+        state.taint = _join_taint(state.taint, first.taint)
+        bind(state)
+        self.loops.append(info)
+        self._loops.append(info)
+        self.visit_block(body, state)
+        self._loops.pop()
+
     def _replace(self, state: State, new: State) -> None:
         state.env = new.env
         state.types = new.types
         state.fds = new.fds
         state.staged = new.staged
+        state.taint = new.taint
+        state.creds = new.creds
         state.committed = new.committed
         state.returned = new.returned
 
@@ -792,23 +947,39 @@ class FuncInterp:
             return inner.id in state.tablerows
         return False
 
-    def _assign(self, target, value: tuple, state: State, value_type: str | None = None) -> None:
-        if isinstance(target, ast.Name):
-            if target.id in state.fds:
-                del state.fds[target.id]  # rebound: old fd escapes tracking
-            state.env[target.id] = value
+    def _assign(
+        self, target, value: tuple, state: State, value_type: str | None = None, cred: str | None = None
+    ) -> None:
+        key = _key(target)
+        if key is not None:
+            state.fds.pop(key, None)  # rebound: old fd escapes tracking
+            state.env[key] = value
             if value_type is not None:
-                state.types[target.id] = value_type
+                state.types[key] = value_type
+            elif isinstance(target, ast.Name):
+                state.types.pop(key, None)
+            if cred is not None:
+                state.creds[key] = cred
             else:
-                state.types.pop(target.id, None)
-        elif isinstance(target, ast.Attribute):
-            if isinstance(target.value, ast.Name) and target.value.id == "self":
-                state.env[f"self.{target.attr}"] = value
-                if value_type is not None:
-                    state.types[f"self.{target.attr}"] = value_type
+                state.creds.pop(key, None)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._assign(elt, P.UNKNOWN, state)
+
+    def _bind_taint(self, target, taint: frozenset, state: State) -> None:
+        """Taint an assignment target: a name or ``self.x``, else every name inside it."""
+        key = _key(target)
+        for name in [key] if key else [node.id for node in ast.walk(target) if isinstance(node, ast.Name)]:
+            if taint:
+                state.taint[name] = taint
+            else:
+                state.taint.pop(name, None)
+
+    def _attrs(self) -> State:
+        """What the enclosing class's ``__init__`` leaves on ``self``."""
+        if self.decl is None or self.decl.class_name is None:
+            return _NO_ATTRS
+        return self.index.attr_env(self.decl.module, self.decl.class_name)
 
     def _type_of(self, expr, state: State) -> str | None:
         """The project class an expression constructs or aliases, if clear."""
@@ -819,17 +990,21 @@ class FuncInterp:
             # self.yc.in_view(...) etc.: a resolvable method annotated by
             # convention — returning `self` keeps the receiver's type.
             return None
-        if isinstance(expr, ast.Name):
-            return state.types.get(expr.id)
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            if expr.value.id == "self":
-                key = f"self.{expr.attr}"
-                if key in state.types:
-                    return state.types[key]
-                if self.decl is not None and self.decl.class_name is not None:
-                    _env, types = self.index.attr_env(self.decl.module, self.decl.class_name)
-                    return types.get(key)
-        return None
+        key = _key(expr)
+        if key is not None and key.startswith("self.") and key not in state.types:
+            return self._attrs().types.get(key)
+        return state.types.get(key)
+
+    def _cred_of(self, expr, state: State) -> str | None:
+        """The credential class a receiver expression constructs or aliases, if clear."""
+        if isinstance(expr, ast.Call):
+            return classify_constructor(expr)
+        key = _key(expr)
+        if key in state.env:  # bound in this body: its own assignment decides
+            return state.creds.get(key)
+        if key is None or key.startswith("self."):
+            return self._attrs().creds.get(key)
+        return self.module.global_creds.get(key)
 
     def _track_open(self, stmt, state: State) -> None:
         """``fd = sc.open(...)`` starts fd-lifecycle tracking."""
@@ -839,7 +1014,7 @@ class FuncInterp:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         if len(targets) == 1 and isinstance(targets[0], ast.Name):
             protected = any(targets[0].id in closes for closes in self._finally_closes)
-            role = self.index.judge(self.eval(value.args[0], state)) if value.args else None
+            role = self.index.judge(self.eval(value.args[0], state)[0]) if value.args else None
             state.fds[targets[0].id] = FdInfo(site=value, protected=protected, role=role)
 
     def _exit(self, state: State, node, value_name: str | None) -> None:
@@ -860,61 +1035,72 @@ class FuncInterp:
 
     # -- expressions -----------------------------------------------------------------
 
-    def eval(self, node, state: State) -> tuple:
-        """Abstract-evaluate ``node`` to a token string (never None)."""
+    def eval(self, node, state: State) -> tuple[tuple, frozenset]:
+        """Abstract-evaluate ``node``: its token string (never None) and its taint.
+
+        The taint is the set of read sites the value derives from with no
+        validator on the way: string assembly (concatenation, f-strings,
+        containers, the ``_PROPAGATORS``) carries it, any other operation
+        or call yields a clean value.
+        """
         if isinstance(node, ast.Constant):
             if isinstance(node.value, str):
-                return P.tokens_from_literal(node.value)
-            return P.UNKNOWN
+                return P.tokens_from_literal(node.value), _CLEAN
+            return P.UNKNOWN, _CLEAN
         if isinstance(node, ast.JoinedStr):
             parts = []
+            taint = _CLEAN
             for piece in node.values:
                 if isinstance(piece, ast.Constant):
                     parts.append(P.tokens_from_literal(str(piece.value)))
                 elif isinstance(piece, ast.FormattedValue):
-                    inner = self.eval(piece.value, state)
+                    inner, inner_taint = self.eval(piece.value, state)
+                    taint |= inner_taint
                     if piece.format_spec is not None:
                         self.eval(piece.format_spec, state)
                         inner = P.UNKNOWN
                     parts.append(inner)
-            return P.concat(*parts)
+            return P.concat(*parts), taint
         if isinstance(node, ast.Name):
+            taint = state.taint.get(node.id, _CLEAN)
             if node.id in state.env:
-                return state.env[node.id]
+                return state.env[node.id], taint
             if self.module is not None and node.id in self.module.global_env:
-                return self.module.global_env[node.id]
-            return P.UNKNOWN
+                return self.module.global_env[node.id], taint
+            return P.UNKNOWN, taint
         if isinstance(node, ast.Attribute):
-            self.eval(node.value, state)
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                key = f"self.{node.attr}"
-                if key in state.env:
-                    return state.env[key]
-                if self.decl is not None and self.decl.class_name is not None:
-                    env, _types = self.index.attr_env(self.decl.module, self.decl.class_name)
-                    if key in env:
-                        return env[key]
-            return P.UNKNOWN
+            taint = self.eval(node.value, state)[1]
+            key = _key(node)
+            if key is None:
+                return P.UNKNOWN, taint  # obj.field carries obj's taint
+            env = state.env if key in state.env else self._attrs().env
+            return env.get(key, P.UNKNOWN), state.taint.get(key, _CLEAN)
         if isinstance(node, ast.BinOp):
-            left = self.eval(node.left, state)
-            right = self.eval(node.right, state)
+            left, left_taint = self.eval(node.left, state)
+            right, right_taint = self.eval(node.right, state)
+            taint = left_taint | right_taint
             if isinstance(node.op, ast.Add):
-                return P.concat(left, right)
+                return P.concat(left, right), taint
             if isinstance(node.op, ast.Div):  # pathlib's Path / "seg"
-                return P.join([left, right])
+                return P.join([left, right]), taint
             if isinstance(node.op, ast.Mod) and isinstance(node.left, ast.Constant) and isinstance(
                 node.left.value, str
             ):
-                return P.tokens_from_template(node.left.value)
-            return P.UNKNOWN
+                return P.tokens_from_template(node.left.value), taint
+            return P.UNKNOWN, taint
         if isinstance(node, ast.BoolOp):
             result = None
+            taint = _CLEAN
             for value in node.values:
-                result = P.merge(result, self.eval(value, state))
-            return result if result is not None else P.UNKNOWN
+                tokens, value_taint = self.eval(value, state)
+                result = P.merge(result, tokens)
+                taint |= value_taint
+            return (result if result is not None else P.UNKNOWN), taint
         if isinstance(node, ast.IfExp):
             self.eval(node.test, state)
-            return P.merge(self.eval(node.body, state), self.eval(node.orelse, state))
+            body, body_taint = self.eval(node.body, state)
+            orelse, orelse_taint = self.eval(node.orelse, state)
+            return P.merge(body, orelse), body_taint | orelse_taint
         if isinstance(node, ast.Call):
             return self.eval_call(node, state)
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
@@ -933,15 +1119,28 @@ class FuncInterp:
             else:
                 self.eval(node.elt, comp_state)
             del self._loops[len(self._loops) - len(node.generators) :]
-            return P.UNKNOWN
-        # Generic: recurse for site-recording, value unknown.
+            return P.UNKNOWN, _CLEAN
+        # Generic: recurse for site-recording, value unknown; a container,
+        # an element of one, or a starred value carries what it holds.
+        whole = isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        held = node.value if isinstance(node, (ast.Subscript, ast.Starred)) else None
+        taint = _CLEAN
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
-                self.eval(child, state)
-        return P.UNKNOWN
+                child_taint = self.eval(child, state)[1]
+                if whole or child is held:
+                    taint |= child_taint
+        return P.UNKNOWN, taint
 
-    def eval_call(self, call: ast.Call, state: State) -> tuple:
+    def eval_call(self, call: ast.Call, state: State) -> tuple[tuple, frozenset]:
         func = call.func
+        # The receiver can hide a metered call: sc.read_text(p).strip().
+        receiver = self.eval(func.value, state)[1] if isinstance(func, ast.Attribute) else _CLEAN
+        args = [self.eval(a, state) for a in call.args]
+        keywords = [(kw.arg, self.eval(kw.value, state)) for kw in call.keywords]
+        arg_tokens = [tokens for tokens, _ in args]
+        taint = self._result_taint(call, receiver, [t for _, t in args], state)
+
         # os.path.join(...) — join semantics
         if (
             isinstance(func, ast.Attribute)
@@ -951,7 +1150,7 @@ class FuncInterp:
             and isinstance(func.value.value, ast.Name)
             and func.value.value.id == "os"
         ):
-            return P.join([self.eval(a, state) for a in call.args])
+            return P.join(arg_tokens), taint
         # "<template>".format(...) — placeholders become holes
         if (
             isinstance(func, ast.Attribute)
@@ -959,29 +1158,14 @@ class FuncInterp:
             and isinstance(func.value, ast.Constant)
             and isinstance(func.value.value, str)
         ):
-            for arg in call.args:
-                self.eval(arg, state)
-            for kw in call.keywords:
-                self.eval(kw.value, state)
-            return P.tokens_from_template(func.value.value)
-        # Path(x) / clean(x) are abstractly the identity
+            return P.tokens_from_template(func.value.value), taint
+        # Path(x) / clean(x) / str(x) are abstractly the identity
         if isinstance(func, ast.Name) and func.id in ("Path", "clean", "str") and len(call.args) == 1:
-            inner = self.eval(call.args[0], state)
-            return inner if func.id != "str" else inner
-
-        if isinstance(func, ast.Attribute):
-            # The receiver can hide a metered call: sc.read_text(p).strip().
-            self.eval(func.value, state)
-
-        arg_tokens = [self.eval(a, state) for a in call.args]
-        kw_tokens = {kw.arg: self.eval(kw.value, state) for kw in call.keywords if kw.arg}
-        for kw in call.keywords:
-            if kw.arg is None:
-                self.eval(kw.value, state)
+            return arg_tokens[0], taint
 
         queued = queued_syscall(call)
         if queued is not None:
-            self._record_site(call, *queued, arg_tokens, state)
+            self._record_site(call, *queued, args, state)
 
         method = syscall_method(call)
         if method is not None:
@@ -989,8 +1173,9 @@ class FuncInterp:
                 OpSite(node=call, method=method, depth=len(self._loops), loop=self._innermost())
             )
         if method is not None and method in PATH_ARGS:
-            self._record_site(call, method, None, arg_tokens, state)
-            return P.UNKNOWN
+            site = self._record_site(call, method, None, args, state)
+            # A read's value is a taint source candidate: it carries its site.
+            return P.UNKNOWN, frozenset({site}) if site is not None and method in _READS else taint
         if method in ("write", "pwrite") and call.args and isinstance(call.args[0], ast.Name):
             # A write through an open fd stages or commits exactly as a
             # write_text to the opened path would (§3.4): commit_flow
@@ -1005,10 +1190,11 @@ class FuncInterp:
                 state.committed = True
         if method == "close" and call.args and isinstance(call.args[0], ast.Name):
             state.fds.pop(call.args[0].id, None)
-            return P.UNKNOWN
+            return P.UNKNOWN, taint
         if self._is_rpc(call):
+            sent = frozenset().union(*(t for _, t in args), *(t for _, (_, t) in keywords))
             self.rpc_sites.append(
-                OpSite(node=call, method="rpc", depth=len(self._loops), loop=self._innermost())
+                OpSite(node=call, method="rpc", depth=len(self._loops), loop=self._innermost(), taint=sent)
             )
 
         recv_type = None
@@ -1021,13 +1207,30 @@ class FuncInterp:
             )
         if usable:
             summary = self.index.summary(callee)
-            bindings = self._bind_args(callee, call, arg_tokens, kw_tokens)
+            bindings = self._bind_args(callee, call, arg_tokens, {name: t for name, (t, _) in keywords if name})
             self._apply_effect(call, callee, summary, state)
             self._escape_fds(call, state)
-            return P.substitute(summary.ret, bindings)
+            return P.substitute(summary.ret, bindings), taint
 
         self._escape_fds(call, state)
-        return P.UNKNOWN
+        return P.UNKNOWN, taint
+
+    @staticmethod
+    def _result_taint(call: ast.Call, receiver: frozenset, args: list, state: State) -> frozenset:
+        """What a call's value carries; a validator call clears its arguments."""
+        name = _callee_name(call.func)
+        if name is None:
+            return _CLEAN
+        if _SANITIZER.search(name):
+            for arg in call.args:
+                state.taint.pop(_key(arg), None)
+            return _CLEAN
+        if isinstance(call.func, ast.Name):
+            return frozenset().union(*args) if name in ("str", "repr", "format", "bytes") else _CLEAN
+        first = call.args[0] if call.args else None
+        if name == "replace" and isinstance(first, ast.Constant) and first.value in ("/", "..", "\\"):
+            return _CLEAN  # stripping separators IS the sanitization
+        return receiver.union(*args) if name in _PROPAGATORS else _CLEAN
 
     def _innermost(self) -> Optional[LoopInfo]:
         return self._loops[-1] if self._loops else None
@@ -1043,14 +1246,17 @@ class FuncInterp:
             return base.id == "channel"
         return isinstance(base, ast.Attribute) and base.attr == "channel"
 
-    def _record_site(self, call: ast.Call, method: str, shift: int | None, arg_tokens: list, state: State) -> None:
-        """Record a call of ``method`` — or, given the ``shift`` of its arguments, a ring entry queuing one."""
+    def _record_site(self, call: ast.Call, method: str, shift: int | None, args: list, state: State) -> Site | None:
+        """Record a call of ``method`` — or, given the ``shift`` of its arguments, a ring entry queuing one.
+
+        ``args`` are the evaluated ``(tokens, taint)`` call arguments.
+        """
         queued = shift is not None
         shift = shift or 0
-        positions = tuple(i + shift for i in PATH_ARGS.get(method, ()) if i + shift < len(arg_tokens))
+        positions = tuple(i + shift for i in PATH_ARGS.get(method, ()) if i + shift < len(args))
         if not positions and not queued:
-            return
-        paths = tuple(arg_tokens[i] for i in positions)
+            return None
+        paths = tuple(args[i][0] for i in positions)
         content = None
         data = call.args[shift + 1] if len(call.args) > shift + 1 else None
         if method in _WRITE_METHODS and isinstance(data, ast.Constant):
@@ -1059,20 +1265,21 @@ class FuncInterp:
         for kw in call.keywords:
             if queued and kw.arg == "link":
                 link = bool(kw.value.value) if isinstance(kw.value, ast.Constant) else None
-        self.sites.append(
-            Site(
-                node=call,
-                method=method,
-                paths=paths,
-                content=content,
-                depth=len(self._loops),
-                loop=self._innermost(),
-                branch=tuple(self._branches),
-                positions=positions,
-                queued=queued,
-                link=link,
-            )
+        site = Site(
+            node=call,
+            method=method,
+            paths=paths,
+            content=content,
+            depth=len(self._loops),
+            loop=self._innermost(),
+            branch=tuple(self._branches),
+            positions=positions,
+            queued=queued,
+            link=link,
+            taint=tuple(args[i][1] for i in positions),
+            cred=self._cred_of(call.func.value, state),
         )
+        self.sites.append(site)
         if method in _WRITE_METHODS and paths:
             role = self.index.judge(paths[0])
             if role == "stage":
@@ -1081,6 +1288,7 @@ class FuncInterp:
             elif role == "commit":
                 state.staged.clear()
                 state.committed = True
+        return site
 
     def _bind_args(self, callee: FuncDecl, call: ast.Call, arg_tokens, kw_tokens) -> dict:
         bindings: dict[str, tuple] = {}
@@ -1098,16 +1306,20 @@ class FuncInterp:
             state.committed = True
             return
         if effect[0] == "cond":
-            value = self._arg_for(callee, call, effect[1])
-            if isinstance(value, ast.Constant) and value.value is False:
-                if summary.stages:
-                    state.staged[id(call)] = call
-                    self.ever_staged = True
-            else:
-                # True, a dynamic value, or the (True) default: the callee
-                # commits — and a dynamic flag errs toward silence.
+            _, param, when = effect
+            value = self._arg_for(callee, call, param)
+            guard = _commit_guard(value.test, self.params) if isinstance(value, ast.IfExp) else None
+            if guard is not None and _commits(value.body, when) and not _commits(value.orelse, when):
+                # `f(..., "version" if commit else None)`: the idiom, one call down.
+                self.cond_commit = guard
+                state.staged.clear()
+            elif _commits(value, when):
+                # A dynamic value errs toward silence.
                 state.staged.clear()
                 state.committed = True
+            elif when is True and summary.stages:
+                state.staged[id(call)] = call
+                self.ever_staged = True
             return
         if summary.stages:  # ("never",) and it writes spec files
             state.staged[id(call)] = call

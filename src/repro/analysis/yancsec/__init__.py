@@ -3,9 +3,9 @@
 Two cooperating passes, mirroring the yancrace/yanccrash static+dynamic
 pairing:
 
-* the **static pass** (:mod:`repro.analysis.yancsec.checker`) extends the
-  yancpath interprocedural interpreter with a taint lattice and per-call
-  credential summaries, judging every syscall site for tainted paths,
+* the **static pass** (:mod:`repro.analysis.yancsec.checker`) reads the
+  taint and credential facts the yancpath interprocedural interpreter
+  records on every syscall site, judging each one for tainted paths,
   ambient root authority, ACL coverage gaps, slice escapes, and
   unauthenticated distfs RPCs;
 * the **runtime pass** (:mod:`repro.analysis.yancsec.monitor`,

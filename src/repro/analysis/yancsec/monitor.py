@@ -143,11 +143,6 @@ class SecurityMonitor:
         if mount_point not in self._allowed:
             self._allowed.append(mount_point)
 
-    def allow_prefix(self, prefix: str) -> None:
-        """Whitelist an extra writable prefix for app-role processes."""
-        if prefix not in self._allowed:
-            self._allowed.append(prefix)
-
     # -- trace-point handler and its sinks -------------------------------
 
     def on_syscall_exit(self, sc: Syscalls, op: str, paths: tuple, args: tuple, result: object, exc: BaseException | None) -> None:

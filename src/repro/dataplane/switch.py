@@ -124,10 +124,6 @@ class PortSim:
 class SwitchSim:
     """An OpenFlow-style switch: flow tables + ports + packet buffers."""
 
-    #: Capability flags advertised in features replies and the yanc
-    #: ``capabilities`` file.
-    CAPABILITIES = ("flow_stats", "table_stats", "port_stats")
-
     def __init__(
         self,
         dpid: int,
@@ -298,13 +294,3 @@ class SwitchSim:
             for entry, reason in table.expire(self.sim.now):
                 if self.controller is not None:
                     self.controller.flow_removed(self, entry, reason)
-
-    def features(self) -> dict[str, object]:
-        """The switch description advertised to drivers."""
-        return {
-            "dpid": self.dpid,
-            "num_buffers": self.num_buffers,
-            "num_tables": len(self.tables),
-            "capabilities": list(self.CAPABILITIES),
-            "ports": sorted(self.ports),
-        }

@@ -42,11 +42,6 @@ class MacAddress:
         else:
             raise TypeError(f"cannot make a MAC address from {type(value).__name__}")
 
-    @classmethod
-    def from_int(cls, value: int) -> "MacAddress":
-        """Build from a 48-bit integer."""
-        return cls(value)
-
     @property
     def packed(self) -> bytes:
         """The 6 raw bytes, network order."""

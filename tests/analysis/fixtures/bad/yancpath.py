@@ -1,6 +1,8 @@
 # yanclint: scope=app
 """Seeded defects: at least one per yancpath finding kind, marked inline."""
 
+from repro.yancfs.client import YancClient
+
 
 class BrokenApp:
     def __init__(self, sc):
@@ -50,3 +52,13 @@ class BrokenApp:
 
     def writes_typo_xattr(self, sw):
         self.sc.setxattr(f"{self.root}/switches/{sw}/idd", "user.owner", b"me")  # bad: unknown-path
+
+
+class StagingApp:
+    """Drives the real ``YancClient`` (swept alongside this fixture)."""
+
+    def __init__(self, sc):
+        self.client = YancClient(sc)
+
+    def stages_without_commit(self, sw, flow, match, actions):
+        self.client.create_flow(sw, flow, match, actions, commit=False)  # bad: flow-no-commit

@@ -41,6 +41,30 @@ class LeakyApp:
         owner = self.sc.read_text(f"/net/switches/{sw}/id")
         self.ring.prep("truncate", f"/net/hosts/{owner}/owner", 0)  # bad: tainted-path
 
+    # An overwrite in one arm of an `if` leaves the other arm's path tainted.
+    def claim_unless_known(self, sw, known):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if known:
+            owner = "default"
+        else:
+            pass
+        self.sc.write_text(f"/net/hosts/{owner}/owner", "claimed")  # bad: tainted-path
+
+    def claim_if_known(self, sw, known):
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if known:
+            pass
+        else:
+            owner = "default"
+        self.sc.write_text(f"/net/hosts/{owner}/owner", "claimed")  # bad: tainted-path
+
+    def claim_each_round(self, switches):
+        # Loop-carried: the sink at the top reads what the bottom tainted.
+        owner = "default"
+        for sw in switches:
+            self.sc.write_text(f"/net/hosts/{owner}/owner", "claimed")  # bad: tainted-path
+            owner = self.sc.read_text(f"/net/switches/{sw}/id")
+
     def peek_master(self, root, sw):
         # Inside a shared namespace `..` climbs out of the slice root.
         return self.sc.read_text(f"{root}/../switches/{sw}/id")  # bad: slice-escape

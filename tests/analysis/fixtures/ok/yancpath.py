@@ -1,6 +1,8 @@
 # yanclint: scope=app
 """The corrected twin of bad/yancpath.py: every operation is legal."""
 
+from repro.yancfs.client import YancClient
+
 
 class CorrectApp:
     def __init__(self, sc):
@@ -54,3 +56,14 @@ class CorrectApp:
 
     def writes_xattr(self, sw):
         self.sc.setxattr(f"{self.root}/switches/{sw}/id", "user.owner", b"me")
+
+
+class StagingApp:
+    """Drives the real ``YancClient`` (swept alongside this fixture)."""
+
+    def __init__(self, sc):
+        self.client = YancClient(sc)
+
+    def stages_then_commits(self, sw, flow, match, actions):
+        self.client.create_flow(sw, flow, match, actions, commit=False)
+        self.client.commit_flow(sw, flow)

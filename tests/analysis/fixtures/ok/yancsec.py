@@ -46,6 +46,15 @@ class PoliteApp:
         if owner in known_hosts:
             self.ring.prep("truncate", f"/net/hosts/{owner}/owner", 0)
 
+    def claim_default(self, sw, known):
+        # Both arms overwrite the tenant-controlled value before the sink.
+        owner = self.sc.read_text(f"/net/switches/{sw}/id")
+        if known:
+            owner = "default"
+        else:
+            owner = "fallback"
+        self.sc.write_text(f"/net/hosts/{owner}/owner", "claimed")
+
     def publish_port_state(self, sw, port, down):
         # config.port_down carries a schema ACL — collaboration is policy.
         self.sc.write_text(f"/net/switches/{sw}/ports/{port}/config.port_down", down)

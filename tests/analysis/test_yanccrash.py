@@ -344,6 +344,38 @@ def test_explorer_enumerates_flush_window_subsets():
     assert result.violations == []
 
 
+def test_explorer_replays_truncates_links_and_fastpath_rewrites():
+    from repro.libyanc.fastpath import LibYanc
+    from repro.vfs.vfs import O_WRONLY
+
+    def workload(sc):
+        fs = mount_yancfs(sc, "/net")
+        client = YancClient(sc)
+        client.create_switch("s1")
+        client.create_flow("s1", "f1", Match(in_port=3), [Output(1)])
+        ly = LibYanc(fs)
+        ly.write_flow_files("s1", "f1", {"priority": "7"}, commit=True)
+        ly.delete_flow("s1", "f1")
+        sc.makedirs("/var/spool")
+        sc.write_text("/var/spool/log", "abcdef")
+        sc.truncate("/var/spool/log", 4)
+        fd = sc.open("/var/spool/log", O_WRONLY)
+        sc.ftruncate(fd, 2)
+        sc.close(fd)
+        sc.symlink("/var/spool/log", "/var/spool/current")
+        sc.link("/var/spool/log", "/var/spool/hard")
+
+    ops = _record(workload)
+    wanted = {"ftruncate", "truncate", "symlink", "link", "fastpath-write", "fastpath-delete"}
+    tree = ReplayTree()
+    replayed = {op.op for op in ops if tree.apply(op) is not None}
+    assert wanted <= replayed
+    assert tree.sc.read_text("/var/spool/hard") == "ab"
+    assert not tree.sc.exists("/net/switches/s1/flows/f1")
+    result = explore(ops)
+    assert result.violations == []
+
+
 def test_explorer_empty_trace():
     result = explore([])
     assert result.violations == [] and result.prefixes == 0

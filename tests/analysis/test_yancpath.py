@@ -21,6 +21,8 @@ from repro.analysis.yancpath.checker import KINDS, analyze_sources
 HERE = Path(__file__).parent
 BAD = HERE / "fixtures" / "bad" / "yancpath.py"
 OK = HERE / "fixtures" / "ok" / "yancpath.py"
+#: The fixtures drive the real client, so it is swept alongside them.
+CLIENT = str(HERE.parents[1] / "src" / "repro" / "yancfs" / "client.py")
 
 _BAD_MARK = re.compile(r"#\s*bad:\s*([\w,\-]+)")
 
@@ -36,7 +38,7 @@ def expected_findings(path: Path) -> list[tuple[str, int]]:
 
 
 def findings_of(path: Path) -> list[tuple[str, int]]:
-    found = analyze_yancpath([str(path)])
+    found = analyze_yancpath([str(path), CLIENT])
     assert all(f.path == str(path) for f in found)
     return sorted(((f.rule, f.line) for f in found), key=lambda pair: (pair[1], pair[0]))
 
@@ -99,7 +101,7 @@ def test_non_yanc_paths_are_not_judged():
 
 
 def test_cli_findings_exit_one(capsys):
-    rc = main(["yancpath", str(BAD)])
+    rc = main(["yancpath", str(BAD), CLIENT])
     out = capsys.readouterr().out
     assert rc == ExitCode.FINDINGS
     for rule, line in expected_findings(BAD):
@@ -108,13 +110,13 @@ def test_cli_findings_exit_one(capsys):
 
 
 def test_cli_clean_exit_zero(capsys):
-    rc = main(["yancpath", str(OK)])
+    rc = main(["yancpath", str(OK), CLIENT])
     assert rc == ExitCode.CLEAN
     assert "yancpath: 0 finding(s)" in capsys.readouterr().out
 
 
 def test_cli_json_output(capsys):
-    rc = main(["yancpath", str(BAD), "--json"])
+    rc = main(["yancpath", str(BAD), CLIENT, "--json"])
     assert rc == ExitCode.FINDINGS
     payload = json.loads(capsys.readouterr().out)
     assert sorted((rec["rule"], rec["line"]) for rec in payload) == sorted(expected_findings(BAD))
@@ -123,9 +125,9 @@ def test_cli_json_output(capsys):
 
 def test_cli_baseline_filters_known_findings(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    assert main(["yancpath", str(BAD), "--out", str(baseline)]) == ExitCode.FINDINGS
+    assert main(["yancpath", str(BAD), CLIENT, "--out", str(baseline)]) == ExitCode.FINDINGS
     capsys.readouterr()
-    rc = main(["yancpath", str(BAD), "--baseline", str(baseline)])
+    rc = main(["yancpath", str(BAD), CLIENT, "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert rc == ExitCode.CLEAN
     assert "(baseline)" in out and "0 finding(s)" in out
@@ -149,7 +151,7 @@ def test_cli_internal_error_exit_three(monkeypatch, capsys):
         raise RuntimeError("synthetic analyzer crash")
 
     monkeypatch.setattr(JUDGES["yancpath"], "judge_interp", boom)
-    rc = main(["yancpath", str(OK)])
+    rc = main(["yancpath", str(OK), CLIENT])
     assert rc == ExitCode.INTERNAL
     assert "internal error" in capsys.readouterr().err
 

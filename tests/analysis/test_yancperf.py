@@ -285,6 +285,16 @@ def test_calibration_static_bounds_hold_live():
         assert row.bound > 0
 
 
+def test_calibrate_json_prints_one_record_per_row(capsys):
+    rc = main(["yancperf", str(REPO / "src"), "--calibrate", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == ExitCode.CLEAN
+    assert len(payload) == 5
+    for record in payload:
+        assert set(record) == {"function", "n", "static", "bound", "live", "ok", "note"}
+        assert record["ok"] and record["live"] <= record["bound"]
+
+
 # -- suppressions ---------------------------------------------------------------------
 
 

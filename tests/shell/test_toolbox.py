@@ -86,6 +86,15 @@ def test_mkdir_and_p_flag(sh, sc):
     assert sc.exists("/data/a/b/c")
 
 
+def test_rmdir_removes_empty_dirs_only(sh, sc):
+    sh.run("mkdir /data/e1 /data/e2")
+    sh.run("rmdir /data/e1 /data/e2")
+    assert not sc.exists("/data/e1") and not sc.exists("/data/e2")
+    with pytest.raises(ShellError):
+        sh.run("rmdir /data/sub")
+    assert sc.exists("/data/sub/gamma.txt")
+
+
 def test_rm_and_rm_r(sh, sc):
     sh.run("rm /data/beta.txt")
     assert not sc.exists("/data/beta.txt")

@@ -34,6 +34,24 @@ def test_in_view_client_operates_in_subtree(yc):
     assert yc.sc.exists("/net/views/outer/views/inner/switches")
 
 
+def test_views_lists_direct_children_only(yc):
+    assert yc.views() == []
+    yc.create_view("b")
+    yc.create_view("a").create_view("nested")
+    assert yc.views() == ["a", "b"]
+    assert yc.in_view("a").views() == ["nested"]
+
+
+def test_delete_switch_removes_the_whole_subtree(yc):
+    # §3.2: rmdir on a switch is recursive — flows and ports go with it.
+    yc.create_switch("sw1", dpid=1)
+    yc.create_flow("sw1", "f1", Match(in_port=1), [Output(2)])
+    yc.create_switch("sw2")
+    yc.delete_switch("sw1")
+    assert yc.switches() == ["sw2"]
+    assert not yc.sc.exists(yc.flow_path("sw1", "f1"))
+
+
 def test_custom_root_normalization(yanc_sc):
     client = YancClient(yanc_sc, "/net/")
     assert client.root == "/net"
