@@ -66,6 +66,11 @@ _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 _URING_RECEIVERS = ("ring", "uring", "_uring")
 
 
+def _is_super(base: ast.expr) -> bool:
+    """``super()``: a call through it is the caller's base-class method, not any method of that name."""
+    return isinstance(base, ast.Call) and isinstance(base.func, ast.Name) and base.func.id == "super"
+
+
 def _is_ring(base: ast.expr) -> bool:
     if isinstance(base, ast.Name):
         return base.id in _URING_RECEIVERS
@@ -382,6 +387,11 @@ class ProjectIndex:
                 typed = self.method_on(recv_type, name)
                 if typed is not None:
                     return typed, True
+            if _is_super(func.value) and caller is not None and caller.class_name is not None:
+                for base in caller.module.class_bases.get(caller.class_name, ()):
+                    inherited = self.method_on(base, name)
+                    if inherited is not None:
+                        return inherited, True
             if (
                 isinstance(func.value, ast.Name)
                 and func.value.id == "self"

@@ -44,7 +44,7 @@ class CalibrationRow:
 
 
 def run_calibration(paths: list[str]) -> list[CalibrationRow]:
-    """Boot the quickstart topology and cross-check five hot functions."""
+    """Boot the quickstart topology and cross-check six hot functions."""
     from repro import FLOOD, Match, Output, YancController, build_linear
     from repro.analysis.sweep import Sweep
     from repro.analysis.yancperf.model import CostIndex
@@ -106,6 +106,15 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
             )
         return len(YancClient(sc).read_events("sw3", "calapp"))
 
+    def take_events(sc) -> int:
+        """A wakeup's drain of k announced packet-ins: a ring, one read submission, one removal."""
+        quiet.subscribe_events("sw1", "caldrain")
+        names = []
+        for seq in range(5):
+            quiet.write_packet_in("sw1", "caldrain", seq, in_port=1, reason="no_match", buffer_id=seq, total_len=4, data=b"ping")
+            names.append(f"pi_{seq}")
+        return len(YancClient(sc).take_events(sc.io_uring_setup(), "caldrain", {"sw1": names}))
+
     def cmd_ls(sc) -> int:
         Shell(sc).cmd_ls(["-l", "/net/switches"])
         return len(quiet.sc.listdir("/net/switches"))
@@ -114,6 +123,7 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
     measure("YancClient", "create_flows_batched", create_flows_batched)
     measure("YancClient", "read_flow", read_flow)
     measure("YancClient", "read_events", read_events)
+    measure("YancClient", "take_events", take_events)
     measure("Shell", "cmd_ls", cmd_ls)
     return rows
 

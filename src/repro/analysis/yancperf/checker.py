@@ -129,10 +129,12 @@ def _judge_interp(sweep, interp: FuncInterp, emit, state: tuple[CostIndex, set[i
                 claimed_loops.add(id(loop.node))
 
     # 4. path-reresolve: the same abstract path resolved repeatedly in one
-    #    iteration (exists+unlink, read-modify-write on one file, ...).
+    #    iteration (exists+unlink, read-modify-write on one file, ...).  A
+    #    queued ring entry costs no crossing of its own, so a chain that
+    #    names its path twice (open ... unlink) is not the round trip.
     groups: dict[tuple[int, tuple], list] = {}
     for site in interp.sites:
-        if site.loop is None or id(site.node) in claimed_sites:
+        if site.loop is None or site.queued or id(site.node) in claimed_sites:
             continue
         if site.method not in PATH_RESOLVING:
             continue

@@ -12,6 +12,8 @@ every switch (including ones that appear later).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.proc.process import Process
 from repro.sim import Simulator
 from repro.vfs.errors import FsError
@@ -20,6 +22,22 @@ from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import PacketInEvent, YancClient
 
 _DIR_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
+
+
+def announced(run: Iterable[tuple[tuple, NotifyEvent]]) -> dict[str, list[str]]:
+    """What a run of packet-in buffer events announces: per switch (``ctx[1]``), the entries named, in notification order.
+
+    A maildir temp's IN_CREATE publishes nothing, so it announces nothing;
+    any other event puts its buffer in the take, named or not.
+    """
+    named: dict[str, list[str]] = {}
+    for ctx, event in run:
+        if event.name and event.name.startswith("."):
+            continue
+        names = named.setdefault(ctx[1], [])
+        if event.name:
+            names.append(event.name)
+    return named
 
 
 class YancApp(Process):
@@ -41,12 +59,21 @@ class PacketInApp(YancApp):
     On start it subscribes a private event buffer named after the app on
     each existing switch, watches ``switches/`` so later arrivals are
     subscribed too, and calls :meth:`handle_packet_in` for every event.
+    A wakeup's run of buffer events is taken by name in one submission
+    and removed in a second (:meth:`~repro.yancfs.client.YancClient.take_events`).
     """
+
+    run_kinds = ("buffer",)
 
     def on_start(self) -> None:
         self.watch(f"{self.yc.root}/switches", _DIR_MASK, ("switches",))
+        self._subscribe_new()
+
+    def _subscribe_new(self) -> None:
+        """Subscribe every switch whose buffer is not watched yet."""
         for switch in self._safe_switches():
-            self._subscribe(switch)
+            if ("buffer", switch) not in self._ctx_wds:
+                self._subscribe(switch)
 
     def _safe_switches(self) -> list[str]:
         try:
@@ -62,14 +89,17 @@ class PacketInApp(YancApp):
         # IN_MOVED_TO is the publication edge: events are assembled under
         # a dot-temp name and renamed into place (maildir).  IN_CREATE is
         # kept for directly-created events (tests, foreign drivers); the
-        # dot-temp's own IN_CREATE is ignored in on_event, as read_events
-        # ignores the entry, or every packet-in would drain the buffer twice.
+        # dot-temp's own IN_CREATE announces nothing, as the take ignores
+        # the entry, or every packet-in would drain the buffer twice.
         self.watch(buffer_path, EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("buffer", switch))
         self.on_switch_added(switch)
 
+    def on_run(self, kind: str, run: list[tuple[tuple, NotifyEvent]]) -> None:
+        """A run of buffer events is one take: two submissions, whatever its length."""
+        self._handle_packet_ins(announced(run))
+
     def on_event(self, ctx: tuple, event: NotifyEvent) -> None:
-        kind = ctx[0]
-        if kind == "switches":
+        if ctx[0] == "switches":
             if event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO) and event.name:
                 self._subscribe(event.name)
             elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM) and event.name:
@@ -77,14 +107,22 @@ class PacketInApp(YancApp):
                 # (and its context entry) would leak for the app's lifetime.
                 self.unwatch(("buffer", event.name))
                 self.on_switch_removed(event.name)
-        elif kind == "buffer":
-            if event.name and event.name.startswith("."):
-                return  # a maildir temp appeared: nothing is published yet
-            switch = ctx[1]
-            for pkt in self.yc.read_events(switch, self.app_name):
-                self.handle_packet_in(pkt)
         else:
             self.on_other_event(ctx, event)
+
+    def on_overflow(self) -> None:
+        """Lost notifications: subscribe the switches that appeared, then drain every buffer."""
+        self._subscribe_new()
+        self._handle_packet_ins({ctx[1]: [] for ctx in self._ctx_wds if ctx[0] == "buffer"})
+
+    def _handle_packet_ins(self, named: dict[str, list[str]]) -> None:
+        if not named:
+            return  # nothing published: no take, and no ring set up for one
+        for pkt in self.yc.take_events(self.ring, self.app_name, named):
+            try:
+                self.handle_packet_in(pkt)
+            except FsError:
+                continue  # tree changed under the handler; the next packet is its own
 
     # -- subclass hooks -----------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import FlowSpec, YancClient
-from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, fan_out_packet_in, take_packet_out
+from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, spooled, take_packet_out
 
 
 @dataclass
@@ -107,6 +107,8 @@ class OpenFlowDriver(Process):
     :class:`~repro.proc.process.Process`; a driver is live — running, as
     a process — from construction.
     """
+
+    run_kinds = ("pktout",)
 
     def __init__(
         self,
@@ -177,6 +179,15 @@ class OpenFlowDriver(Process):
 
     # -- event dispatch -----------------------------------------------------------
 
+    def on_run(self, kind: str, run) -> None:
+        """A run of ``packet_out`` spool events, across every switch's spool, is taken in one submission."""
+        entries = []
+        for ctx, event in run:
+            binding, name = self.bindings.get(ctx[1]), spooled(event)
+            if binding is not None and name is not None:
+                entries.append((binding, binding.fs_name, name))
+        self._send_packet_outs(entries)
+
     def on_event(self, ctx: tuple, event) -> None:
         kind = ctx[0]
         if isinstance(kind, FlowFollower):
@@ -187,8 +198,25 @@ class OpenFlowDriver(Process):
             self._on_port_event(ctx[1], ctx[2], event)
         elif kind == "events":
             self._on_events_dir_event(ctx[1], event)
-        elif kind == "pktout":
-            self._on_packet_out_event(ctx[1], event)
+
+    def on_overflow(self) -> None:
+        """Lost notifications: per switch, re-learn the app buffers, reconcile the flows and take the whole spool.
+
+        Port watches need no recovery: the driver adds them itself when it
+        creates a port, not on a notification.
+        """
+        entries = []
+        for binding in list(self.bindings.values()):  # yancperf: disable=syscall-in-loop (recovery re-reads each switch, once per overflow)
+            if not binding.ready:
+                continue
+            path = self.yc.switch_path(binding.fs_name)
+            try:
+                binding.event_apps = self.sc.listdir(f"{path}/events")
+                binding.follower.attach()
+                entries += [(binding, binding.fs_name, name) for name in self.sc.listdir(f"{path}/packet_out")]
+            except FsError:
+                continue
+        self._send_packet_outs(entries)
 
     # -- FS -> wire --------------------------------------------------------------------
 
@@ -260,11 +288,15 @@ class OpenFlowDriver(Process):
             if event.name in binding.event_apps:
                 binding.event_apps.remove(event.name)
 
-    def _on_packet_out_event(self, dpid: int, event) -> None:
-        """Transmit one ``packet_out`` spool entry (see PacketOutDir docs); one naming no port is discarded."""
-        binding = self.bindings.get(dpid)
-        out = take_packet_out(self.yc, binding.fs_name, event) if binding is not None else None
-        if out is None or not out.ports:
+    def _send_packet_outs(self, entries: list[tuple[SwitchBinding, str, str]]) -> None:
+        """Take ``(binding, switch, name)`` spool entries in one submission and transmit each, in order."""
+        if entries:
+            for binding, out in take_packet_out(self.ring, self.yc, entries):
+                self._transmit(binding, out)
+
+    def _transmit(self, binding: SwitchBinding, out: PacketOut) -> None:
+        """One consumed spool entry on the wire (see PacketOutDir docs); one naming no port is discarded."""
+        if not out.ports:
             return
         binding.send(
             m.PacketOut(

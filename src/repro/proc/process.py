@@ -8,7 +8,7 @@ the simulator:
 
 * :class:`Process` — owns a :class:`~repro.vfs.syscalls.Syscalls`
   context, an inotify descriptor, an epoll set, and a submission ring
-  for the steps that write several files at once; a single simulator-
+  for the steps that touch several files at once; a single simulator-
   driven run loop parks in ``epoll_wait`` and dispatches events, so every
   watch a process holds shares one wakeup instead of one callback each.
   A raising handler *crashes the process* (state, counters, teardown) —
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from itertools import groupby
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.perf.tracepoints import around as _around
 from repro.perf.tracepoints import entering as _entering
@@ -117,6 +118,10 @@ class Process:
     #: Override or pass ``name=``: shown in /proc/<pid>/status and cmdline.
     proc_name = "proc"
 
+    #: Watch-context kinds (``ctx[0]``) whose consecutive events reach
+    #: :meth:`on_run` together: a consumer that takes them in one submission.
+    run_kinds: tuple[str, ...] = ()
+
     def __init__(self, ctx: "Syscalls | Process | None", sim: "Simulator | None" = None, *, name: str = "") -> None:
         donor = ctx if isinstance(ctx, Process) else None
         self.sc = donor.sc if donor is not None else ctx
@@ -166,7 +171,7 @@ class Process:
 
     @property
     def ring(self) -> "IoUring":
-        """The process's submission ring (opened on first use): a step that writes several files crosses once (§8.1)."""
+        """The process's submission ring (opened on first use): a step that touches several files crosses once (§8.1)."""
         if self._ring is None:
             self._ring = self.sc.io_uring_setup(entries=1024)
         return self._ring
@@ -315,20 +320,52 @@ class Process:
             self.state = ProcState.BLOCKED
 
     def on_readable(self, source: object) -> None:
-        """One ready descriptor.  Default: drain inotify into on_event."""
+        """One ready descriptor.  Default: drain inotify once into :meth:`on_events`, then answer an overflow.
+
+        A queue that overflowed ends in one ``IN_Q_OVERFLOW`` record (wd
+        -1; nothing is queued behind it), so the events before it are
+        handled first and :meth:`on_overflow` then re-reads what the
+        dropped ones would have announced.
+        """
         if source is not self._ino:
             return
-        for event in self.sc.inotify_read(self._ino):
-            ctx = self._watch_ctx.get(event.wd)
-            if ctx is None:
+        events = self.sc.inotify_read(self._ino)
+        overflowed = bool(events and events[-1].mask & EventMask.IN_Q_OVERFLOW)
+        contexts = self._watch_ctx  # looked up as each event is reached: a handler may have dropped its watch
+        self.on_events((ctx, event) for event in (events[:-1] if overflowed else events) if (ctx := contexts.get(event.wd)) is not None)
+        if overflowed:
+            self._count("proc.overflow_recoveries")
+            self.on_overflow()
+
+    def on_events(self, pairs: Iterable[tuple[tuple, NotifyEvent]]) -> None:
+        """One wakeup's ``(ctx, event)`` pairs, in queue order: a run goes to :meth:`on_run`, any other event to :meth:`on_event`.
+
+        A run is a stretch of consecutive events whose ``ctx[0]`` is the
+        same one of :attr:`run_kinds`; the event that ends it is handled
+        only after the run is, so the order a handler sees is the queue's.
+        """
+        for kind, run in groupby(pairs, key=self._run_kind):
+            if kind is not None:
+                self.on_run(kind, list(run))
                 continue
-            try:
-                self.on_event(ctx, event)
-            except FsError:
-                continue  # tree changed under us; later events resolve it
+            for ctx, event in run:
+                try:
+                    self.on_event(ctx, event)
+                except FsError:
+                    continue  # tree changed under us; later events resolve it
+
+    def _run_kind(self, pair: tuple[tuple, NotifyEvent]) -> str | None:
+        kind = pair[0][0]
+        return kind if kind in self.run_kinds else None
+
+    def on_run(self, kind: str, run: list[tuple[tuple, NotifyEvent]]) -> None:
+        """Subclass hook: a run of consecutive ``kind`` events, taken at once (one ring submission, not one call per event)."""
 
     def on_event(self, ctx: tuple, event: NotifyEvent) -> None:
         """Subclass hook: handle one inotify event."""
+
+    def on_overflow(self) -> None:
+        """Subclass hook: the inotify queue overflowed and events were dropped; re-read what they announced."""
 
     # -- fault containment -----------------------------------------------------
 

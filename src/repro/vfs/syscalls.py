@@ -122,7 +122,7 @@ SYSCALLS: dict[str, Syscall] = {
         Syscall("exists", (0,), ring=True),
         Syscall("listdir", (0,), ring=True),
         Syscall("scandir", (0,), ring=True),
-        Syscall("readdirplus", (0,)),
+        Syscall("readdirplus", (0,), ring=True),
         Syscall("truncate", (0,), mutates=True, ring=True),
         Syscall("chmod", (0,), mutates=True),
         Syscall("chown", (0,), mutates=True),

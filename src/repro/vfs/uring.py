@@ -260,10 +260,13 @@ class IoUring(Pollable):
 
     @staticmethod
     def _payload_bytes(op: str, args: tuple, result: object) -> int:
+        """The bytes the direct call bills for the same entry."""
         if op in ("read", "pread") and isinstance(result, bytes):
             return len(result)
         if op in ("write", "pwrite") and isinstance(args[1], (bytes, bytearray, memoryview)):
             return len(args[1])
+        if op == "readdirplus":
+            return sum(len(data) for _name, data in result if data is not None)
         return 0
 
     def _autoclose(self, fd: int, billed: dict[str, int]) -> None:

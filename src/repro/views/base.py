@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.apps.base import YancApp
+from repro.apps.base import YancApp, announced
 from repro.dataplane.actions import Action
 from repro.dataplane.match import Match
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask, NotifyEvent
 from repro.yancfs.client import FlowSpec, PacketInEvent, YancClient
-from repro.yancfs.translate import SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, take_packet_out
+from repro.yancfs.translate import SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, spooled, take_packet_out
 
 #: Tenant flows are clamped below the system apps' priority band.
 MAX_TENANT_PRIORITY = 0x7FFF
@@ -27,6 +27,8 @@ MAX_TENANT_PRIORITY = 0x7FFF
 
 class ViewApp(YancApp):
     """One view's translation process: ``yc`` is the tree below, ``view_yc`` the view."""
+
+    run_kinds = ("master_buffer", "view_pktout")
 
     def __init__(self, sc, sim, *, view: str, root: str, name: str) -> None:
         super().__init__(sc, sim, root=root, name=name)
@@ -52,17 +54,30 @@ class ViewApp(YancApp):
         self.yc.subscribe_events(switch, self.app_name)
         self.watch(self.yc.events_path(switch, self.app_name), EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("master_buffer", switch))
 
+    def on_run(self, kind: str, run: list[tuple[tuple, NotifyEvent]]) -> None:
+        """A run of master-buffer events is one take, a run of tenant spool events one more."""
+        if kind == "master_buffer":
+            self._forward_packet_ins(announced(run))
+        else:
+            self._forward_packet_outs([(ctx[1], ctx[1], name) for ctx, event in run if (name := spooled(event)) is not None])
+
     def on_event(self, ctx: tuple, event: NotifyEvent) -> None:
-        kind = ctx[0]
-        if isinstance(kind, FlowFollower):
-            kind.on_event(ctx, event)
-        elif kind == "master_buffer":
-            if not (event.name and event.name.startswith(".")):  # a maildir temp's IN_CREATE publishes nothing
-                self._forward_packet_ins(ctx[1])
-        elif kind == "view_pktout":
-            out = take_packet_out(self.view_yc, ctx[1], event)
-            if out is not None:
-                self.forward_packet_out(ctx[1], out)
+        if isinstance(ctx[0], FlowFollower):
+            ctx[0].on_event(ctx, event)
+
+    def on_overflow(self) -> None:
+        """Lost notifications: reconcile every tenant ``flows/``, take every tenant spool, drain every master buffer."""
+        spooled_entries = []
+        for ctx in list(self._ctx_wds):
+            try:
+                if isinstance(ctx[0], FlowFollower) and len(ctx) == 1:
+                    ctx[0].attach()
+                elif ctx[0] == "view_pktout":
+                    spooled_entries += [(ctx[1], ctx[1], name) for name in self.sc.listdir(f"{self.view_yc.switch_path(ctx[1])}/packet_out")]
+            except FsError:
+                continue
+        self._forward_packet_outs(spooled_entries)
+        self._forward_packet_ins({ctx[1]: [] for ctx in self._ctx_wds if ctx[0] == "master_buffer"})
 
     # -- subclass hooks -----------------------------------------------------------------
 
@@ -76,10 +91,15 @@ class ViewApp(YancApp):
 
     # -- the shared halves of a translation ------------------------------------------------
 
-    def _forward_packet_ins(self, switch: str) -> None:
-        """Drain this view's master buffer on ``switch`` into the tenants' buffers inside the view."""
-        for pkt in self.yc.read_events(switch, self.app_name):
-            target = self.view_port_of(pkt)
+    def _forward_packet_ins(self, named: dict[str, list[str]]) -> None:
+        """Drain this view's master buffers into the tenants' buffers inside the view."""
+        if not named:
+            return
+        for pkt in self.yc.take_events(self.ring, self.app_name, named):
+            try:
+                target = self.view_port_of(pkt)
+            except FsError:
+                continue
             if target is None:
                 continue
             # buffer_id stays NO_BUFFER: buffers do not cross views
@@ -88,6 +108,16 @@ class ViewApp(YancApp):
             )
             self.events_forwarded += published
             self.events_dropped += dropped
+
+    def _forward_packet_outs(self, entries: list[tuple[str, str, str]]) -> None:
+        """Take ``(view switch, view switch, name)`` tenant spool entries in one submission and emit each below."""
+        if not entries:
+            return
+        for view_switch, out in take_packet_out(self.ring, self.view_yc, entries):
+            try:
+                self.forward_packet_out(view_switch, out)
+            except FsError:
+                continue
 
     def _write_down(self, switch: str, name: str, match: Match, actions: list[Action], spec: FlowSpec) -> None:
         """Create the translated flow ``name`` below, keeping the tenant's timeouts and a clamped priority.

@@ -454,37 +454,65 @@ class YancClient:
         return write_objects_batched(self.sc, objects, uring)
 
     def read_events(self, switch: str, app: str, *, consume: bool = True) -> list[PacketInEvent]:
-        """Drain (or peek) an event buffer, oldest first: one ``listdir``, then a read and an ``rmdir`` per event.
+        """Drain (or peek) an event buffer, oldest first: one ``listdir``, then :meth:`take_events` on a ring of its own."""
+        names = [name for name in self.sc.listdir(self.events_path(switch, app)) if not name.startswith(".")]
+        if not names:
+            return []
+        return self.take_events(self.sc.io_uring_setup(entries=len(names) + 1), app, {switch: names}, consume=consume)
 
-        An entry without all five fields yet — a foreign writer that
-        published with a bare ``mkdir`` and is still filling it in — is
-        left in place for a later drain and does not hold up the events
-        behind it; an event is removed only once it is in the returned
-        list.
+    def take_events(self, ring: "IoUring", app: str, named: dict[str, list[str]], *, consume: bool = True) -> list[PacketInEvent]:
+        """Drain ``app``'s buffer on each switch of ``named``, oldest first per buffer: the one consume rule (§3.5).
+
+        ``named`` maps a switch to the entries its notifications
+        announced.  One submission lists every buffer and reads every
+        announced entry; an entry the listing shows that nothing announced
+        (left by an earlier drain, or there before the subscription) is
+        read in a second; one more ``rmdir``s every event taken.  An entry
+        without all five fields yet — a foreign writer that published with
+        a bare ``mkdir`` and is still filling it in — is left in place for
+        a later drain and does not hold up the events behind it; an event
+        is returned only once its ``rmdir`` succeeded (unless peeking).
         """
-        base = self.events_path(switch, app)
-        events = []
-        for entry in sorted(self.sc.listdir(base), key=_event_order):
-            if entry.startswith("."):
-                continue  # maildir temp: still being assembled
-            path = f"{base}/{entry}"
-            fields = read_object(self.sc, path)
-            try:
-                event = PacketInEvent(
-                    switch=switch,
-                    seq=_event_order(entry),
-                    in_port=int(fields["in_port"]),
-                    reason=fields["reason"].decode().strip(),
-                    buffer_id=int(fields["buffer_id"]),
-                    total_len=int(fields["total_len"]),
-                    data=fields["data"],
-                )
-            except (KeyError, ValueError):
-                continue  # a field is missing, or created and not yet written
-            events.append(event)
-            if consume:
-                self.sc.rmdir(path)
-        return events
+        listed: dict[str, list[str]] = {}
+        fields: dict[tuple[str, str], dict[str, bytes] | None] = {}
+
+        def reap() -> None:
+            ring.submit()
+            for cqe in ring.completions():
+                switch, name = cqe.user_data
+                if name is None:
+                    if cqe.ok:
+                        listed[switch] = sorted((entry for entry in cqe.result if not entry.startswith(".")), key=_event_order)
+                else:
+                    fields[switch, name] = {entry: data for entry, data in cqe.result if data is not None} if cqe.ok else None
+
+        for switch, names in named.items():
+            base = self.events_path(switch, app)
+            if ring.sq_pending >= ring.entries:
+                ring.submit()
+            ring.prep("listdir", base, user_data=(switch, None))
+            for name in names:
+                if ring.sq_pending >= ring.entries:
+                    ring.submit()
+                ring.prep("readdirplus", f"{base}/{name}", user_data=(switch, name))
+        reap()
+        unread = [(switch, name) for switch, names in listed.items() for name in names if (switch, name) not in fields]
+        if unread:
+            for switch, name in unread:
+                if ring.sq_pending >= ring.entries:
+                    ring.submit()
+                ring.prep("readdirplus", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
+            reap()
+        taken = [(switch, name, event) for switch, names in listed.items() for name in names if (event := _packet_in_event(switch, name, fields[switch, name])) is not None]
+        if not consume or not taken:
+            return [event for _switch, _name, event in taken]
+        for switch, name, _event in taken:
+            if ring.sq_pending >= ring.entries:
+                ring.submit()
+            ring.prep("rmdir", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
+        ring.submit()
+        removed = {cqe.user_data for cqe in ring.completions() if cqe.ok}
+        return [event for switch, name, event in taken if (switch, name) in removed]
 
     def packet_out(
         self,
@@ -544,6 +572,24 @@ class YancClient:
 def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:
     """One packet-in as the ``{filename: content}`` its event directory holds (§3.5)."""
     return {"in_port": str(in_port), "reason": reason, "buffer_id": str(buffer_id), "total_len": str(total_len), "data": data}
+
+
+def _packet_in_event(switch: str, name: str, fields: dict[str, bytes] | None) -> PacketInEvent | None:
+    """The event entry ``name`` holds, or None when it could not be read or a field is missing or not yet written."""
+    if fields is None:
+        return None
+    try:
+        return PacketInEvent(
+            switch=switch,
+            seq=_event_order(name),
+            in_port=int(fields["in_port"]),
+            reason=fields["reason"].decode().strip(),
+            buffer_id=int(fields["buffer_id"]),
+            total_len=int(fields["total_len"]),
+            data=fields["data"],
+        )
+    except (KeyError, ValueError):
+        return None
 
 
 def packet_out_name(ports: list[int | str], tag: str, seq: int, *, in_port: int | None = None, buffer_id: int | None = None) -> str:

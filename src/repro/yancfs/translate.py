@@ -10,7 +10,8 @@ providing a translation between them") and a device running yanc itself
   :class:`FlowFollower`;
 * feeds packet-ins to every subscribed private buffer (§3.5), bounded —
   :func:`fan_out_packet_in`;
-* drains the ``packet_out/`` spool — :func:`take_packet_out`.
+* drains the ``packet_out/`` spool, every entry a wakeup announces in
+  one submission — :func:`take_packet_out`.
 
 The protocols are stated here once; a translator supplies only what it
 does with a :class:`~repro.yancfs.client.FlowSpec` (encode it, intersect
@@ -27,6 +28,8 @@ from typing import TYPE_CHECKING, Callable
 from repro.dataplane.switch import NO_BUFFER
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask, NotifyEvent
+from repro.vfs.syscalls import O_RDONLY
+from repro.vfs.uring import LINK_FD
 from repro.yancfs.client import FlowSpec, YancClient, parse_packet_out_name
 
 if TYPE_CHECKING:
@@ -76,10 +79,14 @@ class FlowFollower:
     versions: dict[str, int] = field(default_factory=dict)
 
     def attach(self) -> None:
-        """Watch ``flows/``, then adopt what is already in it (watch first: nothing slips between)."""
+        """Watch ``flows/``, then adopt what is already in it (watch first: nothing slips between).
+
+        Attaching again is the answer to lost notifications (an inotify
+        overflow): a flow that went is forgotten, every flow there is
+        watched and handed over if its ``version`` grew.
+        """
         self.proc.watch(f"{self.yc.switch_path(self.switch)}/flows", DIR_MASK, (self,))
-        for name in self.yc.flows(self.switch):
-            self._track(name)
+        self._reconcile(self._track)
 
     def detach(self) -> None:
         """Drop every watch and forget every version; the tree keeps the flows."""
@@ -102,11 +109,15 @@ class FlowFollower:
 
     def poll(self) -> None:
         """One notification-free round; raises when ``flows/`` itself cannot be listed."""
-        present = set(self.yc.flows(self.switch))
+        self._reconcile(self._sync)
+
+    def _reconcile(self, follow: Callable[[str], None]) -> None:
+        names = self.yc.flows(self.switch)
+        present = set(names)
         for name in [name for name in self.versions if name not in present]:
             self._forget(name)
-        for name in present:
-            self._sync(name)
+        for name in names:
+            follow(name)
 
     def _track(self, name: str) -> None:
         self.proc.watch(self.yc.flow_path(self.switch, name), FILE_MASK, (self, name))
@@ -203,20 +214,35 @@ class PacketOut:
     data: bytes
 
 
-def take_packet_out(yc: YancClient, switch: str, event: NotifyEvent) -> PacketOut | None:
-    """Consume the spool entry a ``packet_out/`` watch event announces: read it, unlink it, parse its name.
+def spooled(event: NotifyEvent) -> str | None:
+    """The spool entry a ``packet_out/`` watch event announces as finished (its writer closed it), else None."""
+    return event.name if event.name is not None and event.mask & EventMask.IN_CLOSE_WRITE else None
 
-    None when the event is not a finished write, or another consumer got
-    there first.  Destination tokens are what
+
+def take_packet_out(ring: "IoUring", yc: YancClient, entries: list[tuple[object, str, str]]) -> list[tuple[object, PacketOut]]:
+    """Consume ``(key, switch, name)`` spool entries in one submission; ``(key, PacketOut)`` per entry taken, in order.
+
+    Each entry is one linked ``open → read → close → unlink`` chain — the
+    read and unlink the direct calls would issue — so an entry that is
+    gone, or that another consumer got first, cancels only its own chain
+    and is left out.  Destination tokens are what
     :meth:`~repro.yancfs.client.YancClient.packet_out` was given; an
     entry naming no port is still consumed (``ports`` is empty).
     """
-    if event.name is None or not event.mask & EventMask.IN_CLOSE_WRITE:
-        return None
-    path = f"{yc.switch_path(switch)}/packet_out/{event.name}"
-    try:
-        data = yc.sc.read_bytes(path)
-        yc.sc.unlink(path)
-    except FsError:
-        return None
-    return PacketOut(event.name, *parse_packet_out_name(event.name), data)
+    for index, (_key, switch, name) in enumerate(entries):
+        if ring.sq_pending + 4 > ring.entries:
+            ring.submit()
+        path = f"{yc.switch_path(switch)}/packet_out/{name}"
+        ring.prep("open", path, O_RDONLY, link=True, user_data=index)
+        ring.prep("read", LINK_FD, link=True, user_data=index)
+        ring.prep("close", LINK_FD, link=True, user_data=index)
+        ring.prep("unlink", path, user_data=index)
+    ring.submit()
+    data: dict[int, bytes] = {}
+    taken = []
+    for cqe in ring.completions():
+        if cqe.op == "read" and cqe.ok:
+            data[cqe.user_data] = cqe.result
+        elif cqe.op == "unlink" and cqe.ok:
+            taken.append(cqe.user_data)
+    return [(entries[index][0], PacketOut(entries[index][2], *parse_packet_out_name(entries[index][2]), data[index])) for index in taken]

@@ -46,6 +46,12 @@ class BrokenApp:
     def queues_typo_write(self, sw):
         self.ring.prep_write_file(f"{self.root}/switchs/{sw}/id", b"s1")  # bad: unknown-path
 
+    def queues_typo_readdirplus(self, sw, entry):
+        self.ring.prep("readdirplus", f"{self.root}/switches/{sw}/evnets/myapp/{entry}")  # bad: unknown-path
+
+    def queues_event_buffer_write(self, sw):
+        self.ring.prep_write_file(f"/net/switches/{sw}/events/myapp/pi_1/in_port", b"2")  # bad: event-buffer-misuse
+
     # The metadata calls resolve their path like any other.
     def reads_typo_xattr(self, sw):
         return self.sc.getxattr(f"{self.root}/switchs/{sw}/id", "user.owner")  # bad: unknown-path

@@ -51,6 +51,9 @@ class CorrectApp:
     def queues_write(self, sw):
         self.ring.prep_write_file(f"{self.root}/switches/{sw}/id", b"s1")
 
+    def queues_readdirplus(self, sw, entry):
+        self.ring.prep("readdirplus", f"{self.root}/switches/{sw}/events/myapp/{entry}")
+
     def reads_xattr(self, sw):
         return self.sc.getxattr(f"{self.root}/switches/{sw}/id", "user.owner")
 

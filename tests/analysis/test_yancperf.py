@@ -101,6 +101,49 @@ def test_callee_cost_rolls_up_shifted_by_call_depth():
     assert index.rolled_callees(decl) == 1
 
 
+def test_super_calls_the_base_class_method_not_any_of_that_name():
+    index = _index_of(
+        """\
+        class Base:
+            def hook(self, sc, path):
+                sc.stat(path)
+
+        class Other:
+            def hook(self, sc, path):
+                sc.read_text(path)
+                sc.unlink(path)
+
+        class Child(Base):
+            def hook(self, sc, path):
+                super().hook(sc, path)
+        """
+    )
+    assert index.cost(index.find("Child", "hook")).render() == "1"
+
+
+def test_a_ring_chain_naming_its_path_twice_is_not_a_reresolve():
+    """A queued entry crosses nothing itself: ``open ... unlink`` of one path in one chain is not the round trip."""
+    assert _analyze_text(
+        """\
+        def take(ring, names):
+            for name in names:
+                path = f"/spool/{name}"
+                ring.prep("open", path, 0, link=True)
+                ring.prep("unlink", path)
+            ring.submit()
+        """
+    ) == []
+    assert ("path-reresolve", 5) in _analyze_text(
+        """\
+        def take(sc, names):
+            for name in names:
+                path = f"/spool/{name}"
+                sc.read_bytes(path)
+                sc.unlink(path)
+        """
+    )
+
+
 def test_recursion_yields_an_approx_floor():
     index = _index_of(
         """\
@@ -277,9 +320,11 @@ def test_calibration_static_bounds_hold_live():
     from repro.analysis.yancperf.calibrate import run_calibration
 
     rows = run_calibration([str(REPO / "src")])
-    assert len(rows) == 5
+    assert len(rows) == 6
     batched = next(row for row in rows if row.function == "YancClient.create_flows_batched")
     assert batched.live == 2  # io_uring_setup + one io_uring_enter, however many flows
+    drain = next(row for row in rows if row.function == "YancClient.take_events")
+    assert (drain.n, drain.live) == (5, 3)  # io_uring_setup + a read and a removal submission, however many events
     for row in rows:
         assert row.ok, f"{row.function}: live {row.live} > bound {row.bound}"
         assert row.bound > 0
@@ -289,7 +334,7 @@ def test_calibrate_json_prints_one_record_per_row(capsys):
     rc = main(["yancperf", str(REPO / "src"), "--calibrate", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == ExitCode.CLEAN
-    assert len(payload) == 5
+    assert len(payload) == 6
     for record in payload:
         assert set(record) == {"function", "n", "static", "bound", "live", "ok", "note"}
         assert record["ok"] and record["live"] <= record["bound"]

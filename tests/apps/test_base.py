@@ -54,18 +54,20 @@ def test_receives_punts(rig):
 
 def test_one_packet_in_wakes_each_subscribers_reader_once(rig):
     """Regression: the maildir publish fires IN_CREATE(.pi_N) and then
-    IN_MOVED_TO(pi_N), and both made every subscriber drain its buffer."""
+    IN_MOVED_TO(pi_N), and both made every subscriber drain its buffer.
+    A drain is one crossing that lists the buffer and reads the entry, and one that removes it."""
     ctl, app = rig
     view = Slicer(ctl.host.process(name="slicerd"), ctl.sim, view="v", switches=["sw1"], headerspace=Match(tp_dst=22)).start()
     ctl.run(0.1)
 
-    def getdents() -> list[int]:
-        return [proc.sc.meter.counters.get("syscall.getdents") for proc in (app, view)]
+    def drains() -> list[tuple[int, int, int]]:
+        counters = [proc.sc.meter.counters for proc in (app, view)]
+        return [(c.get("uring.listdir"), c.get("uring.readdirplus"), c.get("syscall.io_uring_enter")) for c in counters]
 
-    before = getdents()
+    before = drains()
     ctl.net.hosts["h1"].send_udp("10.0.0.99", 1, 2, b"miss")
     ctl.run(0.3)
-    assert [after - count for after, count in zip(getdents(), before)] == [1, 1]
+    assert [tuple(a - b for a, b in zip(after, was)) for after, was in zip(drains(), before)] == [(1, 1, 2), (1, 1, 2)]
     assert len(app.packets) == 1
     assert ctl.host.root_sc.listdir(view.yc.events_path("sw1", view.app_name)) == []  # the view drained (and filtered) it too
 

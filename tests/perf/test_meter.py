@@ -10,12 +10,14 @@ import pytest
 
 from repro import Simulator, YancController, build_linear
 from repro.apps import RouterDaemon, TopologyDaemon
+from repro.apps.base import PacketInApp
 from repro.apps.router import NO_BUFFER
 from repro.dataplane import Match, Output
 from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Udp
 from repro.netpkt.packet import build_frame
 from repro.perf import CostModel, PerfCounters, SyscallMeter
 from repro.proc import Process, ProcessTable
+from repro.proc.process import WAKEUP_LATENCY
 from repro.shell import Shell
 from repro.vfs.errors import FileNotFound
 from repro.vfs.notify import EventMask
@@ -157,9 +159,10 @@ def test_object_readers_cost_one_crossing_per_object(yc: YancClient):
 
     assert cost(yc.read_flow, "s1", "f") == 1
     assert cost(yc.flow_counters, "s1", "f") == 1
-    assert cost(yc.read_events, "s1", "app", consume=False) == 1 + events  # getdents, then a read per event
-    assert cost(yc.read_events, "s1", "app") == 1 + 2 * events  # ... and an rmdir per event
-    assert cost(yc.read_events, "s1", "app") == 1
+    # getdents, a ring, one submission reading every event, one removing them: not 1 + 2k
+    assert cost(yc.read_events, "s1", "app", consume=False) == 3
+    assert cost(yc.read_events, "s1", "app") == 4
+    assert cost(yc.read_events, "s1", "app") == 1  # an empty buffer: the getdents alone
 
 
 def test_a_control_loop_step_is_one_ring_submission():
@@ -183,8 +186,9 @@ def test_a_control_loop_step_is_one_ring_submission():
     h1, h3 = net.hosts["h1"], net.hosts["h3"]
     router.host_locations[h3.mac] = net.host_ports()["h3"]
     packet_out = {"open": 1, "write": 1, "close": 1}
+    assert router.sc.meter.counters.get("syscall.io_uring_setup") == 1  # set up by the first drain of its buffers
     # Three hops, three flow directories of a dozen files each: one crossing, then the packet release.
-    assert cost(router, lambda: router.handle_packet_in(packet_in(1))) == {"io_uring_setup": 1, "io_uring_enter": 1, **packet_out, "total": 5}
+    assert cost(router, lambda: router.handle_packet_in(packet_in(1))) == {"io_uring_enter": 1, **packet_out, "total": 4}
     assert cost(router, lambda: router.handle_packet_in(packet_in(2))) == {"io_uring_enter": 1, **packet_out, "total": 4}
     assert router.paths_installed == 2 and all(len(ctl.client().flows(switch)) == 3 for switch in ("sw1", "sw2", "sw3"))  # 2 paths + lldp_punt
 
@@ -197,6 +201,53 @@ def test_a_control_loop_step_is_one_ring_submission():
     topod._ring = topod.sc.io_uring_setup(entries=8)  # room for two beacons: a round is one crossing per full ring
     assert cost(topod, topod.send_beacons)["io_uring_enter"] == -(-ports // (8 // 3)) == 4
     assert topod.beacons_sent - sent == 2 * ports
+
+
+class _Collector(PacketInApp):
+    app_name = "collector"
+
+    def __init__(self, proc, sim):
+        super().__init__(proc, sim)
+        self.packets: list[PacketInEvent] = []
+
+    def handle_packet_in(self, event):
+        self.packets.append(event)
+
+
+def test_the_consumer_side_is_one_submission_per_wakeup():
+    """The read side's pins on the live loop: a beacon round's spool is one take for the driver; k packet-ins are two crossings for an app, not 1 + 2k."""
+    net = build_linear(3)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(meter=SyscallMeter()), ctl.sim).start()
+    app = _Collector(ctl.host.process(meter=SyscallMeter()), ctl.sim).start()
+    ctl.run(1.05)  # past the periodic beacon round at 1.0
+    driver = ctl.drivers[0]
+
+    def wake_cost(process, step) -> dict[str, int]:
+        """What ``process`` pays for the wakeup ``step`` causes (before any reply crosses a control channel)."""
+        before = process.sc.meter.counters.snapshot()
+        step()
+        ctl.run(2 * WAKEUP_LATENCY)
+        return {name[len("syscall.") :]: count for name, count in process.sc.meter.counters.snapshot().delta(before).items() if name.startswith("syscall.")}
+
+    ports = sum(len(switch.ports) for switch in net.switches.values())
+    spooled = driver.sc.meter.counters.get("uring.unlink")
+    # One beacon per port across the three switches' spools: one wakeup, one submission, no crossing per entry.
+    assert wake_cost(driver, topod.send_beacons) == {"epoll_wait": 1, "read": 1, "io_uring_enter": 1, "total": 3}
+    assert driver.sc.meter.counters.get("uring.unlink") - spooled == ports == 7
+    assert not any(ctl.host.root_sc.listdir(f"/net/switches/{switch}/packet_out") for switch in ("sw1", "sw2", "sw3"))
+
+    writer = ctl.client(name="writer")
+
+    def publish(k: int) -> None:
+        for seq in range(k):
+            writer.write_packet_in_batched(f"sw{1 + seq % 2}", [app.app_name], 900 + seq, in_port=1, reason="action", buffer_id=0, total_len=1, data=b"x")
+
+    for k in (1, 5):
+        handled = len(app.packets)
+        # Read every announced entry across both buffers, then remove them: two crossings whatever k is.
+        assert wake_cost(app, lambda: publish(k)) == {"epoll_wait": 1, "read": 1, "io_uring_enter": 2, "total": 4}
+        assert [(pkt.switch, pkt.seq) for pkt in app.packets[handled:]] == sorted(((f"sw{1 + seq % 2}", 900 + seq) for seq in range(k)), key=lambda item: item[0])
 
 
 # -- dcache counters publish as deltas ---------------------------------------

@@ -163,6 +163,33 @@ def test_batched_payload_bytes_still_billed(sc, ring):
     assert sc.meter.counters.get("bytes.copied") == 10
 
 
+def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, ring):
+    """The payload is the files' bytes either way; only the crossing differs."""
+    sc.mkdir("/d")
+    for name, data in (("a", b"abc"), ("b", b""), ("c", b"0123456789")):
+        sc.write_bytes(f"/d/{name}", data)
+    sc.mkdir("/d/sub")
+
+    def billed(call) -> tuple[object, dict[str, int]]:
+        before = sc.meter.counters.snapshot()
+        result = call()
+        return result, sc.meter.counters.snapshot().delta(before)
+
+    direct, direct_bill = billed(lambda: sc.readdirplus("/d"))
+
+    def through_ring():
+        ring.prep("readdirplus", "/d")
+        ring.submit()
+        return ring.completions()[0].result
+
+    batched, ring_bill = billed(through_ring)
+    assert batched == direct
+    assert direct_bill["bytes.copied"] == ring_bill["bytes.copied"] == 13
+    crossing = {"syscall.total": 1, "ctxsw": 4}
+    assert direct_bill == {**crossing, "syscall.readdirplus": 1, "bytes.copied": 13}
+    assert ring_bill == {**crossing, "syscall.io_uring_enter": 1, "uring.sqe": 1, "uring.readdirplus": 1, "bytes.copied": 13}
+
+
 # A submit bills its entries in one go, per op kind; the contract is the
 # totals and the completions the entry-at-a-time implementation produced
 # (the literals below were recorded from it, at the parent of the rewrite).
@@ -257,7 +284,7 @@ def test_a_paused_meter_bills_nothing_for_a_submit(sc, ring):
 
 _PATH = st.sampled_from(["/a", "/a/b", "/b", "/a/f", "/f", "a//f", "/b/../a/f"])
 _SINGLE = st.one_of(
-    st.tuples(st.sampled_from(["mkdir", "rmdir", "unlink", "stat", "lstat", "exists", "listdir", "scandir"]), st.tuples(_PATH)),
+    st.tuples(st.sampled_from(["mkdir", "rmdir", "unlink", "stat", "lstat", "exists", "listdir", "scandir", "readdirplus"]), st.tuples(_PATH)),
     st.tuples(st.sampled_from(["rename", "link", "symlink"]), st.tuples(_PATH, _PATH)),
     st.tuples(st.just("truncate"), st.tuples(_PATH, st.integers(0, 3))),
 ).map(lambda entry: [entry])
