@@ -41,6 +41,7 @@ or programmatically::
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.perf import tracepoints
@@ -175,6 +176,8 @@ class Sanitizer:
             if not isinstance(parent, FlowNode):
                 continue
             key = id(parent)
+            if key not in self._versions:  # keyed by identity, so an entry dies with its node: a reused id is a new flow
+                weakref.finalize(parent, self._versions.pop, key, None)
             if name == "version":
                 if not text.strip():
                     # The O_TRUNC half of an open-truncate-write-close

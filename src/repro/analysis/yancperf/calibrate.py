@@ -44,7 +44,7 @@ class CalibrationRow:
 
 
 def run_calibration(paths: list[str]) -> list[CalibrationRow]:
-    """Boot the quickstart topology and cross-check six hot functions."""
+    """Boot the quickstart topology and cross-check seven hot functions."""
     from repro import FLOOD, Match, Output, YancController, build_linear
     from repro.analysis.sweep import Sweep
     from repro.analysis.yancperf.model import CostIndex
@@ -115,6 +115,22 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
             names.append(f"pi_{seq}")
         return len(YancClient(sc).take_events(sc.io_uring_setup(), "caldrain", {"sw1": names}))
 
+    def follow_flows(sc) -> int:
+        """A wakeup's run of k new flows: their watch → read pairs in one submission."""
+        from repro.proc.process import Process
+        from repro.yancfs.translate import FlowFollower, follow_flows as take
+
+        proc, committed = Process(sc, ctl.sim), []
+        follower = FlowFollower(proc, YancClient(sc), "sw3", lambda name, spec: committed.append(name), lambda name: None)
+        with sc.meter.pause():  # set-up: the flows/ watch, the ring, k flows written, the wakeup's events read
+            follower.attach()
+            ring = proc.ring
+            for k in range(4):
+                quiet.create_flow("sw3", f"cal_follow{k}", Match(dl_type=0x0800, in_port=k + 1), [Output(FLOOD)], priority=4)
+            run = [(proc._watch_ctx[event.wd], event) for event in sc.inotify_read(proc.ino)]
+        take(ring, run)
+        return len(committed)
+
     def cmd_ls(sc) -> int:
         Shell(sc).cmd_ls(["-l", "/net/switches"])
         return len(quiet.sc.listdir("/net/switches"))
@@ -124,6 +140,7 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
     measure("YancClient", "read_flow", read_flow)
     measure("YancClient", "read_events", read_events)
     measure("YancClient", "take_events", take_events)
+    measure(None, "follow_flows", follow_flows)
     measure("Shell", "cmd_ls", cmd_ls)
     return rows
 

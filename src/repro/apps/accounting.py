@@ -8,8 +8,14 @@ file system — yanc state in, ordinary Unix log out.
 
 from __future__ import annotations
 
-from repro.vfs.errors import FsError
+from typing import Iterator
+
 from repro.apps.base import YancApp
+from repro.vfs.errors import FsError
+from repro.yancfs.client import counter_values, object_files
+
+#: The directories of a switch whose objects carry ``counters/``, in log order.
+_KINDS = ("ports", "flows")
 
 
 class AccountingDaemon(YancApp):
@@ -32,33 +38,41 @@ class AccountingDaemon(YancApp):
         self.every(self.interval, self.sample)
 
     def sample(self) -> None:
-        """Take one fleet-wide counter sample."""
-        lines = []
+        """Take one fleet-wide counter sample.
+
+        A listing of ``switches/``, then two ring submissions: one lists
+        every switch's ``ports/`` and ``flows/``, one reads every
+        ``counters/`` directory they name.  A switch is logged up to the
+        first of those it could not read, as a call per step stops there.
+        """
         now = self.sim.now
         try:
             switches = self.yc.switches()
         except FsError:
             return
-        for switch in switches:
-            try:
-                for port_name in self.yc.ports(switch):
-                    counters = self.yc.port_counters(switch, port_name)
-                    lines.append(
-                        f"{now:.3f} {switch} {port_name} "
-                        f"rx={counters.get('rx_packets', 0)} tx={counters.get('tx_packets', 0)} "
-                        f"rxb={counters.get('rx_bytes', 0)} txb={counters.get('tx_bytes', 0)}"
-                    )
-                for flow_name in self.yc.flows(switch):
-                    counters = self.yc.flow_counters(switch, flow_name)
-                    lines.append(
-                        f"{now:.3f} {switch} flow:{flow_name} "
-                        f"pkts={counters.get('packet_count', 0)} bytes={counters.get('byte_count', 0)}"
-                    )
-            except FsError:
-                continue
+        listed = self._read("listdir", [((switch, kind), f"{self.yc.switch_path(switch)}/{kind}") for switch in switches for kind in _KINDS])
+        counters = self._read(
+            "readdirplus",
+            [
+                ((switch, kind, name), f"{self.yc.switch_path(switch)}/{kind}/{name}/counters")
+                for (switch, kind), names in listed.items()
+                if names is not None
+                for name in names
+            ],
+        )
+        lines = [line for switch in switches for line in _switch_lines(now, switch, listed, counters)]
         if lines:
             self.sc.write_text(self.log_path, "\n".join(lines) + "\n", append=True)
             self.samples_taken += 1
+
+    def _read(self, op: str, reads: list[tuple[tuple, str]]) -> dict[tuple, list | None]:
+        """One ``op`` per ``(key, path)``, in one submission (one per ring-full); each key's result, None where it failed."""
+        ring = self.ring
+        for start in range(0, len(reads), ring.entries):
+            for key, path in reads[start : start + ring.entries]:
+                ring.prep(op, path, user_data=key)
+            ring.submit()
+        return {cqe.user_data: cqe.result if cqe.ok else None for cqe in ring.completions()}
 
     def records(self) -> list[str]:
         """All usage records logged so far."""
@@ -66,3 +80,24 @@ class AccountingDaemon(YancApp):
             return [line for line in self.sc.read_text(self.log_path).splitlines() if line]
         except FsError:
             return []
+
+
+def _switch_lines(now: float, switch: str, listed: dict, counters: dict) -> Iterator[str]:
+    """One switch's usage records: every port, then every flow, by name, up to the first directory that could not be read."""
+    for kind in _KINDS:
+        names = listed[switch, kind]
+        if names is None:
+            return
+        for name in sorted(names):
+            entries = counters[switch, kind, name]
+            if entries is None:
+                return
+            values = counter_values(object_files(entries))
+            if kind == "ports":
+                yield (
+                    f"{now:.3f} {switch} {name} "
+                    f"rx={values.get('rx_packets', 0)} tx={values.get('tx_packets', 0)} "
+                    f"rxb={values.get('rx_bytes', 0)} txb={values.get('tx_bytes', 0)}"
+                )
+            else:
+                yield f"{now:.3f} {switch} flow:{name} pkts={values.get('packet_count', 0)} bytes={values.get('byte_count', 0)}"

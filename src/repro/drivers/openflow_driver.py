@@ -41,7 +41,7 @@ from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import FlowSpec, YancClient
-from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, spooled, take_packet_out
+from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, follow_flows, spooled, take_packet_out
 
 
 @dataclass
@@ -108,7 +108,7 @@ class OpenFlowDriver(Process):
     a process — from construction.
     """
 
-    run_kinds = ("pktout",)
+    run_kinds = ("flows", "pktout")
 
     def __init__(
         self,
@@ -180,7 +180,10 @@ class OpenFlowDriver(Process):
     # -- event dispatch -----------------------------------------------------------
 
     def on_run(self, kind: str, run) -> None:
-        """A run of ``packet_out`` spool events, across every switch's spool, is taken in one submission."""
+        """A run of ``flows/`` events, or of ``packet_out`` spool events, across every switch, is taken in one submission."""
+        if kind == "flows":
+            follow_flows(self.ring, run)
+            return
         entries = []
         for ctx, event in run:
             binding, name = self.bindings.get(ctx[1]), spooled(event)
@@ -190,9 +193,7 @@ class OpenFlowDriver(Process):
 
     def on_event(self, ctx: tuple, event) -> None:
         kind = ctx[0]
-        if isinstance(kind, FlowFollower):
-            kind.on_event(ctx, event)
-        elif kind == "switches_root":
+        if kind == "switches_root":
             self._on_root_event(event)
         elif kind == "port":
             self._on_port_event(ctx[1], ctx[2], event)

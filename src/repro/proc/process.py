@@ -272,12 +272,16 @@ class Process:
             wd = self.sc.inotify_add_watch(self.ino, path, mask)
         except FsError:
             return False
+        self.adopt_watch(wd, ctx)
+        return True
+
+    def adopt_watch(self, wd: int, ctx: tuple) -> None:
+        """File ``wd`` — from :meth:`watch`, or an ``inotify_add_watch`` a ring submission ran on :attr:`ino` — under ``ctx``."""
         owner = self._watch_ctx.get(wd)
         if owner is not None:  # re-watching an inode reuses its wd; the newest ctx owns it
             self._ctx_wds[owner].discard(wd)
         self._watch_ctx[wd] = ctx
         self._ctx_wds.setdefault(ctx, set()).add(wd)
-        return True
 
     def unwatch(self, ctx: tuple) -> bool:
         """Drop every watch registered under ``ctx``; True if any existed."""
@@ -343,10 +347,13 @@ class Process:
         A run is a stretch of consecutive events whose ``ctx[0]`` is the
         same one of :attr:`run_kinds`; the event that ends it is handled
         only after the run is, so the order a handler sees is the queue's.
+        A run is handed over as it is drawn from the queue, so an event
+        whose watch the run's consumer dropped before reaching it is not
+        in it.
         """
         for kind, run in groupby(pairs, key=self._run_kind):
             if kind is not None:
-                self.on_run(kind, list(run))
+                self.on_run(kind, run)
                 continue
             for ctx, event in run:
                 try:
@@ -358,7 +365,7 @@ class Process:
         kind = pair[0][0]
         return kind if kind in self.run_kinds else None
 
-    def on_run(self, kind: str, run: list[tuple[tuple, NotifyEvent]]) -> None:
+    def on_run(self, kind: str, run: Iterable[tuple[tuple, NotifyEvent]]) -> None:
         """Subclass hook: a run of consecutive ``kind`` events, taken at once (one ring submission, not one call per event)."""
 
     def on_event(self, ctx: tuple, event: NotifyEvent) -> None:

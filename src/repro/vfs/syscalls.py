@@ -136,7 +136,7 @@ SYSCALLS: dict[str, Syscall] = {
         Syscall("umount", (0,), mutates=True),
         Syscall("io_uring_setup"),
         Syscall("inotify_init"),
-        Syscall("inotify_add_watch", (1,)),
+        Syscall("inotify_add_watch", (1,), ring=True),
         Syscall("inotify_read"),
         Syscall("epoll_create"),
         Syscall("epoll_ctl"),

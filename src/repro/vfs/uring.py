@@ -76,8 +76,9 @@ LINK_FD = _LinkFd()
 
 #: Operations a ring accepts: the rows of the syscall table marked ``ring``
 #: (the fd- and path-based calls a batch can meaningfully contain).
-#: Readiness/notification descriptors (inotify, epoll) stay direct calls —
-#: they *are* the wait primitives.
+#: Waiting (``inotify_read``, ``epoll_wait``) stays a direct call — those
+#: *are* the wait primitives; registering a watch (``inotify_add_watch``)
+#: is not waiting, so it is a ring row (Linux's ``IORING_OP_EPOLL_CTL``).
 SUPPORTED_OPS = frozenset(op for op, row in SYSCALLS.items() if row.ring)
 
 
@@ -266,7 +267,7 @@ class IoUring(Pollable):
         if op in ("write", "pwrite") and isinstance(args[1], (bytes, bytearray, memoryview)):
             return len(args[1])
         if op == "readdirplus":
-            return sum(len(data) for _name, data in result if data is not None)
+            return sum([len(data) for _name, data in result if data is not None])
         return 0
 
     def _autoclose(self, fd: int, billed: dict[str, int]) -> None:

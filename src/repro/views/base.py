@@ -11,7 +11,7 @@ virtualizer) supplies only its translation.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.apps.base import YancApp, announced
 from repro.dataplane.actions import Action
@@ -19,7 +19,7 @@ from repro.dataplane.match import Match
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask, NotifyEvent
 from repro.yancfs.client import FlowSpec, PacketInEvent, YancClient
-from repro.yancfs.translate import SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, spooled, take_packet_out
+from repro.yancfs.translate import SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, follow_flows, spooled, take_packet_out
 
 #: Tenant flows are clamped below the system apps' priority band.
 MAX_TENANT_PRIORITY = 0x7FFF
@@ -28,7 +28,7 @@ MAX_TENANT_PRIORITY = 0x7FFF
 class ViewApp(YancApp):
     """One view's translation process: ``yc`` is the tree below, ``view_yc`` the view."""
 
-    run_kinds = ("master_buffer", "view_pktout")
+    run_kinds = ("master_buffer", "view_pktout", "flows")
 
     def __init__(self, sc, sim, *, view: str, root: str, name: str) -> None:
         super().__init__(sc, sim, root=root, name=name)
@@ -54,24 +54,22 @@ class ViewApp(YancApp):
         self.yc.subscribe_events(switch, self.app_name)
         self.watch(self.yc.events_path(switch, self.app_name), EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("master_buffer", switch))
 
-    def on_run(self, kind: str, run: list[tuple[tuple, NotifyEvent]]) -> None:
-        """A run of master-buffer events is one take, a run of tenant spool events one more."""
+    def on_run(self, kind: str, run: Iterable[tuple[tuple, NotifyEvent]]) -> None:
+        """A run of master-buffer events is one take, a run of tenant spool events one more, a run of tenant ``flows/`` events a third."""
         if kind == "master_buffer":
             self._forward_packet_ins(announced(run))
+        elif kind == "flows":
+            follow_flows(self.ring, run)
         else:
             self._forward_packet_outs([(ctx[1], ctx[1], name) for ctx, event in run if (name := spooled(event)) is not None])
-
-    def on_event(self, ctx: tuple, event: NotifyEvent) -> None:
-        if isinstance(ctx[0], FlowFollower):
-            ctx[0].on_event(ctx, event)
 
     def on_overflow(self) -> None:
         """Lost notifications: reconcile every tenant ``flows/``, take every tenant spool, drain every master buffer."""
         spooled_entries = []
         for ctx in list(self._ctx_wds):
             try:
-                if isinstance(ctx[0], FlowFollower) and len(ctx) == 1:
-                    ctx[0].attach()
+                if ctx[0] == "flows" and len(ctx) == 2:
+                    ctx[1].attach()
                 elif ctx[0] == "view_pktout":
                     spooled_entries += [(ctx[1], ctx[1], name) for name in self.sc.listdir(f"{self.view_yc.switch_path(ctx[1])}/packet_out")]
             except FsError:

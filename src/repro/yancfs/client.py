@@ -55,6 +55,26 @@ class FlowSpec:
     cookie: int = 0
     version: int = 0
 
+    @classmethod
+    def from_files(cls, contents: dict[str, bytes]) -> "FlowSpec":
+        """Parse a flow directory's ``{filename: content}`` (what :func:`read_object` returns) — the one flow parser."""
+        files = {entry: data.decode() for entry, data in contents.items()}
+        action_files: list[tuple[int, str, str]] = []
+        for entry, content in files.items():
+            if entry.startswith("action."):
+                kind, _, order = entry[len("action.") :].partition(".")
+                action_files.append((int(order or "0"), f"action.{kind}", content))
+        actions = tuple(parse_action(fname, content) for _order, fname, content in sorted(action_files, key=lambda item: item[0]))
+        return cls(
+            match=Match.from_files(files),
+            actions=actions,
+            priority=int(files.get("priority", "32768").strip() or "32768"),
+            idle_timeout=float(files.get("timeout", files.get("idle_timeout", "0")).strip() or "0"),
+            hard_timeout=float(files.get("hard_timeout", "0").strip() or "0"),
+            cookie=int(files.get("cookie", "0").strip() or "0"),
+            version=int(files.get("version", "0").strip() or "0"),
+        )
+
 
 def flow_spec_files(
     match: Match,
@@ -189,7 +209,12 @@ def read_object(sc: Syscalls, path: str) -> dict[str, bytes]:
     content; a directory that is gone raises, so a caller sees the whole
     object or an :class:`~repro.vfs.errors.FsError`, never part of one.
     """
-    return {name: data for name, data in sc.readdirplus(path) if data is not None}
+    return object_files(sc.readdirplus(path))
+
+
+def object_files(entries: list[tuple[str, bytes | None]]) -> dict[str, bytes]:
+    """An object's content from its ``readdirplus`` entries, direct or a ring completion's: the regular files only."""
+    return {name: data for name, data in entries if data is not None}
 
 
 @dataclass(frozen=True)
@@ -324,22 +349,7 @@ class YancClient:
 
     def read_flow(self, switch: str, name: str) -> FlowSpec:
         """Parse a flow directory back into a :class:`FlowSpec`."""
-        files = {entry: data.decode() for entry, data in read_object(self.sc, self.flow_path(switch, name)).items()}
-        action_files: list[tuple[int, str, str]] = []
-        for entry, content in files.items():
-            if entry.startswith("action."):
-                kind, _, order = entry[len("action.") :].partition(".")
-                action_files.append((int(order or "0"), f"action.{kind}", content))
-        actions = tuple(parse_action(fname, content) for _order, fname, content in sorted(action_files, key=lambda item: item[0]))
-        return FlowSpec(
-            match=Match.from_files(files),
-            actions=actions,
-            priority=int(files.get("priority", "32768").strip() or "32768"),
-            idle_timeout=float(files.get("timeout", files.get("idle_timeout", "0")).strip() or "0"),
-            hard_timeout=float(files.get("hard_timeout", "0").strip() or "0"),
-            cookie=int(files.get("cookie", "0").strip() or "0"),
-            version=int(files.get("version", "0").strip() or "0"),
-        )
+        return FlowSpec.from_files(read_object(self.sc, self.flow_path(switch, name)))
 
     def delete_flow(self, switch: str, name: str) -> None:
         """rmdir the flow (recursive)."""
@@ -484,7 +494,7 @@ class YancClient:
                     if cqe.ok:
                         listed[switch] = sorted((entry for entry in cqe.result if not entry.startswith(".")), key=_event_order)
                 else:
-                    fields[switch, name] = {entry: data for entry, data in cqe.result if data is not None} if cqe.ok else None
+                    fields[switch, name] = object_files(cqe.result) if cqe.ok else None
 
         for switch, names in named.items():
             base = self.events_path(switch, app)
@@ -566,7 +576,12 @@ class YancClient:
     # -- internals ------------------------------------------------------------------------
 
     def _read_counters(self, path: str) -> dict[str, int]:
-        return {entry: int(data.strip() or b"0") for entry, data in read_object(self.sc, path).items()}
+        return counter_values(read_object(self.sc, path))
+
+
+def counter_values(files: dict[str, bytes]) -> dict[str, int]:
+    """A ``counters/`` directory's files as numbers (an empty file reads 0): the one counter parser."""
+    return {entry: int(data.strip() or b"0") for entry, data in files.items()}
 
 
 def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:

@@ -6,8 +6,9 @@ providing a translation between them") and a device running yanc itself
 (§7.1) are the same program with a different middle.  Each one
 
 * follows a ``flows/`` directory and hands every *commit* (§3.4: a
-  ``version`` that grew) and every removal to its translation —
-  :class:`FlowFollower`;
+  ``version`` that grew) and every removal to its translation, a
+  wakeup's run of new and committed flows in one submission —
+  :class:`FlowFollower` and :func:`follow_flows`;
 * feeds packet-ins to every subscribed private buffer (§3.5), bounded —
   :func:`fan_out_packet_in`;
 * drains the ``packet_out/`` spool, every entry a wakeup announces in
@@ -23,14 +24,14 @@ compose client calls and add no file-system operation of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.dataplane.switch import NO_BUFFER
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask, NotifyEvent
 from repro.vfs.syscalls import O_RDONLY
 from repro.vfs.uring import LINK_FD
-from repro.yancfs.client import FlowSpec, YancClient, parse_packet_out_name
+from repro.yancfs.client import FlowSpec, YancClient, object_files, parse_packet_out_name
 
 if TYPE_CHECKING:
     from repro.proc.process import Process
@@ -49,7 +50,7 @@ SPOOL_MASK = DIR_MASK | EventMask.IN_CLOSE_WRITE
 MAX_PENDING_EVENTS = 256
 
 
-@dataclass(eq=False)  # compared and hashed by identity: a follower is the head of its watch contexts
+@dataclass(eq=False)  # compared and hashed by identity: a follower is part of its watch contexts
 class FlowFollower:
     """Follow one switch's ``flows/`` directory on behalf of a translator.
 
@@ -64,10 +65,12 @@ class FlowFollower:
     Across a remote mount, where notification does not travel,
     :meth:`poll` is the same reconciliation spelled ``listdir`` + diff.
 
-    Watches are registered on ``proc`` under ``(self,)`` and ``(self,
-    name)``; the translator's ``on_event`` passes those events back to
-    :meth:`on_event`.  ``switch`` may be reassigned when the directory
-    is renamed (watches follow the inode, reads need the new path).
+    Watches are registered on ``proc`` under ``("flows", self)`` (the
+    directory) and ``("flows", self, name)`` (a flow); the translator
+    lists ``"flows"`` in its ``run_kinds`` and hands each run to
+    :func:`follow_flows`.  ``switch`` may be reassigned when the
+    directory is renamed (watches follow the inode, reads need the new
+    path).
     """
 
     proc: "Process"
@@ -81,62 +84,113 @@ class FlowFollower:
     def attach(self) -> None:
         """Watch ``flows/``, then adopt what is already in it (watch first: nothing slips between).
 
-        Attaching again is the answer to lost notifications (an inotify
-        overflow): a flow that went is forgotten, every flow there is
-        watched and handed over if its ``version`` grew.
+        One listing, then every flow is a watch and a read in one ring
+        submission (:func:`follow_flows`' pair).  Attaching again is the
+        answer to lost notifications (an inotify overflow): a flow that
+        went is forgotten, every flow there is watched and handed over
+        if its ``version`` grew.
         """
-        self.proc.watch(f"{self.yc.switch_path(self.switch)}/flows", DIR_MASK, (self,))
-        self._reconcile(self._track)
+        self.proc.watch(f"{self.yc.switch_path(self.switch)}/flows", DIR_MASK, ("flows", self))
+        steps = self._reconcile("track")
+        if steps:  # nothing to adopt: no submission, and no ring set up for one
+            _follow(self.proc.ring, steps)
 
     def detach(self) -> None:
         """Drop every watch and forget every version; the tree keeps the flows."""
-        self.proc.unwatch((self,))
+        self.proc.unwatch(("flows", self))
         for name in self.versions:
-            self.proc.unwatch((self, name))
+            self.proc.unwatch(("flows", self, name))
         self.versions.clear()
 
-    def on_event(self, ctx: tuple, event: NotifyEvent) -> None:
-        """One inotify event from a watch this follower registered."""
-        if len(ctx) == 2:
-            if event.name == "version":
-                self._sync(ctx[1])
-        elif event.name is None:
-            return
-        elif event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO):
-            self._track(event.name)
-        elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM):
-            self._forget(event.name)
-
     def poll(self) -> None:
-        """One notification-free round; raises when ``flows/`` itself cannot be listed."""
-        self._reconcile(self._sync)
+        """One notification-free round, a system call per read (over a remote mount each is an RPC); raises when ``flows/`` itself cannot be listed."""
+        for _follower, name, step in self._reconcile("sync"):
+            if step == "forget":
+                self._forget(name)
+                continue
+            try:
+                spec = self.yc.read_flow(self.switch, name)
+            except FsError:
+                spec = None  # gone or half-removed: its removal (or the next poll) retires it
+            self._hand_over(name, spec)
 
-    def _reconcile(self, follow: Callable[[str], None]) -> None:
+    def _reconcile(self, follow: str) -> list[tuple["FlowFollower", str, str]]:
+        """The steps that bring ``versions`` up to ``flows/``: forget what went, then ``follow`` every flow there."""
         names = self.yc.flows(self.switch)
         present = set(names)
-        for name in [name for name in self.versions if name not in present]:
-            self._forget(name)
-        for name in names:
-            follow(name)
-
-    def _track(self, name: str) -> None:
-        self.proc.watch(self.yc.flow_path(self.switch, name), FILE_MASK, (self, name))
-        self._sync(name)  # a moved-in or adopted flow may already be committed
+        return [(self, name, "forget") for name in self.versions if name not in present] + [(self, name, follow) for name in names]
 
     def _forget(self, name: str) -> None:
-        self.proc.unwatch((self, name))  # else the watch pins the dead FlowNode
+        self.proc.unwatch(("flows", self, name))  # else the watch pins the dead FlowNode
         self.versions.pop(name, None)
         self.on_remove(name)
 
-    def _sync(self, name: str) -> None:
+    def _hand_over(self, name: str, spec: FlowSpec | None) -> None:
+        """The commit rule: ``spec`` (None: it could not be read) reaches ``on_commit`` iff its version grew."""
         seen = self.versions.setdefault(name, 0)
-        try:
-            spec = self.yc.read_flow(self.switch, name)
-        except FsError:
-            return  # gone or half-removed: its IN_DELETE (or the next poll) retires it
-        if spec.version > seen:
+        if spec is not None and spec.version > seen:
             self.versions[name] = spec.version
             self.on_commit(name, spec)
+
+
+def follow_flows(ring: "IoUring", run: Iterable[tuple[tuple, NotifyEvent]]) -> None:
+    """Take a run of ``flows/`` watch events, across every follower of one process: the one consume rule (§3.4).
+
+    In the events' order a flow that appeared (IN_CREATE, IN_MOVED_TO) is
+    a linked ``inotify_add_watch → readdirplus`` pair and a ``version``
+    write one ``readdirplus``, all in one submission; a flow that went
+    (IN_DELETE, IN_MOVED_FROM) first takes what is queued, so every
+    ``on_commit`` and ``on_remove`` arrives in the order the events did.
+    """
+    _follow(ring, _flow_steps(run))
+
+
+def _flow_steps(run: Iterable[tuple[tuple, NotifyEvent]]) -> Iterator[tuple[FlowFollower, str, str]]:
+    """The ``(follower, name, step)`` each ``flows/`` event asks for, in order; most file events ask for nothing."""
+    for ctx, event in run:
+        if len(ctx) == 3:
+            if event.name == "version":
+                yield ctx[1], ctx[2], "sync"
+        elif event.name is None:
+            continue
+        elif event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO):
+            yield ctx[1], event.name, "track"
+        elif event.mask & (EventMask.IN_DELETE | EventMask.IN_MOVED_FROM):
+            yield ctx[1], event.name, "forget"
+
+
+def _follow(ring: "IoUring", steps: Iterable[tuple[FlowFollower, str, str]]) -> None:
+    """Run ``(follower, name, step)`` steps in order: ``"track"`` watches and reads, ``"sync"`` reads, ``"forget"`` retires."""
+
+    def take() -> None:
+        if ring.sq_pending:
+            ring.submit()
+        for cqe in ring.completions():
+            follower, name = cqe.user_data
+            try:
+                if cqe.op == "inotify_add_watch":
+                    if cqe.ok:
+                        follower.proc.adopt_watch(cqe.result, ("flows", follower, name))
+                else:
+                    follower._hand_over(name, FlowSpec.from_files(object_files(cqe.result)) if cqe.ok else None)
+            except FsError:
+                continue  # the tree changed under the translator; a later event resolves it
+
+    for follower, name, step in steps:
+        if step == "forget":
+            take()
+            try:
+                follower._forget(name)
+            except FsError:
+                pass  # the same: on_remove met a changed tree
+            continue
+        if ring.sq_pending + 2 > ring.entries:
+            ring.submit()
+        path = follower.yc.flow_path(follower.switch, name)
+        if step == "track":
+            ring.prep("inotify_add_watch", follower.proc.ino, path, FILE_MASK, link=True, user_data=(follower, name))
+        ring.prep("readdirplus", path, user_data=(follower, name))
+    take()
 
 
 def fan_out_packet_in(

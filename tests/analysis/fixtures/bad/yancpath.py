@@ -49,6 +49,9 @@ class BrokenApp:
     def queues_typo_readdirplus(self, sw, entry):
         self.ring.prep("readdirplus", f"{self.root}/switches/{sw}/evnets/myapp/{entry}")  # bad: unknown-path
 
+    def queues_typo_watch(self, ino, sw, flow, mask):
+        self.ring.prep("inotify_add_watch", ino, f"{self.root}/switches/{sw}/flws/{flow}", mask)  # bad: unknown-path
+
     def queues_event_buffer_write(self, sw):
         self.ring.prep_write_file(f"/net/switches/{sw}/events/myapp/pi_1/in_port", b"2")  # bad: event-buffer-misuse
 

@@ -54,6 +54,9 @@ class CorrectApp:
     def queues_readdirplus(self, sw, entry):
         self.ring.prep("readdirplus", f"{self.root}/switches/{sw}/events/myapp/{entry}")
 
+    def queues_watch(self, ino, sw, flow, mask):
+        self.ring.prep("inotify_add_watch", ino, f"{self.root}/switches/{sw}/flows/{flow}", mask)
+
     def reads_xattr(self, sw):
         return self.sc.getxattr(f"{self.root}/switches/{sw}/id", "user.owner")
 

@@ -3,6 +3,9 @@ inconsistencies, and flow-commit protocol violations."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis import sanitizer
@@ -10,6 +13,9 @@ from repro.analysis.sanitizer import Sanitizer
 from repro.proc import ON_CRASH, Process, ProcessTable
 from repro.vfs import O_APPEND, O_CREAT, O_WRONLY
 from repro.vfs.notify import EventMask
+from repro.vfs.syscalls import Syscalls
+from repro.vfs.vfs import VirtualFileSystem
+from repro.yancfs.client import mount_yancfs
 
 
 @pytest.fixture
@@ -78,6 +84,22 @@ def test_version_regression_flagged(yanc_sc, san):
     findings = san.check()
     assert kinds(findings) == ["flow-commit"]
     assert "decreased 2 -> 1" in findings[0].detail
+
+
+def test_a_flow_node_that_dies_leaves_no_version_behind(san):
+    """Versions are remembered by node identity, so a dead node's goes with it: its id, reused by a new flow, is no regression."""
+    sc = Syscalls(VirtualFileSystem())
+    mount_yancfs(sc)
+    base = _make_flow(sc)
+    sc.write_text(f"{base}/version", "3")
+    node = weakref.ref(sc.vfs.resolve(sc.ns, sc.cred, base))
+    key = id(node())
+    assert key in san._versions
+    del sc  # the whole tree goes, as a test's or a property example's does
+    gc.collect()
+    # An entry lives exactly as long as its node (another tool on the bus, yancrace, may keep the tree).
+    assert (key in san._versions) == (node() is not None)
+    assert san.check() == []
 
 
 def test_uncommitted_spec_mutation_flagged(yanc_sc, san):

@@ -320,11 +320,13 @@ def test_calibration_static_bounds_hold_live():
     from repro.analysis.yancperf.calibrate import run_calibration
 
     rows = run_calibration([str(REPO / "src")])
-    assert len(rows) == 6
+    assert len(rows) == 7
     batched = next(row for row in rows if row.function == "YancClient.create_flows_batched")
     assert batched.live == 2  # io_uring_setup + one io_uring_enter, however many flows
     drain = next(row for row in rows if row.function == "YancClient.take_events")
     assert (drain.n, drain.live) == (5, 3)  # io_uring_setup + a read and a removal submission, however many events
+    follow = next(row for row in rows if row.function == "follow_flows")
+    assert (follow.n, follow.live) == (4, 1)  # one submission of watch → read pairs, however many new flows
     for row in rows:
         assert row.ok, f"{row.function}: live {row.live} > bound {row.bound}"
         assert row.bound > 0
@@ -334,7 +336,7 @@ def test_calibrate_json_prints_one_record_per_row(capsys):
     rc = main(["yancperf", str(REPO / "src"), "--calibrate", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == ExitCode.CLEAN
-    assert len(payload) == 6
+    assert len(payload) == 7
     for record in payload:
         assert set(record) == {"function", "n", "static", "bound", "live", "ok", "note"}
         assert record["ok"] and record["live"] <= record["bound"]

@@ -13,6 +13,7 @@ from repro.apps import (
 from repro.apps.firewall import DENY_PRIORITY
 from repro.dataplane import FLOOD, Match, Output, build_linear
 from repro.runtime import YancController
+from repro.vfs.errors import FsError
 
 
 # -- firewall ---------------------------------------------------------------------
@@ -177,6 +178,48 @@ def test_accounting_log_is_plain_unix_file(linear_controller):
     ctl.run(1.0)
     content = ctl.host.root_sc.read_text("/var/log/yanc-accounting.log")
     assert content.strip()
+
+
+def loop_sample(yc, now: float) -> list[str]:
+    """The sample as it was, a system call per step: the reference the ring's two submissions must reproduce."""
+    lines = []
+    for switch in yc.switches():
+        try:
+            for port_name in yc.ports(switch):
+                counters = yc.port_counters(switch, port_name)
+                lines.append(
+                    f"{now:.3f} {switch} {port_name} "
+                    f"rx={counters.get('rx_packets', 0)} tx={counters.get('tx_packets', 0)} "
+                    f"rxb={counters.get('rx_bytes', 0)} txb={counters.get('tx_bytes', 0)}"
+                )
+            for flow_name in yc.flows(switch):
+                counters = yc.flow_counters(switch, flow_name)
+                lines.append(f"{now:.3f} {switch} flow:{flow_name} pkts={counters.get('packet_count', 0)} bytes={counters.get('byte_count', 0)}")
+        except FsError:
+            continue
+    return lines
+
+
+def test_accounting_logs_what_a_call_per_step_logged_in_two_ring_crossings(linear_controller):
+    ctl = linear_controller
+    yc, sc = ctl.client(), ctl.host.root_sc
+    for switch in yc.switches():
+        for index in range(3):
+            yc.create_flow(switch, f"f{index}", Match(dl_type=0x800, nw_proto=17, tp_dst=1000 + index), [Output(FLOOD)], priority=2)
+    ctl.net.hosts["h1"].ping(ctl.net.hosts["h3"].ip)
+    ctl.run(2.5)  # stats sweeps write the counters
+    sc.rmdir(f"{yc.flow_path('sw2', 'f1')}/counters")  # sw2 is logged up to f1, as a call per step stops there
+    sc.write_text(f"{yc.port_path('sw3', 1)}/counters/rx_packets", "")  # an empty counter reads 0
+    acct = AccountingDaemon(ctl.host.process(), ctl.sim, interval=60.0).start()
+    meter = acct.sc.meter
+    before = meter.syscalls
+    acct.sample()
+    crossings = meter.syscalls - before - meter.counters.get("syscall.io_uring_setup")  # the process's ring is set up on first use
+    assert crossings == 1 + 2 + 3  # list switches/, two submissions, append the log
+    records = acct.records()
+    assert records == loop_sample(yc, ctl.sim.now)
+    assert [line.split()[1:3] for line in records if line.split()[1] == "sw2"][-1] == ["sw2", "flow:f0"]
+    assert [line.split()[3] for line in records if line.split()[1:3] == ["sw3", "port_1"]] == ["rx=0"]
 
 
 # -- auditor -----------------------------------------------------------------------

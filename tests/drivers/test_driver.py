@@ -7,6 +7,7 @@ from repro.drivers import OF10_VERSION, OF13_VERSION
 from repro.runtime import YancController
 from repro.vfs import EventMask
 from repro.vfs.notify import IN_ALL_EVENTS
+from repro.yancfs.translate import FlowFollower
 
 
 @pytest.fixture
@@ -186,7 +187,9 @@ def test_a_flow_recreated_under_its_old_name_has_its_counters_written_again(swep
     # The same values as before the removal, and still written: what the
     # driver remembered about the old directory went with it.
     assert {name for mask, name in events() if mask & EventMask.IN_CLOSE_WRITE} == {"packet_count", "byte_count"}
-    assert _ring_crossings(swept) == quiet + 1
+    # One crossing follows the re-created flow (its watch and its read in
+    # one submission), one is the sweep that writes its counters again.
+    assert _ring_crossings(swept) == quiet + 2
 
 
 def test_a_vanished_counters_directory_creates_nothing_and_poisons_no_neighbour(ctl):
@@ -324,6 +327,36 @@ def test_live_upgrade_of10_to_of13(ctl):
     yc.create_flow("sw1", "after", Match(dl_type=0x806), [Output(2)], priority=4)
     ctl.run(0.2)
     assert len(sw1.table) == 2
+
+
+def test_a_live_upgrade_adopts_fifty_committed_flows_in_three_crossings(ctl, monkeypatch):
+    """Adoption takes the consume rule's path: the ``flows/`` watch, one listing, one submission of watch → read pairs."""
+    yc = ctl.client()
+    entries = [(f"f{index}", Match(dl_type=0x800, nw_proto=17, tp_dst=1000 + index), [Output(2)]) for index in range(50)]
+    assert yc.create_flows_batched("sw1", entries, priority=4) == 50
+    ctl.run(0.2)
+    sw1 = ctl.net.switches["sw1"]
+    assert len(sw1.table) == 50
+    crossings = []
+    attach = FlowFollower.attach
+
+    def metered(follower):
+        meter = follower.proc.sc.meter
+        before = meter.syscalls - meter.counters.get("syscall.io_uring_setup")
+        attach(follower)
+        # The process's ring is set up on its first use, once per lifetime: not the follower's to pay.
+        crossings.append(meter.syscalls - meter.counters.get("syscall.io_uring_setup") - before)
+
+    monkeypatch.setattr(FlowFollower, "attach", metered)
+    of13 = ctl.add_driver(version=OF13_VERSION)
+    ctl.drivers[0].detach_switch(sw1.dpid)
+    for entry in sw1.table.entries():
+        sw1.table.remove_entry(entry)
+    of13.attach_switch(sw1)
+    ctl.run(0.2)
+    assert len(sw1.table) == 50 and of13.flow_mods_sent == 50  # every committed flow re-asserted
+    assert crossings and crossings[0] <= 3, crossings
+    assert len(of13.bindings[sw1.dpid].follower.versions) == 50
 
 
 def test_switch_rename_followed_by_driver(ctl):

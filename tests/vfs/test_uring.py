@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.perf import tracepoints
 from repro.vfs import EPOLL_CTL_ADD, LINK_FD, FsError, InvalidArgument, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
+from repro.vfs.cred import Credentials
+from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
 from tests.vfs.test_syscall_table import SyscallStream, tree_state
@@ -188,6 +190,44 @@ def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, ring):
     crossing = {"syscall.total": 1, "ctxsw": 4}
     assert direct_bill == {**crossing, "syscall.readdirplus": 1, "bytes.copied": 13}
     assert ring_bill == {**crossing, "syscall.io_uring_enter": 1, "uring.sqe": 1, "uring.readdirplus": 1, "bytes.copied": 13}
+
+
+def test_a_ring_watch_is_the_wd_the_direct_call_returns_and_rewatching_reuses_it(sc, ring):
+    """Registering interest is not waiting: ``inotify_add_watch`` is a ring row, and the wd is the kernel's either way."""
+    for name in ("/d", "/e"):
+        sc.mkdir(name)
+    ino = sc.inotify_init()
+    direct = sc.inotify_add_watch(ino, "/d", EventMask.IN_CREATE)
+    ring.prep("inotify_add_watch", ino, "/d", EventMask.IN_CREATE | EventMask.IN_DELETE)
+    ring.prep("inotify_add_watch", ino, "/e", EventMask.IN_CREATE)
+    ring.prep("inotify_add_watch", ino, "/e", EventMask.IN_CREATE)
+    ring.submit()
+    again, fresh, rewatched = ring.completions()
+    assert again.result == direct  # re-watching an inode reuses its wd and replaces its mask
+    assert fresh.ok and fresh.result != direct and rewatched.result == fresh.result
+    sc.mkdir("/e/x")
+    sc.mkdir("/d/y")
+    sc.rmdir("/d/y")
+    assert [(event.wd, event.name) for event in sc.inotify_read(ino)] == [(fresh.result, "x"), (direct, "y"), (direct, "y")]
+
+
+@pytest.mark.parametrize("path", ["/missing", "/locked/d"])
+def test_a_ring_watch_that_fails_raises_the_direct_calls_error_and_cancels_its_linked_read(path):
+    root = Syscalls(VirtualFileSystem())
+    root.makedirs("/locked/d")
+    root.chmod("/locked", 0o700)  # unsearchable for anyone but root
+    user = root.spawn(cred=Credentials(uid=1000, gid=1000))
+    ino = user.inotify_init()
+    with pytest.raises(FsError) as direct:
+        user.inotify_add_watch(ino, path, EventMask.IN_CREATE)
+    ring = user.io_uring_setup()
+    ring.prep("inotify_add_watch", ino, path, EventMask.IN_CREATE, link=True)
+    ring.prep("readdirplus", path)
+    ring.submit()
+    watch, read = ring.completions()
+    assert type(watch.error) is type(direct.value) and read.canceled
+    root.mkdir(path if path == "/missing" else "/locked/d/z")
+    assert user.inotify_read(ino) == []  # neither attempt left a watch behind
 
 
 # A submit bills its entries in one go, per op kind; the contract is the

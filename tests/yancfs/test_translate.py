@@ -3,14 +3,16 @@
 from repro.dataplane import Match, Output
 from repro.proc.process import Process
 from repro.yancfs import YancClient
-from repro.yancfs.translate import FlowFollower
+from repro.yancfs.translate import FlowFollower, follow_flows
 
 
 class _Translator(Process):
-    """The least a translator is: a process that hands its follower's events back to it."""
+    """The least a translator is: a process that hands each run of its followers' events to the consume rule."""
 
-    def on_event(self, ctx, event):
-        ctx[0].on_event(ctx, event)
+    run_kinds = ("flows",)
+
+    def on_run(self, kind, run):
+        follow_flows(self.ring, run)
 
 
 def _logging_follower(proc, yc, log):
@@ -47,6 +49,6 @@ def test_inotify_and_poll_hand_over_the_same_commits_and_removals(yanc_sc, sim):
     assert [entry for entry in watched if entry[1] == "a"] == [("commit", "a", 1, 6), ("commit", "a", 2, 7), ("remove", "a")]
     assert ("commit", "before", 1, 5) in watched and ("commit", "staged", 1, 32768) in watched
     assert by_notify.versions == by_poll.versions == {"staged": 1}
-    assert sorted(ctx[1:] for ctx in proc._watch_ctx.values()) == [(), ("staged",)]  # flows/ and the one flow still there
+    assert sorted(ctx[2:] for ctx in proc._watch_ctx.values()) == [(), ("staged",)]  # flows/ and the one flow still there
     by_notify.detach()
     assert proc._watch_ctx == {} and by_notify.versions == {}
