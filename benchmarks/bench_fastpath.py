@@ -9,8 +9,8 @@ Two workload shapes from the experiment index, both at high fan-out:
 * **flow install (E2 shape)** — N flows land in one switch table.  The
   file path pays mkdir + three syscalls per spec file + the commit
   read/write per flow; :meth:`YancClient.create_flows_batched` preps the
-  same operations as linked chains and crosses the kernel once per
-  submission-queue fill.
+  same operations as linked chains on the context's ring, which crosses
+  the kernel once per submission-queue fill (1024 entries).
 * **packet-in fan-out (E4 shape)** — one packet-in publishes to N app
   buffers.  The file path pays 17 syscalls per app per event;
   :meth:`YancClient.write_packet_in_batched` fans the whole event out in
@@ -91,10 +91,9 @@ def packet_fanout(n_apps: int, n_events: int) -> dict:
 
     batched = SyscallMeter()
     ring_client = host.client(meter=batched)
-    ring = ring_client.sc.io_uring_setup(entries=max(256, 17 * n_apps))
     for seq in range(n_events):
         published = ring_client.write_packet_in_batched(
-            "sw1", ring_apps, seq, in_port=1, reason="no_match", buffer_id=0, total_len=4, data=b"miss", uring=ring
+            "sw1", ring_apps, seq, in_port=1, reason="no_match", buffer_id=0, total_len=4, data=b"miss"
         )
         assert published == n_apps
 

@@ -1174,14 +1174,18 @@ class FuncInterp:
             return arg_tokens[0], taint
 
         queued = queued_syscall(call)
-        if queued is not None:
+        if queued is not None:  # the entry is the call it stands for; its crossing is the ring's
             self._record_site(call, *queued, args, state)
+            self._escape_fds(call, state)
+            return P.UNKNOWN, taint
 
         method = syscall_method(call)
         if method is not None:
             self.op_sites.append(
                 OpSite(node=call, method=method, depth=len(self._loops), loop=self._innermost())
             )
+        if method == "submit":  # the ring's one crossing: what it runs are the entries queued before it
+            return P.UNKNOWN, taint
         if method is not None and method in PATH_ARGS:
             site = self._record_site(call, method, None, args, state)
             # A read's value is a taint source candidate: it carries its site.

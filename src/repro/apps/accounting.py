@@ -66,12 +66,11 @@ class AccountingDaemon(YancApp):
             self.samples_taken += 1
 
     def _read(self, op: str, reads: list[tuple[tuple, str]]) -> dict[tuple, list | None]:
-        """One ``op`` per ``(key, path)``, in one submission (one per ring-full); each key's result, None where it failed."""
+        """One ``op`` per ``(key, path)``, in one submission (the ring submits when full); each key's result, None where it failed."""
         ring = self.ring
-        for start in range(0, len(reads), ring.entries):
-            for key, path in reads[start : start + ring.entries]:
-                ring.prep(op, path, user_data=key)
-            ring.submit()
+        for key, path in reads:
+            ring.prep(op, path, user_data=key)
+        ring.submit()
         return {cqe.user_data: cqe.result if cqe.ok else None for cqe in ring.completions()}
 
     def records(self) -> list[str]:

@@ -118,7 +118,7 @@ class PacketInApp(YancApp):
     def _handle_packet_ins(self, named: dict[str, list[str]]) -> None:
         if not named:
             return  # nothing published: no take, and no ring set up for one
-        for pkt in self.yc.take_events(self.ring, self.app_name, named):
+        for pkt in self.yc.take_events(self.app_name, named):
             try:
                 self.handle_packet_in(pkt)
             except FsError:

@@ -313,7 +313,7 @@ class RouterDaemon(PacketInApp):
         # The whole path in one crossing, each hop its own chain: a hop
         # that cannot be written (its directory is already there) is
         # skipped and the others still commit.
-        write_objects_batched(self.sc, hops, self.ring)
+        write_objects_batched(self.sc, hops)
         self.paths_installed += 1
         if event.buffer_id != NO_BUFFER:
             self.yc.packet_out(

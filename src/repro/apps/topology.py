@@ -208,13 +208,11 @@ class TopologyDaemon(PacketInApp):
     # -- beaconing ---------------------------------------------------------------------
 
     def send_beacons(self) -> None:
-        """One LLDP frame out of every known port of every switch: the round is one ring submission (one per full ring)."""
+        """One LLDP frame out of every known port of every switch: the round is one ring submission (the ring submits when full)."""
         ring = self.ring
         for switch in self._safe_switches():
             spool = f"{self.yc.switch_path(switch)}/packet_out"
             for port_no in self.port_cache.ports(switch):
-                if ring.sq_pending + 3 > ring.entries:
-                    ring.submit()
                 self._beacon_seq += 1
                 ring.prep_write_file(f"{spool}/{packet_out_name([port_no], self.app_name, self._beacon_seq)}", self._beacon(switch, port_no))
         ring.submit()

@@ -292,7 +292,7 @@ class OpenFlowDriver(Process):
     def _send_packet_outs(self, entries: list[tuple[SwitchBinding, str, str]]) -> None:
         """Take ``(binding, switch, name)`` spool entries in one submission and transmit each, in order."""
         if entries:
-            for binding, out in take_packet_out(self.ring, self.yc, entries):
+            for binding, out in take_packet_out(self.yc, entries):
                 self._transmit(binding, out)
 
     def _transmit(self, binding: SwitchBinding, out: PacketOut) -> None:
@@ -414,7 +414,6 @@ class OpenFlowDriver(Process):
             buffer_id=msg.buffer_id,
             total_len=msg.total_len,
             data=msg.data,
-            ring=self.ring,
             apps=binding.event_apps,
         )
         binding.dropped_events += dropped
@@ -488,8 +487,6 @@ class OpenFlowDriver(Process):
             for counter, value in values.items():
                 if written.get(counter) == value:
                     continue
-                if ring.sq_pending + 3 > ring.entries:
-                    ring.submit()
                 ring.prep_write_file(f"{root}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
         ring.submit()
         for cqe in ring.completions():

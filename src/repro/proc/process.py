@@ -7,8 +7,8 @@ from a controller framework.  This module reproduces that machinery on
 the simulator:
 
 * :class:`Process` — owns a :class:`~repro.vfs.syscalls.Syscalls`
-  context, an inotify descriptor, an epoll set, and a submission ring
-  for the steps that touch several files at once; a single simulator-
+  context (its ``ring`` takes the steps that touch several files at
+  once), an inotify descriptor and an epoll set; a single simulator-
   driven run loop parks in ``epoll_wait`` and dispatches events, so every
   watch a process holds shares one wakeup instead of one callback each.
   A raising handler *crashes the process* (state, counters, teardown) —
@@ -44,7 +44,6 @@ if TYPE_CHECKING:
     from repro.perf.meter import SyscallMeter
     from repro.sim import Simulator
     from repro.vfs.syscalls import Syscalls
-    from repro.vfs.uring import IoUring
 
 __all__ = [
     "ProcState",
@@ -139,7 +138,6 @@ class Process:
         self.last_error: BaseException | None = None
         self._ino: Inotify | None = None
         self._ep: Epoll | None = None
-        self._ring: "IoUring | None" = None
         self._watch_ctx: dict[int, tuple] = {}
         self._ctx_wds: dict[tuple, set[int]] = {}  # the reverse index unwatch() reads
         self._tasks: list = []
@@ -169,13 +167,6 @@ class Process:
             self._open_loop()
         return self._ep
 
-    @property
-    def ring(self) -> "IoUring":
-        """The process's submission ring (opened on first use): a step that touches several files crosses once (§8.1)."""
-        if self._ring is None:
-            self._ring = self.sc.io_uring_setup(entries=1024)
-        return self._ring
-
     def _open_loop(self) -> None:
         if self.sc is None:
             raise RuntimeError(f"process {self.proc_name!r} has no syscall context to watch files with")
@@ -191,9 +182,9 @@ class Process:
         if self._ino is not None:
             self._ino.close()
             self._ino = None
-        if self._ring is not None:
-            self._ring.close()
-            self._ring = None
+        if self.sc is not None and self.sc._ring is not None:  # a restarted process sets up a fresh ring
+            self.sc._ring.close()
+            self.sc._ring = None
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -174,6 +174,7 @@ class Syscalls:
         #: string function, so the memo needs no invalidation — only a size
         #: bound against pathological workloads.
         self._abs_memo: dict[tuple[str, str], str] = {}
+        self._ring: "IoUring | None" = None
 
     def spawn(
         self,
@@ -562,6 +563,17 @@ class Syscalls:
         from repro.vfs.uring import IoUring
 
         return IoUring(self, entries)
+
+    @property
+    def ring(self) -> "IoUring":
+        """This context's submission ring, set up on first use (one ``io_uring_setup``, 1024 entries).
+
+        Every batch the context submits shares it: a step that touches
+        several files crosses once (§8.1), and the ring keeps its own room.
+        """
+        if self._ring is None:
+            self._ring = self.io_uring_setup(entries=1024)
+        return self._ring
 
     # -- notification ------------------------------------------------------------------
 

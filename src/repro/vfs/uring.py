@@ -27,6 +27,14 @@ what makes ``open → write → close`` expressible before the fd exists.  If
 a chain is severed while its descriptor is still open, the ring closes it
 (billed as ``uring.chain_autoclose``) so a failed batch cannot leak fds.
 
+**Room.**  The submission queue is bounded (``entries``), and the ring
+keeps its own room: when the next entry would not fit, it submits what
+is queued ahead of the open chain, so a chain never straddles a submit
+and no caller counts slots.  A chain longer than the whole ring is
+refused whole (:class:`~repro.vfs.errors.InvalidArgument`, its own
+entries dropped, so nothing of it runs or links into the next entry).  A context has one ring, :attr:`Syscalls.ring
+<repro.vfs.syscalls.Syscalls.ring>`, which every batch it submits shares.
+
 **Observability.**  Entries execute through the real ``Syscalls``
 methods, so each fires that method's ``syscall`` trace point exactly as
 a direct call would, and :meth:`IoUring.submit` is itself a trace point
@@ -119,9 +127,10 @@ class Cqe:
 class IoUring(Pollable):
     """A submission/completion ring bound to one syscall context.
 
-    Created via :meth:`Syscalls.io_uring_setup`; the ring shares the
-    context's credentials, namespace, fd table, and meter, so a batched
-    ``open`` yields an fd usable by direct calls and vice versa.
+    Created via :meth:`Syscalls.io_uring_setup` (the context's own is
+    :attr:`Syscalls.ring`); the ring shares the context's credentials,
+    namespace, fd table, and meter, so a batched ``open`` yields an fd
+    usable by direct calls and vice versa.
     """
 
     sc: "Syscalls"
@@ -129,6 +138,8 @@ class IoUring(Pollable):
     _sq: list[Sqe] = field(default_factory=list)
     _cq: list[Cqe] = field(default_factory=list)
     _seq: int = 0
+    #: where the open linked chain starts in ``_sq`` (its length: none open)
+    _chain: int = 0
     #: op -> the context's bound method, looked up once per ring
     _ops: dict = field(default_factory=dict, repr=False)
 
@@ -140,18 +151,16 @@ class IoUring(Pollable):
     # -- preparation (no syscalls: the SQ lives in shared memory) ------------
 
     def prep(self, op: str, *args, link: bool = False, user_data: object = None) -> int:
-        """Queue one operation; returns its submission index.
+        """Queue one operation; returns its position in the queue.
 
         ``link=True`` makes the *next* prepared entry conditional on this
         one succeeding (chains compose by linking every entry but the
         last).  Raises when the op is not a ring row of the syscall
-        table or the queue is full.
+        table, or when its chain is longer than the whole ring.
         """
         if op not in SUPPORTED_OPS:
             raise InvalidArgument(detail=f"unsupported ring op {op!r}")
-        self._room(1)
-        self._sq.append(Sqe(op, args, link, user_data))
-        return len(self._sq) - 1
+        return self._queue((Sqe(op, args, link, user_data),))
 
     def prep_write_file(self, path: str, data: bytes, *, link: bool = False, user_data: object = None) -> int:
         """Queue ``open → write → close`` as one linked chain.
@@ -160,20 +169,33 @@ class IoUring(Pollable):
         value > file`` idiom).  ``link=True`` extends the chain into the
         *next* prepared entry, so whole multi-file sequences — assemble a
         maildir temp, then rename it into place — cancel together when any
-        step fails.  All three entries are queued or, when the queue has
-        no room for them, none is.  Returns the index of the ``open``.
+        step fails.  The three entries are queued together or not at all.
+        Returns the position of the ``open``.
         """
-        self._room(3)
-        self._sq += (
-            Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data),
-            Sqe("write", (LINK_FD, data), True, user_data),
-            Sqe("close", (LINK_FD,), link, user_data),
+        return self._queue(
+            (
+                Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data),
+                Sqe("write", (LINK_FD, data), True, user_data),
+                Sqe("close", (LINK_FD,), link, user_data),
+            )
         )
-        return len(self._sq) - 3
 
-    def _room(self, needed: int) -> None:
-        if len(self._sq) + needed > self.entries:
-            raise InvalidArgument(detail=f"submission queue full ({self.entries} entries)")
+    def _queue(self, sqes: tuple[Sqe, ...]) -> int:
+        """Append ``sqes`` to the open linked chain, keeping the room as the module docstring's **Room** says."""
+        sq = self._sq
+        if len(sq) + len(sqes) > self.entries:
+            if self._chain:
+                self._sq, chain = sq[: self._chain], sq[self._chain :]
+                self.submit()
+                self._sq = sq = chain
+            if len(sq) + len(sqes) > self.entries:
+                sq.clear()
+                raise InvalidArgument(detail=f"linked chain longer than the ring ({self.entries} entries)")
+        position = len(sq)
+        sq += sqes
+        if not sqes[-1].link:
+            self._chain = len(sq)
+        return position
 
     @property
     def sq_pending(self) -> int:
@@ -198,7 +220,7 @@ class IoUring(Pollable):
         sc = self.sc
         meter = sc.meter
         meter.enter("io_uring_enter")
-        batch, self._sq = self._sq, []
+        batch, self._sq, self._chain = self._sq, [], 0
         cq = self._cq
         was_empty = not cq
         ops = self._ops
@@ -300,6 +322,7 @@ class IoUring(Pollable):
     def close(self) -> None:
         """Drop queued entries, unreaped completions and pollers."""
         self._sq.clear()
+        self._chain = 0
         self._cq.clear()
         self._pollers.clear()
 

@@ -93,7 +93,7 @@ class ViewApp(YancApp):
         """Drain this view's master buffers into the tenants' buffers inside the view."""
         if not named:
             return
-        for pkt in self.yc.take_events(self.ring, self.app_name, named):
+        for pkt in self.yc.take_events(self.app_name, named):
             try:
                 target = self.view_port_of(pkt)
             except FsError:
@@ -111,7 +111,7 @@ class ViewApp(YancApp):
         """Take ``(view switch, view switch, name)`` tenant spool entries in one submission and emit each below."""
         if not entries:
             return
-        for view_switch, out in take_packet_out(self.ring, self.view_yc, entries):
+        for view_switch, out in take_packet_out(self.view_yc, entries):
             try:
                 self.forward_packet_out(view_switch, out)
             except FsError:

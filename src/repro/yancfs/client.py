@@ -4,13 +4,16 @@ Everything here is plain file I/O through a :class:`~repro.vfs.Syscalls`
 facade — the helpers exist so applications, drivers, and tests compose the
 same ``echo value > file`` sequences without repeating path arithmetic.
 Every helper call costs exactly the system calls it issues; nothing
-bypasses the file system (that is :mod:`repro.libyanc`'s job).
+bypasses the file system (that is :mod:`repro.libyanc`'s job).  The
+helpers that batch (``write_objects_batched``, ``take_events``) submit
+through the context's one ring, :attr:`Syscalls.ring
+<repro.vfs.syscalls.Syscalls.ring>`, which keeps its own room: none sets
+up a ring or counts slots of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.dataplane.actions import Action, parse_action
 from repro.dataplane.match import Match
@@ -18,9 +21,6 @@ from repro.vfs.errors import FileNotFound
 from repro.vfs.path import clean
 from repro.vfs.syscalls import O_WRONLY, Syscalls
 from repro.yancfs.schema import YancFs
-
-if TYPE_CHECKING:
-    from repro.vfs.uring import IoUring
 
 
 def mount_yancfs(sc: Syscalls, path: str = "/net", *, recover: bool = True) -> YancFs:
@@ -157,25 +157,17 @@ def write_object(sc: Syscalls, path: str, files: dict, publish: str | None) -> N
         sc.rename(staged, path)
 
 
-def chain_len(files: dict, publish: str | None) -> int:
-    """Ring entries one object takes: mkdir, three per file (``version`` is one more file), the rename."""
-    return 1 + 3 * (len(files) + (publish == "version")) + (publish == "rename")
+def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | None]]) -> int:
+    """Write ``(path, files, publish)`` objects through the context's ring (§8.1); returns how many completed.
 
-
-def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | None]], ring: "IoUring | None" = None) -> int:
-    """Write ``(path, files, publish)`` objects through the ring (§8.1); returns how many completed.
-
-    Each object is one linked chain of :func:`chain_len` entries — the
-    same steps :func:`write_object` issues — that never straddles a
-    ``submit``: a failed step cancels the rest of *that object* and its
-    neighbours still publish.  Without a ``ring`` the batch gets one
-    sized for it, so it is one ``io_uring_enter``.  Drains the
-    completion queue.
+    Each object is one linked chain — the same steps :func:`write_object`
+    issues — so a failed step cancels the rest of *that object* and its
+    neighbours still publish.  The ring keeps its own room (a chain never
+    straddles a submit), so a batch that fits is one ``io_uring_enter``.
+    Drains the completion queue.
     """
-    ring = ring or sc.io_uring_setup(entries=max(256, sum(chain_len(files, publish) for _path, files, publish in objects)))
+    ring = sc.ring
     for index, (path, files, publish) in enumerate(objects):
-        if ring.sq_pending and ring.sq_pending + chain_len(files, publish) > ring.entries:
-            ring.submit()
         staged, writes = _assembly(path, files, publish)
         if publish == "version":
             writes.append((f"{path}/version", b"1"))
@@ -448,7 +440,6 @@ class YancClient:
         buffer_id: int,
         total_len: int,
         data: bytes,
-        uring: "IoUring | None" = None,
     ) -> int:
         """Fan one packet-in out to many app buffers through the ring.
 
@@ -461,16 +452,13 @@ class YancClient:
         """
         files = _packet_in_files(in_port, reason, buffer_id, total_len, data)
         objects = [(f"{self.events_path(switch, app)}/pi_{seq}", files, "rename") for app in apps]
-        return write_objects_batched(self.sc, objects, uring)
+        return write_objects_batched(self.sc, objects)
 
     def read_events(self, switch: str, app: str, *, consume: bool = True) -> list[PacketInEvent]:
-        """Drain (or peek) an event buffer, oldest first: one ``listdir``, then :meth:`take_events` on a ring of its own."""
-        names = [name for name in self.sc.listdir(self.events_path(switch, app)) if not name.startswith(".")]
-        if not names:
-            return []
-        return self.take_events(self.sc.io_uring_setup(entries=len(names) + 1), app, {switch: names}, consume=consume)
+        """Drain (or peek) an event buffer, oldest first: :meth:`take_events` with nothing announced."""
+        return self.take_events(app, {switch: []}, consume=consume)
 
-    def take_events(self, ring: "IoUring", app: str, named: dict[str, list[str]], *, consume: bool = True) -> list[PacketInEvent]:
+    def take_events(self, app: str, named: dict[str, list[str]], *, consume: bool = True) -> list[PacketInEvent]:
         """Drain ``app``'s buffer on each switch of ``named``, oldest first per buffer: the one consume rule (§3.5).
 
         ``named`` maps a switch to the entries its notifications
@@ -483,6 +471,7 @@ class YancClient:
         a later drain and does not hold up the events behind it; an event
         is returned only once its ``rmdir`` succeeded (unless peeking).
         """
+        ring = self.sc.ring
         listed: dict[str, list[str]] = {}
         fields: dict[tuple[str, str], dict[str, bytes] | None] = {}
 
@@ -498,27 +487,19 @@ class YancClient:
 
         for switch, names in named.items():
             base = self.events_path(switch, app)
-            if ring.sq_pending >= ring.entries:
-                ring.submit()
             ring.prep("listdir", base, user_data=(switch, None))
             for name in names:
-                if ring.sq_pending >= ring.entries:
-                    ring.submit()
                 ring.prep("readdirplus", f"{base}/{name}", user_data=(switch, name))
         reap()
         unread = [(switch, name) for switch, names in listed.items() for name in names if (switch, name) not in fields]
         if unread:
             for switch, name in unread:
-                if ring.sq_pending >= ring.entries:
-                    ring.submit()
                 ring.prep("readdirplus", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
             reap()
         taken = [(switch, name, event) for switch, names in listed.items() for name in names if (event := _packet_in_event(switch, name, fields[switch, name])) is not None]
         if not consume or not taken:
             return [event for _switch, _name, event in taken]
         for switch, name, _event in taken:
-            if ring.sq_pending >= ring.entries:
-                ring.submit()
             ring.prep("rmdir", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
         ring.submit()
         removed = {cqe.user_data for cqe in ring.completions() if cqe.ok}

@@ -9,8 +9,8 @@ providing a translation between them") and a device running yanc itself
   ``version`` that grew) and every removal to its translation, a
   wakeup's run of new and committed flows in one submission —
   :class:`FlowFollower` and :func:`follow_flows`;
-* feeds packet-ins to every subscribed private buffer (§3.5), bounded —
-  :func:`fan_out_packet_in`;
+* feeds packet-ins to every subscribed private buffer (§3.5), bounded,
+  in two submissions whatever the fan-out — :func:`fan_out_packet_in`;
 * drains the ``packet_out/`` spool, every entry a wakeup announces in
   one submission — :func:`take_packet_out`.
 
@@ -19,6 +19,9 @@ does with a :class:`~repro.yancfs.client.FlowSpec` (encode it, intersect
 it, compile it to a path, install it).  These are module-level functions
 over a :class:`~repro.yancfs.client.YancClient`, not methods of it: they
 compose client calls and add no file-system operation of their own.
+Each has one transport, the context's ring (``Syscalls.ring``), over a
+local tree and a remote mount alike: a remote mount issues the same file
+operations, so the same RPCs, in fewer crossings.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class FlowFollower:
     translator or a live-upgraded driver adopt the tree — until its
     removal drops the watch again, so a retired flow pins nothing.
     Across a remote mount, where notification does not travel,
-    :meth:`poll` is the same reconciliation spelled ``listdir`` + diff.
+    :meth:`poll` is the same reconciliation spelled ``listdir`` + diff,
+    taken by the same rule.
 
     Watches are registered on ``proc`` under ``("flows", self)`` (the
     directory) and ``("flows", self, name)`` (a flow); the translator
@@ -103,16 +107,8 @@ class FlowFollower:
         self.versions.clear()
 
     def poll(self) -> None:
-        """One notification-free round, a system call per read (over a remote mount each is an RPC); raises when ``flows/`` itself cannot be listed."""
-        for _follower, name, step in self._reconcile("sync"):
-            if step == "forget":
-                self._forget(name)
-                continue
-            try:
-                spec = self.yc.read_flow(self.switch, name)
-            except FsError:
-                spec = None  # gone or half-removed: its removal (or the next poll) retires it
-            self._hand_over(name, spec)
+        """One notification-free round: a listing, then every flow's read in one submission; raises when ``flows/`` itself cannot be listed."""
+        _follow(self.proc.ring, self._reconcile("sync"))
 
     def _reconcile(self, follow: str) -> list[tuple["FlowFollower", str, str]]:
         """The steps that bring ``versions`` up to ``flows/``: forget what went, then ``follow`` every flow there."""
@@ -161,36 +157,34 @@ def _flow_steps(run: Iterable[tuple[tuple, NotifyEvent]]) -> Iterator[tuple[Flow
 
 def _follow(ring: "IoUring", steps: Iterable[tuple[FlowFollower, str, str]]) -> None:
     """Run ``(follower, name, step)`` steps in order: ``"track"`` watches and reads, ``"sync"`` reads, ``"forget"`` retires."""
-
-    def take() -> None:
-        if ring.sq_pending:
-            ring.submit()
-        for cqe in ring.completions():
-            follower, name = cqe.user_data
-            try:
-                if cqe.op == "inotify_add_watch":
-                    if cqe.ok:
-                        follower.proc.adopt_watch(cqe.result, ("flows", follower, name))
-                else:
-                    follower._hand_over(name, FlowSpec.from_files(object_files(cqe.result)) if cqe.ok else None)
-            except FsError:
-                continue  # the tree changed under the translator; a later event resolves it
-
     for follower, name, step in steps:
         if step == "forget":
-            take()
+            _take(ring)
             try:
                 follower._forget(name)
             except FsError:
-                pass  # the same: on_remove met a changed tree
+                pass  # on_remove met a changed tree; a later event resolves it
             continue
-        if ring.sq_pending + 2 > ring.entries:
-            ring.submit()
         path = follower.yc.flow_path(follower.switch, name)
         if step == "track":
             ring.prep("inotify_add_watch", follower.proc.ino, path, FILE_MASK, link=True, user_data=(follower, name))
         ring.prep("readdirplus", path, user_data=(follower, name))
-    take()
+    _take(ring)
+
+
+def _take(ring: "IoUring") -> None:
+    """Submit the watches and reads :func:`_follow` queued: file each watch with its process, hand each flow read over."""
+    ring.submit()
+    for cqe in ring.completions():
+        follower, name = cqe.user_data
+        try:
+            if cqe.op == "inotify_add_watch":
+                if cqe.ok:
+                    follower.proc.adopt_watch(cqe.result, ("flows", follower, name))
+            else:
+                follower._hand_over(name, FlowSpec.from_files(object_files(cqe.result)) if cqe.ok else None)
+        except FsError:
+            continue  # the tree changed under the translator; a later event resolves it
 
 
 def fan_out_packet_in(
@@ -204,7 +198,6 @@ def fan_out_packet_in(
     total_len: int,
     data: bytes,
     buffer_id: int = NO_BUFFER,
-    ring: "IoUring | None" = None,
     apps: list[str] | None = None,
 ) -> tuple[int, int]:
     """Feed one packet-in to every private buffer under ``events/``; returns ``(published, dropped)``.
@@ -218,40 +211,25 @@ def fan_out_packet_in(
     switch buffers do not cross a view or a remote mount, only a driver
     can name one its switch will release.
 
-    Two transports.  With a persistent ``ring`` and the subscriber list
-    ``apps`` its owner keeps, two crossings regardless of fan-out: one
+    Two crossings on ``yc``'s ring regardless of fan-out: one
     ``io_uring_enter`` probes every buffer, one publishes to every
-    buffer with room.  Otherwise a system call per step — list
-    ``events/``, then per buffer a probe and a maildir publish — which is
-    all a remote mount offers.
+    buffer with room.  A caller that keeps no subscriber list ``apps``
+    (a view, a device over a remote mount) lists ``events/`` first.
     """
     event = {"in_port": in_port, "reason": reason, "buffer_id": buffer_id, "total_len": total_len, "data": data}
-    published = dropped = 0
-    if ring is not None:
-        for app in apps:
-            if ring.sq_pending >= ring.entries:
-                ring.submit()
-            ring.prep("listdir", yc.events_path(switch, app), user_data=app)
-        ring.submit()
-        probes = [(cqe.user_data, cqe.result) for cqe in ring.completions() if cqe.ok]
-        targets = [app for app, pending in probes if len(pending) < MAX_PENDING_EVENTS]
-        dropped = len(probes) - len(targets)
-        if targets:
-            published = yc.write_packet_in_batched(switch, targets, seq, uring=ring, **event)
-    else:
+    if apps is None:
         try:
             apps = yc.sc.listdir(f"{yc.switch_path(switch)}/events")
         except FsError:
             apps = []
-        for app in apps:
-            try:
-                if len(yc.sc.listdir(yc.events_path(switch, app))) >= MAX_PENDING_EVENTS:
-                    dropped += 1
-                    continue
-                yc.write_packet_in(switch, app, seq, **event)
-                published += 1
-            except FsError:
-                continue
+    ring = yc.sc.ring
+    for app in apps:
+        ring.prep("listdir", yc.events_path(switch, app), user_data=app)
+    ring.submit()
+    probes = [(cqe.user_data, cqe.result) for cqe in ring.completions() if cqe.ok]
+    targets = [app for app, pending in probes if len(pending) < MAX_PENDING_EVENTS]
+    dropped = len(probes) - len(targets)
+    published = yc.write_packet_in_batched(switch, targets, seq, **event) if targets else 0
     if dropped:
         proc._count(f"events.dropped.{proc.proc_name}", dropped)
     return published, dropped
@@ -273,7 +251,7 @@ def spooled(event: NotifyEvent) -> str | None:
     return event.name if event.name is not None and event.mask & EventMask.IN_CLOSE_WRITE else None
 
 
-def take_packet_out(ring: "IoUring", yc: YancClient, entries: list[tuple[object, str, str]]) -> list[tuple[object, PacketOut]]:
+def take_packet_out(yc: YancClient, entries: list[tuple[object, str, str]]) -> list[tuple[object, PacketOut]]:
     """Consume ``(key, switch, name)`` spool entries in one submission; ``(key, PacketOut)`` per entry taken, in order.
 
     Each entry is one linked ``open → read → close → unlink`` chain — the
@@ -283,9 +261,8 @@ def take_packet_out(ring: "IoUring", yc: YancClient, entries: list[tuple[object,
     :meth:`~repro.yancfs.client.YancClient.packet_out` was given; an
     entry naming no port is still consumed (``ports`` is empty).
     """
+    ring = yc.sc.ring
     for index, (_key, switch, name) in enumerate(entries):
-        if ring.sq_pending + 4 > ring.entries:
-            ring.submit()
         path = f"{yc.switch_path(switch)}/packet_out/{name}"
         ring.prep("open", path, O_RDONLY, link=True, user_data=index)
         ring.prep("read", LINK_FD, link=True, user_data=index)

@@ -322,9 +322,9 @@ def test_calibration_static_bounds_hold_live():
     rows = run_calibration([str(REPO / "src")])
     assert len(rows) == 7
     batched = next(row for row in rows if row.function == "YancClient.create_flows_batched")
-    assert batched.live == 2  # io_uring_setup + one io_uring_enter, however many flows
+    assert batched.live == 1  # one io_uring_enter on the context's ring (set up before the count), however many flows
     drain = next(row for row in rows if row.function == "YancClient.take_events")
-    assert (drain.n, drain.live) == (5, 3)  # io_uring_setup + a read and a removal submission, however many events
+    assert (drain.n, drain.live) == (5, 2)  # a read and a removal submission, however many events
     follow = next(row for row in rows if row.function == "follow_flows")
     assert (follow.n, follow.live) == (4, 1)  # one submission of watch → read pairs, however many new flows
     for row in rows:

@@ -159,10 +159,10 @@ def test_object_readers_cost_one_crossing_per_object(yc: YancClient):
 
     assert cost(yc.read_flow, "s1", "f") == 1
     assert cost(yc.flow_counters, "s1", "f") == 1
-    # getdents, a ring, one submission reading every event, one removing them: not 1 + 2k
+    # the context's ring (set up on first use), one submission listing the buffer, one reading every event: not 1 + 2k
     assert cost(yc.read_events, "s1", "app", consume=False) == 3
-    assert cost(yc.read_events, "s1", "app") == 4
-    assert cost(yc.read_events, "s1", "app") == 1  # an empty buffer: the getdents alone
+    assert cost(yc.read_events, "s1", "app") == 3  # the listing, the reads, one submission removing them
+    assert cost(yc.read_events, "s1", "app") == 1  # an empty buffer: the listing alone
 
 
 def test_a_control_loop_step_is_one_ring_submission():
@@ -198,7 +198,7 @@ def test_a_control_loop_step_is_one_ring_submission():
     assert cost(topod, topod.send_beacons) == {"getdents": 1, "io_uring_enter": 1, "total": 2}
     assert topod.beacons_sent - sent == ports == 7
     assert topod.sc.meter.counters.get("syscall.io_uring_setup") == 1  # the rounds before this one used the same ring
-    topod._ring = topod.sc.io_uring_setup(entries=8)  # room for two beacons: a round is one crossing per full ring
+    topod.sc._ring = topod.sc.io_uring_setup(entries=8)  # room for two beacons: a round is one crossing per full ring
     assert cost(topod, topod.send_beacons)["io_uring_enter"] == -(-ports // (8 // 3)) == 4
     assert topod.beacons_sent - sent == 2 * ports
 

@@ -236,7 +236,7 @@ def test_the_ring_is_lazy_persistent_and_closed_with_the_loop(rt):
     setups = lambda: proc.sc.meter.counters.get("syscall.io_uring_setup")  # noqa: E731
     assert setups() == 0  # spawning and starting cost no ring
     ring = proc.ring
-    assert proc.ring is ring and setups() == 1  # one per process, like its inotify and epoll descriptors
+    assert proc.ring is ring is proc.sc.ring and setups() == 1  # the context's one ring, like its inotify and epoll descriptors
     ring.prep("mkdir", "/spool/queued")
     proc.stop()
     assert ring.sq_pending == 0 and not sc.exists("/spool/queued")  # closed: what was queued is dropped, not run

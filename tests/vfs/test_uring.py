@@ -1,5 +1,8 @@
 """IoUring: batched submission, linked chains, completion ordering, polling."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -405,34 +408,124 @@ def test_unknown_op_rejected(ring):
 
 
 def test_queue_full_rejected(sc):
+    """A full queue submits what is queued to make room; a chain longer than the whole ring is refused."""
     ring = sc.io_uring_setup(entries=2)
     ring.prep("mkdir", "/a")
     ring.prep("mkdir", "/b")
+    before = sc.meter.counters.get("syscall.io_uring_enter")
+    ring.prep("mkdir", "/c")  # no room: /a and /b cross first
+    assert sc.meter.counters.get("syscall.io_uring_enter") - before == 1
+    assert sc.exists("/b") and not sc.exists("/c") and ring.sq_pending == 1
     with pytest.raises(InvalidArgument):
-        ring.prep("mkdir", "/c")
-    ring.submit()
-    ring.prep("mkdir", "/c")  # room again after the flush
+        ring.prep_write_file("/a/x", b"data")  # three linked entries never fit in two: /c crosses, the chain is dropped
+    assert ring.sq_pending == 0 and sc.exists("/c")
+    assert ring.submit() == 0 and sc.listdir("/a") == [] and not sc._fds
 
 
 def test_prep_write_file_queues_its_whole_chain_or_nothing(sc):
     # Regression: with fewer than three free slots the linked open was
     # queued before the queue-full error, leaving a dangling chain head
     # that the next submit ran (an empty file appeared), linked into the
-    # next prepared entry, and whose descriptor leaked.
+    # next prepared entry, and whose descriptor leaked.  Now what is
+    # queued ahead crosses first and the chain goes in whole.
     ring = sc.io_uring_setup(entries=4)
     sc.mkdir("/a")
     for name in ("/b", "/c", "/d"):
         ring.prep("mkdir", name)
-    with pytest.raises(InvalidArgument):
-        ring.prep_write_file("/a/x", b"data")
-    assert ring.sq_pending == 3
-    ring.prep("mkdir", "/e")  # the slot the failed chain did not take
-    assert ring.submit() == 4
+    ring.prep_write_file("/a/x", b"data")  # one free slot: the three mkdirs cross first
+    assert ring.sq_pending == 3 and sc.exists("/d") and sc.listdir("/a") == []
+    assert [(cqe.op, cqe.ok) for cqe in ring.completions()] == [("mkdir", True)] * 3
+    assert ring.submit() == 3
     assert all(cqe.ok for cqe in ring.completions())
-    assert sc.listdir("/a") == [] and not sc._fds
-    ring.prep_write_file("/a/x", b"data")  # room again: the chain runs whole
-    ring.submit()
     assert sc.read_bytes("/a/x") == b"data" and not sc._fds
+    small = sc.io_uring_setup(entries=2)
+    with pytest.raises(InvalidArgument):
+        small.prep_write_file("/a/y", b"data")  # can never fit: nothing of it is queued
+    assert small.sq_pending == 0 and small.submit() == 0
+    assert sc.listdir("/a") == ["x"] and not sc._fds
+
+
+@pytest.mark.parametrize("temp_exists", [False, True])
+def test_a_refused_chain_leaves_nothing_linked_on_the_ring(sc, temp_exists):
+    """Regression: a maildir object of eight files is a 26-entry chain; through a 20-entry ring it was
+    refused with its first 19 entries still queued, the last linked, so the next unrelated entry ran
+    chained to that debris — a 6-of-8-file temp landed, or (the temp already there) it completed canceled."""
+    sc.mkdir("/objs")
+    if temp_exists:
+        sc.mkdir("/objs/.a")
+    ring = sc.io_uring_setup(entries=20)
+    with pytest.raises(InvalidArgument):
+        ring.prep("mkdir", "/objs/.a", link=True)
+        for index in range(8):
+            ring.prep_write_file(f"/objs/.a/f{index}", b"x", link=True)
+        ring.prep("rename", "/objs/.a", "/objs/a")
+    assert ring.sq_pending == 0
+    ring.prep("mkdir", "/objs/unrelated")
+    ring.submit()
+    assert [(cqe.op, cqe.ok) for cqe in ring.completions()] == [("mkdir", True)]
+    assert sorted(sc.listdir("/objs")) == [".a"] * temp_exists + ["unrelated"]
+    assert not sc._fds
+
+
+# -- the ring keeps its own room --------------------------------------------------------
+#
+# The rule callers used to spell out before every chain — submit first when
+# the chain would not fit behind what is queued — is the reference: the ring
+# must submit the same batches, cross as often and complete the same entries,
+# and a chain longer than the ring leaves the queue as the reference's
+# pre-chain submit left it.
+
+
+def _run_chains(ring, size: int, chains: list[int], *, reference: bool) -> tuple[list, list]:
+    """Queue each chain of ``chains`` (its length) on ``ring``; the refused chains and the queue each refusal left."""
+    refused = []
+    for number, length in enumerate(chains):
+        if reference:
+            if ring.sq_pending and ring.sq_pending + length > size:
+                ring.submit()
+            if length > size:
+                refused.append((number, [(sqe.op, sqe.user_data) for sqe in ring._sq]))
+                continue
+        try:
+            for position in range(length):
+                ring.prep("stat", "/", link=position < length - 1, user_data=(number, position))
+        except InvalidArgument:
+            refused.append((number, [(sqe.op, sqe.user_data) for sqe in ring._sq]))
+    ring.submit()
+    return refused, [(cqe.index, cqe.op, cqe.ok, cqe.user_data) for cqe in ring.completions()]
+
+
+class Submissions:
+    """The entries of every ring submission, per ring, read as it crosses (a ``uring_submit`` subscriber)."""
+
+    def __init__(self) -> None:
+        self.batches: dict[int, list[list]] = {}
+
+    def on_uring_submit_enter(self, ring) -> None:
+        if ring._sq:
+            self.batches.setdefault(id(ring), []).append(list(ring._sq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(1, 64), chains=st.lists(st.integers(1, 40), max_size=30))
+def test_the_ring_keeps_its_room_as_callers_used_to(size, chains):
+    own, caller = Syscalls(VirtualFileSystem()), Syscalls(VirtualFileSystem())
+    rings = own.io_uring_setup(entries=size), caller.io_uring_setup(entries=64 * 40)  # the reference's never fills
+    submissions = Submissions()
+    tracepoints.subscribe(submissions)
+    try:
+        got = _run_chains(rings[0], size, chains, reference=False)
+        want = _run_chains(rings[1], size, chains, reference=True)
+    finally:
+        tracepoints.unsubscribe(submissions)
+    assert got == want
+    assert [refusal[1] for refusal in got[0]] == [[]] * len(got[0])  # nothing of a refused chain, nor debris, stays queued
+    assert submissions.batches.get(id(rings[0]), []) == submissions.batches.get(id(rings[1]), [])
+    assert own.meter.counters.get("syscall.io_uring_enter") == caller.meter.counters.get("syscall.io_uring_enter")
+    for batch in submissions.batches.get(id(rings[0]), []):
+        last_chain, last = batch[-1].user_data
+        assert len(batch) <= size and batch[0].user_data[1] == 0  # a batch starts on a chain's first entry ...
+        assert last == chains[last_chain] - 1  # ... and ends on one's last: no chain straddles a submit
 
 
 def test_bad_ring_size_rejected(sc):
@@ -493,3 +586,48 @@ def test_severed_chain_autocloses_under_race_detector(sc, ring):
     findings = detector.check()
     detector.reset()
     assert findings == []
+
+
+# -- one ring per context, and only the ring counts its room ---------------------------
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+_RING_SPELLINGS = {"ring", "uring", "_ring"}
+
+
+class _RingUses(ast.NodeVisitor):
+    """Every ``io_uring_setup(...)`` call outside ``Syscalls.ring`` and every read of a ring's room outside the ring."""
+
+    def __init__(self, module: str) -> None:
+        self.module = module
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "io_uring_setup" and (self.module, ".".join(self.scope)) != ("repro/vfs/syscalls.py", "Syscalls.ring"):
+            self.found.append(f"{self.module}:{node.lineno}: io_uring_setup() outside Syscalls.ring")
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        receiver = node.value
+        ringish = getattr(receiver, "id", None) in _RING_SPELLINGS or getattr(receiver, "attr", None) in _RING_SPELLINGS
+        if self.module != "repro/vfs/uring.py" and (node.attr == "sq_pending" or (node.attr == "entries" and ringish)):
+            self.found.append(f"{self.module}:{node.lineno}: a ring's .{node.attr} read outside the ring")
+        self.generic_visit(node)
+
+
+def test_a_context_has_one_ring_and_only_the_ring_counts_its_room():
+    found = []
+    for path in sorted(_SRC.rglob("*.py")):
+        uses = _RingUses(path.relative_to(_SRC).as_posix())
+        uses.visit(ast.parse(path.read_text(), str(path)))
+        found += uses.found
+    assert found == []

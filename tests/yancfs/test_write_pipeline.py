@@ -21,21 +21,23 @@ from repro.dataplane import Match, Output, build_linear
 from repro.drivers.openflow_driver import SwitchBinding
 from repro.libyanc import LibYanc
 from repro.openflow import messages as m
+from repro.perf import tracepoints
 from repro.runtime import YancController
 from repro.vfs import EventMask, FileExists, FileNotFound
 from repro.vfs.cred import ROOT
 from repro.vfs.notify import IN_ALL_EVENTS
-from repro.yancfs.client import YancClient, chain_len, flow_spec_files, write_object, write_objects_batched
+from repro.yancfs.client import YancClient, flow_spec_files, write_object, write_objects_batched
 from repro.yancfs.recovery import fsck
+from tests.vfs.test_uring import Submissions
 
 _DIRENT = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
 
 
-# -- chain room is derived, and chains never straddle a submit --------------------------
+# -- the ring keeps its own room: chains never straddle a submit ------------------------
 
 
-def _packet_in(client: YancClient, apps: list[str], **kwargs) -> int:
-    return client.write_packet_in_batched("s1", apps, 7, in_port=1, reason="no_match", buffer_id=3, total_len=4, data=b"\x00\x01\x02\x03", **kwargs)
+def _packet_in(client: YancClient, apps: list[str]) -> int:
+    return client.write_packet_in_batched("s1", apps, 7, in_port=1, reason="no_match", buffer_id=3, total_len=4, data=b"\x00\x01\x02\x03")
 
 
 @pytest.fixture
@@ -54,9 +56,9 @@ def test_a_ring_smaller_than_the_batch_submits_once_per_chain(client):
         client.subscribe_events("s1", app)
         watches[app] = sc.inotify_init()
         sc.inotify_add_watch(watches[app], client.events_path("s1", app), _DIRENT)
-    assert chain_len({"in_port": "", "reason": "", "buffer_id": "", "total_len": "", "data": b""}, "rename") == 17
+    sc._ring = sc.io_uring_setup(entries=20)  # the context's ring, small: mkdir, five files, rename is 17 entries
     before = sc.meter.counters.get("syscall.io_uring_enter")
-    assert _packet_in(client, apps, uring=sc.io_uring_setup(entries=20)) == 5
+    assert _packet_in(client, apps) == 5
     assert sc.meter.counters.get("syscall.io_uring_enter") - before == 5
     for app in apps:
         visible = [(e.mask & ~EventMask.IN_ISDIR, e.name) for e in sc.inotify_read(watches[app]) if not e.name.startswith(".")]
@@ -64,16 +66,24 @@ def test_a_ring_smaller_than_the_batch_submits_once_per_chain(client):
         assert [event.data for event in client.read_events("s1", app)] == [b"\x00\x01\x02\x03"]
 
 
-def test_a_dedicated_ring_takes_the_whole_batch_in_one_crossing(client):
-    """40 flows with long specs: the ring is sized from the objects, not from a guess."""
+def test_a_batch_past_the_ring_crosses_once_per_ring_full_each_chain_whole(client):
+    """40 flows of 40 entries each through the context's 1024-entry ring: 25 chains, then 15, none split."""
     sc = client.sc
     match = Match(in_port=1, dl_type=0x0800, nw_proto=6, tp_src=1, tp_dst=80, dl_vlan=2)
     entries = [(f"f{i}", match, [Output(1), Output(2), Output(3)]) for i in range(40)]
     spec = flow_spec_files(match, entries[0][2], priority=5, idle_timeout=1, hard_timeout=2)
-    assert 40 * chain_len(spec, "version") > 256  # the floor alone would not hold the batch
-    before = sc.meter.counters.get("syscall.io_uring_enter")
-    assert client.create_flows_batched("s1", entries, priority=5, idle_timeout=1, hard_timeout=2) == 40
-    assert sc.meter.counters.get("syscall.io_uring_enter") - before == 1
+    assert 1 + 3 * (len(spec) + 1) == 40  # mkdir, then open/write/close per spec file and the version
+    submitted = Submissions()
+    tracepoints.subscribe(submitted)
+    try:
+        before = sc.meter.counters.get("syscall.io_uring_enter")
+        assert client.create_flows_batched("s1", entries, priority=5, idle_timeout=1, hard_timeout=2) == 40
+        assert sc.meter.counters.get("syscall.io_uring_enter") - before == 2
+    finally:
+        tracepoints.unsubscribe(submitted)
+    batches = submitted.batches[id(sc.ring)]
+    assert [len(batch) for batch in batches] == [1000, 600]
+    assert batches[0][0].op == "mkdir" and not batches[0][-1].link  # the first batch ends on a chain's last entry
     assert all(client.read_flow("s1", name).version == 1 for name, _m, _a in entries)
 
 
@@ -207,9 +217,8 @@ def test_ring_failure_cancels_only_its_own_chain(client, publish):
             parent, files = client.events_path("s1", "a"), _files()
             bad = dict(_files(), **{"nested/name": "x"})  # the open fails
         objects = [(f"{parent}/{name}", bad if name == "bad" else files, publish) for name in ("o1", "dup", "dup", "bad", "o2")]
-        ring = sc.io_uring_setup(entries=256)
-        assert write_objects_batched(sc, objects, ring) == 3
-        assert ring.cq_pending == 0 and ring.sq_pending == 0
+        assert write_objects_batched(sc, objects) == 3
+        assert sc.ring.cq_pending == 0 and sc.ring.sq_pending == 0
         assert sorted(name for name in sc.listdir(parent) if not name.startswith(".")) == (["bad"] if publish == "version" else []) + ["dup", "o1", "o2"]
         if publish == "version":
             assert [client.read_flow("s1", name).version for name in ("o1", "dup", "o2", "bad")] == [1, 1, 1, 0]
