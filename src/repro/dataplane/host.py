@@ -15,7 +15,7 @@ from repro.netpkt.addr import BROADCAST_MAC, MacAddress, ip
 from repro.netpkt.arp import ARP_REQUEST, Arp
 from repro.netpkt.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, Ethernet
 from repro.netpkt.ipv4 import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, IPPROTO_ICMP, IPPROTO_UDP, Icmp, IPv4
-from repro.netpkt.packet import ParsedFrame, build_frame, parse_frame
+from repro.netpkt.packet import Frame, ParsedFrame, build_frame, parse_frame
 from repro.netpkt.transport import Udp
 from repro.sim import Simulator
 
@@ -59,7 +59,7 @@ class HostSim:
         if self.link is None:
             return
         self.tx_frames += 1
-        self.link.transmit(self, raw)
+        self.link.transmit(self, Frame(raw))
 
     def _send_ip(self, dst_ip: IPv4Address, proto: int, payload: bytes) -> None:
         dst_mac = self.arp_table.get(dst_ip)
@@ -102,11 +102,11 @@ class HostSim:
 
     # -- receive -------------------------------------------------------------------
 
-    def handle_frame(self, raw: bytes) -> None:
+    def handle_frame(self, wire: Frame) -> None:
         """Link delivery entry point."""
         self.rx_frames += 1
         try:
-            frame = parse_frame(raw)
+            frame = wire.parse()
         except ValueError:
             return
         if not (frame.eth.dst == self.mac or frame.eth.dst.is_broadcast or frame.eth.dst.is_multicast):

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.netpkt.packet import Frame
 from repro.sim import Simulator
 
 
 class LinkEndpoint(Protocol):
     """Anything a link can join: a switch port or a host NIC."""
 
-    def handle_frame(self, raw: bytes) -> None:
-        """Deliver an arriving frame."""
+    def handle_frame(self, frame: Frame) -> None:
+        """Deliver an arriving frame (shared with every other receiver; do not modify it)."""
         ...
 
     @property
@@ -42,14 +43,14 @@ class Link:
             return self.a
         raise ValueError("endpoint is not attached to this link")
 
-    def transmit(self, sender: LinkEndpoint, raw: bytes) -> None:
-        """Carry ``raw`` from ``sender`` to the peer after the latency."""
+    def transmit(self, sender: LinkEndpoint, frame: Frame) -> None:
+        """Carry ``frame`` from ``sender`` to the peer after the latency."""
         if not self.up:
             self.dropped_frames += 1
             return
         peer = self.peer_of(sender)
         self.tx_frames += 1
-        self.sim.schedule(self.latency, lambda: peer.handle_frame(raw))
+        self.sim.schedule(self.latency, lambda: peer.handle_frame(frame))
 
     def set_up(self, up: bool) -> None:
         """Administratively raise or cut the link."""

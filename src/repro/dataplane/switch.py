@@ -17,7 +17,7 @@ from repro.dataplane.actions import (
 from repro.dataplane.flowtable import FlowEntry, FlowRemovedReason, FlowTable
 from repro.dataplane.link import Link
 from repro.netpkt.addr import MacAddress
-from repro.netpkt.packet import ParsedFrame, parse_frame
+from repro.netpkt.packet import Frame, parse_frame
 from repro.sim import Simulator
 
 #: OpenFlow's "packet is not buffered" sentinel.
@@ -85,23 +85,23 @@ class PortSim:
         """Usable for forwarding: admin up and carrier present."""
         return self.admin_up and self.link_up
 
-    def handle_frame(self, raw: bytes) -> None:
+    def handle_frame(self, frame: Frame) -> None:
         """Link delivery entry point."""
         if not self.admin_up:
             return
         self.rx_packets += 1
-        self.rx_bytes += len(raw)
-        self.switch.ingress(self, raw)
+        self.rx_bytes += len(frame.raw)
+        self.switch.ingress(self, frame)
 
-    def transmit(self, raw: bytes) -> None:
+    def transmit(self, frame: Frame) -> None:
         """Send a frame out this port."""
         if not self.is_up:
             self.tx_dropped += 1
             return
         self.tx_packets += 1
-        self.tx_bytes += len(raw)
+        self.tx_bytes += len(frame.raw)
         assert self.link is not None
-        self.link.transmit(self, raw)
+        self.link.transmit(self, frame)
 
     def set_admin_up(self, up: bool) -> None:
         """Controller port-mod: bring the port up or down."""
@@ -180,53 +180,65 @@ class SwitchSim:
 
     # -- pipeline ----------------------------------------------------------------
 
-    def ingress(self, port: PortSim, raw: bytes) -> None:
-        """Run a received frame through the flow table."""
+    def ingress(self, port: PortSim, frame: Frame) -> None:
+        """Run a received frame through the flow table.
+
+        Only the first switch a frame reaches parses it; one that cannot be
+        parsed is counted in ``rx_errors`` here and goes no further.
+        """
         try:
-            frame = parse_frame(raw)
+            key = frame.parse().key
         except ValueError:
             self.rx_errors += 1
             return
-        entry = self.table.lookup(frame.key, port.port_no)
+        entry = self.table.lookup(key, port.port_no)
         if entry is None:
-            self._punt(port.port_no, raw, PacketInReason.NO_MATCH)
+            self._punt(port.port_no, frame.raw, PacketInReason.NO_MATCH)
             return
-        entry.hit(self.sim.now, len(raw))
+        entry.hit(self.sim.now, len(frame.raw))
         self.apply_actions(entry.actions, frame, port.port_no)
 
-    def apply_actions(self, actions: list[Action], frame: ParsedFrame, in_port: int) -> None:
-        """Apply an action list: rewrites accumulate, outputs emit."""
-        dirty = False
+    def apply_actions(self, actions: list[Action], frame: Frame, in_port: int) -> None:
+        """Apply an action list: rewrites accumulate, outputs emit.
+
+        ``frame`` may be on other links too, so it is never modified: the
+        first rewrite after an output works on a private copy,
+        ``parse_frame(frame.raw)``, which is repacked into a new frame
+        before its own output.
+        """
+        copy = None
         for action in actions:
             if isinstance(action, Output):
-                raw = frame.repack() if dirty else frame.raw
-                dirty = False
-                self._output(action.port, raw, in_port)
+                if copy is not None:
+                    frame = Frame(copy.repack(), copy)
+                    copy = None
+                self._output(action.port, frame, in_port)
             else:
-                action.apply(frame)
-                dirty = True
+                if copy is None:
+                    copy = parse_frame(frame.raw)
+                action.apply(copy)
 
-    def _output(self, out_port: int, raw: bytes, in_port: int) -> None:
+    def _output(self, out_port: int, frame: Frame, in_port: int) -> None:
         if out_port == TO_CONTROLLER:
-            self._punt(in_port, raw, PacketInReason.ACTION)
+            self._punt(in_port, frame.raw, PacketInReason.ACTION)
         elif out_port in (FLOOD, ALL):
             for port in self.ports.values():
                 if port.port_no == in_port:
                     continue
                 if out_port == FLOOD and not port.is_up:
                     continue
-                port.transmit(raw)
+                port.transmit(frame)
         elif out_port == IN_PORT:
-            self._transmit_on(in_port, raw)
+            self._transmit_on(in_port, frame)
         elif out_port == LOCAL:
             return  # no local networking stack in the simulator
         else:
-            self._transmit_on(out_port, raw)
+            self._transmit_on(out_port, frame)
 
-    def _transmit_on(self, port_no: int, raw: bytes) -> None:
+    def _transmit_on(self, port_no: int, frame: Frame) -> None:
         port = self.ports.get(port_no)
         if port is not None:
-            port.transmit(raw)
+            port.transmit(frame)
 
     def _punt(self, in_port: int, raw: bytes, reason: PacketInReason) -> None:
         if self.controller is None:
@@ -250,9 +262,8 @@ class SwitchSim:
             buffered = self._buffers.pop(buffer_id, None)
             if buffered is not None:
                 in_port, raw = buffered
-                frame = parse_frame(raw)
                 entry.hit(self.sim.now, len(raw))
-                self.apply_actions(entry.actions, frame, in_port)
+                self.apply_actions(entry.actions, Frame(raw), in_port)
         return entry
 
     def delete_flows(self, match, *, strict: bool = False, priority: int = 0x8000, notify: bool = False) -> int:
@@ -274,7 +285,8 @@ class SwitchSim:
             raw = data
         if not raw:
             return
-        frame = parse_frame(raw)
+        frame = Frame(raw)
+        frame.parse()  # a frame that cannot be parsed is refused with ValueError
         self.apply_actions(actions, frame, in_port)
 
     def start_expiry(self, interval: float = 1.0) -> None:

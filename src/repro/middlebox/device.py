@@ -20,7 +20,7 @@ from typing import Callable
 from repro.dataplane.link import Link
 from repro.netpkt.addr import ip
 from repro.netpkt.ipv4 import IPPROTO_TCP, IPPROTO_UDP
-from repro.netpkt.packet import ParsedFrame, parse_frame
+from repro.netpkt.packet import Frame, ParsedFrame, parse_frame
 from repro.netpkt.transport import Tcp, Udp
 from repro.sim import Simulator
 
@@ -55,12 +55,12 @@ class _Side:
     def endpoint_name(self) -> str:
         return f"{self.box.name}:{self.name}"
 
-    def handle_frame(self, raw: bytes) -> None:
-        self.box.process(self.name, raw)
+    def handle_frame(self, frame: Frame) -> None:
+        self.box.process(self.name, frame)
 
-    def transmit(self, raw: bytes) -> None:
+    def transmit(self, frame: Frame) -> None:
         if self.link is not None:
-            self.link.transmit(self, raw)
+            self.link.transmit(self, frame)
 
 
 class NatMiddlebox:
@@ -146,21 +146,27 @@ class NatMiddlebox:
 
     # -- the datapath ---------------------------------------------------------------
 
-    def process(self, side: str, raw: bytes) -> None:
-        """Translate and forward one frame."""
+    def process(self, side: str, frame: Frame) -> None:
+        """Translate and forward one frame.
+
+        The arriving frame may be on other links too, so a translation
+        rewrites a private copy, ``parse_frame(frame.raw)``.
+        """
         try:
-            frame = parse_frame(raw)
+            parsed = frame.parse()
         except ValueError:
             self.dropped += 1
             return
-        if frame.ipv4 is None or not isinstance(frame.inner, (Tcp, Udp)):
+        if parsed.ipv4 is None or not isinstance(parsed.inner, (Tcp, Udp)):
             # non-TCP/UDP traffic passes through untranslated
-            (self.outside if side == "inside" else self.inside).transmit(raw)
+            (self.outside if side == "inside" else self.inside).transmit(frame)
             return
         if side == "inside":
-            self._translate_out(frame)
+            self._translate_out(parse_frame(frame.raw))
+        elif parsed.ipv4.dst != self.public_ip:
+            self.inside.transmit(frame)
         else:
-            self._translate_in(frame)
+            self._translate_in(parse_frame(frame.raw))
 
     def _translate_out(self, frame: ParsedFrame) -> None:
         assert frame.ipv4 is not None
@@ -180,15 +186,12 @@ class NatMiddlebox:
         frame.ipv4.src = self.public_ip
         transport.src_port = entry.public_port
         self.translated += 1
-        self.outside.transmit(frame.repack())
+        self.outside.transmit(Frame(frame.repack(), frame))
 
     def _translate_in(self, frame: ParsedFrame) -> None:
         assert frame.ipv4 is not None
         transport = frame.inner
         assert isinstance(transport, (Tcp, Udp))
-        if frame.ipv4.dst != self.public_ip:
-            self.inside.transmit(frame.raw)
-            return
         entry = self._by_public.get((frame.ipv4.proto, transport.dst_port))
         if entry is None:
             self.dropped += 1
@@ -200,4 +203,4 @@ class NatMiddlebox:
         frame.ipv4.dst = entry.client_ip
         transport.dst_port = entry.client_port
         self.translated += 1
-        self.inside.transmit(frame.repack())
+        self.inside.transmit(Frame(frame.repack(), frame))

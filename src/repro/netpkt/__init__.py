@@ -13,7 +13,8 @@ The public surface:
   :class:`IPv4`, :class:`Icmp`, :class:`Tcp`, :class:`Udp`, :class:`Lldp` —
   each with ``pack()`` and ``unpack()``.
 * :func:`parse_frame` — parse a full frame into a :class:`ParsedFrame` with
-  the header stack and the flow key used for table matching.
+  the header stack and the flow key used for table matching; a
+  :class:`Frame` is what a link carries, parsed at most once.
 """
 
 from repro.netpkt.addr import BROADCAST_MAC, MacAddress, cidr, ip
@@ -28,7 +29,7 @@ from repro.netpkt.ethernet import (
 )
 from repro.netpkt.ipv4 import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, Icmp, IPv4
 from repro.netpkt.lldp import Lldp, LLDP_MULTICAST_MAC
-from repro.netpkt.packet import FlowKey, ParsedFrame, parse_frame
+from repro.netpkt.packet import FlowKey, Frame, ParsedFrame, parse_frame
 from repro.netpkt.transport import Tcp, Udp
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "Lldp",
     "LLDP_MULTICAST_MAC",
     "FlowKey",
+    "Frame",
     "ParsedFrame",
     "parse_frame",
     "Tcp",

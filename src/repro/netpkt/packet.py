@@ -10,6 +10,7 @@ tp_dst.  The yanc flow files ``match.*`` use exactly these field names
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from ipaddress import IPv4Address
 
 from repro.netpkt.addr import MacAddress
@@ -77,8 +78,9 @@ class ParsedFrame:
 
         Rebuilds from the deepest parsed layer outward so changed fields
         (and the IPv4 checksum) are freshly encoded, then refreshes
-        ``raw``.
+        ``raw`` and forgets the cached :attr:`key`.
         """
+        self.__dict__.pop("key", None)
         if self.ipv4 is not None:
             if isinstance(self.inner, (Tcp, Udp, Icmp)):
                 self.ipv4.payload = self.inner.pack()
@@ -88,9 +90,9 @@ class ParsedFrame:
         self.raw = self.eth.pack()
         return self.raw
 
-    @property
+    @cached_property
     def key(self) -> FlowKey:
-        """The flow key this frame presents to a flow table."""
+        """The flow key this frame presents to a flow table (computed once)."""
         vlan = self.eth.vlan
         nw_src = nw_dst = nw_proto = nw_tos = None
         tp_src = tp_dst = None
@@ -118,6 +120,29 @@ class ParsedFrame:
             tp_src=tp_src,
             tp_dst=tp_dst,
         )
+
+
+class Frame:
+    """One datagram on the wire: its bytes, parsed at most once.
+
+    A frame on a link is immutable.  A FLOOD hands the same object to every
+    port, every hop after the first reuses the first hop's parse, and a hop
+    that rewrites headers works on a private copy, ``parse_frame(raw)``,
+    which it repacks and sends as a new frame.
+    """
+
+    __slots__ = ("raw", "_parsed")
+
+    def __init__(self, raw: bytes, parsed: ParsedFrame | None = None) -> None:
+        self.raw = raw
+        self._parsed = parsed
+
+    def parse(self) -> ParsedFrame:
+        """The parse of :attr:`raw`, made on first use; ValueError as :func:`parse_frame`."""
+        parsed = self._parsed
+        if parsed is None:
+            parsed = self._parsed = parse_frame(self.raw)
+        return parsed
 
 
 def parse_frame(raw: bytes) -> ParsedFrame:

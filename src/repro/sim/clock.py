@@ -11,20 +11,22 @@ from repro.perf.tracepoints import entering as _entering
 from repro.perf.tracepoints import subscribers as _tracing
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, seq)``; ``seq`` is a creation counter so ties
-    resolve in scheduling order, which keeps runs deterministic.
+    Events fire in ``(time, seq)`` order; ``seq`` is a creation counter so
+    ties resolve in scheduling order, which keeps runs deterministic.  The
+    queue holds ``(time, seq, event)`` tuples, so the heap compares in C
+    and never reaches the event itself.
     """
 
     time: float
     seq: int
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
-    _sim: "Simulator | None" = field(default=None, compare=False, repr=False)
+    fn: Callable[[], None]
+    cancelled: bool = False
+    fired: bool = False
+    _sim: "Simulator | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Prevent this event from firing (no-op if already fired)."""
@@ -41,7 +43,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._dispatched = 0
         #: Live (not cancelled, not yet fired) events in the queue; kept
         #: in step with schedule/cancel/dispatch so ``pending`` is O(1).
@@ -75,10 +77,11 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        event = Event(time=self._now + delay, seq=self._seq, fn=fn, _sim=self)
+        when = self._now + delay
+        event = Event(when, self._seq, fn, _sim=self)
+        heapq.heappush(self._queue, (when, self._seq, event))
         self._seq += 1
         self._live += 1
-        heapq.heappush(self._queue, event)
         return event
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> Event:
@@ -90,12 +93,12 @@ class Simulator:
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            when, _seq, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue  # its cancel() already dropped the live counter
             event.fired = True
             self._live -= 1
-            self._now = event.time
+            self._now = when
             self._dispatched += 1
             event.fn()
             return True
@@ -130,11 +133,11 @@ class Simulator:
             return _around("sim_run", (self,), self.run_until, deadline, max_events)
         fired = 0
         while self._queue:
-            head = self._queue[0]
+            when, _seq, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.time > deadline:
+            if when > deadline:
                 break
             self.step()
             fired += 1

@@ -36,8 +36,15 @@ memo, and clones and pivots start empty.  And a file system whose
 contents over RPC inside it) sets ``Filesystem.cacheable = False``: a walk
 that traverses one of its directories is never stored.
 
-Entries hold strong references to the inodes they name; the memo is
-bounded (FIFO eviction) so detached subtrees are only pinned temporarily.
+Entries hold strong references to the inodes they name, so an entry the
+rule already refuses would pin a deleted subtree (a consumed packet-in, a
+retired flow) until something probed its key again.  Such entries are
+swept: whenever the memo has doubled since the last sweep (and holds at
+least :data:`SWEEP_FLOOR` entries), :meth:`DentryCache.store_path` drops
+every entry :func:`holds` refuses, counting each as an invalidation.  The
+memo therefore stays within twice its servable entries plus the floor,
+and a swept entry is one that would never have been served, so no hit is
+lost.  Past that, the memo is bounded (FIFO eviction at ``capacity``).
 """
 
 from __future__ import annotations
@@ -50,8 +57,30 @@ if TYPE_CHECKING:
 #: Default entry bound; mirrors the spirit of Linux's bounded dcache.
 DEFAULT_CAPACITY = 32768
 
+#: Fewest entries at which :meth:`DentryCache.store_path` sweeps refused ones.
+SWEEP_FLOOR = 1024
+
 #: Counter names published into :class:`~repro.perf.counters.PerfCounters`.
 _COUNTER_FIELDS = ("path_hits", "path_misses", "invalidations", "evictions", "flushes")
+
+
+def holds(deps) -> bool:
+    """The one validation rule: may an entry with these ``deps`` be served?
+
+    True iff every dep's directory still maps its name to the same inode
+    and the directory's ``acl`` (by identity), ``uid``, ``gid`` and
+    ``mode`` are what the walk saw.
+    """
+    for cur_dir, name, child, acl, uid, gid, mode in deps:
+        if (
+            cur_dir._children.get(name) is not child
+            or cur_dir.acl is not acl
+            or cur_dir.uid != uid
+            or cur_dir.gid != gid
+            or cur_dir.mode != mode
+        ):
+            return False
+    return True
 
 
 class DentryCache:
@@ -62,7 +91,7 @@ class DentryCache:
     parity reference the tests and ``bench_vfs_resolve.py`` compare against.
     """
 
-    __slots__ = ("capacity", "enabled", "paths", "_published", *_COUNTER_FIELDS)
+    __slots__ = ("capacity", "enabled", "paths", "_published", "_sweep_at", *_COUNTER_FIELDS)
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
@@ -74,10 +103,17 @@ class DentryCache:
         self.evictions = 0
         self.flushes = 0
         self._published: dict[str, int] = {}
+        self._sweep_at = SWEEP_FLOOR
 
     def store_path(self, key, deps, result) -> None:
         """Memoize a complete successful resolution under ``key``."""
         paths = self.paths
+        if len(paths) >= self._sweep_at:
+            refused = [k for k, (held, _result) in paths.items() if not holds(held)]
+            for k in refused:
+                del paths[k]
+            self.invalidations += len(refused)
+            self._sweep_at = max(SWEEP_FLOOR, 2 * len(paths))
         if len(paths) >= self.capacity:
             paths.pop(next(iter(paths)))
             self.evictions += 1

@@ -15,6 +15,7 @@ from repro.perf.tracepoints import publish as _publish
 from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.acl import Acl
 from repro.vfs.cred import Credentials
+from repro.vfs.dcache import holds
 from repro.vfs.errors import (
     BadFileDescriptor,
     CrossDevice,
@@ -287,7 +288,7 @@ class VirtualFileSystem:
 
         A memoized resolution is served iff every dentry it walked still
         stands and every permission input it checked is unchanged (the one
-        rule of :mod:`repro.vfs.dcache`); nothing else validates it and
+        rule, :func:`repro.vfs.dcache.holds`); nothing else validates it and
         nothing invalidates it from outside.
         """
         if not parts:
@@ -298,20 +299,11 @@ class VirtualFileSystem:
             key = (parts, follow_last, cred)
             entry = dcache.paths.get(key)
             if entry is not None:
-                for cur_dir, name, child, acl, uid, gid, mode in entry[0]:
-                    if (
-                        cur_dir._children.get(name) is not child
-                        or cur_dir.acl is not acl
-                        or cur_dir.uid != uid
-                        or cur_dir.gid != gid
-                        or cur_dir.mode != mode
-                    ):
-                        del dcache.paths[key]
-                        dcache.invalidations += 1
-                        break
-                else:
+                if holds(entry[0]):
                     dcache.path_hits += 1
                     return entry[1]
+                del dcache.paths[key]
+                dcache.invalidations += 1
             dcache.path_misses += 1
             deps = []
         stack: list[Inode] = [ns.root_entry.root]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dataplane import Link, Network
+from repro.netpkt import Frame
 from repro.sim import Simulator
 
 
@@ -15,16 +16,16 @@ class SinkEndpoint:
     def endpoint_name(self):
         return self.name
 
-    def handle_frame(self, raw):
-        self.frames.append(raw)
+    def handle_frame(self, frame):
+        self.frames.append(frame.raw)
 
 
 def test_transmit_both_directions():
     sim = Simulator()
     a, b = SinkEndpoint("a"), SinkEndpoint("b")
     link = Link(sim, a, b)
-    link.transmit(a, b"to-b")
-    link.transmit(b, b"to-a")
+    link.transmit(a, Frame(b"to-b"))
+    link.transmit(b, Frame(b"to-a"))
     sim.run()
     assert b.frames == [b"to-b"]
     assert a.frames == [b"to-a"]
@@ -35,7 +36,7 @@ def test_latency_delays_delivery():
     sim = Simulator()
     a, b = SinkEndpoint("a"), SinkEndpoint("b")
     link = Link(sim, a, b, latency=0.25)
-    link.transmit(a, b"x")
+    link.transmit(a, Frame(b"x"))
     sim.run_until(0.2)
     assert b.frames == []
     sim.run_until(0.3)
@@ -47,12 +48,12 @@ def test_down_link_drops_and_counts():
     a, b = SinkEndpoint("a"), SinkEndpoint("b")
     link = Link(sim, a, b)
     link.set_up(False)
-    link.transmit(a, b"lost")
+    link.transmit(a, Frame(b"lost"))
     sim.run()
     assert b.frames == []
     assert link.dropped_frames == 1
     link.set_up(True)
-    link.transmit(a, b"ok")
+    link.transmit(a, Frame(b"ok"))
     sim.run()
     assert b.frames == [b"ok"]
 

@@ -14,7 +14,7 @@ from repro.dataplane import (
     SetNwDst,
 )
 from repro.dataplane.switch import NO_BUFFER
-from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, MacAddress, Udp, ip, parse_frame
+from repro.netpkt import ETH_TYPE_IPV4, Ethernet, Frame, IPv4, MacAddress, Udp, ip, parse_frame
 from repro.netpkt.packet import build_frame
 from repro.sim import Simulator
 
@@ -199,7 +199,7 @@ def test_duplicate_port_number_rejected(wired):
 
 def test_malformed_frame_counted_not_crashing(wired):
     net, a, _b, _ha, _hb = wired
-    a.ports[2].handle_frame(b"\x01")
+    a.ports[2].handle_frame(Frame(b"\x01"))
     assert a.rx_errors == 1
 
 

@@ -1,11 +1,14 @@
 """Full-frame parsing and the flow key."""
 
+import pytest
+
 from repro.netpkt import (
     ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     ETH_TYPE_LLDP,
     Arp,
     Ethernet,
+    Frame,
     Icmp,
     IPv4,
     Lldp,
@@ -109,6 +112,25 @@ def test_repack_after_field_rewrite():
     reparsed = parse_frame(frame.repack())
     assert reparsed.key.nw_dst == ip("10.9.9.9")
     assert reparsed.key.tp_dst == 2222
+
+
+def test_key_is_computed_once_and_repack_forgets_it():
+    frame = parse_frame(_tcp_frame())
+    assert frame.key is frame.key
+    frame.ipv4.dst = ip("10.9.9.9")
+    frame.repack()
+    assert frame.key.nw_dst == ip("10.9.9.9")
+
+
+def test_a_wire_frame_is_parsed_on_first_use_only():
+    raw = _tcp_frame()
+    wire = Frame(raw)
+    assert wire.parse() is wire.parse()
+    assert wire.parse() == parse_frame(raw)
+    broken = Frame(b"\x01")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            broken.parse()
 
 
 def test_repack_recomputes_ip_checksum():

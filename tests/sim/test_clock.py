@@ -1,6 +1,8 @@
 """The discrete-event simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 
@@ -155,3 +157,84 @@ def test_cancel_is_idempotent_for_pending():
     assert sim.pending == 0
     other.cancel()  # cancel-after-fire is a no-op
     assert sim.pending == 0
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        # An event whose callback schedules another, ``delay`` later.
+        st.tuples(st.just("chain"), st.sampled_from([0.0, 0.5])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("step"), st.none()),
+        st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.5])),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_OPS)
+def test_fire_order_is_the_time_seq_sort(ops):
+    """Random schedule/cancel/step runs against a sorted-dict reference:
+    events fire in ``(time, seq)`` order, and ``pending``, ``dispatched``
+    and ``now`` agree after every operation."""
+    sim = Simulator()
+    fired: list[int] = []
+    handles = {}
+    labels = iter(range(10**6))
+
+    def sim_schedule(delay, chained):
+        label = next(labels)
+
+        def fire():
+            fired.append(label)
+            if chained is not None:
+                sim_schedule(chained, None)
+
+        handles[label] = sim.schedule(delay, fire)
+
+    # The reference: label -> (time, label, chained delay); the label is the scheduling order.
+    queue: dict[int, tuple[float, int, float | None]] = {}
+    expected: list[int] = []
+    ref_labels = iter(range(10**6))
+    now = 0.0
+
+    def ref_schedule(when, chained):
+        label = next(ref_labels)
+        queue[label] = (when, label, chained)
+
+    def ref_fire(until=None):
+        nonlocal now
+        while queue:
+            when, label, chained = min(queue.values())
+            if until is not None and when > until:
+                break
+            del queue[label]
+            now = when
+            expected.append(label)
+            if chained is not None:
+                ref_schedule(when + chained, None)
+            if until is None:
+                break
+
+    for op, arg in ops:
+        if op in ("schedule", "chain"):
+            chained = None if op == "schedule" else arg
+            sim_schedule(arg, chained)
+            ref_schedule(now + arg, chained)
+        elif op == "cancel":
+            if arg in handles:
+                handles[arg].cancel()
+                queue.pop(arg, None)
+        elif op == "step":
+            assert sim.step() == bool(queue)
+            ref_fire()
+        else:
+            deadline = now + arg
+            sim.run_until(deadline)
+            ref_fire(deadline)
+            now = max(now, deadline)
+        assert fired == expected
+        assert sim.pending == len(queue)
+        assert sim.dispatched == len(expected)
+        assert sim.now == now

@@ -8,8 +8,12 @@ leave an entry standing, and that the counters and the PerfCounters
 bridge behave.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.dataplane import Match, Output
 from repro.vfs import (
     Acl,
     Credentials,
@@ -18,6 +22,7 @@ from repro.vfs import (
     PermissionDenied,
     Syscalls,
 )
+from repro.vfs.dcache import SWEEP_FLOOR, holds
 
 # -- basic caching behavior ---------------------------------------------------
 
@@ -326,3 +331,62 @@ def test_counters_publish_into_perfcounters(vfs, sc):
     hits = vfs.counters.get("dcache.path_hits")
     sc.ns.dcache.publish(vfs.counters)
     assert vfs.counters.get("dcache.path_hits") == hits
+
+
+# -- the sweep: refused entries do not pin what they name ---------------------
+
+
+def _servable(dcache) -> int:
+    return sum(holds(deps) for deps, _result in dcache.paths.values())
+
+
+def _churn(sc, start: int, count: int) -> None:
+    """Create, rename, look up and delete ``count`` never-reused names."""
+    for i in range(start, start + count):
+        sc.write_text(f"/churn/a{i}", "x")
+        sc.rename(f"/churn/a{i}", f"/churn/b{i}")
+        sc.stat(f"/churn/b{i}")
+        sc.unlink(f"/churn/b{i}")
+
+
+def test_churn_keeps_the_memo_within_twice_the_servable_entries(sc):
+    dcache = sc.ns.dcache
+    sc.mkdir("/churn")
+    swept = dcache.invalidations
+    for start in range(0, 4 * SWEEP_FLOOR, 64):
+        _churn(sc, start, 64)
+        assert len(dcache.paths) <= 2 * _servable(dcache) + SWEEP_FLOOR
+    # Every name above was resolved once and then deleted: without the
+    # sweep the memo would hold all of them.
+    assert dcache.invalidations - swept >= 3 * SWEEP_FLOOR
+    assert dcache.evictions == 0
+
+
+def test_a_deleted_object_directory_is_not_pinned(yc):
+    sc = yc.sc
+    yc.create_switch("sw1")
+    path = yc.create_flow("sw1", "f1", Match(tp_dst=22), [Output(1)])
+    sc.read_text(f"{path}/version")
+    flow = weakref.ref(sc.vfs.resolve(sc.ns, sc.cred, path))
+    yc.delete_flow("sw1", "f1")
+    sc.mkdir("/churn")
+    _churn(sc, 0, SWEEP_FLOOR)
+    gc.collect()
+    assert flow() is None
+
+
+def test_the_sweep_never_costs_a_hit_on_the_working_set(sc):
+    dcache = sc.ns.dcache
+    sc.makedirs("/stable/deep/dir")
+    working = [f"/stable/deep/dir/f{i}" for i in range(50)]
+    for path in working:
+        sc.write_text(path, "x")
+    sc.mkdir("/churn")
+    for round_no in range(6):
+        for path in working:
+            hits, misses = dcache.path_hits, dcache.path_misses
+            sc.stat(path)
+            if round_no:
+                assert (dcache.path_hits - hits, dcache.path_misses - misses) == (1, 0)
+        _churn(sc, round_no * SWEEP_FLOOR, SWEEP_FLOOR)
+    assert dcache.invalidations >= 5 * SWEEP_FLOOR
