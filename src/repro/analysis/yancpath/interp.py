@@ -106,6 +106,28 @@ def syscall_method(call: ast.Call) -> str | None:
     return None
 
 
+def _opens_directory(call: ast.Call, shift: int) -> bool:
+    """Does this ``open`` (or ring entry queuing one) pass ``O_DIRECTORY`` in its flags?"""
+    flags = call.args[shift + 1] if len(call.args) > shift + 1 else None
+    return flags is not None and any(
+        (isinstance(node, ast.Name) and node.id == "O_DIRECTORY") or (isinstance(node, ast.Attribute) and node.attr == "O_DIRECTORY")
+        for node in ast.walk(flags)
+    )
+
+
+def _dir_fd_key(call: ast.Call) -> str | None:
+    """The state key of the directory an ``open``'s ``dir_fd=`` names, None without one.
+
+    A ring chain's ``LINK_DIRFD`` is bound by the chain's ``O_DIRECTORY``
+    open; any other descriptor gets a key nothing binds (its path is
+    unknown).  Neither key is an identifier, so neither meets a variable.
+    """
+    for kw in call.keywords:
+        if kw.arg == "dir_fd":
+            return " LINK_DIRFD" if isinstance(kw.value, ast.Name) and kw.value.id == "LINK_DIRFD" else " dirfd"
+    return None
+
+
 def queued_syscall(call: ast.Call) -> tuple[str, int] | None:
     """``(method, shift)`` when ``call`` queues a ring entry.
 
@@ -141,6 +163,10 @@ _PROPAGATORS = frozenset(
 #: A call whose name says it judges its input counts as the validator
 #: between source and sink (flow_file_validator, sanitize_name, ...).
 _SANITIZER = re.compile(r"valid|sanitiz|check|clean|escape|quote|safe|basename", re.I)
+
+#: An attribute naming a table of entries (``entries``, ``_flow_entries``), not one merely
+#: spelled with the word inside it (an inode's ``dentries`` are its names).
+_TABLE_ATTR = re.compile(r"(?:^|_)entries")
 
 _CLEAN: frozenset = frozenset()
 
@@ -911,7 +937,7 @@ class FuncInterp:
                 isinstance(func, ast.Attribute)
                 and func.attr == "values"
                 and isinstance(func.value, ast.Attribute)
-                and "entries" in func.value.attr
+                and _TABLE_ATTR.search(func.value.attr)
             ):
                 return False, "entries"
             return False, "for"
@@ -919,7 +945,7 @@ class FuncInterp:
             return False, "listdir"
         if isinstance(iterable, ast.Name) and iterable.id in state.tablerows:
             return False, "entries"
-        if isinstance(iterable, ast.Attribute) and "entries" in iterable.attr:
+        if isinstance(iterable, ast.Attribute) and _TABLE_ATTR.search(iterable.attr):
             return False, "entries"
         return False, "for"
 
@@ -949,7 +975,7 @@ class FuncInterp:
                 isinstance(func, ast.Attribute)
                 and func.attr == "values"
                 and isinstance(func.value, ast.Attribute)
-                and "entries" in func.value.attr
+                and _TABLE_ATTR.search(func.value.attr)
             ):
                 return True
             return False
@@ -1024,7 +1050,7 @@ class FuncInterp:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         if len(targets) == 1 and isinstance(targets[0], ast.Name):
             protected = any(targets[0].id in closes for closes in self._finally_closes)
-            role = self.index.judge(self.eval(value.args[0], state)[0]) if value.args else None
+            role = self.index.judge(self._at_dir_fd(value, self.eval(value.args[0], state)[0], state)) if value.args else None
             state.fds[targets[0].id] = FdInfo(site=value, protected=protected, role=role)
 
     def _exit(self, state: State, node, value_name: str | None) -> None:
@@ -1271,6 +1297,10 @@ class FuncInterp:
         if not positions and not queued:
             return None
         paths = tuple(args[i][0] for i in positions)
+        if paths:
+            paths = (self._at_dir_fd(call, paths[0], state),) + paths[1:]
+            if queued and method == "open" and _opens_directory(call, shift):
+                state.env[" LINK_DIRFD"] = paths[0]  # the chain's directory, for the entries that name LINK_DIRFD
         content = None
         data = call.args[shift + 1] if len(call.args) > shift + 1 else None
         if method in _WRITE_METHODS and isinstance(data, ast.Constant):
@@ -1303,6 +1333,15 @@ class FuncInterp:
                 state.staged.clear()
                 state.committed = True
         return site
+
+    @staticmethod
+    def _at_dir_fd(call: ast.Call, tokens: tuple, state: State) -> tuple:
+        """The path ``tokens`` name in ``call``: joined to its ``dir_fd=``'s directory (openat(2)) when it has one."""
+        key = _dir_fd_key(call)
+        if key is None:
+            return tokens
+        directory = state.env.get(key)
+        return P.join([directory, tokens]) if directory is not None else P.UNKNOWN
 
     def _bind_args(self, callee: FuncDecl, call: ast.Call, arg_tokens, kw_tokens) -> dict:
         bindings: dict[str, tuple] = {}

@@ -77,7 +77,7 @@ class ControllerCluster:
         every RPC under it, so a tenant worker stays a tenant remotely.
         """
         name = name or f"worker{len(self.workers) + 1}"
-        vfs = VirtualFileSystem(clock=lambda: self.sim.now)
+        vfs = VirtualFileSystem(clock=self.sim.clock)
         sc = Syscalls(vfs, cred=cred) if cred is not None else Syscalls(vfs)
         channel = RpcChannel(
             self.server.handle,
@@ -90,7 +90,7 @@ class ControllerCluster:
             channel,
             consistency=self.consistency,
             cache_ttl=self.cache_ttl,
-            clock=lambda: self.sim.now,
+            clock=self.sim.clock,
         )
         sc.mkdir("/net")
         sc.mount("/net", fs, source=f"{self.master.name}:{self.master.mount_point}")

@@ -55,7 +55,7 @@ class DeviceRuntime(Process):
         rpc_latency: float = 2e-4,
         consistency: str = "strict",
     ) -> None:
-        vfs = VirtualFileSystem(clock=lambda: master.sim.now)
+        vfs = VirtualFileSystem(clock=master.sim.clock)
         super().__init__(Syscalls(vfs), master.sim, name=f"dev-{switch.name}")
         self.switch = switch
         self.master = master
@@ -71,7 +71,7 @@ class DeviceRuntime(Process):
             name=f"dev-{switch.name}",
             cred=driver_credentials(f"dev-{switch.name}"),
         )
-        self.fs = RemoteFs(self.channel, consistency=consistency, clock=lambda: self.sim.now)
+        self.fs = RemoteFs(self.channel, consistency=consistency, clock=self.sim.clock)
         self.sc.mkdir("/net")
         self.sc.mount("/net", self.fs, source="master:/net")
         self.yc = YancClient(self.sc)

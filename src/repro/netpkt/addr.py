@@ -96,9 +96,9 @@ def ip(value: str | int | ipaddress.IPv4Address) -> ipaddress.IPv4Address:
 
 
 def cidr(value: str | ipaddress.IPv4Network) -> ipaddress.IPv4Network:
-    """Parse CIDR notation (``10.0.0.0/8``; a bare address means /32).
+    """Parse CIDR notation (``10.0.0.0/8``; a bare address means /32); a network is returned as it is.
 
     Host bits are rejected (``10.0.0.1/8`` is an error), matching how the
     yanc match files treat malformed CIDR as invalid input.
     """
-    return ipaddress.IPv4Network(value)
+    return value if isinstance(value, ipaddress.IPv4Network) else ipaddress.IPv4Network(value)

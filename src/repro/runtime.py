@@ -42,7 +42,7 @@ class ControllerHost:
             tool.install_from_env()  # a no-op unless YANCSAN / YANCRACE / YANCSEC asks for it
         self.sim = sim or Simulator()
         self.name = name
-        self.vfs = VirtualFileSystem(clock=lambda: self.sim.now)
+        self.vfs = VirtualFileSystem(clock=self.sim.clock)
         self.root_sc = Syscalls(self.vfs, cred=ROOT)
         self.mount_point = mount_point
         self.fs: YancFs = mount_yancfs(self.root_sc, mount_point)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.perf.tracepoints import around as _around
@@ -48,6 +49,10 @@ class Simulator:
         #: Live (not cancelled, not yet fired) events in the queue; kept
         #: in step with schedule/cancel/dispatch so ``pending`` is O(1).
         self._live = 0
+        #: The current simulated time as a zero-argument call, for whatever
+        #: wants a clock (a VFS stamps every timestamp with it): a read in C,
+        #: where ``lambda: sim.now`` runs two Python frames per reading.
+        self.clock: Callable[[], float] = partial(getattr, self, "_now")
 
     @property
     def now(self) -> float:

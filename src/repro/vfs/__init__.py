@@ -51,6 +51,7 @@ from repro.vfs.stat import FileType, Stat, format_mode
 from repro.vfs.syscalls import (
     O_APPEND,
     O_CREAT,
+    O_DIRECTORY,
     O_EXCL,
     O_RDONLY,
     O_RDWR,
@@ -58,8 +59,8 @@ from repro.vfs.syscalls import (
     O_WRONLY,
     Syscalls,
 )
-from repro.vfs.uring import LINK_FD, Cqe, IoUring, Sqe
-from repro.vfs.vfs import FileHandle, VirtualFileSystem
+from repro.vfs.uring import LINK_DIRFD, LINK_FD, Cqe, IoUring, Sqe
+from repro.vfs.vfs import DirHandle, FileHandle, VirtualFileSystem
 
 __all__ = [
     "Acl",
@@ -112,16 +113,19 @@ __all__ = [
     "format_mode",
     "O_APPEND",
     "O_CREAT",
+    "O_DIRECTORY",
     "O_EXCL",
     "O_RDONLY",
     "O_RDWR",
     "O_TRUNC",
     "O_WRONLY",
     "Syscalls",
+    "LINK_DIRFD",
     "LINK_FD",
     "Cqe",
     "IoUring",
     "Sqe",
+    "DirHandle",
     "FileHandle",
     "VirtualFileSystem",
 ]

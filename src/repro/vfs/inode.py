@@ -60,6 +60,14 @@ class Filesystem:
     Subclasses override the ``*_class`` attributes (or :meth:`make_dir`,
     :meth:`make_file`, :meth:`make_symlink`) to substitute semantic node
     types, and may set ``readonly``.
+
+    ``now`` is the clock itself — the zero-argument callable the file
+    system was built with — so a timestamp costs one call of it and
+    nothing around it.  :meth:`emit` and :meth:`emit_dirent` decide at the
+    source whether the notify hub has anyone to tell: an inode carries the
+    number of live watches on it (``watches``, kept by the hub), and an
+    event on a node nobody watches — neither it nor a directory holding it
+    — never enters the hub.
     """
 
     fs_type = "none"
@@ -74,7 +82,7 @@ class Filesystem:
     def __init__(self, *, clock: Callable[[], float] | None = None, readonly: bool = False) -> None:
         self.dev = next(_dev_counter)
         self.readonly = readonly
-        self.clock: Callable[[], float] = clock or (lambda: 0.0)
+        self.now: Callable[[], float] = clock or (lambda: 0.0)
         self._ino_counter = itertools.count(1)
         self.hub: "NotifyHub | None" = None  # set by the VFS at mount time
         self.root: DirInode = self.make_root()
@@ -99,18 +107,20 @@ class Filesystem:
         """Create a detached symlink node."""
         return SymlinkInode(self, target, uid=uid, gid=gid)
 
-    def now(self) -> float:
-        """Current time for timestamp updates."""
-        return self.clock()
-
     def emit(self, inode: "Inode", mask: int, name: str | None = None, cookie: int = 0) -> None:
-        """Publish a notify event for ``inode`` (no-op when unmounted)."""
+        """Publish a notify event for ``inode`` when it or a directory holding it is watched (no-op when unmounted)."""
+        if not inode.watches:
+            for parent, _name in inode.dentries:
+                if parent.watches:
+                    break
+            else:
+                return
         if self.hub is not None:
             self.hub.emit(inode, mask, name=name, cookie=cookie)
 
     def emit_dirent(self, parent: "Inode", child: "Inode", mask: int, name: str, cookie: int = 0) -> None:
-        """Publish a directory-entry event (no-op when unmounted)."""
-        if self.hub is not None:
+        """Publish a directory-entry event when ``parent`` is watched or a trace subscriber listens (no-op when unmounted)."""
+        if (parent.watches or _tracing) and self.hub is not None:
             self.hub.emit_dirent(parent, child, mask, name, cookie=cookie)
 
 
@@ -134,6 +144,8 @@ class Inode:
         self.nlink = 1
         #: dentries referencing this node: (parent directory, name) pairs.
         self.dentries: set[tuple["DirInode", str]] = set()
+        #: live notify watches on this node (kept by :class:`~repro.vfs.notify.NotifyHub`)
+        self.watches = 0
 
     @property
     def size(self) -> int:

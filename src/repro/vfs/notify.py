@@ -22,8 +22,17 @@ when the queue merges or drops it.
 :class:`EventMask` is the API's type, not the hub's: ``add_watch`` takes
 one (or an ``int``) and ``NotifyEvent.mask`` is one, but a :class:`Watch`
 stores its mask as a plain ``int`` and an emitted mask stays an ``int``
-until an event is delivered — almost every emit meets no watch, and an
-``IntFlag`` pays an enum construction per ``&``.
+until an event is delivered — an ``IntFlag`` pays an enum construction
+per ``&``.
+
+**The gate is at the source.**  Most mutations happen where nobody
+watches, so the hub is not where that is found out: :meth:`NotifyHub.register`
+and :meth:`NotifyHub.unregister` keep a live-watch count on the watched
+inode (``Inode.watches``), and a file system calls :meth:`NotifyHub.emit`
+only when the inode or one of its dentry parents counts a watch, and
+:meth:`NotifyHub.emit_dirent` only when the parent does or a trace
+subscriber listens (so ``on_emit_dirent`` still sees every entry event).
+The hub's index, ``_by_inode``, holds watched inodes only.
 """
 
 from __future__ import annotations
@@ -221,6 +230,7 @@ class NotifyHub:
         wd = next(self._wd_counter)
         watch = Watch(wd, inode, mask, owner)
         self._by_inode.setdefault(id(inode), []).append(watch)
+        inode.watches += 1
         owner._watches[wd] = watch
         return wd
 
@@ -230,6 +240,7 @@ class NotifyHub:
         bucket = self._by_inode.get(id(watch.inode), [])
         if watch in bucket:
             bucket.remove(watch)
+            watch.inode.watches -= 1
         if not bucket:
             self._by_inode.pop(id(watch.inode), None)
 

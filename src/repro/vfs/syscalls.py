@@ -36,7 +36,7 @@ from repro.perf.tracepoints import publish as _publish
 from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.acl import Acl
 from repro.vfs.cred import ROOT, Credentials
-from repro.vfs.errors import BadFileDescriptor, FsError, InvalidArgument
+from repro.vfs.errors import BadFileDescriptor, FsError, InvalidArgument, NotADirectory
 from repro.vfs.inode import Filesystem
 from repro.vfs.mount import MountNamespace
 from repro.vfs.notify import EventMask, Inotify, NotifyEvent
@@ -46,11 +46,13 @@ from repro.vfs.stat import Stat
 from repro.vfs.vfs import (
     O_APPEND,
     O_CREAT,
+    O_DIRECTORY,
     O_EXCL,
     O_RDONLY,
     O_RDWR,
     O_TRUNC,
     O_WRONLY,
+    DirHandle,
     FileHandle,
     VirtualFileSystem,
 )
@@ -64,6 +66,7 @@ __all__ = [
     "Syscalls",
     "O_APPEND",
     "O_CREAT",
+    "O_DIRECTORY",
     "O_EXCL",
     "O_RDONLY",
     "O_RDWR",
@@ -225,8 +228,17 @@ class Syscalls:
         return out
 
     def _traced(self, op: str, method, *args, **kwargs):
-        """Run ``method`` between the ``syscall`` trace point's events, ``paths`` read off ``op``'s row."""
-        paths = tuple([self._abspath(args[i]) for i in SYSCALLS[op].paths])
+        """Run ``method`` between the ``syscall`` trace point's events, ``paths`` read off ``op``'s row.
+
+        A ``dir_fd`` open publishes the name joined to its directory's
+        path, so every subscriber sees the path it would see without one.
+        """
+        dir_fd = kwargs.get("dir_fd")
+        if dir_fd is not None:
+            handle = self._fds.get(dir_fd)
+            paths = (f"{handle.path.rstrip('/')}/{args[0]}" if isinstance(handle, DirHandle) else args[0],)
+        else:
+            paths = tuple([self._abspath(args[i]) for i in SYSCALLS[op].paths])
         return _around("syscall", (self, op, paths, args), method, *args, **kwargs)
 
     def getcwd(self) -> str:
@@ -246,18 +258,30 @@ class Syscalls:
 
     # -- descriptors ---------------------------------------------------------------
 
-    def _handle(self, fd: int) -> FileHandle:
+    def _handle(self, fd: int) -> FileHandle | DirHandle:
         try:
             return self._fds[fd]
         except KeyError:
             raise BadFileDescriptor(detail=f"fd {fd}") from None
 
-    def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
-        """open(2); returns a file descriptor."""
+    def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644, *, dir_fd: int | None = None) -> int:
+        """open(2); returns a file descriptor (with ``O_DIRECTORY``, a directory's).
+
+        With ``dir_fd``, a directory descriptor, it is openat(2): ``path`` is
+        one name in that directory and no ancestor is walked again
+        (:meth:`VirtualFileSystem.openat`); metered as ``openat``.
+        """
         if _tracing and _entering(self):
-            return self._traced("open", self.open, path, flags, mode)
-        self.meter.enter("open")
-        handle = self.vfs.open(self.ns, self.cred, self._abspath(path), flags, mode)
+            return self._traced("open", self.open, path, flags, mode, dir_fd=dir_fd)
+        if dir_fd is None:
+            self.meter.enter("open")
+            handle = self.vfs.open(self.ns, self.cred, self._abspath(path), flags, mode)
+        else:
+            self.meter.enter("openat")
+            dirfd = self._fds.get(dir_fd)
+            if not isinstance(dirfd, DirHandle):
+                raise (BadFileDescriptor if dirfd is None else NotADirectory)(detail=f"fd {dir_fd}")
+            handle = self.vfs.openat(self.ns, self.cred, dirfd, path, flags, mode)
         fd = self._next_fd
         self._next_fd += 1
         self._fds[fd] = handle

@@ -23,8 +23,13 @@ entry to its success: if it fails, every remaining entry of the chain
 completes with ``canceled=True`` instead of executing (io_uring's
 ``IOSQE_IO_LINK``).  Inside a chain the :data:`LINK_FD` sentinel stands
 for the descriptor produced by the chain's most recent ``open``, which is
-what makes ``open → write → close`` expressible before the fd exists.  If
-a chain is severed while its descriptor is still open, the ring closes it
+what makes ``open → write → close`` expressible before the fd exists.
+:data:`LINK_DIRFD` does the same for a directory: it stands for the
+descriptor the chain's most recent ``open(path, O_DIRECTORY)`` produced,
+and an ``open`` prepared with ``dir_fd=LINK_DIRFD`` opens one name in that
+directory (openat(2); Linux's ``IORING_OP_OPENAT``), so an object's files
+are written without walking the object's path once per file.  If a chain
+is severed while either descriptor is still open, the ring closes it
 (billed as ``uring.chain_autoclose``) so a failed batch cannot leak fds.
 
 **Room.**  The submission queue is bounded (``entries``), and the ring
@@ -51,7 +56,9 @@ the interpreter records ``prep(op, ...)`` as a site of ``op`` (and
 table row's positions, so every judge sees it as the call it stands
 for.  Only the crossing is different, and an entry costs no more wall
 time than the direct call: the context's bound methods are looked up
-once per ring, :data:`LINK_FD` is substituted only where it appears.
+once per ring, and :data:`LINK_FD` or :data:`LINK_DIRFD` is substituted
+only where an entry names it (an fd row's first argument, an ``open``'s
+``dir_fd``).  A ``dir_fd`` open is billed as ``uring.openat``.
 """
 
 from __future__ import annotations
@@ -65,22 +72,30 @@ from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import FsError, InvalidArgument
 from repro.vfs.poll import Pollable
 from repro.vfs.syscalls import SYSCALLS
-from repro.vfs.vfs import O_CREAT, O_TRUNC, O_WRONLY
+from repro.vfs.vfs import O_CREAT, O_DIRECTORY, O_TRUNC, O_WRONLY
 
 if TYPE_CHECKING:
     from repro.vfs.syscalls import Syscalls
 
 
 class _LinkFd:
-    """Sentinel: the fd opened earlier in this linked chain."""
+    """Sentinel: a descriptor opened earlier in this linked chain."""
 
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return "LINK_FD"
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
 
 
 #: Placeholder argument for the descriptor a chain's preceding ``open``
-#: produced (usable anywhere an op takes an fd).
-LINK_FD = _LinkFd()
+#: produced (as the descriptor an fd row takes, its first argument).
+LINK_FD = _LinkFd("LINK_FD")
+
+#: Placeholder for the directory descriptor a chain's preceding
+#: ``open(path, O_DIRECTORY)`` produced: an ``open``'s ``dir_fd``, or the
+#: ``close`` that ends it.
+LINK_DIRFD = _LinkFd("LINK_DIRFD")
 
 #: Operations a ring accepts: the rows of the syscall table marked ``ring``
 #: (the fd- and path-based calls a batch can meaningfully contain).
@@ -98,6 +113,7 @@ class Sqe:
     args: tuple
     link: bool = False  # ties the NEXT entry to this one's success
     user_data: object = None
+    dir_fd: object = None  # an ``open``'s directory descriptor (or LINK_DIRFD)
 
 
 @dataclass(slots=True)
@@ -150,23 +166,27 @@ class IoUring(Pollable):
 
     # -- preparation (no syscalls: the SQ lives in shared memory) ------------
 
-    def prep(self, op: str, *args, link: bool = False, user_data: object = None) -> int:
+    def prep(self, op: str, *args, link: bool = False, user_data: object = None, dir_fd: object = None) -> int:
         """Queue one operation; returns its position in the queue.
 
         ``link=True`` makes the *next* prepared entry conditional on this
         one succeeding (chains compose by linking every entry but the
-        last).  Raises when the op is not a ring row of the syscall
-        table, or when its chain is longer than the whole ring.
+        last); ``dir_fd`` is ``Syscalls.open``'s.  Raises when the op is
+        not a ring row of the syscall table, when ``dir_fd`` is given to
+        another op, or when its chain is longer than the whole ring.
         """
         if op not in SUPPORTED_OPS:
             raise InvalidArgument(detail=f"unsupported ring op {op!r}")
-        return self._queue((Sqe(op, args, link, user_data),))
+        if dir_fd is not None and op != "open":
+            raise InvalidArgument(detail=f"{op} takes no dir_fd")
+        return self._queue((Sqe(op, args, link, user_data, dir_fd),))
 
-    def prep_write_file(self, path: str, data: bytes, *, link: bool = False, user_data: object = None) -> int:
+    def prep_write_file(self, path: str, data: bytes, *, link: bool = False, user_data: object = None, dir_fd: object = None) -> int:
         """Queue ``open → write → close`` as one linked chain.
 
         The batched equivalent of ``Syscalls.write_bytes`` (the ``echo
-        value > file`` idiom).  ``link=True`` extends the chain into the
+        value > file`` idiom); with ``dir_fd``, ``path`` is a name in that
+        directory.  ``link=True`` extends the chain into the
         *next* prepared entry, so whole multi-file sequences — assemble a
         maildir temp, then rename it into place — cancel together when any
         step fails.  The three entries are queued together or not at all.
@@ -174,7 +194,7 @@ class IoUring(Pollable):
         """
         return self._queue(
             (
-                Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data),
+                Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data, dir_fd),
                 Sqe("write", (LINK_FD, data), True, user_data),
                 Sqe("close", (LINK_FD,), link, user_data),
             )
@@ -228,6 +248,7 @@ class IoUring(Pollable):
         nbytes = 0
         index = self._seq
         chain_fd: int | None = None
+        chain_dirfd: int | None = None
         chain_broken = False
         try:
             with meter.pause():
@@ -239,25 +260,38 @@ class IoUring(Pollable):
                         kind = "canceled"
                     else:
                         args = sqe.args
-                        if LINK_FD in args:
-                            if chain_fd is None:
-                                error = InvalidArgument(detail=f"{op}: LINK_FD with no open earlier in the chain")
+                        dir_fd = sqe.dir_fd
+                        if dir_fd is not None:
+                            kind = "openat"
+                            if dir_fd is LINK_DIRFD:
+                                dir_fd = chain_dirfd
+                                if dir_fd is None:
+                                    error = InvalidArgument(detail=f"{op}: LINK_DIRFD with no directory open earlier in the chain")
+                        elif args and isinstance(args[0], _LinkFd):  # the descriptor an fd row takes first
+                            linked = chain_fd if args[0] is LINK_FD else chain_dirfd
+                            if linked is None:
+                                error = InvalidArgument(detail=f"{op}: {args[0]!r} with no open earlier in the chain")
                             else:
-                                args = tuple([chain_fd if arg is LINK_FD else arg for arg in args])
+                                args = (linked, *args[1:])
                         if error is None:
                             fn = ops.get(op)
                             if fn is None:
                                 fn = ops[op] = getattr(sc, op)
                             try:
-                                result = fn(*args)
+                                result = fn(*args) if dir_fd is None else fn(*args, dir_fd=dir_fd)
                             except FsError as exc:
                                 error = exc
                             else:
                                 if op == "open":
-                                    chain_fd = result
+                                    if len(args) > 1 and args[1] & O_DIRECTORY:
+                                        chain_dirfd = result
+                                    else:
+                                        chain_fd = result
                                 elif op == "close":
                                     if sqe.args[0] is LINK_FD:
                                         chain_fd = None
+                                    elif sqe.args[0] is LINK_DIRFD:
+                                        chain_dirfd = None
                                 else:
                                     nbytes += self._payload_bytes(op, args, result)
                         # An error cancels the rest of a linked chain; for a
@@ -268,12 +302,12 @@ class IoUring(Pollable):
                     billed[kind] = billed.get(kind, 0) + 1
                     index += 1
                     if not sqe.link:  # chain boundary: reset link state
-                        if chain_broken and chain_fd is not None:
-                            self._autoclose(chain_fd, billed)
-                        chain_fd = None
+                        if chain_broken:
+                            self._autoclose(chain_fd, chain_dirfd, billed=billed)
+                        chain_fd = chain_dirfd = None
                         chain_broken = False
-                if chain_broken and chain_fd is not None:
-                    self._autoclose(chain_fd, billed)
+                if chain_broken:
+                    self._autoclose(chain_fd, chain_dirfd, billed=billed)
         finally:
             self._seq = index
             meter.batch_ops(billed, nbytes)
@@ -292,13 +326,16 @@ class IoUring(Pollable):
             return sum([len(data) for _name, data in result if data is not None])
         return 0
 
-    def _autoclose(self, fd: int, billed: dict[str, int]) -> None:
-        """Close the fd a severed chain left open (no descriptor leaks); runs inside the submit's meter pause."""
-        try:
-            self.sc.close(fd)
-        except FsError:
-            return
-        billed["chain_autoclose"] = billed.get("chain_autoclose", 0) + 1
+    def _autoclose(self, *fds: int | None, billed: dict[str, int]) -> None:
+        """Close the descriptors a severed chain left open (no descriptor leaks); runs inside the submit's meter pause."""
+        for fd in fds:
+            if fd is None:
+                continue
+            try:
+                self.sc.close(fd)
+            except FsError:
+                continue
+            billed["chain_autoclose"] = billed.get("chain_autoclose", 0) + 1
 
     # -- completion reaping (shared memory: free) ----------------------------
 
@@ -331,4 +368,4 @@ class IoUring(Pollable):
         return bool(self._cq)
 
 
-__all__ = ["Cqe", "IoUring", "LINK_FD", "SUPPORTED_OPS", "Sqe"]
+__all__ = ["Cqe", "IoUring", "LINK_DIRFD", "LINK_FD", "SUPPORTED_OPS", "Sqe"]

@@ -57,6 +57,7 @@ O_CREAT = 0o100
 O_EXCL = 0o200
 O_TRUNC = 0o1000
 O_APPEND = 0o2000
+O_DIRECTORY = 0o200000
 _ACCMODE = 0o3
 
 
@@ -165,6 +166,34 @@ class FileHandle:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class DirHandle:
+    """A directory descriptor (``open(path, O_DIRECTORY)``): the directory's inode and its canonical path.
+
+    It anchors ``dir_fd`` opens (:meth:`VirtualFileSystem.openat`) and
+    follows its inode wherever a rename takes it, as a Linux dirfd does.
+    Like Linux's ``O_PATH | O_DIRECTORY`` it reads and writes nothing, so
+    opening it needs no access to the directory itself (its ancestors are
+    searched as in any walk) and opening or closing it emits no event;
+    every data call on it is ``IsADirectory``.
+    """
+
+    readable = writable = False
+
+    def __init__(self, inode: DirInode, path: str) -> None:
+        self.inode = inode
+        self.path = path
+        self.closed = False
+
+    def _no_data(self, *_args: object) -> None:
+        raise IsADirectory(self.path)
+
+    read = pread = write = pwrite = seek = truncate = _no_data
+
+    def close(self) -> None:
+        """Drop the descriptor."""
+        self.closed = True
 
 
 class VirtualFileSystem:
@@ -494,28 +523,83 @@ class VirtualFileSystem:
         path: str,
         flags: int = O_RDONLY,
         mode: int = 0o644,
-    ) -> FileHandle:
-        """Open (optionally creating) a regular file."""
-        created = False
+    ) -> FileHandle | DirHandle:
+        """Open (optionally creating) a regular file; with ``O_DIRECTORY``, a directory descriptor."""
+        if flags & O_DIRECTORY:
+            if flags & O_CREAT:
+                raise InvalidArgument(path, "O_CREAT with O_DIRECTORY")
+            if flags & _ACCMODE != O_RDONLY:
+                raise IsADirectory(path)
+            return DirHandle(require_dir(self.resolve(ns, cred, path), path), path)
         parts = self._tokens(path)
         if flags & O_CREAT and parts and parts[-1] != "..":
             # Ask the directory for the name (a search of it): a new file
             # costs this one walk, and of the names that exist only a symlink
             # is resolved further (a mountpoint is a directory on either side).
             parent, name = self.resolve_parent(ns, cred, path)
+            return self._open_in(ns, cred, parent, name, path, flags, mode)
+        return self._open_in(ns, cred, None, "", path, flags, mode, self.resolve(ns, cred, path))
+
+    def openat(
+        self,
+        ns: MountNamespace,
+        cred: Credentials,
+        dirfd: DirHandle,
+        name: str,
+        flags: int = O_RDONLY,
+        mode: int = 0o644,
+    ) -> FileHandle:
+        """openat(2): open ``name`` in the directory ``dirfd`` holds, walking none of its ancestors.
+
+        The directory needs ``MAY_EXEC`` (and a new name the create rule's
+        ``MAY_WRITE``); a directory removed since ``dirfd`` was opened has
+        no names left, so the open fails ``FileNotFound``.  The rest is
+        :meth:`open`'s: the same access checks, fanotify gate, ``IN_OPEN``
+        and ``O_TRUNC``.
+        """
+        path = f"{dirfd.path.rstrip('/')}/{name}"
+        if flags & O_DIRECTORY:
+            raise InvalidArgument(path, "O_DIRECTORY under a directory descriptor")
+        parent = dirfd.inode
+        if not parent.dentries and parent is not parent.fs.root:
+            raise FileNotFound(path, "directory removed")
+        return self._open_in(ns, cred, parent, validate_name(name), path, flags, mode)
+
+    def _open_in(
+        self,
+        ns: MountNamespace,
+        cred: Credentials,
+        parent: DirInode | None,
+        name: str,
+        path: str,
+        flags: int,
+        mode: int,
+        node: Inode | None = None,
+    ) -> FileHandle:
+        """The one open routine: find ``name`` in ``parent`` (or take the ``node`` a walk resolved), then open it.
+
+        Finding is a search of the directory, and under ``O_CREAT`` the
+        create rule for a new name.  Opening is what every open shares:
+        ``O_EXCL``, the access checks, the fanotify gate, ``IN_OPEN``,
+        ``O_TRUNC`` and the handle.
+        """
+        created = False
+        if node is None:
             self.check_access(parent, cred, MAY_EXEC, path)
-            if not parent.has_child(name):
-                node = self._create(parent, name, FileType.REGULAR, cred, path, mode=mode)
-                created = True
-            else:
+            if parent.has_child(name):
                 node = parent._children[name]  # what has_child just answered from (and, on distfs, refreshed)
                 if isinstance(node, SymlinkInode):
                     try:
                         node = self.resolve(ns, cred, path)
                     except FileNotFound:
-                        raise FileExists(path, "dangling symlink in the way") from None
-        else:
-            node = self.resolve(ns, cred, path)
+                        if flags & O_CREAT:
+                            raise FileExists(path, "dangling symlink in the way") from None
+                        raise
+            elif flags & O_CREAT:
+                node = self._create(parent, name, FileType.REGULAR, cred, path, mode=mode)
+                created = True
+            else:
+                raise FileNotFound(path)
         if flags & O_CREAT and flags & O_EXCL and not created:
             raise FileExists(path)
         inode = require_file(node, path)

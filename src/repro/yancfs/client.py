@@ -19,7 +19,8 @@ from repro.dataplane.actions import Action, parse_action
 from repro.dataplane.match import Match
 from repro.vfs.errors import FileNotFound
 from repro.vfs.path import clean
-from repro.vfs.syscalls import O_WRONLY, Syscalls
+from repro.vfs.syscalls import O_DIRECTORY, O_WRONLY, Syscalls
+from repro.vfs.uring import LINK_DIRFD
 from repro.yancfs.schema import YancFs
 
 
@@ -129,10 +130,10 @@ def commit_version(sc: Syscalls, flow_path: str) -> int:
 
 
 def _assembly(path: str, files: dict, publish: str | None) -> tuple[str, list[tuple[str, bytes]]]:
-    """Where an object is assembled, and the ``(file path, bytes)`` writes that fill it."""
+    """Where an object is assembled, and the ``(file name, bytes)`` writes that fill it."""
     parent, _, name = path.rpartition("/")
     staged = f"{parent}/.{name}" if publish == "rename" else path
-    return staged, [(f"{staged}/{filename}", content if isinstance(content, bytes) else content.encode()) for filename, content in files.items()]
+    return staged, [(filename, content if isinstance(content, bytes) else content.encode()) for filename, content in files.items()]
 
 
 def write_object(sc: Syscalls, path: str, files: dict, publish: str | None) -> None:
@@ -149,8 +150,8 @@ def write_object(sc: Syscalls, path: str, files: dict, publish: str | None) -> N
     """
     staged, writes = _assembly(path, files, publish)
     sc.mkdir(staged)
-    for file_path, data in writes:
-        sc.write_bytes(file_path, data)
+    for filename, data in writes:
+        sc.write_bytes(f"{staged}/{filename}", data)
     if publish == "version":
         commit_version(sc, path)
     elif publish == "rename":
@@ -160,30 +161,35 @@ def write_object(sc: Syscalls, path: str, files: dict, publish: str | None) -> N
 def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | None]]) -> int:
     """Write ``(path, files, publish)`` objects through the context's ring (§8.1); returns how many completed.
 
-    Each object is one linked chain — the same steps :func:`write_object`
-    issues — so a failed step cancels the rest of *that object* and its
-    neighbours still publish.  The ring keeps its own room (a chain never
-    straddles a submit), so a batch that fits is one ``io_uring_enter``.
-    Drains the completion queue.
+    Each object is one linked chain — the steps :func:`write_object`
+    issues, its files opened relative to a descriptor of the directory the
+    chain just made (``mkdir``, ``open(staged, O_DIRECTORY)``, per file
+    ``open(name, dir_fd=LINK_DIRFD)``/``write``/``close``, ``close`` of the
+    directory, then the ``rename`` of a maildir object), so no file walks
+    the object's path again — and a failed step cancels the rest of *that
+    object* while its neighbours still publish.  The ring keeps its own
+    room (a chain never straddles a submit), so a batch that fits is one
+    ``io_uring_enter``.  Drains the completion queue.
     """
     ring = sc.ring
     for index, (path, files, publish) in enumerate(objects):
         staged, writes = _assembly(path, files, publish)
         if publish == "version":
-            writes.append((f"{path}/version", b"1"))
-        # Every entry links to the next but the chain's last: the rename, or else the final write.
-        last = len(writes) - (publish != "rename")
+            writes.append(("version", b"1"))
         tag = ("obj", index)
-        ring.prep("mkdir", staged, link=last >= 0, user_data=tag)
-        for position, (file_path, data) in enumerate(writes):
-            ring.prep_write_file(file_path, data, link=position < last, user_data=tag)
+        ring.prep("mkdir", staged, link=True, user_data=tag)
+        ring.prep("open", staged, O_DIRECTORY, link=True, user_data=tag)
+        for filename, data in writes:
+            ring.prep_write_file(filename, data, link=True, user_data=tag, dir_fd=LINK_DIRFD)
+        # Every entry links to the next but the chain's last: the rename, or else the directory's close.
+        ring.prep("close", LINK_DIRFD, link=publish == "rename", user_data=tag)
         if publish == "rename":
             ring.prep("rename", staged, path, user_data=tag)
     ring.submit()
     # A failure cancels the rest of its chain, so an object completed iff
     # the last completion carrying its tag is ok.
-    last_ok = {cqe.user_data: cqe.ok for cqe in ring.completions() if cqe.user_data and cqe.user_data[0] == "obj"}
-    return sum(last_ok.values())
+    last = {cqe.user_data: cqe for cqe in ring.completions() if cqe.user_data and cqe.user_data[0] == "obj"}
+    return sum([cqe.ok for cqe in last.values()])
 
 
 # -- the read pipeline: the mirror image, one crossing per object --

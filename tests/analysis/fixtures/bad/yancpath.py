@@ -1,6 +1,7 @@
 # yanclint: scope=app
 """Seeded defects: at least one per yancpath finding kind, marked inline."""
 
+from repro.vfs import LINK_DIRFD, O_DIRECTORY
 from repro.yancfs.client import YancClient
 
 
@@ -51,6 +52,12 @@ class BrokenApp:
 
     def queues_typo_watch(self, ino, sw, flow, mask):
         self.ring.prep("inotify_add_watch", ino, f"{self.root}/switches/{sw}/flws/{flow}", mask)  # bad: unknown-path
+
+    # A name under a directory descriptor is judged at the path it joins.
+    def queues_typo_under_dirfd(self, sw, flow):
+        self.ring.prep("open", f"{self.root}/switches/{sw}/flows/{flow}", O_DIRECTORY, link=True)
+        self.ring.prep_write_file("match.nw_dts", b"10.0.0.0/8", link=True, dir_fd=LINK_DIRFD)  # bad: unknown-path,flow-no-commit
+        self.ring.prep("close", LINK_DIRFD)
 
     def queues_event_buffer_write(self, sw):
         self.ring.prep_write_file(f"/net/switches/{sw}/events/myapp/pi_1/in_port", b"2")  # bad: event-buffer-misuse

@@ -1,6 +1,7 @@
 # yanclint: scope=app
 """The corrected twin of bad/yancpath.py: every operation is legal."""
 
+from repro.vfs import LINK_DIRFD, O_DIRECTORY
 from repro.yancfs.client import YancClient
 
 
@@ -56,6 +57,12 @@ class CorrectApp:
 
     def queues_watch(self, ino, sw, flow, mask):
         self.ring.prep("inotify_add_watch", ino, f"{self.root}/switches/{sw}/flows/{flow}", mask)
+
+    def queues_under_dirfd(self, sw, flow):
+        self.ring.prep("open", f"{self.root}/switches/{sw}/flows/{flow}", O_DIRECTORY, link=True)
+        self.ring.prep_write_file("match.nw_dst", b"10.0.0.0/8", link=True, dir_fd=LINK_DIRFD)
+        self.ring.prep_write_file("version", b"1", link=True, dir_fd=LINK_DIRFD)
+        self.ring.prep("close", LINK_DIRFD)
 
     def reads_xattr(self, sw):
         return self.sc.getxattr(f"{self.root}/switches/{sw}/id", "user.owner")

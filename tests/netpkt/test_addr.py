@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dataplane import Match
 from repro.netpkt import BROADCAST_MAC, MacAddress, cidr, ip
 
 
@@ -68,6 +69,14 @@ def test_cidr_bare_address_is_host_route():
 
 
 def test_cidr_rejects_host_bits():
+    with pytest.raises(ValueError):
+        cidr("10.0.0.1/8")
+
+
+def test_cidr_returns_a_network_as_it_is():
+    network = cidr("10.0.0.0/8")
+    assert cidr(network) is network
+    assert Match(nw_src=network).nw_src is network
     with pytest.raises(ValueError):
         cidr("10.0.0.1/8")
 

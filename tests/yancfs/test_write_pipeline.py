@@ -48,7 +48,7 @@ def client(yanc_sc) -> YancClient:
 
 
 def test_a_ring_smaller_than_the_batch_submits_once_per_chain(client):
-    """Five 17-entry chains through a 20-entry ring: only one fits at a time."""
+    """Five 19-entry chains through a 20-entry ring: only one fits at a time."""
     sc = client.sc
     apps = [f"app{i}" for i in range(5)]
     watches = {}
@@ -56,7 +56,7 @@ def test_a_ring_smaller_than_the_batch_submits_once_per_chain(client):
         client.subscribe_events("s1", app)
         watches[app] = sc.inotify_init()
         sc.inotify_add_watch(watches[app], client.events_path("s1", app), _DIRENT)
-    sc._ring = sc.io_uring_setup(entries=20)  # the context's ring, small: mkdir, five files, rename is 17 entries
+    sc._ring = sc.io_uring_setup(entries=20)  # the context's ring, small: mkdir, the directory's open, five files, its close, rename is 19 entries
     before = sc.meter.counters.get("syscall.io_uring_enter")
     assert _packet_in(client, apps) == 5
     assert sc.meter.counters.get("syscall.io_uring_enter") - before == 5
@@ -67,12 +67,12 @@ def test_a_ring_smaller_than_the_batch_submits_once_per_chain(client):
 
 
 def test_a_batch_past_the_ring_crosses_once_per_ring_full_each_chain_whole(client):
-    """40 flows of 40 entries each through the context's 1024-entry ring: 25 chains, then 15, none split."""
+    """40 flows of 42 entries each through the context's 1024-entry ring: 24 chains, then 16, none split."""
     sc = client.sc
     match = Match(in_port=1, dl_type=0x0800, nw_proto=6, tp_src=1, tp_dst=80, dl_vlan=2)
     entries = [(f"f{i}", match, [Output(1), Output(2), Output(3)]) for i in range(40)]
     spec = flow_spec_files(match, entries[0][2], priority=5, idle_timeout=1, hard_timeout=2)
-    assert 1 + 3 * (len(spec) + 1) == 40  # mkdir, then open/write/close per spec file and the version
+    assert 2 + 3 * (len(spec) + 1) + 1 == 42  # mkdir, the directory's open, open/write/close per spec file and the version, its close
     submitted = Submissions()
     tracepoints.subscribe(submitted)
     try:
@@ -82,7 +82,7 @@ def test_a_batch_past_the_ring_crosses_once_per_ring_full_each_chain_whole(clien
     finally:
         tracepoints.unsubscribe(submitted)
     batches = submitted.batches[id(sc.ring)]
-    assert [len(batch) for batch in batches] == [1000, 600]
+    assert [len(batch) for batch in batches] == [1008, 672]
     assert batches[0][0].op == "mkdir" and not batches[0][-1].link  # the first batch ends on a chain's last entry
     assert all(client.read_flow("s1", name).version == 1 for name, _m, _a in entries)
 
