@@ -25,6 +25,7 @@ class ArpResponder(PacketInApp):
     """Proxy ARP from the controller."""
 
     app_name = "arpd"
+    dl_types = "0x0806"
 
     def __init__(self, sc, sim, *, root: str = "/net", record_hosts: bool = True) -> None:
         super().__init__(sc, sim, root=root)

@@ -61,9 +61,14 @@ class PacketInApp(YancApp):
     subscribed too, and calls :meth:`handle_packet_in` for every event.
     A wakeup's run of buffer events is taken by name in one submission
     and removed in a second (:meth:`~repro.yancfs.client.YancClient.take_events`).
+    Each buffer declares :attr:`dl_types`, so a publisher writes only the
+    frames it admits (:func:`~repro.yancfs.translate.fan_out_packet_in`).
     """
 
     run_kinds = ("buffer",)
+    #: Override: what :meth:`handle_packet_in` tests, as the buffer's
+    #: ``user.packet_in.dl_type`` (``"0x0806"``, ``"!0x88cc"``); None: everything.
+    dl_types: str | None = None
 
     def on_start(self) -> None:
         self.watch(f"{self.yc.root}/switches", _DIR_MASK, ("switches",))
@@ -83,7 +88,7 @@ class PacketInApp(YancApp):
 
     def _subscribe(self, switch: str) -> None:
         try:
-            buffer_path = self.yc.subscribe_events(switch, self.app_name)
+            buffer_path = self.yc.subscribe_events(switch, self.app_name, self.dl_types)
         except FsError:
             return
         # IN_MOVED_TO is the publication edge: events are assembled under

@@ -43,6 +43,7 @@ class DhcpServer(PacketInApp):
     """Lease allocator: one pool, persistent leases in ``/net/hosts``."""
 
     app_name = "dhcpd"
+    dl_types = "0x0800"
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ class LearningSwitchApp(PacketInApp):
     """MAC learning + reactive flow installation, one table per switch."""
 
     app_name = "l2learn"
+    dl_types = "!0x88cc"
 
     def __init__(self, sc, sim, *, root: str = "/net", flow_idle_timeout: float = 30.0) -> None:
         super().__init__(sc, sim, root=root)

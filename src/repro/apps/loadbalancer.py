@@ -39,6 +39,7 @@ class LoadBalancer(PacketInApp):
     """Round-robin VIP load balancing with flow-level stickiness."""
 
     app_name = "lb"
+    dl_types = "0x0800"
 
     def __init__(self, sc, sim, *, vip: str, root: str = "/net", flow_idle_timeout: float = 30.0) -> None:
         super().__init__(sc, sim, root=root)

@@ -42,6 +42,7 @@ class RouterDaemon(PacketInApp):
     """Reactive exact-match shortest-path routing."""
 
     app_name = "router"
+    dl_types = "!0x88cc"  # every frame but the topology daemon's beacons
 
     def __init__(
         self,

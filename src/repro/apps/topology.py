@@ -122,6 +122,7 @@ class TopologyDaemon(PacketInApp):
     """LLDP discovery -> peer symlinks + incremental delta stream."""
 
     app_name = "topod"
+    dl_types = "0x88cc"  # LLDP beacons only
 
     def __init__(
         self,

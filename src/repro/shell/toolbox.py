@@ -347,6 +347,12 @@ class Shell:
             )
         return "\n".join(lines)
 
+    def cmd_getfattr(self, args: list[str]) -> str:
+        """getfattr -n name path...: the attribute's value, one line per path"""
+        if len(args) < 3 or args[0] != "-n":
+            raise ShellError("getfattr: usage: getfattr -n name path...")
+        return "\n".join(self.sc.getxattr(path, args[1]).decode(errors="replace") for path in args[2:])
+
     def cmd_touch(self, args: list[str]) -> str:
         """touch file..."""
         for path in args:

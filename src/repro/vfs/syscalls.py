@@ -131,7 +131,7 @@ SYSCALLS: dict[str, Syscall] = {
         Syscall("chown", (0,), mutates=True),
         Syscall("set_acl", (0,), mutates=True),
         Syscall("setxattr", (0,), mutates=True),
-        Syscall("getxattr", (0,)),
+        Syscall("getxattr", (0,), ring=True),
         Syscall("listxattr", (0,)),
         Syscall("removexattr", (0,), mutates=True),
         Syscall("mount", (0,), mutates=True),

@@ -37,6 +37,9 @@ class ViewApp(YancApp):
         self.flows_rejected = 0
         self.events_forwarded = 0
         self.events_dropped = 0
+        #: view switch -> the last packet-in sequence number it published: two
+        #: switches below can share a ``seq``, one view switch must not
+        self._event_seq: dict[str, int] = {}
 
     def on_start(self) -> None:
         if not self.sc.exists(self.view_yc.root):
@@ -100,9 +103,10 @@ class ViewApp(YancApp):
                 continue
             if target is None:
                 continue
+            seq = self._event_seq[target[0]] = self._event_seq.get(target[0], 0) + 1
             # buffer_id stays NO_BUFFER: buffers do not cross views
             published, dropped = fan_out_packet_in(
-                self, self.view_yc, target[0], pkt.seq, in_port=target[1], reason=pkt.reason, total_len=pkt.total_len, data=pkt.data
+                self, self.view_yc, target[0], seq, in_port=target[1], reason=pkt.reason, total_len=pkt.total_len, data=pkt.data
             )
             self.events_forwarded += published
             self.events_dropped += dropped

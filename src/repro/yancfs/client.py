@@ -13,15 +13,31 @@ up a ring or counts slots of its own.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.dataplane.actions import Action, parse_action
 from repro.dataplane.match import Match
-from repro.vfs.errors import FileNotFound
+from repro.vfs.errors import FileExists, FileNotFound
 from repro.vfs.path import clean
 from repro.vfs.syscalls import O_DIRECTORY, O_WRONLY, Syscalls
 from repro.vfs.uring import LINK_DIRFD
 from repro.yancfs.schema import YancFs
+
+#: A packet-in buffer's declaration (§3.5): hex ethertypes, comma-separated
+#: (``0x88cc``); a leading ``!`` admits every ethertype but those (``!0x88cc``).
+DL_TYPE_XATTR = "user.packet_in.dl_type"
+_DL_TYPES = re.compile(r"(!?)(0x[0-9a-fA-F]{1,4}(?:,0x[0-9a-fA-F]{1,4})*)")
+
+
+@lru_cache(maxsize=256)
+def dl_type_filter(value: bytes) -> tuple[bool, frozenset[int]] | None:
+    """A :data:`DL_TYPE_XATTR` value as ``(exclude, ethertypes)``; None, which admits everything, when it does not parse."""
+    match = _DL_TYPES.fullmatch("".join(value.decode("ascii", "replace").split()))
+    if match is None:
+        return None
+    return bool(match[1]), frozenset(int(token, 16) for token in match[2].split(","))
 
 
 def mount_yancfs(sc: Syscalls, path: str = "/net", *, recover: bool = True) -> YancFs:
@@ -400,11 +416,18 @@ class YancClient:
 
     # -- events ------------------------------------------------------------------------
 
-    def subscribe_events(self, switch: str, app: str) -> str:
-        """Create this app's private packet-in buffer on a switch (§3.5)."""
+    def subscribe_events(self, switch: str, app: str, dl_types: str | None = None) -> str:
+        """Create this app's private packet-in buffer on a switch (§3.5), declaring ``dl_types`` (:data:`DL_TYPE_XATTR`) on it.
+
+        None leaves the declaration as it is: a buffer that never declared receives every packet-in.
+        """
         path = self.events_path(switch, app)
-        if not self.sc.exists(path):
-            self.sc.mkdir(path)
+        try:
+            self.sc.mkdir(path)  # EAFP: one resolution, no exists() pre-flight
+        except FileExists:
+            pass
+        if dl_types is not None:
+            self.sc.setxattr(path, DL_TYPE_XATTR, dl_types.encode())
         return path
 
     def unsubscribe_events(self, switch: str, app: str) -> None:

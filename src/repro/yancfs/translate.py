@@ -9,8 +9,9 @@ providing a translation between them") and a device running yanc itself
   ``version`` that grew) and every removal to its translation, a
   wakeup's run of new and committed flows in one submission —
   :class:`FlowFollower` and :func:`follow_flows`;
-* feeds packet-ins to every subscribed private buffer (§3.5), bounded,
-  in two submissions whatever the fan-out — :func:`fan_out_packet_in`;
+* feeds packet-ins to every subscribed private buffer that admits the
+  frame's ethertype (§3.5), bounded, in two submissions whatever the
+  fan-out — :func:`fan_out_packet_in`;
 * drains the ``packet_out/`` spool, every entry a wakeup announces in
   one submission — :func:`take_packet_out`.
 
@@ -30,11 +31,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.dataplane.switch import NO_BUFFER
+from repro.netpkt.ethernet import Ethernet
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask, NotifyEvent
 from repro.vfs.syscalls import O_RDONLY
 from repro.vfs.uring import LINK_FD
-from repro.yancfs.client import FlowSpec, YancClient, object_files, parse_packet_out_name
+from repro.yancfs.client import DL_TYPE_XATTR, FlowSpec, YancClient, dl_type_filter, object_files, parse_packet_out_name
 
 if TYPE_CHECKING:
     from repro.proc.process import Process
@@ -200,21 +202,27 @@ def fan_out_packet_in(
     buffer_id: int = NO_BUFFER,
     apps: list[str] | None = None,
 ) -> tuple[int, int]:
-    """Feed one packet-in to every private buffer under ``events/``; returns ``(published, dropped)``.
+    """Feed one packet-in to every private buffer under ``events/`` that admits it; returns ``(published, dropped)``.
 
-    The §3.5 policy, stated once: a buffer already holding
+    A buffer that declares ethertypes admits only a frame whose
+    ethertype, past a VLAN tag, its declaration admits
+    (:func:`~repro.yancfs.client.dl_type_filter`); what declarations
+    withhold is counted against ``proc`` as ``events.filtered.<process
+    name>`` in ``/proc/counters``.
+
+    The §3.5 policy, stated once: an admitting buffer already holding
     :data:`MAX_PENDING_EVENTS` loses the *newest* event — its slow
     consumer keeps what it has, every other subscriber is served — and
-    the loss is counted against ``proc`` as ``events.dropped.<process
-    name>`` in ``/proc/counters``.  A buffer that vanished mid-flight
-    (the app unsubscribed) is neither.  ``buffer_id`` defaults to "none":
-    switch buffers do not cross a view or a remote mount, only a driver
-    can name one its switch will release.
+    the loss is counted as ``events.dropped.<process name>``.  A buffer
+    that vanished mid-flight (the app unsubscribed) is neither.
+    ``buffer_id`` defaults to "none": switch buffers do not cross a view
+    or a remote mount, only a driver can name one its switch will release.
 
     Two crossings on ``yc``'s ring regardless of fan-out: one
-    ``io_uring_enter`` probes every buffer, one publishes to every
-    buffer with room.  A caller that keeps no subscriber list ``apps``
-    (a view, a device over a remote mount) lists ``events/`` first.
+    ``io_uring_enter`` probes every buffer's listing and declaration,
+    one publishes to every admitting buffer with room.  A caller that
+    keeps no subscriber list ``apps`` (a view, a device over a remote
+    mount) lists ``events/`` first.
     """
     event = {"in_port": in_port, "reason": reason, "buffer_id": buffer_id, "total_len": total_len, "data": data}
     if apps is None:
@@ -224,12 +232,25 @@ def fan_out_packet_in(
             apps = []
     ring = yc.sc.ring
     for app in apps:
-        ring.prep("listdir", yc.events_path(switch, app), user_data=app)
+        path = yc.events_path(switch, app)
+        ring.prep("listdir", path, user_data=app)
+        ring.prep("getxattr", path, DL_TYPE_XATTR, user_data=app)
     ring.submit()
-    probes = [(cqe.user_data, cqe.result) for cqe in ring.completions() if cqe.ok]
-    targets = [app for app, pending in probes if len(pending) < MAX_PENDING_EVENTS]
-    dropped = len(probes) - len(targets)
+    probes = ring.completions()
+    pending = {cqe.user_data: len(cqe.result) for cqe in probes if cqe.ok and cqe.op == "listdir"}
+    rules = {cqe.user_data: rule for cqe in probes if cqe.ok and cqe.op == "getxattr" and (rule := dl_type_filter(cqe.result))}
+    eth_type = None
+    if rules:
+        try:
+            eth_type = Ethernet.unpack(data).eth_type
+        except ValueError:
+            pass  # a header that does not decode matches no declaration
+    admitted = [app for app in pending if app not in rules or (eth_type is not None and rules[app][0] != (eth_type in rules[app][1]))]
+    targets = [app for app in admitted if pending[app] < MAX_PENDING_EVENTS]
+    filtered, dropped = len(pending) - len(admitted), len(admitted) - len(targets)
     published = yc.write_packet_in_batched(switch, targets, seq, **event) if targets else 0
+    if filtered:
+        proc._count(f"events.filtered.{proc.proc_name}", filtered)
     if dropped:
         proc._count(f"events.dropped.{proc.proc_name}", dropped)
     return published, dropped

@@ -7,12 +7,14 @@ from repro.apps import (
     DhcpServer,
     LearningSwitchApp,
     StaticFlowPusher,
+    TopologyDaemon,
     make_discover,
     parse_spec,
 )
 from repro.dataplane import Match, build_linear, build_star
-from repro.netpkt import ip
+from repro.netpkt import ETH_TYPE_ARP, ip, parse_frame
 from repro.runtime import YancController
+from repro.yancfs.translate import MAX_PENDING_EVENTS
 
 
 def test_parse_spec_basics():
@@ -108,6 +110,25 @@ def test_arp_responder_answers_from_learned_bindings():
     ctl.run(2.0)
     assert h1.reachable(seq2)
     assert arpd.replies_sent > before
+
+
+def test_a_stalled_arp_responder_is_not_starved_by_beacons_it_never_handles():
+    """§3.5: arpd's buffer admits ARP alone, so beacons flowing past the bound while it is stalled cannot crowd out a request."""
+    net = build_linear(2)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(), ctl.sim, beacon_interval=0.01).start()
+    arpd = ArpResponder(ctl.host.process(), ctl.sim).start()
+    arpd.stop()  # stalled: its buffers stay subscribed, and nothing drains them
+    ctl.run(0.01 * (MAX_PENDING_EVENTS + 10))
+    assert topod.beacons_received > 2 * MAX_PENDING_EVENTS  # one per switch per round
+    driver = ctl.drivers[0]
+    dropped = ctl.host.vfs.counters.get(f"events.dropped.{driver.proc_name}")
+    net.hosts["h1"].ping(net.hosts["h2"].ip)  # an unknown neighbour: an ARP request first
+    ctl.run(0.05)
+    events = ctl.client().read_events(ctl.fs_name_of("sw1"), "arpd", consume=False)
+    assert [parse_frame(event.data).eth.eth_type for event in events] == [ETH_TYPE_ARP]
+    assert ctl.host.vfs.counters.get(f"events.dropped.{driver.proc_name}") == dropped == 0
+    assert ctl.host.vfs.counters.get(f"events.filtered.{driver.proc_name}") > 2 * MAX_PENDING_EVENTS
 
 
 def test_arp_responder_loads_recorded_hosts(linear_controller):

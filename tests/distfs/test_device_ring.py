@@ -16,27 +16,43 @@ import pytest
 from repro.dataplane import Match, Output, build_linear
 from repro.dataplane.switch import NO_BUFFER, PacketInReason
 from repro.distfs import DeviceRuntime, FileServer
+from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Udp
+from repro.netpkt.packet import build_frame
 from repro.runtime import ControllerHost
 from repro.vfs import O_CREAT, O_DIRECTORY, O_TRUNC, O_WRONLY, FileNotFound, FsError
-from repro.yancfs.client import read_object
+from repro.yancfs.client import DL_TYPE_XATTR, dl_type_filter, read_object
 from repro.yancfs.translate import MAX_PENDING_EVENTS, FlowFollower
 
 _PACKET = {"in_port": 1, "reason": "no_match", "buffer_id": NO_BUFFER, "total_len": 4, "data": b"ping"}
 
 
 def _fan_out_per_syscall(device: DeviceRuntime, seq: int) -> tuple[int, int]:
-    """The reference: list ``events/``, then per buffer a probe and a maildir publish, a system call per step."""
+    """The reference: list ``events/``, then per buffer a probe, its declaration and a maildir publish, a system call per step."""
     yc, switch = device.yc, device.fs_name
     published = dropped = 0
+    try:
+        eth_type = Ethernet.unpack(_PACKET["data"]).eth_type
+    except ValueError:
+        eth_type = None  # matches no declaration
     try:
         apps = yc.sc.listdir(f"{yc.switch_path(switch)}/events")
     except FsError:
         apps = []
     for app in apps:
         try:
-            if len(yc.sc.listdir(yc.events_path(switch, app))) >= MAX_PENDING_EVENTS:
-                dropped += 1
-                continue
+            pending = len(yc.sc.listdir(yc.events_path(switch, app)))
+        except FsError:
+            continue
+        try:
+            rule = dl_type_filter(yc.sc.getxattr(yc.events_path(switch, app), DL_TYPE_XATTR))
+        except FsError:
+            rule = None
+        if rule is not None and (eth_type is None or rule[0] == (eth_type in rule[1])):
+            continue
+        if pending >= MAX_PENDING_EVENTS:
+            dropped += 1
+            continue
+        try:
             yc.write_packet_in(switch, app, seq, **_PACKET)
             published += 1
         except FsError:
@@ -88,8 +104,9 @@ class _World:
 #: The ring writes a buffer entry's files under a descriptor of the
 #: directory its chain made, so a strict mount (a look-up is an RPC) no
 #: longer revalidates the entry's ancestors for each of its files: per
-#: fan-out these ``readdir`` RPCs fall by this much (20 → 12 and 9 → 5
-#: with no runtime tool installed; yancrace's own look-ups add the same
+#: fan-out these ``readdir`` RPCs fall by this much (23 → 15 and 9 → 5
+#: with no runtime tool installed, each side's count including the look-ups
+#: of one ``getxattr`` per buffer; yancrace's own look-ups add the same
 #: to both sides); every mutating RPC is the reference's.
 _DIRFD_SAVES = {
     "strict": Counter(
@@ -116,6 +133,24 @@ def test_a_fan_out_over_a_remote_mount_sends_the_reference_rpcs_in_fewer_syscall
     assert (ring.device.events_published, ring.device.events_dropped) == (4, 2)
     assert ring.buffers() == reference.buffers()
     assert ring.master.vfs.counters.get("events.dropped.dev-sw1") == reference.master.vfs.counters.get("events.dropped.dev-sw1") == 2
+
+
+def test_a_declaration_withholds_a_frame_and_its_rpcs_over_a_strict_mount():
+    """A buffer declaring LLDP alone gets no IPv4 packet-in, and the publish it is spared is RPCs the mount never sends."""
+    declared, plain = _World("strict"), _World("strict")
+    for world in (declared, plain):
+        world.yc.subscribe_events("sw1", "topod", "0x88cc" if world is declared else None)
+        world.yc.subscribe_events("sw1", "router")
+    frame = build_frame(Ethernet(dst="02:00:00:00:00:02", src="02:00:00:00:00:01", eth_type=ETH_TYPE_IPV4), IPv4("10.0.0.1", "10.0.0.2", 17), Udp(1, 9, payload=b"x"))
+    totals = {}
+    for world in (declared, plain):
+        rpcs, _syscalls = world.step(lambda: world.device.packet_in(world.device.switch, 1, PacketInReason.NO_MATCH, 0, frame, len(frame)))
+        totals[world] = sum(rpcs.values())
+        assert [files["data"] for files in world.buffers()["router"].values()] == [frame]
+    assert declared.buffers()["topod"] == {} and len(plain.buffers()["topod"]) == 1
+    assert totals[declared] < totals[plain]
+    assert (declared.device.events_published, declared.device.events_dropped) == (1, 0)
+    assert declared.master.vfs.counters.get("events.filtered.dev-sw1") == 1 and plain.master.vfs.counters.get("events.filtered.dev-sw1") == 0
 
 
 @pytest.mark.parametrize("consistency", ["strict", "cached"])

@@ -9,7 +9,7 @@ regression back to the storm shape fails loudly.
 import pytest
 
 from repro import Simulator, YancController, build_linear
-from repro.apps import RouterDaemon, TopologyDaemon
+from repro.apps import ArpResponder, RouterDaemon, TopologyDaemon
 from repro.apps.base import PacketInApp
 from repro.apps.router import NO_BUFFER
 from repro.dataplane import Match, Output
@@ -186,6 +186,12 @@ def test_a_control_loop_step_is_one_ring_submission():
     h1, h3 = net.hosts["h1"], net.hosts["h3"]
     router.host_locations[h3.mac] = net.host_ports()["h3"]
     packet_out = {"open": 1, "write": 1, "close": 1}
+    # Beacons never reach the router's buffers (it declares !0x88cc), so its first real packet-in sets its ring up.
+    assert router.sc.meter.counters.get("syscall.io_uring_setup") == 0
+    broadcast = build_frame(Ethernet(dst="ff:ff:ff:ff:ff:ff", src=h1.mac, eth_type=ETH_TYPE_IPV4), IPv4(h1.ip, h3.ip, 17), Udp(1, 9, payload=b"x"))
+    ctl.client().write_packet_in_batched("sw1", [router.app_name], 900, in_port=net.host_ports()["h1"][1], reason="no_match", buffer_id=NO_BUFFER, total_len=len(broadcast), data=broadcast)
+    ctl.run(2 * WAKEUP_LATENCY)
+    assert router.floods == 1
     assert router.sc.meter.counters.get("syscall.io_uring_setup") == 1  # set up by the first drain of its buffers
     # Three hops, three flow directories of a dozen files each: one crossing, then the packet release.
     assert cost(router, lambda: router.handle_packet_in(packet_in(1))) == {"io_uring_enter": 1, **packet_out, "total": 4}
@@ -201,6 +207,24 @@ def test_a_control_loop_step_is_one_ring_submission():
     topod.sc._ring = topod.sc.io_uring_setup(entries=8)  # room for two beacons: a round is one crossing per full ring
     assert cost(topod, topod.send_beacons)["io_uring_enter"] == -(-ports // (8 // 3)) == 4
     assert topod.beacons_sent - sent == 2 * ports
+
+
+def test_a_beacon_round_leaves_the_apps_that_do_not_handle_lldp_untouched():
+    """§3.5 filtered at the source: the router (!0x88cc) and arpd (0x0806) are never written to, woken or billed for a beacon."""
+    net = build_linear(3)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(meter=SyscallMeter()), ctl.sim).start()
+    router = RouterDaemon(ctl.host.process(meter=SyscallMeter()), ctl.sim, record_hosts=False).start()
+    arpd = ArpResponder(ctl.host.process(meter=SyscallMeter()), ctl.sim, record_hosts=False).start()
+    ctl.run(1.05)  # past the periodic beacon round at 1.0: the topology is known
+    assert router.topology() == ctl.expected_topology()
+    before = {app: app.sc.meter.counters.snapshot() for app in (router, arpd)}
+    received = topod.beacons_received
+    topod.send_beacons()
+    ctl.run(0.1)
+    assert topod.beacons_received - received == 4  # two inter-switch links, a beacon each way
+    assert router.sc.meter.counters.snapshot().delta(before[router]) == {}
+    assert arpd.sc.meter.counters.snapshot().delta(before[arpd]) == {}
 
 
 class _Collector(PacketInApp):

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.apps import ArpResponder, TopologyDaemon
+from repro.dataplane import build_linear
+from repro.runtime import YancController
 from repro.shell import Shell, ShellError
 
 
@@ -166,6 +169,30 @@ def test_tree_rendering(sh):
 def test_tree_depth_limit(sh):
     out = sh.run("tree /data -L 1")
     assert not any("gamma" in line for line in out.splitlines())
+
+
+def test_getfattr_prints_the_value(sh, sc):
+    sc.setxattr("/data/alpha.txt", "user.k", b"v1")
+    sc.setxattr("/data/beta.txt", "user.k", b"v2")
+    assert sh.run("getfattr -n user.k /data/alpha.txt /data/beta.txt") == "v1\nv2"
+    with pytest.raises(ShellError):
+        sh.run("getfattr -n user.missing /data/alpha.txt")
+    with pytest.raises(ShellError):
+        sh.run("getfattr /data/alpha.txt")
+
+
+def test_an_operator_reads_a_buffer_declaration_and_what_it_withheld():
+    """§3.5 from the shell: what topod's buffer admits, and how many packet-ins the driver withheld as unwanted (not as dropped)."""
+    ctl = YancController(build_linear(2)).start()
+    TopologyDaemon(ctl.host.process(), ctl.sim).start()
+    ArpResponder(ctl.host.process(), ctl.sim).start()
+    ctl.run(1.05)
+    sh = Shell(ctl.host.root_sc)
+    assert sh.run("getfattr -n user.packet_in.dl_type /net/switches/sw1/events/topod /net/switches/sw1/events/arpd") == "0x88cc\n0x0806"
+    driver = ctl.drivers[0].proc_name
+    counters = dict(line.rsplit(" ", 1) for line in sh.run("cat /proc/counters").splitlines())
+    assert int(counters[f"events.filtered.{driver}"]) == ctl.drivers[0].packet_ins_handled > 0  # every packet-in a beacon, arpd's copy withheld
+    assert f"events.dropped.{driver}" not in counters
 
 
 def test_unknown_command(sh):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import tracepoints
-from repro.vfs import EPOLL_CTL_ADD, LINK_FD, FsError, InvalidArgument, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
+from repro.vfs import EPOLL_CTL_ADD, LINK_FD, FsError, InvalidArgument, NoData, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.vfs.cred import Credentials
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
@@ -193,6 +193,24 @@ def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, ring):
     crossing = {"syscall.total": 1, "ctxsw": 4}
     assert direct_bill == {**crossing, "syscall.readdirplus": 1, "bytes.copied": 13}
     assert ring_bill == {**crossing, "syscall.io_uring_enter": 1, "uring.sqe": 1, "uring.readdirplus": 1, "bytes.copied": 13}
+
+
+def test_a_ring_getxattr_completes_with_the_value_or_the_direct_calls_nodata(sc, ring):
+    """A buffer's declaration is probed beside its listing (§3.5): ``getxattr`` is a ring row, one entry each, a missing name a ``NoData`` completion."""
+    sc.mkdir("/d")
+    sc.setxattr("/d", "user.k", b"v")
+    before = sc.meter.counters.snapshot()
+    ring.prep("getxattr", "/d", "user.k")
+    ring.prep("getxattr", "/d", "user.missing")
+    ring.prep("listdir", "/d")
+    ring.submit()
+    present, absent, listing = ring.completions()
+    assert (present.ok, present.result) == (True, b"v")
+    assert isinstance(absent.error, NoData) and not absent.canceled
+    assert listing.ok  # an unlinked entry's error touches nothing after it
+    assert sc.meter.counters.snapshot().delta(before) == {"syscall.total": 1, "ctxsw": 4, "syscall.io_uring_enter": 1, "uring.sqe": 3, "uring.getxattr": 2, "uring.listdir": 1}
+    with pytest.raises(NoData):
+        sc.getxattr("/d", "user.missing")
 
 
 def test_a_ring_watch_is_the_wd_the_direct_call_returns_and_rewatching_reuses_it(sc, ring):

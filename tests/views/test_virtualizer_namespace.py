@@ -93,6 +93,18 @@ def test_packet_in_surfaces_with_virtual_port(big):
     assert virt.events_forwarded == 1
 
 
+def test_packet_ins_sharing_a_seq_below_both_surface_on_the_big_switch(big):
+    """Two fabric switches number their packet-ins apart, so the same ``seq`` from each must not collide on the one view switch."""
+    ctl, virt, view = big
+    view.subscribe_events("big", "tenant")
+    master = ctl.client()
+    for switch in ("sw1", "sw3"):
+        master.write_packet_in(switch, virt.app_name, 7, in_port=2, reason="no_match", buffer_id=0, total_len=1, data=switch.encode())
+    ctl.run(0.2)
+    assert sorted((event.in_port, event.data) for event in view.read_events("big", "tenant")) == [(1, b"sw1"), (2, b"sw3")]
+    assert virt.events_forwarded == 2
+
+
 def test_view_packet_out_mapped_to_fabric_port(big):
     ctl, _virt, view = big
     from repro.netpkt import ETH_TYPE_IPV4, Ethernet
