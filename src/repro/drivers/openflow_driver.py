@@ -33,7 +33,6 @@ from repro.openflow import messages as m
 from repro.openflow.agent import SwitchAgent
 from repro.openflow.codec import codec_for, negotiate, peek_version
 from repro.openflow.of10 import VERSION as OF10_VERSION
-from repro.openflow.of10 import CodecError
 from repro.openflow.of13 import VERSION as OF13_VERSION
 from repro.proc.process import Process
 from repro.sim import Simulator
@@ -68,6 +67,8 @@ class SwitchBinding:
     _xid: int = 0
     _event_seq: int = 0
     dropped_events: int = 0
+    #: times a header's length fell below the header itself and the buffered bytes were dropped
+    framing_errors: int = 0
 
     # -- wire ------------------------------------------------------------------
 
@@ -80,15 +81,28 @@ class SwitchBinding:
         self.conn.send(codec_for(version).encode(msg))
 
     def on_data(self, data: bytes) -> None:
-        """Reassemble and dispatch incoming wire messages."""
+        """Reassemble and dispatch incoming wire messages.
+
+        A message that does not decode is skipped by its length.  A length
+        below the 8-byte header means the framing is lost: the switch gets
+        one ``BAD_REQUEST``/``BAD_LEN`` error, the buffered bytes are
+        dropped and the loss is counted, and the session reads on from the
+        next bytes to arrive.
+        """
         self._rx += data
         while len(self._rx) >= 8:
             length = int.from_bytes(self._rx[2:4], "big")
+            if length < 8:
+                self.framing_errors += 1
+                self.driver._count(f"openflow.framing_lost.{self.driver.proc_name}")
+                self.send(m.ErrorMsg(err_type=m.OFPET_BAD_REQUEST, err_code=m.OFPBRC_BAD_LEN, data=self._rx[:64]))
+                self._rx = b""
+                return
             if len(self._rx) < length:
                 return
             try:
                 msg, self._rx = codec_for(peek_version(self._rx)).decode(self._rx)
-            except CodecError:
+            except ValueError:  # a CodecError, or a field outside its enum
                 self._rx = self._rx[length:]
                 continue
             self.driver.handle_message(self, msg)

@@ -9,7 +9,7 @@ tp_dst.  The yanc flow files ``match.*`` use exactly these field names
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from ipaddress import IPv4Address
 
@@ -26,9 +26,14 @@ from repro.netpkt.lldp import Lldp
 from repro.netpkt.transport import Tcp, Udp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowKey:
-    """The header fields a flow entry can match (OpenFlow 1.0 tuple)."""
+    """The header fields a flow entry can match (OpenFlow 1.0 tuple).
+
+    Hashed once, when built: ``_values`` holds every field as an int or None
+    (MACs and IPv4 addresses as integers) and ``_hash`` its hash, which dict
+    probes and ``==`` read instead of the address objects' own methods.
+    """
 
     dl_src: MacAddress
     dl_dst: MacAddress
@@ -41,6 +46,23 @@ class FlowKey:
     nw_tos: int | None = None
     tp_src: int | None = None
     tp_dst: int | None = None
+    _values: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nw_src = None if self.nw_src is None else int(self.nw_src)
+        nw_dst = None if self.nw_dst is None else int(self.nw_dst)
+        values = (int(self.dl_src), int(self.dl_dst), self.dl_type, self.dl_vlan, self.dl_vlan_pcp, nw_src, nw_dst, self.nw_proto, self.nw_tos, self.tp_src, self.tp_dst)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowKey):
+            return NotImplemented
+        return self._values == other._values
 
     def field_values(self) -> dict[str, object]:
         """Return the non-None fields as a name -> value mapping."""

@@ -16,7 +16,6 @@ from repro.dataplane.flowtable import FlowEntry, FlowRemovedReason
 from repro.dataplane.switch import PacketInReason, PortSim, SwitchSim
 from repro.openflow import messages as m
 from repro.openflow.codec import codec_for, negotiate, peek_version
-from repro.openflow.of10 import CodecError
 from repro.openflow.of13 import VERSION as OF13_VERSION
 
 _REASON_TO_WIRE = {
@@ -114,19 +113,26 @@ class SwitchAgent:
     # -- inbound (wire -> switch) ------------------------------------------------------
 
     def _on_data(self, data: bytes) -> None:
+        """Reassemble and handle wire messages; an undecodable one is answered
+        with an error and skipped by its length, and a length below the
+        8-byte header (the framing is lost) with one ``BAD_LEN`` error and
+        the buffered bytes dropped."""
         self._rx += data
-        while self._rx:
-            if len(self._rx) < 8:
-                return
+        while len(self._rx) >= 8:
             length = int.from_bytes(self._rx[2:4], "big")
+            if length < 8:
+                self.errors_sent += 1
+                self._send(m.ErrorMsg(err_type=m.OFPET_BAD_REQUEST, err_code=m.OFPBRC_BAD_LEN, data=self._rx[:64]))
+                self._rx = b""
+                return
             if len(self._rx) < length:
                 return
             try:
                 version = peek_version(self._rx)
                 msg, self._rx = codec_for(version).decode(self._rx)
-            except CodecError:
+            except ValueError:  # a CodecError, or a field outside its enum
                 self.errors_sent += 1
-                self._send(m.ErrorMsg(err_type=1, err_code=0))
+                self._send(m.ErrorMsg(err_type=m.OFPET_BAD_REQUEST, err_code=m.OFPBRC_BAD_VERSION))
                 self._rx = self._rx[length:]
                 continue
             self._handle(msg, version)

@@ -18,6 +18,11 @@ from repro.dataplane.match import Match
 #: "Not buffered" sentinel shared by both protocol versions.
 NO_BUFFER = 0xFFFFFFFF
 
+#: ``ErrorMsg`` type and codes (same numeric values in 1.0 and 1.3).
+OFPET_BAD_REQUEST = 1
+OFPBRC_BAD_VERSION = 0
+OFPBRC_BAD_LEN = 6
+
 
 class FlowModCommand(enum.Enum):
     """flow-mod commands (same numeric values in 1.0 and 1.3)."""

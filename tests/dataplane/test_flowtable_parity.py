@@ -2,8 +2,11 @@
 
 Both tables receive the *same* FlowEntry objects through identical
 randomized op sequences (install/replace, non/strict delete, modify,
-expire, traffic hits), so every lookup can be checked by object identity:
-the tuple-space index must produce exactly the winner the full scan does.
+expire, remove_entry, traffic hits), so every lookup can be checked by
+object identity: the tuple-space index must produce exactly the winner the
+full scan does.  After every step a small fixed key set is looked up twice,
+a cold probe and a warm one, so the exact-match cache is checked against
+the reference after every kind of change to the table.
 """
 
 import random
@@ -60,11 +63,20 @@ def _ids(entries) -> list[int]:
     return sorted(e.entry_id for e in entries)
 
 
+def _probe_twice(indexed: FlowTable, linear: LinearFlowTable, keys, context: str) -> None:
+    """Cold then warm: the cache's answer must be the classifier's, by identity."""
+    for probe in ("cold", "warm"):
+        for key, in_port in keys:
+            want = linear.lookup(key, in_port)
+            assert indexed.lookup(key, in_port) is want, f"{context} {probe} key={key} in_port={in_port}"
+
+
 def _run_parity(seed: int, steps: int = 250) -> None:
     rng = random.Random(seed)
     indexed, linear = FlowTable(), LinearFlowTable()
+    probes = [random_key(rng) for _ in range(6)]
     now = 0.0
-    for _ in range(steps):
+    for step in range(steps):
         now += rng.random() * 0.3
         op = rng.random()
         if op < 0.55:
@@ -93,12 +105,15 @@ def _run_parity(seed: int, steps: int = 250) -> None:
             assert indexed.modify(
                 match, [Output(out_port)], strict=strict, priority=priority
             ) == linear.modify(match, [Output(out_port)], strict=strict, priority=priority)
-        elif op < 0.90:
+        elif op < 0.88:
             expired_indexed = indexed.expire(now)
             expired_linear = linear.expire(now)
             assert sorted((e.entry_id, r) for e, r in expired_indexed) == sorted(
                 (e.entry_id, r) for e, r in expired_linear
             )
+        elif op < 0.94 and len(linear):
+            victim = rng.choice(linear.entries())
+            assert indexed.remove_entry(victim) is linear.remove_entry(victim) is True
         for _ in range(3):
             key, in_port = random_key(rng)
             got = indexed.lookup(key, in_port)
@@ -106,9 +121,12 @@ def _run_parity(seed: int, steps: int = 250) -> None:
             assert got is want, f"seed={seed} key={key} got={got} want={want}"
             if got is not None and rng.random() < 0.3:
                 got.hit(now, 64)  # shared object: re-arms the idle clock in both worlds
+        _probe_twice(indexed, linear, probes, f"seed={seed} step={step}")
     assert len(indexed) == len(linear)
     # entries() agrees on membership *and* on priority/age ordering.
     assert [e.entry_id for e in indexed.entries()] == [e.entry_id for e in linear.entries()]
+    # The OpenFlow table counters count every lookup, whichever path answered it.
+    assert indexed.aggregate_stats() == linear.aggregate_stats()
 
 
 def test_randomized_op_sequences_agree():
