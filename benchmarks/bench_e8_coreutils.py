@@ -10,8 +10,10 @@ Paper claims:
 * port config via ``echo 1 > .../config.port_down``.
 
 Reproduced shape: each one-liner works on a live controller and returns
-the administratively-correct answer; find-over-the-tree scales with tree
-size (it is a real traversal, not an index).
+the administratively-correct answer; find-over-the-tree visits every
+directory of the tree, so its work grows with tree size (it is a real
+traversal, not an index), while its crossings grow only with the tree's
+depth: each level's directories are read in one ring submission.
 """
 
 from conftest import print_table
@@ -69,15 +71,32 @@ def test_grep_r_counts_flow_files(benchmark):
     assert "/net/switches/sw1/flows/ssh0/match.tp_dst" in out.splitlines()
 
 
+def _tree_shape(sc, top):
+    """(directories, levels) under ``top``, counted by an independent walk."""
+    dirs = levels = 0
+    for dirpath, _dirnames, _filenames in sc.walk(top):
+        dirs += 1
+        levels = max(levels, dirpath.count("/") - top.count("/") + 1)
+    return dirs, levels
+
+
 def test_find_scales_with_tree_size(benchmark):
     rows = []
     for n in (2, 4, 8):
         ctl, shell = _populated(n_switches=n, ssh_flows=2)
-        meter = ctl.host.root_sc.meter
-        before = meter.syscalls
+        sc = ctl.host.root_sc
+        counters = sc.meter.counters
+        sc.ring  # set up before counting: one io_uring_setup per context
+        before = sc.meter.syscalls, counters.get("uring.scandir") + counters.get("syscall.scandir")
         shell.run("find /net -name match.tp_dst")
-        rows.append((n, meter.syscalls - before))
-    print_table("E8: find /net traversal cost vs fleet size", ["switches", "syscalls"], rows)
+        crossings = sc.meter.syscalls - before[0]
+        visited = counters.get("uring.scandir") + counters.get("syscall.scandir") - before[1]
+        dirs, levels = _tree_shape(sc, "/net")
+        assert visited == dirs  # every directory of the tree is read, once
+        # the operand's stat, then a submit per level (and one more per 1,024-entry ring-full)
+        assert crossings <= 1 + levels + dirs // 1024
+        rows.append((n, visited, crossings))
+    print_table("E8: find /net traversal cost vs fleet size", ["switches", "dirs visited", "syscalls"], rows)
     assert rows[-1][1] > rows[0][1]
     ctl, shell = _populated(n_switches=4)
     benchmark(shell.run, "find /net -name match.tp_dst")

@@ -184,9 +184,7 @@ def unpack_match(data: bytes, offset: int = 0) -> Match:
     def prefix(raw: int, wildcard_bits: int) -> IPv4Network | None:
         if wildcard_bits >= 32:
             return None
-        prefix_len = 32 - wildcard_bits
-        network = IPv4Address(raw)
-        return IPv4Network(f"{network}/{prefix_len}", strict=False)
+        return IPv4Network((raw, 32 - wildcard_bits), strict=False)
 
     return Match(
         in_port=None if wildcards & OFPFW_IN_PORT else in_port,

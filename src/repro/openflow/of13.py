@@ -234,12 +234,9 @@ def _apply_oxm(kwargs: dict[str, object], field_id: int, value: bytes, mask: byt
     elif field_id == OXM_IP_PROTO:
         kwargs["nw_proto"] = value[0]
     elif field_id in (OXM_IPV4_SRC, OXM_IPV4_DST):
-        address = IPv4Address(struct.unpack("!I", value)[0])
-        if mask is None:
-            network = IPv4Network(f"{address}/32")
-        else:
-            prefix_len = bin(struct.unpack("!I", mask)[0]).count("1")
-            network = IPv4Network(f"{address}/{prefix_len}", strict=False)
+        raw = struct.unpack("!I", value)[0]
+        prefix_len = 32 if mask is None else bin(struct.unpack("!I", mask)[0]).count("1")
+        network = IPv4Network((raw, prefix_len), strict=False)
         kwargs["nw_src" if field_id == OXM_IPV4_SRC else "nw_dst"] = network
     elif field_id in (OXM_TCP_SRC, OXM_UDP_SRC):
         kwargs["tp_src"] = struct.unpack("!H", value)[0]

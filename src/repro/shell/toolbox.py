@@ -17,7 +17,11 @@ import shlex
 
 from repro.vfs.errors import CrossDevice, FsError
 from repro.vfs.stat import FileType, format_mode
-from repro.vfs.syscalls import Syscalls
+from repro.vfs.syscalls import O_RDONLY, Syscalls
+from repro.vfs.uring import LINK_FD
+
+#: ``find -type`` letters
+_FILE_TYPES = {"f": FileType.REGULAR, "d": FileType.DIRECTORY, "l": FileType.SYMLINK}
 
 
 class ShellError(Exception):
@@ -152,91 +156,130 @@ class Shell:
         type_filter = None
         exec_grep = None
         index = 1
-        while index < len(args):
-            arg = args[index]
-            if arg == "-name":
-                name_glob = args[index + 1]
-                index += 2
-            elif arg == "-type":
-                type_filter = args[index + 1]
-                index += 2
-            elif arg == "-exec":
-                # only 'grep PATTERN {} ;' is supported, like the paper's one-liner
-                if args[index + 1] != "grep":
-                    raise ShellError("find: only '-exec grep' is supported")
-                exec_grep = args[index + 2]
-                index += 3
-                while index < len(args) and args[index] in ("{}", ";", "\\;"):
-                    index += 1
-            else:
-                raise ShellError(f"find: unknown predicate {arg!r}")
-        results = []
-        for found_path, ftype in self._find_walk(path):
-            base = found_path.rstrip("/").rsplit("/", 1)[-1]
-            if name_glob is not None and not fnmatch.fnmatch(base, name_glob):
-                continue
-            if type_filter is not None:
-                wanted = {"f": FileType.REGULAR, "d": FileType.DIRECTORY, "l": FileType.SYMLINK}[type_filter]
-                if ftype is not wanted:
-                    continue
-            if exec_grep is not None:
-                if ftype is not FileType.REGULAR:
-                    continue
-                try:
-                    content = self.sc.read_text(found_path)
-                except (FsError, UnicodeDecodeError):
-                    continue
-                regex = re.compile(exec_grep)
-                for line in content.splitlines():
-                    if regex.search(line):
-                        results.append(f"{found_path}:{line}")
-            else:
-                results.append(found_path)
+        try:
+            while index < len(args):
+                arg = args[index]
+                if arg == "-name":
+                    name_glob = args[index + 1]
+                    index += 2
+                elif arg == "-type":
+                    type_filter = _FILE_TYPES[args[index + 1]]
+                    index += 2
+                elif arg == "-exec":
+                    # only 'grep PATTERN {} ;' is supported, like the paper's one-liner
+                    if args[index + 1] != "grep":
+                        raise ShellError("find: only '-exec grep' is supported")
+                    exec_grep = re.compile(args[index + 2])
+                    index += 3
+                    while index < len(args) and args[index] in ("{}", ";", "\\;"):
+                        index += 1
+                else:
+                    raise ShellError(f"find: unknown predicate {arg!r}")
+        except (IndexError, KeyError, re.error):
+            raise ShellError("find: usage: find path [-name glob] [-type f|d|l] [-exec grep pattern {} ;]") from None
+        # the types an entry may have to be reported, and the name test
+        kinds = tuple(t for t in FileType if type_filter in (None, t) and (exec_grep is None or t is FileType.REGULAR))
+        named = re.compile(fnmatch.translate(name_glob)).match if name_glob is not None else None
+        ftype = self.sc.stat(path).ftype
+        found = [path] if ftype in kinds and (named is None or named(path.rstrip("/").rsplit("/", 1)[-1])) else []
+        results = self._report(found, exec_grep)
+        for level in self._levels(path) if ftype is FileType.DIRECTORY else ():  # a file operand is not scanned
+            found = []
+            for dirpath, entries in level:
+                if not isinstance(entries, list):
+                    raise entries
+                prefix = dirpath.rstrip("/") + "/"
+                rest = []
+                for name, stat in entries:
+                    if stat.ftype in kinds and (named is None or named(name)):
+                        (found if stat.ftype is FileType.DIRECTORY else rest).append(prefix + name)
+                found += rest  # per directory: its sub-directories first, then the rest
+            results += self._report(found, exec_grep)
         return "\n".join(results)
 
-    def _find_walk(self, path: str):
-        # Breadth-first like walk(), but one scandir() per directory gives
-        # every child's ftype without the per-file lstat() storm.
-        yield path, self.sc.stat(path).ftype
-        queue = [path]
-        while queue:
-            dirpath = queue.pop(0)
-            entries = self.sc.scandir(dirpath)
-            subdirs = []
-            for name, stat in entries:
-                if stat.ftype is FileType.DIRECTORY:
-                    child = f"{dirpath.rstrip('/')}/{name}"
-                    subdirs.append(child)
-                    yield child, FileType.DIRECTORY
-            for name, stat in entries:
-                if stat.ftype is not FileType.DIRECTORY:
-                    yield f"{dirpath.rstrip('/')}/{name}", stat.ftype
-            queue.extend(subdirs)
+    def _report(self, paths: list[str], exec_grep: re.Pattern | None) -> list[str]:
+        """``paths`` as found, or with ``exec_grep`` their matching lines.
+
+        The files are read in one submission, each a linked ``open → read
+        → close`` chain; one that fails or is not UTF-8 is skipped.
+        """
+        if exec_grep is None or not paths:
+            return paths
+        ring = self.sc.ring
+        for tag, path in enumerate(paths):
+            ring.prep("open", path, O_RDONLY, link=True, user_data=tag)
+            ring.prep("read", LINK_FD, link=True, user_data=tag)
+            ring.prep("close", LINK_FD, user_data=tag)
+        ring.submit()
+        lines = []
+        data = None
+        for cqe in ring.completions():
+            if cqe.op == "read":
+                data = cqe.result
+            elif cqe.op == "close" and cqe.ok:  # the chain's close ran: so did its open and read
+                try:
+                    content = data.decode()
+                except UnicodeDecodeError:
+                    continue
+                path = paths[cqe.user_data]
+                lines += [f"{path}:{line}" for line in content.splitlines() if exec_grep.search(line)]
+        return lines
+
+    def _levels(self, path: str, depth: int | None = None):
+        """The tree under the directory ``path``, breadth-first, one level at a time.
+
+        Each level is a list of ``(dirpath, entries)`` in BFS order, where
+        ``entries`` is ``scandir``'s list or the :class:`FsError` that
+        refused the directory.  A level is one ring submission (the ring
+        keeps its own room, so a level wider than the ring costs one
+        crossing per ring-full); ``depth`` bounds the levels read.
+        """
+        ring = self.sc.ring
+        level = [path]
+        while level and (depth is None or depth > 0):
+            for tag, dirpath in enumerate(level):
+                ring.prep("scandir", dirpath, user_data=tag)
+            ring.submit()
+            scans = [(level[cqe.user_data], cqe.result if cqe.ok else cqe.error) for cqe in ring.completions()]
+            yield scans
+            level = [
+                f"{dirpath.rstrip('/')}/{name}"
+                for dirpath, entries in scans
+                if isinstance(entries, list)
+                for name, stat in entries
+                if stat.ftype is FileType.DIRECTORY
+            ]
+            if depth is not None:
+                depth -= 1
 
     def cmd_tree(self, args: list[str]) -> str:
         """tree [path] [-L depth] — render like paper figure 2."""
         depth_limit = None
         paths = []
         index = 0
-        while index < len(args):
-            if args[index] == "-L":
-                depth_limit = int(args[index + 1])
-                index += 2
-            else:
-                paths.append(args[index])
-                index += 1
+        try:
+            while index < len(args):
+                if args[index] == "-L":
+                    depth_limit = int(args[index + 1])
+                    index += 2
+                else:
+                    paths.append(args[index])
+                    index += 1
+        except (IndexError, ValueError):
+            raise ShellError("tree: usage: tree [path] [-L depth]") from None
         path = paths[0] if paths else self.sc.getcwd()
+        listing: dict[str, list | FsError] = {}
+        for level in self._levels(path, depth_limit):
+            listing.update(level)
         lines = [path]
-        self._tree(path, "", lines, depth_limit, 1)
+        self._tree(path, "", lines, listing)
         return "\n".join(lines)
 
-    def _tree(self, path: str, prefix: str, lines: list[str], depth_limit: int | None, depth: int) -> None:
-        if depth_limit is not None and depth > depth_limit:
-            return
-        try:
-            entries = sorted(self.sc.scandir(path), key=lambda e: e[0])
-        except FsError:
-            return
+    def _tree(self, path: str, prefix: str, lines: list[str], listing: dict[str, list | FsError]) -> None:
+        entries = listing.get(path)
+        if not isinstance(entries, list):
+            return  # beyond -L, or refused: omitted
+        entries = sorted(entries, key=lambda e: e[0])
         for position, (name, stat) in enumerate(entries):
             last = position == len(entries) - 1
             connector = "└── " if last else "├── "
@@ -247,7 +290,7 @@ class Shell:
             lines.append(prefix + connector + label)
             if stat.is_dir:
                 extension = "    " if last else "│   "
-                self._tree(child, prefix + extension, lines, depth_limit, depth + 1)
+                self._tree(child, prefix + extension, lines, listing)
 
     def cmd_mkdir(self, args: list[str]) -> str:
         """mkdir [-p] dir..."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Permission bit masks (same values as the POSIX constants).
 S_IRUSR = 0o400
@@ -43,9 +43,13 @@ class FileType(enum.Enum):
         }[self]
 
 
-@dataclass(frozen=True)
-class Stat:
-    """The metadata returned by ``stat()``/``lstat()``."""
+class Stat(NamedTuple):
+    """The metadata returned by ``stat()``/``lstat()``.
+
+    A named tuple, as ``os.stat_result`` is a struct sequence: immutable,
+    equal and hashable by value, and built without a Python-level
+    ``__init__`` (``scandir`` builds one per entry).
+    """
 
     ino: int
     ftype: FileType

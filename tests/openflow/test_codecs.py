@@ -234,3 +234,21 @@ def test_flowmod_roundtrip_property(codec, dl_type, addr, prefix, tp_dst, priori
     decoded, _ = codec.decode(codec.encode(msg))
     assert decoded.match == match
     assert decoded.priority == priority
+
+
+@given(src=st.integers(min_value=0, max_value=2**32 - 1), dst=st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("codec", CODECS, ids=["of10", "of13"])
+def test_a_decoded_prefix_equals_the_dotted_string_one(codec, src, dst):
+    """Each prefix length 0-32 decodes to the network the dotted ``"a.b.c.d/len"`` spelling builds."""
+    from ipaddress import IPv4Address, IPv4Network
+
+    def spelled(addr, prefix_len):
+        if codec is of10 and prefix_len == 0:
+            return None  # OF1.0 carries a /0 as a wildcard
+        return IPv4Network(f"{IPv4Address(addr)}/{prefix_len}", strict=False)
+
+    for prefix_len in range(33):
+        match = Match(dl_type=0x0800, nw_src=spelled(src, prefix_len), nw_dst=spelled(dst, 32 - prefix_len))
+        packed = codec.pack_match(match)
+        decoded = codec.unpack_match(packed) if codec is of10 else codec.unpack_match(packed)[0]
+        assert decoded == match

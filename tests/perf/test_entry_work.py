@@ -26,6 +26,14 @@ Its bound is 1.1x the 171 calls it made when the cache came in
 (``FORWARD_CALLS``); classifying at every hop made 226, 15 of them
 ``signature_key_of``.
 
+The operator's ``find /net/switches -name packet_count`` over a leaf-spine
+fabric holding 50 flows per switch reads each tree level in one ring
+submission: the operand's ``stat`` and five ``io_uring_enter`` where the
+per-directory walk made one ``scandir`` crossing per directory (686).  Its
+bound is 1.1x the 26,747 calls it made when the levels and the tuple
+``Stat`` came in (``FIND_CALLS``); the per-directory walk made 39,791,
+four per entry of them a generator resume and ``fnmatch``'s frames.
+
 Trace-point subscribers (the runtime tools a tier-1 axis installs) are
 set aside while counting: the ratchet prices the program, not its
 observers.
@@ -39,10 +47,11 @@ from contextlib import contextmanager
 import pytest
 
 from repro.apps import ArpResponder, RouterDaemon, TopologyDaemon
-from repro.dataplane import FlowEntry, Match, Network, Output
+from repro.dataplane import LOCAL, FlowEntry, Match, Network, Output, build_clos
 from repro.netpkt.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ETH_TYPE_LLDP
 from repro.perf import tracepoints
-from repro.runtime import ControllerHost
+from repro.runtime import ControllerHost, YancController
+from repro.shell import Shell
 from repro.vfs.cred import ROOT
 from repro.yancfs.client import YancClient, flow_spec_files, write_objects_batched
 from repro.yancfs.translate import fan_out_packet_in
@@ -196,3 +205,25 @@ def test_a_forwarded_datagram_is_answered_from_the_exact_match_cache():
     assert by_name.get("signature_key_of", 0) == 0
     assert by_name.get("parse_frame") == 1
     assert calls <= 1.1 * FORWARD_CALLS, f"{calls} Python calls, bound {1.1 * FORWARD_CALLS:.0f}"
+
+
+FIND_CALLS = 26747
+
+
+def test_the_operators_find_crosses_once_per_tree_level():
+    ctl = YancController(build_clos(2, 4)).start()
+    pusher = ctl.client(name="pusher")
+    specs = [(f"m{j}", Match(dl_type=ETH_TYPE_IPV4, nw_dst=f"10.1.{j}.0/24"), [Output(LOCAL)]) for j in range(50)]
+    for name in sorted(ctl.net.switches):
+        assert pusher.create_flows_batched(ctl.fs_name_of(name), specs, priority=100) == len(specs)
+    ctl.run(1.0)
+    shell = Shell(ctl.host.process(cred=ROOT, name="operator").sc)
+    command = "find /net/switches -name packet_count"
+    found = shell.run(command)  # warm-up: the ring, the memo
+    assert len(found.splitlines()) == 50 * len(ctl.net.switches)
+    counters = shell.sc.meter.counters
+    before = counters.snapshot()
+    calls = _calls(lambda: shell.run(command))
+    crossed = {name: count for name, count in counters.snapshot().delta(before).items() if name.startswith("syscall.")}
+    assert crossed == {"syscall.total": 6, "syscall.stat": 1, "syscall.io_uring_enter": 5}
+    assert calls <= 1.1 * FIND_CALLS, f"{calls} Python calls, bound {1.1 * FIND_CALLS:.0f}"

@@ -217,3 +217,26 @@ def test_shell_respects_permissions(vfs, sc):
     user_shell = Shell(Syscalls(vfs, cred=Credentials(uid=500, gid=500)))
     with pytest.raises(ShellError):
         user_shell.run("cat /secret")
+
+
+def test_find_a_file_operand_is_reported_not_scanned(sh):
+    assert sh.run("find /data/alpha.txt") == "/data/alpha.txt"
+    assert sh.run("find /data/alpha.txt -name alpha.*") == "/data/alpha.txt"
+    assert sh.run("find /data/alpha.txt -name beta.*") == ""
+    assert sh.run("find /data/alpha.txt -type d") == ""
+    assert sh.run("find /data/alpha.txt -exec grep ssh {} ;") == "/data/alpha.txt:ssh port 22"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["find /data -name", "find /data -type", "find /data -type x", "find /data -exec", "find /data -exec grep", "find /data -exec grep ( {} ;"],
+)
+def test_find_usage_errors_are_shell_errors(sh, command):
+    with pytest.raises(ShellError, match="find: usage"):
+        sh.run(command)
+
+
+@pytest.mark.parametrize("command", ["tree /data -L", "tree /data -L two"])
+def test_tree_usage_errors_are_shell_errors(sh, command):
+    with pytest.raises(ShellError, match="tree: usage"):
+        sh.run(command)

@@ -75,9 +75,31 @@ def test_stat_is_frozen_snapshot(sc):
     sc.write_text("/f", "abcdef")
     assert snap.size == 3
     with pytest.raises(Exception):
-        snap.size = 99  # frozen dataclass
+        snap.size = 99  # an immutable named tuple
 
 
 def test_stat_flags():
     st = Stat(ino=1, ftype=FileType.DIRECTORY, mode=0o755, uid=0, gid=0, size=0, nlink=2, atime=0, mtime=0, ctime=0)
     assert st.is_dir and not st.is_symlink
+
+
+def test_stat_is_a_named_tuple_with_the_dataclass_contract():
+    """Fields, the ``dev`` default, the properties, immutability, value
+    equality and hash, and the ``repr`` text the frozen dataclass had."""
+    fields = dict(ino=7, ftype=FileType.SYMLINK, mode=0o777, uid=1, gid=2, size=3, nlink=1, atime=1.5, mtime=2.5, ctime=3.5)
+    st = Stat(**fields)
+    assert Stat._fields == (*fields, "dev")
+    assert st.dev == 0 and Stat(**fields, dev=4).dev == 4
+    assert st.st_mode == 0o120777 and st.is_symlink and not st.is_dir
+    for name in Stat._fields:
+        with pytest.raises(AttributeError):
+            setattr(st, name, 0)
+    with pytest.raises(AttributeError):
+        st.extra = 1
+    twin = Stat(**fields)
+    assert twin == st and hash(twin) == hash(st) and twin is not st
+    assert st != Stat(**{**fields, "size": 4})
+    assert repr(st) == (
+        "Stat(ino=7, ftype=<FileType.SYMLINK: 'symlink'>, mode=511, uid=1, gid=2, size=3, nlink=1, "
+        "atime=1.5, mtime=2.5, ctime=3.5, dev=0)"
+    )
