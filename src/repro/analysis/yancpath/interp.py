@@ -63,7 +63,7 @@ _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 #: Receiver spellings treated as a ring handle (mirrors the ``sc`` /
 #: ``.sc`` convention for Syscalls receivers).
-_URING_RECEIVERS = ("ring", "uring", "_uring")
+_URING_RECEIVERS = ("ring", "uring", "_uring", "batch")
 
 
 def _is_super(base: ast.expr) -> bool:
@@ -83,10 +83,11 @@ def syscall_method(call: ast.Call) -> str | None:
     Recognized receivers: a bare ``sc``/``syscalls`` name, any attribute
     spelled ``.sc`` / ``.root_sc`` (``self.sc``, ``host.root_sc``), ``self``
     itself for ``watch`` only (the Process run-loop helper), and — for
-    ``submit``, the ring's one kernel crossing — a ``ring``/``uring``
-    name or ``.ring``/``.uring``/``._uring`` attribute (the §8.1 batch
-    ring).  Only ``submit`` registers as an op site, which is exactly what
-    makes batched loops legible to yancperf: the storm collapses to one
+    ``submit``, the ring's one kernel crossing — a ``ring``/``uring``/
+    ``batch`` name or ``.ring``/``.uring``/``._uring``/``.batch``
+    attribute (the §8.1 ring, or a caller's batch on it).  Only
+    ``submit`` registers as an op site, which is exactly what makes
+    batched loops legible to yancperf: the storm collapses to one
     recognized op per flush.
     """
     func = call.func
@@ -131,8 +132,8 @@ def _dir_fd_key(call: ast.Call) -> str | None:
 def queued_syscall(call: ast.Call) -> tuple[str, int] | None:
     """``(method, shift)`` when ``call`` queues a ring entry.
 
-    ``ring.prep(op, *args)`` stands for ``sc.op(*args)`` (its arguments
-    sit one position later) and ``ring.prep_write_file(path, data)`` for
+    ``batch.prep(op, *args)`` stands for ``sc.op(*args)`` (its arguments
+    sit one position later) and ``batch.prep_write_file(path, data)`` for
     ``sc.write_bytes(path, data)``; an op that is not a ring row of the
     syscall table is no entry at all.
     """

@@ -67,11 +67,10 @@ class AccountingDaemon(YancApp):
 
     def _read(self, op: str, reads: list[tuple[tuple, str]]) -> dict[tuple, list | None]:
         """One ``op`` per ``(key, path)``, in one submission (the ring submits when full); each key's result, None where it failed."""
-        ring = self.ring
+        batch = self.ring.batch()
         for key, path in reads:
-            ring.prep(op, path, user_data=key)
-        ring.submit()
-        return {cqe.user_data: cqe.result if cqe.ok else None for cqe in ring.completions()}
+            batch.prep(op, path, user_data=key)
+        return {cqe.user_data: cqe.result if cqe.ok else None for cqe in batch.submit()}
 
     def records(self) -> list[str]:
         """All usage records logged so far."""

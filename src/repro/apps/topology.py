@@ -210,16 +210,15 @@ class TopologyDaemon(PacketInApp):
 
     def send_beacons(self) -> None:
         """One LLDP frame out of every known port of every switch: the round is one ring submission (the ring submits when full)."""
-        ring = self.ring
+        batch = self.ring.batch()
         for switch in self._safe_switches():
             spool = f"{self.yc.switch_path(switch)}/packet_out"
             for port_no in self.port_cache.ports(switch):
                 self._beacon_seq += 1
-                ring.prep_write_file(f"{spool}/{packet_out_name([port_no], self.app_name, self._beacon_seq)}", self._beacon(switch, port_no))
-        ring.submit()
+                batch.prep_write_file(f"{spool}/{packet_out_name([port_no], self.app_name, self._beacon_seq)}", self._beacon(switch, port_no))
         # A beacon is sent once its spool file is closed (the driver's
         # cue); one whose switch vanished mid-round fails its own chain.
-        self.beacons_sent += sum(cqe.ok for cqe in ring.completions() if cqe.op == "close")
+        self.beacons_sent += sum(cqe.ok for cqe in batch.submit() if cqe.op == "close")
 
     @staticmethod
     def _beacon(switch: str, port_no: int) -> bytes:

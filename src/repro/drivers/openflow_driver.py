@@ -494,16 +494,15 @@ class OpenFlowDriver(Process):
         No probe: a ``counters/`` that is gone fails its file's ``open``,
         which cancels that file's chain and creates nothing.
         """
-        ring = self.ring
+        batch = self.ring.batch()
         root = f"{self.yc.switch_path(binding.fs_name)}/{kind}"
         for name, values in sweep.items():
             written = binding.counters.setdefault((kind, name), {})
             for counter, value in values.items():
                 if written.get(counter) == value:
                     continue
-                ring.prep_write_file(f"{root}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
-        ring.submit()
-        for cqe in ring.completions():
+                batch.prep_write_file(f"{root}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
+        for cqe in batch.submit():
             if cqe.op == "close":  # the last link of a file's chain: ok iff the whole write was
                 written, counter, value = cqe.user_data
                 if cqe.ok:

@@ -182,8 +182,7 @@ class Process:
         if self._ino is not None:
             self._ino.close()
             self._ino = None
-        if self.sc is not None and self.sc._ring is not None:  # a restarted process sets up a fresh ring
-            self.sc._ring.close()
+        if self.sc is not None:  # a restarted process sets up a fresh ring
             self.sc._ring = None
 
     # -- lifecycle -------------------------------------------------------------

@@ -205,15 +205,14 @@ class Shell:
         """
         if exec_grep is None or not paths:
             return paths
-        ring = self.sc.ring
+        batch = self.sc.ring.batch()
         for tag, path in enumerate(paths):
-            ring.prep("open", path, O_RDONLY, link=True, user_data=tag)
-            ring.prep("read", LINK_FD, link=True, user_data=tag)
-            ring.prep("close", LINK_FD, user_data=tag)
-        ring.submit()
+            batch.prep("open", path, O_RDONLY, link=True, user_data=tag)
+            batch.prep("read", LINK_FD, link=True, user_data=tag)
+            batch.prep("close", LINK_FD, user_data=tag)
         lines = []
         data = None
-        for cqe in ring.completions():
+        for cqe in batch.submit():
             if cqe.op == "read":
                 data = cqe.result
             elif cqe.op == "close" and cqe.ok:  # the chain's close ran: so did its open and read
@@ -234,13 +233,12 @@ class Shell:
         keeps its own room, so a level wider than the ring costs one
         crossing per ring-full); ``depth`` bounds the levels read.
         """
-        ring = self.sc.ring
+        batch = self.sc.ring.batch()
         level = [path]
         while level and (depth is None or depth > 0):
             for tag, dirpath in enumerate(level):
-                ring.prep("scandir", dirpath, user_data=tag)
-            ring.submit()
-            scans = [(level[cqe.user_data], cqe.result if cqe.ok else cqe.error) for cqe in ring.completions()]
+                batch.prep("scandir", dirpath, user_data=tag)
+            scans = [(level[cqe.user_data], cqe.result if cqe.ok else cqe.error) for cqe in batch.submit()]
             yield scans
             level = [
                 f"{dirpath.rstrip('/')}/{name}"

@@ -4,7 +4,7 @@ The paper's applications are ordinary processes, and an ordinary process
 does not poll each notification descriptor separately — it parks in one
 ``epoll_wait`` covering everything it watches and is woken once, whatever
 fired.  :class:`Epoll` reproduces that: any :class:`Pollable` (an inotify
-instance, a ring's completion queue, a shared-memory ring) can be
+instance, a shared-memory ring) can be
 registered, and a single wakeup callback covers the whole set.
 
 Semantics follow Linux epoll where it matters here:

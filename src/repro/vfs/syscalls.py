@@ -574,10 +574,10 @@ class Syscalls:
     # -- batched submission (§8.1: amortize the kernel crossing) -----------------------
 
     def io_uring_setup(self, entries: int = 256) -> "IoUring":
-        """io_uring_setup(2): create a submission/completion ring.
+        """io_uring_setup(2): create a submission ring.
 
         The ring shares this context's fd table and meter; queueing
-        entries and reaping completions touch only the ring memory, and
+        entries on a :meth:`~repro.vfs.uring.IoUring.batch` is free, and
         each :meth:`~repro.vfs.uring.IoUring.submit` costs exactly one
         metered ``io_uring_enter`` however many entries it carries.
         """
@@ -592,8 +592,9 @@ class Syscalls:
     def ring(self) -> "IoUring":
         """This context's submission ring, set up on first use (one ``io_uring_setup``, 1024 entries).
 
-        Every batch the context submits shares it: a step that touches
-        several files crosses once (§8.1), and the ring keeps its own room.
+        Every batch the context opens on it crosses through it: a step
+        that touches several files crosses once (§8.1), and the ring keeps
+        each batch's room.
         """
         if self._ring is None:
             self._ring = self.io_uring_setup(entries=1024)

@@ -7,16 +7,19 @@ table of flows, fanning one packet-in out to N application buffers)
 therefore pay a crossing *per file touched*.  :class:`IoUring` amortizes
 that the way ``io_uring(7)`` does:
 
-* callers **prepare** submission-queue entries (:meth:`IoUring.prep`, or
-  the :meth:`IoUring.prep_write_file` convenience that expands into a
-  linked ``open → write → close`` chain);
-* one :meth:`IoUring.submit` crosses into the kernel **once** (a single
-  metered ``io_uring_enter``) and executes every queued entry;
-* results come back as :class:`Cqe` records on a completion queue that is
-  a :class:`~repro.vfs.poll.Pollable`, as :class:`~repro.vfs.notify.Inotify`
-  is, so a process can park its :class:`~repro.vfs.poll.Epoll` loop on ring
-  completions exactly as it does on inotify events.  Reaping completions
-  touches only the shared ring memory: no syscall.
+* a caller opens a :class:`Batch` on the context's ring
+  (:meth:`IoUring.batch`) and **prepares** submission-queue entries on it
+  (:meth:`Batch.prep`, or the :meth:`Batch.prep_write_file` convenience
+  that expands into a linked ``open → write → close`` chain);
+* :meth:`Batch.submit` crosses into the kernel **once** (a single metered
+  ``io_uring_enter``, :meth:`IoUring.submit`), executes the batch's
+  entries and returns their :class:`Cqe` records in submission order.
+
+**A batch belongs to its caller.**  The ring holds no queue: its entries
+and completions are the batch's, so one caller never runs, or reaps,
+another's.  A caller that raises before :meth:`Batch.submit` drops its
+batch, and nothing it prepared runs.  Every completion exists by the time
+the submit returns, so there is no completion queue to poll or drain.
 
 **Linked chains.**  An entry prepared with ``link=True`` ties the *next*
 entry to its success: if it fails, every remaining entry of the chain
@@ -32,21 +35,24 @@ are written without walking the object's path once per file.  If a chain
 is severed while either descriptor is still open, the ring closes it
 (billed as ``uring.chain_autoclose``) so a failed batch cannot leak fds.
 
-**Room.**  The submission queue is bounded (``entries``), and the ring
-keeps its own room: when the next entry would not fit, it submits what
-is queued ahead of the open chain, so a chain never straddles a submit
-and no caller counts slots.  A chain longer than the whole ring is
-refused whole (:class:`~repro.vfs.errors.InvalidArgument`, its own
-entries dropped, so nothing of it runs or links into the next entry).  A context has one ring, :attr:`Syscalls.ring
-<repro.vfs.syscalls.Syscalls.ring>`, which every batch it submits shares.
+**Room.**  A crossing carries at most the ring's ``entries``, and the
+ring keeps the room of every batch: when the next entry would not fit,
+what the batch queued ahead of its open chain crosses first (its
+completions are kept for the batch's submit), so a chain never straddles
+a crossing and no caller counts slots.  A chain longer than the whole
+ring is refused whole (:class:`~repro.vfs.errors.InvalidArgument`, its
+own entries dropped, so nothing of it runs or links into the next entry).
+A context has one ring, :attr:`Syscalls.ring
+<repro.vfs.syscalls.Syscalls.ring>`, which every batch it opens shares.
 
 **Observability.**  Entries execute through the real ``Syscalls``
 methods, so each fires that method's ``syscall`` trace point exactly as
 a direct call would, and :meth:`IoUring.submit` is itself a trace point
 (``on_uring_submit_enter(ring)`` / ``on_uring_submit_exit(ring, result,
-exc)``) so a subscriber can tell which ops one crossing carried.  The
-meter is paused around the batch so the facade's per-call billing does
-not double-count; what executed is instead billed once per submit via
+exc)``, ``result`` the crossing's completions) so a subscriber can tell
+which ops one crossing carried.  The meter is paused around the batch
+so the facade's per-call billing does not double-count; what executed
+is instead billed once per submit via
 :meth:`~repro.perf.meter.SyscallMeter.batch_ops` (``uring.sqe`` /
 ``uring.<op>`` / payload bytes).  Batching changes the *cost*, never the
 event stream or the analysis coverage: at run time an entry *is* the
@@ -70,7 +76,6 @@ from repro.perf.tracepoints import around as _around
 from repro.perf.tracepoints import entering as _entering
 from repro.perf.tracepoints import subscribers as _tracing
 from repro.vfs.errors import FsError, InvalidArgument
-from repro.vfs.poll import Pollable
 from repro.vfs.syscalls import SYSCALLS
 from repro.vfs.vfs import O_CREAT, O_DIRECTORY, O_TRUNC, O_WRONLY
 
@@ -118,7 +123,7 @@ class Sqe:
 
 @dataclass(slots=True)
 class Cqe:
-    """One completion-queue entry, in submission order.
+    """One completion-queue entry.
 
     Exactly one of the three outcomes holds: ``result`` (success),
     ``error`` (the op raised an :class:`~repro.vfs.errors.FsError`), or
@@ -126,7 +131,6 @@ class Cqe:
     so this one never ran).
     """
 
-    index: int  # submission order within the batch
     op: str
     result: object = None
     error: FsError | None = None
@@ -139,35 +143,66 @@ class Cqe:
         return self.error is None and not self.canceled
 
 
+class Batch:
+    """One caller's entries on a ring, and the completions of those that already crossed.
+
+    Opened with :meth:`IoUring.batch`; the ring validates each entry and
+    keeps the batch's room (the module docstring's **Room**).  A batch may
+    be reused after :meth:`submit`.
+    """
+
+    __slots__ = ("ring", "_sq", "_chain", "_done")
+
+    def __init__(self, ring: "IoUring") -> None:
+        self.ring = ring
+        self._sq: list[Sqe] = []
+        #: where the open linked chain starts in ``_sq`` (its length: none open)
+        self._chain = 0
+        #: completions of entries that crossed to make room, kept for :meth:`submit`
+        self._done: list[Cqe] = []
+
+    def prep(self, op: str, *args, link: bool = False, user_data: object = None, dir_fd: object = None) -> None:
+        """Queue one operation (:meth:`IoUring.prep`)."""
+        self.ring.prep(self, op, *args, link=link, user_data=user_data, dir_fd=dir_fd)
+
+    def prep_write_file(self, path: str, data: bytes, *, link: bool = False, user_data: object = None, dir_fd: object = None) -> None:
+        """Queue ``open → write → close`` as one linked chain (:meth:`IoUring.prep_write_file`)."""
+        self.ring.prep_write_file(self, path, data, link=link, user_data=user_data, dir_fd=dir_fd)
+
+    def submit(self) -> list[Cqe]:
+        """Every completion since the last submit, in submission order; what is still queued crosses once (none: no crossing)."""
+        return self.ring.completions(self)
+
+
 @dataclass
-class IoUring(Pollable):
-    """A submission/completion ring bound to one syscall context.
+class IoUring:
+    """A submission ring bound to one syscall context: the rules of an entry and the crossing.
 
     Created via :meth:`Syscalls.io_uring_setup` (the context's own is
     :attr:`Syscalls.ring`); the ring shares the context's credentials,
     namespace, fd table, and meter, so a batched ``open`` yields an fd
-    usable by direct calls and vice versa.
+    usable by direct calls and vice versa.  It holds no entries: a caller
+    queues on its own :class:`Batch`, whose methods call :meth:`prep`,
+    :meth:`prep_write_file` and :meth:`completions` with the batch.
     """
 
     sc: "Syscalls"
     entries: int = 256
-    _sq: list[Sqe] = field(default_factory=list)
-    _cq: list[Cqe] = field(default_factory=list)
-    _seq: int = 0
-    #: where the open linked chain starts in ``_sq`` (its length: none open)
-    _chain: int = 0
     #: op -> the context's bound method, looked up once per ring
     _ops: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        super().__init__()
         if self.entries < 1:
             raise InvalidArgument(detail=f"ring size must be >= 1, got {self.entries}")
 
-    # -- preparation (no syscalls: the SQ lives in shared memory) ------------
+    def batch(self) -> Batch:
+        """A fresh, empty batch on this ring (no syscall: the queue lives in the caller's memory)."""
+        return Batch(self)
 
-    def prep(self, op: str, *args, link: bool = False, user_data: object = None, dir_fd: object = None) -> int:
-        """Queue one operation; returns its position in the queue.
+    # -- preparation (no syscalls, unless the batch needs room) ---------------
+
+    def prep(self, batch: Batch, op: str, *args, link: bool = False, user_data: object = None, dir_fd: object = None) -> None:
+        """Queue one operation on ``batch``.
 
         ``link=True`` makes the *next* prepared entry conditional on this
         one succeeding (chains compose by linking every entry but the
@@ -179,10 +214,15 @@ class IoUring(Pollable):
             raise InvalidArgument(detail=f"unsupported ring op {op!r}")
         if dir_fd is not None and op != "open":
             raise InvalidArgument(detail=f"{op} takes no dir_fd")
-        return self._queue((Sqe(op, args, link, user_data, dir_fd),))
+        sq = batch._sq
+        if len(sq) >= self.entries:
+            self._make_room(batch, 1)
+        sq.append(Sqe(op, args, link, user_data, dir_fd))
+        if not link:
+            batch._chain = len(sq)
 
-    def prep_write_file(self, path: str, data: bytes, *, link: bool = False, user_data: object = None, dir_fd: object = None) -> int:
-        """Queue ``open → write → close`` as one linked chain.
+    def prep_write_file(self, batch: Batch, path: str, data: bytes, *, link: bool = False, user_data: object = None, dir_fd: object = None) -> None:
+        """Queue ``open → write → close`` on ``batch`` as one linked chain.
 
         The batched equivalent of ``Syscalls.write_bytes`` (the ``echo
         value > file`` idiom); with ``dir_fd``, ``path`` is a name in that
@@ -190,69 +230,62 @@ class IoUring(Pollable):
         *next* prepared entry, so whole multi-file sequences — assemble a
         maildir temp, then rename it into place — cancel together when any
         step fails.  The three entries are queued together or not at all.
-        Returns the position of the ``open``.
         """
-        return self._queue(
-            (
-                Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data, dir_fd),
-                Sqe("write", (LINK_FD, data), True, user_data),
-                Sqe("close", (LINK_FD,), link, user_data),
-            )
+        sq = batch._sq
+        if len(sq) + 3 > self.entries:
+            self._make_room(batch, 3)
+        sq += (
+            Sqe("open", (path, O_WRONLY | O_CREAT | O_TRUNC), True, user_data, dir_fd),
+            Sqe("write", (LINK_FD, data), True, user_data),
+            Sqe("close", (LINK_FD,), link, user_data),
         )
+        if not link:
+            batch._chain = len(sq)
 
-    def _queue(self, sqes: tuple[Sqe, ...]) -> int:
-        """Append ``sqes`` to the open linked chain, keeping the room as the module docstring's **Room** says."""
-        sq = self._sq
-        if len(sq) + len(sqes) > self.entries:
-            if self._chain:
-                self._sq, chain = sq[: self._chain], sq[self._chain :]
-                self.submit()
-                self._sq = sq = chain
-            if len(sq) + len(sqes) > self.entries:
-                sq.clear()
-                raise InvalidArgument(detail=f"linked chain longer than the ring ({self.entries} entries)")
-        position = len(sq)
-        sq += sqes
-        if not sqes[-1].link:
-            self._chain = len(sq)
-        return position
+    def _make_room(self, batch: Batch, count: int) -> None:
+        """Make room in ``batch`` for ``count`` more entries of its open chain, as the module docstring's **Room** says."""
+        sq = batch._sq
+        if batch._chain:
+            batch._done += self.submit(sq[: batch._chain])
+            del sq[: batch._chain]
+            batch._chain = 0
+        if len(sq) + count > self.entries:
+            sq.clear()
+            raise InvalidArgument(detail=f"linked chain longer than the ring ({self.entries} entries)")
 
-    @property
-    def sq_pending(self) -> int:
-        """Entries queued but not yet submitted."""
-        return len(self._sq)
+    def completions(self, batch: Batch) -> list[Cqe]:
+        """Hand ``batch`` every completion since its last hand-over, crossing once for what it still queues."""
+        cqes, batch._done = batch._done, []
+        if batch._sq:
+            sqes, batch._sq, batch._chain = batch._sq, [], 0
+            cqes += self.submit(sqes)
+        return cqes
 
     # -- submission (the one metered kernel crossing) ------------------------
 
-    def submit(self) -> int:
-        """Execute every queued entry under a single ``io_uring_enter``.
+    def submit(self, sqes: list[Sqe]) -> list[Cqe]:
+        """Execute ``sqes`` under a single ``io_uring_enter``; their completions, in order.
 
         Entries run in submission order through the real ``Syscalls``
         methods (so sanitizers, race detection, and notify events all see
         them) with the meter paused for the whole batch; what ran is then
-        billed in one go, per op kind.  Returns the number of entries
-        consumed.
+        billed in one go, per op kind.
         """
         if _tracing and _entering(self):
-            return _around("uring_submit", (self,), self.submit)
-        if not self._sq:
-            return 0
+            return _around("uring_submit", (self,), self.submit, sqes)
         sc = self.sc
         meter = sc.meter
         meter.enter("io_uring_enter")
-        batch, self._sq, self._chain = self._sq, [], 0
-        cq = self._cq
-        was_empty = not cq
+        cq: list[Cqe] = []
         ops = self._ops
         billed: dict[str, int] = {}  # op kind -> entries of this batch billed under it
         nbytes = 0
-        index = self._seq
         chain_fd: int | None = None
         chain_dirfd: int | None = None
         chain_broken = False
         try:
             with meter.pause():
-                for sqe in batch:
+                for sqe in sqes:
                     op = kind = sqe.op  # kind: what the entry is billed as
                     result = error = None
                     canceled = chain_broken
@@ -298,9 +331,8 @@ class IoUring(Pollable):
                         # chain-final entry the boundary reset below runs this
                         # same iteration, so only the autoclose side effect remains.
                         chain_broken = error is not None
-                    cq.append(Cqe(index, op, result, error, canceled, sqe.user_data))
+                    cq.append(Cqe(op, result, error, canceled, sqe.user_data))
                     billed[kind] = billed.get(kind, 0) + 1
-                    index += 1
                     if not sqe.link:  # chain boundary: reset link state
                         if chain_broken:
                             self._autoclose(chain_fd, chain_dirfd, billed=billed)
@@ -309,11 +341,8 @@ class IoUring(Pollable):
                 if chain_broken:
                     self._autoclose(chain_fd, chain_dirfd, billed=billed)
         finally:
-            self._seq = index
             meter.batch_ops(billed, nbytes)
-        if cq and was_empty:
-            self._notify_pollers()
-        return len(batch)
+        return cq
 
     @staticmethod
     def _payload_bytes(op: str, args: tuple, result: object) -> int:
@@ -337,35 +366,5 @@ class IoUring(Pollable):
                 continue
             billed["chain_autoclose"] = billed.get("chain_autoclose", 0) + 1
 
-    # -- completion reaping (shared memory: free) ----------------------------
 
-    def completions(self, max_entries: int | None = None) -> list[Cqe]:
-        """Drain up to ``max_entries`` completions, oldest first.
-
-        Like reading the CQ tail from the mapped ring: costs nothing and
-        is unmetered.
-        """
-        if max_entries is None or max_entries >= len(self._cq):
-            out, self._cq = self._cq, []
-        else:
-            out, self._cq = self._cq[:max_entries], self._cq[max_entries:]
-        return out
-
-    @property
-    def cq_pending(self) -> int:
-        """Completions waiting to be reaped."""
-        return len(self._cq)
-
-    def close(self) -> None:
-        """Drop queued entries, unreaped completions and pollers."""
-        self._sq.clear()
-        self._chain = 0
-        self._cq.clear()
-        self._pollers.clear()
-
-    def readable(self) -> bool:
-        """True when completions are waiting (the pollable protocol)."""
-        return bool(self._cq)
-
-
-__all__ = ["Cqe", "IoUring", "LINK_DIRFD", "LINK_FD", "SUPPORTED_OPS", "Sqe"]
+__all__ = ["Batch", "Cqe", "IoUring", "LINK_DIRFD", "LINK_FD", "SUPPORTED_OPS", "Sqe"]

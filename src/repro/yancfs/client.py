@@ -5,10 +5,10 @@ facade — the helpers exist so applications, drivers, and tests compose the
 same ``echo value > file`` sequences without repeating path arithmetic.
 Every helper call costs exactly the system calls it issues; nothing
 bypasses the file system (that is :mod:`repro.libyanc`'s job).  The
-helpers that batch (``write_objects_batched``, ``take_events``) submit
-through the context's one ring, :attr:`Syscalls.ring
-<repro.vfs.syscalls.Syscalls.ring>`, which keeps its own room: none sets
-up a ring or counts slots of its own.
+helpers that batch (``write_objects_batched``, ``take_events``) open
+their own batch on the context's one ring, :attr:`Syscalls.ring
+<repro.vfs.syscalls.Syscalls.ring>`, which keeps the batch's room: none
+sets up a ring or counts slots of its own.
 """
 
 from __future__ import annotations
@@ -185,26 +185,25 @@ def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | Non
     the object's path again — and a failed step cancels the rest of *that
     object* while its neighbours still publish.  The ring keeps its own
     room (a chain never straddles a submit), so a batch that fits is one
-    ``io_uring_enter``.  Drains the completion queue.
+    ``io_uring_enter``.  An object that cannot be prepared raises before
+    any of the batch crosses, unless the batch already filled the ring.
     """
-    ring = sc.ring
+    batch = sc.ring.batch()
     for index, (path, files, publish) in enumerate(objects):
         staged, writes = _assembly(path, files, publish)
         if publish == "version":
             writes.append(("version", b"1"))
-        tag = ("obj", index)
-        ring.prep("mkdir", staged, link=True, user_data=tag)
-        ring.prep("open", staged, O_DIRECTORY, link=True, user_data=tag)
+        batch.prep("mkdir", staged, link=True, user_data=index)
+        batch.prep("open", staged, O_DIRECTORY, link=True, user_data=index)
         for filename, data in writes:
-            ring.prep_write_file(filename, data, link=True, user_data=tag, dir_fd=LINK_DIRFD)
+            batch.prep_write_file(filename, data, link=True, user_data=index, dir_fd=LINK_DIRFD)
         # Every entry links to the next but the chain's last: the rename, or else the directory's close.
-        ring.prep("close", LINK_DIRFD, link=publish == "rename", user_data=tag)
+        batch.prep("close", LINK_DIRFD, link=publish == "rename", user_data=index)
         if publish == "rename":
-            ring.prep("rename", staged, path, user_data=tag)
-    ring.submit()
+            batch.prep("rename", staged, path, user_data=index)
     # A failure cancels the rest of its chain, so an object completed iff
-    # the last completion carrying its tag is ok.
-    last = {cqe.user_data: cqe for cqe in ring.completions() if cqe.user_data and cqe.user_data[0] == "obj"}
+    # the last completion carrying its index is ok.
+    last = {cqe.user_data: cqe for cqe in batch.submit()}
     return sum([cqe.ok for cqe in last.values()])
 
 
@@ -476,8 +475,7 @@ class YancClient:
         app*; here each app is one ``"rename"`` chain of
         :func:`write_objects_batched` and the whole fan-out submits in one
         ``io_uring_enter``.  Watchers still see only the atomic
-        IN_MOVED_TO.  Drains the ring's completion queue; returns the
-        number of apps whose event published.
+        IN_MOVED_TO.  Returns the number of apps whose event published.
         """
         files = _packet_in_files(in_port, reason, buffer_id, total_len, data)
         objects = [(f"{self.events_path(switch, app)}/pi_{seq}", files, "rename") for app in apps]
@@ -500,13 +498,12 @@ class YancClient:
         a later drain and does not hold up the events behind it; an event
         is returned only once its ``rmdir`` succeeded (unless peeking).
         """
-        ring = self.sc.ring
+        batch = self.sc.ring.batch()
         listed: dict[str, list[str]] = {}
         fields: dict[tuple[str, str], dict[str, bytes] | None] = {}
 
         def reap() -> None:
-            ring.submit()
-            for cqe in ring.completions():
+            for cqe in batch.submit():
                 switch, name = cqe.user_data
                 if name is None:
                     if cqe.ok:
@@ -516,22 +513,21 @@ class YancClient:
 
         for switch, names in named.items():
             base = self.events_path(switch, app)
-            ring.prep("listdir", base, user_data=(switch, None))
+            batch.prep("listdir", base, user_data=(switch, None))
             for name in names:
-                ring.prep("readdirplus", f"{base}/{name}", user_data=(switch, name))
+                batch.prep("readdirplus", f"{base}/{name}", user_data=(switch, name))
         reap()
         unread = [(switch, name) for switch, names in listed.items() for name in names if (switch, name) not in fields]
         if unread:
             for switch, name in unread:
-                ring.prep("readdirplus", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
+                batch.prep("readdirplus", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
             reap()
         taken = [(switch, name, event) for switch, names in listed.items() for name in names if (event := _packet_in_event(switch, name, fields[switch, name])) is not None]
         if not consume or not taken:
             return [event for _switch, _name, event in taken]
         for switch, name, _event in taken:
-            ring.prep("rmdir", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
-        ring.submit()
-        removed = {cqe.user_data for cqe in ring.completions() if cqe.ok}
+            batch.prep("rmdir", f"{self.events_path(switch, app)}/{name}", user_data=(switch, name))
+        removed = {cqe.user_data for cqe in batch.submit() if cqe.ok}
         return [event for switch, name, event in taken if (switch, name) in removed]
 
     def packet_out(

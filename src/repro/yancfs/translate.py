@@ -40,7 +40,7 @@ from repro.yancfs.client import DL_TYPE_XATTR, FlowSpec, YancClient, dl_type_fil
 
 if TYPE_CHECKING:
     from repro.proc.process import Process
-    from repro.vfs.uring import IoUring
+    from repro.vfs.uring import Batch, IoUring
 
 #: Children appearing in / leaving a watched directory.
 DIR_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
@@ -159,9 +159,10 @@ def _flow_steps(run: Iterable[tuple[tuple, NotifyEvent]]) -> Iterator[tuple[Flow
 
 def _follow(ring: "IoUring", steps: Iterable[tuple[FlowFollower, str, str]]) -> None:
     """Run ``(follower, name, step)`` steps in order: ``"track"`` watches and reads, ``"sync"`` reads, ``"forget"`` retires."""
+    batch = ring.batch()
     for follower, name, step in steps:
         if step == "forget":
-            _take(ring)
+            _take(batch)
             try:
                 follower._forget(name)
             except FsError:
@@ -169,15 +170,14 @@ def _follow(ring: "IoUring", steps: Iterable[tuple[FlowFollower, str, str]]) -> 
             continue
         path = follower.yc.flow_path(follower.switch, name)
         if step == "track":
-            ring.prep("inotify_add_watch", follower.proc.ino, path, FILE_MASK, link=True, user_data=(follower, name))
-        ring.prep("readdirplus", path, user_data=(follower, name))
-    _take(ring)
+            batch.prep("inotify_add_watch", follower.proc.ino, path, FILE_MASK, link=True, user_data=(follower, name))
+        batch.prep("readdirplus", path, user_data=(follower, name))
+    _take(batch)
 
 
-def _take(ring: "IoUring") -> None:
+def _take(batch: "Batch") -> None:
     """Submit the watches and reads :func:`_follow` queued: file each watch with its process, hand each flow read over."""
-    ring.submit()
-    for cqe in ring.completions():
+    for cqe in batch.submit():
         follower, name = cqe.user_data
         try:
             if cqe.op == "inotify_add_watch":
@@ -230,13 +230,12 @@ def fan_out_packet_in(
             apps = yc.sc.listdir(f"{yc.switch_path(switch)}/events")
         except FsError:
             apps = []
-    ring = yc.sc.ring
+    batch = yc.sc.ring.batch()
     for app in apps:
         path = yc.events_path(switch, app)
-        ring.prep("listdir", path, user_data=app)
-        ring.prep("getxattr", path, DL_TYPE_XATTR, user_data=app)
-    ring.submit()
-    probes = ring.completions()
+        batch.prep("listdir", path, user_data=app)
+        batch.prep("getxattr", path, DL_TYPE_XATTR, user_data=app)
+    probes = batch.submit()
     pending = {cqe.user_data: len(cqe.result) for cqe in probes if cqe.ok and cqe.op == "listdir"}
     rules = {cqe.user_data: rule for cqe in probes if cqe.ok and cqe.op == "getxattr" and (rule := dl_type_filter(cqe.result))}
     eth_type = None
@@ -282,17 +281,16 @@ def take_packet_out(yc: YancClient, entries: list[tuple[object, str, str]]) -> l
     :meth:`~repro.yancfs.client.YancClient.packet_out` was given; an
     entry naming no port is still consumed (``ports`` is empty).
     """
-    ring = yc.sc.ring
+    batch = yc.sc.ring.batch()
     for index, (_key, switch, name) in enumerate(entries):
         path = f"{yc.switch_path(switch)}/packet_out/{name}"
-        ring.prep("open", path, O_RDONLY, link=True, user_data=index)
-        ring.prep("read", LINK_FD, link=True, user_data=index)
-        ring.prep("close", LINK_FD, link=True, user_data=index)
-        ring.prep("unlink", path, user_data=index)
-    ring.submit()
+        batch.prep("open", path, O_RDONLY, link=True, user_data=index)
+        batch.prep("read", LINK_FD, link=True, user_data=index)
+        batch.prep("close", LINK_FD, link=True, user_data=index)
+        batch.prep("unlink", path, user_data=index)
     data: dict[int, bytes] = {}
     taken = []
-    for cqe in ring.completions():
+    for cqe in batch.submit():
         if cqe.op == "read" and cqe.ok:
             data[cqe.user_data] = cqe.result
         elif cqe.op == "unlink" and cqe.ok:

@@ -151,10 +151,10 @@ def test_recorder_is_inert_when_not_installed():
 def test_recorder_tags_uring_batches():
     def workload(sc):
         sc.makedirs("/var/spool")
-        ring = sc.io_uring_setup(entries=8)
-        ring.prep("mkdir", "/var/spool/d", link=True)
-        ring.prep_write_file("/var/spool/d/f", b"x")
-        ring.submit()
+        batch = sc.io_uring_setup(entries=8).batch()
+        batch.prep("mkdir", "/var/spool/d", link=True)
+        batch.prep_write_file("/var/spool/d/f", b"x")
+        batch.submit()
 
     ops = _record(workload)
     batched = [op for op in ops if op.batch is not None]
@@ -308,13 +308,13 @@ def test_explorer_covers_mid_chain_severs():
         mount_yancfs(sc, "/net")
         client = YancClient(sc)
         client.create_switch("s1")
-        ring = sc.io_uring_setup(entries=16)
+        batch = sc.io_uring_setup(entries=16).batch()
         base = "/net/switches/s1/flows/f1"
-        ring.prep("mkdir", base, link=True)
-        ring.prep_write_file(f"{base}/match.in_port", b"3", link=True)
-        ring.prep_write_file(f"{base}/action.out", b"1", link=True)
-        ring.prep_write_file(f"{base}/version", b"1")
-        ring.submit()
+        batch.prep("mkdir", base, link=True)
+        batch.prep_write_file(f"{base}/match.in_port", b"3", link=True)
+        batch.prep_write_file(f"{base}/action.out", b"1", link=True)
+        batch.prep_write_file(f"{base}/version", b"1")
+        batch.submit()
 
     ops = _record(workload)
     assert any(op.batch is not None for op in ops)

@@ -119,14 +119,13 @@ def test_ring_submitted_ops_fire_the_same_events_as_the_file_path(yanc_sc, tape)
     direct = tape.ops()
 
     tape.events.clear()
-    ring = yanc_sc.io_uring_setup(entries=64)
+    batch = yanc_sc.io_uring_setup(entries=64).batch()
     path = client.flow_path("s1", "ringed")
-    ring.prep("mkdir", path, link=True)
+    batch.prep("mkdir", path, link=True)
     for filename, content in flow_spec_files(match, actions, priority=9).items():
-        ring.prep_write_file(f"{path}/{filename}", content.encode(), link=True)
-    ring.prep("stat", path)
-    ring.submit()
-    assert all(cqe.ok for cqe in ring.completions())
+        batch.prep_write_file(f"{path}/{filename}", content.encode(), link=True)
+    batch.prep("stat", path)
+    assert all(cqe.ok for cqe in batch.submit())
     ringed = tape.ops()[1:-1]  # minus io_uring_setup and the chain-closing stat
 
     def normalized(ops):
@@ -149,14 +148,14 @@ def test_every_entry_of_a_submit_fires_its_own_syscall_pair_inside_one_bracket(s
     """What keeps yancrace, the yancsec monitor and the yanccrash recorder sighted on batched writers."""
     tape = RingTape()
     sc.write_bytes("/f", b"x")
-    ring = sc.io_uring_setup()
-    ring.prep("open", "/f", O_RDONLY, link=True)
-    ring.prep("listdir", "/missing", link=True)  # severs the chain with its fd open
-    ring.prep("close", LINK_FD)  # canceled: never runs, so fires nothing
-    ring.prep_write_file("/g", b"y")
+    batch = sc.io_uring_setup().batch()
+    batch.prep("open", "/f", O_RDONLY, link=True)
+    batch.prep("listdir", "/missing", link=True)  # severs the chain with its fd open
+    batch.prep("close", LINK_FD)  # canceled: never runs, so fires nothing
+    batch.prep_write_file("/g", b"y")
     tracepoints.subscribe(tape)
     try:
-        ring.submit()
+        cqes = batch.submit()
     finally:
         tracepoints.unsubscribe(tape)
     assert tape.events == [
@@ -173,8 +172,9 @@ def test_every_entry_of_a_submit_fires_its_own_syscall_pair_inside_one_bracket(s
         ("exit", "write", (), None),
         ("enter", "close", ()),
         ("exit", "close", (), None),
-        ("submit-exit", 6),
+        ("submit-exit", cqes),  # the crossing's completions
     ]
+    assert len(cqes) == 6
 
 
 def test_the_bus_issues_no_metered_call(yanc_sc):

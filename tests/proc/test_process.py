@@ -237,16 +237,17 @@ def test_the_ring_is_lazy_persistent_and_closed_with_the_loop(rt):
     assert setups() == 0  # spawning and starting cost no ring
     ring = proc.ring
     assert proc.ring is ring is proc.sc.ring and setups() == 1  # the context's one ring, like its inotify and epoll descriptors
-    ring.prep("mkdir", "/spool/queued")
+    ring.batch().prep("mkdir", "/spool/queued")
     proc.stop()
-    assert ring.sq_pending == 0 and not sc.exists("/spool/queued")  # closed: what was queued is dropped, not run
+    assert not sc.exists("/spool/queued")  # what a batch queued runs only at its own submit
     fresh = proc.start().ring
     assert fresh is not ring and setups() == 2
-    fresh.prep("mkdir", "/spool/made")
-    assert fresh.submit() == 1 and sc.exists("/spool/made")
+    batch = fresh.batch()
+    batch.prep("mkdir", "/spool/made")
+    assert [cqe.op for cqe in batch.submit()] == ["mkdir"] and sc.exists("/spool/made")
     proc.schedule(0.0, lambda: 1 / 0)
     sim.run()
-    assert proc.state is ProcState.CRASHED and proc.ring is not fresh  # a crash closes it as a stop does
+    assert proc.state is ProcState.CRASHED and proc.ring is not fresh  # a crash drops it as a stop does
 
 
 # -- scheduling and accounting -----------------------------------------------

@@ -153,25 +153,23 @@ def test_the_trace_point_publishes_the_joined_path(sc):
 
 
 def test_link_dirfd_with_no_directory_open_is_an_invalid_argument_completion(sc):
-    ring = sc.ring
-    ring.prep("open", "f", _CREATE, dir_fd=LINK_DIRFD, link=True)
-    ring.prep("write", LINK_FD, b"x")
-    ring.prep("close", LINK_DIRFD)
-    ring.submit()
-    first, second, close = ring.completions()
+    batch = sc.ring.batch()
+    batch.prep("open", "f", _CREATE, dir_fd=LINK_DIRFD, link=True)
+    batch.prep("write", LINK_FD, b"x")
+    batch.prep("close", LINK_DIRFD)
+    first, second, close = batch.submit()
     assert isinstance(first.error, InvalidArgument) and second.canceled
     assert isinstance(close.error, InvalidArgument)
     with pytest.raises(InvalidArgument):
-        ring.prep("mkdir", "/y", dir_fd=LINK_DIRFD)  # only open takes a dir_fd
+        batch.prep("mkdir", "/y", dir_fd=LINK_DIRFD)  # only open takes a dir_fd
 
 
 def test_a_dirfd_open_is_billed_as_openat(sc):
-    ring = sc.ring
-    ring.prep("open", "/d/.x", O_DIRECTORY, link=True)
-    ring.prep_write_file("f", b"x", dir_fd=LINK_DIRFD, link=True)
-    ring.prep("close", LINK_DIRFD)
-    ring.submit()
-    assert all(cqe.ok for cqe in ring.completions())
+    batch = sc.ring.batch()
+    batch.prep("open", "/d/.x", O_DIRECTORY, link=True)
+    batch.prep_write_file("f", b"x", dir_fd=LINK_DIRFD, link=True)
+    batch.prep("close", LINK_DIRFD)
+    assert all(cqe.ok for cqe in batch.submit())
     counters = sc.meter.counters
     assert (counters.get("uring.open"), counters.get("uring.openat"), counters.get("uring.close")) == (1, 1, 2)
 
@@ -185,16 +183,15 @@ def test_the_fd_table_is_back_to_its_size_after_any_batch(sc, severed_at):
     sc.chmod("/d/.x", 0o777)
     held = user.open("/d/.x", O_DIRECTORY)  # a descriptor the batch must leave alone
     before = dict(user._fds)
-    ring = user.ring
-    ring.prep("open", "/d/nowhere" if severed_at == "directory" else "/d/.x", O_DIRECTORY, link=True)
-    ring.prep_write_file("ok", b"1", dir_fd=LINK_DIRFD, link=True)
+    batch = user.ring.batch()
+    batch.prep("open", "/d/nowhere" if severed_at == "directory" else "/d/.x", O_DIRECTORY, link=True)
+    batch.prep_write_file("ok", b"1", dir_fd=LINK_DIRFD, link=True)
     name = "ro" if severed_at == "file" else "ok2"
-    ring.prep("open", name, _CREATE, dir_fd=LINK_DIRFD, link=True)
-    ring.prep("write", 99 if severed_at == "write" else LINK_FD, b"2", link=True)
-    ring.prep("close", LINK_FD, link=True)
-    ring.prep("close", LINK_DIRFD)
-    ring.submit()
-    completed = [cqe.ok for cqe in ring.completions()]
+    batch.prep("open", name, _CREATE, dir_fd=LINK_DIRFD, link=True)
+    batch.prep("write", 99 if severed_at == "write" else LINK_FD, b"2", link=True)
+    batch.prep("close", LINK_FD, link=True)
+    batch.prep("close", LINK_DIRFD)
+    completed = [cqe.ok for cqe in batch.submit()]
     assert all(completed) == (severed_at is None)
     assert user._fds == before
     user.close(held)

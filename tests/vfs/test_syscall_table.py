@@ -197,17 +197,17 @@ def test_a_symlink_stores_its_target_unresolved():
 
 
 def test_the_ring_accepts_exactly_the_ring_rows():
-    ring = _scratch().io_uring_setup(entries=len(SYSCALLS))
+    batch = _scratch().io_uring_setup(entries=len(SYSCALLS)).batch()
     for op, row in SYSCALLS.items():
         if row.ring:
-            ring.prep(op)
+            batch.prep(op)
         else:
             with pytest.raises(InvalidArgument):
-                ring.prep(op)
+                batch.prep(op)
     for op in _UNMETERED | {"submit", "watch"}:
         with pytest.raises(InvalidArgument):
-            ring.prep(op)
-    assert ring.sq_pending == sum(row.ring for row in SYSCALLS.values())
+            batch.prep(op)
+    assert len(batch._sq) == sum(row.ring for row in SYSCALLS.values())
 
 
 # The cost model's weights, as they were spelled out before they were read

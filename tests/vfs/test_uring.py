@@ -1,4 +1,4 @@
-"""IoUring: batched submission, linked chains, completion ordering, polling."""
+"""IoUring: batched submission, linked chains, completion ordering, batches that belong to their callers."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import tracepoints
-from repro.vfs import EPOLL_CTL_ADD, LINK_FD, FsError, InvalidArgument, NoData, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
+from repro.vfs import LINK_DIRFD, LINK_FD, FsError, InvalidArgument, NoData, O_CREAT, O_DIRECTORY, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.vfs.cred import Credentials
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
@@ -27,45 +27,39 @@ def ring(sc):
     return sc.io_uring_setup()
 
 
+@pytest.fixture
+def batch(ring):
+    return ring.batch()
+
+
 # -- completion ordering ---------------------------------------------------------------
 
 
-def test_completions_arrive_in_submission_order(sc, ring):
-    ring.prep("mkdir", "/a")
-    ring.prep("mkdir", "/b")
-    ring.prep("listdir", "/")
-    assert ring.submit() == 3
-    cqes = ring.completions()
+def test_completions_arrive_in_submission_order(sc, batch):
+    batch.prep("mkdir", "/a", user_data=0)
+    batch.prep("mkdir", "/b", user_data=1)
+    batch.prep("listdir", "/", user_data=2)
+    cqes = batch.submit()
     assert [c.op for c in cqes] == ["mkdir", "mkdir", "listdir"]
-    assert [c.index for c in cqes] == [0, 1, 2]
+    assert [c.user_data for c in cqes] == [0, 1, 2]
     assert sorted(cqes[2].result) == ["a", "b"]
 
 
-def test_order_preserved_across_submits(sc, ring):
-    ring.prep("mkdir", "/a")
-    ring.submit()
-    ring.prep("mkdir", "/b")
-    ring.submit()
-    cqes = ring.completions()
-    assert [(c.index, c.op) for c in cqes] == [(0, "mkdir"), (1, "mkdir")]
+def test_order_preserved_across_submits(sc, batch):
+    """A batch reused after its submit hands back only what crossed since."""
+    batch.prep("mkdir", "/a")
+    first = batch.submit()
+    batch.prep("mkdir", "/b")
+    second = batch.submit()
+    assert [(c.op, c.ok) for c in first] == [(c.op, c.ok) for c in second] == [("mkdir", True)]
+    assert sc.listdir("/") == ["a", "b"]
 
 
-def test_partial_reap_keeps_remainder(sc, ring):
-    for name in ("/a", "/b", "/c"):
-        ring.prep("mkdir", name)
-    ring.submit()
-    first = ring.completions(max_entries=1)
-    assert [c.index for c in first] == [0]
-    assert ring.cq_pending == 2
-    assert [c.index for c in ring.completions()] == [1, 2]
-
-
-def test_failed_op_reports_error_without_stopping_batch(sc, ring):
-    ring.prep("mkdir", "/ok")
-    ring.prep("listdir", "/missing")  # independent entries: no link
-    ring.prep("mkdir", "/also_ok")
-    ring.submit()
-    cqes = ring.completions()
+def test_failed_op_reports_error_without_stopping_batch(sc, batch):
+    batch.prep("mkdir", "/ok")
+    batch.prep("listdir", "/missing")  # independent entries: no link
+    batch.prep("mkdir", "/also_ok")
+    cqes = batch.submit()
     assert cqes[0].ok and cqes[2].ok
     assert not cqes[1].ok and cqes[1].error is not None and not cqes[1].canceled
     assert sc.exists("/also_ok")
@@ -74,75 +68,69 @@ def test_failed_op_reports_error_without_stopping_batch(sc, ring):
 # -- linked chains ---------------------------------------------------------------------
 
 
-def test_link_fd_threads_open_write_close(sc, ring):
-    ring.prep_write_file("/f", b"hello")
-    ring.submit()
-    cqes = ring.completions()
+def test_link_fd_threads_open_write_close(sc, batch):
+    batch.prep_write_file("/f", b"hello")
+    cqes = batch.submit()
     assert [c.op for c in cqes] == ["open", "write", "close"]
     assert all(c.ok for c in cqes)
     assert sc.read_bytes("/f") == b"hello"
 
 
-def test_chain_failure_cancels_the_rest(sc, ring):
-    ring.prep("mkdir", "/missing/deep", link=True)  # fails: parent absent
-    ring.prep("mkdir", "/never", link=True)
-    ring.prep("mkdir", "/never2")
-    ring.prep("mkdir", "/independent")  # next chain: unaffected
-    ring.submit()
-    cqes = ring.completions()
+def test_chain_failure_cancels_the_rest(sc, batch):
+    batch.prep("mkdir", "/missing/deep", link=True)  # fails: parent absent
+    batch.prep("mkdir", "/never", link=True)
+    batch.prep("mkdir", "/never2")
+    batch.prep("mkdir", "/independent")  # next chain: unaffected
+    cqes = batch.submit()
     assert cqes[0].error is not None
     assert cqes[1].canceled and cqes[2].canceled
     assert cqes[3].ok
     assert not sc.exists("/never") and sc.exists("/independent")
 
 
-def test_severed_chain_autocloses_its_fd(sc, ring):
+def test_severed_chain_autocloses_its_fd(sc, batch):
     sc.write_bytes("/f", b"x")
-    ring.prep("open", "/f", O_RDONLY, link=True)
-    ring.prep("listdir", "/missing", link=True)  # fails mid-chain
-    ring.prep("close", LINK_FD)
-    ring.submit()
-    cqes = ring.completions()
+    batch.prep("open", "/f", O_RDONLY, link=True)
+    batch.prep("listdir", "/missing", link=True)  # fails mid-chain
+    batch.prep("close", LINK_FD)
+    cqes = batch.submit()
     assert cqes[0].ok and cqes[1].error is not None and cqes[2].canceled
     # The chain's fd was reclaimed: the table is empty again.
     assert not sc._fds
     assert sc.meter.counters.get("uring.chain_autoclose") == 1
 
 
-def test_link_fd_without_open_is_an_error(sc, ring):
-    ring.prep("close", LINK_FD)
-    ring.submit()
-    (cqe,) = ring.completions()
+def test_link_fd_without_open_is_an_error(sc, batch):
+    batch.prep("close", LINK_FD)
+    (cqe,) = batch.submit()
     assert cqe.error is not None and not cqe.canceled
 
 
-def test_batched_fd_usable_by_direct_calls(sc, ring):
+def test_batched_fd_usable_by_direct_calls(sc, batch):
     sc.write_bytes("/f", b"payload")
-    ring.prep("open", "/f", O_RDONLY)
-    ring.submit()
-    (cqe,) = ring.completions()
+    batch.prep("open", "/f", O_RDONLY)
+    (cqe,) = batch.submit()
     assert sc.read(cqe.result, 7) == b"payload"
     sc.close(cqe.result)
 
 
-def test_maildir_chain_publishes_atomically(sc, ring):
+def test_maildir_chain_publishes_atomically(sc, batch):
     sc.mkdir("/spool")
-    ring.prep("mkdir", "/spool/.tmp", link=True)
-    ring.prep_write_file("/spool/.tmp/data", b"x", link=True)
-    ring.prep("rename", "/spool/.tmp", "/spool/item")
-    ring.submit()
-    assert all(c.ok for c in ring.completions())
+    batch.prep("mkdir", "/spool/.tmp", link=True)
+    batch.prep_write_file("/spool/.tmp/data", b"x", link=True)
+    batch.prep("rename", "/spool/.tmp", "/spool/item")
+    assert all(c.ok for c in batch.submit())
     assert sc.listdir("/spool") == ["item"]
 
 
 # -- metering --------------------------------------------------------------------------
 
 
-def test_submit_is_one_syscall_regardless_of_batch_size(sc, ring):
+def test_submit_is_one_syscall_regardless_of_batch_size(sc, batch):
     sc.meter.reset()
     for i in range(20):
-        ring.prep("mkdir", f"/d{i}")
-    ring.submit()
+        batch.prep("mkdir", f"/d{i}")
+    batch.submit()
     assert sc.meter.counters.get("syscall.io_uring_enter") == 1
     assert sc.meter.counters.get("syscall.total") == 1
     assert sc.meter.counters.get("syscall.mkdir") == 0  # batched, not direct
@@ -150,25 +138,25 @@ def test_submit_is_one_syscall_regardless_of_batch_size(sc, ring):
     assert sc.meter.counters.get("uring.mkdir") == 20
 
 
-def test_empty_submit_is_free(sc, ring):
+def test_empty_submit_is_free(sc, batch):
     sc.meter.reset()
-    assert ring.submit() == 0
+    assert batch.submit() == []
     assert sc.meter.syscalls == 0
 
 
-def test_batched_payload_bytes_still_billed(sc, ring):
+def test_batched_payload_bytes_still_billed(sc, batch):
     sc.meter.reset()
-    ring.prep_write_file("/f", b"12345")
-    ring.submit()
+    batch.prep_write_file("/f", b"12345")
+    batch.submit()
     assert sc.meter.counters.get("bytes.copied") == 5
-    ring.prep("open", "/f", O_RDONLY, link=True)
-    ring.prep("read", LINK_FD, 5, link=True)
-    ring.prep("close", LINK_FD)
-    ring.submit()
+    batch.prep("open", "/f", O_RDONLY, link=True)
+    batch.prep("read", LINK_FD, 5, link=True)
+    batch.prep("close", LINK_FD)
+    batch.submit()
     assert sc.meter.counters.get("bytes.copied") == 10
 
 
-def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, ring):
+def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, batch):
     """The payload is the files' bytes either way; only the crossing differs."""
     sc.mkdir("/d")
     for name, data in (("a", b"abc"), ("b", b""), ("c", b"0123456789")):
@@ -183,9 +171,8 @@ def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, ring):
     direct, direct_bill = billed(lambda: sc.readdirplus("/d"))
 
     def through_ring():
-        ring.prep("readdirplus", "/d")
-        ring.submit()
-        return ring.completions()[0].result
+        batch.prep("readdirplus", "/d")
+        return batch.submit()[0].result
 
     batched, ring_bill = billed(through_ring)
     assert batched == direct
@@ -195,16 +182,15 @@ def test_a_ring_readdirplus_bills_what_the_direct_call_bills(sc, ring):
     assert ring_bill == {**crossing, "syscall.io_uring_enter": 1, "uring.sqe": 1, "uring.readdirplus": 1, "bytes.copied": 13}
 
 
-def test_a_ring_getxattr_completes_with_the_value_or_the_direct_calls_nodata(sc, ring):
+def test_a_ring_getxattr_completes_with_the_value_or_the_direct_calls_nodata(sc, batch):
     """A buffer's declaration is probed beside its listing (§3.5): ``getxattr`` is a ring row, one entry each, a missing name a ``NoData`` completion."""
     sc.mkdir("/d")
     sc.setxattr("/d", "user.k", b"v")
     before = sc.meter.counters.snapshot()
-    ring.prep("getxattr", "/d", "user.k")
-    ring.prep("getxattr", "/d", "user.missing")
-    ring.prep("listdir", "/d")
-    ring.submit()
-    present, absent, listing = ring.completions()
+    batch.prep("getxattr", "/d", "user.k")
+    batch.prep("getxattr", "/d", "user.missing")
+    batch.prep("listdir", "/d")
+    present, absent, listing = batch.submit()
     assert (present.ok, present.result) == (True, b"v")
     assert isinstance(absent.error, NoData) and not absent.canceled
     assert listing.ok  # an unlinked entry's error touches nothing after it
@@ -213,17 +199,16 @@ def test_a_ring_getxattr_completes_with_the_value_or_the_direct_calls_nodata(sc,
         sc.getxattr("/d", "user.missing")
 
 
-def test_a_ring_watch_is_the_wd_the_direct_call_returns_and_rewatching_reuses_it(sc, ring):
+def test_a_ring_watch_is_the_wd_the_direct_call_returns_and_rewatching_reuses_it(sc, batch):
     """Registering interest is not waiting: ``inotify_add_watch`` is a ring row, and the wd is the kernel's either way."""
     for name in ("/d", "/e"):
         sc.mkdir(name)
     ino = sc.inotify_init()
     direct = sc.inotify_add_watch(ino, "/d", EventMask.IN_CREATE)
-    ring.prep("inotify_add_watch", ino, "/d", EventMask.IN_CREATE | EventMask.IN_DELETE)
-    ring.prep("inotify_add_watch", ino, "/e", EventMask.IN_CREATE)
-    ring.prep("inotify_add_watch", ino, "/e", EventMask.IN_CREATE)
-    ring.submit()
-    again, fresh, rewatched = ring.completions()
+    batch.prep("inotify_add_watch", ino, "/d", EventMask.IN_CREATE | EventMask.IN_DELETE)
+    batch.prep("inotify_add_watch", ino, "/e", EventMask.IN_CREATE)
+    batch.prep("inotify_add_watch", ino, "/e", EventMask.IN_CREATE)
+    again, fresh, rewatched = batch.submit()
     assert again.result == direct  # re-watching an inode reuses its wd and replaces its mask
     assert fresh.ok and fresh.result != direct and rewatched.result == fresh.result
     sc.mkdir("/e/x")
@@ -241,11 +226,10 @@ def test_a_ring_watch_that_fails_raises_the_direct_calls_error_and_cancels_its_l
     ino = user.inotify_init()
     with pytest.raises(FsError) as direct:
         user.inotify_add_watch(ino, path, EventMask.IN_CREATE)
-    ring = user.io_uring_setup()
-    ring.prep("inotify_add_watch", ino, path, EventMask.IN_CREATE, link=True)
-    ring.prep("readdirplus", path)
-    ring.submit()
-    watch, read = ring.completions()
+    batch = user.io_uring_setup().batch()
+    batch.prep("inotify_add_watch", ino, path, EventMask.IN_CREATE, link=True)
+    batch.prep("readdirplus", path)
+    watch, read = batch.submit()
     assert type(watch.error) is type(direct.value) and read.canceled
     root.mkdir(path if path == "/missing" else "/locked/d/z")
     assert user.inotify_read(ino) == []  # neither attempt left a watch behind
@@ -256,44 +240,44 @@ def test_a_ring_watch_that_fails_raises_the_direct_calls_error_and_cancels_its_l
 # (the literals below were recorded from it, at the parent of the rewrite).
 
 
-def _ok(sc, ring):
+def _ok(sc, batch):
     sc.write_bytes("/seed", b"seeded")
-    ring.prep("mkdir", "/d", link=True, user_data="obj")
-    ring.prep_write_file("/d/f", b"hello", link=True, user_data="obj")
-    ring.prep("rename", "/d", "/e", user_data="obj")
-    ring.prep("open", "/seed", O_RDONLY, link=True)
-    ring.prep("pread", LINK_FD, 4, 1, link=True)
-    ring.prep("close", LINK_FD)
-    ring.prep("listdir", "/e")
+    batch.prep("mkdir", "/d", link=True, user_data="obj")
+    batch.prep_write_file("/d/f", b"hello", link=True, user_data="obj")
+    batch.prep("rename", "/d", "/e", user_data="obj")
+    batch.prep("open", "/seed", O_RDONLY, link=True)
+    batch.prep("pread", LINK_FD, 4, 1, link=True)
+    batch.prep("close", LINK_FD)
+    batch.prep("listdir", "/e")
 
 
-def _fails_mid_chain(sc, ring):
-    ring.prep("mkdir", "/d", link=True)
-    ring.prep_write_file("/missing/f", b"lost", link=True)
-    ring.prep("rename", "/d", "/e")
-    ring.prep("mkdir", "/independent")
+def _fails_mid_chain(sc, batch):
+    batch.prep("mkdir", "/d", link=True)
+    batch.prep_write_file("/missing/f", b"lost", link=True)
+    batch.prep("rename", "/d", "/e")
+    batch.prep("mkdir", "/independent")
 
 
-def _link_fd_without_an_open(sc, ring):
-    ring.prep("write", LINK_FD, b"nowhere", link=True)
-    ring.prep("close", LINK_FD)
-    ring.prep("mkdir", "/independent")
+def _link_fd_without_an_open(sc, batch):
+    batch.prep("write", LINK_FD, b"nowhere", link=True)
+    batch.prep("close", LINK_FD)
+    batch.prep("mkdir", "/independent")
 
 
-def _severed_with_an_fd_open(sc, ring):
+def _severed_with_an_fd_open(sc, batch):
     sc.write_bytes("/seed", b"seeded")
-    ring.prep("open", "/seed", O_RDONLY, link=True)
-    ring.prep("read", LINK_FD, 3, link=True)
-    ring.prep("listdir", "/missing", link=True)
-    ring.prep("close", LINK_FD)
-    ring.prep_write_file("/after", b"next chain")
+    batch.prep("open", "/seed", O_RDONLY, link=True)
+    batch.prep("read", LINK_FD, 3, link=True)
+    batch.prep("listdir", "/missing", link=True)
+    batch.prep("close", LINK_FD)
+    batch.prep_write_file("/after", b"next chain")
 
 
 _ONE_CROSSING = {"ctxsw": 4, "syscall.io_uring_enter": 1, "syscall.total": 1}
 
 
 @pytest.mark.parametrize(
-    "batch, billed, completed",
+    "prepare, billed, completed",
     [
         (
             _ok,
@@ -317,22 +301,21 @@ _ONE_CROSSING = {"ctxsw": 4, "syscall.io_uring_enter": 1, "syscall.total": 1}
         ),
     ],
 )
-def test_a_submit_bills_and_completes_what_entry_at_a_time_did(sc, ring, batch, billed, completed):
-    batch(sc, ring)
+def test_a_submit_bills_and_completes_what_entry_at_a_time_did(sc, batch, prepare, billed, completed):
+    prepare(sc, batch)
     sc.meter.reset()
-    ring.submit()
+    cqes = batch.submit()
     assert sc.meter.counters.snapshot().values == _ONE_CROSSING | billed
-    cqes = ring.completions()
-    assert [cqe.index for cqe in cqes] == list(range(len(completed)))
+    assert len(cqes) == len(completed)
     assert [(cqe.op, "canceled" if cqe.canceled else type(cqe.error).__name__ if cqe.error else cqe.result, cqe.user_data) for cqe in cqes] == completed
     assert not sc._fds
 
 
-def test_a_paused_meter_bills_nothing_for_a_submit(sc, ring):
-    ring.prep_write_file("/f", b"12345")
+def test_a_paused_meter_bills_nothing_for_a_submit(sc, batch):
+    batch.prep_write_file("/f", b"12345")
     sc.meter.reset()
     with sc.meter.pause():
-        ring.submit()
+        batch.submit()
     assert sc.meter.counters.snapshot().values == {}
 
 
@@ -386,13 +369,12 @@ def _run_direct(sc, chains):
 
 
 def _run_ring(sc, chains):
-    ring = sc.io_uring_setup(entries=5 * len(chains) + 1)
+    batch = sc.io_uring_setup(entries=5 * len(chains) + 1).batch()
     for index, chain in enumerate(chains):
         for position, (op, args) in enumerate(chain):
-            ring.prep(op, *args, link=position < len(chain) - 1, user_data=index)
-    ring.submit()
+            batch.prep(op, *args, link=position < len(chain) - 1, user_data=index)
     errors = [None] * len(chains)
-    for cqe in ring.completions():
+    for cqe in batch.submit():
         if cqe.error is not None and errors[cqe.user_data] is None:
             errors[cqe.user_data] = type(cqe.error).__name__
     return errors
@@ -417,27 +399,146 @@ def test_a_ring_publishes_and_does_what_the_direct_calls_do(chains):
     assert _observe(_run_ring, chains) == _observe(_run_direct, chains)
 
 
+# -- a batch belongs to its caller ------------------------------------------------------
+#
+# Consumers shaped like the in-tree sites (an object's chain, a buffer probe,
+# a spool take, a file read, a flow read) prepare on one ring, interleaved
+# entry by entry; each then submits, or raises at one of its preps.  The
+# reference is the per-syscall run of the consumers that submitted, each
+# alone, in the order they submitted: a consumer that raised did nothing.
+
+_CREATE = O_WRONLY | O_CREAT | O_TRUNC
+_OBJECT = st.sampled_from(["o1", "o2", "o3"])
+_SHAPES = st.one_of(
+    st.tuples(_OBJECT, st.binary(max_size=4)).map(  # write_objects_batched
+        lambda nd: [
+            [
+                ("mkdir", (f"/t/.{nd[0]}",), None),
+                ("open", (f"/t/.{nd[0]}", O_DIRECTORY), None),
+                ("open", ("f", _CREATE), LINK_DIRFD),
+                ("write", (LINK_FD, nd[1]), None),
+                ("close", (LINK_FD,), None),
+                ("close", (LINK_DIRFD,), None),
+                ("rename", (f"/t/.{nd[0]}", f"/t/{nd[0]}"), None),
+            ]
+        ]
+    ),
+    _OBJECT.map(lambda n: [[("listdir", (f"/t/{n}",), None)], [("getxattr", (f"/t/{n}", "user.k"), None)]]),  # fan_out_packet_in
+    _OBJECT.map(lambda n: [[("open", (f"/t/{n}/f", O_RDONLY), None), ("read", (LINK_FD,), None), ("close", (LINK_FD,), None), ("unlink", (f"/t/{n}/f",), None)]]),  # take_packet_out
+    _OBJECT.map(lambda n: [[("open", (f"/t/{n}/f", O_RDONLY), None), ("read", (LINK_FD,), None), ("close", (LINK_FD,), None)]]),  # find -exec grep
+    _OBJECT.map(lambda n: [[("readdirplus", (f"/t/{n}",), None)]]),  # follow_flows
+)
+_CONSUMER = st.lists(_SHAPES, min_size=1, max_size=3).map(lambda shapes: [chain for shape in shapes for chain in shape])
+
+
+class _Raised(Exception):
+    """A consumer's failure between two of its preps."""
+
+
+def _entries(chains: list[list]) -> list[tuple]:
+    return [(op, args, position < len(chain) - 1, dir_fd) for chain in chains for position, (op, args, dir_fd) in enumerate(chain)]
+
+
+def _outcome(op: str, result: object, error: FsError | None, canceled: bool) -> tuple:
+    return op, "canceled" if canceled else type(error).__name__ if error is not None else result
+
+
+def _consumer(ring, chains: list[list], raise_at: int | None):
+    """Prepare one entry per step on the consumer's own batch; then submit, or raise before entry ``raise_at``."""
+    batch = ring.batch()
+    for index, (op, args, link, dir_fd) in enumerate(_entries(chains)):
+        if index == raise_at:
+            raise _Raised
+        batch.prep(op, *args, link=link, dir_fd=dir_fd)
+        yield
+    return [_outcome(cqe.op, cqe.result, cqe.error, cqe.canceled) for cqe in batch.submit()]
+
+
+def _alone(sc: Syscalls, chains: list[list]) -> list[tuple]:
+    """The consumer's chains as direct calls: a failed step cancels the rest of its chain and closes what it opened."""
+    out = []
+    for chain in chains:
+        fd = dirfd = error = None
+        for op, args, dir_fd in chain:
+            if error is not None:
+                out.append(_outcome(op, None, None, True))
+                continue
+            args = tuple(fd if arg is LINK_FD else dirfd if arg is LINK_DIRFD else arg for arg in args)
+            result = None
+            try:
+                result = getattr(sc, op)(*args) if dir_fd is None else sc.open(*args, dir_fd=dirfd)
+            except FsError as exc:
+                error = exc
+            else:
+                if op == "open" and args[1] & O_DIRECTORY:
+                    dirfd = result
+                elif op == "open":
+                    fd = result
+                elif op == "close":
+                    fd, dirfd = (None, dirfd) if args[0] == fd else (fd, None)
+            out.append(_outcome(op, result, error, False))
+        if error is not None:
+            for held in (fd, dirfd):
+                if held is not None:
+                    sc.close(held)
+    return out
+
+
+def _seeded() -> Syscalls:
+    sc = Syscalls(VirtualFileSystem())
+    sc.makedirs("/t/o1")
+    sc.write_bytes("/t/o1/f", b"seed")
+    sc.setxattr("/t/o1", "user.k", b"v")
+    return sc
+
+
+@settings(max_examples=80, deadline=None)
+@given(consumers=st.lists(st.tuples(_CONSUMER, st.one_of(st.none(), st.integers(0, 12))), min_size=1, max_size=4), data=st.data())
+def test_each_batch_completes_only_its_own_entries_and_an_abandoned_one_runs_nothing(consumers, data):
+    sc = _seeded()
+    running = {who: _consumer(sc.ring, chains, raise_at) for who, (chains, raise_at) in enumerate(consumers)}
+    got, order = {}, []
+    while running:
+        who = data.draw(st.sampled_from(sorted(running)))
+        try:
+            next(running[who])
+        except StopIteration as done:
+            got[who] = done.value
+            order.append(who)
+        except _Raised:
+            pass
+        else:
+            continue
+        del running[who]
+    reference = _seeded()
+    assert got == {who: _alone(reference, consumers[who][0]) for who in order}
+    assert tree_state(sc.vfs) == tree_state(reference.vfs)
+    assert not sc._fds and not reference._fds
+
+
 # -- validation ------------------------------------------------------------------------
 
 
-def test_unknown_op_rejected(ring):
+def test_unknown_op_rejected(batch):
     with pytest.raises(InvalidArgument):
-        ring.prep("spawn")
+        batch.prep("spawn")
 
 
 def test_queue_full_rejected(sc):
     """A full queue submits what is queued to make room; a chain longer than the whole ring is refused."""
-    ring = sc.io_uring_setup(entries=2)
-    ring.prep("mkdir", "/a")
-    ring.prep("mkdir", "/b")
+    batch = sc.io_uring_setup(entries=2).batch()
+    batch.prep("mkdir", "/a")
+    batch.prep("mkdir", "/b")
     before = sc.meter.counters.get("syscall.io_uring_enter")
-    ring.prep("mkdir", "/c")  # no room: /a and /b cross first
+    batch.prep("mkdir", "/c")  # no room: /a and /b cross first
     assert sc.meter.counters.get("syscall.io_uring_enter") - before == 1
-    assert sc.exists("/b") and not sc.exists("/c") and ring.sq_pending == 1
+    assert sc.exists("/b") and not sc.exists("/c") and len(batch._sq) == 1
     with pytest.raises(InvalidArgument):
-        ring.prep_write_file("/a/x", b"data")  # three linked entries never fit in two: /c crosses, the chain is dropped
-    assert ring.sq_pending == 0 and sc.exists("/c")
-    assert ring.submit() == 0 and sc.listdir("/a") == [] and not sc._fds
+        batch.prep_write_file("/a/x", b"data")  # three linked entries never fit in two: /c crosses, the chain is dropped
+    assert batch._sq == [] and sc.exists("/c")
+    crossed = sc.meter.counters.get("syscall.io_uring_enter")
+    assert [cqe.op for cqe in batch.submit()] == ["mkdir"] * 3  # what crossed for room, handed over without a crossing
+    assert sc.meter.counters.get("syscall.io_uring_enter") == crossed and sc.listdir("/a") == [] and not sc._fds
 
 
 def test_prep_write_file_queues_its_whole_chain_or_nothing(sc):
@@ -446,20 +547,21 @@ def test_prep_write_file_queues_its_whole_chain_or_nothing(sc):
     # that the next submit ran (an empty file appeared), linked into the
     # next prepared entry, and whose descriptor leaked.  Now what is
     # queued ahead crosses first and the chain goes in whole.
-    ring = sc.io_uring_setup(entries=4)
+    batch = sc.io_uring_setup(entries=4).batch()
     sc.mkdir("/a")
     for name in ("/b", "/c", "/d"):
-        ring.prep("mkdir", name)
-    ring.prep_write_file("/a/x", b"data")  # one free slot: the three mkdirs cross first
-    assert ring.sq_pending == 3 and sc.exists("/d") and sc.listdir("/a") == []
-    assert [(cqe.op, cqe.ok) for cqe in ring.completions()] == [("mkdir", True)] * 3
-    assert ring.submit() == 3
-    assert all(cqe.ok for cqe in ring.completions())
+        batch.prep("mkdir", name)
+    batch.prep_write_file("/a/x", b"data")  # one free slot: the three mkdirs cross first
+    assert len(batch._sq) == 3 and sc.exists("/d") and sc.listdir("/a") == []
+    cqes = batch.submit()
+    assert [(cqe.op, cqe.ok) for cqe in cqes[:3]] == [("mkdir", True)] * 3
+    assert len(cqes[3:]) == 3
+    assert all(cqe.ok for cqe in cqes[3:])
     assert sc.read_bytes("/a/x") == b"data" and not sc._fds
-    small = sc.io_uring_setup(entries=2)
+    small = sc.io_uring_setup(entries=2).batch()
     with pytest.raises(InvalidArgument):
         small.prep_write_file("/a/y", b"data")  # can never fit: nothing of it is queued
-    assert small.sq_pending == 0 and small.submit() == 0
+    assert small._sq == [] and small.submit() == []
     assert sc.listdir("/a") == ["x"] and not sc._fds
 
 
@@ -471,16 +573,15 @@ def test_a_refused_chain_leaves_nothing_linked_on_the_ring(sc, temp_exists):
     sc.mkdir("/objs")
     if temp_exists:
         sc.mkdir("/objs/.a")
-    ring = sc.io_uring_setup(entries=20)
+    batch = sc.io_uring_setup(entries=20).batch()
     with pytest.raises(InvalidArgument):
-        ring.prep("mkdir", "/objs/.a", link=True)
+        batch.prep("mkdir", "/objs/.a", link=True)
         for index in range(8):
-            ring.prep_write_file(f"/objs/.a/f{index}", b"x", link=True)
-        ring.prep("rename", "/objs/.a", "/objs/a")
-    assert ring.sq_pending == 0
-    ring.prep("mkdir", "/objs/unrelated")
-    ring.submit()
-    assert [(cqe.op, cqe.ok) for cqe in ring.completions()] == [("mkdir", True)]
+            batch.prep_write_file(f"/objs/.a/f{index}", b"x", link=True)
+        batch.prep("rename", "/objs/.a", "/objs/a")
+    assert batch._sq == []
+    batch.prep("mkdir", "/objs/unrelated")
+    assert [(cqe.op, cqe.ok) for cqe in batch.submit()] == [("mkdir", True)]
     assert sorted(sc.listdir("/objs")) == [".a"] * temp_exists + ["unrelated"]
     assert not sc._fds
 
@@ -490,38 +591,38 @@ def test_a_refused_chain_leaves_nothing_linked_on_the_ring(sc, temp_exists):
 # The rule callers used to spell out before every chain — submit first when
 # the chain would not fit behind what is queued — is the reference: the ring
 # must submit the same batches, cross as often and complete the same entries,
-# and a chain longer than the ring leaves the queue as the reference's
+# and a chain longer than the ring leaves the batch as the reference's
 # pre-chain submit left it.
 
 
 def _run_chains(ring, size: int, chains: list[int], *, reference: bool) -> tuple[list, list]:
-    """Queue each chain of ``chains`` (its length) on ``ring``; the refused chains and the queue each refusal left."""
-    refused = []
+    """Queue each chain of ``chains`` (its length) on a batch of ``ring``; the refused chains and the queue each refusal left."""
+    batch = ring.batch()
+    refused, cqes = [], []
     for number, length in enumerate(chains):
         if reference:
-            if ring.sq_pending and ring.sq_pending + length > size:
-                ring.submit()
+            if batch._sq and len(batch._sq) + length > size:
+                cqes += batch.submit()
             if length > size:
-                refused.append((number, [(sqe.op, sqe.user_data) for sqe in ring._sq]))
+                refused.append((number, [(sqe.op, sqe.user_data) for sqe in batch._sq]))
                 continue
         try:
             for position in range(length):
-                ring.prep("stat", "/", link=position < length - 1, user_data=(number, position))
+                batch.prep("stat", "/", link=position < length - 1, user_data=(number, position))
         except InvalidArgument:
-            refused.append((number, [(sqe.op, sqe.user_data) for sqe in ring._sq]))
-    ring.submit()
-    return refused, [(cqe.index, cqe.op, cqe.ok, cqe.user_data) for cqe in ring.completions()]
+            refused.append((number, [(sqe.op, sqe.user_data) for sqe in batch._sq]))
+    cqes += batch.submit()
+    return refused, [(index, cqe.op, cqe.ok, cqe.user_data) for index, cqe in enumerate(cqes)]
 
 
 class Submissions:
-    """The entries of every ring submission, per ring, read as it crosses (a ``uring_submit`` subscriber)."""
+    """The entries of every ring submission, per ring, read from its completions as it returns (a ``uring_submit`` subscriber)."""
 
     def __init__(self) -> None:
         self.batches: dict[int, list[list]] = {}
 
-    def on_uring_submit_enter(self, ring) -> None:
-        if ring._sq:
-            self.batches.setdefault(id(ring), []).append(list(ring._sq))
+    def on_uring_submit_exit(self, ring, result, exc) -> None:
+        self.batches.setdefault(id(ring), []).append([(cqe.op, cqe.ok, cqe.user_data) for cqe in result])
 
 
 @settings(max_examples=150, deadline=None)
@@ -541,8 +642,8 @@ def test_the_ring_keeps_its_room_as_callers_used_to(size, chains):
     assert submissions.batches.get(id(rings[0]), []) == submissions.batches.get(id(rings[1]), [])
     assert own.meter.counters.get("syscall.io_uring_enter") == caller.meter.counters.get("syscall.io_uring_enter")
     for batch in submissions.batches.get(id(rings[0]), []):
-        last_chain, last = batch[-1].user_data
-        assert len(batch) <= size and batch[0].user_data[1] == 0  # a batch starts on a chain's first entry ...
+        last_chain, last = batch[-1][2]
+        assert len(batch) <= size and batch[0][2][1] == 0  # a batch starts on a chain's first entry ...
         assert last == chains[last_chain] - 1  # ... and ends on one's last: no chain straddles a submit
 
 
@@ -551,37 +652,7 @@ def test_bad_ring_size_rejected(sc):
         sc.io_uring_setup(entries=0)
 
 
-# -- the pollable completion queue ------------------------------------------------------
-
-
-def test_cq_plugs_into_epoll(sc, ring):
-    ep = sc.epoll_create()
-    sc.epoll_ctl(ep, EPOLL_CTL_ADD, ring)
-    assert sc.epoll_wait(ep) == []
-    ring.prep("mkdir", "/d")
-    assert sc.epoll_wait(ep) == []  # prepared but not submitted
-    ring.submit()
-    # Level-triggered: ready until the CQ drains.
-    assert sc.epoll_wait(ep) == [ring]
-    assert sc.epoll_wait(ep) == [ring]
-    ring.completions()
-    assert sc.epoll_wait(ep) == []
-
-
-def test_cq_edge_fires_wakeup(sc, ring):
-    ep = sc.epoll_create()
-    wakeups = []
-    ep.wakeup = lambda: wakeups.append(1)
-    sc.epoll_ctl(ep, EPOLL_CTL_ADD, ring)
-    ring.prep("mkdir", "/a")
-    ring.submit()
-    assert len(wakeups) == 1
-    ring.prep("mkdir", "/b")
-    ring.submit()  # CQ was already non-empty: no second edge
-    assert len(wakeups) == 1
-
-
-def test_severed_chain_autocloses_under_race_detector(sc, ring):
+def test_severed_chain_autocloses_under_race_detector(sc, batch):
     # YANCRACE=1 runs the suite with Syscalls methods patched by the
     # happens-before detector; the autoclose of a severed chain goes
     # through the same patched close and must still be billed exactly
@@ -591,13 +662,12 @@ def test_severed_chain_autocloses_under_race_detector(sc, ring):
     detector = RaceDetector().install()
     try:
         sc.write_bytes("/f", b"x")
-        ring.prep("open", "/f", O_RDONLY, link=True)
-        ring.prep("listdir", "/missing", link=True)  # fails mid-chain
-        ring.prep("close", LINK_FD)
-        ring.submit()
+        batch.prep("open", "/f", O_RDONLY, link=True)
+        batch.prep("listdir", "/missing", link=True)  # fails mid-chain
+        batch.prep("close", LINK_FD)
+        cqes = batch.submit()
     finally:
         detector.uninstall()
-    cqes = ring.completions()
     assert cqes[0].ok and cqes[1].error is not None and cqes[2].canceled
     assert not sc._fds
     assert sc.meter.counters.get("uring.chain_autoclose") == 1
@@ -606,14 +676,21 @@ def test_severed_chain_autocloses_under_race_detector(sc, ring):
     assert findings == []
 
 
-# -- one ring per context, and only the ring counts its room ---------------------------
+# -- one ring per context, a batch per caller, and only the ring counts its room -------
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 _RING_SPELLINGS = {"ring", "uring", "_ring"}
+#: What a shared queue was read through: nothing outside the ring may name it.
+_QUEUE_ATTRS = {"completions", "cq_pending", "sq_pending", "_sq"}
+
+
+def _ringish(receiver: ast.expr) -> bool:
+    return getattr(receiver, "id", None) in _RING_SPELLINGS or getattr(receiver, "attr", None) in _RING_SPELLINGS
 
 
 class _RingUses(ast.NodeVisitor):
-    """Every ``io_uring_setup(...)`` call outside ``Syscalls.ring`` and every read of a ring's room outside the ring."""
+    """Outside the ring: every ``io_uring_setup(...)`` call but ``Syscalls.ring``'s, every read of a ring's
+    room or of a queue, and every entry prepared on a ring rather than on a batch."""
 
     def __init__(self, module: str) -> None:
         self.module = module
@@ -632,12 +709,12 @@ class _RingUses(ast.NodeVisitor):
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if name == "io_uring_setup" and (self.module, ".".join(self.scope)) != ("repro/vfs/syscalls.py", "Syscalls.ring"):
             self.found.append(f"{self.module}:{node.lineno}: io_uring_setup() outside Syscalls.ring")
+        if name in ("prep", "prep_write_file") and self.module != "repro/vfs/uring.py" and _ringish(func.value):
+            self.found.append(f"{self.module}:{node.lineno}: {name}() on a ring, not on a batch")
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        receiver = node.value
-        ringish = getattr(receiver, "id", None) in _RING_SPELLINGS or getattr(receiver, "attr", None) in _RING_SPELLINGS
-        if self.module != "repro/vfs/uring.py" and (node.attr == "sq_pending" or (node.attr == "entries" and ringish)):
+        if self.module != "repro/vfs/uring.py" and (node.attr in _QUEUE_ATTRS or (node.attr == "entries" and _ringish(node.value))):
             self.found.append(f"{self.module}:{node.lineno}: a ring's .{node.attr} read outside the ring")
         self.generic_visit(node)
 
@@ -649,3 +726,25 @@ def test_a_context_has_one_ring_and_only_the_ring_counts_its_room():
         uses.visit(ast.parse(path.read_text(), str(path)))
         found += uses.found
     assert found == []
+
+
+def test_the_ring_scan_flags_a_shared_queue():
+    uses = _RingUses("repro/apps/example.py")
+    uses.visit(
+        ast.parse(
+            "ring = self.ring\n"
+            "ring.prep('mkdir', '/a')\n"
+            "self.ring.prep_write_file('/f', b'')\n"
+            "ring.completions()\n"
+            "sc.ring.cq_pending + batch._sq\n"
+            "batch = ring.batch()\n"
+            "batch.prep('mkdir', '/b')\n"
+        )
+    )
+    assert [finding.split(": ", 1)[1] for finding in uses.found] == [
+        "prep() on a ring, not on a batch",
+        "prep_write_file() on a ring, not on a batch",
+        "a ring's .completions read outside the ring",
+        "a ring's .cq_pending read outside the ring",
+        "a ring's ._sq read outside the ring",
+    ]

@@ -200,7 +200,7 @@ def _wire(driver_cls, ops) -> tuple[list[tuple[int, str]], list[list[str]]]:
             send(msg)
             sent.append((binding.dpid, repr(msg)))
         binding.send = record
-    yc, ring = ctl.client(name="spooler"), ctl.host.root_sc.io_uring_setup()
+    yc, batch = ctl.client(name="spooler"), ctl.host.root_sc.io_uring_setup().batch()
     frame = Ethernet(dst=ctl.net.hosts["h1"].mac, src=MacAddress(0x42), eth_type=ETH_TYPE_IPV4, payload=b"spooled").pack()
     for seq, (op, switch, arg) in enumerate(ops, start=1):
         spool = f"{yc.switch_path(switch)}/packet_out"
@@ -208,9 +208,8 @@ def _wire(driver_cls, ops) -> tuple[list[tuple[int, str]], list[list[str]]]:
             yc.packet_out(switch, arg, frame + bytes([seq]), tag="app")
         elif op == "ring":
             for index in range(arg):
-                ring.prep_write_file(f"{spool}/{packet_out_name([1 + index % 2], 'rng', seq * 10 + index)}", frame)
-            ring.submit()
-            ring.completions()
+                batch.prep_write_file(f"{spool}/{packet_out_name([1 + index % 2], 'rng', seq * 10 + index)}", frame)
+            batch.submit()
         elif op == "portless":
             yc.sc.write_bytes(f"{spool}/nonsense.tag.{seq}", b"dropped")
         elif op == "rewrite":

@@ -17,13 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import sanitizer
+from repro.apps import AccountingDaemon, TopologyDaemon
 from repro.dataplane import Match, Output, build_linear
 from repro.drivers.openflow_driver import SwitchBinding
 from repro.libyanc import LibYanc
 from repro.openflow import messages as m
 from repro.perf import tracepoints
 from repro.runtime import YancController
-from repro.vfs import EventMask, FileExists, FileNotFound
+from repro.shell import Shell
+from repro.vfs import EventMask, FileExists, FileNotFound, InvalidArgument
 from repro.vfs.cred import ROOT
 from repro.vfs.notify import IN_ALL_EVENTS
 from repro.yancfs.client import YancClient, flow_spec_files, write_object, write_objects_batched
@@ -31,6 +33,13 @@ from repro.yancfs.recovery import fsck
 from tests.vfs.test_uring import Submissions
 
 _DIRENT = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
+
+
+def _next_batch_is_its_own(sc) -> bool:
+    """A batch opened on the context's ring next runs and completes only its own entry."""
+    batch = sc.ring.batch()
+    batch.prep("stat", "/", user_data="own")
+    return [(cqe.op, cqe.ok, cqe.user_data) for cqe in batch.submit()] == [("stat", True, "own")]
 
 
 # -- the ring keeps its own room: chains never straddle a submit ------------------------
@@ -83,7 +92,8 @@ def test_a_batch_past_the_ring_crosses_once_per_ring_full_each_chain_whole(clien
         tracepoints.unsubscribe(submitted)
     batches = submitted.batches[id(sc.ring)]
     assert [len(batch) for batch in batches] == [1008, 672]
-    assert batches[0][0].op == "mkdir" and not batches[0][-1].link  # the first batch ends on a chain's last entry
+    assert batches[0][0][0] == batches[1][0][0] == "mkdir"  # each batch starts on a chain's first entry ...
+    assert [(batch[0][2], batch[-1][2]) for batch in batches] == [(0, 23), (24, 39)]  # ... and ends on one's last
     assert all(client.read_flow("s1", name).version == 1 for name, _m, _a in entries)
 
 
@@ -218,7 +228,7 @@ def test_ring_failure_cancels_only_its_own_chain(client, publish):
             bad = dict(_files(), **{"nested/name": "x"})  # the open fails
         objects = [(f"{parent}/{name}", bad if name == "bad" else files, publish) for name in ("o1", "dup", "dup", "bad", "o2")]
         assert write_objects_batched(sc, objects) == 3
-        assert sc.ring.cq_pending == 0 and sc.ring.sq_pending == 0
+        assert _next_batch_is_its_own(sc)
         assert sorted(name for name in sc.listdir(parent) if not name.startswith(".")) == (["bad"] if publish == "version" else []) + ["dup", "o1", "o2"]
         if publish == "version":
             assert [client.read_flow("s1", name).version for name in ("o1", "dup", "o2", "bad")] == [1, 1, 1, 0]
@@ -243,3 +253,62 @@ def test_publish_none_leaves_a_staged_flow_the_driver_ignores():
     yc.commit_flow("sw1", "ringed")
     ctl.run(0.2)
     assert len(ctl.net.switches["sw1"].table) == 2
+
+
+# -- a batch belongs to its caller: what one abandons or leaves unread reaches no one else --
+
+
+def _abandon_an_object(sc) -> None:
+    """Queue one maildir object's chain, then raise on the next object's content, which cannot be encoded."""
+    with pytest.raises(AttributeError):
+        write_objects_batched(sc, [("/tmp/objs/a", {"x": b"1"}, "rename"), ("/tmp/objs/b", {"y": 7}, "rename")])
+
+
+def test_an_object_batch_that_raises_while_preparing_runs_nothing(sc):
+    sc.makedirs("/tmp/objs")
+    _abandon_an_object(sc)
+    batch = sc.ring.batch()
+    batch.prep("mkdir", "/other", user_data="other")
+    assert [(cqe.op, cqe.user_data) for cqe in batch.submit()] == [("mkdir", "other")]
+    assert sc.listdir("/tmp/objs") == [] and not sc._fds
+
+
+def test_a_batch_refused_for_an_over_long_chain_leaves_the_next_readers_their_own_completions(linear_controller):
+    ctl = linear_controller
+    acct = AccountingDaemon(ctl.host.process(), ctl.sim, interval=60.0).start()
+    sc, root = acct.sc, ctl.host.root_sc
+    root.makedirs("/d/e")
+    root.makedirs("/tmp/objs", 0o777)
+
+    def refused(prefix: str) -> None:
+        small = [(f"/tmp/objs/{prefix}{index}", {"f": b"x"}, "rename") for index in range(200)]
+        big = (f"/tmp/objs/{prefix}big", {f"f{index}": b"x" for index in range(400)}, "rename")  # 1,205 linked entries: more than the ring
+        with pytest.raises(InvalidArgument):
+            write_objects_batched(sc, [*small, big])
+
+    refused("a")
+    assert acct._read("listdir", [("d", "/d"), ("e", "/d/e")]) == {"d": ["e"], "e": []}
+    refused("b")
+    assert Shell(sc).run("find /d") == "/d\n/d/e"
+    assert len(sc.listdir("/tmp/objs")) == 400 and not sc._fds  # what crossed to make room published; the rest never ran
+
+
+def test_topod_counts_the_beacons_it_spooled_and_no_one_elses_closes():
+    net = build_linear(3)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(), ctl.sim).start()
+    ctl.run(1.0)  # the ports are known
+    sc = topod.sc
+    ctl.host.root_sc.makedirs("/tmp/objs", 0o777)
+    _abandon_an_object(sc)  # another consumer's chain on the same ring: two closes, never submitted
+    other = sc.ring.batch()
+    other.prep_write_file("/tmp/objs/note", b"x")  # another consumer's chain that crosses: one close
+    other.submit()
+
+    def spooled() -> int:
+        return sum(len([name for name in sc.listdir(f"{topod.yc.switch_path(switch)}/packet_out") if topod.app_name in name]) for switch in topod.yc.switches())
+
+    before, sent = spooled(), topod.beacons_sent
+    topod.send_beacons()
+    assert topod.beacons_sent - sent == spooled() - before == sum(len(switch.ports) for switch in net.switches.values())
+    assert sc.listdir("/tmp/objs") == ["note"]
