@@ -36,11 +36,12 @@ points, mirroring §3.4/§5.2 semantics:
   while accesses *within* one window stay concurrent unless a real edge
   orders them.
 
-A second pass model-checks the commit protocol itself: a ``match.*`` /
-``action.*`` / attribute write to an already-committed flow must be
-followed by a ``version`` increment by the same committer
-(**torn-commit** otherwise), and no other actor may read the spec while
-that increment is outstanding (**uncommitted-read**).
+A second pass model-checks the commit protocol itself, fed to
+:class:`~repro.yancfs.commit.CommitAutomaton` with each actor as a
+writer: a spec write to an already-committed flow must be followed by a
+``version`` increment its committer covers (**torn-commit** otherwise),
+and no other actor may read the spec while that increment is outstanding
+(**uncommitted-read**).
 
 Accesses to ``counters/`` files are exempt: counters are lossy-by-design
 monitoring state the driver overwrites and anyone samples (§3.5), not
@@ -68,11 +69,11 @@ from dataclasses import asdict, dataclass
 
 from repro.analysis.core import comment_suppresses
 from repro.analysis.hb import Actor, VectorClock
-from repro.analysis.sanitizer import _FLOW_SPEC_NAMES
 from repro.perf import tracepoints
 from repro.vfs.errors import FsError
 from repro.vfs.inode import FileInode
 from repro.vfs.syscalls import O_TRUNC, SYSCALLS, Syscalls
+from repro.yancfs.commit import COMMIT_FILE, CommitAutomaton, Pending, is_spec_file, version_of
 from repro.yancfs.schema import CountersDir, FlowNode
 
 #: Frames whose filename matches one of these are substrate plumbing; the
@@ -125,19 +126,6 @@ class _Access:
         self.site = site
 
 
-@dataclass
-class _PendingSpec:
-    """A spec write to a committed flow awaiting its version increment."""
-
-    flow: FlowNode
-    name: str
-    path: str
-    site: str
-    actor: Actor
-    tick: int
-    version: int
-
-
 #: Source file name -> is it substrate plumbing (memo: the frame walk
 #: below runs per recorded access and meets the same few files every time).
 _INFRA_FILES: dict[str, bool] = {}
@@ -175,16 +163,6 @@ def _site_suppressed(kind: str, *sites: str) -> bool:
     return False
 
 
-def _current_version(flow: FlowNode) -> int:
-    node = flow._children.get("version")
-    if not isinstance(node, FileInode):
-        return 0
-    try:
-        return int(node.read_all().decode(errors="replace").strip() or "0", 0)
-    except ValueError:
-        return 0
-
-
 class RaceDetector:
     """Collects ordering findings between :meth:`reset` and :meth:`check`."""
 
@@ -200,8 +178,9 @@ class RaceDetector:
         self._inbox: dict[int, tuple[object, VectorClock]] = {}
         # id(version inode) -> (inode, clock released by the last commit).
         self._commit_clocks: dict[int, tuple[FileInode, VectorClock]] = {}
-        # (id(flow), actor id) -> spec write awaiting its version bump.
-        self._pending: dict[tuple[int, int], _PendingSpec] = {}
+        # §3.4 per flow, one writer per actor id; a pending write's note
+        # is (actor, tick, file name, path, site).
+        self._commits = CommitAutomaton()
         # id(inode) -> (inode, publisher clock at rename time): rename is
         # the atomic-publish op (maildir), so reaching a renamed object
         # acquires its publication.
@@ -256,7 +235,7 @@ class RaceDetector:
         self._shadow.clear()
         self._inbox.clear()
         self._commit_clocks.clear()
-        self._pending.clear()
+        self._commits = CommitAutomaton()
         self._published.clear()
         self._seen.clear()
         self._barrier = VectorClock()
@@ -282,19 +261,20 @@ class RaceDetector:
     def check(self) -> list[RaceFinding]:
         """All findings, including teardown-only ones (torn commits)."""
         findings = list(self.findings)
-        for pend in self._pending.values():
-            if _site_suppressed("torn-commit", pend.site):
+        for pend in self._commits.pending():
+            actor, _tick, name, path, site = pend.note
+            if _site_suppressed("torn-commit", site):
                 continue
             findings.append(
                 RaceFinding(
                     "torn-commit",
-                    pend.path,
-                    f"torn commit: {pend.actor.describe()} wrote flow spec {pend.name!r} "
-                    f"({pend.path!r}) at {pend.site} while the flow was at version "
+                    path,
+                    f"torn commit: {actor.describe()} wrote flow spec {name!r} "
+                    f"({path!r}) at {site} while the flow was at version "
                     f"{pend.version}, but never incremented 'version' — the switch will "
                     "never see the change (§3.4)",
-                    actors=(pend.actor.describe(),),
-                    sites=(pend.site,),
+                    actors=(actor.describe(),),
+                    sites=(site,),
                 )
             )
         return findings
@@ -413,13 +393,6 @@ class RaceDetector:
         for responder in responders:
             sender.clock.merge(responder.clock)
 
-    def _cancel_pending(self, sc: Syscalls, inode: FileInode) -> None:
-        """A spec write was rolled back (validation failure on close)."""
-        actor = self._actor_for(sc)
-        for parent, _name in inode.dentries:
-            if isinstance(parent, FlowNode):
-                self._pending.pop((id(parent), actor.aid), None)
-
     def _note_publish(self, sc: Syscalls, node: object) -> None:
         """rename target: record the publisher's clock on the object."""
         entry = self._published.get(id(node))
@@ -494,7 +467,9 @@ class RaceDetector:
             # back: the spec change never became durable, so it cannot owe
             # a version increment.
             if entry is not None and isinstance(exc, FsError):
-                self._cancel_pending(sc, entry[0])
+                for parent, _name in entry[0].dentries:
+                    if isinstance(parent, FlowNode):
+                        self._commits.withdraw(parent, self._actor_for(sc).aid)
         elif exc is not None:
             return
         elif op == "open":
@@ -585,7 +560,7 @@ class RaceDetector:
             publication = self._published.get(id(parent))
             if publication is not None:
                 actor.clock.merge(publication[1])
-        if flow is not None and fname == "version" and not write:
+        if flow is not None and fname == COMMIT_FILE and not write:
             # The version file is the synchronization variable (§3.4):
             # reading it acquires the last committer's released clock
             # *before* the race check, so observing a commit orders the
@@ -652,57 +627,54 @@ class RaceDetector:
     # -- §3.4 commit-protocol model checking -------------------------------------------
 
     def _flow_protocol(self, actor: Actor, flow: FlowNode, fname: str, inode: FileInode, path: str, write: bool, site: str, tick: int) -> None:
-        if fname == "version":
+        if fname == COMMIT_FILE:
             if write:
                 # Commit: release the committer's clock (covers this
                 # write's tick) and retire every pending spec write the
                 # committer has observed — its own, or one HB-ordered
                 # before the increment (the commit covers those too).
                 self._commit_clocks[id(inode)] = (inode, actor.clock.snapshot())
-                for key, pend in list(self._pending.items()):
-                    if key[0] != id(flow):
-                        continue
-                    if pend.actor is actor or actor.clock.covers(pend.actor.aid, pend.tick):
-                        del self._pending[key]
+                self._commits.commit(flow, version_of(flow), retires=lambda pend: self._covers(actor, pend))
             # The read-side acquire happened in _record_access, before the
             # race check — the version file is the sync variable itself.
             return
-        if not (fname in _FLOW_SPEC_NAMES or fname.startswith(("match.", "action."))):
+        if not is_spec_file(fname):
             return
         if write:
-            if _current_version(flow) > 0:
-                self._pending.setdefault(
-                    (id(flow), actor.aid),
-                    _PendingSpec(flow, fname, path, site, actor, tick, _current_version(flow)),
-                )
+            self._commits.spec(flow, actor.aid, (actor, tick, fname, path, site))
             return
-        for (fid, aid), pend in self._pending.items():
-            if fid != id(flow) or aid == actor.aid:
-                continue
-            if actor.clock.covers(pend.actor.aid, pend.tick):
+        for pend in self._commits.pending(flow):
+            if self._covers(actor, pend):
                 # The reader is HB-ordered after the spec write: it can
                 # observe the mid-commit state coherently (e.g. a driver
                 # that re-reads and version-guards).  Only *concurrent*
                 # reads of uncommitted state are protocol violations.
                 continue
-            dedup = ("uncommitted", pend.site, site)
+            writer, _tick, name, _path, wsite = pend.note
+            dedup = ("uncommitted", wsite, site)
             if dedup in self._seen:
                 continue
             self._seen.add(dedup)
-            if _site_suppressed("uncommitted-read", site, pend.site):
+            if _site_suppressed("uncommitted-read", site, wsite):
                 continue
             self.findings.append(
                 RaceFinding(
                     "uncommitted-read",
                     path,
                     f"read of uncommitted flow state: {actor.describe()} read {path!r} "
-                    f"at {site} while {pend.actor.describe()} holds an uncommitted spec "
-                    f"write to {pend.name!r} (at {pend.site}; version still "
+                    f"at {site} while {writer.describe()} holds an uncommitted spec "
+                    f"write to {name!r} (at {wsite}; version still "
                     f"{pend.version}, §3.4)",
-                    actors=(actor.describe(), pend.actor.describe()),
-                    sites=(site, pend.site),
+                    actors=(actor.describe(), writer.describe()),
+                    sites=(site, wsite),
                 )
             )
+
+    @staticmethod
+    def _covers(actor: Actor, pend: Pending) -> bool:
+        """Is ``pend``'s write the actor's own or happens-before its present?"""
+        writer, tick = pend.note[0], pend.note[1]
+        return writer is actor or actor.clock.covers(writer.aid, tick)
 
 
 # -- environment opt-in ---------------------------------------------------------

@@ -19,10 +19,11 @@ reports every finding at teardown:
 * **notify-inconsistency** — a directory-entry event whose mask
   contradicts tree state (IN_CREATE for an absent child, IN_DELETE for a
   present one) or an IN_MOVED_FROM/IN_MOVED_TO cookie with only one half.
-* **flow-commit** — the §3.4 commit protocol: mutating a committed flow's
-  spec files without a subsequent ``version`` increment means the change
-  never reaches the switch; decreasing ``version`` breaks the protocol
-  outright.
+* **flow-commit** — the §3.4 commit protocol, as
+  :class:`~repro.yancfs.commit.CommitAutomaton` states it: mutating a
+  committed flow's spec files without a subsequent ``version`` increment
+  means the change never reaches the switch; decreasing ``version``
+  breaks the protocol outright.
 
 Usage::
 
@@ -41,7 +42,6 @@ or programmatically::
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from repro.perf import tracepoints
@@ -50,10 +50,8 @@ from repro.vfs.inode import DirInode, FileInode
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import FileHandle
+from repro.yancfs.commit import COMMIT_FILE, CommitAutomaton, is_spec_file
 from repro.yancfs.schema import AttributeFile, FlowNode
-
-#: Flow spec files whose mutation requires a version bump to take effect.
-_FLOW_SPEC_NAMES = {"priority", "timeout", "idle_timeout", "hard_timeout", "cookie"}
 
 
 @dataclass(frozen=True)
@@ -67,13 +65,6 @@ class SanFinding:
         return f"yancsan [{self.kind}] {self.detail}"
 
 
-@dataclass
-class _PendingCommit:
-    flow: FlowNode
-    version_at_mutation: int
-    detail: str
-
-
 class Sanitizer:
     """Collects runtime findings between :meth:`reset` and :meth:`check`."""
 
@@ -81,10 +72,8 @@ class Sanitizer:
         self.findings: list[SanFinding] = []
         # (id(syscalls), fd) -> (path, handle); populated at open's exit.
         self._open_fds: dict[tuple[int, int], tuple[str, FileHandle]] = {}
-        # id(flow node) -> last committed version value seen.
-        self._versions: dict[int, int] = {}
-        # id(flow node) -> mutation awaiting a version bump.
-        self._pending: dict[int, _PendingCommit] = {}
+        # §3.4 per flow; a pending write's note is the spec file's name.
+        self._commits = CommitAutomaton()
         # rename cookie -> set of halves seen ("from"/"to").
         self._move_cookies: dict[int, set[str]] = {}
 
@@ -103,8 +92,7 @@ class Sanitizer:
         """Drop all recorded state, e.g. between tests."""
         self.findings.clear()
         self._open_fds.clear()
-        self._versions.clear()
-        self._pending.clear()
+        self._commits = CommitAutomaton()
         self._move_cookies.clear()
 
     def check(self) -> list[SanFinding]:
@@ -130,8 +118,14 @@ class Sanitizer:
                         f"rename cookie {cookie} emitted IN_MOVED_{only.upper()} without its pair",
                     )
                 )
-        for pending in self._pending.values():
-            findings.append(SanFinding("flow-commit", pending.detail))
+        findings.extend(
+            SanFinding(
+                "flow-commit",
+                f"flow spec file {pending.note!r} changed at version {pending.version} "
+                "but 'version' was never incremented; the switch will not see it (§3.4)",
+            )
+            for pending in self._commits.pending()
+        )
         return findings
 
     # -- trace-point handlers ------------------------------------------------------
@@ -171,14 +165,11 @@ class Sanitizer:
             self._note_attribute_write(inode, inode.read_all().decode(errors="replace"))
 
     def _note_attribute_write(self, inode: AttributeFile, text: str) -> None:
-        """Track the §3.4 commit protocol on flow attribute files."""
+        """Feed the §3.4 automaton what a write to a flow file did."""
         for parent, name in list(inode.dentries):
             if not isinstance(parent, FlowNode):
                 continue
-            key = id(parent)
-            if key not in self._versions:  # keyed by identity, so an entry dies with its node: a reused id is a new flow
-                weakref.finalize(parent, self._versions.pop, key, None)
-            if name == "version":
+            if name == COMMIT_FILE:
                 if not text.strip():
                     # The O_TRUNC half of an open-truncate-write-close
                     # sequence (e.g. distfs write-through) — not a commit.
@@ -187,27 +178,16 @@ class Sanitizer:
                     new = int(text.strip(), 0)
                 except ValueError:
                     continue  # unvalidated-write already covers garbage
-                old = self._versions.get(key, 0)
-                if new < old:
+                old = self._commits.commit(parent, new)
+                if old is not None:
                     self.findings.append(
                         SanFinding(
                             "flow-commit",
                             f"flow version decreased {old} -> {new}; versions must only grow (§3.4)",
                         )
                     )
-                elif new > old:
-                    self._pending.pop(key, None)
-                self._versions[key] = max(old, new)
-            elif name in _FLOW_SPEC_NAMES or name.startswith(("match.", "action.")):
-                version = self._current_version(parent)
-                self._versions.setdefault(key, version)
-                if version > 0 and key not in self._pending:
-                    self._pending[key] = _PendingCommit(
-                        flow=parent,
-                        version_at_mutation=version,
-                        detail=f"flow spec file {name!r} changed at version {version} "
-                        "but 'version' was never incremented; the switch will not see it (§3.4)",
-                    )
+            elif is_spec_file(name):
+                self._commits.spec(parent, note=name)
 
     def on_emit_dirent(self, parent: object, child: object, mask: int, name: str, cookie: int) -> None:
         event = EventMask(mask)
@@ -243,16 +223,6 @@ class Sanitizer:
             if event & flag:
                 return flag.name or str(flag)
         return str(event)
-
-    @staticmethod
-    def _current_version(flow: FlowNode) -> int:
-        node = flow._children.get("version")
-        if not isinstance(node, FileInode):
-            return 0
-        try:
-            return int(node.read_all().decode(errors="replace").strip() or "0", 0)
-        except ValueError:
-            return 0
 
 
 # -- environment opt-in ---------------------------------------------------------

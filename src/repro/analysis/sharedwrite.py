@@ -1,10 +1,12 @@
 """Rule ``shared-write-discipline``: flow writes commit in the same function.
 
 §3.4 makes the ``version`` increment the one atomic commit point for a
-flow: ``match.*``/``action.*``/``priority`` files are just staging until
-the version bump publishes them to the driver.  A function that writes
-flow-spec files but never commits leaves the flow torn — the switch never
-sees the change, and any concurrent reader observes a half-edited spec.
+flow: its spec files (``match.*``, ``action.*``, ``priority``, the
+timeouts, ``cookie`` — :mod:`repro.yancfs.commit` names them) are just
+staging until the version bump publishes them to the driver.  A function
+that writes flow-spec files but never commits leaves the flow torn — the
+switch never sees the change, and any concurrent reader observes a
+half-edited spec.
 yancrace catches this dynamically (``torn-commit``); this rule catches
 the shape statically, before the code ever runs.
 
@@ -23,9 +25,10 @@ import ast
 from typing import Iterator
 
 from repro.analysis.core import Finding, Rule, Severity, SourceFile, register
+from repro.yancfs.commit import SPEC_NAMES, SPEC_PREFIXES
 
 #: Literal path fragments that mark a write as flow-spec staging.
-_SPEC_MARKERS = ("match.", "action.", "/priority")
+_SPEC_MARKERS = SPEC_PREFIXES + tuple(f"/{name}" for name in sorted(SPEC_NAMES))
 _WRITE_ATTRS = {"write_text", "write_bytes"}
 
 
@@ -71,7 +74,7 @@ class SharedWriteDisciplineRule(Rule):
     id = "shared-write-discipline"
     severity = Severity.WARNING
     description = (
-        "functions that write flow spec files (match.*/action.*/priority, or "
+        "functions that write flow spec files (match.*/action.*/priority/..., or "
         "create_flow(commit=False)) must commit in the same function — a "
         "version write or commit_flow — or the flow stays torn (§3.4)"
     )

@@ -9,8 +9,7 @@ those facts once and owns everything the judges used to duplicate:
 
 * **loading** — the paths are collected and parsed once
   (:attr:`sources`, :attr:`load_findings`);
-* **the grammar** — one :class:`NamespaceModel`, built on first use, and
-  the §3.4 flow-file role oracle over it (:attr:`role`);
+* **the grammar** — one :class:`NamespaceModel`, built on first use;
 * **interpretation** — one :class:`ProjectIndex`, and every module-level
   and per-function interpreter constructed and run exactly once
   (:attr:`modules`);
@@ -78,15 +77,10 @@ class Sweep:
         return NamespaceModel.build()
 
     @cached_property
-    def role(self):
-        """The flow-file role oracle (``"stage"``/``"commit"``/None per token string)."""
-        return yancpath.make_judge(self.model)
-
-    @cached_property
     def modules(self) -> list[tuple[ModuleInfo, list[FuncInterp]]]:
         """Every module with its interpreters, run: module body first, then
         each function in declaration order."""
-        index = ProjectIndex(self.sources, self.role)
+        index = ProjectIndex(self.sources, yancpath.flow_role)
         out = []
         for module in index.modules:
             interps = [FuncInterp(index, None, module=module)]

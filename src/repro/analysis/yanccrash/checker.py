@@ -44,6 +44,7 @@ from typing import Iterable
 
 from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath import patterns as P
+from repro.analysis.yancpath.checker import flow_role
 from repro.analysis.yancpath.interp import FuncInterp, Site
 
 _SEVERITY = {
@@ -170,7 +171,6 @@ class _FuncJudge:
     def __init__(self, sweep, interp: FuncInterp, declared, emit) -> None:
         self.sweep = sweep
         self.interp = interp
-        self.judge = sweep.role
         self.declared = declared
         self.emit = emit
 
@@ -222,7 +222,7 @@ class _FuncJudge:
                         )
 
     def _role(self, site: Site) -> str | None:
-        return self.judge(site.paths[0]) if site.paths else None
+        return flow_role(site.paths[0]) if site.paths else None
 
     # non-atomic-publish ----------------------------------------------------------
 
@@ -287,7 +287,7 @@ class _FuncJudge:
             for site in chain:
                 if not site.paths:
                     continue
-                if site.method == "write_bytes" and self.judge(site.paths[0]) == "stage":
+                if site.method == "write_bytes" and flow_role(site.paths[0]) == "stage":
                     parent = _parent(site.paths[0])
                     if parent is not None:
                         parents.add(parent)
@@ -298,7 +298,7 @@ class _FuncJudge:
             for site in chain:
                 if site.method != "write_bytes" or not site.paths:
                     continue
-                if self.judge(site.paths[0]) != "commit":
+                if flow_role(site.paths[0]) != "commit":
                     continue
                 flow_dir = _parent(site.paths[0])
                 if flow_dir is None or flow_dir in staged_parents_by_chain[index]:

@@ -18,8 +18,13 @@ asserts the §3.4/§3.5 invariants:
   entry outside the yanc mounts) whose content at a later crash point
   differs from what the atomic ``rename()`` published;
 * **spec-after-commit** — a spec write to an already-committed flow with
-  no later version increment anywhere in the trace: every crash point
+  no later version increment in its kernel's trace: every crash point
   after it exposes modified spec state under a stale version.
+
+The last two are :class:`~repro.yancfs.commit.CommitAutomaton`'s, fed by
+the sequential replay and keyed by the replay tree's flow nodes: a
+renamed flow keeps its state, an ``rmdir`` ends it, and each recorded
+kernel has flows of its own.
 
 Write-behind ``flush()`` windows get extra states beyond prefixes: the
 contract orders commits per flow but not across flows, so every subset
@@ -40,14 +45,12 @@ from repro.vfs.errors import FsError
 from repro.vfs.stat import FileType
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
+from repro.yancfs.commit import COMMIT_FILE, CommitAutomaton, is_spec_file, version_of
 from repro.yancfs.recovery import flow_version, fsck
-from repro.yancfs.schema import YancFs
+from repro.yancfs.schema import FlowNode, YancFs
 
 #: Per-flush-window cap on explored commit subsets (2^n grows fast).
 DEFAULT_MAX_WINDOW_STATES = 256
-
-#: Spec files the §3.4 commit covers exclude driver acks and counters.
-_NON_SPEC_PREFIXES = ("state.",)
 
 
 @dataclass(frozen=True)
@@ -83,18 +86,6 @@ class ExploreResult:
         )
 
 
-def _flow_parts(path: str) -> tuple[str, str] | None:
-    """(flow_dir, filename) when ``path`` is a file directly in a flow dir."""
-    parts = path.split("/")
-    if len(parts) >= 4 and parts[-3] == "flows":
-        return "/".join(parts[:-1]), parts[-1]
-    return None
-
-
-def _is_spec_file(filename: str) -> bool:
-    return filename != "version" and not filename.startswith(_NON_SPEC_PREFIXES)
-
-
 class ReplayTree:
     """A fresh kernel the trace is replayed into, one op at a time."""
 
@@ -104,8 +95,6 @@ class ReplayTree:
         self.fds: dict[int, int] = {}  # live fd -> replay fd
         self.fd_paths: dict[int, str] = {}  # live fd -> path
         self.yanc_mounts: list[str] = []
-        #: flow dir -> highest version value ever observed (monotonicity).
-        self.version_high: dict[str, int] = {}
         #: published entry path -> {relative path: content} at rename time.
         self.published: dict[str, dict[str, bytes]] = {}
 
@@ -238,9 +227,8 @@ class ReplayTree:
     def _forget(self, path: str) -> None:
         """Drop per-path state for a removed/replaced subtree."""
         prefix = path + "/"
-        for table in (self.version_high, self.published):
-            for key in [k for k in table if k == path or k.startswith(prefix)]:
-                del table[key]
+        for key in [k for k in self.published if k == path or k.startswith(prefix)]:
+            del self.published[key]
 
     def _publication_checked(self, path: str) -> bool:
         """Is this rename target held to exact publication content?
@@ -364,79 +352,37 @@ def check_crash_state(tree: ReplayTree, prefix: int, out: list[CrashViolation], 
             )
 
 
-def _check_version_write(tree: ReplayTree, path: str | None, prefix: int, site: str, out: list[CrashViolation]) -> None:
-    if path is None:
-        return
-    parts = _flow_parts(path)
-    if parts is None or parts[1] != "version":
-        return
-    flow_dir = parts[0]
-    value = flow_version(tree.sc, flow_dir)
-    high = tree.version_high.get(flow_dir, 0)
-    if value < high:
-        out.append(
-            CrashViolation(
-                kind="version-regression",
-                path=path,
-                prefix=prefix,
-                detail=f"flow version moved backwards ({high} -> {value}); versions only grow (§3.4)",
-                site=site,
-            )
-        )
-    else:
-        tree.version_high[flow_dir] = value
+#: What a spec write still pending at the end of its kernel's replay means.
+_UNCOMMITTED = (
+    "spec write to an already-committed flow with no later version increment: "
+    "every crash point after it exposes torn spec state under a stale version"
+)
 
 
-def _check_spec_after_commit(ops: list[DurableOp], out: list[CrashViolation]) -> None:
-    """Trace-level: every spec write to a committed flow needs a later commit."""
-    fd_paths: dict[int, str] = {}
-    committed: set[str] = set()
-    pending: dict[str, tuple[int, DurableOp, str]] = {}  # flow dir -> first unclosed spec write
-    for index, op in enumerate(ops):
-        if op.op == "open":
-            fd_paths[op.args[2]] = op.args[0]
-            continue
-        touched: list[tuple[str, str]] = []  # (flow_dir, filename)
-        commits: list[str] = []
-        if op.op in ("write", "pwrite"):
-            path = fd_paths.get(op.args[0])
-            parts = _flow_parts(path) if path else None
-            if parts:
-                if parts[1] == "version":
-                    commits.append(parts[0])
-                elif _is_spec_file(parts[1]):
-                    touched.append(parts)
-        elif op.op == "fastpath-commit":
-            mount, switch, name = op.args
-            commits.append(f"{mount}/switches/{switch}/flows/{name}")
-        elif op.op == "fastpath-write":
-            mount, switch, name, files = op.args
-            flow_dir = f"{mount}/switches/{switch}/flows/{name}"
-            touched.extend((flow_dir, f) for f in files if _is_spec_file(f))
-        elif op.op in ("rmdir", "unlink"):
-            committed.discard(op.args[0])
-            pending.pop(op.args[0], None)
-        elif op.op == "fastpath-delete":
-            mount, switch, name = op.args
-            flow_dir = f"{mount}/switches/{switch}/flows/{name}"
-            committed.discard(flow_dir)
-            pending.pop(flow_dir, None)
-        for flow_dir in commits:
-            committed.add(flow_dir)
-            pending.pop(flow_dir, None)
-        for flow_dir, filename in touched:
-            if flow_dir in committed and flow_dir not in pending:
-                pending[flow_dir] = (index, op, filename)
-    for flow_dir, (index, op, filename) in sorted(pending.items()):
-        out.append(
-            CrashViolation(
-                kind="spec-after-commit",
-                path=f"{flow_dir}/{filename}",
-                prefix=index,
-                detail="spec write to an already-committed flow with no later version increment: every crash point after it exposes torn spec state under a stale version",
-                site=op.site,
-            )
-        )
+def _follow_commits(
+    tree: ReplayTree, commits: CommitAutomaton, op: DurableOp, changed: str | None, prefix: int, out: list[CrashViolation]
+) -> None:
+    """Feed the group's §3.4 automaton what one replayed op did to a flow file."""
+    if not changed or changed.split("/")[-3:-2] != ["flows"]:
+        return  # not a file directly in a flow directory
+    flow_dir, _, filename = changed.rpartition("/")
+    try:
+        flow = tree.vfs.resolve(tree.sc.ns, tree.sc.cred, flow_dir)
+    except FsError:
+        return
+    if not isinstance(flow, FlowNode):
+        return
+    if filename == COMMIT_FILE:
+        value = version_of(flow)
+        high = commits.commit(flow, value)
+        if high is not None:
+            detail = f"flow version moved backwards ({high} -> {value}); versions only grow (§3.4)"
+            out.append(CrashViolation(kind="version-regression", path=changed, prefix=prefix, detail=detail, site=op.site))
+        return
+    names = [filename] if op.op in ("write", "pwrite") else op.args[3] if op.op == "fastpath-write" else ()
+    for name in filter(is_spec_file, names):
+        late = CrashViolation(kind="spec-after-commit", path=f"{flow_dir}/{name}", prefix=prefix - 1, detail=_UNCOMMITTED, site=op.site)
+        commits.spec(flow, note=late)
 
 
 # -- the exploration loops -------------------------------------------------------------
@@ -450,24 +396,28 @@ def explore(
     by_vfs: dict[int, list[DurableOp]] = {}
     for op in ops:
         by_vfs.setdefault(op.vfs, []).append(op)
+    uncommitted: list[CrashViolation] = []
     for group in by_vfs.values():
-        _explore_group(group, result, max_window_states)
-    _check_spec_after_commit(ops, result.violations)
+        _explore_group(group, result, max_window_states, uncommitted)
+    # Trace-level findings come last, by flow directory.
+    result.violations.extend(sorted(uncommitted, key=lambda v: (v.path.rpartition("/")[0], v.prefix)))
     return result
 
 
-def _explore_group(ops: list[DurableOp], result: ExploreResult, max_window_states: int) -> None:
+def _explore_group(ops: list[DurableOp], result: ExploreResult, max_window_states: int, uncommitted: list[CrashViolation]) -> None:
     tree = ReplayTree()
+    commits = CommitAutomaton()
     check_crash_state(tree, 0, result.violations)  # the empty-trace crash
     result.prefixes += 1
     windows: dict[int, list[int]] = {}
     for index, op in enumerate(ops):
         changed = tree.apply(op)
-        _check_version_write(tree, changed, index + 1, op.site, result.violations)
+        _follow_commits(tree, commits, op, changed, index + 1, result.violations)
         check_crash_state(tree, index + 1, result.violations, op.site)
         result.prefixes += 1
         if op.window is not None:
             windows.setdefault(op.window, []).append(index)
+    uncommitted.extend(pending.note for pending in commits.pending())
     for indices in windows.values():
         _explore_window(ops, indices, result, max_window_states)
 

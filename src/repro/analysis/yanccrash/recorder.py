@@ -74,8 +74,9 @@ class CrashRecorder:
         # that happens to reuse its id().
         #: Syscalls -> {fd: absolute path} for write-capable opens under a root.
         self._tracked_fds: weakref.WeakKeyDictionary[Syscalls, dict[int, str]] = weakref.WeakKeyDictionary()
-        #: YancFs -> mount path, so fastpath ops can be replayed by path.
-        self._fs_mounts: weakref.WeakKeyDictionary[YancFs, str] = weakref.WeakKeyDictionary()
+        #: YancFs -> (mount path, id() of the kernel it is mounted in), so
+        #: fastpath ops are replayed by path, in order with that kernel's ops.
+        self._fs_mounts: weakref.WeakKeyDictionary[YancFs, tuple[str, int]] = weakref.WeakKeyDictionary()
         #: Enclosing uring submit batches / write-behind flush windows
         #: (innermost last; empty outside any) and the ids handed out so far.
         self._batches: list[int] = []
@@ -168,7 +169,7 @@ class CrashRecorder:
         elif op == "mount":
             kind = "yanc" if isinstance(args[1], YancFs) else type(args[1]).__name__
             if kind == "yanc":
-                self._fs_mounts[args[1]] = paths[0]
+                self._fs_mounts[args[1]] = (paths[0], id(sc.vfs))
             if self.in_scope(paths[0]):
                 self.record("mount", (paths[0], kind), id(sc.vfs))
 
@@ -189,11 +190,11 @@ class CrashRecorder:
             self._windows.pop()
 
     def on_libyanc(self, ly, op: str, switch: str, name: str, files: dict | None = None) -> None:
-        mount = self._fs_mounts.get(ly.fs)
-        if mount is None or not self.in_scope(mount):
+        mount, vfs_id = self._fs_mounts.get(ly.fs, ("", 0))
+        if not mount or not self.in_scope(mount):
             return  # store not reachable through any recorded tree
         extra = () if files is None else (dict(files),)
-        self.record(_FASTPATH_OPS[op], (mount, switch, name) + extra, id(ly.fs))
+        self.record(_FASTPATH_OPS[op], (mount, switch, name) + extra, vfs_id)
 
 
 __all__ = ["CrashRecorder", "DurableOp"]

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from repro.analysis.core import Judge, Severity, SourceFile
 from repro.analysis.yancpath import patterns as P
-from repro.analysis.yancpath.grammar import NamespaceModel
 from repro.analysis.yancpath.interp import FuncInterp
 from repro.vfs.syscalls import SYSCALLS
+from repro.yancfs.commit import COMMIT_FILE, is_spec_file
 
 _SEVERITY = {
     "unknown-path": Severity.ERROR,
@@ -49,47 +49,37 @@ _WRITEISH = frozenset(op for op, row in SYSCALLS.items() if row.mutates)
 _READISH = frozenset(op for op, row in SYSCALLS.items() if row.paths and not row.mutates)
 
 
-def make_judge(model: NamespaceModel):
+def flow_role(tokens: tuple) -> str | None:
     """The flow-file role oracle the interpreter's §3.4 machine uses.
 
     A write is judged by where its finalized pattern lands: the file
     directly under ``flows/<name>/`` is a *commit* when it is ``version``
-    and a *staging* write when it is a spec file (a registered flow
-    attribute, a ``match.*``/``action.*`` field, or a name too dynamic to
-    tell — the flow pusher writes ``f"{path}/{filename}"``).  Driver ack
+    and a *staging* write when it is a spec file
+    (:func:`~repro.yancfs.commit.is_spec_file`) or a name too dynamic to
+    tell — the flow pusher writes ``f"{path}/{filename}"``.  Driver ack
     files (``state.*``) and anything deeper (``counters/``) are neither.
     """
-    spec_names = model.flow_spec_names()
-    spec_prefixes = model.flow_spec_prefixes()
-
-    def judge(tokens: tuple) -> str | None:
-        pattern = P.finalize(tokens)
-        if pattern is None:
-            return None
-        if len(pattern.atoms) == 2 and pattern.atoms[0] is P.STAR and pattern.atoms[1] is not P.STAR:
-            # ``f"{flow_path}/version"`` (``commit_version``): the directory is
-            # one opaque hole, but only a flow holds a ``version`` — a commit.
-            return "commit" if pattern.atoms[1].literal == "version" else None
-        if len(pattern.atoms) < 3:
-            return None
-        flows = pattern.atoms[-3]
-        if flows is P.STAR or flows.literal != "flows":
-            return None
-        last = pattern.atoms[-1]
-        if last is P.STAR:
-            return None
-        literal = last.literal
-        if literal == "version":
-            return "commit"
-        if literal is None:
-            return "stage"
-        if literal.startswith("state."):
-            return None
-        if literal in spec_names or literal.startswith(spec_prefixes):
-            return "stage"
+    pattern = P.finalize(tokens)
+    if pattern is None:
         return None
-
-    return judge
+    if len(pattern.atoms) == 2 and pattern.atoms[0] is P.STAR and pattern.atoms[1] is not P.STAR:
+        # ``f"{flow_path}/version"`` (``commit_version``): the directory is
+        # one opaque hole, but only a flow holds a ``version`` — a commit.
+        return "commit" if pattern.atoms[1].literal == COMMIT_FILE else None
+    if len(pattern.atoms) < 3:
+        return None
+    flows = pattern.atoms[-3]
+    if flows is P.STAR or flows.literal != "flows":
+        return None
+    last = pattern.atoms[-1]
+    if last is P.STAR:
+        return None
+    literal = last.literal
+    if literal == COMMIT_FILE:
+        return "commit"
+    if literal is None or is_spec_file(literal):
+        return "stage"
+    return None
 
 
 def _judge_interp(sweep, interp: FuncInterp, emit, _state) -> None:
@@ -184,4 +174,4 @@ JUDGE = Judge("yancpath", _SEVERITY, _judge_interp)
 analyze_yancpath = JUDGE.analyze
 analyze_sources = JUDGE.analyze_sources
 
-__all__ = ["JUDGE", "KINDS", "analyze_sources", "analyze_yancpath", "make_judge"]
+__all__ = ["JUDGE", "KINDS", "analyze_sources", "analyze_yancpath", "flow_role"]

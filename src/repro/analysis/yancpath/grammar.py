@@ -75,14 +75,13 @@ class NamespaceModel:
         from repro.vfs.stat import FileType
         from repro.vfs.syscalls import Syscalls
         from repro.vfs.vfs import VirtualFileSystem
-        from repro.yancfs import schema, validate
+        from repro.yancfs import schema
         from repro.yancfs.client import mount_yancfs
 
         self._DirInode = DirInode
         self._FileType = FileType
         self._FsError = FsError
         self._schema = schema
-        self._validate = validate
 
         sc = Syscalls(VirtualFileSystem())
         mount_yancfs(sc)
@@ -131,13 +130,6 @@ class NamespaceModel:
         return cls()
 
     # -- derived vocabularies ---------------------------------------------------------
-
-    def flow_spec_names(self) -> set[str]:
-        """Flow files that stage spec state (everything but the commit file)."""
-        return set(self._validate.FLOW_ATTRIBUTE_VALIDATORS) - {"version"}
-
-    def flow_spec_prefixes(self) -> tuple[str, ...]:
-        return ("match.", "action.")
 
     def iter_files(self) -> Iterator[tuple[str, object]]:
         """Every (name, inode) regular file in the probe tree."""

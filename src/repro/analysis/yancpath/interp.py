@@ -171,6 +171,9 @@ _TABLE_ATTR = re.compile(r"(?:^|_)entries")
 
 _CLEAN: frozenset = frozenset()
 
+#: The type of a receiver built by a class outside the analysed sources: its calls resolve to no project function.
+FOREIGN = "<foreign>"
+
 
 def _callee_name(func: ast.expr) -> str | None:
     if isinstance(func, ast.Name):
@@ -410,6 +413,8 @@ class ProjectIndex:
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
+            if recv_type == FOREIGN:
+                return None, False
             if recv_type is not None:
                 typed = self.method_on(recv_type, name)
                 if typed is not None:
@@ -1019,11 +1024,14 @@ class FuncInterp:
         return self.index.attr_env(self.decl.module, self.decl.class_name)
 
     def _type_of(self, expr, state: State) -> str | None:
-        """The project class an expression constructs or aliases, if clear."""
+        """The project class an expression constructs or aliases, if clear; :data:`FOREIGN` for a class outside the sources."""
         if isinstance(expr, ast.Call):
             func = expr.func
             if isinstance(func, ast.Name) and self.index.classes.get(func.id) is not None:
                 return func.id
+            name = _callee_name(func)
+            if name is not None and name[:1].isupper() and name not in self.index.classes:
+                return FOREIGN  # random.Random(seed): no project method answers rng.sample(...)
             # self.yc.in_view(...) etc.: a resolvable method annotated by
             # convention — returning `self` keeps the receiver's type.
             return None

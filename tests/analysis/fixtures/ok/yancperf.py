@@ -1,6 +1,8 @@
 # yanclint: scope=app
 """The remedies: scandir batching, batched RPC, indexed lookup, held fds."""
 
+import random
+
 
 class CoolPathApp:
     def __init__(self, sc, channel):
@@ -40,3 +42,17 @@ class CoolPathApp:
         for _ in range(8):
             out.append(self.sc.read(fd, 512))
         return out
+
+    def sample(self, path):
+        # A project method named like random.Random's ...
+        self.sc.stat(path)
+        self.sc.listdir(path)
+        return self.sc.read_text(f"{path}/log")
+
+    def pick_pairs(self, hosts):
+        # ... is not what a Random receiver's sample() runs: no syscall here.
+        rng = random.Random(7)
+        pairs = []
+        for host in hosts:
+            pairs.append((host, rng.sample(hosts, 2)))
+        return pairs

@@ -13,6 +13,8 @@ from repro.analysis import race, sanitizer
 from repro.analysis import yanccrash as yc
 from repro.analysis.cli import ExitCode, main
 from repro.analysis.core import SourceFile
+from repro.analysis.race import RaceDetector
+from repro.analysis.sanitizer import Sanitizer
 from repro.analysis.sweep import JUDGES
 from repro.analysis.yanccrash.checker import KINDS, analyze_sources, analyze_yanccrash
 from repro.analysis.yanccrash.explorer import ReplayTree, explore
@@ -286,6 +288,96 @@ def test_explorer_spec_rewrite_with_recommit_is_clean():
 
     result = explore(_record(workload))
     assert not any(v.kind == "spec-after-commit" for v in result.violations)
+
+
+# -- one §3.4 automaton, three judges -------------------------------------------------
+
+
+def _judged(workload):
+    """Finding kinds of yancsan, yancrace and the crash explorer over one run of ``workload``."""
+    san, det, recorder = Sanitizer().install(), RaceDetector().install(), CrashRecorder(roots=("/net",)).install()
+    try:
+        workload()
+    finally:
+        for tool in (san, det, recorder):
+            tool.uninstall()
+    found = (
+        {f.kind for f in san.check()},
+        {f.kind for f in det.check()},
+        {v.kind for v in explore(recorder.ops).violations},
+    )
+    # The torn commits are deliberate; the env-installed judges saw them too
+    # (live run and replay), so clear them for the autouse teardown.
+    sanitizer.reset_all()
+    race.reset_all()
+    return found
+
+
+_FLAGGED = ({"flow-commit"}, {"torn-commit"}, {"spec-after-commit"})
+_CLEAN = (set(), set(), set())
+
+
+def _committed_tree():
+    sc = Syscalls(VirtualFileSystem())
+    _clean_flow_workload(sc)
+    return sc
+
+
+def test_a_renamed_committed_flow_still_owes_a_commit_to_every_judge():
+    def torn():
+        sc = _committed_tree()
+        sc.rename("/net/switches/s1/flows/f1", "/net/switches/s1/flows/f2")
+        sc.write_text("/net/switches/s1/flows/f2/match.in_port", "4")
+
+    def recommitted():
+        sc = _committed_tree()
+        sc.rename("/net/switches/s1/flows/f1", "/net/switches/s1/flows/f2")
+        sc.write_text("/net/switches/s1/flows/f2/match.in_port", "4")
+        YancClient(sc).commit_flow("s1", "f2")
+
+    assert _judged(torn) == _FLAGGED
+    assert _judged(recommitted) == _CLEAN
+
+
+def test_a_commit_in_one_kernel_retires_no_write_in_another():
+    flow = "/net/switches/s1/flows/f1"
+
+    def torn():
+        a, b = _committed_tree(), _committed_tree()
+        a.write_text(f"{flow}/match.in_port", "4")
+        YancClient(b).commit_flow("s1", "f1")
+
+    def each_committed():
+        a, b = _committed_tree(), _committed_tree()
+        a.write_text(f"{flow}/match.in_port", "4")
+        YancClient(b).commit_flow("s1", "f1")
+        b.write_text(f"{flow}/match.in_port", "5")
+        YancClient(a).commit_flow("s1", "f1")
+        YancClient(b).commit_flow("s1", "f1")
+
+    assert _judged(torn) == _FLAGGED
+    assert _judged(each_committed) == _CLEAN
+
+
+def test_a_fastpath_write_replays_in_the_kernel_its_store_is_mounted_in():
+    """libyanc ops join their mount's kernel, so a torn vectored write to a committed flow is seen."""
+    from repro.libyanc.fastpath import LibYanc
+
+    def torn(sc):
+        fs = mount_yancfs(sc, "/net")
+        client = YancClient(sc)
+        client.create_switch("s1")
+        client.create_flow("s1", "f1", Match(in_port=3), [Output(1)])
+        LibYanc(fs).write_flow_files("s1", "f1", {"priority": "7"})
+
+    ops = _record(torn)
+    result = explore(ops)
+    # The torn write is deliberate; the env-installed yancsan saw it live and
+    # yancrace saw the replay's syscall write.
+    sanitizer.reset_all()
+    race.reset_all()
+    assert len({op.vfs for op in ops}) == 1
+    assert [(v.kind, v.path) for v in result.violations] == [("spec-after-commit", "/net/switches/s1/flows/f1/priority")]
 
 
 def test_explorer_consumed_publication_is_legal():
