@@ -150,7 +150,7 @@ def main() -> None:
     assert cost_after < cost_before
 
     print(f"router: {router.paths_installed} paths, {router.full_topology_reads} full topology walks, "
-          f"{router.deltas_applied} deltas applied")
+          f"{router.peer_changes} peer changes followed")
 
 
 if __name__ == "__main__":

@@ -191,24 +191,15 @@ class ReplayTree:
     def _op_fastpath_create(self, mount: str, switch: str, name: str, files: dict) -> str:
         flow_dir = f"{mount}/switches/{switch}/flows/{name}"
         self.sc.mkdir(flow_dir)
-        for filename, content in files.items():
-            try:
-                # Replay machinery: reconstructing a recorded (possibly
-                # torn) crash state, so no commit obligation applies here.
-                self.sc.write_text(f"{flow_dir}/{filename}", content)  # yanclint: disable=flow-no-commit
-            except FsError:
-                continue
-        return flow_dir + "/x"  # any direct child: flags spec writes below
+        return self._op_fastpath_write(mount, switch, name, files)  # yanclint: disable=flow-no-commit
 
     def _op_fastpath_write(self, mount: str, switch: str, name: str, files: dict) -> str:
         flow_dir = f"{mount}/switches/{switch}/flows/{name}"
         for filename, content in files.items():
-            try:
-                # Same as _op_fastpath_create: replay, not authorship.
-                self.sc.write_text(f"{flow_dir}/{filename}", content)  # yanclint: disable=flow-no-commit
-            except FsError:
-                continue
-        return flow_dir + "/x"
+            # Replay machinery: reconstructing a recorded (possibly torn)
+            # crash state, so no commit obligation applies here.
+            self.sc.write_text(f"{flow_dir}/{filename}", content)  # yanclint: disable=flow-no-commit
+        return flow_dir + "/x"  # any direct child: flags spec writes below
 
     def _op_fastpath_commit(self, mount: str, switch: str, name: str) -> str:
         flow_dir = f"{mount}/switches/{switch}/flows/{name}"

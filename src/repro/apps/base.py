@@ -20,8 +20,7 @@ from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask, NotifyEvent
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import PacketInEvent, YancClient
-
-_DIR_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
+from repro.yancfs.translate import DIR_MASK
 
 
 def announced(run: Iterable[tuple[tuple, NotifyEvent]]) -> dict[str, list[str]]:
@@ -71,7 +70,7 @@ class PacketInApp(YancApp):
     dl_types: str | None = None
 
     def on_start(self) -> None:
-        self.watch(f"{self.yc.root}/switches", _DIR_MASK, ("switches",))
+        self.watch(f"{self.yc.root}/switches", DIR_MASK, ("switches",))
         self._subscribe_new()
 
     def _subscribe_new(self) -> None:

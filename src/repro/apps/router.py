@@ -9,13 +9,15 @@ match through the network."  On every punted packet it either
   releases the buffered packet along the first hop.
 
 Host locations are learned from packets entering at *edge* ports (ports
-that appear in no discovered adjacency); the topology comes from the
-topology daemon's incremental delta stream — two applications
-cooperating through nothing but the file system.  The router walks the
-peer symlinks exactly once, at startup, then keeps its adjacency (and
-the spanning tree / shortest paths / edge-port sets derived from it)
-cached in memory, invalidated by delta files rather than re-read per
-packet.  In steady state, routing a packet costs zero topology syscalls.
+that appear in no discovered adjacency); the topology is the topology
+daemon's ``peer`` symlinks — two applications cooperating through
+nothing but the file system.  The router walks the symlinks once at
+start (and again only after its inotify queue overflowed), and in
+between follows each port directory's ``peer`` entry: a create is one
+``readlink``, a delete drops the link.  Its adjacency (and the spanning
+tree / shortest paths / edge-port sets derived from it) is cached in
+memory, so in steady state routing a packet costs zero topology
+syscalls.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from repro.netpkt.packet import parse_frame
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
 from repro.yancfs.client import PacketInEvent, flow_spec_files, write_objects_batched
+from repro.yancfs.translate import DIR_MASK
 from repro.apps.base import PacketInApp
-from repro.apps.topology import DEFAULT_DELTAS_PATH, PortCache, parse_delta, read_topology
+from repro.apps.topology import PortCache, peer_port, port_no_of, read_topology
 
 NO_BUFFER = 0xFFFFFFFF
-
-_PORTS_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
 
 
 class RouterDaemon(PacketInApp):
@@ -51,12 +52,10 @@ class RouterDaemon(PacketInApp):
         *,
         root: str = "/net",
         flow_idle_timeout: float = 10.0,
-        deltas_path: str = DEFAULT_DELTAS_PATH,
         record_hosts: bool = True,
     ) -> None:
         super().__init__(sc, sim, root=root)
         self.flow_idle_timeout = flow_idle_timeout
-        self.deltas_path = deltas_path
         self.record_hosts = record_hosts
         self.host_locations: dict[MacAddress, tuple[str, int]] = {}
         self.port_cache = PortCache(self.yc)
@@ -70,36 +69,48 @@ class RouterDaemon(PacketInApp):
         self.paths_installed = 0
         self.floods = 0
         self.full_topology_reads = 0
-        self.deltas_applied = 0
+        self.peer_changes = 0
 
     def on_start(self) -> None:
+        # Watch first, walk second (every switch's ports are watched as it
+        # is subscribed): a peer that changes while the walk is in flight
+        # is re-read by its own event, so no window is missed.
         super().on_start()
-        # Watch first, resync second: a delta published while the full
-        # walk is in flight is applied on top of it (adds/removes are
-        # idempotent against the walked state), so no window is missed.
-        if not self.sc.exists(self.deltas_path):
-            try:
-                self.sc.makedirs(self.deltas_path)
-            except FsError:
-                pass
-        self.watch(self.deltas_path, EventMask.IN_CREATE | EventMask.IN_MOVED_TO, ("deltas",))
         self._resync()
 
     def on_switch_added(self, switch: str) -> None:
-        self.watch(f"{self.yc.switch_path(switch)}/ports", _PORTS_MASK, ("ports", switch))
+        self.watch(f"{self.yc.switch_path(switch)}/ports", DIR_MASK, ("ports", switch))
+        self._watch_ports(switch)
 
     def on_switch_removed(self, switch: str) -> None:
         self.unwatch(("ports", switch))
         self.port_cache.invalidate(switch)
+        for ctx in [ctx for ctx in self._ctx_wds if ctx[0] == "peer" and ctx[1] == switch]:  # yancperf: disable=syscall-in-loop (cold; an unlink retires nothing)
+            self.unwatch(ctx)
+            self._peer_changed(ctx[1:], None)
+
+    def _watch_ports(self, switch: str) -> None:
+        """Watch each port directory of ``switch`` for its ``peer`` entry (re-watching a watched one keeps its wd)."""
+        for port_no in self.port_cache.ports(switch):
+            self.watch(self.yc.port_path(switch, port_no), DIR_MASK, ("peer", switch, port_no))
+
+    def on_overflow(self) -> None:
+        """Lost notifications: watch the ports that appeared, walk the symlinks once, then drain every buffer on that topology."""
+        self.port_cache = PortCache(self.yc)
+        self._subscribe_new()
+        for switch in [ctx[1] for ctx in self._ctx_wds if ctx[0] == "ports"]:
+            self._watch_ports(switch)
+        self._resync()
+        super().on_overflow()
 
     # -- topology ------------------------------------------------------------------------
 
     def topology(self) -> dict[tuple[str, int], tuple[str, int]]:
-        """The cached adjacency map (maintained by deltas, not re-read)."""
+        """The cached adjacency map (maintained from ``peer`` events, not re-read)."""
         return self._topology
 
     def _resync(self) -> None:
-        """Full walk of the peer symlinks (startup, or a missed delta)."""
+        """Full walk of the peer symlinks (start, or after an overflow)."""
         try:
             self._topology = read_topology(self.yc)
         except FsError:
@@ -108,7 +119,30 @@ class RouterDaemon(PacketInApp):
         self._linked_ports = {}
         for (src_sw, src_port) in self._topology:
             self._linked_ports.setdefault(src_sw, set()).add(src_port)
+        self._forget_hosts_at(self._topology)
         self._invalidate_routes()
+
+    def _forget_hosts_at(self, ports) -> None:
+        """Inter-switch ports are not the edge: a host "learned" at one was traffic in transit, and a path routed there loops."""
+        forgotten = [mac for mac, location in self.host_locations.items() if location in ports]
+        for mac in forgotten:
+            del self.host_locations[mac]
+        if forgotten:
+            self._retire_paths_to({str(mac) for mac in forgotten})
+
+    def _retire_paths_to(self, macs: set[str]) -> None:
+        """Remove every hop this router installed toward one of ``macs`` (its flows are ``rt-<src>-<dst>-<seq>``)."""
+        for switch in self._safe_switches():  # yancperf: disable=syscall-in-loop (cold: a host was learned where a link now is)
+            try:
+                names = self.yc.flows(switch)
+            except FsError:
+                continue
+            for name in names:
+                if name.startswith("rt-") and name.split("-")[2] in macs:
+                    try:
+                        self.yc.delete_flow(switch, name)
+                    except FsError:
+                        pass  # expired meanwhile
 
     def _invalidate_routes(self) -> None:
         self._graph_cache = None
@@ -117,39 +151,42 @@ class RouterDaemon(PacketInApp):
         self._path_cache = {}
 
     def on_other_event(self, ctx: tuple, event) -> None:
-        if ctx[0] == "ports":
-            self.port_cache.invalidate(ctx[1])
+        added = bool(event.mask & (EventMask.IN_CREATE | EventMask.IN_MOVED_TO))
+        if ctx[0] == "peer":
+            if event.name == "peer":
+                self._peer_changed(ctx[1:], self._read_peer(ctx[1:]) if added else None)
             return
-        if ctx[0] != "deltas" or not event.name or event.name.startswith("."):
+        if ctx[0] != "ports":
             return
-        try:
-            text = self.sc.read_text(f"{self.deltas_path}/{event.name}")
-        except FsError:
-            # The publisher already pruned this delta: we fell too far
-            # behind the stream, so fall back to one full walk.
-            self._resync()
+        self.port_cache.invalidate(ctx[1])
+        port_no = port_no_of(event.name or "")
+        if port_no is None:
             return
-        delta = parse_delta(text)
-        if delta is None:
-            return
-        self._apply_delta(delta)
+        src = (ctx[1], port_no)
+        if not added:
+            self.unwatch(("peer", *src))
+            self._peer_changed(src, None)
+        elif self.watch(self.yc.port_path(*src), DIR_MASK, ("peer", *src)):
+            self._peer_changed(src, self._read_peer(src))  # a peer made before the watch has no event of its own
 
-    def _apply_delta(self, delta) -> None:
-        if delta.kind == "add":
-            if self._topology.get(delta.src) == delta.dst:
-                return  # already known (e.g. seen by the startup walk)
-            self._topology[delta.src] = delta.dst
-            self._linked_ports.setdefault(delta.src[0], set()).add(delta.src[1])
-            # A port just became inter-switch: any host "learned" there
-            # was really traffic in transit, so forget it.
-            for mac, location in list(self.host_locations.items()):
-                if location == delta.src:
-                    del self.host_locations[mac]
+    def _read_peer(self, src: tuple[str, int]) -> tuple[str, int] | None:
+        try:
+            return peer_port(self.yc.peer_of(*src))
+        except FsError:
+            return None
+
+    def _peer_changed(self, src: tuple[str, int], dst: tuple[str, int] | None) -> None:
+        """``src``'s peer is now ``dst`` (None: unlinked)."""
+        if self._topology.get(src) == dst:
+            return
+        if dst is None:
+            del self._topology[src]
+            self._linked_ports[src[0]].discard(src[1])
         else:
-            if self._topology.pop(delta.src, None) is None:
-                return
-            self._linked_ports.get(delta.src[0], set()).discard(delta.src[1])
-        self.deltas_applied += 1
+            self._topology[src] = dst
+            self._linked_ports.setdefault(src[0], set()).add(src[1])
+            self._forget_hosts_at((src,))
+        self.peer_changes += 1
         self._invalidate_routes()
 
     def _graph(self) -> dict[str, dict[str, int]]:

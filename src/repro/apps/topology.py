@@ -7,18 +7,14 @@ links ... rather than parsing some topology information file".  Stale
 links (no beacon within ``link_ttl``) are pruned, so a cut cable
 eventually disappears from the tree.
 
-Alongside the symlinks the daemon publishes an *incremental delta
-stream*: one small file per link add/remove, written maildir-style
-(assembled under a dot-temp name, renamed into place) so watchers only
-ever see complete deltas.  Consumers like the router daemon apply deltas
-to a locally cached adjacency instead of re-walking every ``peer``
-symlink in the tree — at fat-tree scale the full walk is thousands of
-syscalls per refresh, the delta is one file read per change.
+The symlinks are the only record of the topology: a consumer such as
+the router daemon walks them once (:func:`read_topology`) and then
+follows each port's ``peer`` entry with inotify, one ``readlink`` per
+change.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.dataplane.actions import TO_CONTROLLER, Output
@@ -28,26 +24,12 @@ from repro.netpkt.ethernet import ETH_TYPE_LLDP, Ethernet
 from repro.netpkt.lldp import LLDP_MULTICAST_MAC, Lldp
 from repro.netpkt.packet import build_frame, parse_frame
 from repro.vfs.errors import FsError
-from repro.vfs.notify import EventMask
 from repro.yancfs.client import PacketInEvent, YancClient, packet_out_name
-from repro.yancfs.recovery import sweep_staging
+from repro.yancfs.translate import DIR_MASK
 from repro.apps.base import PacketInApp
 
 #: Priority of the LLDP punt flow (must beat any forwarding entry).
 LLDP_FLOW_PRIORITY = 0xFFFF
-
-#: Where the incremental link add/remove delta files are published.
-DEFAULT_DELTAS_PATH = "/var/run/topology"
-
-#: Staged dot-temps under the delta spool are recovered at daemon start
-#: (a publisher that crashed between write and rename leaks its temp).
-YANCCRASH_RECOVERS = (DEFAULT_DELTAS_PATH,)
-
-#: Delta files each publisher keeps before unlinking its oldest.
-DELTA_BACKLOG = 256
-
-_PORTS_MASK = EventMask.IN_CREATE | EventMask.IN_DELETE | EventMask.IN_MOVED_FROM | EventMask.IN_MOVED_TO
-
 
 @dataclass
 class DiscoveredLink:
@@ -56,36 +38,6 @@ class DiscoveredLink:
     src: tuple[str, int]
     dst: tuple[str, int]
     last_seen: float
-
-
-@dataclass(frozen=True)
-class TopologyDelta:
-    """One parsed entry of the incremental delta stream."""
-
-    kind: str  # "add" | "remove"
-    src: tuple[str, int]
-    dst: tuple[str, int] | None  # None for removes
-
-
-def format_delta(delta: TopologyDelta) -> str:
-    """Render a delta as its one-line file content."""
-    if delta.kind == "add":
-        assert delta.dst is not None
-        return f"add {delta.src[0]} {delta.src[1]} {delta.dst[0]} {delta.dst[1]}\n"
-    return f"remove {delta.src[0]} {delta.src[1]}\n"
-
-
-def parse_delta(text: str) -> TopologyDelta | None:
-    """Parse one delta file's content; None for malformed lines."""
-    parts = text.split()
-    try:
-        if len(parts) == 5 and parts[0] == "add":
-            return TopologyDelta("add", (parts[1], int(parts[2])), (parts[3], int(parts[4])))
-        if len(parts) == 3 and parts[0] == "remove":
-            return TopologyDelta("remove", (parts[1], int(parts[2])), None)
-    except ValueError:
-        return None
-    return None
 
 
 class PortCache:
@@ -109,7 +61,7 @@ class PortCache:
                 names = self.yc.ports(switch)
             except FsError:
                 return []
-            cached = sorted(p for p in (_port_no(n) for n in names) if p is not None)
+            cached = sorted(p for p in (port_no_of(n) for n in names) if p is not None)
             self._ports[switch] = cached
         return cached
 
@@ -119,7 +71,7 @@ class PortCache:
 
 
 class TopologyDaemon(PacketInApp):
-    """LLDP discovery -> peer symlinks + incremental delta stream."""
+    """LLDP discovery -> peer symlinks."""
 
     app_name = "topod"
     dl_types = "0x88cc"  # LLDP beacons only
@@ -132,34 +84,23 @@ class TopologyDaemon(PacketInApp):
         root: str = "/net",
         beacon_interval: float = 0.5,
         link_ttl: float = 2.0,
-        deltas_path: str = DEFAULT_DELTAS_PATH,
     ) -> None:
         super().__init__(sc, sim, root=root)
         self.beacon_interval = beacon_interval
         self.link_ttl = link_ttl
-        self.deltas_path = deltas_path
         self.links: dict[tuple[str, int], DiscoveredLink] = {}
         self.beacons_sent = 0
         self.beacons_received = 0
-        self.deltas_published = 0
         self.port_cache = PortCache(self.yc)
-        self._delta_seq = 0
         self._beacon_seq = 0
-        self._backlog: deque[str] = deque()
 
     def on_start(self) -> None:
-        if not self.sc.exists(self.deltas_path):
-            self.sc.makedirs(self.deltas_path)
-        # Recovery: a predecessor that crashed between the dot-temp write
-        # and the rename left a temp no consumer will ever read; sweep it
-        # before publishing anything new.
-        sweep_staging(self.sc, self.deltas_path)
         super().on_start()
         self.every(self.beacon_interval, self.send_beacons, start_delay=0.0)
         self.every(self.link_ttl, self.prune_stale)
 
     def on_switch_added(self, switch: str) -> None:
-        self.watch(f"{self.yc.switch_path(switch)}/ports", _PORTS_MASK, ("ports", switch))
+        self.watch(f"{self.yc.switch_path(switch)}/ports", DIR_MASK, ("ports", switch))
         # Make sure LLDP always reaches us, whatever else is installed.
         try:
             self.yc.create_flow(
@@ -180,31 +121,10 @@ class TopologyDaemon(PacketInApp):
         if ctx[0] == "ports":
             self.port_cache.invalidate(ctx[1])
 
-    # -- the delta stream ---------------------------------------------------------------
-
-    def _publish_delta(self, delta: TopologyDelta) -> None:
-        """Publish one delta file (maildir: dot-temp, then rename).
-
-        File names carry the publisher's PID so two daemons (a restart
-        overlap, a standby) never rename onto each other's deltas;
-        consumers order by inotify delivery, not by name.
-        """
-        self._delta_seq += 1
-        name = f"d_{self.pid}_{self._delta_seq}"
-        tmp = f"{self.deltas_path}/.{name}"
-        try:
-            self.sc.write_text(tmp, format_delta(delta))
-            self.sc.rename(tmp, f"{self.deltas_path}/{name}")
-        except FsError:
-            return
-        self.deltas_published += 1
-        self._backlog.append(name)
-        while len(self._backlog) > DELTA_BACKLOG:
-            stale = self._backlog.popleft()
-            try:
-                self.sc.unlink(f"{self.deltas_path}/{stale}")
-            except FsError:
-                pass
+    def on_overflow(self) -> None:
+        """Lost notifications: forget every cached port set, then recover the buffers."""
+        self.port_cache = PortCache(self.yc)
+        super().on_overflow()
 
     # -- beaconing ---------------------------------------------------------------------
 
@@ -250,8 +170,6 @@ class TopologyDaemon(PacketInApp):
             self.yc.set_peer(src[0], src[1], dst[0], dst[1])
         except FsError:
             self.links.pop(src, None)
-            return
-        self._publish_delta(TopologyDelta("add", src, dst))
 
     def prune_stale(self) -> None:
         """Drop links that stopped beaconing (cable cut, port down)."""
@@ -264,8 +182,7 @@ class TopologyDaemon(PacketInApp):
                 # EAFP: unlink resolves once; a missing link is already pruned.
                 self.sc.unlink(f"{self.yc.port_path(src[0], src[1])}/peer")
             except FsError:
-                continue
-            self._publish_delta(TopologyDelta("remove", src, None))
+                pass
 
     # -- queries -------------------------------------------------------------------------
 
@@ -274,36 +191,39 @@ class TopologyDaemon(PacketInApp):
         return {src: link.dst for src, link in self.links.items()}
 
 
-def _port_no(port_name: str) -> int | None:
+def port_no_of(port_name: str) -> int | None:
+    """``port_<n>`` -> n; None for any other name."""
     try:
         return int(port_name.rsplit("_", 1)[-1])
     except ValueError:
         return None
 
 
+def peer_port(target: str | None) -> tuple[str, int] | None:
+    """The ``(switch, port)`` a ``peer`` symlink target names (``.../switches/<sw>/ports/port_<n>``); None for any other."""
+    if target is None:
+        return None
+    parts = target.rstrip("/").split("/")
+    port_no = port_no_of(parts[-1])
+    if port_no is None or len(parts) < 3:
+        return None
+    return parts[-3], port_no
+
+
 def read_topology(yc) -> dict[tuple[str, int], tuple[str, int]]:
     """Read the adjacency map straight from the peer symlinks.
 
-    Any application can reconstruct the topology from the tree alone —
-    this full walk is what the router daemon does *once* at startup
-    before switching to the incremental delta stream.
+    Any application can reconstruct the topology from the tree alone;
+    the router daemon does this full walk at start and after a lost
+    notification, and follows each ``peer`` entry in between.
     """
     adjacency: dict[tuple[str, int], tuple[str, int]] = {}
     for switch in yc.switches():
         for port_name in yc.ports(switch):
-            port_no = _port_no(port_name)
+            port_no = port_no_of(port_name)
             if port_no is None:
                 continue
-            target = yc.peer_of(switch, port_name)
-            if target is None:
-                continue
-            parts = target.rstrip("/").split("/")
-            # .../switches/<sw>/ports/port_<n>
-            try:
-                peer_switch = parts[-3]
-                peer_port = _port_no(parts[-1])
-            except IndexError:
-                continue
-            if peer_port is not None:
-                adjacency[(switch, port_no)] = (peer_switch, peer_port)
+            peer = peer_port(yc.peer_of(switch, port_name))
+            if peer is not None:
+                adjacency[(switch, port_no)] = peer
     return adjacency

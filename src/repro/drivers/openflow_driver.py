@@ -215,23 +215,22 @@ class OpenFlowDriver(Process):
             self._on_events_dir_event(ctx[1], event)
 
     def on_overflow(self) -> None:
-        """Lost notifications: per switch, re-learn the app buffers, reconcile the flows and take the whole spool.
+        """Lost notifications: reconcile every ready switch (:meth:`_reconcile`), its spools taken in one submission.
 
         Port watches need no recovery: the driver adds them itself when it
         creates a port, not on a notification.
         """
-        entries = []
-        for binding in list(self.bindings.values()):  # yancperf: disable=syscall-in-loop (recovery re-reads each switch, once per overflow)
-            if not binding.ready:
-                continue
-            path = self.yc.switch_path(binding.fs_name)
-            try:
-                binding.event_apps = self.sc.listdir(f"{path}/events")
-                binding.follower.attach()
-                entries += [(binding, binding.fs_name, name) for name in self.sc.listdir(f"{path}/packet_out")]
-            except FsError:
-                continue
-        self._send_packet_outs(entries)
+        self._send_packet_outs([entry for binding in list(self.bindings.values()) if binding.ready for entry in self._reconcile(binding)])
+
+    def _reconcile(self, binding: SwitchBinding) -> list[tuple[SwitchBinding, str, str]]:
+        """Re-read what a switch's notifications announce, as on attach: its app buffers and committed flows; its whole spool is returned for the take."""
+        path = self.yc.switch_path(binding.fs_name)
+        try:
+            binding.event_apps = self.sc.listdir(f"{path}/events")
+            binding.follower.attach()
+            return [(binding, binding.fs_name, name) for name in self.sc.listdir(f"{path}/packet_out")]
+        except FsError:
+            return []
 
     # -- FS -> wire --------------------------------------------------------------------
 
@@ -350,8 +349,7 @@ class OpenFlowDriver(Process):
         binding.dpid = msg.dpid
         binding.fs_name = self._find_existing_switch(msg.dpid) or f"sw{msg.dpid}"
         path = self.yc.switch_path(binding.fs_name)
-        adopted = self.sc.exists(path)
-        if not adopted:
+        if not self.sc.exists(path):
             self.yc.create_switch(binding.fs_name, dpid=msg.dpid)
         self.sc.write_text(f"{path}/num_buffers", str(msg.n_buffers))
         self.sc.write_text(f"{path}/capabilities", f"{msg.capabilities:#x}")
@@ -366,12 +364,10 @@ class OpenFlowDriver(Process):
         if binding.version == OF13_VERSION:
             binding.send(m.PortDescRequest())
         binding.ready = True
-        if adopted:
-            self._adopt_existing_state(binding)
-        # Last, so re-asserted flows go out on a ready session: committed
-        # flows already in the tree are adopted (live upgrade, §4.1).
+        # Last, so re-asserted flows and spooled packets go out on a ready
+        # session: what is already in the tree is adopted (live upgrade, §4.1).
         binding.follower = FlowFollower(self, self.yc, binding.fs_name, partial(self._assert_flow, binding), partial(self._retire_flow, binding))
-        binding.follower.attach()
+        self._send_packet_outs(self._reconcile(binding))
 
     def _find_existing_switch(self, dpid: int) -> str | None:
         try:
@@ -386,25 +382,12 @@ class OpenFlowDriver(Process):
                 continue
         return None
 
-    def _adopt_existing_state(self, binding: SwitchBinding) -> None:
-        """Live upgrade: re-learn app buffers and port watches."""
-        try:
-            apps = self.sc.listdir(f"{self.yc.switch_path(binding.fs_name)}/events")
-        except FsError:
-            apps = []
-        binding.event_apps = list(apps)
-        for port_name in self.yc.ports(binding.fs_name):
-            self.watch(
-                self.yc.port_path(binding.fs_name, port_name),
-                FILE_MASK,
-                ("port", binding.dpid, port_name),
-            )
-
     def _ensure_port(self, binding: SwitchBinding, port: m.PortDesc) -> None:
         name = f"port_{port.port_no}"
         path = self.yc.port_path(binding.fs_name, name)
         if not self.sc.exists(path):
             self.yc.create_port(binding.fs_name, port.port_no)
+        if ("port", binding.dpid, name) not in self._ctx_wds:  # a new port, or one adopted from a predecessor's tree
             self.watch(path, FILE_MASK, ("port", binding.dpid, name))
         from repro.netpkt.addr import MacAddress
 

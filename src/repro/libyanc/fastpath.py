@@ -14,11 +14,6 @@ the library now speaks in *batches*:
   :meth:`LibYanc.read_flows` return whole flow directories (or the whole
   table) in one library call; :meth:`LibYanc.write_flow_files` applies a
   dict of validated attribute writes at once.
-* **zero-copy packet rings** — per-(switch, app) :class:`ShmRing`
-  packet-in rings and a per-switch packet-out ring; one
-  :meth:`LibYanc.push_packet_in` fans a single buffer *reference* out to
-  every subscribed ring.  Rings are pollable, so consumers park their
-  epoll loop on them like any descriptor.
 
 This is the third transport of the write pipeline
 (:func:`repro.yancfs.client.write_object` documents the protocol): the
@@ -37,7 +32,6 @@ from __future__ import annotations
 
 from repro.dataplane.actions import Action
 from repro.dataplane.match import Match
-from repro.libyanc.shmring import ShmRing
 from repro.perf.counters import PerfCounters
 from repro.perf.tracepoints import around as _around
 from repro.perf.tracepoints import entering as _entering
@@ -49,10 +43,6 @@ from repro.vfs.inode import DirInode
 from repro.vfs.stat import FileType
 from repro.yancfs.client import flow_spec_files
 from repro.yancfs.schema import AttributeFile, FlowNode, FlowsDir, SwitchNode, YancFs
-
-#: Default capacity of a packet ring created on first use.
-DEFAULT_RING_CAPACITY = 1024
-
 
 class LibYanc:
     """A process's handle on the shared-memory mapping of the yanc store.
@@ -68,8 +58,6 @@ class LibYanc:
         #: Flows staged but not yet committed, in staging order (the
         #: write-behind set :meth:`flush` drains).
         self._dirty: dict[tuple[str, str], None] = {}
-        self._packet_in_rings: dict[tuple[str, str], ShmRing] = {}
-        self._packet_out_rings: dict[str, ShmRing] = {}
 
     def _op(self, name: str) -> None:
         self.counters.add("libyanc.op")
@@ -299,57 +287,3 @@ class LibYanc:
             except (NotADirectory, FileNotFound):
                 continue
         return out
-
-    # -- zero-copy packet rings (pollable shared-memory transport) -------------------
-
-    def packet_in_ring(self, switch: str, app: str, *, capacity: int = DEFAULT_RING_CAPACITY) -> ShmRing:
-        """This app's packet-in ring on ``switch`` (created on first use).
-
-        The shared-memory counterpart of the §3.5 ``events/<app>`` buffer:
-        subscribing returns a pollable ring the consumer parks its epoll
-        loop on; :meth:`push_packet_in` fans references into every ring.
-        """
-        self._switch(switch)  # same existence check as the file path's mkdir
-        key = (switch, app)
-        ring = self._packet_in_rings.get(key)
-        if ring is None:
-            self._op("packet_in_ring")
-            ring = ShmRing(capacity, counters=self.counters)
-            self._packet_in_rings[key] = ring
-        return ring
-
-    def drop_packet_in_ring(self, switch: str, app: str) -> None:
-        """Unsubscribe: pending buffers are discarded with the ring."""
-        self._op("drop_packet_in_ring")
-        self._packet_in_rings.pop((switch, app), None)
-
-    def push_packet_in(self, switch: str, payload: bytes | bytearray | memoryview) -> int:
-        """Fan one packet-in buffer out to every subscribed ring, zero-copy.
-
-        Each subscriber receives a reference to the *same* buffer (a
-        memoryview), so fan-out is O(subscribers) pointer stores with no
-        bytes copied.  Full rings drop (counted per ring); returns how
-        many rings accepted the buffer.
-        """
-        self._op("push_packet_in")
-        view = payload if isinstance(payload, memoryview) else memoryview(payload)
-        delivered = 0
-        for (ring_switch, _app), ring in self._packet_in_rings.items():
-            if ring_switch == switch and ring.put(view):
-                delivered += 1
-        return delivered
-
-    def packet_out_ring(self, switch: str, *, capacity: int = DEFAULT_RING_CAPACITY) -> ShmRing:
-        """The switch's outbound packet ring (driver-consumed)."""
-        self._switch(switch)
-        ring = self._packet_out_rings.get(switch)
-        if ring is None:
-            self._op("packet_out_ring")
-            ring = ShmRing(capacity, counters=self.counters)
-            self._packet_out_rings[switch] = ring
-        return ring
-
-    def push_packet_out(self, switch: str, payload: bytes | bytearray | memoryview) -> bool:
-        """Queue one outbound frame reference; False when the ring is full."""
-        self._op("push_packet_out")
-        return self.packet_out_ring(switch).put(payload)

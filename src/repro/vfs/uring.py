@@ -242,6 +242,11 @@ class IoUring:
         if not link:
             batch._chain = len(sq)
 
+    def check_chain(self, length: int) -> None:
+        """Refuse a chain of ``length`` entries that no crossing could carry, before a caller queues any of it."""
+        if length > self.entries:
+            raise InvalidArgument(detail=f"linked chain longer than the ring ({self.entries} entries)")
+
     def _make_room(self, batch: Batch, count: int) -> None:
         """Make room in ``batch`` for ``count`` more entries of its open chain, as the module docstring's **Room** says."""
         sq = batch._sq

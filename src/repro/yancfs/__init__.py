@@ -11,7 +11,7 @@ from repro.yancfs.client import (
     YancClient,
     mount_yancfs,
 )
-from repro.yancfs.recovery import FsckReport, fsck, sweep_staging
+from repro.yancfs.recovery import FsckReport, fsck
 from repro.yancfs.schema import (
     AttributeFile,
     EventsDir,
@@ -36,7 +36,6 @@ __all__ = [
     "YancClient",
     "fsck",
     "mount_yancfs",
-    "sweep_staging",
     "AttributeFile",
     "EventsDir",
     "FlowNode",

@@ -185,14 +185,19 @@ def write_objects_batched(sc: Syscalls, objects: list[tuple[str, dict, str | Non
     the object's path again — and a failed step cancels the rest of *that
     object* while its neighbours still publish.  The ring keeps its own
     room (a chain never straddles a submit), so a batch that fits is one
-    ``io_uring_enter``.  An object that cannot be prepared raises before
-    any of the batch crosses, unless the batch already filled the ring.
+    ``io_uring_enter``.  An object that cannot be prepared (its chain is
+    longer than the ring) raises before any of the batch crosses.
     """
-    batch = sc.ring.batch()
-    for index, (path, files, publish) in enumerate(objects):
+    ring, chains = sc.ring, []
+    for path, files, publish in objects:
         staged, writes = _assembly(path, files, publish)
         if publish == "version":
             writes.append(("version", b"1"))
+        # mkdir, the directory's open, three entries per file, its close, and a maildir rename
+        ring.check_chain(3 * len(writes) + 3 + (publish == "rename"))
+        chains.append((path, staged, writes, publish))
+    batch = ring.batch()
+    for index, (path, staged, writes, publish) in enumerate(chains):
         batch.prep("mkdir", staged, link=True, user_data=index)
         batch.prep("open", staged, O_DIRECTORY, link=True, user_data=index)
         for filename, data in writes:

@@ -121,31 +121,4 @@ def _remove(sc, path: str, is_dir: bool, report: FsckReport) -> None:
         report.failures.append(f"{path}: {exc}")
 
 
-def sweep_staging(sc, path: str) -> list[str]:
-    """Remove stale dot-entries directly under a flat staging directory.
-
-    The lighter sibling of :func:`fsck` for non-yancfs spool directories
-    (the topology daemon's delta stream lives on a plain tmpfs): one
-    ``scandir``, unlink every dot-entry.  Returns the removed paths.
-    """
-    removed: list[str] = []
-    try:
-        entries = sc.scandir(path)
-    except FsError:
-        return removed
-    for name, st in entries:
-        if not name.startswith("."):
-            continue
-        stale = f"{path}/{name}"
-        try:
-            if st.ftype is FileType.DIRECTORY:
-                sc.rmdir(stale)
-            else:
-                sc.unlink(stale)
-        except FsError:
-            continue
-        removed.append(stale)
-    return removed
-
-
-__all__ = ["FsckReport", "YANCCRASH_RECOVERS", "flow_version", "fsck", "sweep_staging"]
+__all__ = ["FsckReport", "YANCCRASH_RECOVERS", "flow_version", "fsck"]

@@ -18,7 +18,7 @@ from repro.analysis.sanitizer import Sanitizer
 from repro.analysis.sweep import JUDGES
 from repro.analysis.yanccrash.checker import KINDS, analyze_sources, analyze_yanccrash
 from repro.analysis.yanccrash.explorer import ReplayTree, explore
-from repro.analysis.yanccrash.recorder import CrashRecorder
+from repro.analysis.yanccrash.recorder import CrashRecorder, DurableOp
 from repro.dataplane.actions import Output
 from repro.dataplane.match import Match
 from repro.vfs.syscalls import Syscalls
@@ -466,6 +466,11 @@ def test_explorer_replays_truncates_links_and_fastpath_rewrites():
     assert not tree.sc.exists("/net/switches/s1/flows/f1")
     result = explore(ops)
     assert result.violations == []
+
+
+def test_a_fastpath_write_that_changed_nothing_replays_as_no_change():
+    """Regression: a libyanc write whose files all failed to land used to report its flow as changed."""
+    assert ReplayTree().apply(DurableOp("fastpath-write", ("/net", "s1", "f1", {"priority": "7"}), vfs=0)) is None
 
 
 def test_explorer_empty_trace():

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from repro.apps import RouterDaemon, TopologyDaemon, read_topology
 from repro.apps.router import NO_BUFFER
-from repro.apps.topology import (
-    DEFAULT_DELTAS_PATH,
-    TopologyDelta,
-    format_delta,
-    parse_delta,
-)
+from repro.apps.topology import peer_port
 from repro.dataplane import Match, Output, build_linear, build_ring, build_tree
 from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Udp
 from repro.netpkt.packet import build_frame, parse_frame
@@ -149,50 +144,27 @@ def test_second_ping_uses_installed_path_without_new_punt():
     assert router.paths_installed == paths_before  # flow already in hardware
 
 
-# -- the incremental delta stream ---------------------------------------------
-
-
-def test_delta_format_parse_roundtrip():
-    add = TopologyDelta("add", ("sw1", 1), ("sw2", 2))
-    remove = TopologyDelta("remove", ("sw3", 4), None)
-    assert parse_delta(format_delta(add)) == add
-    assert parse_delta(format_delta(remove)) == remove
-    assert parse_delta("gibberish\n") is None
-    assert parse_delta("add sw1 x sw2 2") is None
-    assert parse_delta("add sw1 1") is None
+# -- the peer symlinks are the one record of the topology --------------------------------
 
 
 def test_discovery_publishes_parseable_add_deltas():
-    ctl, topod, _ = _stack(build_linear(3), router=False)
+    """A discovered link is published once, as its ``peer`` symlink: each parses to its port, and nothing else is written."""
+    ctl, _, _ = _stack(build_linear(3), router=False)
     ctl.run(2.0)
-    sc = ctl.host.root_sc
-    names = [n for n in sc.listdir(DEFAULT_DELTAS_PATH) if not n.startswith(".")]
-    assert len(names) == topod.deltas_published > 0
-    deltas = [parse_delta(sc.read_text(f"{DEFAULT_DELTAS_PATH}/{n}")) for n in names]
-    assert all(d is not None and d.kind == "add" for d in deltas)
-    # the delta stream reconstructs exactly the adjacency in the tree
-    assert {d.src: d.dst for d in deltas} == ctl.expected_topology()
-
-
-def test_delta_backlog_is_pruned(monkeypatch):
-    monkeypatch.setattr("repro.apps.topology.DELTA_BACKLOG", 4)
-    ctl, topod, _ = _stack(build_linear(2), router=False)
-    ctl.run(1.0)
-    for n in range(10):
-        topod._publish_delta(TopologyDelta("add", (f"x{n}", 1), (f"y{n}", 1)))
-    sc = ctl.host.root_sc
-    names = [n for n in sc.listdir(DEFAULT_DELTAS_PATH) if not n.startswith(".")]
-    assert len(names) <= 4
+    sc, yc = ctl.host.root_sc, ctl.client()
+    links = {(switch, int(port.split("_")[1])): peer_port(yc.peer_of(switch, port)) for switch in yc.switches() for port in yc.ports(switch)}
+    assert {src: dst for src, dst in links.items() if dst is not None} == ctl.expected_topology()
+    assert not sc.exists("/var/run/topology")
 
 
 def test_router_builds_topology_from_deltas_alone():
     """The router starts before discovery: its one walk sees an empty tree,
-    and the entire adjacency arrives via the delta stream."""
+    and the entire adjacency arrives as ``peer`` events, one ``readlink`` each."""
     ctl, _, router = _stack(build_linear(3))
     ctl.run(2.0)
     assert router.topology() == ctl.expected_topology()
     assert router.full_topology_reads == 1
-    assert router.deltas_applied >= len(ctl.expected_topology())
+    assert router.peer_changes >= len(ctl.expected_topology())
 
 
 def test_router_steady_state_routes_with_zero_topology_syscalls():
@@ -224,19 +196,6 @@ def test_router_steady_state_routes_with_zero_topology_syscalls():
     assert meter.counters.get("syscall.readlink") == readlink_before
 
 
-def test_router_resyncs_when_delta_file_already_pruned():
-    ctl, _, router = _stack(build_linear(2))
-    ctl.run(2.0)
-    walks = router.full_topology_reads
-    # a delta whose file the publisher already unlinked: fall back to a walk
-    router.on_other_event(("deltas",), SimpleNamespace(name="d_999_1"))
-    assert router.full_topology_reads == walks + 1
-    assert router.topology() == ctl.expected_topology()
-    # maildir dot-temp names are never read (and never force a walk)
-    router.on_other_event(("deltas",), SimpleNamespace(name=".d_partial"))
-    assert router.full_topology_reads == walks + 1
-
-
 def test_link_cut_propagates_via_remove_deltas():
     ctl, topod, router = _stack(build_linear(2))
     ctl.run(2.0)
@@ -245,7 +204,73 @@ def test_link_cut_propagates_via_remove_deltas():
     link.set_up(False)
     ctl.run(3 * topod.link_ttl + 1.0)
     assert router.topology() == {}
-    assert router.full_topology_reads == 1  # the cut arrived as deltas
+    assert router.full_topology_reads == 1  # the cut arrived as peer deletes
+    assert router.peer_changes == 2 * len(ctl.expected_topology())
+
+
+def _recoveries(ctl) -> int:
+    counters = dict(line.split(" ") for line in ctl.host.root_sc.read_text("/proc/counters").splitlines())
+    return int(counters.get("proc.overflow_recoveries", 0))
+
+
+def test_a_router_whose_queue_overflowed_still_holds_every_link():
+    """Regression: a router that lost ``peer`` events to an overflow re-walks the symlinks (it used to keep 1 of 4 links)."""
+    ctl, _, router = _stack(build_linear(3))
+    router.ino.max_queued_events = 2
+    ctl.run(3.0)
+    assert _recoveries(ctl) >= 1
+    assert router.topology() == ctl.expected_topology()
+    assert router.full_topology_reads >= 2  # the start, and the overflow
+
+
+def test_paths_routed_to_a_host_learned_where_a_link_is_found_are_retired():
+    """A router that routes before discovery learns each host at the far end of the inter-switch link; once the link is known, those hosts and the paths routed to them go, or the paths would loop."""
+    ctl = YancController(build_linear(2)).start()
+    router = RouterDaemon(ctl.host.process(), ctl.sim).start()
+    h1, h2 = ctl.net.hosts["h1"], ctl.net.hosts["h2"]
+    assert h1.reachable(_ping(ctl, h1, h2))
+    yc = ctl.client()
+    assert router.host_locations[h1.mac] == ("sw2", 1) and [f for f in yc.flows("sw2") if f.startswith("rt-")]
+    TopologyDaemon(ctl.host.process(), ctl.sim).start()
+    ctl.run(1.0)
+    assert router.topology() == ctl.expected_topology()
+    assert router.host_locations == {}
+    assert [f for switch in yc.switches() for f in yc.flows(switch) if f.startswith("rt-")] == []
+    assert h1.reachable(_ping(ctl, h1, h2))
+
+
+def _ping(ctl, src, dst) -> int:
+    seq = src.ping(dst.ip)
+    ctl.run(1.0)
+    return seq
+
+
+def _switch_links(net):
+    return [link for link in net.links if hasattr(link.a, "switch") and hasattr(link.b, "switch")]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    builder=st.sampled_from([lambda: build_linear(3), lambda: build_ring(3)]),
+    steps=st.lists(st.tuples(st.integers(min_value=0, max_value=2), st.booleans(), st.sampled_from([0.3, 1.0, 2.5]), st.booleans()), max_size=6),
+    overflow=st.sampled_from([None, "router", "topod"]),
+)
+def test_the_router_follows_the_peer_symlinks_through_flaps_and_overflows(builder, steps, overflow):
+    """After any run of link cuts and repairs, with either daemon's queue overflowing, the router's adjacency is the tree's and the wire's, and no host stays learned at an inter-switch port."""
+    ctl, topod, router = _stack(builder())
+    if overflow is not None:
+        (router if overflow == "router" else topod).ino.max_queued_events = 2
+    links, hosts = _switch_links(ctl.net), list(ctl.net.hosts.values())
+    for index, up, dwell, ping in steps:
+        links[index % len(links)].set_up(up)
+        if ping:
+            hosts[0].ping(hosts[-1].ip)
+        ctl.run(dwell)
+    for link in links:
+        link.set_up(True)
+    ctl.run(3 * topod.link_ttl)
+    assert router.topology() == read_topology(ctl.client()) == ctl.expected_topology()
+    assert not [location for location in router.host_locations.values() if location in router.topology()]
 
 
 def test_app_stop_ceases_processing():

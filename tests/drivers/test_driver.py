@@ -329,6 +329,22 @@ def test_live_upgrade_of10_to_of13(ctl):
     assert len(sw1.table) == 2
 
 
+def test_a_packet_out_spooled_while_no_driver_held_the_switch_goes_out_on_attach(ctl):
+    """Attach takes the whole spool, as an overflow does: nothing announced the entry to the new driver."""
+    from repro.netpkt import ETH_TYPE_IPV4, Ethernet, MacAddress
+
+    sw1, h1 = ctl.net.switches["sw1"], ctl.net.hosts["h1"]
+    ctl.drivers[0].detach_switch(sw1.dpid)
+    raw = Ethernet(dst=h1.mac, src=MacAddress(0x42), eth_type=ETH_TYPE_IPV4, payload=b"x" * 30).pack()
+    ctl.client().packet_out("sw1", [2], raw, tag="gap")
+    assert ctl.host.root_sc.listdir("/net/switches/sw1/packet_out") == ["p2.gap.1"]
+    received = h1.rx_frames
+    ctl.add_driver(version=OF13_VERSION).attach_switch(sw1)
+    ctl.run(1.0)
+    assert ctl.host.root_sc.listdir("/net/switches/sw1/packet_out") == []
+    assert h1.rx_frames == received + 1
+
+
 def test_a_live_upgrade_adopts_fifty_committed_flows_in_three_crossings(ctl, monkeypatch):
     """Adoption takes the consume rule's path: the ``flows/`` watch, one listing, one submission of watch → read pairs."""
     yc = ctl.client()

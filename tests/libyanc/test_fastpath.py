@@ -343,48 +343,3 @@ def test_write_flow_files_rejects_version(rig):
     lib.create_flow("sw1", "f", Match(), [Output(1)])
     with pytest.raises(FileExists):
         lib.write_flow_files("sw1", "f", {"version": "9"})
-
-
-# -- zero-copy packet rings ------------------------------------------------------------
-
-
-def test_push_packet_in_fans_out_references(rig):
-    _ctl, lib = rig
-    r1 = lib.packet_in_ring("sw1", "app1")
-    r2 = lib.packet_in_ring("sw1", "app2")
-    other = lib.packet_in_ring("sw2", "app1")
-    payload = bytearray(b"frame")
-    assert lib.push_packet_in("sw1", payload) == 2
-    v1, v2 = r1.get(), r2.get()
-    assert v1.obj is payload and v2.obj is payload  # same buffer, no copies
-    assert len(other) == 0
-    assert lib.counters.get("bytes.copied") == 0
-
-
-def test_packet_in_ring_is_stable_per_subscriber(rig):
-    _ctl, lib = rig
-    assert lib.packet_in_ring("sw1", "app") is lib.packet_in_ring("sw1", "app")
-    lib.drop_packet_in_ring("sw1", "app")
-    lib.packet_in_ring("sw1", "app").put(b"x")
-    assert lib.push_packet_in("sw1", b"y") == 1
-
-
-def test_full_packet_ring_drops(rig):
-    _ctl, lib = rig
-    ring = lib.packet_in_ring("sw1", "app", capacity=1)
-    assert lib.push_packet_in("sw1", b"a") == 1
-    assert lib.push_packet_in("sw1", b"b") == 0  # full: dropped, counted
-    assert ring.dropped == 1
-    assert lib.counters.get("shm.dropped") == 1
-
-
-def test_packet_out_ring_round_trip(rig):
-    _ctl, lib = rig
-    assert lib.push_packet_out("sw1", b"out") is True
-    assert bytes(lib.packet_out_ring("sw1").get()) == b"out"
-
-
-def test_packet_ring_requires_existing_switch(rig):
-    _ctl, lib = rig
-    with pytest.raises(FileNotFound):
-        lib.packet_in_ring("nope", "app")

@@ -6,7 +6,7 @@ from repro.dataplane import Match, Output
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import YancClient, mount_yancfs
-from repro.yancfs.recovery import flow_version, fsck, sweep_staging
+from repro.yancfs.recovery import flow_version, fsck
 
 
 def _seed_debris(yc: YancClient) -> tuple[str, str]:
@@ -85,17 +85,3 @@ def test_mount_yancfs_recover_false_skips_the_sweep(monkeypatch):
     sc = Syscalls(VirtualFileSystem())
     mount_yancfs(sc, "/net", recover=False)
     assert sc.exists("/net/switches")
-
-
-def test_sweep_staging_flat_spool(sc):
-    sc.makedirs("/var/spool")
-    sc.write_text("/var/spool/.d1", "half a delta")
-    sc.mkdir("/var/spool/.d2")
-    sc.write_text("/var/spool/d3", "published")
-    removed = sweep_staging(sc, "/var/spool")
-    assert sorted(removed) == ["/var/spool/.d1", "/var/spool/.d2"]
-    assert sc.read_text("/var/spool/d3") == "published"
-
-
-def test_sweep_staging_missing_dir_is_noop(sc):
-    assert sweep_staging(sc, "/var/absent") == []

@@ -290,7 +290,7 @@ def test_a_batch_refused_for_an_over_long_chain_leaves_the_next_readers_their_ow
     assert acct._read("listdir", [("d", "/d"), ("e", "/d/e")]) == {"d": ["e"], "e": []}
     refused("b")
     assert Shell(sc).run("find /d") == "/d\n/d/e"
-    assert len(sc.listdir("/tmp/objs")) == 400 and not sc._fds  # what crossed to make room published; the rest never ran
+    assert len(sc.listdir("/tmp/objs")) == 0 and not sc._fds  # refused before any of the batch crossed
 
 
 def test_topod_counts_the_beacons_it_spooled_and_no_one_elses_closes():
