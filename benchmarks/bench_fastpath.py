@@ -13,8 +13,8 @@ Two workload shapes from the experiment index, both at high fan-out:
   the kernel once per submission-queue fill (1024 entries).
 * **packet-in fan-out (E4 shape)** — one packet-in publishes to N app
   buffers.  The file path pays 17 syscalls per app per event;
-  :meth:`YancClient.write_packet_in_batched` fans the whole event out in
-  one ``io_uring_enter``.
+  :func:`write_objects_batched` fans the whole event out (one
+  ``"rename"`` object per app) in one ``io_uring_enter``.
 
 Both sides of each comparison must produce identical trees (asserted:
 committed flow specs and drained event payloads match field for field);
@@ -33,6 +33,7 @@ from repro.perf import SyscallMeter
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
 from repro.vfs.cred import ROOT
+from repro.yancfs.client import packet_in_files, write_objects_batched
 
 QUICK = {"flows": 40, "apps": 8, "events": 3}
 FULL = {"flows": 200, "apps": 32, "events": 5}
@@ -92,9 +93,8 @@ def packet_fanout(n_apps: int, n_events: int) -> dict:
     batched = SyscallMeter()
     ring_client = host.client(meter=batched)
     for seq in range(n_events):
-        published = ring_client.write_packet_in_batched(
-            "sw1", ring_apps, seq, in_port=1, reason="no_match", buffer_id=0, total_len=4, data=b"miss"
-        )
+        files = packet_in_files(1, "no_match", 0, 4, b"miss")
+        published = write_objects_batched(ring_client.sc, [(f"{ring_client.events_path('sw1', app)}/pi_{seq}", files, "rename") for app in ring_apps])
         assert published == n_apps
 
     # Behavior parity: every buffer drains the same events either way.

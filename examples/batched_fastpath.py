@@ -7,10 +7,10 @@ Builds a two-switch line, then drives the two batched APIs end to end:
   one ``(path, files, "version")`` object, written by
   ``write_objects_batched`` as a linked mkdir → write → commit chain —
   one ``io_uring_enter`` instead of hundreds of per-file syscalls;
-* ``write_packet_in_batched`` fans one packet-in out to four subscribed
-  application buffers through the same routine, each a ``"rename"``
-  object published by an atomic maildir rename, again in a single
-  kernel crossing.
+* the same routine fans one packet-in out to four subscribed
+  application buffers, each a ``"rename"`` object (the packet-in's
+  ``packet_in_files``) published by an atomic maildir rename, again in a
+  single kernel crossing — what the driver's fan-out does for a burst.
 
 Prints the metered syscall/context-switch totals next to what the
 per-syscall file path would have paid.
@@ -20,6 +20,7 @@ Run:  python examples/batched_fastpath.py
 
 from repro import Match, Output, YancController, build_linear
 from repro.perf import SyscallMeter
+from repro.yancfs.client import packet_in_files, write_objects_batched
 
 
 def main() -> None:
@@ -45,9 +46,8 @@ def main() -> None:
     for app in apps:
         yc.subscribe_events("sw1", app)
     meter.reset()
-    published = yc.write_packet_in_batched(
-        "sw1", apps, 1, in_port=1, reason="no_match", buffer_id=0, total_len=4, data=b"miss"
-    )
+    files = packet_in_files(1, "no_match", 0, 4, b"miss")
+    published = write_objects_batched(yc.sc, [(f"{yc.events_path('sw1', app)}/pi_1", files, "rename") for app in apps])
     assert published == len(apps)
     print(f"fanned 1 packet-in to {len(apps)} apps: {meter.syscalls} syscalls, {meter.context_switches} context switches")
     print(f"  (per-syscall file path: ~{len(apps) * 17} syscalls)")

@@ -61,7 +61,7 @@ class PacketInApp(YancApp):
     A wakeup's run of buffer events is taken by name in one submission
     and removed in a second (:meth:`~repro.yancfs.client.YancClient.take_events`).
     Each buffer declares :attr:`dl_types`, so a publisher writes only the
-    frames it admits (:func:`~repro.yancfs.translate.fan_out_packet_in`).
+    frames it admits (:func:`~repro.yancfs.translate.fan_out_packet_ins`).
     """
 
     run_kinds = ("buffer",)

@@ -232,7 +232,7 @@ class SwitchSim:
             self._transmit_on(in_port, frame)
         elif out_port == LOCAL:
             return  # no local networking stack in the simulator
-        else:
+        elif out_port != in_port:  # back out of the ingress port only as IN_PORT (OpenFlow): else dropped
             self._transmit_on(out_port, frame)
 
     def _transmit_on(self, port_no: int, frame: Frame) -> None:

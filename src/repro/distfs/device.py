@@ -22,7 +22,7 @@ distributed FS (true of NFS; see the distfs module docs).
 from __future__ import annotations
 
 from repro.dataplane.flowtable import FlowEntry, FlowRemovedReason
-from repro.dataplane.switch import PacketInReason, PortSim, SwitchSim
+from repro.dataplane.switch import NO_BUFFER, PacketInReason, PortSim, SwitchSim
 from repro.distfs.client import RemoteFs
 from repro.distfs.rpc import RpcChannel
 from repro.distfs.server import FileServer
@@ -32,8 +32,8 @@ from repro.vfs.cred import driver_credentials
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.vfs import VirtualFileSystem
-from repro.yancfs.client import FlowSpec, YancClient
-from repro.yancfs.translate import FlowFollower, fan_out_packet_in
+from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
+from repro.yancfs.translate import FlowFollower, PacketInQueue
 
 
 class DeviceRuntime(Process):
@@ -79,6 +79,7 @@ class DeviceRuntime(Process):
         self._follower = FlowFollower(self, self.yc, self.fs_name, self._apply_flow, self._retire_flow)
         self._installed: dict[str, FlowEntry] = {}
         self._event_seq = 0
+        self._packet_ins = PacketInQueue(self, self.yc, self._account_packet_ins)
         self._task = None
         self.flows_applied = 0
         self.events_published = 0
@@ -167,20 +168,15 @@ class DeviceRuntime(Process):
         data: bytes,
         total_len: int,
     ) -> None:
-        """Publish a punt into every subscribed app buffer, remotely."""
+        """Queue a punt for this instant's publish into every subscribed app buffer, remotely."""
         self._event_seq += 1
-        published, dropped = fan_out_packet_in(
-            self,
-            self.yc,
-            self.fs_name,
-            self._event_seq,
-            in_port=in_port,
-            reason="no_match" if reason is PacketInReason.NO_MATCH else "action",
-            total_len=total_len,
-            data=data,  # buffer_id stays NO_BUFFER: device-local buffers don't cross the fs
-        )
+        reason_name = "no_match" if reason is PacketInReason.NO_MATCH else "action"
+        # buffer_id stays NO_BUFFER: device-local buffers don't cross the fs
+        self._packet_ins.put(None, self.fs_name, self._event_seq, None, packet_in_files(in_port, reason_name, NO_BUFFER, total_len, data))
+
+    def _account_packet_ins(self, _owners: list, published: int, dropped: list[int]) -> None:
         self.events_published += published
-        self.events_dropped += dropped
+        self.events_dropped += sum(dropped)
 
     def flow_removed(self, switch: SwitchSim, entry: FlowEntry, reason: FlowRemovedReason) -> None:
         """A local timeout: retire the corresponding tree entry."""

@@ -39,8 +39,8 @@ from repro.sim import Simulator
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
-from repro.yancfs.client import FlowSpec, YancClient
-from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, follow_flows, spooled, take_packet_out
+from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
+from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, PacketInQueue, PacketOut, follow_flows, spooled, take_packet_out
 
 
 @dataclass
@@ -149,6 +149,7 @@ class OpenFlowDriver(Process):
         self._root_watch_added = False
         self.flow_mods_sent = 0
         self.packet_ins_handled = 0
+        self._packet_ins = PacketInQueue(self, self.yc, self._account_packet_ins)
         self.start()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -163,7 +164,7 @@ class OpenFlowDriver(Process):
         )
         agent = SwitchAgent(switch, agent_end)
         binding = SwitchBinding(driver=self, switch=switch, conn=driver_end, agent=agent)
-        driver_end.on_data = binding.on_data
+        driver_end.on_data = self._guarded(binding.on_data)  # wire input is a task of the driver: a raising handler crashes it, not the simulator
         agent.start()
         binding.send(m.Hello(version=self.version))
         binding.send(m.FeaturesRequest())
@@ -396,24 +397,17 @@ class OpenFlowDriver(Process):
         self.sc.write_text(f"{path}/config.port_status", "down" if port.link_down else "up")
 
     def _on_packet_in(self, binding: SwitchBinding, msg: m.PacketIn) -> None:
-        """Concurrently feed the packet-in to every subscribed app (§3.5), in two ring crossings."""
+        """Count and number the packet-in, then queue it for this instant's fan-out to every subscribed app (§3.5): two ring crossings per burst."""
         self.packet_ins_handled += 1
         binding._event_seq += 1
-        if not binding.event_apps:
-            return
-        _published, dropped = fan_out_packet_in(
-            self,
-            self.yc,
-            binding.fs_name,
-            binding._event_seq,
-            in_port=msg.in_port,
-            reason="no_match" if msg.reason is m.PacketInReasonWire.NO_MATCH else "action",
-            buffer_id=msg.buffer_id,
-            total_len=msg.total_len,
-            data=msg.data,
-            apps=binding.event_apps,
-        )
-        binding.dropped_events += dropped
+        if binding.event_apps:
+            reason = "no_match" if msg.reason is m.PacketInReasonWire.NO_MATCH else "action"
+            files = packet_in_files(msg.in_port, reason, msg.buffer_id, msg.total_len, msg.data)
+            self._packet_ins.put(binding, binding.fs_name, binding._event_seq, binding.event_apps, files)
+
+    def _account_packet_ins(self, bindings: list[SwitchBinding], _published: int, dropped: list[int]) -> None:
+        for binding, lost in zip(bindings, dropped):
+            binding.dropped_events += lost
 
     def _on_flow_removed(self, binding: SwitchBinding, msg: m.FlowRemoved) -> None:
         if msg.reason is m.FlowRemovedReasonWire.DELETE:

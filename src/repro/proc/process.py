@@ -229,22 +229,23 @@ class Process:
         """Run ``fn`` once after ``delay``, crash-contained."""
         return self.sim.schedule(delay, self._guarded(fn))
 
-    def _guarded(self, fn: Callable[[], None]) -> Callable[[], None]:
-        """``fn`` as a crash-contained, CPU-charged task of this process.
+    def _guarded(self, fn: Callable[..., None]) -> Callable[..., None]:
+        """``fn`` as a crash-contained, CPU-charged task of this process; its arguments pass through (a wire handler takes the bytes).
 
-        Trace points: ``on_task_created(run, process)`` here, in the
-        scheduling scope, and ``on_task_enter(run, process)`` /
+        A run after the process stopped or crashed does nothing.  Trace
+        points: ``on_task_created(run, process)`` here, in the scheduling
+        scope, and ``on_task_enter(run, process)`` /
         ``on_task_exit(run, process, result, exc)`` around every run.
         """
 
-        def run() -> None:
+        def run(*args) -> None:
             if _tracing and _entering(run):
-                return _around("task", (run, self), run)
+                return _around("task", (run, self), run, *args)
             if not self.running:
                 return
             before = self._syscalls()
             try:
-                fn()
+                fn(*args)
             except Exception as exc:  # noqa: BLE001 — fault containment boundary
                 self._crash(exc)
             finally:

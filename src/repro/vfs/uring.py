@@ -108,6 +108,8 @@ LINK_DIRFD = _LinkFd("LINK_DIRFD")
 #: *are* the wait primitives; registering a watch (``inotify_add_watch``)
 #: is not waiting, so it is a ring row (Linux's ``IORING_OP_EPOLL_CTL``).
 SUPPORTED_OPS = frozenset(op for op, row in SYSCALLS.items() if row.ring)
+#: The ops whose direct call bills copied bytes (:meth:`IoUring._payload_bytes`).
+_PAYLOAD_OPS = frozenset({"read", "pread", "write", "pwrite", "readdirplus"})
 
 
 @dataclass(slots=True)
@@ -136,11 +138,8 @@ class Cqe:
     error: FsError | None = None
     canceled: bool = False
     user_data: object = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the operation executed and succeeded."""
-        return self.error is None and not self.canceled
+    #: True when the operation executed and succeeded (set with the outcome: a field, not a call per read)
+    ok: bool = False
 
 
 class Batch:
@@ -330,16 +329,16 @@ class IoUring:
                                         chain_fd = None
                                     elif sqe.args[0] is LINK_DIRFD:
                                         chain_dirfd = None
-                                else:
+                                elif op in _PAYLOAD_OPS:
                                     nbytes += self._payload_bytes(op, args, result)
                         # An error cancels the rest of a linked chain; for a
                         # chain-final entry the boundary reset below runs this
                         # same iteration, so only the autoclose side effect remains.
                         chain_broken = error is not None
-                    cq.append(Cqe(op, result, error, canceled, sqe.user_data))
+                    cq.append(Cqe(op, result, error, canceled, sqe.user_data, error is None and not canceled))
                     billed[kind] = billed.get(kind, 0) + 1
                     if not sqe.link:  # chain boundary: reset link state
-                        if chain_broken:
+                        if chain_broken and (chain_fd is not None or chain_dirfd is not None):
                             self._autoclose(chain_fd, chain_dirfd, billed=billed)
                         chain_fd = chain_dirfd = None
                         chain_broken = False

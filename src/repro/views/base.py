@@ -16,10 +16,11 @@ from typing import Callable, Iterable
 from repro.apps.base import YancApp, announced
 from repro.dataplane.actions import Action
 from repro.dataplane.match import Match
+from repro.dataplane.switch import NO_BUFFER
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask, NotifyEvent
-from repro.yancfs.client import FlowSpec, PacketInEvent, YancClient
-from repro.yancfs.translate import SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_in, follow_flows, spooled, take_packet_out
+from repro.yancfs.client import FlowSpec, PacketInEvent, YancClient, packet_in_files
+from repro.yancfs.translate import SPOOL_MASK, FlowFollower, PacketOut, fan_out_packet_ins, follow_flows, spooled, take_packet_out
 
 #: Tenant flows are clamped below the system apps' priority band.
 MAX_TENANT_PRIORITY = 0x7FFF
@@ -93,9 +94,10 @@ class ViewApp(YancApp):
     # -- the shared halves of a translation ------------------------------------------------
 
     def _forward_packet_ins(self, named: dict[str, list[str]]) -> None:
-        """Drain this view's master buffers into the tenants' buffers inside the view."""
+        """Drain this view's master buffers into the tenants' buffers inside the view: the drain is one burst, two more submissions."""
         if not named:
             return
+        burst = []
         for pkt in self.yc.take_events(self.app_name, named):
             try:
                 target = self.view_port_of(pkt)
@@ -105,11 +107,11 @@ class ViewApp(YancApp):
                 continue
             seq = self._event_seq[target[0]] = self._event_seq.get(target[0], 0) + 1
             # buffer_id stays NO_BUFFER: buffers do not cross views
-            published, dropped = fan_out_packet_in(
-                self, self.view_yc, target[0], seq, in_port=target[1], reason=pkt.reason, total_len=pkt.total_len, data=pkt.data
-            )
+            burst.append((target[0], seq, None, packet_in_files(target[1], pkt.reason, NO_BUFFER, pkt.total_len, pkt.data)))
+        if burst:
+            published, dropped = fan_out_packet_ins(self, self.view_yc, burst)
             self.events_forwarded += published
-            self.events_dropped += dropped
+            self.events_dropped += sum(dropped)
 
     def _forward_packet_outs(self, entries: list[tuple[str, str, str]]) -> None:
         """Take ``(view switch, view switch, name)`` tenant spool entries in one submission and emit each below."""

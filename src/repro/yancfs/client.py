@@ -459,32 +459,8 @@ class YancClient:
         multi-file write racing every reader (yancrace flags it).
         """
         path = f"{self.events_path(switch, app)}/pi_{seq}"
-        write_object(self.sc, path, _packet_in_files(in_port, reason, buffer_id, total_len, data), "rename")
+        write_object(self.sc, path, packet_in_files(in_port, reason, buffer_id, total_len, data), "rename")
         return path
-
-    def write_packet_in_batched(
-        self,
-        switch: str,
-        apps: list[str],
-        seq: int,
-        *,
-        in_port: int,
-        reason: str,
-        buffer_id: int,
-        total_len: int,
-        data: bytes,
-    ) -> int:
-        """Fan one packet-in out to many app buffers through the ring.
-
-        The unbatched :meth:`write_packet_in` pays a syscall per step *per
-        app*; here each app is one ``"rename"`` chain of
-        :func:`write_objects_batched` and the whole fan-out submits in one
-        ``io_uring_enter``.  Watchers still see only the atomic
-        IN_MOVED_TO.  Returns the number of apps whose event published.
-        """
-        files = _packet_in_files(in_port, reason, buffer_id, total_len, data)
-        objects = [(f"{self.events_path(switch, app)}/pi_{seq}", files, "rename") for app in apps]
-        return write_objects_batched(self.sc, objects)
 
     def read_events(self, switch: str, app: str, *, consume: bool = True) -> list[PacketInEvent]:
         """Drain (or peek) an event buffer, oldest first: :meth:`take_events` with nothing announced."""
@@ -595,7 +571,7 @@ def counter_values(files: dict[str, bytes]) -> dict[str, int]:
     return {entry: int(data.strip() or b"0") for entry, data in files.items()}
 
 
-def _packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:
+def packet_in_files(in_port: int, reason: str, buffer_id: int, total_len: int, data: bytes) -> dict[str, str | bytes]:
     """One packet-in as the ``{filename: content}`` its event directory holds (§3.5)."""
     return {"in_port": str(in_port), "reason": reason, "buffer_id": str(buffer_id), "total_len": str(total_len), "data": data}
 

@@ -10,8 +10,9 @@ providing a translation between them") and a device running yanc itself
   wakeup's run of new and committed flows in one submission —
   :class:`FlowFollower` and :func:`follow_flows`;
 * feeds packet-ins to every subscribed private buffer that admits the
-  frame's ethertype (§3.5), bounded, in two submissions whatever the
-  fan-out — :func:`fan_out_packet_in`;
+  frame's ethertype (§3.5), bounded, two crossings per burst — every
+  packet-in of one simulated instant, or of one drain, whatever the
+  fan-out — :func:`fan_out_packet_ins`, queued by :class:`PacketInQueue`;
 * drains the ``packet_out/`` spool, every entry a wakeup announces in
   one submission — :func:`take_packet_out`.
 
@@ -30,13 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.dataplane.switch import NO_BUFFER
 from repro.netpkt.ethernet import Ethernet
 from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask, NotifyEvent
 from repro.vfs.syscalls import O_RDONLY
 from repro.vfs.uring import LINK_FD
-from repro.yancfs.client import DL_TYPE_XATTR, FlowSpec, YancClient, dl_type_filter, object_files, parse_packet_out_name
+from repro.yancfs.client import DL_TYPE_XATTR, FlowSpec, YancClient, dl_type_filter, object_files, parse_packet_out_name, write_objects_batched
 
 if TYPE_CHECKING:
     from repro.proc.process import Process
@@ -189,70 +189,123 @@ def _take(batch: "Batch") -> None:
             continue  # the tree changed under the translator; a later event resolves it
 
 
-def fan_out_packet_in(
-    proc: "Process",
-    yc: YancClient,
-    switch: str,
-    seq: int,
-    *,
-    in_port: int,
-    reason: str,
-    total_len: int,
-    data: bytes,
-    buffer_id: int = NO_BUFFER,
-    apps: list[str] | None = None,
-) -> tuple[int, int]:
-    """Feed one packet-in to every private buffer under ``events/`` that admits it; returns ``(published, dropped)``.
+def fan_out_packet_ins(proc: "Process", yc: YancClient, burst: list[tuple[str, int, list[str] | None, dict]]) -> tuple[int, list[int]]:
+    """Feed a burst of ``(switch, seq, apps, fields)`` packet-ins to every private buffer under ``events/`` that admits each; returns ``(published, dropped per packet-in)``.
 
-    A buffer that declares ethertypes admits only a frame whose
-    ethertype, past a VLAN tag, its declaration admits
-    (:func:`~repro.yancfs.client.dl_type_filter`); what declarations
-    withhold is counted against ``proc`` as ``events.filtered.<process
-    name>`` in ``/proc/counters``.
+    ``fields`` is the event directory's content
+    (:func:`~repro.yancfs.client.packet_in_files`).  A buffer that
+    declares ethertypes admits only a frame whose ethertype, past a VLAN
+    tag, its declaration admits (:func:`~repro.yancfs.client.dl_type_filter`);
+    what declarations withhold is counted against ``proc`` as
+    ``events.filtered.<process name>`` in ``/proc/counters``.
 
     The §3.5 policy, stated once: an admitting buffer already holding
     :data:`MAX_PENDING_EVENTS` loses the *newest* event — its slow
     consumer keeps what it has, every other subscriber is served — and
     the loss is counted as ``events.dropped.<process name>``.  A buffer
-    that vanished mid-flight (the app unsubscribed) is neither.
-    ``buffer_id`` defaults to "none": switch buffers do not cross a view
-    or a remote mount, only a driver can name one its switch will release.
+    that vanished mid-flight (the app unsubscribed) is neither.  The
+    policy is applied packet-in by packet-in, in arrival order, against
+    each buffer's depth as the burst fills it, so a burst ends where
+    handing its packet-ins over one at a time would.
 
-    Two crossings on ``yc``'s ring regardless of fan-out: one
-    ``io_uring_enter`` probes every buffer's listing and declaration,
-    one publishes to every admitting buffer with room.  A caller that
-    keeps no subscriber list ``apps`` (a view, a device over a remote
-    mount) lists ``events/`` first.
+    Two crossings on ``yc``'s ring per burst, whatever its size and
+    fan-out: one ``io_uring_enter`` probes every buffer's listing and
+    declaration, one publishes every admitted packet-in (a burst wider
+    than the ring splits by the ring's room).  A caller that keeps no
+    subscriber list (``apps`` None: a view, a device over a remote mount)
+    has ``events/`` listed first, once per switch.
     """
-    event = {"in_port": in_port, "reason": reason, "buffer_id": buffer_id, "total_len": total_len, "data": data}
-    if apps is None:
-        try:
-            apps = yc.sc.listdir(f"{yc.switch_path(switch)}/events")
-        except FsError:
-            apps = []
+    listed: dict[str, list[str]] = {}
+    for switch, _seq, apps, _fields in burst:
+        if apps is None and switch not in listed:
+            try:
+                listed[switch] = yc.sc.listdir(f"{yc.switch_path(switch)}/events")
+            except FsError:
+                listed[switch] = []
     batch = yc.sc.ring.batch()
-    for app in apps:
-        path = yc.events_path(switch, app)
-        batch.prep("listdir", path, user_data=app)
-        batch.prep("getxattr", path, DL_TYPE_XATTR, user_data=app)
-    probes = batch.submit()
-    pending = {cqe.user_data: len(cqe.result) for cqe in probes if cqe.ok and cqe.op == "listdir"}
-    rules = {cqe.user_data: rule for cqe in probes if cqe.ok and cqe.op == "getxattr" and (rule := dl_type_filter(cqe.result))}
-    eth_type = None
-    if rules:
-        try:
-            eth_type = Ethernet.unpack(data).eth_type
-        except ValueError:
-            pass  # a header that does not decode matches no declaration
-    admitted = [app for app in pending if app not in rules or (eth_type is not None and rules[app][0] != (eth_type in rules[app][1]))]
-    targets = [app for app in admitted if pending[app] < MAX_PENDING_EVENTS]
-    filtered, dropped = len(pending) - len(admitted), len(admitted) - len(targets)
-    published = yc.write_packet_in_batched(switch, targets, seq, **event) if targets else 0
+    paths: dict[tuple[str, str], str] = {}
+    for switch, _seq, apps, _fields in burst:
+        for app in listed[switch] if apps is None else apps:
+            if (switch, app) not in paths:
+                path = paths[switch, app] = yc.events_path(switch, app)
+                batch.prep("listdir", path, user_data=(switch, app))
+                batch.prep("getxattr", path, DL_TYPE_XATTR, user_data=(switch, app))
+    depth, rules = {}, {}
+    for cqe in batch.submit():
+        if cqe.ok:
+            if cqe.op == "listdir":
+                depth[cqe.user_data] = len(cqe.result)
+            elif rule := dl_type_filter(cqe.result):
+                rules[cqe.user_data] = rule
+    objects, dropped, filtered = [], [], 0
+    for switch, seq, apps, fields in burst:
+        eth_type, lost = _eth_type(fields["data"]) if rules else None, 0
+        for app in listed[switch] if apps is None else apps:
+            key = (switch, app)
+            if key not in depth:
+                continue
+            if key in rules:
+                if eth_type is None or rules[key][0] == (eth_type in rules[key][1]):
+                    filtered += 1
+                    continue
+            if depth[key] >= MAX_PENDING_EVENTS:
+                lost += 1
+                continue
+            depth[key] += 1
+            objects.append((f"{paths[key]}/pi_{seq}", fields, "rename"))
+        dropped.append(lost)
+    published = write_objects_batched(yc.sc, objects) if objects else 0
     if filtered:
         proc._count(f"events.filtered.{proc.proc_name}", filtered)
-    if dropped:
-        proc._count(f"events.dropped.{proc.proc_name}", dropped)
+    if any(dropped):
+        proc._count(f"events.dropped.{proc.proc_name}", sum(dropped))
     return published, dropped
+
+
+def _eth_type(data: bytes) -> int | None:
+    """A frame's ethertype past a VLAN tag, or None: a header that does not decode matches no declaration."""
+    try:
+        return Ethernet.unpack(data).eth_type
+    except ValueError:
+        return None
+
+
+@dataclass(eq=False)
+class PacketInQueue:
+    """The packet-ins ``proc`` receives at one simulated instant, fanned out as one burst (§3.5, §8.1).
+
+    NAPI's interrupt mitigation (Salim et al., "Beyond Softnet", 2001):
+    the first packet-in of an instant schedules one zero-delay task of
+    ``proc`` — crash-contained and CPU-charged, it adds no simulated
+    latency and runs after every event already due at that instant — and
+    that task hands the whole queue to :func:`fan_out_packet_ins`, so a
+    burst costs two crossings, not two per packet-in.  ``account(owners,
+    published, dropped)`` then gets each packet-in's ``owner`` beside its
+    drop count.
+    """
+
+    proc: "Process"
+    yc: YancClient
+    account: Callable[[list, int, list[int]], None]
+    _owners: list = field(default_factory=list)
+    _burst: list = field(default_factory=list)
+    _due: float | None = None
+
+    def put(self, owner: object, switch: str, seq: int, apps: list[str] | None, fields: dict) -> None:
+        """Queue one packet-in; the first of an instant schedules the flush (a queue an earlier instant left belonged to a process that died before its flush: it is dropped)."""
+        now = self.proc.sim.now
+        if self._due != now:
+            self._due, self._owners, self._burst = now, [], []
+            self.proc.schedule(0, self.flush)
+        self._owners.append(owner)
+        self._burst.append((switch, seq, apps, fields))
+
+    def flush(self) -> None:
+        """Fan out what is queued now as one burst (the scheduled task; a caller outside the run loop may call it too)."""
+        owners, burst = self._owners, self._burst
+        self._due, self._owners, self._burst = None, [], []
+        if burst:
+            self.account(owners, *fan_out_packet_ins(self.proc, self.yc, burst))
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,17 @@ def test_matching_entry_forwards(wired):
     assert hb.rx_frames == 1
 
 
+def test_an_output_to_the_ingress_port_is_dropped_not_bounced(wired):
+    """OpenFlow sends a frame back out of its ingress port only for ``IN_PORT``: ``in_port=1 -> Output(1)`` on both ends of a link delivers nothing back (the frame used to bounce for as long as the run lasted: 1,500 hits per entry here)."""
+    net, a, b, ha, hb = wired
+    a.install_flow(FlowEntry(match=Match(in_port=2), actions=[Output(1)], priority=1))
+    loops = [sw.install_flow(FlowEntry(match=Match(in_port=1), actions=[Output(1)], priority=1)) for sw in (a, b)]
+    ha.send_raw(_udp_frame())
+    net.run(0.3)
+    assert [entry.packet_count for entry in loops] == [0, 1]  # b drops what came in on port 1; a never sees it again
+    assert (b.ports[1].tx_packets, ha.rx_frames, hb.rx_frames) == (0, 0, 0)
+
+
 def test_flood_excludes_ingress_and_down_ports(wired):
     net, a, _b, ha, _hb = wired
     a.install_flow(FlowEntry(match=Match(), actions=[Output(FLOOD)], priority=1))

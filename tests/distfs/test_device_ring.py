@@ -90,6 +90,11 @@ class _World:
         self.follower = FlowFollower(self.device, self.device.yc, "sw1", lambda name, spec: self.log.append(("commit", name, spec.version)), lambda name: self.log.append(("remove", name)))
         self.yc = self.master.client()
 
+    def punt(self, data: bytes) -> None:
+        """The switch punts ``data`` at port 1; the device publishes it as a burst of one (the flush its run loop would schedule)."""
+        self.device.packet_in(self.device.switch, 1, PacketInReason.NO_MATCH, 0, data, len(data))
+        self.device._packet_ins.flush()
+
     def step(self, action) -> tuple[Counter, int]:
         """Run ``action``: the RPCs it sent (as a multiset) and the device's system calls."""
         rpcs, syscalls = len(self.rpcs), self.device.sc.meter.syscalls
@@ -125,9 +130,8 @@ def test_a_fan_out_over_a_remote_mount_sends_the_reference_rpcs_in_fewer_syscall
             world.yc.sc.mkdir(world.yc.events_path("sw1", app))
         for seq in range(MAX_PENDING_EVENTS):  # a slow consumer: its buffer is at the bound
             world.yc.sc.mkdir(f"{world.yc.events_path('sw1', 'full')}/pi_x{seq}")
-    switch = ring.device.switch
     for seq in (1, 2):
-        rpcs, syscalls = ring.step(lambda: ring.device.packet_in(switch, 1, PacketInReason.NO_MATCH, 0, b"ping", 4))
+        rpcs, syscalls = ring.step(lambda: ring.punt(b"ping"))
         reference_rpcs, reference_syscalls = reference.step(lambda: _fan_out_per_syscall(reference.device, seq))
         assert rpcs + _DIRFD_SAVES[consistency] == reference_rpcs and syscalls < reference_syscalls
     assert (ring.device.events_published, ring.device.events_dropped) == (4, 2)
@@ -144,7 +148,7 @@ def test_a_declaration_withholds_a_frame_and_its_rpcs_over_a_strict_mount():
     frame = build_frame(Ethernet(dst="02:00:00:00:00:02", src="02:00:00:00:00:01", eth_type=ETH_TYPE_IPV4), IPv4("10.0.0.1", "10.0.0.2", 17), Udp(1, 9, payload=b"x"))
     totals = {}
     for world in (declared, plain):
-        rpcs, _syscalls = world.step(lambda: world.device.packet_in(world.device.switch, 1, PacketInReason.NO_MATCH, 0, frame, len(frame)))
+        rpcs, _syscalls = world.step(lambda: world.punt(frame))
         totals[world] = sum(rpcs.values())
         assert [files["data"] for files in world.buffers()["router"].values()] == [frame]
     assert declared.buffers()["topod"] == {} and len(plain.buffers()["topod"]) == 1

@@ -310,6 +310,33 @@ def test_event_buffer_backpressure_behind_every_translator(feeder):
     assert f"events.dropped.{translator.proc_name} 60\n" in host.root_sc.read_text("/proc/counters")
 
 
+def test_a_raising_wire_handler_crashes_the_driver_not_the_simulator(ctl, monkeypatch):
+    """Wire input is a task of the driver: a handler that raises crashes it (counted, its error kept), the
+    simulator and every other process run on, and what later arrives for the dead driver is ignored."""
+    from repro.vfs import PermissionDenied
+
+    ctl.run(0.1)
+    driver = ctl.drivers[0]
+
+    def denied(binding, msg):
+        raise PermissionDenied("/net/switches/sw1/ports")
+
+    monkeypatch.setattr(driver, "_on_port_status", denied)
+    ticks = []
+    bystander = ctl.host.process(name="bystander").start()
+    bystander.every(0.1, lambda: ticks.append(ctl.sim.now))
+    ctl.net.switches["sw1"].ports[1].set_admin_up(False)  # a PortStatus on the wire
+    ctl.run(0.5)
+    assert (driver.crashes, type(driver.last_error)) == (1, PermissionDenied)
+    assert "proc.crashes 1\n" in ctl.host.root_sc.read_text("/proc/counters")
+    assert len(ticks) == 5 and bystander.crashes == 0
+    conn, handled = driver.bindings[1].conn, driver.packet_ins_handled
+    received = conn.rx_bytes
+    ctl.net.hosts["h1"].send_udp("10.0.0.99", 1, 2, b"miss")  # a table miss: a packet-in for the dead driver
+    ctl.run(0.2)
+    assert conn.rx_bytes > received and driver.packet_ins_handled == handled
+
+
 def test_live_upgrade_of10_to_of13(ctl):
     yc = ctl.client()
     yc.create_flow("sw1", "keep", Match(dl_type=0x800), [Output(2)], priority=4)

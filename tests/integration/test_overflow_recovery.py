@@ -83,7 +83,7 @@ def test_every_packet_in_published_past_an_overflow_is_handled():
     app.ino.max_queued_events = SMALL_QUEUE
     writer = ctl.client(name="writer")
     for seq in range(BURST):
-        writer.write_packet_in_batched("sw1", [app.app_name], 100 + seq, in_port=1, reason="action", buffer_id=0, total_len=1, data=b"x")
+        writer.write_packet_in("sw1", app.app_name, 100 + seq, in_port=1, reason="action", buffer_id=0, total_len=1, data=b"x")
     ctl.run(0.1)
     assert app.seqs == [100 + seq for seq in range(BURST)]
     assert ctl.host.root_sc.listdir(app.yc.events_path("sw1", app.app_name)) == []

@@ -18,6 +18,13 @@ buffer admits LLDP.  Its bound is 1.1x the 634 calls it made when the
 declarations came in; before them the fan-out wrote all three objects
 in 60 ring entries and 1,408 calls.
 
+The same beacon as one of 16 that reach the buffers at one instant (an
+LLDP round, as the driver's flush hands it over) costs 441 calls per
+packet-in (``BURST_CALLS``, bound 1.1x): the probe and both submissions
+are paid once per burst.  The 3-app fan-out above is the burst path with
+one packet-in; the bound it had when a direct write of the three objects
+was measured (1304) still holds with the probe included (1,426 calls).
+
 A datagram across five switches over installed flows is the hardware
 path: after one warm-up each switch answers it from its exact-match cache,
 so ``signature_key_of`` (one call per wildcard shape probed) never runs
@@ -53,8 +60,8 @@ from repro.perf import tracepoints
 from repro.runtime import ControllerHost, YancController
 from repro.shell import Shell
 from repro.vfs.cred import ROOT
-from repro.yancfs.client import YancClient, flow_spec_files, write_objects_batched
-from repro.yancfs.translate import fan_out_packet_in
+from repro.yancfs.client import YancClient, flow_spec_files, packet_in_files, write_objects_batched
+from repro.yancfs.translate import fan_out_packet_ins
 
 _APPS = ["a", "b", "c"]
 _MATCH = Match(in_port=1, dl_type=0x0800, nw_proto=6, tp_src=1, tp_dst=80, dl_vlan=2)
@@ -105,7 +112,7 @@ def yc() -> YancClient:
 
 
 def _fan_out(yc: YancClient, seq: int) -> int:
-    return yc.write_packet_in_batched("s1", _APPS, seq, in_port=1, reason="no_match", buffer_id=seq, total_len=4, data=b"ping")
+    return fan_out_packet_ins(yc.sc, yc, [("s1", seq, _APPS, packet_in_files(1, "no_match", seq, 4, b"ping"))])[0]
 
 
 def _flow(yc: YancClient, name: str) -> int:
@@ -115,18 +122,18 @@ def _flow(yc: YancClient, name: str) -> int:
 
 
 @pytest.mark.parametrize(
-    "operation, objects, per_object, bound",
+    "operation, objects, per_object, probes, bound",
     [
-        (_fan_out, 3, 1 + 3 * 5 + 1, 1.1 * 1304),  # mkdir, five files, rename
-        (_flow, 1, 1 + 3 * 12, 1.1 * 941),  # mkdir, eleven spec files and the version
+        (_fan_out, 3, 1 + 3 * 5 + 1, 2, 1.1 * 1304),  # a listing and a getxattr per buffer; mkdir, five files, rename
+        (_flow, 1, 1 + 3 * 12, 0, 1.1 * 941),  # mkdir, eleven spec files and the version
     ],
     ids=["packet_in_fan_out_to_3_apps", "flow_of_12_files"],
 )
-def test_the_work_behind_an_object_write_stays_ratcheted(yc, operation, objects, per_object, bound):
+def test_the_work_behind_an_object_write_stays_ratcheted(yc, operation, objects, per_object, probes, bound):
     assert operation(yc, 0) == objects  # warm-up: the ring, the memo, the first paths
     sqe = yc.sc.meter.counters.get("uring.sqe")
     calls = _calls(lambda: operation(yc, 1))
-    assert yc.sc.meter.counters.get("uring.sqe") - sqe == objects * (per_object + 2)
+    assert yc.sc.meter.counters.get("uring.sqe") - sqe == objects * (probes + per_object + 2)
     assert calls <= bound, f"{calls} Python calls, bound {bound:.0f}"
 
 
@@ -143,8 +150,7 @@ def declared() -> YancClient:
 
 
 def _beacon_fan_out(yc: YancClient, seq: int) -> int:
-    published, _dropped = fan_out_packet_in(yc.sc, yc, "s1", seq, in_port=1, reason="action", total_len=len(_BEACON), data=_BEACON)
-    return published
+    return fan_out_packet_ins(yc.sc, yc, [("s1", seq, None, packet_in_files(1, "action", 0, len(_BEACON), _BEACON))])[0]
 
 
 def test_a_beacon_fan_out_writes_only_the_buffer_that_declared_lldp(declared):
@@ -155,6 +161,21 @@ def test_a_beacon_fan_out_writes_only_the_buffer_that_declared_lldp(declared):
     assert declared.sc.listdir(declared.events_path("s1", "topod")) == ["pi_0", "pi_1"]
     assert declared.sc.listdir(declared.events_path("s1", "router")) == declared.sc.listdir(declared.events_path("s1", "arpd")) == []
     assert calls <= 1.1 * 634, f"{calls} Python calls, bound {1.1 * 634:.0f}"
+
+
+#: Python calls per packet-in when 16 beacons reach the declared buffers as one burst (the driver's flush of an LLDP round)
+BURST_CALLS = 441
+
+
+def test_a_burst_of_beacons_costs_less_per_packet_in_than_a_single_beacon(declared):
+    """One probe of the three buffers and one publish of the 16 objects topod's buffer admits: the probe and the submissions are paid once per burst."""
+    assert _beacon_fan_out(declared, 0) == 1  # warm-up
+    sqe = declared.sc.meter.counters.get("uring.sqe")
+    burst = lambda: fan_out_packet_ins(declared.sc, declared, [("s1", 100 + k, None, packet_in_files(1 + k % 4, "action", 0, len(_BEACON), _BEACON)) for k in range(16)])  # noqa: E731
+    calls = _calls(burst)
+    assert declared.sc.meter.counters.get("uring.sqe") - sqe == 3 * 2 + 16 * ((1 + 3 * 5 + 1) + 2)
+    assert len(declared.sc.listdir(declared.events_path("s1", "topod"))) == 1 + 16
+    assert calls / 16 <= 1.1 * BURST_CALLS < 634, f"{calls / 16:.1f} Python calls per packet-in, bound {1.1 * BURST_CALLS:.0f}"
 
 
 FORWARD_CALLS = 171

@@ -23,7 +23,10 @@ from repro.vfs.errors import FileNotFound
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
-from repro.yancfs.client import PacketInEvent, YancClient
+from repro.runtime import ControllerHost
+from repro.vfs.cred import ROOT
+from repro.yancfs.client import PacketInEvent, YancClient, packet_in_files
+from repro.yancfs.translate import PacketInQueue
 
 
 # -- SyscallMeter ------------------------------------------------------------
@@ -189,7 +192,7 @@ def test_a_control_loop_step_is_one_ring_submission():
     # Beacons never reach the router's buffers (it declares !0x88cc), so its first real packet-in sets its ring up.
     assert router.sc.meter.counters.get("syscall.io_uring_setup") == 0
     broadcast = build_frame(Ethernet(dst="ff:ff:ff:ff:ff:ff", src=h1.mac, eth_type=ETH_TYPE_IPV4), IPv4(h1.ip, h3.ip, 17), Udp(1, 9, payload=b"x"))
-    ctl.client().write_packet_in_batched("sw1", [router.app_name], 900, in_port=net.host_ports()["h1"][1], reason="no_match", buffer_id=NO_BUFFER, total_len=len(broadcast), data=broadcast)
+    ctl.client().write_packet_in("sw1", router.app_name, 900, in_port=net.host_ports()["h1"][1], reason="no_match", buffer_id=NO_BUFFER, total_len=len(broadcast), data=broadcast)
     ctl.run(2 * WAKEUP_LATENCY)
     assert router.floods == 1
     assert router.sc.meter.counters.get("syscall.io_uring_setup") == 1  # set up by the first drain of its buffers
@@ -265,13 +268,51 @@ def test_the_consumer_side_is_one_submission_per_wakeup():
 
     def publish(k: int) -> None:
         for seq in range(k):
-            writer.write_packet_in_batched(f"sw{1 + seq % 2}", [app.app_name], 900 + seq, in_port=1, reason="action", buffer_id=0, total_len=1, data=b"x")
+            writer.write_packet_in(f"sw{1 + seq % 2}", app.app_name, 900 + seq, in_port=1, reason="action", buffer_id=0, total_len=1, data=b"x")
 
     for k in (1, 5):
         handled = len(app.packets)
         # Read every announced entry across both buffers, then remove them: two crossings whatever k is.
         assert wake_cost(app, lambda: publish(k)) == {"epoll_wait": 1, "read": 1, "io_uring_enter": 2, "total": 4}
         assert [(pkt.switch, pkt.seq) for pkt in app.packets[handled:]] == sorted(((f"sw{1 + seq % 2}", 900 + seq) for seq in range(k)), key=lambda item: item[0])
+
+
+@pytest.mark.parametrize("packet_ins, switches, apps", [(1, 1, 1), (16, 4, 3), (40, 2, 1)])
+def test_a_burst_that_fits_the_ring_is_two_crossings(packet_ins, switches, apps):
+    """One instant's packet-ins, queued on a process: one zero-delay flush probes every buffer in one ``io_uring_enter`` and publishes every packet-in in one more, however many packet-ins, switches and apps the burst holds."""
+    host = ControllerHost()
+    admin = host.client(cred=ROOT)
+    names = [f"app{a}" for a in range(apps)]
+    for s in range(switches):
+        admin.create_switch(f"s{s}")
+        for name in names:
+            admin.subscribe_events(f"s{s}", name)
+    feeder = host.process(cred=ROOT, meter=SyscallMeter(), name="feeder").start()
+    flushed = []
+    queue = PacketInQueue(feeder, YancClient(feeder), lambda owners, published, dropped: flushed.append((owners, published, dropped)))
+    for n in range(packet_ins):
+        queue.put(n, f"s{n % switches}", n, names, packet_in_files(1, "action", 0, 4, b"ping"))
+    assert feeder.ring.entries == 1024  # set up before counting, and room for the widest burst here (40 objects of 19 entries)
+    before = feeder.sc.meter.counters.snapshot()
+    host.sim.run_for(0)  # the flush runs at this instant: no simulated time passes
+    spent = feeder.sc.meter.counters.snapshot().delta(before)
+    assert {name: count for name, count in spent.items() if name.startswith("syscall.")} == {"syscall.io_uring_enter": 2, "syscall.total": 2}
+    assert spent["uring.sqe"] == 2 * switches * apps + packet_ins * apps * (1 + 1 + 3 * 5 + 1 + 1)  # the probes; per object mkdir, its open, five files, its close, rename
+    assert flushed == [(list(range(packet_ins)), packet_ins * apps, [0] * packet_ins)]
+
+
+def test_a_beacon_round_reaches_the_buffers_in_one_burst():
+    """Every beacon of a round comes back as a packet-in at one instant, from every switch: the driver takes the spool in one crossing and publishes the round in two."""
+    net = build_linear(3)
+    ctl = YancController(net).start()
+    topod = TopologyDaemon(ctl.host.process(meter=SyscallMeter()), ctl.sim).start()
+    ctl.run(1.05)  # past the periodic beacon round at 1.0
+    driver = ctl.drivers[0]
+    before, received, handled = driver.sc.meter.counters.get("syscall.io_uring_enter"), topod.beacons_received, driver.packet_ins_handled
+    topod.send_beacons()
+    ctl.run(0.1)
+    assert driver.packet_ins_handled - handled == topod.beacons_received - received == 4  # two inter-switch links, a beacon each way
+    assert driver.sc.meter.counters.get("syscall.io_uring_enter") - before == 1 + 2
 
 
 # -- dcache counters publish as deltas ---------------------------------------

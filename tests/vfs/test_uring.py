@@ -423,7 +423,7 @@ _SHAPES = st.one_of(
             ]
         ]
     ),
-    _OBJECT.map(lambda n: [[("listdir", (f"/t/{n}",), None)], [("getxattr", (f"/t/{n}", "user.k"), None)]]),  # fan_out_packet_in
+    _OBJECT.map(lambda n: [[("listdir", (f"/t/{n}",), None)], [("getxattr", (f"/t/{n}", "user.k"), None)]]),  # fan_out_packet_ins
     _OBJECT.map(lambda n: [[("open", (f"/t/{n}/f", O_RDONLY), None), ("read", (LINK_FD,), None), ("close", (LINK_FD,), None), ("unlink", (f"/t/{n}/f",), None)]]),  # take_packet_out
     _OBJECT.map(lambda n: [[("open", (f"/t/{n}/f", O_RDONLY), None), ("read", (LINK_FD,), None), ("close", (LINK_FD,), None)]]),  # find -exec grep
     _OBJECT.map(lambda n: [[("readdirplus", (f"/t/{n}",), None)]]),  # follow_flows

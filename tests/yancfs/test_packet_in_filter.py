@@ -44,8 +44,8 @@ from repro.netpkt.packet import build_frame
 from repro.runtime import ControllerHost, YancController
 from repro.vfs.cred import ROOT
 from repro.yancfs import translate
-from repro.yancfs.client import DL_TYPE_XATTR, PacketInEvent, YancClient, dl_type_filter
-from repro.yancfs.translate import fan_out_packet_in
+from repro.yancfs.client import DL_TYPE_XATTR, PacketInEvent, YancClient, dl_type_filter, packet_in_files
+from repro.yancfs.translate import fan_out_packet_ins
 
 _A, _B = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
 
@@ -123,8 +123,8 @@ def _publish(yc: YancClient, frames: list[tuple[int | None, bytes]]) -> tuple[in
     """Each frame through the one fan-out, in order; the summed ``(published, dropped)``."""
     published = dropped = 0
     for seq, (_eth_type, data) in enumerate(frames):
-        result = fan_out_packet_in(yc.sc, yc, "s1", seq, in_port=1, reason="no_match", total_len=len(data), data=data)
-        published, dropped = published + result[0], dropped + result[1]
+        result = fan_out_packet_ins(yc.sc, yc, [("s1", seq, None, packet_in_files(1, "no_match", 0, len(data), data))])
+        published, dropped = published + result[0], dropped + sum(result[1])
     return published, dropped
 
 

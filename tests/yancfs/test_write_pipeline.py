@@ -28,7 +28,7 @@ from repro.shell import Shell
 from repro.vfs import EventMask, FileExists, FileNotFound, InvalidArgument
 from repro.vfs.cred import ROOT
 from repro.vfs.notify import IN_ALL_EVENTS
-from repro.yancfs.client import YancClient, flow_spec_files, write_object, write_objects_batched
+from repro.yancfs.client import YancClient, flow_spec_files, packet_in_files, write_object, write_objects_batched
 from repro.yancfs.recovery import fsck
 from tests.vfs.test_uring import Submissions
 
@@ -46,7 +46,8 @@ def _next_batch_is_its_own(sc) -> bool:
 
 
 def _packet_in(client: YancClient, apps: list[str]) -> int:
-    return client.write_packet_in_batched("s1", apps, 7, in_port=1, reason="no_match", buffer_id=3, total_len=4, data=b"\x00\x01\x02\x03")
+    files = packet_in_files(1, "no_match", 3, 4, b"\x00\x01\x02\x03")
+    return write_objects_batched(client.sc, [(f"{client.events_path('s1', app)}/pi_7", files, "rename") for app in apps])
 
 
 @pytest.fixture
