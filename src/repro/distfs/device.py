@@ -33,7 +33,7 @@ from repro.vfs.syscalls import Syscalls
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
-from repro.yancfs.translate import FlowFollower, PacketInQueue
+from repro.yancfs.translate import FlowFollower, packet_in_queue
 
 
 class DeviceRuntime(Process):
@@ -79,7 +79,7 @@ class DeviceRuntime(Process):
         self._follower = FlowFollower(self, self.yc, self.fs_name, self._apply_flow, self._retire_flow)
         self._installed: dict[str, FlowEntry] = {}
         self._event_seq = 0
-        self._packet_ins = PacketInQueue(self, self.yc, self._account_packet_ins)
+        self._packet_ins = packet_in_queue(self, self.yc, self._account_packet_ins)
         self._task = None
         self.flows_applied = 0
         self.events_published = 0

@@ -40,7 +40,8 @@ from repro.vfs.errors import FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
-from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, PacketInQueue, PacketOut, follow_flows, spooled, take_packet_out
+from repro.yancfs.schema import FLOW_COUNTERS, PORT_COUNTERS
+from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, InstantQueue, PacketOut, follow_flows, packet_in_queue, spooled, take_packet_out
 
 
 @dataclass
@@ -149,7 +150,8 @@ class OpenFlowDriver(Process):
         self._root_watch_added = False
         self.flow_mods_sent = 0
         self.packet_ins_handled = 0
-        self._packet_ins = PacketInQueue(self, self.yc, self._account_packet_ins)
+        self._packet_ins = packet_in_queue(self, self.yc, self._account_packet_ins)
+        self._stats = InstantQueue(self, self._write_counters)
         self.start()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -339,14 +341,17 @@ class OpenFlowDriver(Process):
             self._on_flow_removed(binding, msg)
         elif isinstance(msg, m.PortStatus):
             self._on_port_status(binding, msg)
-        elif isinstance(msg, m.PortStatsReply):
-            self._on_port_stats(binding, msg)
-        elif isinstance(msg, m.FlowStatsReply):
-            self._on_flow_stats(binding, msg)
+        elif isinstance(msg, (m.PortStatsReply, m.FlowStatsReply)):
+            self._stats.put(binding, msg)  # written at the instant's end, with every other switch's
         elif isinstance(msg, m.EchoRequest):
             binding.send(m.EchoReply(payload=msg.payload, xid=msg.xid))
 
     def _on_features(self, binding: SwitchBinding, msg: m.FeaturesReply) -> None:
+        """A session's first reply fixes its dpid; a reply that names another live session's dpid, or changes this one's, is refused."""
+        holder = self.bindings.get(msg.dpid)
+        if (holder is not None and holder is not binding) or (binding.ready and msg.dpid != binding.dpid):
+            self._refuse(binding)
+            return
         binding.dpid = msg.dpid
         binding.fs_name = self._find_existing_switch(msg.dpid) or f"sw{msg.dpid}"
         path = self.yc.switch_path(binding.fs_name)
@@ -369,6 +374,12 @@ class OpenFlowDriver(Process):
         # session: what is already in the tree is adopted (live upgrade, §4.1).
         binding.follower = FlowFollower(self, self.yc, binding.fs_name, partial(self._assert_flow, binding), partial(self._retire_flow, binding))
         self._send_packet_outs(self._reconcile(binding))
+
+    def _refuse(self, binding: SwitchBinding) -> None:
+        """A switch that speaks for another: one ``BAD_REQUEST``/``EPERM`` error, the session closed, counted as ``openflow.session_refused.<driver>``."""
+        self._count(f"openflow.session_refused.{self.proc_name}")
+        binding.send(m.ErrorMsg(err_type=m.OFPET_BAD_REQUEST, err_code=m.OFPBRC_EPERM))
+        self.detach_switch(binding.switch.dpid)
 
     def _find_existing_switch(self, dpid: int) -> str | None:
         try:
@@ -443,42 +454,28 @@ class OpenFlowDriver(Process):
                 binding.send(m.PortStatsRequest())
                 binding.send(m.FlowStatsRequest())
 
-    def _on_port_stats(self, binding: SwitchBinding, msg: m.PortStatsReply) -> None:
-        sweep = {
-            f"port_{entry.port_no}": {
-                "rx_packets": entry.rx_packets,
-                "tx_packets": entry.tx_packets,
-                "rx_bytes": entry.rx_bytes,
-                "tx_bytes": entry.tx_bytes,
-                "tx_dropped": entry.tx_dropped,
-            }
-            for entry in msg.entries
-        }
-        self._write_counters(binding, "ports", sweep)
+    def _write_counters(self, replies: list[tuple[SwitchBinding, m.PortStatsReply | m.FlowStatsReply]]) -> None:
+        """Flush one instant's stats replies, every switch's: one crossing for the counters that moved, none when none did.
 
-    def _on_flow_stats(self, binding: SwitchBinding, msg: m.FlowStatsReply) -> None:
-        by_key = {installed: name for name, installed in binding.flows.items()}
-        sweep = {}
-        for entry in msg.entries:
-            name = by_key.get((entry.match, entry.priority))
-            if name is not None:
-                sweep[name] = {"packet_count": entry.packet_count, "byte_count": entry.byte_count}
-        self._write_counters(binding, "flows", sweep)
-
-    def _write_counters(self, binding: SwitchBinding, kind: str, sweep: dict[str, dict[str, int]]) -> None:
-        """Flush a periodic stats sweep: one crossing for the counters that moved, none when none did.
-
-        No probe: a ``counters/`` that is gone fails its file's ``open``,
+        A reply is resolved now, not when it arrived: a session that is no
+        longer its switch's writes nothing, and a flow is named by what the
+        session has installed under that name now, so a flow retired and
+        re-created in between never gets the old entry's counters.  No
+        probe: a ``counters/`` that is gone fails its file's ``open``,
         which cancels that file's chain and creates nothing.
         """
         batch = self.ring.batch()
-        root = f"{self.yc.switch_path(binding.fs_name)}/{kind}"
-        for name, values in sweep.items():
-            written = binding.counters.setdefault((kind, name), {})
-            for counter, value in values.items():
-                if written.get(counter) == value:
-                    continue
-                batch.prep_write_file(f"{root}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
+        for binding, reply in replies:
+            if self.bindings.get(binding.switch.dpid) is not binding:  # detached, or its driver stopped
+                continue
+            path = self.yc.switch_path(binding.fs_name)
+            for kind, name, entry, counters in _counters(binding, reply):
+                written = binding.counters.setdefault((kind, name), {})
+                for counter in counters:
+                    value = getattr(entry, counter)
+                    if written.get(counter) == value:
+                        continue
+                    batch.prep_write_file(f"{path}/{kind}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
         for cqe in batch.submit():
             if cqe.op == "close":  # the last link of a file's chain: ok iff the whole write was
                 written, counter, value = cqe.user_data
@@ -486,3 +483,11 @@ class OpenFlowDriver(Process):
                     written[counter] = value
                 else:
                     written.pop(counter, None)  # retried by the next sweep
+
+
+def _counters(binding: SwitchBinding, reply: m.PortStatsReply | m.FlowStatsReply) -> list[tuple[str, str, object, tuple[str, ...]]]:
+    """A stats reply's ``(kind, name, entry, counter files)`` per entry the tree has a name for: a port by its number, a flow by what ``binding`` has installed under it."""
+    if isinstance(reply, m.PortStatsReply):
+        return [("ports", f"port_{entry.port_no}", entry, PORT_COUNTERS) for entry in reply.entries]
+    by_key = {installed: name for name, installed in binding.flows.items()}
+    return [("flows", by_key[key], entry, FLOW_COUNTERS) for entry in reply.entries if (key := (entry.match, entry.priority)) in by_key]

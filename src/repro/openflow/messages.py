@@ -21,6 +21,7 @@ NO_BUFFER = 0xFFFFFFFF
 #: ``ErrorMsg`` type and codes (same numeric values in 1.0 and 1.3).
 OFPET_BAD_REQUEST = 1
 OFPBRC_BAD_VERSION = 0
+OFPBRC_EPERM = 5
 OFPBRC_BAD_LEN = 6
 
 

@@ -33,6 +33,10 @@ SWITCH_ATTRIBUTE_FILES = ("actions", "capabilities", "id", "num_buffers")
 #: Subdirectories every switch directory carries.
 SWITCH_SUBDIRS = ("counters", "flows", "ports", "events")
 
+#: A flow's and a port's ``counters/`` files, named as the stats replies' fields.
+FLOW_COUNTERS = ("packet_count", "byte_count")
+PORT_COUNTERS = ("rx_packets", "tx_packets", "rx_bytes", "tx_bytes", "tx_dropped")
+
 #: The three top-level directories (paper figure 2).
 TOP_LEVEL_DIRS = ("hosts", "switches", "views")
 
@@ -196,7 +200,7 @@ class FlowNode(ObjectDir):
 
     def populate(self) -> None:
         """Semantic mkdir: every flow is born with counters/ and version."""
-        _make_counters(self.fs, self, ("packet_count", "byte_count"))
+        _make_counters(self.fs, self, FLOW_COUNTERS)
         _make_attr(self.fs, self, "version", "0", validator=validate.version_number)
 
 
@@ -250,7 +254,7 @@ class PortNode(ObjectDir):
 
     def populate(self) -> None:
         """Semantic mkdir: counters plus the standard config/status files."""
-        _make_counters(self.fs, self, ("rx_packets", "tx_packets", "rx_bytes", "tx_bytes", "tx_dropped"))
+        _make_counters(self.fs, self, PORT_COUNTERS)
         _make_attr(self.fs, self, "config.port_down", "0", validator=validate.boolean_flag, acl=ACL_APP_FILE)
         _make_attr(self.fs, self, "config.port_status", "up", validator=validate.port_status, acl=ACL_DRIVER_FILE)
         _make_attr(self.fs, self, "hw_addr", "00:00:00:00:00:00", validator=validate.mac_address, acl=ACL_DRIVER_FILE)

@@ -12,9 +12,15 @@ providing a translation between them") and a device running yanc itself
 * feeds packet-ins to every subscribed private buffer that admits the
   frame's ethertype (§3.5), bounded, two crossings per burst — every
   packet-in of one simulated instant, or of one drain, whatever the
-  fan-out — :func:`fan_out_packet_ins`, queued by :class:`PacketInQueue`;
+  fan-out — :func:`fan_out_packet_ins`, queued by :func:`packet_in_queue`;
 * drains the ``packet_out/`` spool, every entry a wakeup announces in
   one submission — :func:`take_packet_out`.
+
+What a translator receives at one simulated instant waits on the one
+per-instant queue, :class:`InstantQueue`, and is handled as one batch at
+the instant's end.  It has two users: a packet-in burst
+(:func:`packet_in_queue`, the driver's and a device's) and the driver's
+stats sweep, every switch's counter writes in one submission.
 
 The protocols are stated here once; a translator supplies only what it
 does with a :class:`~repro.yancfs.client.FlowSpec` (encode it, intersect
@@ -271,41 +277,52 @@ def _eth_type(data: bytes) -> int | None:
 
 
 @dataclass(eq=False)
-class PacketInQueue:
-    """The packet-ins ``proc`` receives at one simulated instant, fanned out as one burst (§3.5, §8.1).
+class InstantQueue:
+    """What ``proc`` queues at one simulated instant, handed to ``take`` as one list (§8.1: a crossing per instant, not per arrival).
 
     NAPI's interrupt mitigation (Salim et al., "Beyond Softnet", 2001):
-    the first packet-in of an instant schedules one zero-delay task of
+    the first ``put`` of an instant schedules one zero-delay task of
     ``proc`` — crash-contained and CPU-charged, it adds no simulated
     latency and runs after every event already due at that instant — and
-    that task hands the whole queue to :func:`fan_out_packet_ins`, so a
-    burst costs two crossings, not two per packet-in.  ``account(owners,
-    published, dropped)`` then gets each packet-in's ``owner`` beside its
-    drop count.
+    that task hands every item queued since to ``take``.  A queue an
+    earlier instant left belonged to a process that died before its
+    flush: the next ``put`` drops it.  Its users are a packet-in burst
+    (:func:`packet_in_queue`) and the driver's stats sweep.
     """
 
     proc: "Process"
-    yc: YancClient
-    account: Callable[[list, int, list[int]], None]
-    _owners: list = field(default_factory=list)
-    _burst: list = field(default_factory=list)
+    take: Callable[[list], None]
+    _items: list = field(default_factory=list)
     _due: float | None = None
 
-    def put(self, owner: object, switch: str, seq: int, apps: list[str] | None, fields: dict) -> None:
-        """Queue one packet-in; the first of an instant schedules the flush (a queue an earlier instant left belonged to a process that died before its flush: it is dropped)."""
+    def put(self, *item) -> None:
+        """Queue ``item`` (a tuple of the arguments); the first of an instant schedules the flush."""
         now = self.proc.sim.now
         if self._due != now:
-            self._due, self._owners, self._burst = now, [], []
+            self._due, self._items = now, []
             self.proc.schedule(0, self.flush)
-        self._owners.append(owner)
-        self._burst.append((switch, seq, apps, fields))
+        self._items.append(item)
 
     def flush(self) -> None:
-        """Fan out what is queued now as one burst (the scheduled task; a caller outside the run loop may call it too)."""
-        owners, burst = self._owners, self._burst
-        self._due, self._owners, self._burst = None, [], []
-        if burst:
-            self.account(owners, *fan_out_packet_ins(self.proc, self.yc, burst))
+        """Hand what is queued now to ``take`` (the scheduled task; a caller outside the run loop may call it too)."""
+        items = self._items
+        self._due, self._items = None, []
+        if items:
+            self.take(items)
+
+
+def packet_in_queue(proc: "Process", yc: YancClient, account: Callable[[list, int, list[int]], None]) -> InstantQueue:
+    """An :class:`InstantQueue` of ``put(owner, switch, seq, apps, fields)`` packet-ins, fanned out as one burst (§3.5).
+
+    A burst costs two crossings (:func:`fan_out_packet_ins`), not two per
+    packet-in; ``account(owners, published, dropped)`` then gets each
+    packet-in's ``owner`` beside its drop count.
+    """
+
+    def fan_out(queued: list) -> None:
+        account([item[0] for item in queued], *fan_out_packet_ins(proc, yc, [item[1:] for item in queued]))
+
+    return InstantQueue(proc, fan_out)
 
 
 @dataclass(frozen=True)

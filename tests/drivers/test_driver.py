@@ -1,9 +1,13 @@
 """The OpenFlow driver: FS <-> switch synchronization."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dataplane import FLOOD, Match, Output, build_linear
 from repro.drivers import OF10_VERSION, OF13_VERSION
+from repro.openflow import messages as m
+from repro.proc.process import WAKEUP_LATENCY
 from repro.runtime import YancController
 from repro.vfs import EventMask
 from repro.vfs.notify import IN_ALL_EVENTS
@@ -207,6 +211,120 @@ def test_a_vanished_counters_directory_creates_nothing_and_poisons_no_neighbour(
     ctl.run(1.0)  # only the failed writes are tried again
     assert _ring_crossings(ctl) == before + 1
     assert events() == [] and "counters" not in sc.listdir("/net/switches/sw1/flows/gone")
+
+
+# -- one instant's stats replies are written at its end, resolved then ------------------------
+
+
+def _stale_replies(ctl):
+    """A flow and a port stats reply for ``sw1`` whose counters are far from the hardware's: a write of them shows."""
+    entry = ctl.net.switches["sw1"].table.entries()[0]
+    return [
+        m.FlowStatsReply(entries=[m.FlowStatsEntry(match=entry.match, priority=entry.priority, packet_count=10**6, byte_count=10**9)]),
+        m.PortStatsReply(entries=[m.PortStatsEntry(port_no=1, rx_packets=10**6, tx_packets=10**6)]),
+    ]
+
+
+def _written(events) -> list[str]:
+    return sorted(name for mask, name in events() if mask & EventMask.IN_CLOSE_WRITE)
+
+
+def test_a_flow_retired_and_recreated_at_the_replys_instant_gets_no_stale_counter(ctl):
+    """The reply arrives, then (at the same instant, before the flush) the driver follows the flow's removal and its
+    re-creation under the same name with another match: the old entry's counters are not the new flow's."""
+    yc, driver = ctl.client(), ctl.drivers[0]
+    yc.create_flow("sw1", "f", Match(dl_type=0x800), [Output(2)], priority=5)
+    ctl.run(0.2)
+    binding = driver.bindings[1]
+    [old] = ctl.net.switches["sw1"].table.entries()
+    reply = m.FlowStatsReply(entries=[m.FlowStatsEntry(match=old.match, priority=5, packet_count=77, byte_count=7700)])
+    ctl.sim.schedule(WAKEUP_LATENCY, lambda: driver.handle_message(binding, reply))  # due just before the driver's wakeup
+    yc.delete_flow("sw1", "f")
+    yc.create_flow("sw1", "f", Match(dl_type=0x806), [Output(2)], priority=5)
+    ctl.sim.run_for(WAKEUP_LATENCY)
+    assert binding.flows["f"] == (Match(dl_type=0x806), 5)
+    assert yc.flow_counters("sw1", "f") == {"packet_count": 0, "byte_count": 0}
+    ctl.run(1.0)  # the next sweep writes what the switch counts for the new entry
+    assert yc.flow_counters("sw1", "f") == {"packet_count": 0, "byte_count": 0}
+
+
+@pytest.mark.parametrize("successor", [None, OF13_VERSION], ids=["detached", "live_upgraded"])
+def test_a_session_gone_before_the_flush_writes_nothing_and_its_successor_rewrites_everything_once(swept, successor):
+    yc, driver, sw1 = swept.client(), swept.drivers[0], swept.net.switches["sw1"]
+    binding = driver.bindings[1]
+    flow, port = _watch(swept, "/net/switches/sw1/flows/flood/counters"), _watch(swept, "/net/switches/sw1/ports/port_1/counters")
+    for reply in _stale_replies(swept):
+        driver.handle_message(binding, reply)
+    driver.detach_switch(1)
+    if successor is not None:
+        swept.add_driver(version=successor).attach_switch(sw1)
+    swept.sim.run_for(0)  # the flush finds the session gone
+    assert _written(flow) == _written(port) == []
+    swept.run(1.5)  # the successor's first sweep, if any
+    entry = sw1.table.entries()[0]
+    assert yc.flow_counters("sw1", "flood") == {"packet_count": entry.packet_count, "byte_count": entry.byte_count}
+    if successor is None:
+        assert _written(flow) == _written(port) == []
+        return
+    assert _written(flow) == ["byte_count", "packet_count"]
+    assert _written(port) == ["rx_bytes", "rx_packets", "tx_bytes", "tx_dropped", "tx_packets"]
+    swept.run(1.0)
+    assert _written(flow) == _written(port) == []
+
+
+def test_a_driver_stopped_before_the_flush_drops_its_queue_and_the_next_instant_flushes_again(swept):
+    yc, driver = swept.client(), swept.drivers[0]
+    flow = _watch(swept, "/net/switches/sw1/flows/flood/counters")
+    for reply in _stale_replies(swept):
+        driver.handle_message(driver.bindings[1], reply)
+    driver.stop()
+    swept.run(0.1)  # the flush finds its process gone
+    assert _written(flow) == []
+    driver.start()
+    for switch in swept.net.switches.values():
+        driver.attach_switch(switch)
+    swept.run(1.5)  # a session's first sweep rewrites every counter
+    entry = swept.net.switches["sw1"].table.entries()[0]
+    assert yc.flow_counters("sw1", "flood") == {"packet_count": entry.packet_count, "byte_count": entry.byte_count}
+    assert _written(flow) == ["byte_count", "packet_count"]
+
+
+# -- a switch speaks only for itself ------------------------------------------------------------
+
+
+def test_a_session_that_claims_another_switchs_dpid_is_refused(ctl):
+    """``sw1``'s session, already ready, names ``sw2``'s dpid: it is refused and closed, and a flow under
+    ``sw2/flows/`` reaches ``sw2``'s table, not ``sw1``'s."""
+    ctl.run(0.1)
+    driver, yc = ctl.drivers[0], ctl.client()
+    session = driver.bindings[1]
+    session.agent._send(m.FeaturesReply(dpid=2, n_buffers=256))
+    ctl.run(0.1)
+    yc.create_flow("sw2", "f", Match(dl_type=0x800), [Output(1)], priority=3)
+    ctl.run(0.2)
+    assert (len(ctl.net.switches["sw1"].table), len(ctl.net.switches["sw2"].table)) == (0, 1)
+    assert 1 not in driver.bindings and not session.conn.connected
+    assert driver.bindings[2].fs_name == "sw2" and driver.crashes == 0
+    assert f"openflow.session_refused.{driver.proc_name} 1\n" in ctl.host.root_sc.read_text("/proc/counters")
+
+
+def test_a_first_features_reply_naming_a_held_dpid_is_refused(monkeypatch):
+    """A session's first reply that names a dpid another live session holds is refused with an ``EPERM`` error, and
+    the holder keeps its switch."""
+    from repro.openflow.agent import SwitchAgent
+
+    features = SwitchAgent._features_reply
+    monkeypatch.setattr(SwitchAgent, "_features_reply", lambda agent, xid: replace(features(agent, xid), dpid=2))  # both switches say dpid 2
+    net = build_linear(2)
+    ctl = YancController(net)
+    driver = ctl.add_driver()
+    impostor = driver.attach_switch(net.switches["sw1"])
+    driver.attach_switch(net.switches["sw2"])
+    ctl.run(0.1)
+    assert impostor.conn.tx_messages == 3 and not impostor.conn.connected  # hello, features request, the error
+    assert list(driver.bindings) == [2] and driver.bindings[2].ready and driver.bindings[2].fs_name == "sw2"
+    assert ctl.client().switches() == ["sw2"]
+    assert f"openflow.session_refused.{driver.proc_name} 1\n" in ctl.host.root_sc.read_text("/proc/counters")
 
 
 def test_packet_out_spool_consumed(ctl):

@@ -41,6 +41,13 @@ bound is 1.1x the 26,747 calls it made when the levels and the tuple
 ``Stat`` came in (``FIND_CALLS``); the per-directory walk made 39,791,
 four per entry of them a generator resume and ``fnmatch``'s frames.
 
+A stats round is one instant: every switch's flow and port replies land
+together and the driver writes the counters that moved in one submission,
+one ``open → write → close`` chain per file.  N switches' replies are one
+``io_uring_enter``; a round wider than the ring splits by its room (a
+crossing carries the whole chains that fit), and a round that moves
+nothing crosses nothing.
+
 Trace-point subscribers (the runtime tools a tier-1 axis installs) are
 set aside while counting: the ratchet prices the program, not its
 observers.
@@ -50,11 +57,12 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
+from math import ceil
 
 import pytest
 
 from repro.apps import ArpResponder, RouterDaemon, TopologyDaemon
-from repro.dataplane import LOCAL, FlowEntry, Match, Network, Output, build_clos
+from repro.dataplane import LOCAL, FlowEntry, Match, Network, Output, build_clos, build_linear
 from repro.netpkt.ethernet import ETH_TYPE_ARP, ETH_TYPE_IPV4, ETH_TYPE_LLDP
 from repro.perf import tracepoints
 from repro.runtime import ControllerHost, YancController
@@ -248,3 +256,58 @@ def test_the_operators_find_crosses_once_per_tree_level():
     crossed = {name: count for name, count in counters.snapshot().delta(before).items() if name.startswith("syscall.")}
     assert crossed == {"syscall.total": 6, "syscall.stat": 1, "syscall.io_uring_enter": 5}
     assert calls <= 1.1 * FIND_CALLS, f"{calls} Python calls, bound {1.1 * FIND_CALLS:.0f}"
+
+
+def _swept_fabric(network: Network) -> tuple[YancController, int]:
+    """``network`` under a started controller, three flows per switch, run to just before the first stats round;
+    also the counter files that round writes (every one: the sessions are new)."""
+    ctl = YancController(network).start()
+    pusher = ctl.client(name="pusher")
+    specs = [(f"m{j}", Match(dl_type=ETH_TYPE_IPV4, nw_dst=f"10.1.{j}.0/24"), [Output(LOCAL)]) for j in range(3)]
+    for name in sorted(network.switches):
+        assert pusher.create_flows_batched(ctl.fs_name_of(name), specs, priority=100) == len(specs)
+    ctl.run(0.9)
+    files = sum(5 * len(binding.switch.ports) + 2 * len(binding.flows) for binding in ctl.drivers[0].bindings.values())
+    return ctl, files
+
+
+def _round(ctl: YancController) -> dict[str, int]:
+    """The driver's crossings and ring entries over the stats round at 1.0 s (every reply lands at 1.001 s)."""
+    counters = ctl.drivers[0].sc.meter.counters
+    before = counters.snapshot()
+    ctl.run(0.2)
+    return {name: count for name, count in counters.snapshot().delta(before).items() if name.startswith(("syscall.", "uring."))}
+
+
+@pytest.mark.parametrize("network", [lambda: build_linear(1), lambda: build_linear(4), lambda: build_clos(2, 4)], ids=["1_switch", "4_switches", "clos_6_switches"])
+def test_one_instants_stats_replies_cross_once_and_a_round_that_moves_nothing_crosses_nothing(network):
+    ctl, files = _swept_fabric(network())
+    assert _round(ctl) == {"syscall.io_uring_enter": 1, "syscall.total": 1, "uring.sqe": 3 * files, "uring.open": files, "uring.write": files, "uring.close": files}
+    ctl.run(0.8)
+    assert _round(ctl) == {}  # every switch's flow and port replies arrive, and nothing moved
+
+
+class _Crossings:
+    """A trace-point subscriber: the ``(op, ok)`` completions of each crossing of one ring."""
+
+    def __init__(self, ring) -> None:
+        self.ring, self.done = ring, []
+
+    def on_uring_submit_exit(self, ring, result, exc) -> None:
+        if ring is self.ring:
+            self.done.append([(cqe.op, cqe.ok) for cqe in result])
+
+
+def test_a_round_wider_than_the_ring_splits_by_its_room_and_keeps_every_chain_whole():
+    ctl, files = _swept_fabric(build_linear(4))
+    driver = ctl.drivers[0]
+    crossings = _Crossings(driver.sc.io_uring_setup(entries=16))  # room for five files' chains per crossing
+    driver.sc._ring = crossings.ring
+    tracepoints.subscribe(crossings)
+    try:
+        spent = _round(ctl)
+    finally:
+        tracepoints.unsubscribe(crossings)
+    assert spent["syscall.io_uring_enter"] == len(crossings.done) == ceil(3 * files / 15) and files == 74
+    assert all(done == [("open", True), ("write", True), ("close", True)] * (len(done) // 3) for done in crossings.done)
+    assert sum(map(len, crossings.done)) == spent["uring.sqe"] == 3 * files

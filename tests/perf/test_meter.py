@@ -26,7 +26,7 @@ from repro.vfs.vfs import VirtualFileSystem
 from repro.runtime import ControllerHost
 from repro.vfs.cred import ROOT
 from repro.yancfs.client import PacketInEvent, YancClient, packet_in_files
-from repro.yancfs.translate import PacketInQueue
+from repro.yancfs.translate import packet_in_queue
 
 
 # -- SyscallMeter ------------------------------------------------------------
@@ -289,7 +289,7 @@ def test_a_burst_that_fits_the_ring_is_two_crossings(packet_ins, switches, apps)
             admin.subscribe_events(f"s{s}", name)
     feeder = host.process(cred=ROOT, meter=SyscallMeter(), name="feeder").start()
     flushed = []
-    queue = PacketInQueue(feeder, YancClient(feeder), lambda owners, published, dropped: flushed.append((owners, published, dropped)))
+    queue = packet_in_queue(feeder, YancClient(feeder), lambda owners, published, dropped: flushed.append((owners, published, dropped)))
     for n in range(packet_ins):
         queue.put(n, f"s{n % switches}", n, names, packet_in_files(1, "action", 0, 4, b"ping"))
     assert feeder.ring.entries == 1024  # set up before counting, and room for the widest burst here (40 objects of 19 entries)

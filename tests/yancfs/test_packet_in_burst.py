@@ -27,7 +27,7 @@ from repro.runtime import ControllerHost
 from repro.vfs import EventMask
 from repro.vfs.cred import ROOT
 from repro.yancfs.client import DL_TYPE_XATTR, YancClient, packet_in_files, read_object
-from repro.yancfs.translate import MAX_PENDING_EVENTS, PacketInQueue, fan_out_packet_ins
+from repro.yancfs.translate import MAX_PENDING_EVENTS, fan_out_packet_ins, packet_in_queue
 
 _A, _B = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
 _FRAMES = [
@@ -124,7 +124,7 @@ def test_what_a_dead_process_queued_is_dropped_and_the_next_instant_flushes_agai
     admin.subscribe_events("s0", "app")
     feeder = host.process(cred=ROOT, name="feeder").start()
     flushed = []
-    queue = PacketInQueue(feeder, YancClient(feeder), lambda owners, published, dropped: flushed.append((owners, published)))
+    queue = packet_in_queue(feeder, YancClient(feeder), lambda owners, published, dropped: flushed.append((owners, published)))
     queue.put("lost", "s0", 1, ["app"], packet_in_files(1, "action", 0, 4, b"ping"))
     feeder.stop()
     host.sim.run_for(0.1)  # the flush finds its process gone
