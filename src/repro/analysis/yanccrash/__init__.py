@@ -20,10 +20,11 @@ checks the protocols, two ways:
   checker** in the yancrace mold: record the durable-op trace through
   the ``Syscalls`` choke points while a workload runs, then replay
   every crash prefix (including mid-chain uring severs and the legal
-  reorderings the write-behind ``flush()`` contract permits), run the
-  real :func:`repro.yancfs.recovery.fsck`, and assert the post-crash
-  invariants — flows all-or-nothing at their visibility point, versions
-  monotonic, no reader-visible torn state, no leaked dot-entries.
+  reorderings the write-behind ``flush()`` contract permits), and assert
+  the post-crash invariants — versions monotonic, no spec write left
+  uncommitted, no reader-visible torn publication.  That the mount-time
+  :func:`repro.yancfs.recovery.fsck` sweeps all a crash leaves is a
+  property of ``fsck`` itself, tested over random trees.
 
 Run it as ``python -m repro.analysis yanccrash [paths] [--explore
 workload.py]``; suppress individual findings with ``# yanccrash:

@@ -1,39 +1,31 @@
-"""The crash-point model checker: replay every crash prefix, assert recovery.
+"""The crash-point model checker: replay every crash prefix, assert the §3.4/§3.5 invariants.
 
 Takes the durable-op trace a :class:`~repro.analysis.yanccrash.recorder.CrashRecorder`
-captured and exhaustively enumerates *crash points*: for every prefix of
-the trace (each one a legal "power failed here" state, including cuts
-inside an ``IoUring.submit`` dispatch — a mid-chain sever) it maintains
-an incrementally replayed file tree, reconstructs the post-crash state,
-runs the real :func:`repro.yancfs.recovery.fsck` in dry-run mode, and
-asserts the §3.4/§3.5 invariants:
+captured and enumerates *crash points*: every prefix of the trace (each a
+legal "power failed here" state, cuts inside an ``IoUring.submit``
+dispatch — mid-chain severs — included) of an incrementally replayed
+tree, plus every subset of a write-behind ``flush()`` window's per-flow
+commits (the contract orders commits per flow, not across flows; bounded
+by ``max_window_states``, truncation reported).  Three runtime kinds:
 
-* **leaked-dot-entry** — a dot-entry present at the crash point that the
-  recovery sweep would *not* remove (mount-time fsck is incomplete);
-* **unswept-torn-flow** — a flow directory whose version is still 0 at
-  the crash point but which recovery would leave behind;
 * **version-regression** — a replayed write moved a flow's ``version``
   backwards (versions only grow, §3.4);
 * **torn-publication** — a maildir-published entry (events spool, or any
   entry outside the yanc mounts) whose content at a later crash point
-  differs from what the atomic ``rename()`` published;
+  differs from what the atomic ``rename()`` published; an entry is
+  re-read only where an op changed an inode its last reading covered;
 * **spec-after-commit** — a spec write to an already-committed flow with
-  no later version increment in its kernel's trace: every crash point
-  after it exposes modified spec state under a stale version.
+  no later version increment in its kernel's trace.
 
-The last two are :class:`~repro.yancfs.commit.CommitAutomaton`'s, fed by
-the sequential replay and keyed by the replay tree's flow nodes: a
-renamed flow keeps its state, an ``rmdir`` ends it, and each recorded
-kernel has flows of its own.
-
-Write-behind ``flush()`` windows get extra states beyond prefixes: the
-contract orders commits per flow but not across flows, so every subset
-of a window's per-flow commits is a legal crash state; the explorer
-replays each (bounded by ``max_window_states``, truncation reported).
-
-The replay tree is rebuilt from nothing — fresh kernel, fresh
-:class:`~repro.yancfs.schema.YancFs` per recorded mount — so the checks
-exercise exactly what a restarted controller would find on disk.
+The first and last are :class:`~repro.yancfs.commit.CommitAutomaton`'s,
+keyed by the replay tree's flow nodes (a renamed flow keeps its state,
+an ``rmdir`` ends it, each recorded kernel has flows of its own).
+Recovery is not re-run per prefix: :func:`repro.yancfs.recovery.fsck` is
+a function of the tree alone, and that it sweeps every dot-entry and
+version-0 flow of any tree, and nothing else, is a property test over
+random trees (``tests/yancfs/test_recovery.py``).  The replay tree is
+rebuilt from nothing — fresh kernel, fresh :class:`~repro.yancfs.schema.YancFs`
+per recorded mount — so it holds what a restarted controller would find.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from repro.vfs.stat import FileType
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.commit import COMMIT_FILE, CommitAutomaton, is_spec_file, version_of
-from repro.yancfs.recovery import flow_version, fsck
+from repro.yancfs.recovery import flow_version
 from repro.yancfs.schema import FlowNode, YancFs
 
 #: Per-flush-window cap on explored commit subsets (2^n grows fast).
@@ -86,6 +78,10 @@ class ExploreResult:
         )
 
 
+#: An inode, as ``(st_dev, st_ino)``: what a published entry's reading covers.
+Key = tuple[int, int]
+
+
 class ReplayTree:
     """A fresh kernel the trace is replayed into, one op at a time."""
 
@@ -97,11 +93,26 @@ class ReplayTree:
         self.yanc_mounts: list[str] = []
         #: published entry path -> {relative path: content} at rename time.
         self.published: dict[str, dict[str, bytes]] = {}
+        #: published entry path -> the inodes its last reading covered.
+        self.covers: dict[str, set[Key]] = {}
+        #: published entries whose content at their last reading differed from it.
+        self.torn: set[str] = set()
+        #: inodes whose content or entries the ops applied since the last :meth:`settle` changed.
+        self.changed: set[Key] = set()
 
     # -- applying one durable op -----------------------------------------------------
 
     def apply(self, op: DurableOp) -> str | None:
-        """Apply ``op``; returns the path whose durable state it changed."""
+        """Apply ``op``; returns the path whose durable state it changed.
+
+        While any entry is published, every inode the op changed joins
+        :attr:`changed`: the file it wrote, each directory it added a name
+        to or took one from (a ``rename``'s source and target both).
+        Inodes, not names: a write through an fd opened before a rename,
+        or through a second name a ``link`` made, still lands on what a
+        reading covered.  libyanc's ops write only flow files, which no
+        checked entry holds, so they note nothing.
+        """
         handler = getattr(self, "_op_" + op.op.replace("-", "_"), None)
         if handler is None:
             return None
@@ -113,6 +124,7 @@ class ReplayTree:
     def _op_mount(self, path: str, kind: str) -> str:
         if not self.sc.exists(path):
             self.sc.makedirs(path)
+        self._note(self.sc.lstat, path)  # the directory the mount covers
         if kind == "yanc":
             self.sc.mount(path, YancFs(clock=self.vfs.clock), source="yanc")
             self.yanc_mounts.append(path)
@@ -121,6 +133,8 @@ class ReplayTree:
     def _op_open(self, path: str, flags: int, live_fd: int) -> str:
         self.fds[live_fd] = self.sc.open(path, flags)
         self.fd_paths[live_fd] = path
+        self._note_dir(path)
+        self._note(self.sc.fstat, self.fds[live_fd])
         return path
 
     def _op_write(self, live_fd: int, data: bytes) -> str | None:
@@ -128,6 +142,7 @@ class ReplayTree:
         if fd is None:
             return None
         self.sc.write(fd, data)
+        self._note(self.sc.fstat, fd)
         return self.fd_paths.get(live_fd)
 
     def _op_pwrite(self, live_fd: int, data: bytes, offset: int) -> str | None:
@@ -135,6 +150,7 @@ class ReplayTree:
         if fd is None:
             return None
         self.sc.pwrite(fd, data, offset)
+        self._note(self.sc.fstat, fd)
         return self.fd_paths.get(live_fd)
 
     def _op_ftruncate(self, live_fd: int, size: int) -> str | None:
@@ -142,12 +158,14 @@ class ReplayTree:
         if fd is None:
             return None
         self.sc.ftruncate(fd, size)
+        self._note(self.sc.fstat, fd)
         return self.fd_paths.get(live_fd)
 
     def _op_close(self, live_fd: int) -> str | None:
         fd = self.fds.pop(live_fd, None)
         path = self.fd_paths.pop(live_fd, None)
         if fd is not None:
+            self._note(self.sc.fstat, fd)  # a rolled-back write changes the file
             # Close-time validation may reject and roll back, exactly as
             # it did (or would have) in the live run.
             self.sc.close(fd)
@@ -155,37 +173,45 @@ class ReplayTree:
 
     def _op_truncate(self, path: str, size: int) -> str:
         self.sc.truncate(path, size)
+        self._note(self.sc.stat, path)
         return path
 
     def _op_mkdir(self, path: str) -> str:
         self.sc.mkdir(path)
+        self._note_dir(path)
         return path
 
     def _op_rmdir(self, path: str) -> str:
         self.sc.rmdir(path)
         self._forget(path)
+        self._note_dir(path)
         return path
 
     def _op_unlink(self, path: str) -> str:
         self.sc.unlink(path)
         self._forget(path)
+        self._note_dir(path)
         return path
 
     def _op_rename(self, oldpath: str, newpath: str) -> str:
         self.sc.rename(oldpath, newpath)
         self._forget(oldpath)
         self._forget(newpath)
+        self._note_dir(oldpath)
+        self._note_dir(newpath)
         old_base = oldpath.rsplit("/", 1)[-1]
         if old_base.startswith(".") and self._publication_checked(newpath):
-            self.published[newpath] = self._snapshot(newpath)
+            self.published[newpath], self.covers[newpath] = self._snapshot(newpath)
         return newpath
 
     def _op_symlink(self, target: str, linkpath: str) -> str:
         self.sc.symlink(target, linkpath)
+        self._note_dir(linkpath)
         return linkpath
 
     def _op_link(self, oldpath: str, newpath: str) -> str:
         self.sc.link(oldpath, newpath)
+        self._note_dir(newpath)
         return newpath
 
     def _op_fastpath_create(self, mount: str, switch: str, name: str, files: dict) -> str:
@@ -215,11 +241,38 @@ class ReplayTree:
 
     # -- replay-side bookkeeping ------------------------------------------------------
 
+    def _note(self, stat, arg) -> None:
+        """Add the inode ``stat(arg)`` names to :attr:`changed` (nothing to do while nothing is published)."""
+        if not self.published:
+            return
+        try:
+            st = stat(arg)
+        except FsError:
+            return
+        self.changed.add((st.dev, st.ino))
+
+    def _note_dir(self, path: str) -> None:
+        self._note(self.sc.stat, path.rpartition("/")[0] or "/")  # a path's directory components are followed
+
     def _forget(self, path: str) -> None:
         """Drop per-path state for a removed/replaced subtree."""
         prefix = path + "/"
         for key in [k for k in self.published if k == path or k.startswith(prefix)]:
-            del self.published[key]
+            del self.published[key], self.covers[key]
+            self.torn.discard(key)
+
+    def settle(self) -> None:
+        """Re-read every published entry an op changed since the last call, and mark each torn or whole."""
+        if not self.changed:
+            return
+        stale = [path for path, covers in self.covers.items() if not covers.isdisjoint(self.changed)]
+        self.changed.clear()
+        for path in stale:
+            have, self.covers[path] = self._snapshot(path)
+            if have and have != self.published[path]:
+                self.torn.add(path)
+            else:
+                self.torn.discard(path)  # whole again, or consumed (or never landed): absence is legal
 
     def _publication_checked(self, path: str) -> bool:
         """Is this rename target held to exact publication content?
@@ -230,117 +283,49 @@ class ReplayTree:
         """
         if "/events/" in path:
             return True
-        return not any(
-            path == m or path.startswith(m + "/") for m in self.yanc_mounts
-        )
+        return not any(path == m or path.startswith(m + "/") for m in self.yanc_mounts)
 
-    def _snapshot(self, path: str) -> dict[str, bytes]:
-        """Relative-path -> content of one published entry (file or dir)."""
+    def _snapshot(self, path: str) -> tuple[dict[str, bytes], set[Key]]:
+        """One published entry (file or dir) as relative path -> content, and the inodes read.
+
+        A symlink reads as its target text: the entry publishes the link,
+        not what it points at.
+        """
         out: dict[str, bytes] = {}
+        covers: set[Key] = set()
         try:
-            st = self.sc.stat(path)
+            st = self.sc.lstat(path)
         except FsError:
-            return out
-        if st.ftype is not FileType.DIRECTORY:
-            try:
-                out[""] = self.sc.read_bytes(path)
-            except FsError:
-                pass
-            return out
-        stack = [path]
+            return out, covers
+        covers.add((st.dev, st.ino))
+        stack = [(path, st)]
         while stack:
-            current = stack.pop()
+            current, st = stack.pop()
             try:
-                entries = self.sc.scandir(current)
+                if st.ftype is FileType.DIRECTORY:
+                    for name, child_st in self.sc.scandir(current):
+                        covers.add((child_st.dev, child_st.ino))
+                        stack.append((f"{current}/{name}", child_st))
+                    continue
+                content = self.sc.readlink(current).encode() if st.ftype is FileType.SYMLINK else self.sc.read_bytes(current)
             except FsError:
                 continue
-            for name, st in entries:
-                child = f"{current}/{name}"
-                if st.ftype is FileType.DIRECTORY:
-                    stack.append(child)
-                else:
-                    try:
-                        out[child[len(path) + 1 :]] = self.sc.read_bytes(child)
-                    except FsError:
-                        pass
-        return out
+            out[current[len(path) + 1 :]] = content
+        return out, covers
 
 
-# -- invariant checks over one replayed crash state ------------------------------------
+# -- the invariant checked at each replayed crash state --------------------------------
 
 
-def _walk_debris(sc: Syscalls, root: str) -> tuple[list[str], list[str]]:
-    """Independently collect (dot entries, version-0 flow dirs) under root.
-
-    Descendants of a dot-entry are not listed separately — recovery
-    removes the whole entry.
-    """
-    dots: list[str] = []
-    torn: list[str] = []
-    stack = [(root, "")]
-    while stack:
-        path, parent_name = stack.pop()
-        try:
-            entries = sc.scandir(path)
-        except FsError:
-            continue
-        for name, st in entries:
-            child = f"{path}/{name}"
-            if name.startswith("."):
-                dots.append(child)
-                continue
-            if st.ftype is not FileType.DIRECTORY:
-                continue
-            if parent_name == "flows" and flow_version(sc, child) == 0:
-                torn.append(child)
-                continue
-            stack.append((child, name))
-    return dots, torn
+#: What a torn publication means.
+_TORN = "published entry's content at this crash point differs from what its atomic rename() published"
 
 
 def check_crash_state(tree: ReplayTree, prefix: int, out: list[CrashViolation], site: str = "") -> None:
-    """Assert the post-crash invariants recovery must restore."""
-    for root in tree.yanc_mounts:
-        report = fsck(tree.sc, root, dry_run=True)
-        stale = set(report.stale_entries)
-        swept = set(report.torn_flows)
-        dots, torn = _walk_debris(tree.sc, root)
-        for path in dots:
-            if path not in stale:
-                out.append(
-                    CrashViolation(
-                        kind="leaked-dot-entry",
-                        path=path,
-                        prefix=prefix,
-                        detail="dot-entry present at this crash point but the mount-time fsck sweep would not remove it",
-                        site=site,
-                    )
-                )
-        for path in torn:
-            if path not in swept:
-                out.append(
-                    CrashViolation(
-                        kind="unswept-torn-flow",
-                        path=path,
-                        prefix=prefix,
-                        detail="flow directory still at version 0 at this crash point but recovery would leave it behind",
-                        site=site,
-                    )
-                )
-    for path, want in tree.published.items():
-        have = tree._snapshot(path)
-        if not have:
-            continue  # consumed (or never landed): absence is legal
-        if have != want:
-            out.append(
-                CrashViolation(
-                    kind="torn-publication",
-                    path=path,
-                    prefix=prefix,
-                    detail="published entry's content at this crash point differs from what its atomic rename() published",
-                    site=site,
-                )
-            )
+    """Report every published entry whose content differs from what its rename published."""
+    tree.settle()
+    if tree.torn:
+        out.extend(CrashViolation(kind="torn-publication", path=path, prefix=prefix, detail=_TORN, site=site) for path in tree.published if path in tree.torn)
 
 
 #: What a spec write still pending at the end of its kernel's replay means.

@@ -13,7 +13,8 @@ class ControlConnection:
 
     Delivery preserves ordering: each ``send`` schedules its payload
     ``latency`` seconds out, and the simulator's stable event ordering keeps
-    back-to-back sends in sequence.  Set :attr:`on_data` to consume bytes as
+    back-to-back sends in sequence — and a ``close`` reaches the peer after
+    them.  Set :attr:`on_data` to consume bytes as
     they arrive; otherwise they accumulate in :attr:`rx_buffer`.
     """
 
@@ -59,10 +60,13 @@ class ControlConnection:
         return data
 
     def close(self) -> None:
-        """Tear the connection down (both directions stop delivering)."""
+        """Tear the connection down: this end stops at once, the peer one latency later, so what was already sent arrives first."""
         self.connected = False
         if self.peer is not None:
-            self.peer.connected = False
+            self.sim.schedule(self.latency, self.peer._hang_up)
+
+    def _hang_up(self) -> None:
+        self.connected = False
 
 
 def connect(

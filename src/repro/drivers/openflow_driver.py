@@ -53,7 +53,6 @@ class SwitchBinding:
     conn: ControlConnection
     agent: SwitchAgent
     fs_name: str = ""
-    dpid: int = 0
     version: int | None = None
     ready: bool = False
     #: flow directory -> the (match, priority) the driver believes is in hardware for it
@@ -243,7 +242,7 @@ class OpenFlowDriver(Process):
             for binding in self.bindings.values():
                 if binding.ready and not self.sc.exists(self.yc.switch_path(binding.fs_name)):
                     try:
-                        if self.yc.switch_dpid(event.name) == binding.dpid:
+                        if self.yc.switch_dpid(event.name) == binding.switch.dpid:
                             binding.fs_name = binding.follower.switch = event.name
                     except FsError:
                         continue
@@ -347,12 +346,10 @@ class OpenFlowDriver(Process):
             binding.send(m.EchoReply(payload=msg.payload, xid=msg.xid))
 
     def _on_features(self, binding: SwitchBinding, msg: m.FeaturesReply) -> None:
-        """A session's first reply fixes its dpid; a reply that names another live session's dpid, or changes this one's, is refused."""
-        holder = self.bindings.get(msg.dpid)
-        if (holder is not None and holder is not binding) or (binding.ready and msg.dpid != binding.dpid):
+        """A session speaks only as the switch it was attached as: a reply naming any other dpid is refused."""
+        if msg.dpid != binding.switch.dpid:
             self._refuse(binding)
             return
-        binding.dpid = msg.dpid
         binding.fs_name = self._find_existing_switch(msg.dpid) or f"sw{msg.dpid}"
         path = self.yc.switch_path(binding.fs_name)
         if not self.sc.exists(path):
@@ -399,8 +396,8 @@ class OpenFlowDriver(Process):
         path = self.yc.port_path(binding.fs_name, name)
         if not self.sc.exists(path):
             self.yc.create_port(binding.fs_name, port.port_no)
-        if ("port", binding.dpid, name) not in self._ctx_wds:  # a new port, or one adopted from a predecessor's tree
-            self.watch(path, FILE_MASK, ("port", binding.dpid, name))
+        if ("port", binding.switch.dpid, name) not in self._ctx_wds:  # a new port, or one adopted from a predecessor's tree
+            self.watch(path, FILE_MASK, ("port", binding.switch.dpid, name))
         from repro.netpkt.addr import MacAddress
 
         self.sc.write_text(f"{path}/hw_addr", str(MacAddress(port.hw_addr)))

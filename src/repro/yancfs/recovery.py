@@ -16,9 +16,10 @@ publication therefore leaves exactly two kinds of debris:
 
 :func:`fsck` sweeps both.  It runs from :func:`~repro.yancfs.client.mount_yancfs`
 on every mount (a fresh mount is empty, so the sweep is a handful of
-``scandir`` calls), and the yanccrash crash-point model checker replays
-it — in ``dry_run`` mode — against every crash prefix to prove the
-post-recovery invariants hold.
+``scandir`` calls).  The sweep is a function of the tree alone, so its
+completeness is stated once, as a property over random trees: its
+``dry_run`` report equals an independent reference walk, and after a real
+sweep that walk finds no debris (``tests/yancfs/test_recovery.py``).
 
 The sweep never touches committed state: an entry is removed only when
 it is dot-prefixed or a version-0 flow directory, and every removal is
@@ -77,8 +78,7 @@ def fsck(sc, root: str = "/net", *, dry_run: bool = False) -> FsckReport:
     """Sweep crash debris under ``root``; see the module docstring.
 
     ``dry_run`` reports what a recovery would remove without mutating
-    the tree — the crash explorer uses it so one replayed tree can be
-    judged at every crash prefix.
+    the tree.
     """
     report = FsckReport(root=root, dry_run=dry_run)
     try:

@@ -8,6 +8,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import race, sanitizer
 from repro.analysis import yanccrash as yc
@@ -21,6 +23,7 @@ from repro.analysis.yanccrash.explorer import ReplayTree, explore
 from repro.analysis.yanccrash.recorder import CrashRecorder, DurableOp
 from repro.dataplane.actions import Output
 from repro.dataplane.match import Match
+from repro.vfs.errors import FsError
 from repro.vfs.syscalls import Syscalls
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import YancClient, mount_yancfs
@@ -485,6 +488,173 @@ def test_replay_tree_reconstructs_the_live_tree():
         tree.apply(op)
     assert tree.sc.read_text("/net/switches/s1/flows/f1/version").strip() == "1"
     assert tree.sc.read_text("/net/switches/s1/flows/f1/match.in_port").strip() == "3"
+
+
+# -- torn-publication: the changed-inode checker against the full re-read ---------------
+
+
+def full_recheck(ops: list[DurableOp]) -> list[tuple[str, int]]:
+    """The checker the explorer replaced, kept as the reference: after every op, re-read every
+    published entry and report each whose content differs from what its rename published."""
+    tree, found = ReplayTree(), []
+    for index, op in enumerate(ops):
+        tree.apply(op)
+        for path, want in tree.published.items():
+            have, _ = tree._snapshot(path)
+            if have and have != want:
+                found.append((path, index + 1))
+    return found
+
+
+_spool_action = st.one_of(
+    st.tuples(st.just("publish"), st.integers(0, 63), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["write", "open", "unlink", "rmdir", "mkdir"]), st.integers(0, 63), st.just(0)),
+    st.tuples(st.sampled_from(["fd-write", "close"]), st.integers(0, 7), st.just(0)),
+    st.tuples(st.sampled_from(["rename", "link", "symlink"]), st.integers(0, 63), st.integers(0, 63)),
+)
+
+
+def _spool_workload(actions):
+    """Publishes into ``/var/spool`` queues, then writes into, renames into and out of, links, unlinks and
+    removes what is there, each action on a path picked from the live listing (one that fails is skipped)."""
+    from repro.vfs.vfs import O_CREAT, O_WRONLY
+
+    def workload(sc):
+        sc.makedirs("/var/spool/q0")
+        sc.makedirs("/var/spool/q1")
+        fds: list[int] = []
+        for seq, (action, a, b) in enumerate(actions):
+            listed = sorted(sc.walk("/var/spool"), key=lambda row: row[0])
+            dirs = [root for root, _, _ in listed]
+            paths = dirs[1:] + [f"{root}/{name}" for root, _, files in listed for name in files]
+            pick, where = paths[a % len(paths)] if paths else "/var/spool/q0", dirs[b % len(dirs)]
+            try:
+                if action == "publish":
+                    staged = f"{dirs[a % len(dirs)]}/.e{seq}"
+                    sc.mkdir(staged)
+                    for index in range(b + 1):
+                        sc.write_text(f"{staged}/part{index}", f"{seq}.{index}")
+                    if b == 2:
+                        fds.append(sc.open(f"{staged}/part0", O_WRONLY))  # a writer still holding a staged file
+                    sc.rename(staged, staged.replace("/.e", "/e"))
+                elif action == "write":
+                    sc.write_text(pick if pick not in dirs else f"{pick}/late{seq}", f"w{seq}")
+                elif action == "open":
+                    fds.append(sc.open(pick, O_WRONLY | O_CREAT))
+                elif action == "fd-write" and fds:
+                    sc.write(fds[a % len(fds)], f"fd{seq}".encode())
+                elif action == "close" and fds:
+                    sc.close(fds.pop(a % len(fds)))
+                elif action in ("unlink", "rmdir"):
+                    getattr(sc, action)(pick)
+                elif action == "mkdir":
+                    sc.mkdir(f"{where}/d{seq}")
+                elif action == "rename":
+                    sc.rename(pick, f"{where}/r{seq}")
+                elif action == "link":
+                    sc.link(pick, f"{where}/l{seq}")
+                elif action == "symlink":
+                    sc.symlink(pick, f"{where}/s{seq}")
+            except FsError:
+                pass
+        for fd in fds:
+            sc.close(fd)
+
+    return workload
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_spool_action, min_size=8, max_size=40))
+def test_the_changed_inode_checker_reports_exactly_what_a_full_reread_reports(actions):
+    ops = _record(_spool_workload(actions))
+    found = [(v.path, v.prefix) for v in explore(ops).violations]
+    assert found == full_recheck(ops)
+
+
+def test_a_file_renamed_out_of_a_published_entry_tears_it():
+    def workload(sc):
+        sc.makedirs("/var/spool/q")
+        sc.mkdir("/var/spool/.e1")
+        sc.write_text("/var/spool/.e1/head", "h")
+        sc.write_text("/var/spool/.e1/body", "b")
+        sc.rename("/var/spool/.e1", "/var/spool/e1")
+        sc.rename("/var/spool/e1/body", "/var/spool/q/body")  # only the source directory is the entry's
+
+    ops = _record(workload)
+    assert [(v.kind, v.path, v.prefix) for v in explore(ops).violations] == [("torn-publication", "/var/spool/e1", len(ops))]
+    assert full_recheck(ops) == [("/var/spool/e1", len(ops))]
+
+
+def test_a_write_through_a_second_name_or_an_earlier_fd_tears_the_entry():
+    from repro.vfs.vfs import O_WRONLY
+
+    def workload(sc):
+        sc.makedirs("/var/spool")
+        sc.mkdir("/var/spool/.e1")
+        sc.write_text("/var/spool/.e1/data", "d")
+        fd = sc.open("/var/spool/.e1/data", O_WRONLY)  # opened under the staging name
+        sc.rename("/var/spool/.e1", "/var/spool/e1")
+        sc.link("/var/spool/e1/data", "/var/spool/alias")
+        sc.write_text("/var/spool/alias", "x")  # through the second name
+        sc.write_text("/var/spool/alias", "d")  # whole again
+        sc.write(fd, b"y")  # through the fd
+        sc.close(fd)
+
+    ops = _record(workload)
+    assert [op.op for op in ops[9:]] == ["open", "write", "close", "open", "write", "close", "write", "close"]
+    found = [(v.path, v.prefix) for v in explore(ops).violations]
+    # Torn from the alias's truncating open (op 10) until its second write restores the content (op 14),
+    # then again from the fd's write (op 16) on.
+    assert found == full_recheck(ops) == [("/var/spool/e1", prefix) for prefix in (10, 11, 12, 13, 16, 17)]
+
+
+def test_a_file_created_through_a_symlinked_directory_tears_the_entry():
+    def workload(sc):
+        sc.makedirs("/var/spool")
+        sc.mkdir("/var/spool/.e1")
+        sc.write_text("/var/spool/.e1/data", "d")
+        sc.rename("/var/spool/.e1", "/var/spool/e1")
+        sc.symlink("/var/spool/e1", "/var/spool/link")
+        sc.write_text("/var/spool/link/late", "x")  # the directory changed is e1, not the link
+
+    ops = _record(workload)
+    found = [(v.path, v.prefix) for v in explore(ops).violations]
+    assert found == full_recheck(ops) == [("/var/spool/e1", prefix) for prefix in range(len(ops) - 2, len(ops) + 1)]
+
+
+def _replay_syscalls_per_op(monkeypatch, switches: int) -> float:
+    """Syscalls the explorer's replay trees issue per recorded op, over a workload whose tree grows with ``switches``."""
+    from repro.analysis.yanccrash import explorer
+
+    def workload(sc):
+        sc.makedirs("/var/spool")
+        mount_yancfs(sc, "/net")
+        client = YancClient(sc)
+        for index in range(switches):
+            sc.mkdir(f"/var/spool/.e{index}")
+            sc.write_text(f"/var/spool/.e{index}/data", str(index))
+            sc.rename(f"/var/spool/.e{index}", f"/var/spool/e{index}")  # stays published to the end
+            client.create_switch(f"s{index}")
+            client.create_flow(f"s{index}", "f", Match(in_port=3), [Output(1)])
+
+    trees: list[ReplayTree] = []
+
+    class Counted(ReplayTree):
+        def __init__(self) -> None:
+            super().__init__()
+            trees.append(self)
+
+    ops = _record(workload)
+    monkeypatch.setattr(explorer, "ReplayTree", Counted)
+    assert explore(ops).violations == []
+    return sum(tree.sc.meter.counters.get("syscall.total") for tree in trees) / len(ops)
+
+
+def test_the_replay_issues_as_many_syscalls_per_op_over_a_ten_times_larger_tree(monkeypatch):
+    # About 2.6 each (the replayed call itself, and an lstat or fstat of what it changed); a replay that
+    # re-walked the tree at every prefix would read about ten times as many on the larger one.
+    small, large = _replay_syscalls_per_op(monkeypatch, 10), _replay_syscalls_per_op(monkeypatch, 100)
+    assert large <= small * 1.05, (small, large)
 
 
 # -- CLI discipline -------------------------------------------------------------------

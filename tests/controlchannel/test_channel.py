@@ -64,6 +64,20 @@ def test_in_flight_data_dropped_on_close():
     assert b.drain() == b""
 
 
+def test_a_close_delivers_what_was_already_sent():
+    """The closing end stops at once; the peer receives what was sent before the close, then hangs up."""
+    sim = Simulator()
+    a, b = connect(sim, latency=0.5)
+    a.send(b"last words")
+    a.close()
+    assert b.connected
+    sim.run_for(1.0)
+    assert b.drain() == b"last words" and not b.connected
+    b.send(b"too late")
+    sim.run_for(1.0)
+    assert a.drain() == b"" and b.tx_bytes == 0
+
+
 def test_counters_track_traffic():
     sim = Simulator()
     counters = PerfCounters()

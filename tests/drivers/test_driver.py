@@ -327,6 +327,49 @@ def test_a_first_features_reply_naming_a_held_dpid_is_refused(monkeypatch):
     assert f"openflow.session_refused.{driver.proc_name} 1\n" in ctl.host.root_sc.read_text("/proc/counters")
 
 
+def _features_naming(monkeypatch, dpids: dict[str, int]) -> None:
+    """Each named switch's agent answers a features request with the dpid given for it."""
+    from repro.openflow.agent import SwitchAgent
+
+    features = SwitchAgent._features_reply
+    monkeypatch.setattr(SwitchAgent, "_features_reply", lambda agent, xid: replace(features(agent, xid), dpid=dpids.get(agent.switch.name, agent.switch.dpid)))
+
+
+def test_a_first_features_reply_naming_a_dpid_no_session_holds_is_still_refused(monkeypatch):
+    """``sw1``'s session answers ``dpid=9``, which no session holds: it is refused, so no ``sw9`` appears whose
+    watches name a dpid no binding is filed under and whose ``packet_out`` spool nothing drains."""
+    _features_naming(monkeypatch, {"sw1": 9})
+    net = build_linear(2)
+    ctl = YancController(net)
+    driver = ctl.add_driver()
+    impostor = driver.attach_switch(net.switches["sw1"])
+    driver.attach_switch(net.switches["sw2"])
+    ctl.run(0.1)
+    assert not impostor.conn.connected and list(driver.bindings) == [2]
+    assert ctl.client().switches() == ["sw2"]
+    assert f"openflow.session_refused.{driver.proc_name} 1\n" in ctl.host.root_sc.read_text("/proc/counters")
+    ctl.client().packet_out("sw2", [1], b"\x00" * 60, tag="test")
+    ctl.run(0.1)
+    assert ctl.client().sc.listdir("/net/switches/sw2/packet_out") == []  # the session that stayed serves its spool
+
+
+def test_a_refused_switch_receives_its_error_before_the_channel_closes(monkeypatch):
+    """The ``EPERM`` error is sent before the close, so it reaches the switch's end; that end hangs up one latency later."""
+    from repro.openflow.codec import codec_for
+
+    _features_naming(monkeypatch, {"sw1": 2})
+    net = build_linear(2)
+    ctl = YancController(net)
+    driver = ctl.add_driver()
+    impostor = driver.attach_switch(net.switches["sw1"])
+    driver.attach_switch(net.switches["sw2"])
+    ctl.run(0.1)
+    switch_end = impostor.agent.conn
+    assert switch_end.rx_bytes == 16 + 12 and not switch_end.connected  # hello, features request, then the error
+    error, rest = codec_for(driver.version).decode(switch_end.drain())
+    assert isinstance(error, m.ErrorMsg) and (error.err_type, error.err_code) == (m.OFPET_BAD_REQUEST, m.OFPBRC_EPERM) and rest == b""
+
+
 def test_packet_out_spool_consumed(ctl):
     yc = ctl.client()
     from repro.netpkt import ETH_TYPE_IPV4, Ethernet, MacAddress

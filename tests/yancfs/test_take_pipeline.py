@@ -198,7 +198,7 @@ def _wire(driver_cls, ops) -> tuple[list[tuple[int, str]], list[list[str]]]:
     for binding in ctl.drivers[0].bindings.values():
         def record(msg, binding=binding, send=binding.send):
             send(msg)
-            sent.append((binding.dpid, repr(msg)))
+            sent.append((binding.switch.dpid, repr(msg)))
         binding.send = record
     yc, batch = ctl.client(name="spooler"), ctl.host.root_sc.io_uring_setup().batch()
     frame = Ethernet(dst=ctl.net.hosts["h1"].mac, src=MacAddress(0x42), eth_type=ETH_TYPE_IPV4, payload=b"spooled").pack()
