@@ -30,6 +30,7 @@ per recorded mount — so it holds what a restarted controller would find.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.analysis.yanccrash.recorder import DurableOp
@@ -89,8 +90,9 @@ class ReplayTree:
         self.vfs = VirtualFileSystem()
         self.sc = Syscalls(self.vfs)
         self.fds: dict[int, int] = {}  # live fd -> replay fd
-        self.fd_paths: dict[int, str] = {}  # live fd -> path
-        self.yanc_mounts: list[str] = []
+        self.opened: dict[int, tuple[object, str]] = {}  # live fd -> the inode it is open on, and the path it was opened by
+        #: a root inode (by id) -> where it is mounted: the root's ``""`` and every yanc mount's path
+        self.mounts: dict[int, str] = {id(self.vfs.resolve(self.sc.ns, self.sc.cred, "/")): ""}
         #: published entry path -> {relative path: content} at rename time.
         self.published: dict[str, dict[str, bytes]] = {}
         #: published entry path -> the inodes its last reading covered.
@@ -103,7 +105,7 @@ class ReplayTree:
     # -- applying one durable op -----------------------------------------------------
 
     def apply(self, op: DurableOp) -> str | None:
-        """Apply ``op``; returns the path whose durable state it changed.
+        """Apply ``op``; returns the path whose durable state it changed (an fd's file where it is now).
 
         While any entry is published, every inode the op changed joins
         :attr:`changed`: the file it wrote, each directory it added a name
@@ -127,12 +129,12 @@ class ReplayTree:
         self._note(self.sc.lstat, path)  # the directory the mount covers
         if kind == "yanc":
             self.sc.mount(path, YancFs(clock=self.vfs.clock), source="yanc")
-            self.yanc_mounts.append(path)
+            self.mounts[id(self.vfs.resolve(self.sc.ns, self.sc.cred, path))] = path
         return path
 
     def _op_open(self, path: str, flags: int, live_fd: int) -> str:
         self.fds[live_fd] = self.sc.open(path, flags)
-        self.fd_paths[live_fd] = path
+        self.opened[live_fd] = (self.vfs.resolve(self.sc.ns, self.sc.cred, path), path)
         self._note_dir(path)
         self._note(self.sc.fstat, self.fds[live_fd])
         return path
@@ -143,7 +145,7 @@ class ReplayTree:
             return None
         self.sc.write(fd, data)
         self._note(self.sc.fstat, fd)
-        return self.fd_paths.get(live_fd)
+        return self._path_of(self.opened.get(live_fd))
 
     def _op_pwrite(self, live_fd: int, data: bytes, offset: int) -> str | None:
         fd = self.fds.get(live_fd)
@@ -151,7 +153,7 @@ class ReplayTree:
             return None
         self.sc.pwrite(fd, data, offset)
         self._note(self.sc.fstat, fd)
-        return self.fd_paths.get(live_fd)
+        return self._path_of(self.opened.get(live_fd))
 
     def _op_ftruncate(self, live_fd: int, size: int) -> str | None:
         fd = self.fds.get(live_fd)
@@ -159,11 +161,11 @@ class ReplayTree:
             return None
         self.sc.ftruncate(fd, size)
         self._note(self.sc.fstat, fd)
-        return self.fd_paths.get(live_fd)
+        return self._path_of(self.opened.get(live_fd))
 
     def _op_close(self, live_fd: int) -> str | None:
         fd = self.fds.pop(live_fd, None)
-        path = self.fd_paths.pop(live_fd, None)
+        path = self._path_of(self.opened.pop(live_fd, None))
         if fd is not None:
             self._note(self.sc.fstat, fd)  # a rolled-back write changes the file
             # Close-time validation may reject and roll back, exactly as
@@ -251,6 +253,29 @@ class ReplayTree:
             return
         self.changed.add((st.dev, st.ino))
 
+    def _path_of(self, opened: tuple[object, str] | None) -> str | None:
+        """Where an fd's file is now, through its inode: the path it was opened by while that still names it, else the first of its names in order.
+
+        A rename since the open moves it, an unlink leaves it none, and a
+        file with several names (a ``link``) gets the same one every run.
+        """
+        if opened is None:
+            return None
+        node, path = opened
+        paths = sorted(self._paths(node))
+        return path if path in paths else next(iter(paths), None)
+
+    def _paths(self, node) -> Iterator[str]:
+        """Every path ``node`` has now: one per chain of names up to a mounted root."""
+        if not node.dentries:
+            top = self.mounts.get(id(node))
+            if top is not None:
+                yield top
+            return
+        for parent, name in node.dentries:
+            for head in self._paths(parent):
+                yield f"{head}/{name}"
+
     def _note_dir(self, path: str) -> None:
         self._note(self.sc.stat, path.rpartition("/")[0] or "/")  # a path's directory components are followed
 
@@ -283,7 +308,7 @@ class ReplayTree:
         """
         if "/events/" in path:
             return True
-        return not any(path == m or path.startswith(m + "/") for m in self.yanc_mounts)
+        return not any(path == m or path.startswith(m + "/") for m in self.mounts.values() if m)
 
     def _snapshot(self, path: str) -> tuple[dict[str, bytes], set[Key]]:
         """One published entry (file or dir) as relative path -> content, and the inodes read.

@@ -111,7 +111,7 @@ class PortSim:
         self.switch.notify_port_status(self, "modify")
 
     def counters(self) -> dict[str, int]:
-        """Per-port counters as exposed in the yanc ``counters/`` dir."""
+        """Per-port counters as exposed in the yanc ``counters/`` dir: what a port-stats reply carries, and a device mirrors."""
         return {
             "rx_packets": self.rx_packets,
             "tx_packets": self.tx_packets,

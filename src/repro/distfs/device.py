@@ -33,7 +33,8 @@ from repro.vfs.syscalls import Syscalls
 from repro.vfs.errors import FileExists, FsError
 from repro.vfs.vfs import VirtualFileSystem
 from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
-from repro.yancfs.translate import FlowFollower, packet_in_queue
+from repro.yancfs.schema import FLOW_COUNTERS
+from repro.yancfs.translate import FlowFollower, mirror_counters, packet_in_queue
 
 
 class DeviceRuntime(Process):
@@ -78,9 +79,10 @@ class DeviceRuntime(Process):
         self.fs_name = f"sw{switch.dpid}"
         self._follower = FlowFollower(self, self.yc, self.fs_name, self._apply_flow, self._retire_flow)
         self._installed: dict[str, FlowEntry] = {}
+        #: ``("flows", name)`` / ``("ports", port_no)`` -> counter file -> the value its last ok write left
+        self._counters: dict[tuple[str, object], dict[str, int]] = {}
         self._event_seq = 0
         self._packet_ins = packet_in_queue(self, self.yc, self._account_packet_ins)
-        self._task = None
         self.flows_applied = 0
         self.events_published = 0
         self.events_dropped = 0
@@ -100,11 +102,10 @@ class DeviceRuntime(Process):
         for port_no in sorted(self.switch.ports):
             if not self.sc.exists(self.yc.port_path(self.fs_name, port_no)):
                 self.yc.create_port(self.fs_name, port_no)
-        self._task = self.every(self.poll_interval, self.poll, start_delay=0.0)
+        self.every(self.poll_interval, self.poll, start_delay=0.0)
 
     def stop(self) -> None:
         """Stop polling (the tree keeps the device's last-known state)."""
-        self._task = None
         if self.switch.controller is self:
             self.switch.controller = None
         super().stop()
@@ -135,6 +136,7 @@ class DeviceRuntime(Process):
         self.flows_applied += 1
 
     def _retire_flow(self, name: str) -> None:
+        self._counters.pop(("flows", name), None)
         entry = self._installed.pop(name, None)
         if entry is not None:
             self.switch.table.remove_entry(entry)
@@ -149,13 +151,16 @@ class DeviceRuntime(Process):
                 port.set_admin_up(not down)
 
     def _publish_counters(self) -> None:
+        """Every installed flow's and every port's counters, as one counter round: no RPC when nothing moved."""
+        rows = []
         for name, entry in self._installed.items():
-            base = f"{self.yc.flow_path(self.fs_name, name)}/counters"
-            try:
-                self.sc.write_text(f"{base}/packet_count", str(entry.packet_count))
-                self.sc.write_text(f"{base}/byte_count", str(entry.byte_count))
-            except FsError:
-                continue
+            directory = f"{self.yc.flow_path(self.fs_name, name)}/counters"
+            values = {counter: getattr(entry, counter) for counter in FLOW_COUNTERS}
+            rows.append((directory, self._counters.setdefault(("flows", name), {}), values))
+        for port_no, port in self.switch.ports.items():
+            directory = f"{self.yc.port_path(self.fs_name, port_no)}/counters"
+            rows.append((directory, self._counters.setdefault(("ports", port_no), {}), port.counters()))
+        mirror_counters(self.ring, rows)
 
     # -- ControllerHooks (the switch talks to its own brain) ----------------------------
 
@@ -179,11 +184,12 @@ class DeviceRuntime(Process):
         self.events_dropped += sum(dropped)
 
     def flow_removed(self, switch: SwitchSim, entry: FlowEntry, reason: FlowRemovedReason) -> None:
-        """A local timeout: retire the corresponding tree entry."""
+        """A local timeout: retire the corresponding tree entry and forget its name, so the next poll has nothing to retire."""
         for name, installed in list(self._installed.items()):
             if installed is entry:
-                self._installed.pop(name)
-                self._follower.versions.pop(name, None)
+                del self._installed[name]
+                self._counters.pop(("flows", name), None)
+                self._follower.forget(name)  # a flow re-created under the name before the next poll is a new one
                 try:
                     self.yc.delete_flow(self.fs_name, name)
                 except FsError:
@@ -195,6 +201,7 @@ class DeviceRuntime(Process):
         path = self.yc.port_path(self.fs_name, port.port_no)
         try:
             if reason == "delete":
+                self._counters.pop(("ports", port.port_no), None)
                 if self.sc.exists(path):
                     self.sc.rmdir(path)
                 return

@@ -41,7 +41,7 @@ from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
 from repro.yancfs.schema import FLOW_COUNTERS, PORT_COUNTERS
-from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, InstantQueue, PacketOut, follow_flows, packet_in_queue, spooled, take_packet_out
+from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, InstantQueue, PacketOut, follow_flows, mirror_counters, packet_in_queue, spooled, take_packet_out
 
 
 @dataclass
@@ -62,7 +62,6 @@ class SwitchBinding:
     #: it dies with the session, so a restarted or live-upgraded driver rewrites everything once
     counters: dict[tuple[str, str], dict[str, int]] = field(default_factory=dict)
     event_apps: list[str] = field(default_factory=list)
-    _suppressed: set[str] = field(default_factory=set)
     _rx: bytes = b""
     _xid: int = 0
     _event_seq: int = 0
@@ -271,9 +270,7 @@ class OpenFlowDriver(Process):
         """The flow directory went: a strict delete, unless the switch retired it first."""
         installed = binding.flows.pop(flow_name, None)
         binding.counters.pop(("flows", flow_name), None)
-        if flow_name in binding._suppressed:
-            binding._suppressed.discard(flow_name)
-        elif installed is not None:
+        if installed is not None:
             self._delete_strict(binding, *installed)
 
     def _delete_strict(self, binding: SwitchBinding, match: Match, priority: int) -> None:
@@ -422,13 +419,12 @@ class OpenFlowDriver(Process):
             return  # we initiated it; the FS is already authoritative
         for name, installed in list(binding.flows.items()):
             if installed == (msg.match, msg.priority):
-                binding._suppressed.add(name)
+                del binding.flows[name]  # so the removal's echo (:meth:`_retire_flow`) sends no delete-strict
+                binding.counters.pop(("flows", name), None)
                 try:
                     self.yc.delete_flow(binding.fs_name, name)
                 except FsError:
-                    binding._suppressed.discard(name)
-                binding.flows.pop(name, None)
-                binding.counters.pop(("flows", name), None)
+                    pass
                 return
 
     def _on_port_status(self, binding: SwitchBinding, msg: m.PortStatus) -> None:
@@ -452,39 +448,31 @@ class OpenFlowDriver(Process):
                 binding.send(m.FlowStatsRequest())
 
     def _write_counters(self, replies: list[tuple[SwitchBinding, m.PortStatsReply | m.FlowStatsReply]]) -> None:
-        """Flush one instant's stats replies, every switch's: one crossing for the counters that moved, none when none did.
+        """Flush one instant's stats replies, every switch's, as one counter round (:func:`mirror_counters`).
 
         A reply is resolved now, not when it arrived: a session that is no
         longer its switch's writes nothing, and a flow is named by what the
         session has installed under that name now, so a flow retired and
-        re-created in between never gets the old entry's counters.  No
-        probe: a ``counters/`` that is gone fails its file's ``open``,
-        which cancels that file's chain and creates nothing.
+        re-created in between never gets the old entry's counters.
         """
-        batch = self.ring.batch()
+        rows = []
         for binding, reply in replies:
             if self.bindings.get(binding.switch.dpid) is not binding:  # detached, or its driver stopped
                 continue
             path = self.yc.switch_path(binding.fs_name)
-            for kind, name, entry, counters in _counters(binding, reply):
-                written = binding.counters.setdefault((kind, name), {})
-                for counter in counters:
-                    value = getattr(entry, counter)
-                    if written.get(counter) == value:
-                        continue
-                    batch.prep_write_file(f"{path}/{kind}/{name}/counters/{counter}", str(value).encode(), user_data=(written, counter, value))
-        for cqe in batch.submit():
-            if cqe.op == "close":  # the last link of a file's chain: ok iff the whole write was
-                written, counter, value = cqe.user_data
-                if cqe.ok:
-                    written[counter] = value
-                else:
-                    written.pop(counter, None)  # retried by the next sweep
+            for kind, name, values in _counters(binding, reply):
+                rows.append((f"{path}/{kind}/{name}/counters", binding.counters.setdefault((kind, name), {}), values))
+        mirror_counters(self.ring, rows)
 
 
-def _counters(binding: SwitchBinding, reply: m.PortStatsReply | m.FlowStatsReply) -> list[tuple[str, str, object, tuple[str, ...]]]:
-    """A stats reply's ``(kind, name, entry, counter files)`` per entry the tree has a name for: a port by its number, a flow by what ``binding`` has installed under it."""
+def _counters(binding: SwitchBinding, reply: m.PortStatsReply | m.FlowStatsReply) -> list[tuple[str, str, dict[str, int]]]:
+    """A stats reply's ``(kind, name, {counter file: value})`` per entry the tree has a name for: a port by its number, a flow by what ``binding`` has installed under it."""
     if isinstance(reply, m.PortStatsReply):
-        return [("ports", f"port_{entry.port_no}", entry, PORT_COUNTERS) for entry in reply.entries]
+        return [("ports", f"port_{entry.port_no}", _values(entry, PORT_COUNTERS)) for entry in reply.entries]
     by_key = {installed: name for name, installed in binding.flows.items()}
-    return [("flows", by_key[key], entry, FLOW_COUNTERS) for entry in reply.entries if (key := (entry.match, entry.priority)) in by_key]
+    named = [(by_key.get((entry.match, entry.priority)), entry) for entry in reply.entries]
+    return [("flows", name, _values(entry, FLOW_COUNTERS)) for name, entry in named if name is not None]
+
+
+def _values(entry: object, counters: tuple[str, ...]) -> dict[str, int]:
+    return {counter: getattr(entry, counter) for counter in counters}

@@ -9,7 +9,7 @@ mirrors the connection table under ``/net/middleboxes/<name>/state/`` and
 keeps the mapping bidirectional:
 
 * device -> tree: new/removed bindings appear/disappear as state entry
-  directories; counters sync periodically;
+  directories; the counters that moved sync periodically;
 * tree -> device: a state entry created (``cp``), moved in (``mv``), or
   deleted under any managed middlebox is installed into / removed from
   that device — which is exactly how ``mv`` *migrates a live connection*
@@ -28,6 +28,7 @@ from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import read_object, write_object
+from repro.yancfs.translate import mirror_counters
 
 _STATE_MASK = (
     EventMask.IN_CREATE
@@ -61,6 +62,8 @@ class MiddleboxDriver(Process):
         self.root = root
         self.counter_interval = counter_interval
         self.devices: dict[str, NatMiddlebox] = {}
+        #: a device's name, or ``(name, conn_id)`` for an entry -> counter file -> the value its last ok write left
+        self._counters: dict[object, dict[str, int]] = {}
         self._counter_task = None
         self.migrations_in = 0
         self.migrations_out = 0
@@ -95,6 +98,7 @@ class MiddleboxDriver(Process):
         for device in self.devices.values():
             device.on_state_change = None
         self.devices.clear()
+        self._counters.clear()
         self._counter_task = None
         super().stop()
 
@@ -112,6 +116,7 @@ class MiddleboxDriver(Process):
                 if event.mask & EventMask.IN_MOVED_FROM:
                     self.migrations_out += 1
                 self.unwatch(("entry", mb_name, event.name))
+                self._counters.pop((mb_name, event.name), None)
                 device = self.devices.get(mb_name)
                 if device is not None:
                     device.remove_entry(event.name, notify=False)
@@ -132,6 +137,7 @@ class MiddleboxDriver(Process):
         if kind == "add":
             self._write_entry(mb_name, entry)
         elif kind == "remove":
+            self._counters.pop((mb_name, entry.conn_id), None)
             path = self._entry_path(mb_name, entry.conn_id)
             if self.sc.exists(path):
                 self.sc.rmdir(path)
@@ -181,18 +187,13 @@ class MiddleboxDriver(Process):
     # -- counters ----------------------------------------------------------------------
 
     def _sync_counters(self) -> None:
+        """Every device's ``counters/`` and every entry's ``packets`` that moved, as one counter round (:func:`mirror_counters`): no probe, an entry ``mv``ed away fails its own chain."""
+        rows = []
         for name, device in self.devices.items():
-            base = f"{self._mb_path(name)}/counters"
-            try:
-                self.sc.write_text(f"{base}/translated", str(device.translated))
-                self.sc.write_text(f"{base}/dropped", str(device.dropped))
-                self.sc.write_text(f"{base}/connections", str(len(device.entries())))
-            except FsError:
-                continue
-            for entry in device.entries():
-                packets_path = f"{self._entry_path(name, entry.conn_id)}/packets"
-                try:
-                    if self.sc.exists(packets_path):
-                        self.sc.write_text(packets_path, str(entry.packets))
-                except FsError:
-                    continue
+            entries = device.entries()
+            values = {"translated": device.translated, "dropped": device.dropped, "connections": len(entries)}
+            rows.append((f"{self._mb_path(name)}/counters", self._counters.setdefault(name, {}), values))
+            for entry in entries:
+                written = self._counters.setdefault((name, entry.conn_id), {})
+                rows.append((self._entry_path(name, entry.conn_id), written, {"packets": entry.packets}))
+        mirror_counters(self.ring, rows)

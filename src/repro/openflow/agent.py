@@ -214,17 +214,7 @@ class SwitchAgent:
         else:
             port = self.switch.ports.get(msg.port_no)
             ports = [port] if port is not None else []
-        entries = [
-            m.PortStatsEntry(
-                port_no=p.port_no,
-                rx_packets=p.rx_packets,
-                tx_packets=p.tx_packets,
-                rx_bytes=p.rx_bytes,
-                tx_bytes=p.tx_bytes,
-                tx_dropped=p.tx_dropped,
-            )
-            for p in ports
-        ]
+        entries = [m.PortStatsEntry(port_no=p.port_no, **p.counters()) for p in ports]
         return m.PortStatsReply(entries=entries, xid=msg.xid)
 
     def _flow_stats_reply(self, msg: m.FlowStatsRequest) -> m.FlowStatsReply:

@@ -19,7 +19,7 @@ the file path and the fastpath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perf.counters import CounterSnapshot, PerfCounters
 
@@ -66,22 +66,3 @@ FUSE_COST_MODEL = CostModel(name="fuse", ctxsw_per_syscall=4)
 #: The libyanc fastpath: shared memory, no kernel transition per access.
 SHM_COST_MODEL = CostModel(name="shm", syscall_cost=0.0, ctxsw_per_syscall=0)
 
-
-@dataclass
-class TimeCharger:
-    """Accumulates simulated time for a metered component under a cost model."""
-
-    model: CostModel
-    counters: PerfCounters
-    elapsed: float = 0.0
-    _mark: CounterSnapshot = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self._mark = self.counters.snapshot()
-
-    def settle(self) -> float:
-        """Charge all activity since the last settle; return the increment."""
-        increment = self.model.charge(self.counters, self._mark)
-        self.elapsed += increment
-        self._mark = self.counters.snapshot()
-        return increment

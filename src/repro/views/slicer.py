@@ -16,7 +16,7 @@ traffic; tenants operate on the view exactly as they would on ``/net``
   directory);
 * forwards headerspace-matching packet-ins from the master tree into the
   tenant buffers inside the view;
-* mirrors flow counters back into the view.
+* mirrors the flow counters that moved back into the view.
 
 Because a view contains a ``views/`` directory too, slicers stack: run a
 second slicer with ``root`` pointing inside the first view (§4.2:
@@ -33,7 +33,7 @@ from repro.vfs.errors import FsError
 from repro.views.base import ViewApp
 from repro.views.merge import intersect
 from repro.yancfs.client import FlowSpec, PacketInEvent
-from repro.yancfs.translate import PacketOut
+from repro.yancfs.translate import PacketOut, mirror_counters
 
 
 class Slicer(ViewApp):
@@ -56,6 +56,8 @@ class Slicer(ViewApp):
         self.counter_sync_interval = counter_sync_interval
         #: (switch, tenant flow) -> master flow name
         self._installed: dict[tuple[str, str], str] = {}
+        #: (switch, tenant flow) -> counter file -> the value its last ok write left
+        self._counters: dict[tuple[str, str], dict[str, int]] = {}
         self.flows_translated = 0
 
     # -- setup ---------------------------------------------------------------------
@@ -126,6 +128,7 @@ class Slicer(ViewApp):
         self._set_status(switch, flow, "installed")
 
     def _retire_flow(self, switch: str, flow: str) -> None:
+        self._counters.pop((switch, flow), None)
         master_name = self._installed.pop((switch, flow), None)
         if master_name is not None:
             try:
@@ -158,12 +161,12 @@ class Slicer(ViewApp):
     # -- counters ----------------------------------------------------------------------------
 
     def sync_counters(self) -> None:
-        """Mirror master flow counters into the tenant's flow dirs."""
+        """Mirror the master flow counters that moved into the tenant's flow dirs, as one counter round (:func:`mirror_counters`)."""
+        rows = []
         for (switch, flow), master_name in list(self._installed.items()):
             try:
                 counters = self.yc.flow_counters(switch, master_name)
-                base = f"{self.view_yc.flow_path(switch, flow)}/counters"
-                for name, value in counters.items():
-                    self.sc.write_text(f"{base}/{name}", str(value))
             except FsError:
                 continue
+            rows.append((f"{self.view_yc.flow_path(switch, flow)}/counters", self._counters.setdefault((switch, flow), {}), counters))
+        mirror_counters(self.ring, rows)

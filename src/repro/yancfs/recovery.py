@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.vfs.errors import FsError
+from repro.vfs.errors import DirectoryNotEmpty, FsError
 from repro.vfs.stat import FileType
 
 #: Path prefixes whose staged dot-entries this module's sweep recovers.
@@ -113,10 +113,15 @@ def _remove(sc, path: str, is_dir: bool, report: FsckReport) -> None:
     if report.dry_run:
         return
     try:
-        if is_dir:
-            sc.rmdir(path)
-        else:
+        if not is_dir:
             sc.unlink(path)
+            return
+        try:
+            sc.rmdir(path)  # recursive for a yanc object directory
+        except DirectoryNotEmpty:  # a plain one with content: emptied depth-first
+            for name, st in sc.scandir(path):  # yancperf: disable=syscall-in-loop (a staged plain directory with content, once per mount)
+                _remove(sc, f"{path}/{name}", st.ftype is FileType.DIRECTORY, report)
+            sc.rmdir(path)
     except FsError as exc:
         report.failures.append(f"{path}: {exc}")
 

@@ -14,13 +14,15 @@ providing a translation between them") and a device running yanc itself
   packet-in of one simulated instant, or of one drain, whatever the
   fan-out — :func:`fan_out_packet_ins`, queued by :func:`packet_in_queue`;
 * drains the ``packet_out/`` spool, every entry a wakeup announces in
-  one submission — :func:`take_packet_out`.
+  one submission — :func:`take_packet_out`;
+* mirrors device state into ``counters/`` files, what moved in one
+  submission — :func:`mirror_counters`, for a middlebox driver (§7.2) too.
 
 What a translator receives at one simulated instant waits on the one
 per-instant queue, :class:`InstantQueue`, and is handled as one batch at
 the instant's end.  It has two users: a packet-in burst
 (:func:`packet_in_queue`, the driver's and a device's) and the driver's
-stats sweep, every switch's counter writes in one submission.
+stats sweep, every switch's replies one counter round.
 
 The protocols are stated here once; a translator supplies only what it
 does with a :class:`~repro.yancfs.client.FlowSpec` (encode it, intersect
@@ -124,9 +126,13 @@ class FlowFollower:
         present = set(names)
         return [(self, name, "forget") for name in self.versions if name not in present] + [(self, name, follow) for name in names]
 
-    def _forget(self, name: str) -> None:
+    def forget(self, name: str) -> None:
+        """Forget ``name`` without ``on_remove``: the translator retired it itself, so a flow re-created under it is handed over from version 1."""
         self.proc.unwatch(("flows", self, name))  # else the watch pins the dead FlowNode
         self.versions.pop(name, None)
+
+    def _forget(self, name: str) -> None:
+        self.forget(name)
         self.on_remove(name)
 
     def _hand_over(self, name: str, spec: FlowSpec | None) -> None:
@@ -287,7 +293,8 @@ class InstantQueue:
     that task hands every item queued since to ``take``.  A queue an
     earlier instant left belonged to a process that died before its
     flush: the next ``put`` drops it.  Its users are a packet-in burst
-    (:func:`packet_in_queue`) and the driver's stats sweep.
+    (:func:`packet_in_queue`) and the driver's stats sweep
+    (:func:`mirror_counters`).
     """
 
     proc: "Process"
@@ -323,6 +330,35 @@ def packet_in_queue(proc: "Process", yc: YancClient, account: Callable[[list, in
         account([item[0] for item in queued], *fan_out_packet_ins(proc, yc, [item[1:] for item in queued]))
 
     return InstantQueue(proc, fan_out)
+
+
+def mirror_counters(ring: "IoUring", rows: Iterable[tuple[str, dict[str, object], dict[str, object]]]) -> None:
+    """One counter round: the ``(directory, written, {file: value})`` rows' files that moved, in one submission.
+
+    ``written`` is the caller's record of the value each file's last ok
+    write left; a file whose value equals it is skipped, every other is
+    one ``open → write → close`` chain (a round wider than the ring
+    splits by its room), so a round that moves nothing crosses nothing.
+    The chain's ``close`` decides: ok, the value is remembered; not, it
+    is forgotten and the next round retries.  No probe: a directory that
+    is gone fails its chain's ``open``, which cancels that chain alone.
+    The rule's cost, for every translator alike: a counter file someone
+    else overwrites is not healed until its value moves or the record goes
+    — and a round's ``open`` creates the file, so one that a ``cp`` still
+    filling the directory writes after the round is such an overwrite.
+    """
+    batch = ring.batch()
+    for directory, written, values in rows:
+        for name, value in values.items():
+            if written.get(name) != value:
+                batch.prep_write_file(f"{directory}/{name}", str(value).encode(), user_data=(written, name, value))
+    for cqe in batch.submit():
+        if cqe.op == "close":  # the last link of a file's chain: ok iff the whole write was
+            written, name, value = cqe.user_data
+            if cqe.ok:
+                written[name] = value
+            else:
+                written.pop(name, None)
 
 
 @dataclass(frozen=True)

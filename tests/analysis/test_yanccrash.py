@@ -293,6 +293,22 @@ def test_explorer_spec_rewrite_with_recommit_is_clean():
     assert not any(v.kind == "spec-after-commit" for v in result.violations)
 
 
+def test_a_spec_write_through_an_fd_opened_before_its_flow_was_renamed_is_seen():
+    """The write lands on the file's inode wherever it is now: the flow is found through that, not through the path the fd was opened at."""
+
+    def workload(sc):
+        _clean_flow_workload(sc)
+        fd = sc.open("/net/switches/s1/flows/f1/match.in_port", 0o1)  # O_WRONLY
+        sc.rename("/net/switches/s1/flows/f1", "/net/switches/s1/flows/f2")
+        sc.write(fd, b"4")
+        sc.close(fd)
+
+    result = explore(_record(workload))
+    sanitizer.reset_all()
+    race.reset_all()
+    assert [(v.kind, v.path) for v in result.violations] == [("spec-after-commit", "/net/switches/s1/flows/f2/match.in_port")]
+
+
 # -- one §3.4 automaton, three judges -------------------------------------------------
 
 
@@ -474,6 +490,25 @@ def test_explorer_replays_truncates_links_and_fastpath_rewrites():
 def test_a_fastpath_write_that_changed_nothing_replays_as_no_change():
     """Regression: a libyanc write whose files all failed to land used to report its flow as changed."""
     assert ReplayTree().apply(DurableOp("fastpath-write", ("/net", "s1", "f1", {"priority": "7"}), vfs=0)) is None
+
+
+def test_a_write_through_a_file_with_two_names_reports_the_same_one_every_time():
+    """Regression: the name was taken from the inode's set of names, so a ``link``ed file's write could land on either."""
+    ops = [
+        DurableOp("mkdir", ("/var",), vfs=0),
+        DurableOp("mkdir", ("/var/a",), vfs=0),
+        DurableOp("mkdir", ("/var/b",), vfs=0),
+        DurableOp("open", ("/var/b/f", 0o101, 3), vfs=0),  # O_WRONLY | O_CREAT
+        DurableOp("link", ("/var/b/f", "/var/a/f"), vfs=0),
+    ]
+    tree = ReplayTree()
+    for op in ops:
+        tree.apply(op)
+    assert tree.apply(DurableOp("write", (3, b"x"), vfs=0)) == "/var/b/f"  # the name it was opened by
+    tree.apply(DurableOp("unlink", ("/var/b/f",), vfs=0))
+    assert tree.apply(DurableOp("write", (3, b"y"), vfs=0)) == "/var/a/f"  # the one it has left
+    assert tree.apply(DurableOp("write", (4, b"z"), vfs=0)) is None  # no such fd
+    assert tree.apply(DurableOp("close", (3,), vfs=0)) == "/var/a/f"
 
 
 def test_explorer_empty_trace():

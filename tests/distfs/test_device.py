@@ -110,6 +110,42 @@ def test_idle_timeout_retires_tree_entry(devnet):
     assert len(net.switches["sw1"].table) == 0
 
 
+def test_a_hard_timeout_removes_the_flow_dir_and_touches_the_table_no_more(devnet):
+    """The switch retired the entry itself: the device removes the directory, and the removal it then polls retires nothing."""
+    net, master, devices = devnet
+    yc = master.client()
+    switch = net.switches["sw1"]
+    yc.create_flow("sw1", "brief", Match(dl_type=0x800), [Output(2)], priority=5, hard_timeout=0.3)
+    net.run(0.2)
+    assert len(switch.table) == 1
+    applied, removed = devices[0].flows_applied, []
+    switch.table.remove_entry = removed.append
+    switch.start_expiry(0.2)
+    net.run(2.0)
+    assert yc.flows("sw1") == [] and len(switch.table) == 0
+    assert removed == [] and devices[0].flows_applied == applied
+
+
+def test_a_flow_re_created_under_a_timed_out_name_before_the_next_poll_is_installed(devnet):
+    """The device forgets a name it retired itself: a new flow under it, at version 1 again, still reaches the table."""
+    net, master, devices = devnet
+    yc = master.client()
+    switch, device = net.switches["sw1"], devices[0]
+    yc.create_flow("sw1", "brief", Match(dl_type=0x800), [Output(2)], priority=5, hard_timeout=0.3)
+    net.run(0.2)
+    retire = device.flow_removed
+
+    def retire_then_re_create(*args):
+        retire(*args)
+        yc.create_flow("sw1", "brief", Match(dl_type=0x806), [Output(1)], priority=5)
+
+    device.flow_removed = retire_then_re_create
+    switch.start_expiry(0.2)
+    net.run(1.0)
+    assert yc.flows("sw1") == ["brief"]
+    assert [entry.match for entry in switch.table.entries()] == [Match(dl_type=0x806)]
+
+
 def test_stop_ceases_reconciliation(devnet):
     net, master, devices = devnet
     devices[0].stop()

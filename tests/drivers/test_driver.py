@@ -99,6 +99,22 @@ def test_idle_timeout_removes_fs_dir(ctl):
     assert len(ctl.net.switches["sw1"].table) == 0
 
 
+def test_a_hard_timeout_removes_the_flow_dir_and_sends_nothing_afterwards(ctl):
+    """The switch retired the entry itself: the driver removes the directory, and that removal's echo sends no delete-strict."""
+    yc = ctl.client()
+    yc.create_flow("sw1", "f", Match(dl_type=0x800), [Output(2)], hard_timeout=1.0)
+    ctl.run(0.3)
+    driver, switch = ctl.drivers[0], ctl.net.switches["sw1"]
+    assert len(switch.table) == 1
+    sent = driver.flow_mods_sent
+    deletes = []
+    switch.delete_flows = lambda *args, **kwargs: deletes.append(args)
+    ctl.run(3.0)
+    assert yc.flows("sw1") == [] and len(switch.table) == 0
+    assert driver.flow_mods_sent == sent and deletes == []
+    assert driver.bindings[switch.dpid].flows == {}
+
+
 def test_port_down_file_drives_port_mod(ctl):
     yc = ctl.client()
     yc.set_port_down("sw1", 1, True)

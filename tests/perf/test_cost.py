@@ -1,7 +1,7 @@
 """Cost models and the syscall meter."""
 
 from repro.perf import FUSE_COST_MODEL, SHM_COST_MODEL, PerfCounters, SyscallMeter
-from repro.perf.cost import CostModel, TimeCharger
+from repro.perf.cost import CostModel
 
 
 def test_fuse_model_charges_context_switches():
@@ -59,16 +59,6 @@ def test_charge_prices_delta_only():
     mark = counters.snapshot()
     counters.add("syscall.read", 3)
     assert FUSE_COST_MODEL.charge(counters, mark) == FUSE_COST_MODEL.syscall_time(3)
-
-
-def test_time_charger_accumulates():
-    counters = PerfCounters()
-    charger = TimeCharger(model=FUSE_COST_MODEL, counters=counters)
-    counters.add("syscall.read", 2)
-    charger.settle()
-    counters.add("syscall.read", 1)
-    charger.settle()
-    assert charger.elapsed == FUSE_COST_MODEL.syscall_time(3)
 
 
 def test_meter_reset():

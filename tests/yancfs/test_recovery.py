@@ -102,6 +102,7 @@ def test_mount_yancfs_recover_false_skips_the_sweep(monkeypatch):
 _PLURAL = {"view": "views", "switch": "switches", "host": "hosts"}
 _VERSIONS = ("missing", "empty", "0", "garbage", "committed")
 _GARBAGE = ("x", "1x", "0x", "-", "v2")
+_DOT_SHAPES = ("file", "empty", "full")  # a staged file, a directory a crash left empty, one holding a file and a non-empty sub-directory
 
 _step = st.one_of(
     st.tuples(st.just("view"), st.integers(0, 7), st.booleans()),
@@ -110,7 +111,7 @@ _step = st.one_of(
     st.tuples(st.just("flow"), st.integers(0, 7), st.booleans(), st.sampled_from(_VERSIONS), st.booleans(), st.sampled_from(_GARBAGE)),
     st.tuples(st.just("event"), st.integers(0, 7), st.booleans()),
     st.tuples(st.just("port"), st.integers(0, 7), st.integers(0, 7)),
-    st.tuples(st.just("dot"), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("dot"), st.integers(0, 63), st.sampled_from(_DOT_SHAPES)),
 )
 
 
@@ -236,14 +237,18 @@ class _RandomTree:
                 sc.symlink(self.ports[peer % len(self.ports)], f"{path}/peer")
             self.ports.append(path)
 
-    def _dot(self, where: int, is_dir: bool) -> None:
-        """A dot-temp in any directory that admits one: a file, or a directory a crash left empty."""
+    def _dot(self, where: int, shape: str) -> None:
+        """A dot-temp in any directory that admits one, of one of :data:`_DOT_SHAPES`."""
         path = f"{self.dirs[where % len(self.dirs)]}/{self._name('.t', False)}"
         try:
-            if is_dir:
-                self.sc.mkdir(path)
-            else:
+            if shape == "file":
                 self.sc.write_text(path, "staged")
+                return
+            self.sc.mkdir(path)
+            if shape == "full":
+                self.sc.write_text(f"{path}/f", "staged")
+                self.sc.mkdir(f"{path}/d")
+                self.sc.write_text(f"{path}/d/g", "staged")
         except FsError:
             pass  # the schema admits no such name there
 
@@ -266,6 +271,8 @@ def test_fsck_reports_exactly_the_reference_debris_and_leaves_none(nested_mount,
             tree.step(*step)
         for version in _VERSIONS:  # every version shape, each flow holding a dot-temp, in one of the switches
             tree.step("flow", where, False, version, True, garbage)
+        tree.step("host", where, False)  # and a staged plain directory with content, in a host
+        tree.step("dot", len(tree.dirs) - 1, "full")
         dots, torn = reference_debris(sc, "/net")
         report = fsck(sc, "/net", dry_run=True)
         assert sorted(report.stale_entries) == dots, "leaked-dot-entry: fsck's dot-entries differ from the reference's"
