@@ -51,9 +51,7 @@ from repro.dataplane import (
     build_clos,
     build_fat_tree,
     build_linear,
-    build_random,
     build_ring,
-    build_star,
     build_tree,
 )
 from repro.runtime import ControllerHost, YancController
@@ -75,9 +73,7 @@ __all__ = [
     "build_clos",
     "build_fat_tree",
     "build_linear",
-    "build_random",
     "build_ring",
-    "build_star",
     "build_tree",
     "ControllerHost",
     "YancController",

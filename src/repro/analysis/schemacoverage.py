@@ -21,7 +21,7 @@ from typing import Iterator
 from repro.analysis.core import Finding, ProjectRule, Severity, register
 
 #: Flow attribute files the commit protocol depends on (§3.4, figure 3).
-_REQUIRED_FLOW_ATTRS = ("priority", "timeout", "idle_timeout", "hard_timeout", "cookie", "version")
+_REQUIRED_FLOW_ATTRS = ("priority", "timeout", "hard_timeout", "cookie", "version")
 
 
 class SchemaCoverageRule(ProjectRule):

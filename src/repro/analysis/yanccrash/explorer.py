@@ -219,15 +219,11 @@ class ReplayTree:
     def _op_fastpath_create(self, mount: str, switch: str, name: str, files: dict) -> str:
         flow_dir = f"{mount}/switches/{switch}/flows/{name}"
         self.sc.mkdir(flow_dir)
-        return self._op_fastpath_write(mount, switch, name, files)  # yanclint: disable=flow-no-commit
-
-    def _op_fastpath_write(self, mount: str, switch: str, name: str, files: dict) -> str:
-        flow_dir = f"{mount}/switches/{switch}/flows/{name}"
         for filename, content in files.items():
             # Replay machinery: reconstructing a recorded (possibly torn)
             # crash state, so no commit obligation applies here.
             self.sc.write_text(f"{flow_dir}/{filename}", content)  # yanclint: disable=flow-no-commit
-        return flow_dir + "/x"  # any direct child: flags spec writes below
+        return flow_dir
 
     def _op_fastpath_commit(self, mount: str, switch: str, name: str) -> str:
         flow_dir = f"{mount}/switches/{switch}/flows/{name}"
@@ -380,9 +376,8 @@ def _follow_commits(
             detail = f"flow version moved backwards ({high} -> {value}); versions only grow (§3.4)"
             out.append(CrashViolation(kind="version-regression", path=changed, prefix=prefix, detail=detail, site=op.site))
         return
-    names = [filename] if op.op in ("write", "pwrite") else op.args[3] if op.op == "fastpath-write" else ()
-    for name in filter(is_spec_file, names):
-        late = CrashViolation(kind="spec-after-commit", path=f"{flow_dir}/{name}", prefix=prefix - 1, detail=_UNCOMMITTED, site=op.site)
+    if op.op in ("write", "pwrite") and is_spec_file(filename):
+        late = CrashViolation(kind="spec-after-commit", path=f"{flow_dir}/{filename}", prefix=prefix - 1, detail=_UNCOMMITTED, site=op.site)
         commits.spec(flow, note=late)
 
 

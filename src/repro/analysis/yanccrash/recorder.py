@@ -46,7 +46,6 @@ _PATH_OPS = frozenset(op for op, row in SYSCALLS.items() if row.ring and row.mut
 _FASTPATH_OPS = {
     "create_flow": "fastpath-create",
     "commit_flow": "fastpath-commit",
-    "write_flow_files": "fastpath-write",
     "delete_flow": "fastpath-delete",
 }
 

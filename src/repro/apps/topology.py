@@ -4,7 +4,7 @@ Sends LLDP beacons out every port of every switch, listens for them
 arriving on neighbouring switches, and records each discovered adjacency
 as the ``peer`` symbolic link of both ports — "yanc leverages symbolic
 links ... rather than parsing some topology information file".  Stale
-links (no beacon within ``link_ttl``) are pruned, so a cut cable
+links (no beacon within ``LINK_TTL``) are pruned, so a cut cable
 eventually disappears from the tree.
 
 The symlinks are the only record of the topology: a consumer such as
@@ -30,6 +30,9 @@ from repro.apps.base import PacketInApp
 
 #: Priority of the LLDP punt flow (must beat any forwarding entry).
 LLDP_FLOW_PRIORITY = 0xFFFF
+#: Seconds a discovered link lives without a beacon before it is pruned.
+LINK_TTL = 2.0
+
 
 @dataclass
 class DiscoveredLink:
@@ -83,11 +86,9 @@ class TopologyDaemon(PacketInApp):
         *,
         root: str = "/net",
         beacon_interval: float = 0.5,
-        link_ttl: float = 2.0,
     ) -> None:
         super().__init__(sc, sim, root=root)
         self.beacon_interval = beacon_interval
-        self.link_ttl = link_ttl
         self.links: dict[tuple[str, int], DiscoveredLink] = {}
         self.beacons_sent = 0
         self.beacons_received = 0
@@ -97,7 +98,7 @@ class TopologyDaemon(PacketInApp):
     def on_start(self) -> None:
         super().on_start()
         self.every(self.beacon_interval, self.send_beacons, start_delay=0.0)
-        self.every(self.link_ttl, self.prune_stale)
+        self.every(LINK_TTL, self.prune_stale)
 
     def on_switch_added(self, switch: str) -> None:
         self.watch(f"{self.yc.switch_path(switch)}/ports", DIR_MASK, ("ports", switch))
@@ -173,7 +174,7 @@ class TopologyDaemon(PacketInApp):
 
     def prune_stale(self) -> None:
         """Drop links that stopped beaconing (cable cut, port down)."""
-        deadline = self.sim.now - self.link_ttl
+        deadline = self.sim.now - LINK_TTL
         for src, link in list(self.links.items()):
             if link.last_seen >= deadline:
                 continue

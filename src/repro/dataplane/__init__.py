@@ -35,9 +35,7 @@ from repro.dataplane.topology import (
     build_clos,
     build_fat_tree,
     build_linear,
-    build_random,
     build_ring,
-    build_star,
     build_tree,
 )
 from repro.dataplane.traffic import ReplayStats, TrafficFlow, TrafficMatrix, TrafficReplay
@@ -73,9 +71,7 @@ __all__ = [
     "build_clos",
     "build_fat_tree",
     "build_linear",
-    "build_random",
     "build_ring",
-    "build_star",
     "build_tree",
     "ReplayStats",
     "TrafficFlow",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 from repro.dataplane.network import Network
 from repro.sim import Simulator
 
@@ -33,19 +31,6 @@ def build_ring(num_switches: int, *, hosts_per_switch: int = 1, sim: Simulator |
     for switch in switches:
         for _ in range(hosts_per_switch):
             net.attach_host(net.add_host(), switch)
-    return net
-
-
-def build_star(num_leaves: int, *, sim: Simulator | None = None) -> Network:
-    """One core switch with ``num_leaves`` leaf switches, one host each."""
-    if num_leaves < 1:
-        raise ValueError("need at least one leaf")
-    net = Network(sim)
-    core = net.add_switch("core")
-    for _ in range(num_leaves):
-        leaf = net.add_switch()
-        net.link_switches(core, leaf)
-        net.attach_host(net.add_host(), leaf)
     return net
 
 
@@ -151,26 +136,4 @@ def build_campus(
             net.link_switches(access, dist)
             for _ in range(hosts_per_floor):
                 net.attach_host(net.add_host(), access)
-    return net
-
-
-def build_random(num_switches: int, *, edge_probability: float = 0.3, seed: int = 7, sim: Simulator | None = None) -> Network:
-    """A connected Erdős–Rényi-ish random switch graph with one host each.
-
-    A spanning chain guarantees connectivity; extra edges appear with
-    ``edge_probability`` under a seeded RNG so runs are reproducible.
-    """
-    if num_switches < 1:
-        raise ValueError("need at least one switch")
-    rng = random.Random(seed)
-    net = Network(sim)
-    switches = [net.add_switch() for _ in range(num_switches)]
-    for left, right in zip(switches, switches[1:]):
-        net.link_switches(left, right)
-    for i in range(num_switches):
-        for j in range(i + 2, num_switches):
-            if rng.random() < edge_probability:
-                net.link_switches(switches[i], switches[j])
-    for switch in switches:
-        net.attach_host(net.add_host(), switch)
     return net

@@ -41,7 +41,7 @@ from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import FlowSpec, YancClient, packet_in_files
 from repro.yancfs.schema import FLOW_COUNTERS, PORT_COUNTERS
-from repro.yancfs.translate import DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, InstantQueue, PacketOut, follow_flows, mirror_counters, packet_in_queue, spooled, take_packet_out
+from repro.yancfs.translate import COUNTER_PERIOD, DIR_MASK, FILE_MASK, SPOOL_MASK, FlowFollower, InstantQueue, PacketOut, follow_flows, mirror_counters, packet_in_queue, spooled, take_packet_out
 
 
 @dataclass
@@ -131,8 +131,6 @@ class OpenFlowDriver(Process):
         version: int = OF10_VERSION,
         name: str = "",
         root: str = "/net",
-        channel_latency: float = 5e-4,
-        stats_interval: float = 1.0,
     ) -> None:
         if version not in (OF10_VERSION, OF13_VERSION):
             raise ValueError(f"unsupported driver version {version:#x}")
@@ -141,8 +139,6 @@ class OpenFlowDriver(Process):
         self.version = version
         self.name = driver_name
         self.yc = YancClient(self.sc, root)
-        self.channel_latency = channel_latency
-        self.stats_interval = stats_interval
         self.bindings: dict[int, SwitchBinding] = {}
         self._stats_task = None
         self._root_watch_added = False
@@ -158,7 +154,6 @@ class OpenFlowDriver(Process):
         """Open a session to ``switch`` and (on features) populate the tree."""
         driver_end, agent_end = connect(
             self.sim,
-            latency=self.channel_latency,
             counters=self.sc.vfs.counters,
             names=(f"{self.name}->{switch.name}", f"{switch.name}->{self.name}"),
         )
@@ -169,8 +164,8 @@ class OpenFlowDriver(Process):
         binding.send(m.Hello(version=self.version))
         binding.send(m.FeaturesRequest())
         self.bindings[switch.dpid] = binding
-        if self._stats_task is None and self.stats_interval > 0:
-            self._stats_task = self.every(self.stats_interval, self._poll_stats)
+        if self._stats_task is None:
+            self._stats_task = self.every(COUNTER_PERIOD, self._poll_stats)
         return binding
 
     def detach_switch(self, dpid: int) -> None:

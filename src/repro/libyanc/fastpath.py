@@ -1,29 +1,22 @@
 """Direct-store flow operations (no system calls).
 
 v2 (paper §8.1, ROADMAP item 1): beyond the original per-call fastpath,
-the library now speaks in *batches*:
-
-* **write-behind commits** — :meth:`LibYanc.stage_flow` /
-  :meth:`LibYanc.write_flow_files` record spec mutations without bumping
-  ``version``; one :meth:`LibYanc.flush` commits every dirty flow, so a
-  burst of staged changes pays one visibility point per flow instead of
-  one per mutation.  §3.4 semantics are preserved exactly: nothing a
-  driver acts on becomes visible until its version increments, and
-  versions only ever grow.
-* **vectored directory I/O** — :meth:`LibYanc.read_flow_dir` and
-  :meth:`LibYanc.read_flows` return whole flow directories (or the whole
-  table) in one library call; :meth:`LibYanc.write_flow_files` applies a
-  dict of validated attribute writes at once.
+the library commits in *batches* (write-behind): :meth:`LibYanc.stage_flow`
+creates a flow without bumping ``version``, and one :meth:`LibYanc.flush`
+commits every staged flow, so a burst pays one visibility point per flow
+instead of one per mutation.  §3.4 semantics are preserved exactly:
+nothing a driver acts on becomes visible until its version increments,
+and versions only ever grow.
 
 This is the third transport of the write pipeline
 (:func:`repro.yancfs.client.write_object` documents the protocol): the
 same directory of files and the same ``version`` commit, with no
-crossing.  Direct-store mutations never cross ``Syscalls``, so the four
+crossing.  Direct-store mutations never cross ``Syscalls``, so the three
 primitive mutators are trace points of their own
 (:mod:`repro.perf.tracepoints`): ``on_libyanc(ly, op, switch, name,
 *extra)`` once the mutation landed — ``create_flow`` (published when a
-flow is staged) and ``write_flow_files`` carry the ``{filename:
-content}`` dict they wrote — and :meth:`LibYanc.flush` is bracketed by
+flow is staged) carries the ``{filename: content}`` dict it wrote — and
+:meth:`LibYanc.flush` is bracketed by
 ``on_libyanc_flush_enter(ly)`` / ``on_libyanc_flush_exit(ly, result,
 exc)``.
 """
@@ -87,13 +80,6 @@ class LibYanc:
 
     # -- fastpath operations -------------------------------------------------------------
 
-    def list_switches(self) -> list[str]:
-        """All switch names (one shared-memory read)."""
-        self._op("list_switches")
-        switches = self.fs.root.lookup("switches")
-        assert isinstance(switches, DirInode)
-        return sorted(switches.names())
-
     def create_flow(
         self,
         switch: str,
@@ -116,8 +102,8 @@ class LibYanc:
         self.stage_flow(switch, name, match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
         self.commit_flow(switch, name)
 
-    def _put_files(self, op: str, switch: str, name: str, node: FlowNode, files: dict[str, str]) -> None:
-        """Validate every value, then store them all: a vectored write is all-or-nothing.
+    def _put_files(self, switch: str, name: str, node: FlowNode, files: dict[str, str]) -> None:
+        """Validate every value, then store them all: a staged flow's files are all-or-nothing.
 
         New files are built by the flow directory's own ``child_factory``
         (the node ``open(O_CREAT)`` would attach), each value passes the
@@ -137,7 +123,7 @@ class LibYanc:
             if not node.has_child(filename):
                 node.attach(filename, attr)
         if _tracing:
-            _publish("libyanc", self, op, switch, name, files)
+            _publish("libyanc", self, "create_flow", switch, name, files)
 
     def commit_flow(self, switch: str, name: str) -> int:
         """Bump the version file in place; returns the new version."""
@@ -170,71 +156,6 @@ class LibYanc:
         if _tracing:
             _publish("libyanc", self, "delete_flow", switch, name)
 
-    def flow_counters(self, switch: str, name: str) -> dict[str, int]:
-        """Read a flow's counters without a single stat()/read() call."""
-        self._op("flow_counters")
-        counters = self._flow(switch, name).lookup("counters")
-        assert isinstance(counters, DirInode)
-        out = {}
-        for child_name, child in counters.children():
-            assert isinstance(child, AttributeFile)
-            out[child_name] = int(child.read_all().decode().strip() or "0")
-        return out
-
-    def read_attribute(self, switch: str, flow: str, filename: str) -> str:
-        """Read one attribute file's content directly."""
-        self._op("read_attribute")
-        node = self._flow(switch, flow).lookup(filename)
-        if not isinstance(node, AttributeFile):
-            raise FileNotFound(filename)
-        return node.read_all().decode()
-
-    # -- vectored directory I/O (one library call per directory, not per file) -------
-
-    def read_flow_dir(self, switch: str, name: str) -> dict[str, str]:
-        """Every attribute file of one flow in a single operation.
-
-        The vectored read the file path spells as listdir + one
-        open/read/close per entry.  ``counters/`` is skipped (use
-        :meth:`flow_counters`).
-        """
-        self._op("read_flow_dir")
-        return self._snapshot_flow(self._flow(switch, name))
-
-    def read_flows(self, switch: str) -> dict[str, dict[str, str]]:
-        """The whole flow table — every flow's attribute files — at once."""
-        self._op("read_flows")
-        out: dict[str, dict[str, str]] = {}
-        for name, node in sorted(self._flows(switch).children()):
-            if isinstance(node, FlowNode):
-                out[name] = self._snapshot_flow(node)
-        return out
-
-    @staticmethod
-    def _snapshot_flow(node: FlowNode) -> dict[str, str]:
-        out = {}
-        for filename, child in node.children():
-            if isinstance(child, AttributeFile):
-                out[filename] = child.read_all().decode()
-        return out
-
-    def write_flow_files(self, switch: str, name: str, files: dict[str, str], *, commit: bool = False) -> None:
-        """Apply many attribute writes to one flow as a single operation.
-
-        Each value passes the same validator the file path runs at close
-        time; validation failures raise before *any* file changes, so a
-        vectored write is all-or-nothing.  Without ``commit`` the flow is
-        marked dirty for the next :meth:`flush` (write-behind).
-        """
-        self._op("write_flow_files")
-        if "version" in files:
-            raise FileExists("version", "version is written by commit/flush, not directly")
-        self._put_files("write_flow_files", switch, name, self._flow(switch, name), files)
-        if commit:
-            self.commit_flow(switch, name)
-        else:
-            self._dirty[(switch, name)] = None
-
     # -- write-behind commits (§3.4 visibility, batched) -----------------------------
 
     def stage_flow(
@@ -261,13 +182,8 @@ class LibYanc:
         node = flows.child_factory(name, FileType.DIRECTORY, ROOT)
         files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
         flows.attach(name, node)  # populates counters/ + version
-        self._put_files("create_flow", switch, name, node, files)
+        self._put_files(switch, name, node, files)
         self._dirty[(switch, name)] = None
-
-    @property
-    def dirty_flows(self) -> list[tuple[str, str]]:
-        """(switch, flow) pairs staged and awaiting :meth:`flush`."""
-        return list(self._dirty)
 
     def flush(self) -> list[tuple[str, str, int]]:
         """Commit every staged flow, in staging order.

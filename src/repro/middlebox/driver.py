@@ -28,7 +28,7 @@ from repro.vfs.errors import FileExists, FsError
 from repro.vfs.notify import EventMask
 from repro.vfs.syscalls import Syscalls
 from repro.yancfs.client import read_object, write_object
-from repro.yancfs.translate import mirror_counters
+from repro.yancfs.translate import COUNTER_PERIOD, mirror_counters
 
 _STATE_MASK = (
     EventMask.IN_CREATE
@@ -56,11 +56,9 @@ class MiddleboxDriver(Process):
         sim: Simulator,
         *,
         root: str = "/net",
-        counter_interval: float = 1.0,
     ) -> None:
         super().__init__(sc, sim, name="mbox-driver")
         self.root = root
-        self.counter_interval = counter_interval
         self.devices: dict[str, NatMiddlebox] = {}
         #: a device's name, or ``(name, conn_id)`` for an entry -> counter file -> the value its last ok write left
         self._counters: dict[object, dict[str, int]] = {}
@@ -89,8 +87,8 @@ class MiddleboxDriver(Process):
         self.watch(f"{path}/state", _STATE_MASK, ("state", device.name))
         for entry in device.entries():
             self._write_entry(device.name, entry)
-        if self._counter_task is None and self.counter_interval > 0:
-            self._counter_task = self.every(self.counter_interval, self._sync_counters)
+        if self._counter_task is None:
+            self._counter_task = self.every(COUNTER_PERIOD, self._sync_counters)
         return path
 
     def stop(self) -> None:
@@ -120,7 +118,7 @@ class MiddleboxDriver(Process):
                 device = self.devices.get(mb_name)
                 if device is not None:
                     device.remove_entry(event.name, notify=False)
-        elif ctx[0] == "entry":
+        elif ctx[0] == "entry" and event.name != "packets":  # the counter round's own write: not a file an entry needs
             self._sync_entry_to_device(ctx[1], ctx[2])
 
     # -- paths -----------------------------------------------------------------------

@@ -113,13 +113,12 @@ class YancController:
         self.host = ControllerHost(self.sim)
         self.drivers: list[OpenFlowDriver] = []
 
-    def add_driver(self, *, version: int = OF10_VERSION, stats_interval: float = 1.0) -> OpenFlowDriver:
+    def add_driver(self, *, version: int = OF10_VERSION) -> OpenFlowDriver:
         """Start a driver process for one protocol version."""
         driver = OpenFlowDriver(
             self.host.process(name=f"of{version}d", role="driver"),
             self.sim,
             version=version,
-            stats_interval=stats_interval,
         )
         self.drivers.append(driver)
         return driver

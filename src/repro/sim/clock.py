@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -26,16 +26,10 @@ class Event:
     seq: int
     fn: Callable[[], None]
     cancelled: bool = False
-    fired: bool = False
-    _sim: "Simulator | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Prevent this event from firing (no-op if already fired)."""
-        if self.cancelled or self.fired:
-            return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._live -= 1
 
 
 class Simulator:
@@ -46,9 +40,6 @@ class Simulator:
         self._seq = 0
         self._queue: list[tuple[float, int, Event]] = []
         self._dispatched = 0
-        #: Live (not cancelled, not yet fired) events in the queue; kept
-        #: in step with schedule/cancel/dispatch so ``pending`` is O(1).
-        self._live = 0
         #: The current simulated time as a zero-argument call, for whatever
         #: wants a clock (a VFS stamps every timestamp with it): a read in C,
         #: where ``lambda: sim.now`` runs two Python frames per reading.
@@ -64,16 +55,6 @@ class Simulator:
         """Number of events that have fired so far."""
         return self._dispatched
 
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.
-
-        O(1): a counter maintained at schedule/cancel/dispatch time, not a
-        scan of the heap — ``pending`` sits on monitoring paths that poll
-        it per tick against queues holding thousands of events.
-        """
-        return self._live
-
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now.
 
@@ -83,10 +64,9 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         when = self._now + delay
-        event = Event(when, self._seq, fn, _sim=self)
+        event = Event(when, self._seq, fn)
         heapq.heappush(self._queue, (when, self._seq, event))
         self._seq += 1
-        self._live += 1
         return event
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> Event:
@@ -100,9 +80,7 @@ class Simulator:
         while self._queue:
             when, _seq, event = heapq.heappop(self._queue)
             if event.cancelled:
-                continue  # its cancel() already dropped the live counter
-            event.fired = True
-            self._live -= 1
+                continue
             self._now = when
             self._dispatched += 1
             event.fn()

@@ -114,59 +114,3 @@ class Acl:
                 return False
             perms = other
         return perms is not None and perms & want == want
-
-    def to_text(self) -> str:
-        """Render in getfacl-like short text (``u::rwx,g:100:r-x,...``)."""
-        parts = []
-        for entry in self.entries:
-            tag = {
-                AclTag.USER_OBJ: "u:",
-                AclTag.USER: f"u:{entry.qualifier}:",
-                AclTag.GROUP_OBJ: "g:",
-                AclTag.GROUP: f"g:{entry.qualifier}:",
-                AclTag.MASK: "m:",
-                AclTag.OTHER: "o:",
-            }[entry.tag]
-            rwx = ("r" if entry.perms & 4 else "-") + ("w" if entry.perms & 2 else "-") + ("x" if entry.perms & 1 else "-")
-            parts.append(tag + rwx)
-        return ",".join(parts)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Acl":
-        """Parse the format produced by :meth:`to_text`."""
-        entries = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            fields = part.split(":")
-            if len(fields) == 2:
-                kind, rwx = fields
-                qualifier = None
-            elif len(fields) == 3:
-                kind, qual_text, rwx = fields
-                qualifier = int(qual_text) if qual_text else None
-            else:
-                raise InvalidArgument(detail=f"malformed ACL entry: {part!r}")
-            perms = 0
-            for ch in rwx:
-                if ch == "r":
-                    perms |= 4
-                elif ch == "w":
-                    perms |= 2
-                elif ch == "x":
-                    perms |= 1
-                elif ch != "-":
-                    raise InvalidArgument(detail=f"bad permission char {ch!r} in {part!r}")
-            tag = {
-                ("u", True): AclTag.USER,
-                ("u", False): AclTag.USER_OBJ,
-                ("g", True): AclTag.GROUP,
-                ("g", False): AclTag.GROUP_OBJ,
-                ("m", False): AclTag.MASK,
-                ("o", False): AclTag.OTHER,
-            }.get((kind, qualifier is not None))
-            if tag is None:
-                raise InvalidArgument(detail=f"malformed ACL entry: {part!r}")
-            entries.append(AclEntry(tag, perms, qualifier))
-        return cls(entries=tuple(entries))

@@ -12,24 +12,6 @@ def split_path(path: str) -> list[str]:
     return [part for part in path.split("/") if part and part != "."]
 
 
-def normalize(path: str) -> str:
-    """Lexically normalize: collapse slashes and '.', resolve '..'.
-
-    Resolving ``..`` lexically is only safe when no component on its left
-    can be a symlink or a mount root; path *resolution* must use
-    :func:`clean` instead and leave ``..`` to the mount- and symlink-aware
-    walk in :class:`~repro.vfs.vfs.VirtualFileSystem`.
-    """
-    stack: list[str] = []
-    for part in split_path(path):
-        if part == "..":
-            if stack:
-                stack.pop()
-        else:
-            stack.append(part)
-    return "/" + "/".join(stack)
-
-
 def clean(path: str) -> str:
     """Collapse duplicate slashes and '.' components; preserve '..'.
 
@@ -46,24 +28,3 @@ def join(base: str, *parts: str) -> str:
     for part in parts:
         out += "/" + part.strip("/")
     return out or "/"
-
-
-def dirname(path: str) -> str:
-    """The parent of ``path`` ('/' has itself as parent)."""
-    parts = split_path(path)
-    if not parts:
-        return "/"
-    return "/" + "/".join(parts[:-1])
-
-
-def basename(path: str) -> str:
-    """The final component of ``path`` ('' for '/')."""
-    parts = split_path(path)
-    return parts[-1] if parts else ""
-
-
-def is_relative_to(path: str, prefix: str) -> bool:
-    """True when ``path`` equals or lives under ``prefix`` (both absolute)."""
-    path_parts = split_path(path)
-    prefix_parts = split_path(prefix)
-    return path_parts[: len(prefix_parts)] == prefix_parts

@@ -40,7 +40,7 @@ from repro.vfs.errors import BadFileDescriptor, FsError, InvalidArgument, NotADi
 from repro.vfs.inode import Filesystem
 from repro.vfs.mount import MountNamespace
 from repro.vfs.notify import EventMask, Inotify, NotifyEvent
-from repro.vfs.path import clean, join, normalize
+from repro.vfs.path import clean, join
 from repro.vfs.poll import EPOLL_CTL_ADD, EPOLL_CTL_DEL, Epoll
 from repro.vfs.stat import Stat
 from repro.vfs.vfs import (
@@ -246,7 +246,11 @@ class Syscalls:
         return self._cwd
 
     def chdir(self, path: str) -> None:
-        """Change working directory (must resolve to a directory)."""
+        """Change working directory (must resolve to a directory).
+
+        The cwd is stored as :meth:`_abspath` spells it, ``..`` kept, so a
+        relative path resolves under the directory this call checked.
+        """
         if _tracing and _entering(self):
             return self._traced("chdir", self.chdir, path)
         self.meter.enter("chdir")
@@ -254,7 +258,7 @@ class Syscalls:
         from repro.vfs.inode import require_dir
 
         require_dir(self.vfs.resolve(self.ns, self.cred, path), path)
-        self._cwd = normalize(path)
+        self._cwd = path
 
     # -- descriptors ---------------------------------------------------------------
 

@@ -32,8 +32,8 @@ from repro.netpkt.packet import parse_frame
 from repro.vfs.errors import FsError
 from repro.views.base import ViewApp
 from repro.views.merge import intersect
-from repro.yancfs.client import FlowSpec, PacketInEvent
-from repro.yancfs.translate import PacketOut, mirror_counters
+from repro.yancfs.client import FlowSpec, PacketInEvent, counter_values, object_files
+from repro.yancfs.translate import COUNTER_PERIOD, PacketOut, mirror_counters
 
 
 class Slicer(ViewApp):
@@ -48,12 +48,10 @@ class Slicer(ViewApp):
         switches: list[str],
         headerspace: Match,
         root: str = "/net",
-        counter_sync_interval: float = 1.0,
     ) -> None:
         super().__init__(sc, sim, view=view, root=root, name=f"slicer_{view}")
         self.sliced_switches = list(switches)
         self.headerspace = headerspace
-        self.counter_sync_interval = counter_sync_interval
         #: (switch, tenant flow) -> master flow name
         self._installed: dict[tuple[str, str], str] = {}
         #: (switch, tenant flow) -> counter file -> the value its last ok write left
@@ -67,8 +65,7 @@ class Slicer(ViewApp):
         for switch in self.sliced_switches:
             self._mirror_switch(switch)
         self._mirror_peer_links()
-        if self.counter_sync_interval > 0:
-            self.every(self.counter_sync_interval, self.sync_counters)
+        self.every(COUNTER_PERIOD, self.sync_counters)
 
     def _mirror_switch(self, switch: str) -> None:
         if not self.sc.exists(self.yc.switch_path(switch)):
@@ -161,12 +158,19 @@ class Slicer(ViewApp):
     # -- counters ----------------------------------------------------------------------------
 
     def sync_counters(self) -> None:
-        """Mirror the master flow counters that moved into the tenant's flow dirs, as one counter round (:func:`mirror_counters`)."""
+        """Mirror the master flow counters that moved into the tenant's flow dirs, as one counter round (:func:`mirror_counters`).
+
+        Every master ``counters/`` is read by one ``readdirplus`` entry of
+        one submission, so a round that moves nothing crosses once.
+        """
+        batch = self.ring.batch()
+        for (switch, flow), master_name in self._installed.items():
+            batch.prep("readdirplus", f"{self.yc.flow_path(switch, master_name)}/counters", user_data=(switch, flow))
         rows = []
-        for (switch, flow), master_name in list(self._installed.items()):
-            try:
-                counters = self.yc.flow_counters(switch, master_name)
-            except FsError:
-                continue
-            rows.append((f"{self.view_yc.flow_path(switch, flow)}/counters", self._counters.setdefault((switch, flow), {}), counters))
+        for cqe in batch.submit():
+            if not cqe.ok:
+                continue  # the master flow went; its retirement follows
+            switch, flow = cqe.user_data
+            written = self._counters.setdefault((switch, flow), {})
+            rows.append((f"{self.view_yc.flow_path(switch, flow)}/counters", written, counter_values(object_files(cqe.result))))
         mirror_counters(self.ring, rows)

@@ -86,7 +86,7 @@ class FlowSpec:
             match=Match.from_files(files),
             actions=actions,
             priority=int(files.get("priority", "32768").strip() or "32768"),
-            idle_timeout=float(files.get("timeout", files.get("idle_timeout", "0")).strip() or "0"),
+            idle_timeout=float(files.get("timeout", "0").strip() or "0"),
             hard_timeout=float(files.get("hard_timeout", "0").strip() or "0"),
             cookie=int(files.get("cookie", "0").strip() or "0"),
             version=int(files.get("version", "0").strip() or "0"),

@@ -332,6 +332,10 @@ def packet_in_queue(proc: "Process", yc: YancClient, account: Callable[[list, in
     return InstantQueue(proc, fan_out)
 
 
+#: Seconds between two counter rounds: the driver's stats poll, a view's and a middlebox driver's mirror.
+COUNTER_PERIOD = 1.0
+
+
 def mirror_counters(ring: "IoUring", rows: Iterable[tuple[str, dict[str, object], dict[str, object]]]) -> None:
     """One counter round: the ``(directory, written, {file: value})`` rows' files that moved, in one submission.
 

@@ -134,7 +134,6 @@ def action_field(name: str) -> Validator:
 FLOW_ATTRIBUTE_VALIDATORS: dict[str, Validator] = {
     "priority": _int_in_range(0, 0xFFFF),
     "timeout": non_negative_float,  # idle timeout (paper figure 3)
-    "idle_timeout": non_negative_float,
     "hard_timeout": non_negative_float,
     "cookie": _int_in_range(0, 2**64 - 1),
     "version": version_number,

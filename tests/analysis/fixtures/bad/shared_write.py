@@ -7,7 +7,7 @@ def stage_without_commit(sc, base):
     sc.write_text(f"{base}/match.dl_type", "0x800")  # bad: shared-write-discipline
     sc.write_text(f"{base}/action.out", "2")  # bad: shared-write-discipline
     sc.write_text(f"{base}/priority", "7")  # bad: shared-write-discipline
-    sc.write_text(f"{base}/idle_timeout", "30")  # bad: shared-write-discipline
+    sc.write_text(f"{base}/timeout", "30")  # bad: shared-write-discipline
     sc.write_text(f"{base}/cookie", "0x1")  # bad: shared-write-discipline
 
 

@@ -379,24 +379,23 @@ def test_a_commit_in_one_kernel_retires_no_write_in_another():
 
 
 def test_a_fastpath_write_replays_in_the_kernel_its_store_is_mounted_in():
-    """libyanc ops join their mount's kernel, so a torn vectored write to a committed flow is seen."""
+    """libyanc ops join their mount's kernel: a staged flow and its flush replay beside the syscalls that made its switch."""
     from repro.libyanc.fastpath import LibYanc
 
-    def torn(sc):
+    def staged(sc):
         fs = mount_yancfs(sc, "/net")
-        client = YancClient(sc)
-        client.create_switch("s1")
-        client.create_flow("s1", "f1", Match(in_port=3), [Output(1)])
-        LibYanc(fs).write_flow_files("s1", "f1", {"priority": "7"})
+        YancClient(sc).create_switch("s1")
+        ly = LibYanc(fs)
+        ly.stage_flow("s1", "f1", Match(in_port=3), [Output(1)], priority=7)
+        ly.flush()
 
-    ops = _record(torn)
-    result = explore(ops)
-    # The torn write is deliberate; the env-installed yancsan saw it live and
-    # yancrace saw the replay's syscall write.
-    sanitizer.reset_all()
-    race.reset_all()
+    ops = _record(staged)
+    tree = ReplayTree()
+    replayed = [op.op for op in ops if tree.apply(op) is not None]
+    assert [op for op in replayed if op.startswith("fastpath-")] == ["fastpath-create", "fastpath-commit"]
     assert len({op.vfs for op in ops}) == 1
-    assert [(v.kind, v.path) for v in result.violations] == [("spec-after-commit", "/net/switches/s1/flows/f1/priority")]
+    assert tree.sc.read_text("/net/switches/s1/flows/f1/priority") == "7"
+    assert explore(ops).violations == []
 
 
 def test_explorer_consumed_publication_is_legal():
@@ -465,7 +464,7 @@ def test_explorer_replays_truncates_links_and_fastpath_rewrites():
         client.create_switch("s1")
         client.create_flow("s1", "f1", Match(in_port=3), [Output(1)])
         ly = LibYanc(fs)
-        ly.write_flow_files("s1", "f1", {"priority": "7"}, commit=True)
+        ly.create_flow("s1", "f2", Match(in_port=4), [Output(1)], priority=7)
         ly.delete_flow("s1", "f1")
         sc.makedirs("/var/spool")
         sc.write_text("/var/spool/log", "abcdef")
@@ -477,7 +476,7 @@ def test_explorer_replays_truncates_links_and_fastpath_rewrites():
         sc.link("/var/spool/log", "/var/spool/hard")
 
     ops = _record(workload)
-    wanted = {"ftruncate", "truncate", "symlink", "link", "fastpath-write", "fastpath-delete"}
+    wanted = {"ftruncate", "truncate", "symlink", "link", "fastpath-create", "fastpath-commit", "fastpath-delete"}
     tree = ReplayTree()
     replayed = {op.op for op in ops if tree.apply(op) is not None}
     assert wanted <= replayed
@@ -485,11 +484,6 @@ def test_explorer_replays_truncates_links_and_fastpath_rewrites():
     assert not tree.sc.exists("/net/switches/s1/flows/f1")
     result = explore(ops)
     assert result.violations == []
-
-
-def test_a_fastpath_write_that_changed_nothing_replays_as_no_change():
-    """Regression: a libyanc write whose files all failed to land used to report its flow as changed."""
-    assert ReplayTree().apply(DurableOp("fastpath-write", ("/net", "s1", "f1", {"priority": "7"}), vfs=0)) is None
 
 
 def test_a_write_through_a_file_with_two_names_reports_the_same_one_every_time():

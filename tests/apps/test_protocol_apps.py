@@ -11,7 +11,7 @@ from repro.apps import (
     make_discover,
     parse_spec,
 )
-from repro.dataplane import Match, build_linear, build_star
+from repro.dataplane import Match, build_linear
 from repro.netpkt import ETH_TYPE_ARP, ip, parse_frame
 from repro.runtime import YancController
 from repro.yancfs.translate import MAX_PENDING_EVENTS
@@ -65,7 +65,6 @@ def test_static_flow_pusher_from_file(linear_controller):
 
 
 def test_learning_switch_single_switch():
-    net = build_star(1)  # core+leaf... use linear(1) instead
     net = build_linear(1, hosts_per_switch=2)
     ctl = YancController(net).start()
     app = LearningSwitchApp(ctl.host.process(), ctl.sim).start()

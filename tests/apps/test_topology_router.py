@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.apps import RouterDaemon, TopologyDaemon, read_topology
 from repro.apps.router import NO_BUFFER
-from repro.apps.topology import peer_port
+from repro.apps.topology import LINK_TTL, peer_port
 from repro.dataplane import Match, Output, build_linear, build_ring, build_tree
 from repro.netpkt import ETH_TYPE_IPV4, Ethernet, IPv4, Udp
 from repro.netpkt.packet import build_frame, parse_frame
@@ -56,7 +56,7 @@ def test_stale_links_pruned_after_port_down():
     # cut the inter-switch link
     link = [l for l in ctl.net.links if hasattr(l.a, "switch") and hasattr(l.b, "switch")][0]
     link.set_up(False)
-    ctl.run(3 * topod.link_ttl + 1.0)
+    ctl.run(3 * LINK_TTL + 1.0)
     assert read_topology(ctl.client()) == {}
 
 
@@ -202,7 +202,7 @@ def test_link_cut_propagates_via_remove_deltas():
     assert router.topology() == ctl.expected_topology()
     link = [l for l in ctl.net.links if hasattr(l.a, "switch") and hasattr(l.b, "switch")][0]
     link.set_up(False)
-    ctl.run(3 * topod.link_ttl + 1.0)
+    ctl.run(3 * LINK_TTL + 1.0)
     assert router.topology() == {}
     assert router.full_topology_reads == 1  # the cut arrived as peer deletes
     assert router.peer_changes == 2 * len(ctl.expected_topology())
@@ -268,7 +268,7 @@ def test_the_router_follows_the_peer_symlinks_through_flaps_and_overflows(builde
         ctl.run(dwell)
     for link in links:
         link.set_up(True)
-    ctl.run(3 * topod.link_ttl)
+    ctl.run(3 * LINK_TTL)
     assert router.topology() == read_topology(ctl.client()) == ctl.expected_topology()
     assert not [location for location in router.host_locations.values() if location in router.topology()]
 

@@ -5,7 +5,7 @@ import pytest
 from repro.dataplane import Match, Output, build_linear
 from repro.libyanc import LibYanc
 from repro.runtime import YancController
-from repro.vfs import EventMask, FileExists, FileNotFound
+from repro.vfs import EventMask, FileExists
 
 
 @pytest.fixture
@@ -113,21 +113,10 @@ def test_bulk_create(rig):
 
 
 def test_flow_counters_readable(rig):
-    _ctl, lib = rig
+    """A fastpath flow gets the ``counters/`` the file path's ``mkdir`` would have made."""
+    ctl, lib = rig
     lib.create_flow("sw1", "f", Match(), [Output(1)])
-    assert lib.flow_counters("sw1", "f") == {"packet_count": 0, "byte_count": 0}
-
-
-def test_read_attribute(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(tp_dst=80, nw_proto=6, dl_type=0x800), [Output(1)], priority=8)
-    assert lib.read_attribute("sw1", "f", "priority") == "8"
-    assert lib.read_attribute("sw1", "f", "match.tp_dst") == "80"
-
-
-def test_list_switches(rig):
-    _ctl, lib = rig
-    assert lib.list_switches() == ["sw1", "sw2"]
+    assert ctl.client().flow_counters("sw1", "f") == {"packet_count": 0, "byte_count": 0}
 
 
 # -- bugfix regressions (fastpath v2) --------------------------------------------------
@@ -256,10 +245,8 @@ def test_bulk_create_uncommitted_stays_staged(rig):
     ctl, lib = rig
     entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(2)]
     _stage_all(lib, "sw1", entries)
-    assert lib.dirty_flows == [("sw1", "b0"), ("sw1", "b1")]
     assert ctl.client().read_flow("sw1", "b0").version == 0
     assert lib.flush() == [("sw1", "b0", 1), ("sw1", "b1", 1)]
-    assert lib.dirty_flows == []
 
 
 # -- write-behind commits --------------------------------------------------------------
@@ -268,7 +255,6 @@ def test_bulk_create_uncommitted_stays_staged(rig):
 def test_stage_flow_defers_the_visibility_point(rig):
     ctl, lib = rig
     lib.stage_flow("sw1", "w", Match(dl_type=0x800), [Output(2)])
-    assert lib.dirty_flows == [("sw1", "w")]
     assert ctl.client().read_flow("sw1", "w").version == 0
     ctl.run(0.2)
     assert len(ctl.net.switches["sw1"].table) == 0  # invisible until flushed
@@ -288,58 +274,4 @@ def test_direct_commit_clears_the_dirty_mark(rig):
     _ctl, lib = rig
     lib.stage_flow("sw1", "w", Match(), [Output(1)])
     lib.commit_flow("sw1", "w")
-    assert lib.dirty_flows == []
     assert lib.flush() == []
-
-
-# -- vectored directory I/O ------------------------------------------------------------
-
-
-def test_read_flow_dir_returns_every_attribute(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(dl_type=0x800, tp_dst=443, nw_proto=6), [Output(2)], priority=9)
-    files = lib.read_flow_dir("sw1", "f")
-    assert files["priority"] == "9"
-    assert files["match.tp_dst"] == "443"
-    assert files["version"] == "1"
-    assert "counters" not in files
-
-
-def test_read_flows_returns_the_whole_table(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "a", Match(dl_vlan=1), [Output(1)])
-    lib.create_flow("sw1", "b", Match(dl_vlan=2), [Output(2)])
-    table = lib.read_flows("sw1")
-    assert sorted(table) == ["a", "b"]
-    assert table["b"]["match.dl_vlan"] == "2"
-
-
-def test_write_flow_files_vectored_and_staged(rig):
-    ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], priority=5)
-    lib.write_flow_files("sw1", "f", {"priority": "6", "cookie": "12"})
-    assert lib.read_attribute("sw1", "f", "priority") == "6"
-    assert lib.read_attribute("sw1", "f", "cookie") == "12"
-    assert ctl.client().read_flow("sw1", "f").version == 1  # not yet visible
-    assert lib.dirty_flows == [("sw1", "f")]
-    lib.flush()
-    assert ctl.client().read_flow("sw1", "f").version == 2
-
-
-def test_write_flow_files_is_all_or_nothing(rig):
-    from repro.vfs import InvalidArgument
-
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], priority=5)
-    with pytest.raises(InvalidArgument):
-        lib.write_flow_files("sw1", "f", {"cookie": "1", "priority": "99999"})
-    assert lib.read_attribute("sw1", "f", "priority") == "5"
-    with pytest.raises(FileNotFound):
-        lib.read_attribute("sw1", "f", "cookie")  # first write rolled back too
-
-
-def test_write_flow_files_rejects_version(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)])
-    with pytest.raises(FileExists):
-        lib.write_flow_files("sw1", "f", {"version": "9"})

@@ -142,10 +142,12 @@ def test_a_slicers_round_writes_only_the_tenant_counters_that_moved():
     ctl.run(1.5)
     assert len(slicer._installed) == 2
     spent, done = _spent(slicer.sc, slicer.sync_counters)
-    assert spent == {"syscall.total": 2, "syscall.readdirplus": 2} and done == []  # it reads the master counters, and writes none
+    assert spent["syscall.io_uring_enter"] == 1 and spent["uring.sqe"] == 2  # it reads both master counters in one crossing
+    assert done == [[("readdirplus", True), ("readdirplus", True)]]  # and writes none
     ctl.host.root_sc.write_text("/net/switches/sw1/flows/v_ssh_f/counters/packet_count", "77")
     spent, done = _spent(slicer.sc, slicer.sync_counters)
-    assert spent["syscall.io_uring_enter"] == 1 and spent["uring.sqe"] == 3 and done == _one_crossing_of(1)
+    assert spent["syscall.io_uring_enter"] == 2 and spent["uring.sqe"] == 2 + 3  # the reads, then the one moved value
+    assert done == [[("readdirplus", True), ("readdirplus", True)]] + _one_crossing_of(1)
     assert tenant.flow_counters("sw1", "f")["packet_count"] == 77
     tenant.delete_flow("sw1", "f")
     ctl.run(0.5)
@@ -195,3 +197,14 @@ def test_a_middleboxs_round_writes_what_moved_and_an_entry_moved_away_fails_its_
     assert driver._counters[nat.name, entry.conn_id] == {}  # forgotten, so a later round retries
     sim.run_for(0.1)
     assert nat.entries() == []  # the move out reached the device
+
+
+def test_a_middlebox_driver_does_not_re_read_an_entry_for_its_own_counter_write(natnet):
+    """``packets`` is the round's write, not a file an entry needs: its close event wakes the driver but reads nothing."""
+    sim, _host, nat, driver = natnet
+    (entry,) = nat.entries()
+    entry.packets += 1
+    _spent(driver.sc, driver._sync_counters)
+    spent, _done = _spent(driver.sc, lambda: sim.run_for(0.1))
+    assert spent.get("syscall.epoll_wait", 0) >= 1  # the round's close event woke it
+    assert spent.get("syscall.readdirplus", 0) == 0

@@ -81,7 +81,8 @@ def test_run_until_leaves_future_events():
     sim.run_until(2.0)
     assert fired == ["early"]
     assert sim.now == 2.0
-    assert sim.pending == 1
+    sim.run()
+    assert fired == ["early", "late"]
 
 
 def test_run_for_is_relative():
@@ -134,29 +135,17 @@ def test_dispatched_counter():
     assert sim.dispatched == 2
 
 
-def test_pending_counts_live_events_without_heap_scans():
-    sim = Simulator()
-    events = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
-    assert sim.pending == 5
-    events[0].cancel()
-    assert sim.pending == 4  # cancel decrements immediately
-    sim.step()  # fires the 2.0 event (the cancelled one is skipped)
-    assert sim.pending == 3
-    sim.run()
-    assert sim.pending == 0
-
-
 def test_cancel_is_idempotent_for_pending():
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    other = sim.schedule(2.0, lambda: None)
+    fired = []
+    event = sim.schedule(1.0, lambda: fired.append("cancelled"))
+    other = sim.schedule(2.0, lambda: fired.append("other"))
     event.cancel()
-    event.cancel()  # double-cancel must not double-decrement
-    assert sim.pending == 1
+    event.cancel()  # a second cancel changes nothing
     sim.run()
-    assert sim.pending == 0
+    assert fired == ["other"] and sim.dispatched == 1
     other.cancel()  # cancel-after-fire is a no-op
-    assert sim.pending == 0
+    assert sim.step() is False and sim.dispatched == 1
 
 
 _OPS = st.lists(
@@ -176,8 +165,8 @@ _OPS = st.lists(
 @given(ops=_OPS)
 def test_fire_order_is_the_time_seq_sort(ops):
     """Random schedule/cancel/step runs against a sorted-dict reference:
-    events fire in ``(time, seq)`` order, and ``pending``, ``dispatched``
-    and ``now`` agree after every operation."""
+    events fire in ``(time, seq)`` order, and ``dispatched`` and ``now``
+    agree after every operation."""
     sim = Simulator()
     fired: list[int] = []
     handles = {}
@@ -235,6 +224,5 @@ def test_fire_order_is_the_time_seq_sort(ops):
             ref_fire(deadline)
             now = max(now, deadline)
         assert fired == expected
-        assert sim.pending == len(queue)
         assert sim.dispatched == len(expected)
         assert sim.now == now

@@ -106,19 +106,6 @@ def test_root_always_passes_acl():
     assert acl.check(Credentials(uid=0, gid=0), 1, 1, 7)
 
 
-def test_acl_text_roundtrip():
-    acl = Acl(
-        entries=(
-            AclEntry(AclTag.USER_OBJ, 7),
-            AclEntry(AclTag.USER, 5, qualifier=1001),
-            AclEntry(AclTag.GROUP_OBJ, 4),
-            AclEntry(AclTag.MASK, 5),
-            AclEntry(AclTag.OTHER, 0),
-        )
-    )
-    assert Acl.from_text(acl.to_text()) == acl
-
-
 def test_acl_entry_validation():
     with pytest.raises(InvalidArgument):
         AclEntry(AclTag.USER, 4)  # missing qualifier
@@ -210,7 +197,6 @@ def test_indexed_check_equals_the_scan(entries, cred, owner_uid, owner_gid, want
     acl = Acl(entries=entries)
     assert acl.check(cred, owner_uid, owner_gid, want) == _scan_check(entries, cred, owner_uid, owner_gid, want)
     assert acl == Acl(entries=entries) and hash(acl) == hash(Acl(entries=entries))
-    assert Acl.from_text(acl.to_text()) == acl
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vfs import FileNotFound, InvalidArgument, TooManyLinks
-from repro.vfs.path import basename, dirname, is_relative_to, join, normalize, split_path
+from repro.vfs.path import join, split_path
 
 
 def test_split_path_rejects_relative():
@@ -15,21 +15,8 @@ def test_split_path_collapses_slashes():
     assert split_path("//a///b/./c") == ["a", "b", "c"]
 
 
-def test_normalize_dotdot():
-    assert normalize("/a/b/../c") == "/a/c"
-    assert normalize("/../..") == "/"
-
-
 def test_join_and_parts():
     assert join("/a", "b", "c") == "/a/b/c"
-    assert dirname("/a/b/c") == "/a/b"
-    assert basename("/a/b/c") == "c"
-    assert dirname("/") == "/"
-
-
-def test_is_relative_to():
-    assert is_relative_to("/net/switches/sw1", "/net")
-    assert not is_relative_to("/network", "/net")
 
 
 def test_symlink_to_file(sc):

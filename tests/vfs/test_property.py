@@ -9,6 +9,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.vfs import (
     Acl,
+    AclEntry,
+    AclTag,
     Credentials,
     DirectoryNotEmpty,
     FileExists,
@@ -30,13 +32,14 @@ _LINK_NAMES = st.sampled_from(["l1", "l2"])
 # with modes that tell owner, group and other apart for uid/gid 1000.
 _MODES = st.sampled_from([0o755, 0o750, 0o700, 0o070, 0o007])
 _OWNERS = st.sampled_from([0, 1000])
+_U, _G, _M, _O = AclTag.USER_OBJ, AclTag.GROUP_OBJ, AclTag.MASK, AclTag.OTHER
 _ACLS = st.sampled_from(
     [
         None,
-        "u::rwx,g::r-x,o::r-x",
-        "u::rwx,u:1000:r-x,g::---,o::---",
-        "u::rwx,u:1000:---,g::rwx,o::rwx",
-        "u::rwx,g::rwx,m::---,o::--x",
+        Acl(entries=(AclEntry(_U, 7), AclEntry(_G, 5), AclEntry(_O, 5))),
+        Acl(entries=(AclEntry(_U, 7), AclEntry(AclTag.USER, 5, qualifier=1000), AclEntry(_G, 0), AclEntry(_O, 0))),
+        Acl(entries=(AclEntry(_U, 7), AclEntry(AclTag.USER, 0, qualifier=1000), AclEntry(_G, 7), AclEntry(_O, 7))),
+        Acl(entries=(AclEntry(_U, 7), AclEntry(_G, 7), AclEntry(_M, 0), AclEntry(_O, 1))),
     ]
 )
 
@@ -198,7 +201,7 @@ class VfsModelMachine(RuleBasedStateMachine):
     @rule(data=st.data(), acl=_ACLS)
     def set_acl(self, data, acl):
         path = data.draw(st.sampled_from(self._existing_dirs()))
-        self.sc.set_acl(path, Acl.from_text(acl) if acl else None)
+        self.sc.set_acl(path, acl)
 
     # -- invariants ------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Resolution edge cases: dot-dot physicality, stacked mounts, _abspath.
 
-These pin the three resolution bugs fixed alongside the dentry cache:
+These pin the resolution bugs fixed alongside the dentry cache, and one
+found later:
 
 * ``_abspath`` used to collapse ``..`` lexically, so a relative path from
   a symlinked cwd resolved against the *textual* parent instead of the
@@ -8,6 +9,9 @@ These pin the three resolution bugs fixed alongside the dentry cache:
   cache/meter keys).
 * The walker crossed only one mount per component, so a mount stacked on
   top of another mount's root stayed invisible.
+* ``chdir`` stored its path with ``..`` collapsed lexically, so after
+  ``chdir`` through a symlink every relative path missed the directory
+  it had checked.
 """
 
 import pytest
@@ -29,6 +33,19 @@ def test_relative_dotdot_from_symlinked_cwd_is_physical(sc):
     assert sc.read_text("../marker") == "inside the mount"
     with pytest.raises(FileNotFound):
         sc.read_text("/x/marker")
+
+
+def test_chdir_through_a_symlink_and_dotdot_lands_where_it_checked(sc):
+    """Regression: chdir collapsed ``..`` lexically, so ``/x/l/..`` became ``/x`` although it resolves to ``/y``."""
+    sc.makedirs("/y/z")
+    sc.mkdir("/x")
+    sc.symlink("/y/z", "/x/l")
+    sc.write_text("/y/marker", "here")
+    assert sc.exists("/x/l/../marker")
+    sc.chdir("/x/l/..")
+    assert sc.stat(sc.getcwd()) == sc.stat("/y")
+    assert sc.read_text("marker") == "here"
+    assert sorted(sc.listdir(".")) == ["marker", "z"]
 
 
 def test_stacked_mounts_cross_to_topmost(sc):

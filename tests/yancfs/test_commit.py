@@ -172,6 +172,6 @@ def test_a_flow_first_seen_committed_adopts_its_version():
 
 def test_the_spec_files_are_every_flow_attribute_but_the_commit():
     assert SPEC_NAMES == set(FLOW_ATTRIBUTE_VALIDATORS) - {"version"}
-    assert {"priority", "timeout", "idle_timeout", "hard_timeout", "cookie"} <= SPEC_NAMES
+    assert {"priority", "timeout", "hard_timeout", "cookie"} <= SPEC_NAMES
     assert is_spec_file("match.in_port") and is_spec_file("action.out") and is_spec_file("cookie")
     assert not is_spec_file("version") and not is_spec_file("state.installed")

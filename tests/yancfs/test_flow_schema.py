@@ -110,6 +110,14 @@ def test_negative_timeout_rejected(sw):
         sw.write_text("/net/switches/sw1/flows/f/timeout", "-1")
 
 
+def test_the_idle_timeout_has_one_spelling(sw):
+    """``timeout`` is the idle timeout (figure 3); a second spelling is not a flow file."""
+    sw.mkdir("/net/switches/sw1/flows/f")
+    with pytest.raises(InvalidArgument):
+        sw.write_text("/net/switches/sw1/flows/f/idle_timeout", "30")
+    sw.write_text("/net/switches/sw1/flows/f/timeout", "30")
+
+
 def test_state_files_free_form(sw):
     sw.mkdir("/net/switches/sw1/flows/f")
     sw.write_text("/net/switches/sw1/flows/f/state.status", "anything goes here")

@@ -192,7 +192,7 @@ _SPOOL_OPS = st.lists(
 def _wire(driver_cls, ops) -> tuple[list[tuple[int, str]], list[list[str]]]:
     """Every message the driver sent after start, per switch, and what was left in each spool."""
     ctl = YancController(build_linear(2))
-    ctl.drivers.append(driver_cls(ctl.host.process(name="ofd", role="driver"), ctl.sim, stats_interval=0))
+    ctl.drivers.append(driver_cls(ctl.host.process(name="ofd", role="driver"), ctl.sim))
     ctl.start()
     sent: list[tuple[int, str]] = []
     for binding in ctl.drivers[0].bindings.values():
